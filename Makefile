@@ -1,6 +1,6 @@
 PYTHONPATH := src
 
-.PHONY: test lint bench bench-aqp bench-parallel bench-pipeline bench-resilience bench-reuse bench-server bench-overload bench-updates bench-full profile serve
+.PHONY: test lint bench bench-spine bench-aqp bench-parallel bench-pipeline bench-resilience bench-reuse bench-server bench-overload bench-updates bench-full profile serve
 
 test:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
@@ -22,6 +22,14 @@ lint:
 		echo "mypy not installed; skipping (pip install mypy)"; \
 	fi
 	PYTHONPATH=$(PYTHONPATH) python -m repro.lint src tests --report LINT_REPORT.json
+
+# Measurement-spine smoke (BENCHMARK.json, benchmarks/spine/README.md): one
+# traced run of the smallest workload with the correctness gate; fails unless
+# the last stdout line (the contract JSON) reports "correct": true.  Also the
+# check that the frozen harness still finds every public call it makes.
+bench-spine:
+	python3 benchmarks/spine/run.py --workload uq1_sf005 --seed 100 --trace 1 --smoke \
+		| tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 # Batched-engine micro-benchmark: writes BENCH_batch_engine.json at the root.
 bench:

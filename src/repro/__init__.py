@@ -95,7 +95,6 @@ from repro.resilience import (
 from repro.relational import (
     Attribute,
     Comparison,
-    HashIndex,
     InSet,
     Relation,
     RelationDelta,
@@ -128,7 +127,6 @@ __all__ = [
     "Schema",
     "Relation",
     "RelationDelta",
-    "HashIndex",
     "Comparison",
     "InSet",
     # join model

@@ -112,7 +112,7 @@ class BackendCostModel:
     #: EW sampler setup per base-relation row: bottom-up segment-sum weight
     #: build plus level-plan and per-segment alias-table construction
     weight_build_seconds_per_row: float = 1.2e-6
-    #: EO sampler setup per row: ColumnStatistics / max-degree passes
+    #: EO sampler setup per row: key-index build / max-degree passes
     stats_seconds_per_row: float = 4.0e-7
     #: residual-condition survival prior for cyclic skeletons (unknown a
     #: priori; only used to keep cyclic costs comparable across backends)

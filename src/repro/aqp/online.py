@@ -33,7 +33,7 @@ from repro.aqp.planner import (
     supported_backends,
 )
 from repro.core.online_sampler import OnlineUnionSampler
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin, z_value
@@ -242,7 +242,7 @@ class OnlineAggregator:
             if self.backend in BACKEND_WEIGHTS:
                 self.cache = cache
                 self._cache_weights = self.plan.weights or BACKEND_WEIGHTS[self.backend]
-        self._db_versions = self._current_versions()
+        self._db_versions = observed_versions(self.queries)
         # One aggregator may serve concurrent callers (the server's shared
         # path): the lock serializes step/estimate, so interleaved runs see
         # consistent accumulator state at step granularity.
@@ -418,12 +418,6 @@ class OnlineAggregator:
             for e in report.estimates.values()
         )
 
-    def _current_versions(self) -> Tuple[int, ...]:
-        versions: List[int] = []
-        for query in self.queries:
-            versions.extend(r.version for r in query.relations.values())
-        return tuple(versions)
-
     def _sync_epoch(self) -> None:
         """Restart accumulators when the base relations mutated (new epoch).
 
@@ -440,13 +434,13 @@ class OnlineAggregator:
             refresh = getattr(self._union_sampler, "refresh", None)
             if refresh is not None:
                 stale = bool(refresh())
-            elif self._current_versions() != self._db_versions:
+            elif observed_versions(self.queries) != self._db_versions:
                 raise RuntimeError(
                     "base relations mutated but the provided union sampler has "
                     "no refresh(); rebuild the aggregator for the new snapshot"
                 )
         else:  # wander join reads the delta-maintained indexes directly
-            stale = self._current_versions() != self._db_versions
+            stale = observed_versions(self.queries) != self._db_versions
         if stale:
             self.accumulator.reset()
             self._union_consumed = 0
@@ -459,7 +453,7 @@ class OnlineAggregator:
             self.cached_samples = 0
             self.fresh_samples = 0
             self.epochs_restarted += 1
-        self._db_versions = self._current_versions()
+        self._db_versions = observed_versions(self.queries)
 
     def _step_join(self, size: int) -> None:
         """Serve cached blocks first, then draw fresh and ingest column-wise.

@@ -37,7 +37,7 @@ from repro.analysis.cost import (
     estimate_backend_costs,
     walk_success_ratio,
 )
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 
 #: Every backend the planner can hand out.
 BACKENDS = ("exact-weight", "olken", "wander-join", "online-union")
@@ -152,7 +152,7 @@ class SamplerPlanner:
         # between mutations — must not re-pay the statistics passes, so the
         # decision is memoized on the query keyed by the relation versions
         # (the same epoch protocol the samplers use).
-        versions = tuple(r.version for r in query.relations.values())
+        versions = observed_versions((query,))
         cache_key = (versions, self.target_samples, self.cost_model)
         cached = getattr(query, "_sampler_plan_cache", None)
         if cached is not None and cached[0] == cache_key:

@@ -6,7 +6,7 @@ lineitems.  :class:`TPCHRefreshStream` emits batches mixing both, seeded and
 fully deterministic, so dynamic experiments are reproducible.
 
 Events are applied through :func:`apply_event`, which routes deletions through
-the relation's *maintained hash index* (one lookup + ``delete_rows``) instead
+the relation's *maintained key index* (one lookup + ``delete_rows``) instead
 of a predicate scan — the whole point of the incremental update engine is that
 an update batch costs O(Δ), not O(n).
 """
@@ -64,9 +64,9 @@ class UpdateBatch:
 def apply_event(tables: Dict[str, Relation], event: UpdateEvent) -> int:
     """Apply one event; returns the number of rows inserted or deleted.
 
-    Deletions resolve the doomed positions through the relation's hash index
-    (maintained in O(Δ) per batch), so a delete costs the size of its bucket,
-    never a relation scan.
+    Deletions resolve the doomed positions through the relation's key index
+    (maintained in O(Δ) per batch), so a delete costs the size of its
+    segment, never a relation scan.
     """
     relation = tables[event.relation]
     if isinstance(event, InsertEvent):
@@ -102,7 +102,7 @@ def apply_batch(tables: Dict[str, Relation], batch: UpdateBatch) -> Dict[str, in
         else:
             relation = tables[event.relation]
             positions = relation.index_on(event.attribute).positions(event.value)
-            doomed.setdefault(event.relation, set()).update(positions)
+            doomed.setdefault(event.relation, set()).update(positions.tolist())
     flush()
     return {"inserted": inserted, "deleted": deleted}
 

@@ -50,7 +50,7 @@ def iterate_join_assignments(
             )
             lookup = key if len(key) > 1 else key[0]
             index = child_rel.index_on_columns(child.child_attributes)
-            for pos in index.positions(lookup):
+            for pos in index.positions(lookup).tolist():
                 assignment[child.relation] = pos
                 for _ in bind_subtree(child):
                     yield from bind_children(idx + 1)

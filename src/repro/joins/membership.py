@@ -76,12 +76,12 @@ class JoinMembershipProber:
         if key_attrs:
             index = relation.index_on_columns(key_attrs)
             lookup = key if len(key) > 1 else key[0]
-            positions: Iterable[int] = index.positions(lookup)
+            positions: Iterable[int] = index.positions(lookup).tolist()
         elif constraints:
             # No join key (root): seed the search from an output constraint
             # instead of scanning the relation.
             attr, out_pos = constraints[0]
-            positions = relation.index_on(attr).positions(value[out_pos])
+            positions = relation.index_on(attr).positions(value[out_pos]).tolist()
         else:
             positions = range(len(relation))
         if not constraints:

@@ -248,4 +248,14 @@ def check_union_compatible(queries: Sequence[JoinQuery]) -> None:
             )
 
 
-__all__ = ["JoinQuery", "JoinType", "check_union_compatible"]
+def observed_versions(queries: Iterable[JoinQuery]) -> Tuple[int, ...]:
+    """Version counters of every base relation, in query/declaration order.
+
+    The snapshot pin of everything derived from the relations' contents:
+    state computed under one version vector is valid exactly while the
+    vector reads the same.
+    """
+    return tuple(r.version for query in queries for r in query.relations.values())
+
+
+__all__ = ["JoinQuery", "JoinType", "check_union_compatible", "observed_versions"]

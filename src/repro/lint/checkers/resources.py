@@ -31,7 +31,7 @@ RULES = (
         id="RES001",
         name="unreleased-ticket",
         invariant=(
-            "every admit()/acquire_slot() acquisition is released in a "
+            "every admit()/watch() acquisition is released in a "
             "`finally` (or immediately, or ownership is returned)"
         ),
     ),

@@ -268,7 +268,6 @@ NONDETERMINISTIC_CALLS: FrozenSet[str] = frozenset(
 #: server's inflight accounting when a request dies mid-flight.
 RESOURCE_ACQUISITIONS: Dict[str, FrozenSet[str]] = {
     "admit": frozenset({"release"}),
-    "acquire_slot": frozenset({"release_slot", "release"}),
     # PR 10: a watchdog ticket not released leaves a phantom "stuck"
     # request that keeps /health degraded forever.
     "watch": frozenset({"release"}),

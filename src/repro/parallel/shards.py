@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience.faults import (
     FaultPlan,
     apply_pre_fault,
@@ -149,14 +149,6 @@ class ShardResult:
         """Stamp the integrity checksum (the worker's last act)."""
         self.checksum = self.fingerprint()
         return self
-
-
-def observed_versions(queries: Tuple[JoinQuery, ...]) -> Tuple[int, ...]:
-    """Version counters of every base relation, in query/declaration order."""
-    versions: List[int] = []
-    for query in queries:
-        versions.extend(r.version for r in query.relations.values())
-    return tuple(versions)
 
 
 def run_shard(

@@ -1,6 +1,6 @@
 """In-memory relational engine substrate.
 
-Provides relations, schemas, hash indexes, column statistics, selection
+Provides relations, schemas, key indexes, column statistics, selection
 predicates, and the physical operators needed both by the sampling framework
 (index lookups, degree statistics) and by the exact ``FullJoinUnion`` ground
 truth (hash joins, set/disjoint union).
@@ -13,7 +13,7 @@ from repro.relational.columnar import (
     tuple_key_array,
 )
 from repro.relational.delta import RelationDelta
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import SortedIndex
 from repro.relational.operators import (
     difference,
     disjoint_union,
@@ -51,7 +51,6 @@ __all__ = [
     "Relation",
     "RelationDelta",
     "Row",
-    "HashIndex",
     "SortedIndex",
     "ColumnStore",
     "as_column_array",

@@ -2,8 +2,9 @@
 
 A :class:`RelationDelta` describes one mutation batch of a
 :class:`~repro.relational.relation.Relation` precisely enough for every
-derived structure (hash indexes, CSR indexes, column arrays, statistics) to
-update itself in O(Δ) instead of rebuilding from scratch:
+derived structure (the CSR key index of every indexed key set, whose degrees
+are also the column statistics, and the column arrays) to update itself in
+O(Δ) instead of rebuilding from scratch:
 
 * ``inserted`` — post-state positions of rows appended by the batch;
 * ``deleted`` — ``(pre-state position, row)`` pairs removed by the batch;

@@ -1,29 +1,32 @@
-"""Hash and CSR indexes over relation columns.
+"""The key index of a relation: value -> row positions in CSR layout.
 
 The paper replaces the B-tree indexes assumed by Zhao et al. with hash tables
 that record, for every join-attribute value, the positions of the rows holding
 that value ("we use hash tables for relations to maintain tuples' joinability
-information", §3.2).  :class:`HashIndex` is exactly that structure; it backs
+information", §3.2).  :class:`SortedIndex` is that structure, and the only
+value -> positions structure a relation keeps per key set: a hash table from
+key value to slot id, plus one contiguous positions array and a CSR offsets
+array.  It backs
 
-* joinability lookups during join sampling and random walks,
-* degree lookups (`d_A(v, R)`) during weight computation,
-* membership probes of the random-walk overlap estimator.
-
-:class:`SortedIndex` is the columnar companion used by the batched sampling
-engine: the same value -> positions mapping laid out as one contiguous
-positions array plus a CSR offsets array, so that "joinable rows for a batch
-of parent keys" is a handful of NumPy gathers instead of per-row dict lookups.
+* scalar joinability lookups (``positions``/``degree``) of the reference
+  walkers, the ground-truth executor and the membership probes,
+* whole-batch lookups of the batched sampling engine, where "joinable rows
+  for a batch of parent keys" is a handful of NumPy gathers,
+* the degree statistics (`d_A(v, R)`, `M_A(R)`) read through
+  :class:`~repro.relational.statistics.ColumnStatistics`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
+
+IntArray = npt.NDArray[np.signedinteger[Any]]
 
 
-def smallest_index_dtype(max_value: int) -> np.dtype:
+def smallest_index_dtype(max_value: int) -> "np.dtype[np.signedinteger[Any]]":
     """Smallest signed integer dtype that can hold row indices up to ``max_value``.
 
     Index arrays (CSR row positions and offsets) default to int64 under
@@ -39,163 +42,8 @@ def smallest_index_dtype(max_value: int) -> np.dtype:
     return np.dtype(np.intp)
 
 
-class HashIndex:
-    """Value -> row-position index for one attribute of a relation."""
-
-    __slots__ = ("attribute", "_buckets", "_max_degree", "_total_rows")
-
-    def __init__(self, attribute: str, buckets: Dict[object, Sequence[int]]) -> None:
-        self.attribute = attribute
-        # Buckets are stored as tuples so that lookups hand out read-only
-        # views: callers cannot corrupt the index by mutating a result.
-        self._buckets: Dict[object, Tuple[int, ...]] = {
-            value: tuple(positions) for value, positions in buckets.items()
-        }
-        # None means "recompute on next access" (set when a delta shrinks the
-        # bucket that held the maximum).
-        self._max_degree: Optional[int] = max(
-            (len(v) for v in self._buckets.values()), default=0
-        )
-        self._total_rows = sum(len(v) for v in self._buckets.values())
-
-    @classmethod
-    def build(cls, values: Iterable[object], attribute: str = "") -> "HashIndex":
-        """Build an index from the column's values in row order."""
-        buckets: Dict[object, List[int]] = defaultdict(list)
-        for position, value in enumerate(values):
-            buckets[value].append(position)
-        return cls(attribute, buckets)
-
-    # ----------------------------------------------------------------- lookups
-    def positions(self, value: object) -> Tuple[int, ...]:
-        """Row positions whose attribute equals ``value`` (empty if none)."""
-        return self._buckets.get(value, ())
-
-    def degree(self, value: object) -> int:
-        """Number of rows whose attribute equals ``value``."""
-        return len(self._buckets.get(value, ()))
-
-    def __contains__(self, value: object) -> bool:
-        return value in self._buckets
-
-    def __len__(self) -> int:
-        """Number of distinct values."""
-        return len(self._buckets)
-
-    def values(self) -> Iterator[object]:
-        """Iterate over the distinct indexed values."""
-        return iter(self._buckets)
-
-    def items(self) -> Iterator[Tuple[object, Tuple[int, ...]]]:
-        """Iterate over ``(value, positions)`` pairs."""
-        return iter(self._buckets.items())
-
-    # ------------------------------------------------------------- maintenance
-    def apply_delta(
-        self,
-        removed: Sequence[Tuple[object, int]],
-        moved: Sequence[Tuple[object, int, int]],
-        added: Sequence[Tuple[object, int]],
-    ) -> None:
-        """Apply one mutation batch without rebuilding the whole index.
-
-        ``removed``/``added`` carry ``(key value, row position)`` pairs;
-        ``moved`` carries ``(key value, old position, new position)`` for rows
-        relocated by the swap-remove deletion scheme.  Only the buckets of
-        affected key values are rebuilt — O(Δ · bucket) work — and the cached
-        maximum degree is invalidated lazily when the maximal bucket shrinks.
-        """
-        # key value -> (positions to drop, old -> new remap, positions to add)
-        changes: Dict[object, Tuple[set, Dict[int, int], List[int]]] = {}
-
-        def slot(value: object) -> Tuple[set, Dict[int, int], List[int]]:
-            entry = changes.get(value)
-            if entry is None:
-                entry = (set(), {}, [])
-                changes[value] = entry
-            return entry
-
-        for value, position in removed:
-            slot(value)[0].add(position)
-        for value, old, new in moved:
-            slot(value)[1][old] = new
-        for value, position in added:
-            slot(value)[2].append(position)
-
-        for value, (drop, remap, add) in changes.items():
-            bucket = self._buckets.get(value, ())
-            if drop or remap:
-                if len(bucket) >= 1024:
-                    # Large buckets (low-cardinality columns) take a
-                    # vectorized path: the per-element Python loop would cost
-                    # milliseconds per bucket, np.isin microseconds.
-                    arr = np.fromiter(bucket, dtype=np.intp, count=len(bucket))
-                    if drop:
-                        arr = arr[
-                            ~np.isin(
-                                arr,
-                                np.fromiter(drop, dtype=np.intp, count=len(drop)),
-                            )
-                        ]
-                    if remap:
-                        hits = np.isin(
-                            arr,
-                            np.fromiter(remap, dtype=np.intp, count=len(remap)),
-                        )
-                        if hits.any():
-                            arr[hits] = np.fromiter(
-                                (remap[p] for p in arr[hits].tolist()),
-                                dtype=np.intp,
-                                count=int(hits.sum()),
-                            )
-                    kept = arr.tolist()
-                else:
-                    kept = [remap.get(p, p) for p in bucket if p not in drop]
-                if len(kept) != len(bucket) - len(drop):
-                    raise KeyError(
-                        f"delta removes positions {drop!r} not all present "
-                        f"under key {value!r} of index {self.attribute!r}"
-                    )
-                new_bucket = tuple(kept) + tuple(add)
-            else:
-                new_bucket = bucket + tuple(add)
-            if (
-                self._max_degree is not None
-                and len(new_bucket) < len(bucket) == self._max_degree
-            ):
-                self._max_degree = None  # the maximal bucket shrank
-            if new_bucket:
-                self._buckets[value] = new_bucket
-                if self._max_degree is not None:
-                    self._max_degree = max(self._max_degree, len(new_bucket))
-            else:
-                self._buckets.pop(value, None)
-        self._total_rows += len(added) - len(removed)
-
-    # -------------------------------------------------------------- statistics
-    @property
-    def max_degree(self) -> int:
-        """Maximum number of rows sharing one value (``M_A(R)``)."""
-        if self._max_degree is None:
-            self._max_degree = max(
-                (len(v) for v in self._buckets.values()), default=0
-            )
-        return self._max_degree
-
-    @property
-    def total_rows(self) -> int:
-        """Total number of indexed rows (cached at build time)."""
-        return self._total_rows
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HashIndex(attribute={self.attribute!r}, distinct={len(self)}, "
-            f"max_degree={self.max_degree})"
-        )
-
-
 class SortedIndex:
-    """CSR layout of a :class:`HashIndex`: positions grouped by key.
+    """Value -> row-position index over one key set, in CSR layout.
 
     Attributes
     ----------
@@ -209,9 +57,10 @@ class SortedIndex:
         deletions may leave zero-degree slots behind until the next lazy
         compaction, and every consumer treats those as "no joinable rows".
 
-    Key values map to slots either through a vectorized ``searchsorted`` over
-    a sorted key array (homogeneous numeric/string keys) or through a plain
-    dict (tuples and mixed types).
+    A key value maps to its slot through a plain dict; whole batches of
+    homogeneous numeric/string keys resolve through a vectorized
+    ``searchsorted`` over a sorted key array instead.  Slots are numbered in
+    first-occurrence order of their key, and positions inside a slot ascend.
     """
 
     __slots__ = (
@@ -219,37 +68,36 @@ class SortedIndex:
         "row_positions",
         "offsets",
         "_slot_of",
-        "_sorted_keys",
-        "_sorted_slots",
+        "_sorted_lookup",
     )
 
     def __init__(
         self,
         attribute: str,
-        keys: Sequence[object],
-        row_positions: np.ndarray,
-        offsets: np.ndarray,
+        slot_of: Dict[object, int],
+        row_positions: IntArray,
+        offsets: IntArray,
     ) -> None:
         self.attribute = attribute
-        self.row_positions = np.asarray(row_positions)
-        self.offsets = np.asarray(offsets)
-        self._adopt_arrays(self.row_positions, self.offsets)
+        self._adopt_arrays(row_positions, offsets)
         # Invariant: dict insertion order equals slot order (maintained by
         # apply_delta when keys are added or slots are compacted away).
-        self._slot_of: Dict[object, int] = {key: i for i, key in enumerate(keys)}
-        self._sorted_keys: np.ndarray | None = None
-        self._sorted_slots: np.ndarray | None = None
-        self._rebuild_sorted_lookup()
+        self._slot_of = slot_of
+        # (sorted keys, their slots) for vectorized lookups, () when the keys
+        # cannot be sorted as one array, None until the first batch lookup
+        # after the key set changed: an index that only serves scalar
+        # lookups never pays the O(n_keys log n_keys) pass.
+        self._sorted_lookup: Tuple[npt.NDArray[Any], ...] | None = None
 
-    def _adopt_arrays(self, row_positions: np.ndarray, offsets: np.ndarray) -> None:
+    def _adopt_arrays(self, row_positions: IntArray, offsets: IntArray) -> None:
         """Store the CSR arrays in the smallest safe index dtype, read-only.
 
         The dtype audit runs on every (re)build and delta: row positions are
         bounded by the relation size, offsets by the total indexed rows, so
         both shrink to int16/int32 whenever they fit — halving (or better)
         the resident bytes the batched engine gathers through.  Lookups hand
-        out views of these arrays; keeping them read-only preserves the
-        HashIndex invariant that callers cannot corrupt the index.
+        out views of these arrays; keeping them read-only means callers
+        cannot corrupt the index by mutating a result.
         """
         bound = int(offsets[-1]) if len(offsets) else 0
         if row_positions.size:
@@ -265,11 +113,9 @@ class SortedIndex:
         """Resident bytes of the CSR arrays (the dtype-audit accounting)."""
         return int(self.row_positions.nbytes + self.offsets.nbytes)
 
-    def _rebuild_sorted_lookup(self) -> None:
-        """(Re)build the vectorized key -> slot lookup arrays."""
+    def _build_sorted_lookup(self) -> Tuple[npt.NDArray[Any], ...]:
+        """The vectorized key -> slot lookup arrays (see ``_sorted_lookup``)."""
         keys = list(self._slot_of)
-        self._sorted_keys = None
-        self._sorted_slots = None
         if keys and len({type(k) for k in keys}) == 1:
             # Mixed-type keys must stay on the dict path: np.asarray would
             # silently stringify them and corrupt the searchsorted lookup.
@@ -279,26 +125,25 @@ class SortedIndex:
                 key_array = np.empty(0, dtype=object)
             if key_array.ndim == 1 and key_array.dtype != object:
                 order = np.argsort(key_array, kind="stable")
-                self._sorted_keys = key_array[order]
-                self._sorted_slots = np.asarray(order, dtype=np.intp)
+                return key_array[order], np.asarray(order, dtype=np.intp)
+        return ()
 
     @classmethod
-    def from_hash_index(cls, index: HashIndex) -> "SortedIndex":
-        """CSR view of an existing hash index (shares no mutable state)."""
-        keys: List[object] = []
-        degrees: List[int] = []
-        chunks: List[Tuple[int, ...]] = []
-        for value, positions in index.items():
-            keys.append(value)
-            degrees.append(len(positions))
-            chunks.append(positions)
-        offsets = np.zeros(len(keys) + 1, dtype=np.intp)
-        if degrees:
-            offsets[1:] = np.cumsum(degrees)
-        flat = np.fromiter(
-            (p for chunk in chunks for p in chunk), dtype=np.intp, count=int(offsets[-1])
+    def build(cls, values: Iterable[object], attribute: str = "") -> "SortedIndex":
+        """Build the index from the key column's values in row order.
+
+        One dict pass assigns slot ids in first-occurrence order; a stable
+        argsort of the per-row slot ids then groups the positions slot by
+        slot, ascending inside each slot.
+        """
+        slot_of: Dict[object, int] = {}
+        row_slots = np.asarray(
+            [slot_of.setdefault(value, len(slot_of)) for value in values],
+            dtype=np.intp,
         )
-        return cls(index.attribute, keys, flat, offsets)
+        offsets = np.zeros(len(slot_of) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row_slots, minlength=len(slot_of)), out=offsets[1:])
+        return cls(attribute, slot_of, np.argsort(row_slots, kind="stable"), offsets)
 
     # ------------------------------------------------------------------- slots
     @property
@@ -313,28 +158,28 @@ class SortedIndex:
         """Slot id of ``value`` (-1 when absent)."""
         return self._slot_of.get(value, -1)
 
-    def slots_for(self, values: Sequence[object] | np.ndarray) -> np.ndarray:
+    def slots_for(self, values: Sequence[object] | npt.NDArray[Any]) -> npt.NDArray[np.intp]:
         """Slot ids for a batch of key values (-1 where absent).
 
         Homogeneous non-object key columns resolve through one vectorized
         ``searchsorted``; tuple/mixed keys fall back to dict lookups in a
         single ``fromiter`` pass.
         """
-        if self._sorted_keys is not None and isinstance(values, np.ndarray):
-            if values.dtype != object and values.ndim == 1:
-                n = len(self._sorted_keys)
-                idx = np.searchsorted(self._sorted_keys, values)
-                idx_clipped = np.minimum(idx, n - 1)
-                found = self._sorted_keys[idx_clipped] == values
-                slots = np.where(found, self._sorted_slots[idx_clipped], -1)
-                return np.asarray(slots, dtype=np.intp)
+        if isinstance(values, np.ndarray) and values.dtype != object and values.ndim == 1:
+            if self._sorted_lookup is None:
+                self._sorted_lookup = self._build_sorted_lookup()
+            if self._sorted_lookup:
+                sorted_keys, sorted_slots = self._sorted_lookup
+                idx = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
+                found = sorted_keys[idx] == values
+                return np.asarray(np.where(found, sorted_slots[idx], -1), dtype=np.intp)
         get = self._slot_of.get
         return np.fromiter(
             (get(v, -1) for v in values), dtype=np.intp, count=len(values)
         )
 
     # ----------------------------------------------------------------- lookups
-    def positions(self, value: object) -> np.ndarray:
+    def positions(self, value: object) -> IntArray:
         """Row positions for one key value (empty array when absent)."""
         slot = self.slot(value)
         if slot < 0:
@@ -342,20 +187,38 @@ class SortedIndex:
         return self.row_positions[self.offsets[slot] : self.offsets[slot + 1]]
 
     def degree(self, value: object) -> int:
+        """Number of rows whose key equals ``value`` (``d_A(v, R)``)."""
         slot = self.slot(value)
         if slot < 0:
             return 0
         return int(self.offsets[slot + 1] - self.offsets[slot])
 
-    def degrees(self) -> np.ndarray:
+    def degrees(self) -> IntArray:
         """Per-slot degrees (length ``n_keys``)."""
         return np.diff(self.offsets)
 
+    @property
+    def max_degree(self) -> int:
+        """Maximum number of rows sharing one key value (``M_A(R)``)."""
+        return int(self.degrees().max()) if self.n_keys else 0
+
+    def frequencies(self) -> Dict[object, int]:
+        """Key value -> degree, for the values some row holds.
+
+        Zero-degree slots left behind by deletions are not values.
+        """
+        return {
+            key: degree
+            for key, degree in zip(self._slot_of, self.degrees().tolist())
+            if degree
+        }
+
     def __contains__(self, value: object) -> bool:
-        return value in self._slot_of
+        return self.degree(value) > 0
 
     def __len__(self) -> int:
-        return self.n_keys
+        """Number of distinct values some row holds."""
+        return int(np.count_nonzero(self.degrees()))
 
     # ------------------------------------------------------------- maintenance
     def apply_delta(
@@ -396,7 +259,7 @@ class SortedIndex:
                     )
                 by_slot.setdefault(slot, []).append(position)
             del_counts = np.zeros(n_keys, dtype=np.intp)
-            entry_chunks: List[np.ndarray] = []
+            entry_chunks: List[npt.NDArray[np.intp]] = []
             for slot, positions in by_slot.items():
                 start, end = int(offsets[slot]), int(offsets[slot + 1])
                 segment = row_positions[start:end]
@@ -483,10 +346,10 @@ class SortedIndex:
 
         self._adopt_arrays(row_positions, offsets)
         if compacted or new_key_added:
-            self._rebuild_sorted_lookup()
+            self._sorted_lookup = None
 
     # ------------------------------------------------------------ aggregation
-    def segment_sums(self, row_values: np.ndarray) -> np.ndarray:
+    def segment_sums(self, row_values: npt.NDArray[Any]) -> npt.NDArray[np.float64]:
         """Per-key sums of ``row_values`` (indexed by row position).
 
         Equivalent to ``[row_values[positions].sum() for each key]`` but
@@ -499,7 +362,8 @@ class SortedIndex:
         starts = self.offsets[:-1]
         nonempty = self.offsets[1:] > starts
         if bool(nonempty.all()):
-            return np.add.reduceat(gathered, starts)
+            full: npt.NDArray[np.float64] = np.add.reduceat(gathered, starts)
+            return full
         # reduceat misreads zero-length segments, so run it over the
         # non-empty starts only (their segments stay contiguous: empty slots
         # contribute no elements) and scatter back around zero-filled slots.
@@ -515,4 +379,4 @@ class SortedIndex:
         )
 
 
-__all__ = ["HashIndex", "SortedIndex"]
+__all__ = ["SortedIndex"]

@@ -45,7 +45,7 @@ def hash_join(
     left_pos = left.schema.position(left_attr)
     out_rows: List[Row] = []
     for lrow in left:
-        for rpos in index.positions(lrow[left_pos]):
+        for rpos in index.positions(lrow[left_pos]).tolist():
             out_rows.append(lrow + right.row(rpos))
     return Relation(name or f"{left.name}_join_{right.name}", out_schema, out_rows)
 

@@ -1,25 +1,26 @@
 """In-memory relations.
 
 A :class:`Relation` is a named, schema-typed bag of rows stored as Python
-tuples.  It provides column access, hash indexes on demand (see
-:mod:`repro.relational.index`), and cached per-column statistics (see
-:mod:`repro.relational.statistics`) — the three capabilities every algorithm
-in the paper relies on:
+tuples.  It provides column access and, per key set, one lazily built and
+delta-maintained key index (see :mod:`repro.relational.index`) whose degrees
+double as the column statistics (see :mod:`repro.relational.statistics`) —
+the three capabilities every algorithm in the paper relies on:
 
-* the join samplers walk hash indexes (`joinable tuples` lookups),
+* the join samplers walk the key indexes (`joinable tuples` lookups),
 * the histogram-based overlap estimator reads degree statistics,
 * the ground-truth executor scans rows.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.relational.columnar import ColumnStore
 from repro.relational.delta import RelationDelta
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import SortedIndex
 from repro.relational.schema import Attribute, Schema
 from repro.relational.statistics import ColumnStatistics
 
@@ -64,9 +65,9 @@ class Relation:
         #: array copy per row (see _flush_pending)
         self._pending_inserts: list[Row] = []
         self._rows: list[Row] = []
-        self._indexes: Dict[str, HashIndex] = {}
+        #: the one value -> positions structure per key set, keyed by the
+        #: "\x00"-joined attribute names
         self._sorted_indexes: Dict[str, SortedIndex] = {}
-        self._statistics: Dict[str, ColumnStatistics] = {}
         self._columns: Optional[ColumnStore] = None
         width = len(self.schema)
         for row in rows:
@@ -168,9 +169,7 @@ class Relation:
         """Drop all caches derived from the row storage."""
         # Queued insert patches die with the caches: rebuilds read full rows.
         self._pending_inserts.clear()
-        self._indexes.clear()
         self._sorted_indexes.clear()
-        self._statistics.clear()
         if self._columns is not None:
             self._columns.invalidate()
 
@@ -215,12 +214,7 @@ class Relation:
             self._pending_inserts.extend(new_rows)
 
     def _has_caches(self) -> bool:
-        return bool(
-            self._indexes
-            or self._sorted_indexes
-            or self._statistics
-            or self._columns is not None
-        )
+        return bool(self._sorted_indexes or self._columns is not None)
 
     def _flush_pending(self) -> None:
         """Apply the coalesced insert delta queued by append/extend."""
@@ -357,114 +351,61 @@ class Relation:
             self._invalidate()
             return
         self._maintain_indexes(delta, inserted_rows)
-        self._maintain_statistics(delta, inserted_rows)
         if self._columns is not None:
             self._columns.apply_delta(delta, inserted_rows)
 
-    def _key_projector(self, attrs: Sequence[str]) -> Callable[[Row], object]:
-        """Row -> index-key function matching ``index_on_columns`` keys."""
-        positions = self.schema.positions(attrs)
-        if len(positions) == 1:
-            single = positions[0]
-            return lambda row: row[single]
-        return lambda row: tuple(row[p] for p in positions)
-
-    def _key_changes(
-        self,
-        cache_key: str,
-        delta: RelationDelta,
-        inserted_rows: Tuple[Row, ...],
-    ) -> Tuple[list, list]:
-        """``(removed, added)`` key/position pairs of one delta under the
-        projection named by ``cache_key`` (replacements whose key does not
-        change are dropped — shared by index, CSR, and statistics upkeep)."""
-        keyf = self._key_projector(cache_key.split("\x00"))
-        removed = [(keyf(row), pos) for pos, row in delta.deleted]
-        added = [(keyf(row), pos) for pos, row in zip(delta.inserted, inserted_rows)]
-        for pos, old_row, new_row in delta.replaced:
-            old_key, new_key = keyf(old_row), keyf(new_row)
-            if old_key != new_key:
-                removed.append((old_key, pos))
-                added.append((new_key, pos))
-        return removed, added
+    def _key_of(self, attrs: Sequence[str]) -> Callable[[Row], object]:
+        """Row -> index key over ``attrs``: the bare value of a single
+        attribute, the tuple of values of a composite key."""
+        return itemgetter(*self.schema.positions(attrs))
 
     def _maintain_indexes(
         self, delta: RelationDelta, inserted_rows: Tuple[Row, ...]
     ) -> None:
-        for cache_key, index in self._indexes.items():
-            keyf = self._key_projector(cache_key.split("\x00"))
-            removed, added = self._key_changes(cache_key, delta, inserted_rows)
-            moved = [
-                (keyf(self._rows[new]), old, new) for old, new in delta.moved
-            ]
-            index.apply_delta(removed, moved, added)
-        for cache_key, csr in self._sorted_indexes.items():
-            removed, added = self._key_changes(cache_key, delta, inserted_rows)
-            csr.apply_delta(removed, list(delta.moved), added, delta.old_size)
-
-    def _maintain_statistics(
-        self, delta: RelationDelta, inserted_rows: Tuple[Row, ...]
-    ) -> None:
-        for cache_key, stats in self._statistics.items():
-            removed, added = self._key_changes(cache_key, delta, inserted_rows)
-            stats.apply_delta(
-                [key for key, _ in removed], [key for key, _ in added]
-            )
+        """One ``apply_delta`` per key set (replacements whose key does not
+        change are dropped)."""
+        for cache_key, index in self._sorted_indexes.items():
+            key_of = self._key_of(cache_key.split("\x00"))
+            removed = [(key_of(row), pos) for pos, row in delta.deleted]
+            added = [(key_of(row), pos) for pos, row in zip(delta.inserted, inserted_rows)]
+            for pos, old_row, new_row in delta.replaced:
+                old_key, new_key = key_of(old_row), key_of(new_row)
+                if old_key != new_key:
+                    removed.append((old_key, pos))
+                    added.append((new_key, pos))
+            index.apply_delta(removed, list(delta.moved), added, delta.old_size)
 
     # -------------------------------------------------- indexes & statistics
-    def index_on(self, attribute: str) -> HashIndex:
-        """Hash index on ``attribute``, built lazily and cached."""
-        self._flush_pending()
-        if attribute not in self._indexes:
-            pos = self.schema.position(attribute)
-            self._indexes[attribute] = HashIndex.build(
-                (row[pos] for row in self._rows), attribute
-            )
-        return self._indexes[attribute]
+    def index_on(self, attribute: str) -> SortedIndex:
+        """Key index on ``attribute``, built lazily, cached and maintained."""
+        return self.index_on_columns((attribute,))
 
-    def statistics_on(self, attribute: str) -> ColumnStatistics:
-        """Column statistics (histogram, max/avg degree) for ``attribute``."""
-        self._flush_pending()
-        if attribute not in self._statistics:
-            pos = self.schema.position(attribute)
-            self._statistics[attribute] = ColumnStatistics.from_values(
-                attribute, (row[pos] for row in self._rows)
-            )
-        return self._statistics[attribute]
+    def index_on_columns(self, attributes: Sequence[str]) -> SortedIndex:
+        """Key index over the (possibly composite) attribute tuple.
 
-    def index_on_columns(self, attributes: Sequence[str]) -> HashIndex:
-        """Hash index keyed by the tuple of values of several attributes.
-
-        Used for composite (multi-attribute) equi-join conditions.  For a
-        single attribute this delegates to :meth:`index_on` so that single and
-        composite keys share one cache entry per attribute set.
-        """
-        attrs = tuple(attributes)
-        if len(attrs) == 1:
-            return self.index_on(attrs[0])
-        self._flush_pending()
-        cache_key = "\x00".join(attrs)
-        if cache_key not in self._indexes:
-            positions = self.schema.positions(attrs)
-            self._indexes[cache_key] = HashIndex.build(
-                (tuple(row[p] for p in positions) for row in self._rows), cache_key
-            )
-        return self._indexes[cache_key]
-
-    def sorted_index_on_columns(self, attributes: Sequence[str]) -> SortedIndex:
-        """CSR index keyed by the (possibly composite) attribute tuple.
-
-        Built lazily from the corresponding hash index and cached; used by the
-        batched sampling engine for whole-batch joinability lookups.
+        Single attributes are keyed by the bare value, composite keys by the
+        tuple of values.  Built lazily and patched by every later mutation
+        batch; scalar lookups (``positions``/``degree``) and the batched
+        engine's whole-batch gathers read the same index.
         """
         self._flush_pending()
         attrs = tuple(attributes)
         cache_key = "\x00".join(attrs)
         if cache_key not in self._sorted_indexes:
-            self._sorted_indexes[cache_key] = SortedIndex.from_hash_index(
-                self.index_on_columns(attrs)
+            self._sorted_indexes[cache_key] = SortedIndex.build(
+                map(self._key_of(attrs), self._rows), cache_key
             )
         return self._sorted_indexes[cache_key]
+
+    sorted_index_on_columns = index_on_columns
+
+    def statistics_on(self, attribute: str) -> ColumnStatistics:
+        """Column statistics (histogram, max/avg degree) for ``attribute``."""
+        return ColumnStatistics(self.index_on(attribute))
+
+    def statistics_on_columns(self, attributes: Sequence[str]) -> ColumnStatistics:
+        """Column statistics over the composite key formed by ``attributes``."""
+        return ColumnStatistics(self.index_on_columns(attributes))
 
     # --------------------------------------------------------------- columnar
     @property
@@ -490,30 +431,16 @@ class Relation:
     def cache_nbytes(self) -> Dict[str, int]:
         """Resident bytes of the array-backed caches (dtype-audit accounting).
 
-        Covers the columnar store and the CSR indexes — the structures the
-        batched engine gathers through, and the ones the smallest-safe-dtype
-        selection shrinks.  Hash indexes and row tuples are Python objects
-        and are not meaningfully measured by array bytes.
+        Covers the columnar store and the CSR arrays of the key indexes —
+        the structures the batched engine gathers through, and the ones the
+        smallest-safe-dtype selection shrinks.  Row tuples and the indexes'
+        key -> slot dicts are Python objects and are not meaningfully
+        measured by array bytes.
         """
         return {
             "columns": self._columns.nbytes if self._columns is not None else 0,
             "csr_indexes": sum(csr.nbytes for csr in self._sorted_indexes.values()),
         }
-
-    def statistics_on_columns(self, attributes: Sequence[str]) -> ColumnStatistics:
-        """Column statistics over the composite key formed by ``attributes``."""
-        attrs = tuple(attributes)
-        if len(attrs) == 1:
-            return self.statistics_on(attrs[0])
-        self._flush_pending()
-        cache_key = "\x00".join(attrs)
-        if cache_key not in self._statistics:
-            positions = self.schema.positions(attrs)
-            self._statistics[cache_key] = ColumnStatistics.from_values(
-                cache_key,
-                (tuple(row[p] for p in positions) for row in self._rows),
-            )
-        return self._statistics[cache_key]
 
     def max_degree(self, attribute: str) -> int:
         """Maximum value frequency in ``attribute`` (``M_A(R)`` in the paper)."""

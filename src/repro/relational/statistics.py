@@ -10,9 +10,10 @@ when the exact frequency map is too large to ship.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.relational.index import SortedIndex
 
 
 class ColumnStatistics:
@@ -20,85 +21,63 @@ class ColumnStatistics:
 
     This models what the paper calls the histogram on a join attribute: the
     degree ``d_A(v, R)`` of every value, the maximum degree ``M_A(R)``, and
-    the average degree.
+    the average degree.  It is a read-only view of the column's key index —
+    the degrees *are* the index's segment lengths — so statistics handed out
+    by a relation follow every mutation the relation maintains its index
+    through, with no state of their own to patch.
     """
 
-    __slots__ = ("attribute", "_frequencies", "row_count")
+    __slots__ = ("_index",)
 
-    def __init__(self, attribute: str, frequencies: Mapping[object, int]) -> None:
-        for value, count in frequencies.items():
-            if count < 0:
-                raise ValueError(f"negative frequency for value {value!r}")
-        self.attribute = attribute
-        self._frequencies: Dict[object, int] = dict(frequencies)
-        self.row_count = sum(self._frequencies.values())
+    def __init__(self, index: SortedIndex) -> None:
+        self._index = index
 
     @classmethod
     def from_values(cls, attribute: str, values: Iterable[object]) -> "ColumnStatistics":
-        freq: Dict[object, int] = {}
-        for v in values:
-            freq[v] = freq.get(v, 0) + 1
-        return cls(attribute, freq)
+        return cls(SortedIndex.build(values, attribute))
 
-    # ------------------------------------------------------------- maintenance
-    def apply_delta(self, removed: Iterable[object], added: Iterable[object]) -> None:
-        """Apply one mutation batch: O(Δ) frequency adjustments.
+    @property
+    def attribute(self) -> str:
+        return self._index.attribute
 
-        ``removed``/``added`` are the column values of the rows a
-        :class:`~repro.relational.delta.RelationDelta` deleted/inserted (moves
-        do not change frequencies).  Frequencies that reach zero are dropped so
-        membership checks stay exact.
-        """
-        freq = self._frequencies
-        for value in removed:
-            count = freq.get(value, 0) - 1
-            if count < 0:
-                raise ValueError(
-                    f"delta removes value {value!r} absent from column "
-                    f"{self.attribute!r} statistics"
-                )
-            if count == 0:
-                del freq[value]
-            else:
-                freq[value] = count
-            self.row_count -= 1
-        for value in added:
-            freq[value] = freq.get(value, 0) + 1
-            self.row_count += 1
+    @property
+    def row_count(self) -> int:
+        return self._index.total_rows
 
     # ----------------------------------------------------------------- degrees
     def degree(self, value: object) -> int:
         """``d_A(v, R)``: number of rows with this value (0 when absent)."""
-        return self._frequencies.get(value, 0)
+        return self._index.degree(value)
 
     @property
     def max_degree(self) -> int:
         """``M_A(R)``: maximum value frequency (0 for an empty column)."""
-        return max(self._frequencies.values(), default=0)
+        return self._index.max_degree
 
     @property
     def average_degree(self) -> float:
         """Mean frequency over distinct values (0.0 for an empty column)."""
-        if not self._frequencies:
+        distinct = self.distinct_count
+        if not distinct:
             return 0.0
-        return self.row_count / len(self._frequencies)
+        return self.row_count / distinct
 
     @property
     def distinct_count(self) -> int:
-        return len(self._frequencies)
+        return len(self._index)
 
     def values(self) -> Iterable[object]:
         """Distinct values present in the column."""
-        return self._frequencies.keys()
+        return self.frequencies().keys()
 
-    def frequencies(self) -> Mapping[object, int]:
-        """Read-only view of the value -> frequency map."""
-        return dict(self._frequencies)
+    def frequencies(self) -> Dict[object, int]:
+        """Snapshot of the value -> frequency map."""
+        return self._index.frequencies()
 
     # -------------------------------------------------------------- summaries
     def common_values(self, limit: int = 10) -> List[Tuple[object, int]]:
         """The ``limit`` most frequent values, most frequent first."""
-        return sorted(self._frequencies.items(), key=lambda kv: (-kv[1], str(kv[0])))[:limit]
+        return sorted(self.frequencies().items(), key=lambda kv: (-kv[1], str(kv[0])))[:limit]
 
     def skew(self) -> float:
         """Ratio of max degree to average degree (1.0 means uniform)."""
@@ -164,7 +143,7 @@ class EquiWidthHistogram:
             return cls(attribute, [bucket])
         width = (hi - lo) / bucket_count
         counts = [0] * bucket_count
-        distinct: List[set] = [set() for _ in range(bucket_count)]
+        distinct: List[set[float]] = [set() for _ in range(bucket_count)]
         for v in values:
             idx = min(int((float(v) - lo) / width), bucket_count - 1)
             counts[idx] += 1
@@ -214,12 +193,16 @@ def merge_statistics(stats: Sequence[ColumnStatistics], attribute: str = "") -> 
     Used when a relation is split horizontally (e.g. the UQ3 workload) and the
     estimator only has fragment-level statistics.
     """
-    merged: Dict[object, int] = {}
-    for s in stats:
-        for value, count in s.frequencies().items():
-            merged[value] = merged.get(value, 0) + count
     name = attribute or (stats[0].attribute if stats else "")
-    return ColumnStatistics(name, merged)
+    return ColumnStatistics.from_values(
+        name,
+        (
+            value
+            for s in stats
+            for value, count in s.frequencies().items()
+            for _ in range(count)
+        ),
+    )
 
 
 __all__ = [

@@ -70,6 +70,7 @@ if TYPE_CHECKING:  # the runtime import is deferred: repro.parallel.pool
     # imports this module, so a top-level import back into repro.parallel
     # would be circular.
 
+from repro.joins.query import observed_versions
 from repro.resilience.errors import (
     CorruptShardResult,
     JobDeadlineExceeded,
@@ -369,8 +370,6 @@ class ShardSupervisor:
         self.start_method = start_method
         self.stats = SupervisionStats()
         if self.tasks:
-            from repro.parallel.shards import observed_versions
-
             self._expected_versions: Optional[Tuple[int, ...]] = observed_versions(
                 self.tasks[0].queries
             )

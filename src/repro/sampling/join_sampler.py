@@ -336,7 +336,7 @@ class JoinSampler:
             lookup = key if len(key) > 1 else key[0]
             index = child_rel.index_on_columns(node.child_attributes)
             joinable = index.positions(lookup)
-            if not joinable:
+            if len(joinable) == 0:
                 self.stats.rejected_empty += 1
                 return None
             weights = self.weight_function.weights_for(node, joinable)
@@ -350,7 +350,7 @@ class JoinSampler:
                     self.stats.rejected_weight += 1
                     return None
             chosen = int(self.rng.choice(len(joinable), p=weights / realized))
-            assignment[node.relation] = joinable[chosen]
+            assignment[node.relation] = int(joinable[chosen])
 
         if not self.tree.residual_satisfied(assignment):
             self.stats.rejected_residual += 1

@@ -179,10 +179,10 @@ class WanderJoin:
             )
             lookup = key if len(key) > 1 else key[0]
             joinable = child_rel.index_on_columns(node.child_attributes).positions(lookup)
-            if not joinable:
+            if len(joinable) == 0:
                 return WalkResult(success=False)
             probability *= 1.0 / len(joinable)
-            assignment[node.relation] = joinable[int(self.rng.integers(0, len(joinable)))]
+            assignment[node.relation] = int(joinable[int(self.rng.integers(0, len(joinable)))])
 
         if not self.tree.residual_satisfied(assignment):
             return WalkResult(success=False)

@@ -199,45 +199,6 @@ class AdmissionController:
             self.admitted += 1
         return AdmissionTicket(self, priced)
 
-    # Backwards-compatible single-purpose entry points.  ``check`` prices and
-    # validates without reserving; the slot pair is the legacy protocol that
-    # leaked reservations when an exception hit between acquire and release —
-    # new code goes through admit()/ticket.release() instead.
-    def check(
-        self,
-        queries: Sequence[JoinQuery],
-        sample_size: int,
-        *,
-        warm: bool = False,
-        cached_samples: int = 0,
-    ) -> float:
-        ticket = self.admit(
-            queries, sample_size, warm=warm, cached_samples=cached_samples
-        )
-        ticket.release()
-        return ticket.priced_seconds
-
-    def acquire_slot(self) -> None:
-        """Claim a bare concurrency slot (no priced seconds) or reject."""
-        with self._lock:
-            if self._inflight >= self.limits.max_inflight:
-                self.rejected += 1
-                raise RequestError(
-                    "admission-rejected",
-                    f"server already has {self._inflight} requests in flight "
-                    f"(limit {self.limits.max_inflight}); retry later",
-                    limit="max_inflight",
-                    max_inflight=self.limits.max_inflight,
-                    retry_after=self._retry_hint_locked(),
-                )
-            self._inflight += 1
-            self.admitted += 1
-
-    def release_slot(self) -> None:
-        with self._lock:
-            if self._inflight > 0:
-                self._inflight -= 1
-
     # --------------------------------------------------------------- internals
     def _retry_hint_locked(self) -> int:
         """Seconds until a slot plausibly frees; caller holds ``_lock``.

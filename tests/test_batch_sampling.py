@@ -13,7 +13,7 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import join_result_set
 from repro.joins.query import JoinQuery
 from repro.relational.columnar import as_column_array, tuple_key_array
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import SortedIndex
 from repro.relational.relation import Relation
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
@@ -57,40 +57,39 @@ def string_key_query() -> JoinQuery:
 
 
 class TestSortedIndex:
-    def test_csr_layout_matches_hash_index(self):
-        idx = HashIndex.build([10, 20, 10, 30, 10], "a")
-        csr = SortedIndex.from_hash_index(idx)
+    def test_csr_layout_groups_positions_by_key(self):
+        values = [10, 20, 10, 30, 10]
+        csr = SortedIndex.build(values, "a")
         assert csr.total_rows == 5
         assert csr.n_keys == 3
         for value in (10, 20, 30, 99):
-            assert sorted(csr.positions(value).tolist()) == sorted(idx.positions(value))
-            assert csr.degree(value) == idx.degree(value)
+            expected = [p for p, v in enumerate(values) if v == value]
+            assert csr.positions(value).tolist() == expected
+            assert csr.degree(value) == len(expected)
 
     def test_slots_for_numeric_fast_path(self):
-        csr = SortedIndex.from_hash_index(HashIndex.build([5, 7, 5, 9], "a"))
+        csr = SortedIndex.build([5, 7, 5, 9], "a")
         values = np.asarray([5, 9, 6, 7, 11])
         slots = csr.slots_for(values)
         assert slots[2] == -1 and slots[4] == -1
         assert csr.row_positions[csr.offsets[slots[0]]] in (0, 2)
 
     def test_slots_for_object_fallback(self):
-        csr = SortedIndex.from_hash_index(
-            HashIndex.build([(1, "a"), (2, "b"), (1, "a")], "k")
-        )
+        csr = SortedIndex.build([(1, "a"), (2, "b"), (1, "a")], "k")
         slots = csr.slots_for(tuple_key_array([as_column_array([1, 2, 3]),
                                                as_column_array(["a", "b", "a"])]))
         assert slots[2] == -1
         assert sorted(csr.positions((1, "a")).tolist()) == [0, 2]
 
     def test_segment_sums(self):
-        csr = SortedIndex.from_hash_index(HashIndex.build([1, 2, 1, 2, 2], "a"))
+        csr = SortedIndex.build([1, 2, 1, 2, 2], "a")
         row_values = np.asarray([1.0, 10.0, 2.0, 20.0, 30.0])
         sums = csr.segment_sums(row_values)
         assert sums[csr.slot(1)] == pytest.approx(3.0)
         assert sums[csr.slot(2)] == pytest.approx(60.0)
 
     def test_empty_index(self):
-        csr = SortedIndex.from_hash_index(HashIndex.build([], "a"))
+        csr = SortedIndex.build([], "a")
         assert csr.n_keys == 0 and csr.total_rows == 0
         assert csr.positions(1).size == 0
         assert csr.segment_sums(np.zeros(0)).size == 0

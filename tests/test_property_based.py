@@ -30,7 +30,7 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import exact_join_size, join_result_set
 from repro.joins.membership import JoinMembershipProber
 from repro.joins.query import JoinQuery
-from repro.relational.index import HashIndex
+from repro.relational.index import SortedIndex
 from repro.relational.relation import Relation
 from repro.relational.statistics import ColumnStatistics
 from repro.sampling.join_sampler import JoinSampler
@@ -80,8 +80,8 @@ def _build_two_relation_query(rows):
 class TestIndexAndStatisticsProperties:
     @given(values=value_lists)
     @settings(max_examples=100, deadline=None)
-    def test_hash_index_matches_naive_counts(self, values):
-        index = HashIndex.build(values, "a")
+    def test_index_matches_naive_counts(self, values):
+        index = SortedIndex.build(values, "a")
         counter = Counter(values)
         for value, count in counter.items():
             assert index.degree(value) == count
@@ -194,10 +194,43 @@ def _apply_ops(relation: Relation, ops) -> None:
                 )
 
 
+def _assert_matches_rebuild(relation: Relation) -> None:
+    """The maintained index, its statistics view and scalar ``positions()``
+    all equal those of a relation rebuilt from ``relation.rows``."""
+    fresh = Relation("F", relation.schema, relation.rows)
+    for attrs, domain in (
+        (["a"], range(9)),
+        (["a", "b"], [(a, b) for a in range(9) for b in range(5)]),
+    ):
+        index, rebuilt = relation.index_on_columns(attrs), fresh.index_on_columns(attrs)
+        assert relation.sorted_index_on_columns(attrs) is index
+        assert index.total_rows == rebuilt.total_rows == len(relation)
+        assert index.max_degree == rebuilt.max_degree
+        assert len(index) == len(rebuilt)
+        stats, fresh_stats = (
+            relation.statistics_on_columns(attrs),
+            fresh.statistics_on_columns(attrs),
+        )
+        assert stats.frequencies() == fresh_stats.frequencies() == index.frequencies()
+        assert stats.max_degree == fresh_stats.max_degree
+        assert stats.average_degree == fresh_stats.average_degree
+        assert stats.row_count == fresh_stats.row_count
+        assert stats.distinct_count == fresh_stats.distinct_count
+        for value in domain:  # present, never-seen and deleted-again values alike
+            assert sorted(index.positions(value).tolist()) == rebuilt.positions(value).tolist()
+            assert stats.degree(value) == fresh_stats.degree(value) == index.degree(value)
+            assert (value in index) == (value in rebuilt)
+    # the vectorized lookup (rebuilt lazily after key-set changes) == the dict
+    single = relation.index_on("a")
+    assert single.slots_for(np.arange(9)).tolist() == [single.slot(v) for v in range(9)]
+    assert relation.column_array("a").tolist() == fresh.column_array("a").tolist()
+
+
 class TestIncrementalMaintenanceProperties:
     """Random interleavings of append/extend/delete/update agree with a
-    from-scratch rebuild of the final row set — for indexes, statistics,
-    column arrays, CSR indexes, and the sampling weights derived from them."""
+    from-scratch rebuild of the row set after every batch — for the key
+    indexes, the statistics read through them, column arrays, and the
+    sampling weights derived from them."""
 
     @given(rows=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4)), max_size=20),
            ops=mutation_ops)
@@ -206,42 +239,16 @@ class TestIncrementalMaintenanceProperties:
         relation = Relation("R", ["a", "b"], rows)
         # Build every cache first so each op exercises the delta path.
         relation.index_on("a")
-        relation.sorted_index_on_columns(["a"])
-        relation.statistics_on("a")
         relation.column_array("a")
         relation.index_on_columns(["a", "b"])
-        _apply_ops(relation, ops)
-        fresh = Relation("F", relation.schema, relation.rows)
-
-        index, rebuilt = relation.index_on("a"), fresh.index_on("a")
-        assert index.total_rows == rebuilt.total_rows
-        assert index.max_degree == rebuilt.max_degree
-        assert set(index.values()) == set(rebuilt.values())
-        for value in rebuilt.values():
-            assert sorted(index.positions(value)) == sorted(rebuilt.positions(value))
-
-        csr, csr_rebuilt = (
-            relation.sorted_index_on_columns(["a"]),
-            fresh.sorted_index_on_columns(["a"]),
-        )
-        assert csr.total_rows == csr_rebuilt.total_rows
-        for value in rebuilt.values():
-            assert sorted(csr.positions(value).tolist()) == sorted(
-                csr_rebuilt.positions(value).tolist()
-            )
-
-        assert (
-            relation.statistics_on("a").frequencies()
-            == fresh.statistics_on("a").frequencies()
-        )
-        assert relation.column_array("a").tolist() == fresh.column_array("a").tolist()
-
-        composite = relation.index_on_columns(["a", "b"])
-        composite_rebuilt = fresh.index_on_columns(["a", "b"])
-        for value in composite_rebuilt.values():
-            assert sorted(composite.positions(value)) == sorted(
-                composite_rebuilt.positions(value)
-            )
+        coalesced = Relation("C", ["a", "b"], rows)  # reads nothing until the end:
+        coalesced.index_on("a")  # consecutive appends reach it as one delta
+        coalesced.index_on_columns(["a", "b"])
+        for op in ops:
+            _apply_ops(relation, [op])
+            _assert_matches_rebuild(relation)
+        _apply_ops(coalesced, ops)
+        _assert_matches_rebuild(coalesced)
 
     @given(rows_r=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)),
                            min_size=1, max_size=12),

@@ -96,7 +96,7 @@ class TestNoOpMutationsPreserveCaches:
         return {
             "index": people.index_on("age"),
             "csr": people.sorted_index_on_columns(["age"]),
-            "stats": people.statistics_on("age"),
+            "stats": people.statistics_on("age").frequencies(),
             "columns": people.column_array("age"),
             "version": people.version,
         }
@@ -105,7 +105,8 @@ class TestNoOpMutationsPreserveCaches:
         assert people.version == cached["version"]
         assert people.index_on("age") is cached["index"]
         assert people.sorted_index_on_columns(["age"]) is cached["csr"]
-        assert people.statistics_on("age") is cached["stats"]
+        assert cached["csr"] is cached["index"]  # one index per key set
+        assert people.statistics_on("age").frequencies() == cached["stats"]
         assert people.column_array("age") is cached["columns"]
 
     def test_empty_extend_is_noop(self, people, cached):
@@ -141,7 +142,7 @@ class TestDeleteAndUpdate:
         # the last row was swapped into the hole: storage stays dense
         assert len(people) == 3
         assert people[1] == (4, 40, "lima")
-        assert people.index_on("age").positions(40) == (1,)
+        assert people.index_on("age").positions(40).tolist() == [1]
 
     def test_delete_where_with_predicate_object(self, people):
         assert people.delete_where(Comparison("age", ">=", 30)) == 3
@@ -160,7 +161,7 @@ class TestDeleteAndUpdate:
         )
         assert changed == 2
         assert people.column("city").count("florence") == 2
-        assert people.index_on("city").positions("rome") == ()
+        assert people.index_on("city").positions("rome").tolist() == []
         assert people.statistics_on("city").degree("florence") == 2
 
     def test_update_out_of_range_raises(self, people):
@@ -171,13 +172,13 @@ class TestDeleteAndUpdate:
 class TestIndexesAndStatistics:
     def test_index_on_caches_and_answers(self, people):
         idx = people.index_on("age")
-        assert idx.positions(30) == (0, 2)
+        assert idx.positions(30).tolist() == [0, 2]
         assert people.index_on("age") is idx
 
     def test_index_on_columns_composite(self, people):
         idx = people.index_on_columns(["age", "city"])
-        assert idx.positions((30, "rome")) == (0, 2)
-        assert idx.positions((30, "oslo")) == ()
+        assert idx.positions((30, "rome")).tolist() == [0, 2]
+        assert idx.positions((30, "oslo")).tolist() == []
 
     def test_index_on_columns_single_delegates(self, people):
         assert people.index_on_columns(["age"]) is people.index_on("age")

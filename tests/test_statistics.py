@@ -32,10 +32,6 @@ class TestColumnStatistics:
         assert stats.average_degree == 0.0
         assert stats.skew() == 0.0
 
-    def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            ColumnStatistics("a", {1: -1})
-
     def test_common_values_sorted_by_frequency(self):
         stats = ColumnStatistics.from_values("a", [1, 2, 2, 3, 3, 3])
         assert stats.common_values(2) == [(3, 3), (2, 2)]
