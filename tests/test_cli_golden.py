@@ -75,6 +75,35 @@ CASES = {
         "--method", "exact-weight", "--cache", "--repeat", "2",
         "--json", *COMMON,
     ],
+    # One case per aggregate route the cases above miss (each explicit backend,
+    # sharded wander/union steps, bootstrap over sharded join steps).  Pinned
+    # at the commit before the draw loops were unified: never regenerate.
+    "cli_aggregate_wander.json": [
+        "aggregate", "--workload", "UQ1", "--aggregate", "sum",
+        "--attribute", "totalprice", "--rel-error", "0.1",
+        "--method", "wander-join", "--json", *COMMON,
+    ],
+    "cli_aggregate_olken.json": [
+        "aggregate", "--workload", "UQ1", "--aggregate", "sum",
+        "--attribute", "totalprice", "--rel-error", "0.1",
+        "--method", "olken", "--json", *COMMON,
+    ],
+    "cli_aggregate_wander_parallel.json": [
+        "aggregate", "--workload", "UQ1", "--aggregate", "sum",
+        "--attribute", "totalprice", "--rel-error", "0.1",
+        "--method", "wander-join", "--workers", "2", "--json", *COMMON,
+    ],
+    "cli_aggregate_union_parallel.json": [
+        "aggregate", "--workload", "UQ3", "--target", "union",
+        "--aggregate", "sum", "--attribute", "totalprice",
+        "--rel-error", "0.1", "--workers", "2", "--json", *COMMON,
+    ],
+    "cli_aggregate_bootstrap_parallel.json": [
+        "aggregate", "--workload", "UQ1", "--aggregate", "sum",
+        "--attribute", "totalprice", "--rel-error", "0.1",
+        "--method", "olken", "--ci", "bootstrap", "--workers", "3",
+        "--json", *COMMON,
+    ],
     # ----------------------------------------------------------- error paths
     # Invalid flag combinations must exit non-zero with a one-line stderr
     # message, never a traceback.
