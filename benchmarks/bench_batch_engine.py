@@ -2,7 +2,7 @@
 """Benchmark the batched sampling engine against the scalar reference path.
 
 Measures accepted samples/second of ``JoinSampler.try_sample`` (scalar walks)
-and ``JoinSampler.sample_batch`` (vectorized batched walks) under EW and EO
+and ``JoinSampler.sample_many`` (vectorized batched walks) under EW and EO
 weights, plus wander-join walk throughput, on the ``bench_micro`` workload
 (UQ2 at the benchmark scale).  Results are written to
 ``BENCH_batch_engine.json`` at the repository root.
@@ -41,7 +41,7 @@ def _batch_rate(sampler: JoinSampler, seconds: float = 0.5) -> float:
     accepted = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
-        accepted += len(sampler.sample_batch(5000))
+        accepted += len(sampler.sample_many(5000))
     return accepted / (time.perf_counter() - started)
 
 
@@ -61,7 +61,7 @@ def main() -> None:
         batched = JoinSampler(query, weights=weights, seed=2)
         for _ in range(100):
             scalar.try_sample()
-        batched.sample_batch(100)
+        batched.sample_many(100)
         scalar_rate = _scalar_rate(scalar)
         batch_rate = _batch_rate(batched)
         report["results"][weights] = {

@@ -44,14 +44,14 @@ def test_join_sampler_ew_scalar_path_throughput(benchmark, query):
 
 def test_join_sampler_ew_batch_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="ew", seed=1)
-    sampler.sample_batch(50)  # build the level plans outside the timing
-    benchmark(lambda: sampler.sample_batch(1000))
+    sampler.sample_many(50)  # build the level plans outside the timing
+    benchmark(lambda: sampler.sample_many(1000))
 
 
 def test_join_sampler_eo_batch_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="eo", seed=1)
-    sampler.sample_batch(50)
-    benchmark(lambda: sampler.sample_batch(1000))
+    sampler.sample_many(50)
+    benchmark(lambda: sampler.sample_many(1000))
 
 
 def test_wander_join_walk_throughput(benchmark, query):

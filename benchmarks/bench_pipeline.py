@@ -5,7 +5,7 @@ Measures accepted samples/second of the full aggregate hot path — draw from
 the join, apply HT weighting, accumulate group contributions, report an
 estimate — in its two wirings:
 
-* **boxed** — the PR 1/PR 3 path: ``JoinSampler.sample_batch`` boxes every
+* **boxed** — the PR 1/PR 3 path: ``SampleBlock.to_draws`` boxes every
   accepted sample into a ``SampleDraw`` (value tuple + assignment dict) and
   ``AggregateAccumulator.observe`` unpacks them row by row;
 * **block** — the columnar pipeline: ``JoinSampler.sample_block`` returns a
@@ -42,7 +42,7 @@ from common import machine_info, resident_cache_bytes, uq1_workload, uq2_workloa
 from repro.aqp import AggregateAccumulator, AggregateSpec  # noqa: E402
 from repro.parallel import ParallelSamplerPool, sequential_reference  # noqa: E402
 from repro.sampling.blocks import SampleBlock  # noqa: E402
-from repro.sampling.join_sampler import JoinSampler  # noqa: E402
+from repro.sampling.join_sampler import JoinSampler, draw_and_drain  # noqa: E402
 
 SPEEDUP_TARGET = 2.0
 BATCH = 4096
@@ -52,18 +52,16 @@ PARALLEL_SHARDS = 8
 
 
 def boxed_rate(query, spec, seconds=SECONDS):
-    """Accepted samples/sec of the boxed sample_batch -> observe pipeline."""
+    """Accepted samples/sec of the boxed to_draws -> observe pipeline."""
     sampler = JoinSampler(query, weights="ew", seed=1)
     accumulator = AggregateAccumulator(spec, query.output_schema)
     total_weight = sampler.weight_function.total_weight
-    sampler.sample_batch(BATCH)  # warm plans/indexes outside the timing
-    sampler.pop_buffered()
+    draw_and_drain(sampler, BATCH)  # warm plans/indexes outside the timing
     accepted = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
         before = sampler.stats.attempts
-        draws = sampler.sample_batch(BATCH)
-        draws.extend(sampler.pop_buffered())
+        draws = SampleBlock.concat(draw_and_drain(sampler, BATCH)).to_draws(query)
         accumulator.observe(
             [d.value for d in draws],
             attempts=sampler.stats.attempts - before,
@@ -111,8 +109,7 @@ def identity_check(query, spec, count=5000):
     boxed_acc = AggregateAccumulator(spec, query.output_schema)
     w = boxed_sampler.weight_function.total_weight
     before = boxed_sampler.stats.attempts
-    draws = boxed_sampler.sample_batch(count)
-    draws.extend(boxed_sampler.pop_buffered())
+    draws = SampleBlock.concat(draw_and_drain(boxed_sampler, count)).to_draws(query)
     boxed_acc.observe(
         [d.value for d in draws], attempts=boxed_sampler.stats.attempts - before, weight=w
     )

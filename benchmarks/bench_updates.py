@@ -47,7 +47,7 @@ def _prime(tables, sampler: JoinSampler) -> None:
     Rebuild mode drops all of these each batch and rebuilds them lazily on
     the next delete/sample; delta mode patches them in place.
     """
-    sampler.sample_batch(SAMPLES_PER_EPOCH)
+    sampler.sample_many(SAMPLES_PER_EPOCH)
     tables["orders"].index_on("orderkey")
     tables["lineitem"].index_on("orderkey")
 
@@ -75,7 +75,7 @@ def run_mode(mode: str) -> dict:
             sampler = JoinSampler(query, weights="ew", seed=7)
         else:
             sampler.refresh()
-        sampler.sample_batch(SAMPLES_PER_EPOCH)
+        sampler.sample_many(SAMPLES_PER_EPOCH)
         epoch_seconds.append(time.perf_counter() - started)
         total_inserted += counts["inserted"]
         total_deleted += counts["deleted"]

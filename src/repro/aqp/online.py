@@ -5,8 +5,12 @@ streaming :class:`~repro.aqp.estimators.AggregateAccumulator` and exposes the
 classic online-aggregation loop: draw a batch, update the estimate, report a
 confidence interval, stop once ``until(rel_error, confidence)`` is satisfied.
 
-Update semantics (``repro.dynamic`` epochs): every batch first re-syncs the
-backend with the base relations.  When a mutation epoch is detected the
+The backend is a list of block sources (:mod:`repro.aqp.sources`, one per
+``parallelism`` shard); whatever it is, a step syncs the epoch, serves cached
+blocks, fans the rest out over the sources, ingests, publishes to the cache.
+
+Update semantics (``repro.dynamic`` epochs): every batch first re-syncs
+every source with the base relations.  When a mutation epoch is detected the
 accumulator **restarts** — Horvitz–Thompson contributions are only exchangeable
 within one database snapshot, so mixing attempts across epochs would silently
 bias the estimate.  The number of restarts is tracked in
@@ -19,8 +23,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.cache.store import SampleCache, epoch_vector
 from repro.resilience.errors import EmptyResultError, JobDeadlineExceeded
@@ -32,11 +35,11 @@ from repro.aqp.planner import (
     SamplerPlanner,
     supported_backends,
 )
-from repro.core.online_sampler import OnlineUnionSampler
-from repro.joins.query import JoinQuery, observed_versions
+from repro.aqp.sources import build_sources, draw_into, reject_degenerate_union_count
+from repro.joins.query import JoinQuery
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
-from repro.sampling.wander_join import WanderJoin, z_value
+from repro.sampling.wander_join import z_value
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
 
@@ -62,13 +65,13 @@ class OnlineAggregator:
         Interval defaults used by :meth:`estimate` and the stopping rule.
     parallelism:
         When > 1, every :meth:`step` fans its batch out across that many
-        in-process sampler shards (independent seed streams derived from
-        ``seed``) and merges the partial results in shard order, so a fixed
-        ``(seed, parallelism)`` pair is fully deterministic.  Epoch restarts
-        apply to the whole shard fleet: a ``refresh()`` bump observed on any
-        shard discards the accumulated state, exactly as in the sequential
-        path.  (For process-based fan-out over CPU cores use
-        :func:`repro.parallel.parallel_aggregate`.)
+        in-process sources (independent seed streams derived from ``seed``;
+        JoinSampler backends shard via ``split()``) and ingests the draws in
+        source order, so a fixed ``(seed, parallelism)`` pair is fully
+        deterministic.  Epoch restarts apply to the whole fleet: a
+        ``refresh()`` bump observed on any source discards the accumulated
+        state, exactly as with one source.  (For process-based fan-out over
+        CPU cores use :func:`repro.parallel.parallel_aggregate`.)
     cache:
         Optional :class:`~repro.cache.store.SampleCache`.  Each step first
         re-consumes any cached blocks of this join shape drawn under the
@@ -155,72 +158,27 @@ class OnlineAggregator:
         self.accumulator = AggregateAccumulator(spec, schema)
         self.epochs_restarted = 0
 
-        self._walker: Optional[WanderJoin] = None
-        self._walker_shards: List[WanderJoin] = []
-        self._join_sampler: Optional[JoinSampler] = None
-        self._union_sampler = None
-        self._union_shards: List[OnlineUnionSampler] = []
-        self._union_consumed = 0
-        self._union_shard_consumed: List[int] = []
-        if self.backend == "online-union":
-            if union_sampler is not None:
-                if self.parallelism > 1:
-                    raise ValueError(
-                        "a prebuilt union_sampler cannot be sharded; drop "
-                        "union_sampler= or set parallelism=1"
-                    )
-                self._union_sampler = union_sampler
-            elif self.parallelism > 1:
-                self._union_shards = [
-                    OnlineUnionSampler(list(self.queries), seed=stream)
-                    for stream in spawn_rngs(sampler_rng, self.parallelism)
-                ]
-                self._union_sampler = self._union_shards[0]
-                self._union_shard_consumed = [0] * self.parallelism
-            else:
-                self._union_sampler = OnlineUnionSampler(
-                    list(self.queries), seed=sampler_rng
-                )
-            self._reject_degenerate_union_count()
-        elif self.backend == "wander-join":
-            if self.parallelism > 1:
-                self._walker_shards = [
-                    WanderJoin(self.queries[0], seed=stream)
-                    for stream in spawn_rngs(sampler_rng, self.parallelism)
-                ]
-                self._walker = self._walker_shards[0]
-            else:
-                self._walker = WanderJoin(self.queries[0], seed=sampler_rng)
-        else:
-            if join_sampler is not None:
-                if self.parallelism > 1:
-                    raise ValueError(
-                        "a prebuilt join_sampler carries its own parallelism; "
-                        "drop join_sampler= or set parallelism=1"
-                    )
-                # Warm server path: reuse a (possibly structure-sharing)
-                # sampler instead of rebuilding weights and alias tables.
-                join_sampler.refresh()
-                self._join_sampler = join_sampler
-            else:
-                self._join_sampler = JoinSampler(
-                    self.queries[0],
-                    weights=self.plan.weights or "ew",
-                    seed=sampler_rng,
-                    max_batch_size=max(self.batch_size, 1),
-                    parallelism=self.parallelism,
-                )
-        if join_sampler is not None and self.backend in ("online-union", "wander-join"):
+        if join_sampler is not None and self.backend not in BACKEND_WEIGHTS:
             raise ValueError(
                 f"join_sampler= only applies to JoinSampler backends, not "
                 f"{self.backend!r}"
             )
+        prebuilt: Optional[object] = join_sampler
+        if self.backend == "online-union":
+            prebuilt = union_sampler
+            # Before any warm-up is paid for: a sampler built here always
+            # runs on estimated parameters.
+            reject_degenerate_union_count(spec, getattr(union_sampler, "parameters", None))
+        self._sources = build_sources(
+            self.queries, self.backend, sampler_rng, self.parallelism, sampler=prebuilt,
+            # plan.batch_size caps JoinSampler's attempt batches
+            max_batch_size=max(self.batch_size, 1),
+        )
         # Sample-cache tier: consume/publish shared draw streams (see
         # repro.cache.store for the validity invariants).
         self.cache: Optional[SampleCache] = None
         self._cache_entry = None
         self._cache_cursor = 0
-        self._cache_weights: Optional[str] = None
         self.cached_samples = 0
         self.fresh_samples = 0
         if cache is not None:
@@ -241,19 +199,12 @@ class OnlineAggregator:
                 )
             if self.backend in BACKEND_WEIGHTS:
                 self.cache = cache
-                self._cache_weights = self.plan.weights or BACKEND_WEIGHTS[self.backend]
-        self._db_versions = observed_versions(self.queries)
         # One aggregator may serve concurrent callers (the server's shared
         # path): the lock serializes step/estimate, so interleaved runs see
         # consistent accumulator state at step granularity.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ public
-    @property
-    def sampler(self) -> object:
-        """The live backend sampler (JoinSampler, WanderJoin, or union sampler)."""
-        return self._join_sampler or self._walker or self._union_sampler
-
     def step(self, batch_size: Optional[int] = None) -> AggregateReport:
         """Ingest one batch of draws and return the refreshed estimates."""
         size = int(batch_size or self.batch_size)
@@ -261,12 +212,12 @@ class OnlineAggregator:
             raise ValueError("batch_size must be positive")
         with self._lock:
             self._sync_epoch()
-            if self.backend == "online-union":
-                self._step_union(size)
-            elif self.backend == "wander-join":
-                self._step_wander(size)
-            else:
-                self._step_join(size)
+            size -= self._consume_cache(size)
+            if size > 0:
+                block = draw_into(self.accumulator, self._sources, size)
+                if block is not None:  # shared-weight backends only
+                    self.fresh_samples += len(block)
+                    self._publish_cache(block)
             return self.estimate()
 
     def estimate(self) -> AggregateReport:
@@ -374,32 +325,6 @@ class OnlineAggregator:
         report.degraded = True
         return report
 
-    def _reject_degenerate_union_count(self) -> None:
-        """Refuse unfiltered COUNT(*) over a union with *estimated* parameters.
-
-        Every sample's HT contribution is the constant ``|U|`` parameter, so
-        the CLT interval collapses to zero width around whatever the union
-        size *estimate* is — a nominal 95% interval with no coverage at all.
-        Drawing more samples cannot help: the answer is exactly as good as
-        the parameter.  With exact parameters (``FullJoinUnionEstimator``)
-        the zero-width answer is the exact ``|U|`` and is allowed; otherwise
-        point users at the union-size estimators, or at a filtered/grouped
-        COUNT whose contributions actually vary.
-        """
-        spec = self.spec
-        if spec.kind != "count" or spec.where is not None or spec.group_attributes:
-            return
-        parameters = getattr(self._union_sampler, "parameters", None)
-        if parameters is not None and parameters.method == "full-join":
-            return
-        raise ValueError(
-            "COUNT(*) over a union of joins just echoes the union-size "
-            "parameter (every sample contributes the same |U|), so its "
-            "confidence interval would be a zero-width lie around an "
-            "estimate. Use the union-size estimators (`repro estimate`) for "
-            "|U|, supply exact parameters, or add a where filter / group-by."
-        )
-
     def _converged(self, report: AggregateReport, rel_error: float, min_accepted: int) -> bool:
         with self._lock:
             attempts = self.accumulator.attempts
@@ -419,32 +344,15 @@ class OnlineAggregator:
         )
 
     def _sync_epoch(self) -> None:
-        """Restart accumulators when the base relations mutated (new epoch).
+        """Restart the accumulator when the base relations mutated (new epoch).
 
-        With ``parallelism > 1`` the whole shard fleet re-syncs: a stale
-        epoch observed on *any* shard discards the accumulated state, so
-        shards never contribute attempts from different database snapshots.
+        Every source re-syncs (a list, not a generator: no short-circuit), and
+        a stale epoch observed on *any* of them discards the accumulated
+        state, so sources never contribute attempts from different database
+        snapshots.
         """
-        stale = False
-        if self._join_sampler is not None:
-            stale = self._join_sampler.refresh()
-        elif self._union_shards:
-            stale = any([shard.refresh() for shard in self._union_shards])
-        elif self._union_sampler is not None:
-            refresh = getattr(self._union_sampler, "refresh", None)
-            if refresh is not None:
-                stale = bool(refresh())
-            elif observed_versions(self.queries) != self._db_versions:
-                raise RuntimeError(
-                    "base relations mutated but the provided union sampler has "
-                    "no refresh(); rebuild the aggregator for the new snapshot"
-                )
-        else:  # wander join reads the delta-maintained indexes directly
-            stale = observed_versions(self.queries) != self._db_versions
-        if stale:
+        if any([source.refresh() for source in self._sources]):
             self.accumulator.reset()
-            self._union_consumed = 0
-            self._union_shard_consumed = [0] * len(self._union_shard_consumed)
             # Cached contributions belonged to the old snapshot too: drop the
             # entry reference and start a fresh consume from block 0 of
             # whatever entry the new epoch resolves to.
@@ -453,39 +361,13 @@ class OnlineAggregator:
             self.cached_samples = 0
             self.fresh_samples = 0
             self.epochs_restarted += 1
-        self._db_versions = observed_versions(self.queries)
 
-    def _step_join(self, size: int) -> None:
-        """Serve cached blocks first, then draw fresh and ingest column-wise.
-
-        With no cache (or a cold one) the fresh-draw path below is the byte
-        exact PR 7 pipeline: the cache neither consumes RNG state nor changes
-        batch sizes, so cache-disabled and cold-cache runs stay bit-identical
-        to the uncached aggregator.
-        """
-        sampler = self._join_sampler
-        assert sampler is not None
-        total_weight = sampler.weight_function.total_weight
-        if total_weight <= 0:
-            # Empty join: every attempt would fail; account them directly.
-            self.accumulator.observe([], attempts=size, weight=1.0)
-            return
-        served = self._consume_cache(total_weight, size)
-        if served >= size:
-            return
-        attempts_before = sampler.stats.attempts
-        blocks = [sampler.sample_block(size - served)]
-        blocks.extend(sampler.pop_buffered_blocks())
-        attempts = sampler.stats.attempts - attempts_before
-        block = SampleBlock.concat(blocks)
-        self.accumulator.ingest_block(
-            block.value_columns(self.queries[0]), attempts=attempts, weight=total_weight
-        )
-        self.fresh_samples += len(block)
-        self._publish_cache(block, attempts, total_weight)
-
-    def _consume_cache(self, total_weight: float, size: int) -> int:
+    def _consume_cache(self, size: int) -> int:
         """Ingest unseen cached blocks of this shape until ``size`` is met.
+
+        With no cache (or a cold one) this is a no-op and the fresh draws
+        that follow are the byte-exact uncached pipeline: the cache neither
+        consumes RNG state nor changes batch sizes.
 
         Whole blocks only — a block's ``(attempts, weight)`` bookkeeping
         makes its contribution exactly the merge a parallel shard would
@@ -502,10 +384,14 @@ class OnlineAggregator:
         """
         if self.cache is None:
             return 0
+        total_weight = self._sources[0].total_weight
+        if total_weight <= 0:
+            # Empty join: nothing to look up; the draw accounts the attempts.
+            return 0
         query = self.queries[0]
         entry = self._cache_entry
         if entry is None or not entry.alive or entry.epoch != epoch_vector(query):
-            entry = self.cache.entry(query, self._cache_weights)
+            entry = self.cache.entry(query, BACKEND_WEIGHTS[self.backend])
             self._cache_entry = entry
             self._cache_cursor = 0
         blocks, _ = self.cache.read(entry, self._cache_cursor)
@@ -538,93 +424,19 @@ class OnlineAggregator:
         self.cached_samples += served
         return served
 
-    def _publish_cache(self, block: SampleBlock, attempts: int, total_weight: float) -> None:
+    def _publish_cache(self, block: SampleBlock) -> None:
         """Share a fresh draw batch through the cache (if one is attached).
 
-        The published block carries the step's true attempt count and shared
-        weight; the cursor jumps past it so this aggregator never re-ingests
-        its own contribution (invariant 3 in :mod:`repro.cache.store`).
+        ``block`` is what the sources just ingested; it carries the step's
+        true attempt count and total weight.  The cursor jumps past it so
+        this aggregator never re-ingests its own contribution (invariant 3
+        in :mod:`repro.cache.store`).
         """
         if self.cache is None or self._cache_entry is None:
             return
-        if block.weights is not None:
-            return
-        shared = SampleBlock(
-            relation_order=block.relation_order,
-            positions=block.positions,
-            attempts=int(attempts),
-            weight=float(total_weight),
-        )
-        self.cache.publish(self._cache_entry, shared)
+        self.cache.publish(self._cache_entry, block)
         if self._cache_entry.alive:
             self._cache_cursor = len(self._cache_entry.blocks)
-
-    def _step_wander(self, size: int) -> None:
-        if self._walker_shards:
-            quotas = _split_evenly(size, len(self._walker_shards))
-            with ThreadPoolExecutor(max_workers=len(self._walker_shards)) as executor:
-                blocks = list(
-                    executor.map(
-                        lambda pair: pair[0].walk_block(pair[1]),
-                        zip(self._walker_shards, quotas),
-                    )
-                )
-            # Ingest in shard order; the exactly-rounded accumulator makes
-            # the estimates chunk-order-invariant anyway.
-            for block in blocks:
-                self._ingest_walk_block(block)
-            return
-        walker = self._walker
-        assert walker is not None
-        self._ingest_walk_block(walker.walk_block(size))
-
-    def _ingest_walk_block(self, block: SampleBlock) -> None:
-        self.accumulator.ingest_block(
-            block.value_columns(self.queries[0]),
-            attempts=block.attempts,
-            weights=block.weights,
-        )
-
-    def _step_union(self, size: int) -> None:
-        # Revisions/backtracking may rewrite history, so rebuild from the
-        # sampler's full live sample list every step (cheap at AQP scales and
-        # always consistent with the sampler's current ownership record).
-        if self._union_shards:
-            quotas = _split_evenly(size, len(self._union_shards))
-            for i, quota in enumerate(quotas):
-                self._union_shard_consumed[i] += quota
-            with ThreadPoolExecutor(max_workers=len(self._union_shards)) as executor:
-                results = list(
-                    executor.map(
-                        lambda pair: pair[0].sample(pair[1]),
-                        zip(self._union_shards, self._union_shard_consumed),
-                    )
-                )
-            self.accumulator.reset()
-            for result in results:
-                self.accumulator.observe(
-                    [s.value for s in result.samples],
-                    attempts=len(result.samples),
-                    weight=float(result.parameters.union_size),
-                )
-            return
-        sampler = self._union_sampler
-        assert sampler is not None
-        self._union_consumed += size
-        result = sampler.sample(self._union_consumed)
-        self.accumulator.reset()
-        union_size = float(result.parameters.union_size)
-        self.accumulator.observe(
-            [s.value for s in result.samples],
-            attempts=len(result.samples),
-            weight=union_size,
-        )
-
-
-def _split_evenly(total: int, parts: int) -> List[int]:
-    """Even split of ``total`` into ``parts`` quotas (first shards get +1)."""
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def planning_budget(rel_error: float, confidence: float = 0.95) -> int:

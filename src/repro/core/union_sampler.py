@@ -35,7 +35,7 @@ from repro.estimation.parameters import UnionParameters
 from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery, check_union_compatible
 from repro.sampling.blocks import SampleBlock
-from repro.sampling.join_sampler import JoinSampler
+from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
 
 
@@ -46,18 +46,16 @@ def drain_value_queue(
 
     Union iterations only consume the output value tuple, so boxing a full
     ``SampleDraw`` (assignment dict included) per draw is pure overhead.
-    The queue refills from :meth:`JoinSampler.sample_block` — including the
-    sampler's parked surplus blocks — and one refill pays a single
-    columnar projection for the whole batch.
+    The queue refills from :func:`~repro.sampling.join_sampler.draw_and_drain`
+    — the drawn block plus the sampler's parked surplus — and one refill pays
+    a single columnar projection for the whole batch.
     """
     if queue and sampler.stale:
         # A mutation epoch landed since the queue was filled: the parked
         # values describe the previous snapshot and must not be served.
         queue.clear()
     if not queue:
-        blocks = [sampler.sample_block(1)]
-        blocks.extend(sampler.pop_buffered_blocks())
-        queue.extend(SampleBlock.concat(blocks).values(sampler.query))
+        queue.extend(SampleBlock.concat(draw_and_drain(sampler, 1)).values(sampler.query))
     return queue.popleft()
 
 

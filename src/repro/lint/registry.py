@@ -86,24 +86,16 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
             "_stats_lock": frozenset({"_counters"}),
         }
     ),
-    # PR 7: a shared sampler serves concurrent server requests; buffers and
-    # lazily-built plans mutate on every draw.
+    # PR 7: a shared sampler serves concurrent server requests; the buffer
+    # and lazily-built plans mutate on every draw.
     "JoinSampler": LockContract(
-        locks={
-            "_lock": frozenset(
-                {"_block_buffer", "_draw_buffer", "_plans", "_shard_samplers"}
-            )
-        },
+        locks={"_lock": frozenset({"_block_buffer", "_plans"})},
         locked_decorators={"_locked": "_lock"},
     ),
     # PR 7: step/estimate interleave from concurrent callers; the
     # accumulator and epoch bookkeeping move together under the lock.
     "OnlineAggregator": LockContract(
-        locks={
-            "_lock": frozenset(
-                {"accumulator", "_db_versions", "epochs_restarted"}
-            )
-        }
+        locks={"_lock": frozenset({"accumulator", "epochs_restarted"})}
     ),
     # PR 10: every handler thread records latencies into the health EWMAs;
     # a torn p99/state pair mis-triggers (or misses) a shed transition.
@@ -164,18 +156,14 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
                 "_root_cumulative",
                 "_plans",
                 "_block_buffer",
-                "_draw_buffer",
             }
         ),
         entry_points=frozenset(
             {
                 "try_sample",
-                "sample",
-                "sample_batch",
                 "sample_many",
                 "sample_block",
                 "warm",
-                "pop_buffered",
                 "pop_buffered_blocks",
             }
         ),

@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
 from repro.aqp.planner import supported_backends
+from repro.aqp.sources import reject_degenerate_union_count, split_evenly
 from repro.joins.query import JoinQuery
 from repro.parallel.shards import (
     SHARD_BACKENDS,
@@ -306,20 +307,20 @@ class ParallelSamplerPool:
             raise ValueError(f"shards must be >= 1, got {shard_count}")
         backend = self._resolve_backend(queries, method, spec, count)
         if backend == "online-union" and spec is not None:
-            _reject_degenerate_union_count(spec)
+            # Union shards warm up with *estimated* parameters.
+            reject_degenerate_union_count(spec)
         seeds = shard_seed_sequences(seed, shard_count)
-        base, extra = divmod(count, shard_count)
         return [
             ShardTask(
                 shard_id=i,
                 queries=queries,
                 backend=backend,
-                count=base + (1 if i < extra else 0),
+                count=quota,
                 seed=seeds[i],
                 spec=spec,
                 max_attempts=max_attempts,
             )
-            for i in range(shard_count)
+            for i, quota in enumerate(split_evenly(count, shard_count))
         ]
 
     # -------------------------------------------------------------------- run
@@ -622,21 +623,6 @@ def _tasks_picklable(tasks: Sequence[ShardTask]) -> bool:
     except Exception:
         return False
     return True
-
-
-def _reject_degenerate_union_count(spec: AggregateSpec) -> None:
-    """Parallel twin of OnlineAggregator's degenerate-COUNT(*) guard.
-
-    Union shards warm up with *estimated* parameters, so an unfiltered
-    COUNT(*) would echo the union-size estimate with a zero-width interval.
-    """
-    if spec.kind != "count" or spec.where is not None or spec.group_attributes:
-        return
-    raise ValueError(
-        "COUNT(*) over a union of joins just echoes the union-size parameter "
-        "(every sample contributes the same |U|); use the union-size "
-        "estimators, or add a where filter / group-by"
-    )
 
 
 # ----------------------------------------------------------------- convenience

@@ -14,9 +14,12 @@ sequential run of the same shard list.  For aggregation the merge is the
 :meth:`repro.aqp.estimators.AggregateAccumulator.merge` law (exactly-rounded
 sums, chunk-order-invariant); for plain sampling it is list concatenation.
 
-:func:`run_shard` is the single worker entry point.  It must stay a
-module-level function: ``multiprocessing`` with the ``spawn`` start method
-imports this module inside the worker and looks the function up by name.
+:func:`run_shard` is the single worker entry point.  An aggregate shard is
+one block source (:mod:`repro.aqp.sources`) driven once by the same
+``draw_into`` that drives every ``OnlineAggregator.step``; a plain-sampling
+shard differs only in payload (a join block or union values).  ``run_shard``
+must stay a module-level function: ``multiprocessing`` with the ``spawn``
+start method imports this module inside the worker and looks it up by name.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
+from repro.aqp.planner import BACKEND_WEIGHTS
+from repro.aqp.sources import build_sources, draw_into
+from repro.core.online_sampler import OnlineUnionSampler
 from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience.faults import (
     FaultPlan,
@@ -37,14 +43,12 @@ from repro.resilience.faults import (
     in_worker_process,
 )
 from repro.sampling.blocks import SampleBlock
+from repro.sampling.join_sampler import JoinSampler
 from repro.utils.rng import ensure_rng
 
 #: Backends a shard can run.  ``wander-join`` is aggregate-only (its walks
 #: carry Horvitz–Thompson weights, not uniform samples).
 SHARD_BACKENDS = ("exact-weight", "olken", "wander-join", "online-union")
-
-#: Backend -> JoinSampler weight-function name.
-_JOIN_WEIGHTS = {"exact-weight": "ew", "olken": "eo"}
 
 
 @dataclass(frozen=True)
@@ -190,18 +194,24 @@ def run_shard(
         db_versions=observed_versions(task.queries),
         worker_attempt=attempt,
     )
-    if task.count == 0:
-        if task.spec is not None:
-            result.accumulator = AggregateAccumulator(
-                task.spec, task.queries[0].output_schema
+    if task.spec is not None:
+        accumulator = AggregateAccumulator(task.spec, task.queries[0].output_schema)
+        if task.count:
+            # The cheap histogram warm-up keeps per-shard fixed costs low — a
+            # parallel run pays the union warm-up once per shard, not per job.
+            sources = build_sources(
+                task.queries, task.backend, rng,
+                max_attempts=task.max_attempts, warmup="histogram",
             )
-        return _finish_shard(result, action, deadline, seal)
-    if task.backend == "online-union":
-        _run_union_shard(task, rng, result)
-    elif task.backend == "wander-join":
-        _run_wander_shard(task, rng, result)
-    else:
-        _run_join_shard(task, rng, result)
+            draw_into(accumulator, sources, task.count)
+        result.accumulator = accumulator
+        # Read the counters off the accumulator, not the sampler: an empty
+        # join accounts its failed attempts there without ever walking, and
+        # both must agree in the merged report.
+        result.attempts = accumulator.attempts
+        result.accepted = accumulator.accepted
+    elif task.count:
+        _sample_plain(task, rng, result)
     return _finish_shard(result, action, deadline, seal)
 
 
@@ -261,82 +271,20 @@ def verify_shard_result(
     return None
 
 
-def _run_join_shard(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
-    """Accept/reject JoinSampler shard (exact-weight / olken), block-native."""
-    from repro.sampling.join_sampler import JoinSampler
-
-    query = task.queries[0]
-    sampler = JoinSampler(query, weights=_JOIN_WEIGHTS[task.backend], seed=rng)
-    if task.spec is not None:
-        accumulator = AggregateAccumulator(task.spec, query.output_schema)
-        total_weight = sampler.weight_function.total_weight
-        if total_weight <= 0:
-            # Empty join: every attempt fails; account them directly, exactly
-            # like OnlineAggregator._step_join does sequentially.
-            accumulator.observe([], attempts=task.count, weight=1.0)
-        else:
-            blocks = [sampler.sample_block(task.count, max_attempts=task.max_attempts)]
-            blocks.extend(sampler.pop_buffered_blocks())
-            block = SampleBlock.concat(blocks)
-            accumulator.ingest_block(
-                block.value_columns(query),
-                attempts=sampler.stats.attempts,
-                weight=total_weight,
-            )
-        result.accumulator = accumulator
-        # Read the counters off the accumulator, not the sampler: the
-        # empty-join branch accounts its failed attempts there without ever
-        # touching the sampler, and both must agree in the merged report.
-        result.attempts = accumulator.attempts
-        result.accepted = accumulator.accepted
-    else:
-        result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
-        result.attempts = sampler.stats.attempts
-        result.accepted = sampler.stats.accepted
-
-
-def _run_wander_shard(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
-    """Wander-join shard: ``count`` walk attempts with per-walk HT weights."""
-    from repro.sampling.wander_join import WanderJoin
-
-    query = task.queries[0]
-    walker = WanderJoin(query, seed=rng)
-    block = walker.walk_block(task.count)
-    accumulator = AggregateAccumulator(task.spec, query.output_schema)
-    accumulator.ingest_block(
-        block.value_columns(query), attempts=block.attempts, weights=block.weights
-    )
-    result.accumulator = accumulator
-    result.attempts = block.attempts
-    result.accepted = len(block)
-
-
-def _run_union_shard(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
-    """Set-union shard via :class:`OnlineUnionSampler` (histogram warm-up).
-
-    The cheap histogram warm-up keeps per-shard fixed costs low — a parallel
-    run pays the warm-up once per shard, not once per job.
-    """
-    from repro.core.online_sampler import OnlineUnionSampler
-
-    sampler = OnlineUnionSampler(list(task.queries), seed=rng, warmup="histogram")
-    sample_result = sampler.sample(task.count)
-    if task.spec is not None:
-        accumulator = AggregateAccumulator(task.spec, task.queries[0].output_schema)
-        union_size = float(sample_result.parameters.union_size)
-        accumulator.observe(
-            [s.value for s in sample_result.samples],
-            attempts=len(sample_result.samples),
-            weight=union_size,
-        )
-        result.accumulator = accumulator
-        result.attempts = accumulator.attempts
-        result.accepted = accumulator.accepted
-    else:
+def _sample_plain(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
+    """Plain-sampling payload: a join block, or union values with sources."""
+    if task.backend == "online-union":
+        union = OnlineUnionSampler(list(task.queries), seed=rng, warmup="histogram")
+        sample_result = union.sample(task.count)
         result.values = [s.value for s in sample_result.samples]
         result.sources = [s.source_join for s in sample_result.samples]
         result.attempts = sample_result.stats.iterations
         result.accepted = len(sample_result.samples)
+    else:
+        sampler = JoinSampler(task.queries[0], weights=BACKEND_WEIGHTS[task.backend], seed=rng)
+        result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
+        result.attempts = sampler.stats.attempts
+        result.accepted = sampler.stats.accepted
 
 
 __all__ = [

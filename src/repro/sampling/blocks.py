@@ -18,9 +18,18 @@ coordinator ensures those relations have not mutated in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
+
+from repro.joins.query import JoinQuery
+
+if TYPE_CHECKING:
+    from repro.sampling.join_sampler import SampleDraw
+
+PositionArray = npt.NDArray[np.intp]
+WeightArray = npt.NDArray[np.float64]
 
 
 @dataclass
@@ -46,10 +55,10 @@ class SampleBlock:
     """
 
     relation_order: Tuple[str, ...]
-    positions: Dict[str, np.ndarray] = field(default_factory=dict)
+    positions: Dict[str, PositionArray] = field(default_factory=dict)
     attempts: int = 0
     weight: float = 0.0
-    weights: Optional[np.ndarray] = None
+    weights: Optional[WeightArray] = None
 
     def __len__(self) -> int:
         if not self.relation_order:
@@ -79,7 +88,7 @@ class SampleBlock:
             name: np.concatenate([b.positions[name] for b in blocks])
             for name in first.relation_order
         }
-        weights = None
+        weights: Optional[WeightArray] = None
         if any(b.weights is not None for b in blocks):
             weights = np.concatenate(
                 [
@@ -172,13 +181,13 @@ class SampleBlock:
         return total
 
     # ------------------------------------------------------------- consumption
-    def value_columns(self, query) -> List[np.ndarray]:
+    def value_columns(self, query: JoinQuery) -> List[npt.NDArray[Any]]:
         """Per-output-attribute value arrays (in output-schema order).
 
         One fancy gather per output attribute — the zero-object projection
         that replaces row-by-row value tuple assembly.
         """
-        columns: List[np.ndarray] = []
+        columns: List[npt.NDArray[Any]] = []
         for out in query.output_attributes:
             relation = query.relation(out.relation)
             columns.append(
@@ -186,12 +195,12 @@ class SampleBlock:
             )
         return columns
 
-    def values(self, query) -> List[Tuple]:
+    def values(self, query: JoinQuery) -> List[Tuple[Any, ...]]:
         """Boxed output value tuples (Python-typed, scalar-era format)."""
         columns = [c.tolist() for c in self.value_columns(query)]
         return list(zip(*columns)) if columns else [() for _ in range(len(self))]
 
-    def to_draws(self, query) -> List["SampleDraw"]:
+    def to_draws(self, query: JoinQuery) -> List["SampleDraw"]:
         """Box into ``SampleDraw`` objects (the backward-compatible view)."""
         from repro.sampling.join_sampler import SampleDraw
 

@@ -15,33 +15,33 @@ Every accepted result has probability ``1 / W`` where ``W`` is the weight
 function's total weight, hence results are uniform over the join; acceptance
 probability is ``|J| / W``.
 
-Two execution paths produce identically-distributed samples:
+One block path produces every sample; one scalar walker checks it:
 
-* the scalar path (:meth:`JoinSampler.try_sample`) performs one root-to-leaf
-  walk at a time — the reference implementation of the paper's algorithm;
-* the columnar path (:meth:`JoinSampler.sample_block`) runs whole batches of
-  walks level-by-level over the columnar/CSR storage layer.  The root row and
+* :meth:`JoinSampler.sample_block` runs whole batches of walks
+  level-by-level over the columnar/CSR storage layer.  The root row and
   every per-level child choice are O(1) Walker/Vose alias-table draws (two
   array lookups per draw — see :mod:`repro.sampling.alias`) instead of
   O(log n) ``searchsorted`` probes, and accepted walks come back as one
   struct-of-arrays :class:`~repro.sampling.blocks.SampleBlock` — no per-draw
   Python objects anywhere on the sampler → aggregator → shard-merge path.
+  Surplus accepted walks wait in one buffer of blocks (:func:`draw_and_drain`
+  is the draw-then-drain idiom every consumer shares).
+* :meth:`JoinSampler.sample_many` is the one boxing view: the same block,
+  boxed into :class:`SampleDraw` objects after the fact.
+* :meth:`JoinSampler.try_sample` performs one root-to-leaf walk at a time —
+  the reference implementation of the paper's algorithm, kept as the oracle
+  the tests compare the block path against.
 
-:meth:`sample_batch` / :meth:`sample_many` / :meth:`sample` are thin views
-that box blocks into :class:`SampleDraw` lists for the scalar-era API; they
-consume the exact same draw stream as :meth:`sample_block` (boxing happens
-after the fact), so block and batch output are bit-identical for a fixed
-seed.
+Thread fan-out is the consumer's business: :meth:`split` hands out shard
+samplers and :func:`repro.aqp.sources.fan_out` drives them.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,8 +101,8 @@ def _locked(method: Callable) -> Callable:
 
     Draw calls mutate shared state (buffers, stats, lazily-built plans, the
     generator) — the lock makes one sampler safe for concurrent callers (the
-    server's shared-state path).  Reentrant so ``sample -> sample_block ->
-    refresh`` nests; distinct samplers (e.g. ``split()`` shards) have
+    server's shared-state path).  Reentrant so ``sample_block -> refresh``
+    nests; distinct samplers (e.g. ``split()`` shards) have
     distinct locks and never contend.
     """
 
@@ -157,12 +157,6 @@ class JoinSampler:
         rejected on failure (§8.3 second alternative).
     max_batch_size:
         Upper bound on the number of simultaneous walks of one batched pass.
-    parallelism:
-        When > 1, :meth:`sample_block` / :meth:`sample_batch` fan the request
-        out across that many internal shard samplers (created lazily via
-        :meth:`split`, seeds derived from this sampler's stream) running on a
-        thread pool, and concatenate the results in shard order — so the
-        draw sequence is deterministic for a fixed seed and parallelism.
     """
 
     def __init__(
@@ -173,7 +167,6 @@ class JoinSampler:
         tree: Optional[JoinTree] = None,
         enforce_predicates: bool = True,
         max_batch_size: int = 8192,
-        parallelism: int = 1,
         _prototype: Optional["JoinSampler"] = None,
     ) -> None:
         self.query = query
@@ -200,14 +193,10 @@ class JoinSampler:
         self._relations = [self.query.relation(name) for name in self._relation_order]
         self._db_versions = tuple(r.version for r in self._relations)
         self._plans: Optional[List[_LevelPlan]] = None
-        #: surplus accepted work in struct-of-arrays form (the native format)
+        #: surplus accepted work in struct-of-arrays form (the one buffer)
         self._block_buffer: List[SampleBlock] = []
-        #: boxed surplus fed to the scalar ``sample()`` API
-        self._draw_buffer: Deque[SampleDraw] = deque()
         self._min_batch_size = 32
         self._max_batch_size = max(int(max_batch_size), 1)
-        self.parallelism = max(int(parallelism), 1)
-        self._shard_samplers: Optional[List["JoinSampler"]] = None
         self._lock = threading.RLock()
         #: True when ``_root_alias``/``_plans`` are borrowed read-only from a
         #: warm prototype (see :meth:`split`); a refresh must then drop the
@@ -282,12 +271,6 @@ class JoinSampler:
         else:
             self._refresh_plans(stale_names)
         self._block_buffer.clear()
-        self._draw_buffer.clear()
-        if self._shard_samplers:
-            # Shard buffers hold previous-epoch draws too; re-sync them now so
-            # pop_buffered() can never hand out stale shard draws.
-            for shard in self._shard_samplers:
-                shard.refresh()
         self._db_versions = versions
         return True
 
@@ -366,48 +349,15 @@ class JoinSampler:
             attempts=1,
         )
 
-    @_locked
-    def sample(self, max_attempts: int = 1_000_000) -> SampleDraw:
-        """One accepted sample (refills an internal buffer via the block path)."""
-        self.refresh()  # a stale buffer must not serve previous-epoch draws
-        if self._draw_buffer:
-            return self._draw_buffer.popleft()
-        block = self.sample_block(1, max_attempts=max_attempts)
-        # Box the surplus wholesale now so subsequent calls are O(1) pops
-        # (one boxing pass per refill, exactly like the old deque refill).
-        if self._block_buffer:
-            surplus, self._block_buffer = self._block_buffer, []
-            for parked in surplus:
-                self._draw_buffer.extend(parked.to_draws(self.query))
-        return block.to_draws(self.query)[0]
-
     def sample_many(self, count: int, max_attempts: int = 1_000_000) -> List[SampleDraw]:
-        """``count`` independent accepted samples."""
-        return self.sample_batch(count, max_attempts=max_attempts)
-
-    @_locked
-    def sample_batch(self, count: int, max_attempts: int = 1_000_000) -> List[SampleDraw]:
         """``count`` accepted samples as boxed :class:`SampleDraw` objects.
 
-        A thin view over :meth:`sample_block`: the block is drawn first
-        (consuming the identical random stream) and boxed afterwards, so for
-        a fixed seed ``sample_batch(n)`` and ``sample_block(n)`` describe the
-        same samples.
+        The one boxing view over :meth:`sample_block`: the block is drawn
+        first (consuming the identical random stream) and boxed afterwards,
+        so for a fixed seed ``sample_many(n)`` and ``sample_block(n)``
+        describe the same samples.
         """
-        self.refresh()
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
-        if count == 0:
-            return []
-        draws: List[SampleDraw] = []
-        while self._draw_buffer and len(draws) < count:
-            draws.append(self._draw_buffer.popleft())
-        if len(draws) < count:
-            block = self.sample_block(count - len(draws), max_attempts=max_attempts)
-            draws.extend(block.to_draws(self.query))
-        return draws
+        return self.sample_block(count, max_attempts=max_attempts).to_draws(self.query)
 
     @_locked
     def sample_block(self, count: int, max_attempts: int = 1_000_000) -> SampleBlock:
@@ -434,8 +384,6 @@ class JoinSampler:
         total_weight = self.weight_function.total_weight
         if count == 0:
             return SampleBlock.empty(self._relation_order, weight=total_weight)
-        if self.parallelism > 1:
-            return self._sample_block_parallel(count, max_attempts)
         parts: List[SampleBlock] = []
         have = 0
         while self._block_buffer and have < count:
@@ -483,35 +431,18 @@ class JoinSampler:
                 self._block_buffer.append(part)
 
     @_locked
-    def pop_buffered(self) -> List[SampleDraw]:
+    def pop_buffered_blocks(self) -> List[SampleBlock]:
         """Drain and return the buffered surplus of the last batched pass.
 
         The AQP layer consumes every accepted draw of a batch so that its
-        attempt-level accounting (accepted vs. rejected walks, read off
-        :attr:`stats`) stays aligned with the draws it ingested.  With
-        ``parallelism > 1`` the shard samplers' buffers are drained too.
-
-        Runs the staleness check first: surplus buffered under a previous
-        mutation epoch must be discarded, not served.
+        attempt-level accounting (accepted vs. rejected walks) stays aligned
+        with the draws it ingested.  Runs the staleness check first: surplus
+        buffered under a previous mutation epoch must be discarded, not
+        served.
         """
-        self.refresh()
-        drained = list(self._draw_buffer)
-        self._draw_buffer.clear()
-        for block in self.pop_buffered_blocks():
-            drained.extend(block.to_draws(self.query))
-        return drained
-
-    @_locked
-    def pop_buffered_blocks(self) -> List[SampleBlock]:
-        """Drain the struct-of-arrays surplus (the zero-object twin of
-        :meth:`pop_buffered`; boxed draws parked by ``sample()`` are not
-        convertible back and stay for :meth:`pop_buffered`)."""
         self.refresh()
         drained = self._block_buffer
         self._block_buffer = []
-        if self._shard_samplers:
-            for shard in self._shard_samplers:
-                drained.extend(shard.pop_buffered_blocks())
         return drained
 
     @_locked
@@ -574,55 +505,6 @@ class JoinSampler:
             for stream in streams
         ]
         return shards
-
-    def _sample_block_parallel(self, count: int, max_attempts: int) -> SampleBlock:
-        """Fan ``count`` across the shard samplers; concatenate in shard order."""
-        # Serve parked blocks first (same contract as the sequential path: the
-        # buffer may hold accepted work preserved by an earlier failure).
-        parts: List[SampleBlock] = []
-        have = 0
-        while self._block_buffer and have < count:
-            parked = self._block_buffer.pop(0)
-            if have + len(parked) > count:
-                head, tail = parked.split(count - have)
-                self._block_buffer.insert(0, tail)
-                parked = head
-            parts.append(parked)
-            have += len(parked)
-        remaining = count - have
-        if remaining == 0:
-            block = SampleBlock.concat(parts)
-            block.weight = self.weight_function.total_weight
-            return block
-        if self._shard_samplers is None:
-            self._shard_samplers = self.split(self.parallelism)
-        shards = self._shard_samplers
-        base, extra = divmod(remaining, len(shards))
-        quotas = [base + (1 if i < extra else 0) for i in range(len(shards))]
-        before = [_stats_snapshot(s.stats) for s in shards]
-        with ThreadPoolExecutor(max_workers=len(shards)) as executor:
-            futures = [
-                executor.submit(shard.sample_block, quota, max_attempts) if quota else None
-                for shard, quota in zip(shards, quotas)
-            ]
-            error: Optional[BaseException] = None
-            for future in futures:
-                if future is None:
-                    continue
-                try:
-                    parts.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    error = error or exc
-        for shard, snapshot in zip(shards, before):
-            _merge_stats_delta(self.stats, shard.stats, snapshot)
-        if error is not None:
-            # Preserve whatever the healthy shards produced (mirrors the
-            # sequential exhaustion path) before surfacing the failure.
-            self._park(parts)
-            raise error
-        block = SampleBlock.concat(parts) if parts else SampleBlock.empty(self._relation_order)
-        block.weight = self.weight_function.total_weight
-        return block
 
     # ------------------------------------------------------------- block path
     def _next_batch_size(self, need: int) -> int:
@@ -827,26 +709,16 @@ class JoinSampler:
         return True
 
 
-_STATS_FIELDS = (
-    "attempts",
-    "accepted",
-    "rejected_weight",
-    "rejected_empty",
-    "rejected_residual",
-    "rejected_predicate",
-)
+def draw_and_drain(
+    sampler: JoinSampler, count: int, max_attempts: int = 1_000_000
+) -> List[SampleBlock]:
+    """``[sample_block(count), *surplus]``: every accepted walk of the pass,
+    for consumers that account attempts (the AQP sources) or want values as
+    cheaply as possible (the union samplers' per-join queues)."""
+    return [
+        sampler.sample_block(count, max_attempts=max_attempts),
+        *sampler.pop_buffered_blocks(),
+    ]
 
 
-def _stats_snapshot(stats: JoinSamplerStats) -> Tuple[int, ...]:
-    return tuple(getattr(stats, name) for name in _STATS_FIELDS)
-
-
-def _merge_stats_delta(
-    target: JoinSamplerStats, shard: JoinSamplerStats, snapshot: Tuple[int, ...]
-) -> None:
-    """Add a shard's counter growth since ``snapshot`` into ``target``."""
-    for name, previous in zip(_STATS_FIELDS, snapshot):
-        setattr(target, name, getattr(target, name) + getattr(shard, name) - previous)
-
-
-__all__ = ["JoinSampler", "JoinSamplerStats", "SampleBlock", "SampleDraw"]
+__all__ = ["JoinSampler", "JoinSamplerStats", "SampleBlock", "SampleDraw", "draw_and_drain"]

@@ -21,6 +21,7 @@ Request kinds
     plus optional ``weights`` (``"ew"``/``"eo"``), ``workers`` (> 1 routes
     through the shared :class:`~repro.parallel.pool.ParallelSamplerPool`),
     ``deadline`` (seconds), ``allow_partial``, ``max_attempts``.
+    ``workers`` is bounded by :data:`MAX_REQUEST_WORKERS` on both kinds.
 ``aggregate``
     ``{"kind": "aggregate", "query": ..., "aggregate": "count|sum|avg",
     "seed": S}`` plus optional ``attribute``, ``group_by``, ``rel_error``,
@@ -75,6 +76,12 @@ ERROR_CODES: Dict[str, int] = {
     # Anything else (reported honestly, with the exception text).
     "internal": 500,
 }
+
+#: upper bound on a request's ``workers`` field: a worker is a sampler (for
+#: ``query="union"`` a whole union warm-up) plus a thread per step, none of
+#: which the admission price sees.  (Its byte-size twin ``MAX_REQUEST_BYTES``
+#: lives in :mod:`repro.server.http`, which the service cannot import.)
+MAX_REQUEST_WORKERS = 64
 
 #: codes a client may retry verbatim: the refusal is about *when* the
 #: request arrived, not about the request itself — and every answer is a
@@ -142,7 +149,8 @@ def get_str(request: Mapping[str, object], key: str, default: Optional[str] = No
 
 
 def get_int(request: Mapping[str, object], key: str, default: Optional[int] = None,
-            *, required: bool = False, minimum: Optional[int] = None) -> Optional[int]:
+            *, required: bool = False, minimum: Optional[int] = None,
+            maximum: Optional[int] = None) -> Optional[int]:
     value = request.get(key, default)
     if value is None:
         if required:
@@ -153,6 +161,10 @@ def get_int(request: Mapping[str, object], key: str, default: Optional[int] = No
     if minimum is not None and value < minimum:
         raise RequestError(
             "invalid-request", f"field {key!r} must be >= {minimum}, got {value}"
+        )
+    if maximum is not None and value > maximum:
+        raise RequestError(
+            "invalid-request", f"field {key!r} must be <= {maximum}, got {value}"
         )
     return value
 
@@ -187,6 +199,7 @@ def get_bool(request: Mapping[str, object], key: str, default: bool = False) -> 
 
 __all__ = [
     "ERROR_CODES",
+    "MAX_REQUEST_WORKERS",
     "RETRYABLE_CODES",
     "RequestError",
     "get_bool",

@@ -45,9 +45,10 @@ as an estimate.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from repro.parallel.pool import ParallelSamplerPool
 from repro.parallel.shards import observed_versions
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
 from repro.sampling.join_sampler import JoinSampler
-from repro.server.admission import AdmissionController, AdmissionLimits
+from repro.server.admission import AdmissionController, AdmissionLimits, AdmissionTicket
 from repro.server.overload import (
     BREAKER_FAILURE_CODES,
     HEALTHY,
@@ -72,6 +73,7 @@ from repro.server.overload import (
     Watchdog,
 )
 from repro.server.protocol import (
+    MAX_REQUEST_WORKERS,
     RequestError,
     get_bool,
     get_float,
@@ -112,6 +114,23 @@ def jsonify(value):
     if isinstance(value, np.ndarray):
         return [jsonify(v) for v in value.tolist()]
     return value
+
+
+def _request_error(error: Exception) -> RequestError:
+    """The structured protocol error an exception is reported (and counted
+    by the circuit breakers) as."""
+    if isinstance(error, RequestError):
+        return error
+    if isinstance(error, JobDeadlineExceeded):
+        return RequestError("deadline-exceeded", str(error))
+    if isinstance(error, EmptyResultError):
+        return RequestError("empty-result", str(error))
+    if isinstance(error, ValueError):
+        return RequestError("invalid-request", str(error))
+    if isinstance(error, RuntimeError):
+        code = "epoch-restart-exhausted" if "mutation epoch" in str(error) else "internal"
+        return RequestError(code, str(error))
+    return RequestError("internal", f"{type(error).__name__}: {error}")
 
 
 class SamplingService:
@@ -309,35 +328,8 @@ class SamplingService:
                 result = self._handle_sample(request)
             else:
                 result = self._handle_aggregate(request)
-        except RequestError as error:
-            return self._finish(self._error(error), kind, started)
-        except JobDeadlineExceeded as error:
-            return self._finish(
-                self._error(RequestError("deadline-exceeded", str(error))),
-                kind, started,
-            )
-        except EmptyResultError as error:
-            return self._finish(
-                self._error(RequestError("empty-result", str(error))),
-                kind, started,
-            )
-        except ValueError as error:
-            return self._finish(
-                self._error(RequestError("invalid-request", str(error))),
-                kind, started,
-            )
-        except RuntimeError as error:
-            code = "epoch-restart-exhausted" if "mutation epoch" in str(error) else "internal"
-            return self._finish(
-                self._error(RequestError(code, str(error))), kind, started
-            )
         except Exception as error:  # noqa: BLE001 - the server must not die
-            return self._finish(
-                self._error(
-                    RequestError("internal", f"{type(error).__name__}: {error}")
-                ),
-                kind, started,
-            )
+            return self._finish(self._error(_request_error(error)), kind, started)
         with self._stats_lock:
             self._counters["ok"] += 1
         return self._finish(ok_response(result), kind, started)
@@ -389,6 +381,60 @@ class SamplingService:
                 queries=self.workload.query_names,
             ) from None
 
+    @contextlib.contextmanager
+    def _admitted(
+        self, kind: str, label: str, breaker_key: Tuple[str, str],
+        queries: Sequence[JoinQuery], samples: int, *, warm: bool,
+        deadline: Optional[float], cached_samples: int = 0, uses_cache: bool = False,
+    ) -> Iterator[AdmissionTicket]:
+        """The envelope every ``sample``/``aggregate`` body runs inside.
+
+        Price once, up front (the overload gate and the admission controller
+        account the same cost-model seconds), then breaker check → gate →
+        admission → watchdog → counters → body, released in reverse.  The
+        reservations must drain even when the body fails mid-flight: leaking
+        one would wedge the inflight count until restart.  Yields the
+        admission ticket, whose ``priced_seconds`` goes into the response.
+        """
+        priced = self.admission.price(
+            queries, samples, warm=warm, cached_samples=cached_samples
+        )
+        self._breakers.check(breaker_key)
+        outcome = "neutral"
+        try:
+            gate_ticket = self._overload.admit(priced)
+            try:
+                ticket = self.admission.admit(
+                    queries, samples, warm=warm,
+                    cached_samples=cached_samples, priced=priced,
+                )
+                try:
+                    watch = self._watchdog.watch(kind, label, deadline)
+                    try:
+                        with self._stats_lock:
+                            self._counters[
+                                "warm_requests" if warm else "pool_requests"
+                            ] += 1
+                            if uses_cache:
+                                self._counters["cache_requests"] += 1
+                        yield ticket
+                        outcome = "success"
+                    finally:
+                        watch.release()
+                finally:
+                    ticket.release()
+            finally:
+                gate_ticket.release()
+        except Exception as error:
+            if _request_error(error).code in BREAKER_FAILURE_CODES:
+                outcome = "failure"
+            raise
+        finally:
+            # Pairs with the check() above: success closes a half-open
+            # probe, deadline/epoch failures trip the breaker, sheds hand
+            # the probe slot back untouched.
+            self._breakers.record(breaker_key, outcome)
+
     # ----------------------------------------------------------------- sample
     def _handle_sample(self, request: Mapping[str, object]) -> Dict[str, object]:
         label, queries = self._resolve_queries(
@@ -397,68 +443,26 @@ class SamplingService:
         count = get_int(request, "count", required=True, minimum=1)
         seed = get_int(request, "seed", 0, minimum=0)
         weights = get_str(request, "weights", "ew", choices=tuple(_WEIGHTS_TO_BACKEND))
-        workers = get_int(request, "workers", 1, minimum=1)
+        workers = get_int(request, "workers", 1, minimum=1, maximum=MAX_REQUEST_WORKERS)
         deadline = get_float(request, "deadline", minimum=0.0)
         allow_partial = get_bool(request, "allow_partial", False)
         max_attempts = get_int(request, "max_attempts", 1_000_000, minimum=1)
         union = len(queries) > 1
         warm = not union and workers == 1
-        # Price once, up front: the overload gate and the admission
-        # controller both account the same deterministic cost-model seconds.
-        priced = self.admission.price(queries, count, warm=warm)
-        breaker_key = (label, weights)
-        self._breakers.check(breaker_key)
-        outcome = "neutral"
-        try:
-            gate_ticket = self._overload.admit(priced)
-            try:
-                ticket = self.admission.admit(
-                    queries, count, warm=warm, priced=priced
+        with self._admitted(
+            "sample", label, (label, weights), queries, count,
+            warm=warm, deadline=deadline,
+        ) as ticket:
+            if warm:
+                result = self._sample_warm(
+                    queries[0], count, seed, weights, deadline,
+                    allow_partial, max_attempts,
                 )
-                try:
-                    watch = self._watchdog.watch("sample", label, deadline)
-                    try:
-                        with self._stats_lock:
-                            self._counters[
-                                "warm_requests" if warm else "pool_requests"
-                            ] += 1
-                        if warm:
-                            result = self._sample_warm(
-                                queries[0], count, seed, weights, deadline,
-                                allow_partial, max_attempts,
-                            )
-                        else:
-                            result = self._sample_pooled(
-                                queries, count, seed, weights, workers,
-                                deadline, allow_partial, max_attempts, union,
-                            )
-                        outcome = "success"
-                    finally:
-                        watch.release()
-                finally:
-                    # The reservation must drain even when the draw fails
-                    # mid-flight (deadline, epoch exhaustion, fault
-                    # injection): leaking it here would wedge the inflight
-                    # count until restart.
-                    ticket.release()
-            finally:
-                gate_ticket.release()
-        except RequestError as error:
-            if error.code in BREAKER_FAILURE_CODES:
-                outcome = "failure"
-            raise
-        except (JobDeadlineExceeded, EmptyResultError):
-            outcome = "failure"
-            raise
-        except RuntimeError as error:
-            if "mutation epoch" in str(error):  # epoch-restart-exhausted
-                outcome = "failure"
-            raise
-        finally:
-            # Pairs with the check() above: success closes a half-open
-            # probe, deadline/epoch failures trip the breaker, sheds hand
-            # the probe slot back untouched.
-            self._breakers.record(breaker_key, outcome)
+            else:
+                result = self._sample_pooled(
+                    queries, count, seed, weights, workers,
+                    deadline, allow_partial, max_attempts, union,
+                )
         result.update(
             kind="sample", query=label, seed=seed,
             priced_seconds=ticket.priced_seconds,
@@ -609,7 +613,7 @@ class SamplingService:
         confidence = get_float(request, "confidence", 0.95, minimum=0.0,
                                exclusive_minimum=True)
         ci_method = get_str(request, "ci", "clt", choices=("clt", "bootstrap"))
-        workers = get_int(request, "workers", 1, minimum=1)
+        workers = get_int(request, "workers", 1, minimum=1, maximum=MAX_REQUEST_WORKERS)
         seed = get_int(request, "seed", 0, minimum=0)
         deadline = get_float(request, "deadline", minimum=0.0)
         allow_partial = get_bool(request, "allow_partial", False)
@@ -648,89 +652,39 @@ class SamplingService:
             entry = cache.peek(queries[0], BACKEND_WEIGHTS[method])
             if entry is not None:
                 cached_available = min(entry.samples, budget)
-        priced = self.admission.price(
-            queries, budget, warm=warm, cached_samples=cached_available
-        )
-        breaker_key = (label, BACKEND_WEIGHTS.get(method, method))
-        self._breakers.check(breaker_key)
-        outcome = "neutral"
-        try:
-            gate_ticket = self._overload.admit(priced)
-            try:
-                ticket = self.admission.admit(
-                    queries, budget, warm=warm,
-                    cached_samples=cached_available, priced=priced,
-                )
-                try:
-                    watch = self._watchdog.watch("aggregate", label, deadline)
-                    try:
-                        with self._stats_lock:
-                            self._counters[
-                                "warm_requests" if warm else "pool_requests"
-                            ] += 1
-                            if cache is not None:
-                                self._counters["cache_requests"] += 1
-
-                        spec = AggregateSpec(
-                            aggregate, attribute=attribute, group_by=group_by
-                        )
-                        if warm:
-                            # Two independent streams: one seeds the prototype
-                            # clone, one the aggregator's own draws —
-                            # deterministic per request, and the prototype's
-                            # stream is untouched either way.
-                            clone_rng, agg_rng = spawn_rngs(seed, 2)
-                            clone = self._prototype(
-                                queries[0], BACKEND_WEIGHTS[method]
-                            ).split(1, seed=clone_rng, share_plans=True)[0]
-                            aggregator = OnlineAggregator(
-                                queries,
-                                spec,
-                                method=method,
-                                seed=agg_rng,
-                                confidence=confidence,
-                                ci_method=ci_method,
-                                target_samples=budget,
-                                join_sampler=clone,
-                                cache=cache,
-                            )
-                        else:
-                            aggregator = OnlineAggregator(
-                                queries,
-                                spec,
-                                method=method,
-                                seed=seed,
-                                confidence=confidence,
-                                ci_method=ci_method,
-                                parallelism=workers,
-                                target_samples=budget,
-                            )
-                        report = aggregator.until(
-                            rel_error,
-                            max_attempts=max_attempts,
-                            deadline=deadline,
-                            allow_partial=allow_partial,
-                        )
-                        outcome = "success"
-                    finally:
-                        watch.release()
-                finally:
-                    ticket.release()
-            finally:
-                gate_ticket.release()
-        except RequestError as error:
-            if error.code in BREAKER_FAILURE_CODES:
-                outcome = "failure"
-            raise
-        except (JobDeadlineExceeded, EmptyResultError):
-            outcome = "failure"
-            raise
-        except RuntimeError as error:
-            if "mutation epoch" in str(error):  # epoch-restart-exhausted
-                outcome = "failure"
-            raise
-        finally:
-            self._breakers.record(breaker_key, outcome)
+        with self._admitted(
+            "aggregate", label, (label, BACKEND_WEIGHTS.get(method, method)),
+            queries, budget, warm=warm, deadline=deadline,
+            cached_samples=cached_available, uses_cache=cache is not None,
+        ) as ticket:
+            spec = AggregateSpec(aggregate, attribute=attribute, group_by=group_by)
+            clone, agg_seed = None, seed
+            if warm:
+                # Two independent streams: one seeds the prototype clone, one
+                # the aggregator's own draws — deterministic per request, and
+                # the prototype's stream is untouched either way.
+                clone_rng, agg_seed = spawn_rngs(seed, 2)
+                clone = self._prototype(
+                    queries[0], BACKEND_WEIGHTS[method]
+                ).split(1, seed=clone_rng, share_plans=True)[0]
+            aggregator = OnlineAggregator(
+                queries,
+                spec,
+                method=method,
+                seed=agg_seed,
+                confidence=confidence,
+                ci_method=ci_method,
+                parallelism=workers,  # 1 on the warm path
+                target_samples=budget,
+                join_sampler=clone,
+                cache=cache,  # None off the warm path
+            )
+            report = aggregator.until(
+                rel_error,
+                max_attempts=max_attempts,
+                deadline=deadline,
+                allow_partial=allow_partial,
+            )
         result = {
             "kind": "aggregate",
             "query": label,

@@ -10,10 +10,10 @@ class JoinSampler:
         self._epoch += 1
         return False
 
-    def sample(self, count):
+    def sample_block(self, count):
         return self._root_weights[:count]
 
-    def sample_batch(self, count):
+    def sample_many(self, count):
         out = list(self._root_weights)
         self.refresh()
         return out[:count]

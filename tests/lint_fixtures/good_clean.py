@@ -57,13 +57,13 @@ class JoinSampler:
     def refresh(self):
         return False
 
-    def sample(self, count):
+    def sample_block(self, count):
         self.refresh()
         return self._root_weights[:count]
 
     def sample_many(self, count):
         # Delegating to another checked entry point counts as refreshing.
-        return self.sample(count)
+        return self.sample_block(count)
 
 
 def shape_key(queries):

@@ -1,6 +1,6 @@
 """Batch/scalar equivalence of the vectorized sampling engine.
 
-The batched descent (`JoinSampler.sample_batch`, `WanderJoin.walk_batch`) must
+The batched descent (`JoinSampler.sample_block`, `WanderJoin.walk_batch`) must
 produce samples identically distributed to the scalar reference paths: same
 acceptance rates, same uniformity over the join result, same walk success
 statistics — on chain, acyclic, cyclic, and composite-key joins.
@@ -139,7 +139,7 @@ class TestBatchScalarEquivalence:
         scalar = JoinSampler(chain_query, weights=weights, seed=101)
         accepted = sum(1 for _ in range(3000) if scalar.try_sample() is not None)
         batched = JoinSampler(chain_query, weights=weights, seed=202)
-        batched.sample_batch(accepted or 1)
+        batched.sample_many(accepted or 1)
         assert batched.stats.acceptance_rate == pytest.approx(
             scalar.stats.acceptance_rate, abs=0.08
         )
@@ -148,21 +148,21 @@ class TestBatchScalarEquivalence:
     def test_chain_uniformity(self, chain_query, weights):
         sampler = JoinSampler(chain_query, weights=weights, seed=31)
         population = sorted(join_result_set(chain_query))
-        draws = sampler.sample_batch(1500)
+        draws = sampler.sample_many(1500)
         assert_uniform([d.value for d in draws], population)
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acyclic_uniformity(self, acyclic_query, weights):
         sampler = JoinSampler(acyclic_query, weights=weights, seed=37)
         population = sorted(join_result_set(acyclic_query))
-        draws = sampler.sample_batch(1200)
+        draws = sampler.sample_many(1200)
         assert_uniform([d.value for d in draws], population)
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_cyclic_uniformity(self, cyclic_query, weights):
         sampler = JoinSampler(cyclic_query, weights=weights, seed=41)
         population = sorted(join_result_set(cyclic_query))
-        draws = sampler.sample_batch(900)
+        draws = sampler.sample_many(900)
         assert_uniform([d.value for d in draws], population)
         assert sampler.stats.rejected_residual > 0
 
@@ -171,7 +171,7 @@ class TestBatchScalarEquivalence:
         sampler = JoinSampler(composite_query, weights=weights, seed=43)
         population = sorted(join_result_set(composite_query))
         assert population  # fixture sanity: the composite join is non-empty
-        draws = sampler.sample_batch(1500)
+        draws = sampler.sample_many(1500)
         assert_uniform([d.value for d in draws], population)
 
     def test_mixed_type_key_column_keeps_all_results(self):
@@ -188,28 +188,29 @@ class TestBatchScalarEquivalence:
         )
         sampler = JoinSampler(query, weights="ew", seed=67)
         assert sampler.size_bound == 2.0
-        values = {d.value for d in sampler.sample_batch(100)}
+        values = {d.value for d in sampler.sample_many(100)}
         assert values == {(10, 100), (20, 200)}
 
     def test_string_key_uniformity(self, string_key_query):
         sampler = JoinSampler(string_key_query, weights="eo", seed=47)
         population = sorted(join_result_set(string_key_query))
-        draws = sampler.sample_batch(1200)
+        draws = sampler.sample_many(1200)
         assert_uniform([d.value for d in draws], population)
 
     def test_assignments_are_consistent(self, chain_query):
         sampler = JoinSampler(chain_query, seed=53)
-        for draw in sampler.sample_batch(50):
+        for draw in sampler.sample_many(50):
             assert chain_query.project_assignment(draw.assignment) == draw.value
 
     def test_values_are_python_typed(self, chain_query):
-        draw = JoinSampler(chain_query, seed=59).sample_batch(1)[0]
+        draw = JoinSampler(chain_query, seed=59).sample_many(1)[0]
         assert all(not isinstance(v, np.generic) for v in draw.value)
         assert all(isinstance(p, int) for p in draw.assignment.values())
 
     def test_buffer_refill_preserves_counts(self, chain_query):
         sampler = JoinSampler(chain_query, seed=61)
-        values = [sampler.sample().value for _ in range(300)]
+        # one at a time: every call after a refill is served from the buffer
+        values = [sampler.sample_block(1).values(chain_query)[0] for _ in range(300)]
         assert len(values) == 300
         assert sampler.stats.accepted >= 300
 
@@ -219,7 +220,7 @@ class TestBatchScalarEquivalence:
         query = make_chain_query("empty", r_rows=[(1, 99)], s_rows=[(10, 100)])
         sampler = JoinSampler(query, weights="ew", seed=0)
         with pytest.raises(RuntimeError):
-            sampler.sample_batch(1, max_attempts=64)
+            sampler.sample_many(1, max_attempts=64)
 
 
 class TestWanderJoinBatch:

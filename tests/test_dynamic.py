@@ -164,8 +164,8 @@ class TestSamplingUnderUpdates:
 
     def test_stale_buffer_is_discarded(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=109, max_batch_size=64)
-        sampler.sample_batch(10)  # leaves surplus accepted draws buffered
-        assert sampler._block_buffer or sampler._draw_buffer
+        sampler.sample_many(10)  # leaves surplus accepted draws buffered
+        assert sampler._block_buffer
         chain_query.relation("S").delete_where(
             lambda row, schema: row[schema.position("b")] == 10
         )

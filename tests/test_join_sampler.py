@@ -28,7 +28,7 @@ class TestBasicSampling:
 
     def test_assignment_consistent_with_value(self, chain_query):
         sampler = JoinSampler(chain_query, seed=3)
-        draw = sampler.sample()
+        (draw,) = sampler.sample_many(1)
         assert chain_query.project_assignment(draw.assignment) == draw.value
 
     def test_empty_join_raises(self):
@@ -37,7 +37,7 @@ class TestBasicSampling:
         query = make_chain_query("empty", r_rows=[(1, 99)], s_rows=[(10, 100)])
         sampler = JoinSampler(query, weights="ew", seed=0)
         with pytest.raises(RuntimeError):
-            sampler.sample(max_attempts=50)
+            sampler.sample_many(1, max_attempts=50)
 
     def test_size_bound_matches_weight_function(self, chain_query):
         ew = JoinSampler(chain_query, weights="ew", seed=0)
@@ -53,19 +53,19 @@ class TestUniformity:
     def test_chain_join_uniformity(self, chain_query, weights):
         sampler = JoinSampler(chain_query, weights=weights, seed=7)
         population = sorted(join_result_set(chain_query))
-        samples = [sampler.sample().value for _ in range(1200)]
+        samples = [d.value for d in sampler.sample_many(1200)]
         assert_uniform(samples, population)
 
     def test_acyclic_join_uniformity(self, acyclic_query):
         sampler = JoinSampler(acyclic_query, weights="eo", seed=11)
         population = sorted(join_result_set(acyclic_query))
-        samples = [sampler.sample().value for _ in range(1000)]
+        samples = [d.value for d in sampler.sample_many(1000)]
         assert_uniform(samples, population)
 
     def test_cyclic_join_uniformity(self, cyclic_query):
         sampler = JoinSampler(cyclic_query, weights="ew", seed=13)
         population = sorted(join_result_set(cyclic_query))
-        samples = [sampler.sample().value for _ in range(600)]
+        samples = [d.value for d in sampler.sample_many(600)]
         assert_uniform(samples, population)
 
     def test_skewed_join_uniformity_with_eo(self):
@@ -77,7 +77,7 @@ class TestUniformity:
         query = make_chain_query("skewed", r_rows=r_rows, s_rows=s_rows)
         sampler = JoinSampler(query, weights="eo", seed=17)
         population = sorted(join_result_set(query))
-        samples = [sampler.sample().value for _ in range(1400)]
+        samples = [d.value for d in sampler.sample_many(1400)]
         assert_uniform(samples, population)
 
 
@@ -118,14 +118,14 @@ class TestPredicateEnforcement:
         pushed = self._query(push_down=True)
         expected = join_result_set(pushed)
         sampler = JoinSampler(enforced, weights="ew", seed=23, enforce_predicates=True)
-        seen = {sampler.sample().value for _ in range(300)}
+        seen = {d.value for d in sampler.sample_many(300)}
         assert seen == expected
         assert sampler.stats.rejected_predicate > 0
 
     def test_enforcement_disabled_samples_unfiltered_join(self):
         enforced = self._query(push_down=False)
         sampler = JoinSampler(enforced, weights="ew", seed=29, enforce_predicates=False)
-        seen = {sampler.sample().value for _ in range(300)}
+        seen = {d.value for d in sampler.sample_many(300)}
         assert (3, 100) in seen
 
 
@@ -135,34 +135,29 @@ class TestBatchEdgeCases:
     def test_count_zero_returns_empty_without_consuming_state(self, chain_query):
         sampler = JoinSampler(chain_query, seed=5)
         state_before = sampler.rng.bit_generator.state
-        assert sampler.sample_batch(0) == []
         assert sampler.sample_many(0) == []
         assert sampler.rng.bit_generator.state == state_before
         assert sampler.stats.attempts == 0
 
     def test_count_zero_leaves_buffer_intact(self, chain_query):
         sampler = JoinSampler(chain_query, seed=5)
-        sampler.sample()  # fills the buffer with surplus accepted draws
-        buffered = len(sampler._draw_buffer) + sum(
-            len(b) for b in sampler._block_buffer
-        )
+        sampler.sample_many(1)  # fills the buffer with surplus accepted draws
+        buffered = sum(len(b) for b in sampler._block_buffer)
         assert buffered > 0
-        assert sampler.sample_batch(0) == []
-        assert len(sampler._draw_buffer) + sum(
-            len(b) for b in sampler._block_buffer
-        ) == buffered
+        assert sampler.sample_many(0) == []
+        assert sum(len(b) for b in sampler._block_buffer) == buffered
 
     def test_count_one(self, chain_query):
         sampler = JoinSampler(chain_query, seed=6)
-        draws = sampler.sample_batch(1)
+        draws = sampler.sample_many(1)
         assert len(draws) == 1
 
     def test_max_attempts_must_be_positive(self, chain_query):
         sampler = JoinSampler(chain_query, seed=7)
         with pytest.raises(ValueError, match="max_attempts"):
-            sampler.sample_batch(1, max_attempts=0)
+            sampler.sample_many(1, max_attempts=0)
         with pytest.raises(ValueError, match="max_attempts"):
-            sampler.sample_batch(1, max_attempts=-5)
+            sampler.sample_many(1, max_attempts=-5)
 
     def test_exhaustion_raises_and_sampler_stays_usable(self):
         from tests.conftest import make_chain_query
@@ -171,8 +166,8 @@ class TestBatchEdgeCases:
         sampler = JoinSampler(query, weights="ew", seed=0)
         for _ in range(2):  # a second call must fail identically, not corrupt
             with pytest.raises(RuntimeError, match="failed to accept"):
-                sampler.sample_batch(3, max_attempts=40)
-        assert sampler.pop_buffered() == []
+                sampler.sample_many(3, max_attempts=40)
+        assert sampler.pop_buffered_blocks() == []
 
     def test_exhaustion_preserves_accepted_draws_in_buffer(self, chain_query, monkeypatch):
         sampler = JoinSampler(chain_query, seed=8)
@@ -188,13 +183,13 @@ class TestBatchEdgeCases:
 
         monkeypatch.setattr(sampler, "_attempt_block", one_accept_then_dry)
         with pytest.raises(RuntimeError, match="failed to accept"):
-            sampler.sample_batch(5, max_attempts=100)
+            sampler.sample_many(5, max_attempts=100)
         # The accepted draw survived the failure and serves the next request.
-        preserved = sampler.pop_buffered()
+        (preserved,) = sampler.pop_buffered_blocks()
         assert len(preserved) == 1
 
 
-class TestSplitAndParallelism:
+class TestSplit:
     def test_split_shards_share_weight_function(self, chain_query):
         sampler = JoinSampler(chain_query, seed=11)
         shards = sampler.split(3)
@@ -211,27 +206,3 @@ class TestSplitAndParallelism:
         draws_a = [d.value for d in a.sample_many(20)]
         draws_b = [d.value for d in b.sample_many(20)]
         assert draws_a != draws_b  # aliased streams would repeat verbatim
-
-    def test_parallel_sample_batch_is_deterministic(self, chain_query):
-        first = JoinSampler(chain_query, seed=13, parallelism=3)
-        second = JoinSampler(chain_query, seed=13, parallelism=3)
-        values = [d.value for d in first.sample_batch(30)]
-        assert values == [d.value for d in second.sample_batch(30)]
-        assert first.stats.accepted >= 30
-
-    def test_parallel_draws_are_join_members(self, chain_query):
-        results = join_result_set(chain_query)
-        sampler = JoinSampler(chain_query, seed=13, parallelism=2)
-        for draw in sampler.sample_batch(40):
-            assert draw.value in results
-
-    def test_parallel_batch_serves_parked_buffer_first(self, chain_query):
-        sampler = JoinSampler(chain_query, seed=15, parallelism=2)
-        parked = JoinSampler(chain_query, seed=16).sample_block(3)
-        parked.attempts = 0
-        sampler._block_buffer.append(parked)
-        expected = parked.values(chain_query)
-        draws = sampler.sample_batch(2)
-        assert [d.value for d in draws] == expected[:2]
-        # the third parked sample stays queued
-        assert sum(len(b) for b in sampler._block_buffer) == 1

@@ -56,8 +56,8 @@ class TestFixtures:
     def test_epoch_rules(self):
         result = lint_fixture("bad_epoch.py")
         assert live_ids_and_lines(result) == [
-            ("EPOCH001", 13),  # sample() never refreshes
-            ("EPOCH002", 17),  # sample_batch() refreshes after first use
+            ("EPOCH001", 13),  # sample_block() never refreshes
+            ("EPOCH002", 17),  # sample_many() refreshes after first use
         ]
 
     def test_lock_rule(self):
@@ -197,8 +197,8 @@ class TestScratchCopySeeding:
         path = _scratch_copy(tmp_path, "src/repro/sampling/join_sampler.py")
         text = path.read_text()
         mutated = text.replace(
-            "@_locked\n    def pop_buffered(self)",
-            "def pop_buffered(self)",
+            "@_locked\n    def pop_buffered_blocks(self)",
+            "def pop_buffered_blocks(self)",
         )
         assert mutated != text
         path.write_text(mutated)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.sampling.blocks import SampleBlock
-from repro.sampling.join_sampler import JoinSampler
+from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.tpch.workloads import build_uq2
 
 SMOKE_SCALE = 0.0005
@@ -38,7 +38,7 @@ def _scalar_rate(sampler: JoinSampler, attempts: int) -> float:
 
 def _batch_rate(sampler: JoinSampler, count: int) -> float:
     started = time.perf_counter()
-    draws = sampler.sample_batch(count)
+    draws = sampler.sample_many(count)
     elapsed = time.perf_counter() - started
     assert len(draws) == count
     return count / elapsed
@@ -51,7 +51,7 @@ def test_batch_path_at_least_scalar_throughput(smoke_query, weights):
     # Warm both paths so index/plan construction stays outside the timing.
     for _ in range(50):
         scalar.try_sample()
-    batched.sample_batch(50)
+    batched.sample_many(50)
 
     scalar_rate = _scalar_rate(scalar, attempts=400)
     batch_rate = _batch_rate(batched, count=2000)
@@ -65,13 +65,13 @@ def test_batch_and_scalar_agree_on_acceptance(smoke_query):
     """Cross-check riding along with the smoke gate: both paths must see the
     same acceptance behaviour on the smoke workload (EW never rejects)."""
     sampler = JoinSampler(smoke_query, weights="ew", seed=17)
-    sampler.sample_batch(500)
+    sampler.sample_many(500)
     assert sampler.stats.acceptance_rate == pytest.approx(1.0)
 
 
 def test_block_pipeline_at_least_boxed_throughput(smoke_query):
     """The zero-object aggregate pipeline must not regress below the boxed
-    path it replaced: sample_block -> ingest_block vs sample_batch ->
+    path it replaced: sample_block -> ingest_block vs boxed draws ->
     observe, same draws, same estimator state (the real margin — >= 2x on
     the TPC-H workloads — is recorded in ``BENCH_pipeline.json``; the gate
     here is deliberately loose for noisy CI machines)."""
@@ -83,12 +83,10 @@ def test_block_pipeline_at_least_boxed_throughput(smoke_query):
         sampler = JoinSampler(smoke_query, weights="ew", seed=19)
         accumulator = AggregateAccumulator(spec, smoke_query.output_schema)
         weight = sampler.weight_function.total_weight
-        sampler.sample_batch(50)
-        sampler.pop_buffered()
+        draw_and_drain(sampler, 50)
         started = time.perf_counter()
         before = sampler.stats.attempts
-        draws = sampler.sample_batch(count)
-        draws.extend(sampler.pop_buffered())
+        draws = SampleBlock.concat(draw_and_drain(sampler, count)).to_draws(smoke_query)
         accumulator.observe(
             [d.value for d in draws],
             attempts=sampler.stats.attempts - before,

@@ -283,13 +283,13 @@ class TestIncrementalMaintenanceProperties:
         population = join_result_set(query)
         if not population:
             with pytest.raises(RuntimeError):
-                sampler.sample_batch(1, max_attempts=64)
+                sampler.sample_many(1, max_attempts=64)
             return
         # Scale draws by the skeleton size: sampling is uniform over join
         # *results* (with multiplicity), so a distinct value backed by one
         # result out of n needs ~n draws to appear; 12n makes a miss ~e^-12.
         skeleton = int(exact_join_size(query, distinct=False))
-        draws = sampler.sample_batch(12 * skeleton)
+        draws = sampler.sample_many(12 * skeleton)
         assert {d.value for d in draws} == population
 
 

@@ -1,7 +1,7 @@
 """The zero-object SampleBlock pipeline: block/batch equivalence end to end.
 
 The contract of the columnar pipeline is that boxing is a *view*: for a
-fixed seed, :meth:`JoinSampler.sample_block` and :meth:`JoinSampler.sample_batch`
+fixed seed, :meth:`JoinSampler.sample_block` and :meth:`JoinSampler.sample_many`
 describe the identical draw sequence (pinned bit-exactly, Hypothesis-driven,
 under both EW and EO backends), and :meth:`AggregateAccumulator.ingest_block`
 over block columns stores bit-identical estimator state to
@@ -48,10 +48,10 @@ def fresh_chain():
     weights=st.sampled_from(["ew", "eo"]),
 )
 def test_block_and_batch_are_bit_identical(seed, count, weights):
-    """Same seed ⇒ sample_block and sample_batch describe the same draws."""
+    """Same seed ⇒ sample_block and sample_many describe the same draws."""
     query = fresh_chain()
     block = JoinSampler(query, weights=weights, seed=seed).sample_block(count)
-    draws = JoinSampler(query, weights=weights, seed=seed).sample_batch(count)
+    draws = JoinSampler(query, weights=weights, seed=seed).sample_many(count)
     assert len(block) == count == len(draws)
     assert block.values(query) == [d.value for d in draws]
     for i, draw in enumerate(draws):
@@ -125,13 +125,6 @@ class TestSampleBlock:
         sampler = JoinSampler(chain_query, weights="ew", seed=9)
         block = sampler.sample_block(10)
         assert block.weight == sampler.weight_function.total_weight
-
-    def test_parallel_block_concatenates_in_shard_order(self, chain_query):
-        first = JoinSampler(chain_query, seed=13, parallelism=3)
-        second = JoinSampler(chain_query, seed=13, parallelism=3)
-        assert first.sample_block(30).values(chain_query) == [
-            d.value for d in second.sample_batch(30)
-        ]
 
 
 class TestWanderWalkBlock:

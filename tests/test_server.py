@@ -28,7 +28,7 @@ from repro.server import (
     ServerError,
     start_server,
 )
-from repro.server.protocol import ERROR_CODES
+from repro.server.protocol import ERROR_CODES, MAX_REQUEST_WORKERS
 
 
 def make_service(**overrides) -> SamplingService:
@@ -370,6 +370,73 @@ class TestProtocolErrors:
             assert 400 <= status <= 599, (code, status)
 
 
+#: one request of each kind that takes ``workers``, one past the limit
+OVER_LIMIT_REQUESTS = [
+    {"kind": "sample", "query": "UQ1_J1", "count": 8,
+     "workers": MAX_REQUEST_WORKERS + 1},
+    {"kind": "aggregate", "query": "union", "aggregate": "sum",
+     "attribute": "totalprice", "rel_error": 0.2, "workers": 400},
+]
+
+
+class TestWorkersLimit:
+    """``workers`` is outside input: a sampler (or union warm-up) plus a
+    thread per worker per step, none of it priced."""
+
+    @pytest.mark.parametrize("request_dict", OVER_LIMIT_REQUESTS)
+    def test_over_limit_fails_before_pricing_or_admission(
+        self, service, monkeypatch, request_dict
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an over-limit request must not get this far")
+
+        monkeypatch.setattr(service.admission, "price", unreachable)
+        monkeypatch.setattr(service.admission, "admit", unreachable)
+        monkeypatch.setattr(OnlineAggregator, "until", unreachable)
+        started = time.monotonic()
+        response = service.handle(request_dict)
+        assert time.monotonic() - started < 1.0
+        assert not response["ok"]
+        assert response["error"]["code"] == "invalid-request"
+        assert "'workers'" in response["error"]["message"]
+        assert service.admission.inflight == 0
+        assert service.admission.inflight_seconds == 0.0
+
+    @pytest.fixture(scope="class")
+    def healthy(self):
+        """Own service: the shared one is left shedding by the deadline tests."""
+        svc = make_service()
+        yield svc
+        svc.close()
+
+    def test_limit_itself_is_accepted(self, healthy):
+        response = healthy.handle({
+            "kind": "sample", "query": "UQ1_J4", "count": 8, "seed": 2,
+            "workers": MAX_REQUEST_WORKERS,
+        })
+        assert response["ok"]
+        assert len(response["result"]["values"]) == 8
+
+    def test_two_worker_aggregate_answers_as_the_library_does(self, healthy):
+        from repro.aqp.online import planning_budget
+
+        response = healthy.handle({
+            "kind": "aggregate", "query": "UQ1_J4", "aggregate": "sum",
+            "attribute": "totalprice", "method": "olken", "rel_error": 0.2,
+            "seed": 5, "workers": 2,
+        })
+        assert response["ok"]
+        result = response["result"]
+        assert result["workers"] == 2 and not result["warm"]
+        expected = OnlineAggregator(
+            healthy.workload.query("UQ1_J4"),
+            AggregateSpec("sum", attribute="totalprice"),
+            method="olken", seed=5, parallelism=2,
+            target_samples=planning_budget(0.2, 0.95),
+        ).until(0.2)
+        assert result["report"] == expected.to_dict()
+
+
 class TestHTTPTransport:
     @pytest.fixture(scope="class")
     def server(self):
@@ -398,6 +465,23 @@ class TestHTTPTransport:
             client.sample("nope", 4)
         assert excinfo.value.code == "unknown-query"
         assert excinfo.value.details["queries"]
+
+    @pytest.mark.parametrize("request_dict", OVER_LIMIT_REQUESTS)
+    def test_over_limit_workers_is_a_400_over_http(self, server, request_dict):
+        import http.client
+        import json as jsonlib
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("POST", "/api", body=jsonlib.dumps(request_dict),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            payload = jsonlib.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert server.service.admission.inflight == 0
 
     def test_concurrent_http_clients_bit_identical(self, server):
         client = ServerClient(port=server.port)
@@ -443,7 +527,7 @@ class TestSharedSamplerConcurrency:
         sampler = JoinSampler(make_chain(), seed=11)
         per_thread = 120
         batches = run_concurrently(
-            lambda i: sampler.sample_batch(per_thread), 4
+            lambda i: sampler.sample_many(per_thread), 4
         )
         assert all(len(batch) == per_thread for batch in batches)
         valid = {(a, 10 * (a % 4) + j) for a in range(24) for j in range(3)}
