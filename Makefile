@@ -40,10 +40,12 @@ bench:
 bench-pipeline:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_pipeline.py
 
-# cProfile of the aggregate hot path; top-25 cumulative saved under
-# benchmarks/profiles/ (see docs/performance.md).
+# cProfiles of the aggregate hot path and of the union sampler's first 1 000
+# samples (UQ1 at SF 0.05); top-25 cumulative saved under benchmarks/profiles/
+# (see docs/performance.md).
 profile:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_aggregate.py
+	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_union.py
 
 # AQP benchmark (auto-planned vs hand-picked backends): writes BENCH_aqp.json.
 bench-aqp:

@@ -26,7 +26,10 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
 from repro.core.union_sampler import drain_value_queue
@@ -114,8 +117,13 @@ class OnlineUnionSampler:
                 q.name: JoinSampler(q, weights=join_weights, seed=s)
                 for q, s in zip(self.queries, sampler_seeds)
             }
-            self.membership = UnionMembershipIndex(self.queries)
-            self._membership_cache: Dict[Tuple[str, Tuple], bool] = {}
+            #: probers + ``(join, value)`` memo: the random-walk warm-up's own
+            #: (what it learned about the pooled values is not asked again)
+            self.membership = (
+                estimator.membership
+                if isinstance(estimator, RandomWalkUnionEstimator)
+                else UnionMembershipIndex(self.queries)
+            )
             #: per-join uniform sample values, refilled block-wise
             self._value_queues: Dict[str, Deque[Tuple]] = {
                 n: deque() for n in self.names
@@ -143,7 +151,8 @@ class OnlineUnionSampler:
         previous database snapshot: the reuse pools (their walk probabilities
         were computed against old degrees), the recorded draws and accepted
         samples (uniform over the *old* union, not the new one), the
-        membership cache, and the join-selection distribution, which is
+        membership memo (shared with the warm-up estimator, whose walks are
+        dropped here too), and the join-selection distribution, which is
         re-estimated from the delta-maintained histogram statistics.  Samples
         returned before the refresh remain valid uniform draws over the
         snapshot they were taken from.
@@ -163,7 +172,7 @@ class OnlineUnionSampler:
             self._accepted = []
             self._value_slots = {}
             self._live_count = 0
-            self._membership_cache.clear()
+            self.membership.memo.clear()
             for queue in self._value_queues.values():
                 queue.clear()
             self.confidence_level = 0.0
@@ -173,7 +182,7 @@ class OnlineUnionSampler:
         """Draw ``count`` samples from the set union.
 
         Staleness is detected automatically: if a base relation mutated since
-        the last epoch, :meth:`refresh` runs first — the membership cache and
+        the last epoch, :meth:`refresh` runs first — the membership memo and
         selection probabilities must never outlive the snapshot they were
         computed from, or the union sample silently biases.  (The per-join
         samplers refresh themselves, but uniformity over the *union* also
@@ -301,6 +310,10 @@ class OnlineUnionSampler:
         """Re-estimate overlaps from the recorded draws (random-walk method, §6.2)."""
         join_sizes = dict(old.join_sizes)
         worst_half_width = 0.0
+        # Per round, not per subset: a pivot's recorded values, their weights
+        # and the weights' total, and one probe of the values per other join.
+        recorded: Dict[str, Tuple[List[Tuple], List[float], float]] = {}
+        inside: Dict[Tuple[str, str], np.ndarray] = {}
 
         def overlap_of(subset: FrozenSet[str]) -> float:
             nonlocal worst_half_width
@@ -310,14 +323,23 @@ class OnlineUnionSampler:
             records = self._records[pivot]
             if not records:
                 return old.overlap(list(subset))
-            others = [n for n in subset if n != pivot]
-            total_weight = sum(r.weight for r in records)
+            if pivot not in recorded:
+                weights = [r.weight for r in records]
+                recorded[pivot] = ([r.value for r in records], weights, sum(weights))
+            values, weights, total_weight = recorded[pivot]
+            hit = np.ones(len(records), dtype=bool)
+            for name in subset:
+                if name == pivot:
+                    continue
+                if (pivot, name) not in inside:
+                    inside[pivot, name] = self.membership.recall_many(name, values)
+                hit &= inside[pivot, name]
+            # Added one at a time in record order: the estimate keeps the
+            # bits of the per-record loop this replaces.
             hit_weight = 0.0
-            hits = 0
-            for record in records:
-                if all(self._contains(name, record.value) for name in others):
-                    hit_weight += record.weight
-                    hits += 1
+            for weight in compress(weights, hit.tolist()):
+                hit_weight += weight
+            hits = int(hit.sum())
             if total_weight <= 0:
                 return old.overlap(list(subset))
             ratio = hit_weight / total_weight
@@ -375,12 +397,6 @@ class OnlineUnionSampler:
         self._value_slots = slots
         self._live_count = len(retained)
         self.stats.backtrack_removed += removed
-
-    def _contains(self, query_name: str, value: Tuple) -> bool:
-        key = (query_name, value)
-        if key not in self._membership_cache:
-            self._membership_cache[key] = self.membership.contains(query_name, value)
-        return self._membership_cache[key]
 
 
 __all__ = ["OnlineUnionSampler"]

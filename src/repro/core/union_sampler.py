@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
 from repro.estimation.base import UnionSizeEstimator
@@ -40,22 +42,27 @@ from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_r
 
 
 def drain_value_queue(
-    sampler: JoinSampler, queue: Deque[Tuple]
-) -> Tuple:
+    sampler: JoinSampler,
+    queue: Deque,
+    annotate: Optional[Callable[[List[Tuple]], Iterable]] = None,
+):
     """One uniform sample *value* from a join, via the block pipeline.
 
     Union iterations only consume the output value tuple, so boxing a full
     ``SampleDraw`` (assignment dict included) per draw is pure overhead.
     The queue refills from :func:`~repro.sampling.join_sampler.draw_and_drain`
     — the drawn block plus the sampler's parked surplus — and one refill pays
-    a single columnar projection for the whole batch.
+    a single columnar projection for the whole batch.  ``annotate`` maps the
+    refilled values to the queue's entries (what is queued is what is
+    returned); whatever it learns about them it learns once per block.
     """
     if queue and sampler.stale:
         # A mutation epoch landed since the queue was filled: the parked
         # values describe the previous snapshot and must not be served.
         queue.clear()
     if not queue:
-        queue.extend(SampleBlock.concat(draw_and_drain(sampler, 1)).values(sampler.query))
+        values = SampleBlock.concat(draw_and_drain(sampler, 1)).values(sampler.query)
+        queue.extend(values if annotate is None else annotate(values))
     return queue.popleft()
 
 
@@ -99,6 +106,8 @@ class UnionSamplerBase:
         self._selector_source: Optional[Dict[str, float]] = None
         #: per-join uniform sample values, refilled block-wise (zero-object)
         self._value_queues: Dict[str, Deque[Tuple]] = {n: deque() for n in self.names}
+        #: probers of the cover test, for the policies that probe
+        self.membership: Optional[UnionMembershipIndex] = None
 
     # ------------------------------------------------------------------ hooks
     def _iterate(self) -> List[UnionSample]:
@@ -157,6 +166,32 @@ class UnionSamplerBase:
             self.join_samplers[join_name], self._value_queues[join_name]
         )
 
+    def _draw_cover_value(self, position: int) -> Tuple[Tuple, bool]:
+        """A value of join ``position`` and whether an earlier join contains
+        it: the cover test of the probing policies.  It runs when the join's
+        queue refills, on the whole block, and its verdicts are queued beside
+        the values."""
+        join_name = self.names[position]
+        self.stats.record_draw(join_name)
+        return drain_value_queue(
+            self.join_samplers[join_name],
+            self._value_queues[join_name],
+            lambda values: zip(values, self._owned_by_earlier(position, values)),
+        )
+
+    def _owned_by_earlier(self, position: int, values: List[Tuple]) -> List[bool]:
+        """Per value, whether a join before ``position`` contains it: one
+        batched probe per earlier join, each narrowed to the values no join
+        before it has claimed."""
+        assert self.membership is not None
+        owned = np.zeros(len(values), dtype=bool)
+        for earlier in self.names[:position]:
+            free = np.flatnonzero(~owned)
+            if free.size == 0:
+                break
+            owned[free] = self.membership.contains_many(earlier, [values[i] for i in free])
+        return owned.tolist()
+
 
 class DisjointUnionSampler(UnionSamplerBase):
     """Sampling from the disjoint (bag) union — Definition 1.
@@ -201,18 +236,12 @@ class BernoulliUnionSampler(UnionSamplerBase):
             if selections[position] >= probability:
                 self.stats.rejected_not_selected += 1
                 continue
-            value = self._draw_value(query.name)
-            if self._owned_by_earlier(position, value):
+            value, owned = self._draw_cover_value(position)
+            if owned:
                 self.stats.rejected_duplicate += 1
                 continue
             accepted.append(UnionSample(value, query.name, self.stats.iterations))
         return accepted
-
-    def _owned_by_earlier(self, position: int, value: Tuple) -> bool:
-        for earlier in self.queries[:position]:
-            if self.membership.contains(earlier.name, value):
-                return True
-        return False
 
 
 class SetUnionSampler(UnionSamplerBase):
@@ -271,16 +300,17 @@ class SetUnionSampler(UnionSamplerBase):
     def _iterate(self) -> List[UnionSample]:
         join_name = self._select_join(self._probabilities)
         position = self._positions[join_name]
-        value = self._draw_value(join_name)
 
         if self.mode == "strict":
-            if self._owned_by_earlier(position, value):
+            value, owned = self._draw_cover_value(position)
+            if owned:
                 self.stats.rejected_duplicate += 1
                 return []
             sample = UnionSample(value, join_name, self.stats.iterations)
             self._accept(sample)
             return [sample]
 
+        value = self._draw_value(join_name)
         recorded = self._orig_join.get(value)
         if recorded is not None and recorded < position:
             # Already owned by an earlier join in the cover order: reject.
@@ -295,13 +325,6 @@ class SetUnionSampler(UnionSamplerBase):
         sample = UnionSample(value, join_name, self.stats.iterations)
         self._accept(sample)
         return [sample]
-
-    def _owned_by_earlier(self, position: int, value: Tuple) -> bool:
-        assert self.membership is not None
-        for earlier in self.queries[:position]:
-            if self.membership.contains(earlier.name, value):
-                return True
-        return False
 
     def _accept(self, sample: UnionSample) -> None:
         """Record an accepted sample and index its slot for later revisions."""

@@ -8,8 +8,9 @@ sizes (Horvitz–Thompson, §6.1) and the overlap sizes (§6.2):
   probabilities ``p(t)``;
 * conceptually replicate each sampled ``t`` ``1/p(t)`` times so the weighted
   sample ``S'_j`` preserves the distribution of ``J_j``;
-* probe every other join in Δ with hash-index lookups to see whether it also
-  contains ``t`` (:class:`~repro.joins.membership.JoinMembershipProber`);
+* probe every other join in Δ to see whether it also contains ``t`` — the
+  pivot's whole sample list against one join at a time
+  (:meth:`~repro.joins.membership.UnionMembershipIndex.recall_many`);
 * the overlap is then ``|O_Δ| = |J_j| · |∩ S'_i| / |S'_j|`` (Eq. 2), with the
   confidence interval of Eq. 3.
 
@@ -24,8 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.estimation.base import UnionSizeEstimator
-from repro.joins.membership import JoinMembershipProber
+from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery
 from repro.sampling.wander_join import RunningEstimator, SizeEstimate, WanderJoin, z_value
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
@@ -95,12 +98,11 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         self._walkers: Dict[str, WanderJoin] = {
             q.name: WanderJoin(q, seed=rng) for q, rng in zip(self.queries, rngs)
         }
-        self._probers: Dict[str, JoinMembershipProber] = {
-            q.name: JoinMembershipProber(q) for q in self.queries
-        }
+        #: the probers and the ``(join, value)`` memo of the union; an online
+        #: sampler warmed up by this estimator goes on using both
+        self.membership = UnionMembershipIndex(self.queries)
         self._samples: Dict[str, List[CollectedSample]] = {q.name: [] for q in self.queries}
         self._size_estimates: Dict[str, SizeEstimate] = {}
-        self._membership_cache: Dict[Tuple[str, Tuple], bool] = {}
         self._prepared = False
 
     # ---------------------------------------------------------------- warm-up
@@ -165,13 +167,20 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         if not samples:
             return OverlapEstimate(0.0, 0.0, 0.0, 0.0, self.confidence, 0)
 
+        # One probe of the whole sample list per other join; the memo makes
+        # it one per pair of joins over all the subsets that share the pivot.
+        values = [sample.value for sample in samples]
+        in_all = np.ones(len(values), dtype=bool)
+        for query in others:
+            in_all &= self.membership.recall_many(query.name, values)
+
         total_weight = 0.0
         overlap_weight = 0.0
         hits = 0
-        for sample in samples:
+        for sample, hit in zip(samples, in_all.tolist()):
             weight = 1.0 / sample.probability if sample.probability > 0 else 0.0
             total_weight += weight
-            if all(self._contains(q, sample.value) for q in others):
+            if hit:
                 overlap_weight += weight
                 hits += 1
         if total_weight <= 0:
@@ -210,12 +219,6 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
     def _pivot(self, queries: Sequence[JoinQuery]) -> JoinQuery:
         """The join whose samples drive Eq. 2: the smallest estimated join."""
         return min(queries, key=lambda q: self.join_size(q))
-
-    def _contains(self, query: JoinQuery, value: Tuple) -> bool:
-        key = (query.name, value)
-        if key not in self._membership_cache:
-            self._membership_cache[key] = self._probers[query.name].contains(value)
-        return self._membership_cache[key]
 
     # ------------------------------------------------------------------ reuse
     def collected_samples(self, name: str) -> List[CollectedSample]:

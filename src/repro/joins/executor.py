@@ -23,10 +23,13 @@ def iterate_join_assignments(
 
     Assignments are produced by a depth-first walk of the join tree guided by
     hash indexes; residual (cycle-breaking) conditions are verified before an
-    assignment is emitted.  Each yielded dict is an independent copy.
+    assignment is emitted, and a row that fails a predicate the query did not
+    push down (§8.3, second alternative) is never bound.  Each yielded dict is
+    an independent copy.
     """
     tree = tree or build_join_tree(query)
     root_rel = query.relation(tree.root.relation)
+    filtered = query.unpushed_predicates
     assignment: Dict[str, int] = {}
 
     def bind_subtree(node: JoinTreeNode) -> Iterator[None]:
@@ -51,6 +54,8 @@ def iterate_join_assignments(
             lookup = key if len(key) > 1 else key[0]
             index = child_rel.index_on_columns(child.child_attributes)
             for pos in index.positions(lookup).tolist():
+                if child.relation in filtered and not query.admits_row(child.relation, pos):
+                    continue
                 assignment[child.relation] = pos
                 for _ in bind_subtree(child):
                     yield from bind_children(idx + 1)
@@ -59,6 +64,8 @@ def iterate_join_assignments(
         yield from bind_children(0)
 
     for root_pos in range(len(root_rel)):
+        if tree.root.relation in filtered and not query.admits_row(tree.root.relation, root_pos):
+            continue
         assignment.clear()
         assignment[tree.root.relation] = root_pos
         for _ in bind_subtree(tree.root):

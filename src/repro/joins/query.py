@@ -226,6 +226,20 @@ class JoinQuery:
             values.append(rel.value(assignment[out.relation], out.attribute))
         return tuple(values)
 
+    @property
+    def unpushed_predicates(self) -> Dict[str, Predicate]:
+        """The predicates left to check on bound rows (§8.3, second
+        alternative): all of them when they were not pushed down, else none."""
+        return {} if self.push_down_predicates else self.predicates
+
+    def admits_row(self, relation_name: str, position: int) -> bool:
+        """Whether the row passes its relation's not-pushed-down predicate."""
+        predicate = self.unpushed_predicates.get(relation_name)
+        if predicate is None:
+            return True
+        relation = self._relations[relation_name]
+        return predicate.evaluate(relation.row(position), relation.schema)
+
     def aligns_with(self, other: "JoinQuery") -> bool:
         """True when both queries produce the same standardized output schema."""
         return self.output_schema == other.output_schema

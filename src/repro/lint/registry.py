@@ -169,11 +169,13 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         ),
         exempt=frozenset({"stale"}),
     ),
-    # Union-level uniformity needs the membership cache and per-join
-    # samplers re-synced before any draw.
+    # Union-level uniformity needs the membership memo (behind
+    # ``membership``, shared with the warm-up estimator), the per-join value
+    # queues and the per-join samplers re-synced before any draw: all three
+    # describe the snapshot they were filled from.
     "OnlineUnionSampler": EpochContract(
         refresh_methods=frozenset({"refresh"}),
-        cached_attrs=frozenset({"_selector"}),
+        cached_attrs=frozenset({"_selector", "membership", "_value_queues"}),
         entry_points=frozenset({"sample"}),
     ),
     # The aggregator restarts its accumulator on epoch bumps; step() is the

@@ -627,12 +627,7 @@ class JoinSampler:
 
         if walks.size and self.tree.residual_conditions:
             walks = self._filter_residuals(chosen, walks)
-        if (
-            walks.size
-            and self.enforce_predicates
-            and self.query.predicates
-            and not self.query.push_down_predicates
-        ):
+        if walks.size and self.enforce_predicates and self.query.unpushed_predicates:
             walks = self._filter_predicates(chosen, walks)
         if walks.size == 0:
             return None
@@ -666,11 +661,10 @@ class JoinSampler:
     def _filter_predicates(self, chosen: Dict[str, np.ndarray], walks: np.ndarray) -> np.ndarray:
         """Drop walks violating predicates that were not pushed down (§8.3)."""
         keep = np.ones(walks.size, dtype=bool)
-        for rel_name, predicate in self.query.predicates.items():
-            relation = self.query.relation(rel_name)
+        for rel_name in self.query.unpushed_predicates:
             positions = chosen[rel_name][walks]
             for i, pos in enumerate(positions.tolist()):
-                if keep[i] and not predicate.evaluate(relation.row(pos), relation.schema):
+                if keep[i] and not self.query.admits_row(rel_name, pos):
                     keep[i] = False
         rejected = int((~keep).sum())
         if rejected:
@@ -699,14 +693,10 @@ class JoinSampler:
         return pos
 
     def _predicates_satisfied(self, assignment: Dict[str, int]) -> bool:
-        if self.query.push_down_predicates or not self.query.predicates:
-            return True
-        for rel_name, predicate in self.query.predicates.items():
-            relation = self.query.relation(rel_name)
-            row = relation.row(assignment[rel_name])
-            if not predicate.evaluate(row, relation.schema):
-                return False
-        return True
+        return all(
+            self.query.admits_row(rel_name, assignment[rel_name])
+            for rel_name in self.query.unpushed_predicates
+        )
 
 
 def draw_and_drain(

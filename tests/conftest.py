@@ -13,6 +13,7 @@ import pytest
 
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.tpch.workloads import build_uq1, build_uq2, build_uq3
@@ -67,6 +68,28 @@ def make_chain_query(
         sources["d"] = ("T", "d")
     outputs = [OutputAttribute(o, *sources[o]) for o in output]
     return JoinQuery(name, relations, conditions, outputs)
+
+
+def make_predicated_pair(push_down: bool) -> list[JoinQuery]:
+    """J1 = A(k,x) ⋈ B(k,y) with the predicate ``B.y >= 6``, pushed down or
+    checked while sampling (§8.3); J2 = the same join without it.
+
+    J1 output values: (10,7), (20,6); J2 adds (10,5), (30,2): the union is J2.
+    """
+    def join(name, predicates):
+        return JoinQuery(
+            name,
+            [
+                Relation("A", ["k", "x"], [(1, 10), (2, 20), (3, 30)]),
+                Relation("B", ["k", "y"], [(1, 5), (1, 7), (2, 6), (3, 2)]),
+            ],
+            [JoinCondition("A", "k", "B", "k")],
+            [OutputAttribute("x", "A", "x"), OutputAttribute("y", "B", "y")],
+            predicates=predicates,
+            push_down_predicates=push_down,
+        )
+
+    return [join("J1", {"B": Comparison("y", ">=", 6)}), join("J2", None)]
 
 
 @pytest.fixture

@@ -274,6 +274,28 @@ class TestStreamingScenario:
         assert {s.value for s in result.samples} <= universe
         assert (1, 900) in universe  # the inserted row joined into the union
 
+    def test_membership_memo_dies_with_the_snapshot(self, union_pair):
+        """A probed value that leaves the earlier join is, next epoch, the
+        later join's: neither the shared memo nor a parked value queue may
+        answer for the database that no longer exists."""
+        j1, j2 = union_pair
+        value = (1, 100)  # in both joins
+        sampler = OnlineUnionSampler(union_pair, seed=12, walks_per_join=100, phi=5)
+        assert any(s.value == value for s in sampler.sample(400).samples)
+        assert sampler.stats.backtrack_rounds > 0
+        assert sampler.membership.memo["J1", value] is True
+        assert any(sampler._value_queues.values()), "no parked values to go stale"
+
+        j1.relation("S").delete_where(lambda row, schema: row == (10, 100))
+        assert value not in join_result_set(j1) and value in join_result_set(j2)
+        result = sampler.sample(60)
+        sources = {s.source_join for s in result.samples if s.value == value}
+        assert sources == {"J2"}
+        assert sampler.membership.memo.get(("J1", value)) is not True
+        assert {s.value for s in result.samples} <= (
+            join_result_set(j1) | join_result_set(j2)
+        )
+
     def test_rejects_unknown_sampler_type(self):
         tables, query, stream = build_order_stream_scenario(
             scale_factor=0.0005, seed=22, orders_per_batch=4

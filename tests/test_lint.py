@@ -193,6 +193,21 @@ class TestScratchCopySeeding:
         path.write_text(mutated)
         _assert_catches(path, "EPOCH001")
 
+    def test_epoch_violation_in_online_sampler_copy(self, tmp_path):
+        """The membership memo is epoch state: a public method that reads
+        through ``membership`` without refreshing first is caught."""
+        path = _scratch_copy(tmp_path, "src/repro/core/online_sampler.py")
+        assert run_lint([str(path)]).live == []
+        text = path.read_text()
+        mutated = text.replace(
+            "    # --------------------------------------------------------------- iteration\n",
+            "    def known(self, name, value):\n"
+            "        return self.membership.memo.get((name, value))\n\n",
+        )
+        assert mutated != text
+        path.write_text(mutated)
+        _assert_catches(path, "EPOCH001")
+
     def test_lock_violation_in_join_sampler_copy(self, tmp_path):
         path = _scratch_copy(tmp_path, "src/repro/sampling/join_sampler.py")
         text = path.read_text()

@@ -12,6 +12,8 @@ from repro.estimation.exact import FullJoinUnionEstimator
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.joins.executor import join_result_set
 
+from tests.conftest import make_predicated_pair
+
 
 @pytest.fixture
 def exact_params(union_triple):
@@ -99,6 +101,25 @@ class TestSetUnionSamplerStrict:
                 assert sample.source_join == "J1"
         assert any(s.source_join == "J2" for s in result.samples)
         assert any(s.source_join == "J3" for s in result.samples)
+
+
+class TestNonPushedPredicates:
+    """§8.3, second alternative: the earlier join enforces ``B.y >= 6`` while
+    sampling, so it can never produce (10, 5) — which the later join can."""
+
+    @pytest.mark.parametrize("policy", ["strict", "bernoulli"])
+    def test_support_is_the_exact_union(self, policy):
+        queries = make_predicated_pair(push_down=False)
+        exact = FullJoinUnionEstimator(queries).estimate()
+        assert exact.join_sizes == {"J1": 2, "J2": 4} and exact.union_size == 4
+        if policy == "strict":
+            sampler = SetUnionSampler(queries, exact, seed=5, mode="strict")
+        else:
+            sampler = BernoulliUnionSampler(queries, exact, seed=5)
+        result = sampler.sample(400)
+        assert {s.value for s in result.samples} == set(union_values(queries))
+        owners = {s.value: s.source_join for s in result.samples}
+        assert owners[(10, 5)] == "J2" and owners[(10, 7)] == "J1"
 
 
 class TestSetUnionSamplerRecord:
