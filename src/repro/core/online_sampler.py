@@ -99,6 +99,11 @@ class OnlineUnionSampler:
             # would alias its walk stream with this sampler's selection and
             # backtracking draws (see the aliasing contract in repro.utils.rng).
             warmup_rng, sampler_parent = spawn_rngs(self.rng, 2)
+            sampler_seeds = spawn_rngs(sampler_parent, len(self.queries))
+            self.join_samplers: Dict[str, JoinSampler] = {
+                q.name: JoinSampler(q, weights=join_weights, seed=s)
+                for q, s in zip(self.queries, sampler_seeds)
+            }
             if warmup_estimator is not None:
                 estimator = warmup_estimator
             elif warmup == "random-walk":
@@ -106,17 +111,12 @@ class OnlineUnionSampler:
                     self.queries, walks_per_join=walks_per_join, seed=warmup_rng
                 )
             else:
-                estimator = HistogramUnionEstimator(self.queries, join_size_method="eo")
+                estimator = self._histogram_estimator()
             self.parameters: UnionParameters = estimator.estimate()
             self._pools: Dict[str, List[CollectedSample]] = {n: [] for n in self.names}
             if self.reuse and isinstance(estimator, RandomWalkUnionEstimator):
                 for name, samples in estimator.all_collected_samples().items():
                     self._pools[name] = list(samples)
-            sampler_seeds = spawn_rngs(sampler_parent, len(self.queries))
-            self.join_samplers: Dict[str, JoinSampler] = {
-                q.name: JoinSampler(q, weights=join_weights, seed=s)
-                for q, s in zip(self.queries, sampler_seeds)
-            }
             #: probers + ``(join, value)`` memo: the random-walk warm-up's own
             #: (what it learned about the pooled values is not asked again)
             self.membership = (
@@ -141,6 +141,24 @@ class OnlineUnionSampler:
         self._value_slots: Dict[Tuple, List[int]] = {}
         self._live_count = 0
 
+    def _histogram_estimator(self) -> HistogramUnionEstimator:
+        """The cheap warm-up: histogram overlap bounds around join sizes that
+        are exact wherever a sampler's total weight *is* its join's size
+        (exact weights, no residual condition, no predicate left to
+        rejection) and extended-Olken bounds elsewhere.  Refinement only
+        re-estimates overlaps relative to the sizes, so a loose size here
+        would stay loose for the sampler's whole life."""
+        exact = {
+            name: size
+            for name, sampler in self.join_samplers.items()
+            if (size := sampler.exact_size()) is not None
+            and not sampler.tree.residual_conditions
+            and not sampler.query.unpushed_predicates
+        }
+        return HistogramUnionEstimator(
+            self.queries, join_size_method="eo", exact_join_sizes=exact
+        )
+
     # ------------------------------------------------------------------ public
     def refresh(self) -> bool:
         """Start a new epoch after the base relations mutated.
@@ -153,7 +171,8 @@ class OnlineUnionSampler:
         samples (uniform over the *old* union, not the new one), the
         membership memo (shared with the warm-up estimator, whose walks are
         dropped here too), and the join-selection distribution, which is
-        re-estimated from the delta-maintained histogram statistics.  Samples
+        re-estimated from the samplers' delta-maintained exact sizes and the
+        delta-maintained histogram statistics.  Samples
         returned before the refresh remain valid uniform draws over the
         snapshot they were taken from.
         """
@@ -161,8 +180,7 @@ class OnlineUnionSampler:
         if not any(refreshed):
             return False
         with self.stats.timer.phase("refresh"):
-            estimator = HistogramUnionEstimator(self.queries, join_size_method="eo")
-            self.parameters = estimator.estimate()
+            self.parameters = self._histogram_estimator().estimate()
             self._probabilities = self.parameters.selection_probabilities(use_cover=True)
             self._selector = None
             self._pools = {name: [] for name in self.names}
@@ -322,6 +340,9 @@ class OnlineUnionSampler:
             pivot = max(subset, key=lambda n: len(self._records[n]))
             records = self._records[pivot]
             if not records:
+                # No member of the subset has been drawn from yet: the
+                # warm-up's figure stands, and the round claims no confidence.
+                worst_half_width = 1.0
                 return old.overlap(list(subset))
             if pivot not in recorded:
                 weights = [r.weight for r in records]

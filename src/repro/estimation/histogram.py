@@ -57,6 +57,11 @@ class HistogramUnionEstimator(UnionSizeEstimator):
     template / zero_distance_weight:
         Standard template for the split path; searched automatically when not
         supplied (see :func:`repro.joins.template.find_standard_template`).
+    exact_join_sizes:
+        Optional exact sizes ``|J_j|`` that replace ``join_size_method`` for
+        the joins they name (a caller that already holds exact-weight
+        samplers knows them for free); the histograms then supply only the
+        overlap bounds.
     """
 
     method = "histogram"
@@ -69,6 +74,7 @@ class HistogramUnionEstimator(UnionSizeEstimator):
         mode: str = "auto",
         template: Optional[Template] = None,
         zero_distance_weight: float = 0.0,
+        exact_join_sizes: Optional[Mapping[str, float]] = None,
     ) -> None:
         super().__init__(queries)
         if join_size_method not in ("eo", "ew"):
@@ -83,7 +89,9 @@ class HistogramUnionEstimator(UnionSizeEstimator):
         self.zero_distance_weight = zero_distance_weight
         self._template = template
         self._split_chains: Optional[Dict[str, SplitChain]] = None
-        self._join_size_cache: Dict[str, float] = {}
+        self._join_size_cache: Dict[str, float] = {
+            name: float(size) for name, size in (exact_join_sizes or {}).items()
+        }
 
     # ----------------------------------------------------------------- sizes
     def join_size(self, query: JoinQuery) -> float:

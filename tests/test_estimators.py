@@ -50,6 +50,17 @@ class TestHistogramUnionEstimator:
             assert ew.join_size(query) == exact_join_size(query, distinct=False)
             assert eo.join_size(query) >= ew.join_size(query)
 
+    def test_exact_join_sizes_replace_the_bound_for_the_joins_named(self, union_pair):
+        first, second = union_pair
+        exact = float(exact_join_size(first, distinct=False))
+        estimator = HistogramUnionEstimator(
+            union_pair, join_size_method="eo", exact_join_sizes={first.name: exact}
+        )
+        plain = HistogramUnionEstimator(union_pair, join_size_method="eo")
+        assert estimator.join_size(first) == exact
+        assert estimator.join_size(second) == plain.join_size(second)
+        assert estimator.estimate().join_sizes[first.name] == exact
+
     def test_invalid_options_rejected(self, union_pair):
         with pytest.raises(ValueError):
             HistogramUnionEstimator(union_pair, join_size_method="xx")

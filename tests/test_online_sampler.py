@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.online_sampler import OnlineUnionSampler
+from repro.aqp import AggregateSpec, OnlineAggregator, exact_aggregate
+from repro.core.online_sampler import OnlineUnionSampler, _Record
 from repro.estimation.random_walk import RandomWalkUnionEstimator
-from repro.joins.executor import join_result_set
+from repro.joins.executor import exact_join_size, join_result_set
+from repro.parallel import parallel_aggregate
+from repro.tpch.workloads import build_uq1, build_uq2
 
 from tests.stat_helpers import assert_no_catastrophic_bias
 
@@ -45,6 +48,84 @@ class TestConstruction:
         estimator = RandomWalkUnionEstimator(union_pair, walks_per_join=100, seed=4)
         sampler = OnlineUnionSampler(union_pair, warmup_estimator=estimator, seed=4)
         assert len(sampler.sample(20)) == 20
+
+
+def union_sum(queries, spec):
+    """The enumerated union's exact aggregate: the truth, not another run."""
+    return exact_aggregate(union_values(queries), spec, queries[0].output_schema)[()]
+
+
+class TestJoinSizesAreExact:
+    """The histogram warm-up and ``refresh()`` take ``|J_j|`` from the exact-
+    weight samplers the object already holds; refinement re-estimates
+    overlaps *relative to* those sizes, so a loose bound here never heals."""
+
+    def test_histogram_warmup_reads_sizes_off_the_samplers(self, union_triple):
+        sampler = OnlineUnionSampler(union_triple, warmup="histogram", seed=1)
+        for query in union_triple:
+            assert sampler.parameters.join_sizes[query.name] == exact_join_size(
+                query, distinct=False
+            )
+
+    def test_olken_weights_keep_the_olken_bound(self, union_triple):
+        sampler = OnlineUnionSampler(
+            union_triple, warmup="histogram", join_weights="eo", seed=1
+        )
+        for query in union_triple:
+            assert sampler.parameters.join_sizes[query.name] >= exact_join_size(
+                query, distinct=False
+            )
+
+    def test_refresh_and_refinement_keep_them_exact(self, union_triple):
+        sampler = OnlineUnionSampler(union_triple, seed=2, walks_per_join=100, phi=40)
+        sampler.sample(50)
+        relation = union_triple[0].relation(union_triple[0].relation_names[-1])
+        relation.delete_rows([0])
+        sampler.sample(300)
+        assert sampler.stats.backtrack_rounds > 0
+        assert sampler.parameters.method == "online-refined"
+        for query in union_triple:
+            assert sampler.parameters.join_sizes[query.name] == exact_join_size(
+                query, distinct=False
+            )
+
+    def test_no_confidence_before_every_overlap_met_a_record(self, union_triple):
+        """The histogram bound says J1 covers everything, so only J1 is drawn
+        from at first and the J2/J3 overlap cannot be refined: the round must
+        not declare the target confidence reached and stop refining."""
+        sampler = OnlineUnionSampler(
+            union_triple, warmup="histogram", seed=3, phi=20, gamma=0.5
+        )
+        sampler._records["J1"] = [_Record(v, 3.0) for v in [(1, 100), (2, 300)] * 30]
+        sampler._refine_parameters(sampler.parameters)
+        assert sampler.confidence_level == 0.0
+
+    def test_pooled_union_sum_matches_the_enumerated_union(self):
+        """Every pooled union shard warms up from histograms (ROADMAP 1(a):
+        11.68x the truth with Olken-bound join sizes)."""
+        queries = build_uq1(scale_factor=0.001, seed=7).queries
+        spec = AggregateSpec("sum", "totalprice")
+        report = parallel_aggregate(
+            queries, spec, 4000, workers=2, execution="thread", seed=5
+        )
+        assert report.overall.estimate == pytest.approx(union_sum(queries, spec), rel=0.15)
+
+    def test_union_sum_survives_a_one_row_mutation(self):
+        """``refresh()`` re-estimates the parameters after *any* mutation
+        (ROADMAP 1(a): 1.02x -> 3.18x the truth across one deleted row)."""
+        queries = build_uq2(scale_factor=0.001, seed=7).queries
+        spec = AggregateSpec("sum", "supplycost")
+        aggregator = OnlineAggregator(queries, spec, seed=5)
+        before = aggregator.until(0.03)
+        assert before.overall.estimate == pytest.approx(union_sum(queries, spec), rel=0.15)
+        partsupp = next(
+            q.relation("partsupp") for q in queries if "partsupp" in q.relation_names
+        )
+        partsupp.delete_rows([0])
+        aggregator.step()
+        after = aggregator.until(0.03)
+        assert aggregator.epochs_restarted == 1
+        assert after.overall.estimate == pytest.approx(union_sum(queries, spec), rel=0.15)
 
 
 class TestSampling:
