@@ -18,6 +18,15 @@ is accurate but costs walks.  The online sampler combines them:
   uniform under the refined parameters;
 * refinement stops once the overlap estimates reach the target confidence
   level ``gamma``.
+
+Iterations only interact through the ``orig_join`` record and the refinement
+schedule, so :meth:`OnlineUnionSampler.sample` runs them a *round* at a time:
+as many iterations as the call still owes samples, cut short where the next
+refinement falls due.  A round draws all its join selections at once, settles
+each join's reuse trials, fetches each join's regular draws as one block, and
+only then walks the iterations in order applying the record rule — the same
+law as the one-iteration-at-a-time :meth:`OnlineUnionSampler._iterate`, which
+stays as the oracle the tests compare the rounds against.
 """
 
 from __future__ import annotations
@@ -27,12 +36,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
-from repro.core.union_sampler import drain_value_queue
+from repro.core.union_sampler import drain_value_queue, refill_value_queue
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.estimation.parameters import UnionParameters
 from repro.estimation.random_walk import CollectedSample, RandomWalkUnionEstimator
@@ -46,7 +55,7 @@ from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery, check_union_compatible
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import z_value
-from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
+from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
 
 @dataclass
@@ -84,7 +93,6 @@ class OnlineUnionSampler:
             raise ValueError("gamma must be in (0, 1]")
         self.queries: List[JoinQuery] = list(queries)
         self.names = [q.name for q in self.queries]
-        self._positions = {name: i for i, name in enumerate(self.names)}
         self.reuse = reuse
         self.phi = phi
         self.gamma = gamma
@@ -130,7 +138,6 @@ class OnlineUnionSampler:
             }
 
         self._probabilities = self.parameters.selection_probabilities(use_cover=True)
-        self._selector: Optional[BatchedCategorical] = None
         #: per-join recorded draws (line 3 of Algorithm 2)
         self._records: Dict[str, List[_Record]] = {n: [] for n in self.names}
         self._records_since_update = 0
@@ -182,7 +189,6 @@ class OnlineUnionSampler:
         with self.stats.timer.phase("refresh"):
             self.parameters = self._histogram_estimator().estimate()
             self._probabilities = self.parameters.selection_probabilities(use_cover=True)
-            self._selector = None
             self._pools = {name: [] for name in self.names}
             self._records = {name: [] for name in self.names}
             self._records_since_update = 0
@@ -216,17 +222,13 @@ class OnlineUnionSampler:
                     f"OnlineUnionSampler exceeded {max_iterations} iterations while "
                     f"collecting {count} samples"
                 )
-            self.stats.iterations += 1
-            started = time.perf_counter()
-            sample = self._iterate()
-            elapsed = time.perf_counter() - started
-            if sample is not None:
-                self.stats.timer.add("accepted", elapsed)
-                if sample.reused:
-                    self.stats.timer.add("reuse_accepted", elapsed)
-                self.stats.accepted += 1
-            else:
-                self.stats.timer.add("rejected", elapsed)
+            # An iteration accepts at most one sample and records exactly one
+            # draw, so a round this long neither overshoots the demand nor
+            # runs past the record count at which the next refinement fires.
+            size = min(count - self._live_count, max_iterations - self.stats.iterations)
+            if self.confidence_level < self.gamma:
+                size = min(size, self.phi - self._records_since_update)
+            self._round(size)
             self._maybe_update_parameters()
         self.stats.join_sampler_attempts = sum(
             s.stats.attempts for s in self.join_samplers.values()
@@ -242,10 +244,129 @@ class OnlineUnionSampler:
             algorithm=self.algorithm + ("-reuse" if self.reuse else ""),
         )
 
-    # --------------------------------------------------------------- iteration
+    # ------------------------------------------------------------------ rounds
+    def _round(self, size: int) -> None:
+        """``size`` iterations of Algorithm 2 under the current parameters."""
+        started = time.perf_counter()
+        stats = self.stats
+        selections = self._select_joins(size)
+        # Per join, in the order its selections fall: what each of its
+        # iterations draws.  Fetched before the pass below, one block per
+        # join, because a draw never depends on the record.
+        asked = np.bincount(selections, minlength=len(self.names)).tolist()
+        draws = [
+            (name, self._round_draws(name, count) if count else iter(()))
+            for name, count in zip(self.names, asked)
+        ]
+        self._records_since_update += size
+
+        # Lines 11-17 for the whole round, in selection order: the orig_join
+        # record with revision, as in Algorithm 1.
+        orig_join, value_slots, accepted = self._orig_join, self._value_slots, self._accepted
+        iteration = stats.iterations
+        kept = kept_reused = 0
+        for position in selections.tolist():
+            iteration += 1
+            name, stream = draws[position]
+            value, reused = next(stream)
+            recorded = orig_join.get(value)
+            if recorded is not None and recorded != position:
+                if recorded < position:
+                    stats.rejected_duplicate += 1
+                    continue
+                stats.revisions += 1
+                self._remove_value(value)
+            orig_join[value] = position
+            value_slots.setdefault(value, []).append(len(accepted))
+            accepted.append(UnionSample(value, name, iteration, reused=reused))
+            kept += 1
+            kept_reused += reused
+
+        stats.iterations = iteration
+        stats.accepted += kept
+        stats.reused_accepted += kept_reused
+        self._live_count += kept
+        # One clock reading per round, charged to the phases in proportion
+        # to the iterations that ended in each.
+        per_iteration = (time.perf_counter() - started) / size
+        stats.timer.add("accepted", per_iteration * kept)
+        stats.timer.add("reuse_accepted", per_iteration * kept_reused)
+        stats.timer.add("rejected", per_iteration * (size - kept))
+
+    def _select_joins(self, count: int) -> np.ndarray:
+        """``count`` join positions from the selection distribution, in one
+        categorical draw (uniform when no join has positive probability)."""
+        weights = np.array([max(self._probabilities.get(n, 0.0), 0.0) for n in self.names])
+        total = weights.sum()
+        if total <= 0:
+            return self.rng.integers(0, len(self.names), size=count)
+        return self.rng.choice(len(self.names), size=count, p=weights / total)
+
+    def _round_draws(self, name: str, count: int) -> Iterator[Tuple[Tuple, bool]]:
+        """What ``count`` successive selections of join ``name`` draw, as
+        ``(value, reused)`` pairs, recorded with the weight each carried."""
+        join_size = max(self.parameters.join_sizes[name], 1e-12)
+        trials = self._reuse_trials(name, count, join_size)
+        # Lines 9-10: a selection the pool did not serve is a regular uniform
+        # draw from the join — all of them one block, values only.
+        regular = count - len(trials) + trials.count(None)
+        queue = self._value_queues[name]
+        if regular:
+            self.stats.record_draw(name, regular)
+            if len(queue) < regular:
+                refill_value_queue(self.join_samplers[name], queue, regular - len(queue))
+        rest = count - len(trials)
+        values = [queue.popleft() if t is None else t.value for t in trials]
+        values.extend(queue.popleft() for _ in range(rest))
+        weights = [join_size if t is None else 1.0 / max(t.probability, 1e-300) for t in trials]
+        weights.extend([join_size] * rest)
+        reused = [t is not None for t in trials]
+        reused.extend([False] * rest)
+        self._records[name].extend(map(_Record, values, weights))
+        return zip(values, reused)
+
+    def _reuse_trials(
+        self, name: str, count: int, join_size: float
+    ) -> List[Optional[CollectedSample]]:
+        """Sample Reuse (lines 7-8) for the leading selections of a round:
+        while its pool lasts, a selection takes one pooled tuple without
+        replacement and keeps it with probability ``l / (p(t)·|J_j|)``.
+        One entry per trial: the tuple kept, or ``None``."""
+        pool = self._pools[name]
+        if not (self.reuse and pool):
+            return []
+        sizes = np.arange(len(pool), max(len(pool) - count, 0), -1)
+        picks = self.rng.integers(0, sizes).tolist()
+        coins = self.rng.random(sizes.size).tolist()
+        trials: List[Optional[CollectedSample]] = []
+        for pool_size, pick, coin in zip(sizes.tolist(), picks, coins):
+            candidate = pool.pop(pick)
+            acceptance = pool_size / (max(candidate.probability, 1e-300) * join_size)
+            if coin < min(acceptance, 1.0):
+                trials.append(candidate)
+            else:
+                self.stats.reused_rejected += 1
+                trials.append(None)
+        return trials
+
+    def _remove_value(self, value: Tuple) -> None:
+        """Revision: drop the accepted copies of ``value`` (tombstoned through
+        the value -> slots index)."""
+        removed = 0
+        for slot in self._value_slots.pop(value, ()):
+            if self._accepted[slot] is not None:
+                self._accepted[slot] = None
+                removed += 1
+        self._live_count -= removed
+        self.stats.revision_removed += removed
+
+    # ------------------------------------------------------------------ oracle
     def _iterate(self) -> Optional[UnionSample]:
-        join_name = self._select_join()
-        position = self._positions[join_name]
+        """One iteration of Algorithm 2, written as the paper prints it: the
+        reference the tests hold :meth:`_round` to (as ``try_sample`` is for
+        ``sample_block``).  The caller counts iterations and refines."""
+        position = int(self._select_joins(1)[0])
+        join_name = self.names[position]
         join_size = max(self.parameters.join_sizes[join_name], 1e-12)
 
         value: Optional[Tuple] = None
@@ -267,8 +388,7 @@ class OnlineUnionSampler:
                 self.stats.reused_rejected += 1
 
         if value is None:
-            # Lines 9-10: fall back to a regular uniform draw from the join,
-            # served value-only through the block pipeline (no draw boxing).
+            # Lines 9-10: fall back to a regular uniform draw from the join.
             self.stats.record_draw(join_name)
             value = drain_value_queue(
                 self.join_samplers[join_name], self._value_queues[join_name]
@@ -282,13 +402,7 @@ class OnlineUnionSampler:
             return None
         if recorded is not None and recorded > position:
             self.stats.revisions += 1
-            removed = 0
-            for slot in self._value_slots.pop(value, ()):
-                if self._accepted[slot] is not None:
-                    self._accepted[slot] = None
-                    removed += 1
-            self._live_count -= removed
-            self.stats.revision_removed += removed
+            self._remove_value(value)
         self._orig_join[value] = position
         sample = UnionSample(value, join_name, self.stats.iterations, reused=reused)
         if reused:
@@ -297,13 +411,6 @@ class OnlineUnionSampler:
         self._accepted.append(sample)
         self._live_count += 1
         return sample
-
-    def _select_join(self) -> str:
-        """Select a join; selections are drawn one multinomial batch at a time."""
-        if self._selector is None:
-            weights = [self._probabilities.get(n, 0.0) for n in self.names]
-            self._selector = BatchedCategorical(self.rng, self.names, weights)
-        return self._selector.draw()
 
     def _record(self, join_name: str, value: Tuple, weight: float) -> None:
         self._records[join_name].append(_Record(value, weight))
@@ -321,7 +428,6 @@ class OnlineUnionSampler:
         self._backtrack(old, refined)
         self.parameters = refined
         self._probabilities = refined.selection_probabilities(use_cover=True)
-        self._selector = None  # refreshed distribution: rebuild the batch
         self.stats.timer.add("estimation_update", time.perf_counter() - started)
 
     def _refine_parameters(self, old: UnionParameters) -> UnionParameters:

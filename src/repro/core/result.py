@@ -60,8 +60,8 @@ class SamplingStats:
     timer: PhaseTimer = field(default_factory=PhaseTimer)
 
     # ------------------------------------------------------------- recording
-    def record_draw(self, join_name: str) -> None:
-        self.draws_per_join[join_name] = self.draws_per_join.get(join_name, 0) + 1
+    def record_draw(self, join_name: str, count: int = 1) -> None:
+        self.draws_per_join[join_name] = self.draws_per_join.get(join_name, 0) + count
 
     # ------------------------------------------------------------------ views
     @property

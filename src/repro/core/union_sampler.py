@@ -25,6 +25,7 @@ Three set-union selection/deduplication policies are provided:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -41,28 +42,40 @@ from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
 
 
-def drain_value_queue(
+def refill_value_queue(
     sampler: JoinSampler,
     queue: Deque,
+    count: int,
     annotate: Optional[Callable[[List[Tuple]], Iterable]] = None,
-):
-    """One uniform sample *value* from a join, via the block pipeline.
+) -> None:
+    """Queue ``count`` (or a few more) uniform sample *values* of a join.
 
     Union iterations only consume the output value tuple, so boxing a full
     ``SampleDraw`` (assignment dict included) per draw is pure overhead.
-    The queue refills from :func:`~repro.sampling.join_sampler.draw_and_drain`
-    — the drawn block plus the sampler's parked surplus — and one refill pays
-    a single columnar projection for the whole batch.  ``annotate`` maps the
-    refilled values to the queue's entries (what is queued is what is
-    returned); whatever it learns about them it learns once per block.
+    The values come from :func:`~repro.sampling.join_sampler.draw_and_drain`
+    — the drawn block plus the sampler's parked surplus — so one refill pays
+    a single descent and a single columnar projection for the whole batch.
+    ``annotate`` maps the values to the queue's entries (what is queued is
+    what is served); whatever it learns about them it learns once per block.
     """
+    values = SampleBlock.concat(draw_and_drain(sampler, count)).values(sampler.query)
+    queue.extend(values if annotate is None else annotate(values))
+
+
+def drain_value_queue(
+    sampler: JoinSampler,
+    queue: Deque,
+    demand: int = 1,
+    annotate: Optional[Callable[[List[Tuple]], Iterable]] = None,
+):
+    """One uniform sample value from a join; an empty queue first refills
+    with ``demand`` values — what the caller still expects to ask of it."""
     if queue and sampler.stale:
         # A mutation epoch landed since the queue was filled: the parked
         # values describe the previous snapshot and must not be served.
         queue.clear()
     if not queue:
-        values = SampleBlock.concat(draw_and_drain(sampler, 1)).values(sampler.query)
-        queue.extend(values if annotate is None else annotate(values))
+        refill_value_queue(sampler, queue, max(demand, 1), annotate)
     return queue.popleft()
 
 
@@ -101,6 +114,8 @@ class UnionSamplerBase:
         if missing:
             raise ValueError(f"parameters missing join sizes for {missing}")
 
+        #: each join's per-iteration selection probability (the policy's own)
+        self._probabilities: Dict[str, float] = {}
         #: batched join-selection state (rebuilt when the distribution changes)
         self._selector: Optional[BatchedCategorical] = None
         self._selector_source: Optional[Dict[str, float]] = None
@@ -110,8 +125,9 @@ class UnionSamplerBase:
         self.membership: Optional[UnionMembershipIndex] = None
 
     # ------------------------------------------------------------------ hooks
-    def _iterate(self) -> List[UnionSample]:
-        """One sampler iteration; returns the samples accepted in it."""
+    def _iterate(self, remaining: int) -> List[UnionSample]:
+        """One sampler iteration; returns the samples accepted in it.
+        ``remaining`` is what the caller still owes: it sizes queue refills."""
         raise NotImplementedError
 
     # ----------------------------------------------------------------- public
@@ -129,7 +145,7 @@ class UnionSamplerBase:
                 )
             self.stats.iterations += 1
             started = time.perf_counter()
-            new_samples = self._iterate()
+            new_samples = self._iterate(count - len(accepted))
             elapsed = time.perf_counter() - started
             if new_samples:
                 self.stats.timer.add("accepted", elapsed)
@@ -160,13 +176,21 @@ class UnionSamplerBase:
             self._selector_source = probabilities
         return self._selector.draw()
 
-    def _draw_value(self, join_name: str) -> Tuple:
+    def _demand(self, join_name: str, remaining: int) -> int:
+        """Draws the rest of the call expects to ask of ``join_name``: one
+        iteration per sample still owed, each selecting the join with its
+        selection probability (rejections ask again, with less owed)."""
+        return math.ceil(remaining * min(self._probabilities.get(join_name, 0.0), 1.0))
+
+    def _draw_value(self, join_name: str, remaining: int) -> Tuple:
         self.stats.record_draw(join_name)
         return drain_value_queue(
-            self.join_samplers[join_name], self._value_queues[join_name]
+            self.join_samplers[join_name],
+            self._value_queues[join_name],
+            self._demand(join_name, remaining),
         )
 
-    def _draw_cover_value(self, position: int) -> Tuple[Tuple, bool]:
+    def _draw_cover_value(self, position: int, remaining: int) -> Tuple[Tuple, bool]:
         """A value of join ``position`` and whether an earlier join contains
         it: the cover test of the probing policies.  It runs when the join's
         queue refills, on the whole block, and its verdicts are queued beside
@@ -176,6 +200,7 @@ class UnionSamplerBase:
         return drain_value_queue(
             self.join_samplers[join_name],
             self._value_queues[join_name],
+            self._demand(join_name, remaining),
             lambda values: zip(values, self._owned_by_earlier(position, values)),
         )
 
@@ -206,9 +231,9 @@ class DisjointUnionSampler(UnionSamplerBase):
         super().__init__(*args, **kwargs)
         self._probabilities = self.parameters.selection_probabilities(use_cover=False)
 
-    def _iterate(self) -> List[UnionSample]:
+    def _iterate(self, remaining: int) -> List[UnionSample]:
         join_name = self._select_join(self._probabilities)
-        value = self._draw_value(join_name)
+        value = self._draw_value(join_name, remaining)
         return [UnionSample(value, join_name, self.stats.iterations)]
 
 
@@ -226,17 +251,20 @@ class BernoulliUnionSampler(UnionSamplerBase):
     def __init__(self, *args, membership: Optional[UnionMembershipIndex] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.membership = membership or UnionMembershipIndex(self.queries)
-
-    def _iterate(self) -> List[UnionSample]:
         union_size = max(self.parameters.union_size, 1e-12)
+        self._probabilities = {
+            name: min(self.parameters.join_sizes[name] / union_size, 1.0)
+            for name in self.names
+        }
+
+    def _iterate(self, remaining: int) -> List[UnionSample]:
         accepted: List[UnionSample] = []
         selections = self.rng.random(len(self.queries))
         for position, query in enumerate(self.queries):
-            probability = min(self.parameters.join_sizes[query.name] / union_size, 1.0)
-            if selections[position] >= probability:
+            if selections[position] >= self._probabilities[query.name]:
                 self.stats.rejected_not_selected += 1
                 continue
-            value, owned = self._draw_cover_value(position)
+            value, owned = self._draw_cover_value(position, remaining)
             if owned:
                 self.stats.rejected_duplicate += 1
                 continue
@@ -297,12 +325,12 @@ class SetUnionSampler(UnionSamplerBase):
         self._live_count = 0
 
     # -------------------------------------------------------------- iteration
-    def _iterate(self) -> List[UnionSample]:
+    def _iterate(self, remaining: int) -> List[UnionSample]:
         join_name = self._select_join(self._probabilities)
         position = self._positions[join_name]
 
         if self.mode == "strict":
-            value, owned = self._draw_cover_value(position)
+            value, owned = self._draw_cover_value(position, remaining)
             if owned:
                 self.stats.rejected_duplicate += 1
                 return []
@@ -310,7 +338,7 @@ class SetUnionSampler(UnionSamplerBase):
             self._accept(sample)
             return [sample]
 
-        value = self._draw_value(join_name)
+        value = self._draw_value(join_name, remaining)
         recorded = self._orig_join.get(value)
         if recorded is not None and recorded < position:
             # Already owned by an earlier join in the cover order: reject.
@@ -360,7 +388,7 @@ class SetUnionSampler(UnionSamplerBase):
                 )
             self.stats.iterations += 1
             started = time.perf_counter()
-            new_samples = self._iterate()
+            new_samples = self._iterate(count - self._live_count)
             elapsed = time.perf_counter() - started
             if new_samples:
                 self.stats.timer.add("accepted", elapsed)

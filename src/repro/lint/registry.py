@@ -169,14 +169,26 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         ),
         exempt=frozenset({"stale"}),
     ),
-    # Union-level uniformity needs the membership memo (behind
-    # ``membership``, shared with the warm-up estimator), the per-join value
-    # queues and the per-join samplers re-synced before any draw: all three
-    # describe the snapshot they were filled from.
+    # Union-level uniformity needs the join-selection distribution, the
+    # membership memo (behind ``membership``, shared with the warm-up
+    # estimator), the per-join value queues (a round's leftovers stay there)
+    # and the per-join samplers re-synced before any draw: all describe the
+    # snapshot they were filled from.
     "OnlineUnionSampler": EpochContract(
         refresh_methods=frozenset({"refresh"}),
-        cached_attrs=frozenset({"_selector", "membership", "_value_queues"}),
+        cached_attrs=frozenset({"_probabilities", "membership", "_value_queues"}),
         entry_points=frozenset({"sample"}),
+    ),
+    # The table has no staleness check of its own: its owner's does it
+    # (``JoinSampler.refresh`` replaces the table or calls
+    # ``rebuild_segments``, which restarts the cold-draw count), and its draw
+    # methods are reached only through that owner's checked entry points.
+    # Registered so that the built flags and the count toward promotion stay
+    # named as per-snapshot state: a new public reader must be listed here.
+    "SegmentedAliasTable": EpochContract(
+        refresh_methods=frozenset({"rebuild_segments"}),
+        cached_attrs=frozenset({"_built", "_all_built", "_cold_draws"}),
+        exempt=frozenset({"sample", "build_all"}),
     ),
     # The aggregator restarts its accumulator on epoch bumps; step() is the
     # only path that ingests draws, and it must sync first.

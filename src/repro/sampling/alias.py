@@ -20,14 +20,24 @@ Two structures cover the sampler's needs:
 * :class:`SegmentedAliasTable` — one alias table per key segment of a CSR
   :class:`~repro.relational.index.SortedIndex` (the per-level child choice).
   Segments whose weights are uniform (the common leaf-level case: every
-  weight 1) need no table at all; non-uniform segments are built **lazily,
-  per segment, on first draw** — so after a mutation epoch only the segments
-  the workload actually touches are rebuilt (:meth:`rebuild_segments`
-  invalidates exactly the slots a delta dirtied).
+  weight 1) need no table at all.  A non-uniform segment's table costs
+  O(degree) to build, so a segment that is drawn from about once must not
+  pay for one: a draw into an *unbuilt small* segment is served **cold**, by
+  a segment-local inverse CDF computed for the whole block of such draws in
+  a handful of ragged array operations (no per-segment Python, nothing
+  written to the table).  Tables are built only where they pay: a large
+  segment on first touch (one vectorized construction, amortized over its
+  degree), and every remaining segment at once by ``build_all()`` — which
+  the warm server path calls per epoch, and which the table calls on itself
+  once it has served as many cold draws as it has rows (by then the
+  workload has paid, draw by draw, what the tables cost).  After a mutation
+  epoch ``rebuild_segments()`` invalidates exactly the slots a delta dirtied
+  and the count starts over.
 
-Both draw paths consume the underlying generator identically (one uniform
-for the dart, one for the coin), so a fixed seed yields a fixed draw
-sequence regardless of how many segments happen to be uniform.
+Every draw path consumes the underlying generator identically (one uniform
+for the dart, one for the coin — a cold draw inverts the first and ignores
+the second), so a fixed seed yields a fixed draw sequence regardless of how
+many segments happen to be uniform, built, or cold.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ import numpy as np
 _MAX_ROUNDS = 64
 
 #: Below this size the sequential list-based Vose beats the vectorized
-#: construction (numpy call overhead dominates tiny segments).
+#: construction (numpy call overhead dominates tiny segments) — and an
+#: unbuilt segment is drawn from cold instead of built on first touch.
 _SMALL_SEGMENT = 64
 
 
@@ -217,8 +228,9 @@ class SegmentedAliasTable:
     Draws address segments by slot id and return **global row indices** into
     the CSR order, so the caller can gather ``csr.row_positions[result]``
     directly.  Uniform segments (all weights equal — detected vectorized at
-    construction) skip table construction entirely; the remaining segments
-    build lazily on first draw, which is what makes the epoch protocol cheap:
+    construction) skip table construction entirely; the remaining small
+    segments are drawn from cold until :meth:`build_all` runs (see the module
+    docstring), which is what makes the epoch protocol cheap:
     :meth:`rebuild_segments` just clears the built flag of the dirtied slots.
     """
 
@@ -230,6 +242,7 @@ class SegmentedAliasTable:
         "alias",
         "_built",
         "_all_built",
+        "_cold_draws",
     )
 
     def __init__(self, weights: np.ndarray, offsets: np.ndarray) -> None:
@@ -261,6 +274,8 @@ class SegmentedAliasTable:
         elif n_seg:
             self._built = np.ones(n_seg, dtype=bool)
         self._all_built = bool(self._built.all()) if n_seg else True
+        #: cold draws served since the table (or its last delta) was new
+        self._cold_draws = 0
 
     @property
     def n_segments(self) -> int:
@@ -280,24 +295,15 @@ class SegmentedAliasTable:
             )
         self._built[slot] = True
 
-    def ensure_built(self, slots: np.ndarray) -> None:
-        """Build the alias tables of any not-yet-built slots among ``slots``."""
-        if self._all_built:
-            return
-        pending = np.unique(slots[~self._built[slots]])
-        for slot in pending.tolist():
-            self._build_segment(int(slot))
-        if pending.size:
-            self._all_built = bool(self._built.all())
-
     def build_all(self) -> None:
         """Eagerly build every pending segment, making the table read-only.
 
         Once every segment is built, :meth:`sample` never mutates the table
-        again (``ensure_built`` short-circuits on ``_all_built``), so a fully
-        built table can be shared across threads without locking.  The warm
-        server path calls this once per epoch so per-request sampler clones
-        can share one table.
+        again (it short-circuits on ``_all_built``), so a fully built table
+        can be shared across threads without locking.  The warm server path
+        calls this once per epoch so per-request sampler clones can share one
+        table; a table that has served as many cold draws as it has rows
+        calls it on itself.
         """
         if self._all_built:
             return
@@ -306,13 +312,14 @@ class SegmentedAliasTable:
         self._all_built = True
 
     def rebuild_segments(self, slots: Iterable[int], weights: Optional[np.ndarray] = None) -> None:
-        """Invalidate (and lazily rebuild) the given segments after a delta.
+        """Invalidate the given segments after a delta.
 
         ``weights`` optionally replaces the rows' weights in CSR order (same
         shape — for shape-changing deltas build a fresh table instead).  Only
-        the named slots pay reconstruction work; everything else keeps its
-        tables, which is the "per-segment where the delta is local" half of
-        the epoch protocol.
+        the named slots lose their tables (and are drawn from cold, with the
+        new weights, until the next :meth:`build_all`); everything else keeps
+        its tables, which is the "per-segment where the delta is local" half
+        of the epoch protocol.
         """
         slot_arr = np.asarray(list(slots), dtype=np.intp)
         if weights is not None:
@@ -334,6 +341,7 @@ class SegmentedAliasTable:
             self._built[slot] = uniform
             if not uniform:
                 self._all_built = False
+        self._cold_draws = 0
 
     # ------------------------------------------------------------------ draws
     def sample(self, rng: np.random.Generator, slots: np.ndarray) -> np.ndarray:
@@ -343,14 +351,64 @@ class SegmentedAliasTable:
         filters empty/zero segments through :attr:`segment_totals` first).
         """
         slots = np.asarray(slots, dtype=np.intp)
-        self.ensure_built(slots)
         starts = self.offsets[slots]
         degrees = self.offsets[slots + 1] - starts
-        darts = starts + np.minimum(
-            (rng.random(slots.size) * degrees).astype(np.intp), degrees - 1
-        )
-        keep = rng.random(slots.size) < self.prob[darts]
-        return np.where(keep, darts, self.alias[darts]).astype(np.intp, copy=False)
+        dart = rng.random(slots.size)
+        coin = rng.random(slots.size)
+        cold = None if self._all_built else self._route_unbuilt(slots, degrees)
+        darts = starts + np.minimum((dart * degrees).astype(np.intp), degrees - 1)
+        picks = np.where(coin < self.prob[darts], darts, self.alias[darts])
+        if cold is not None:
+            picks[cold] = self._cold_pick(slots[cold], dart[cold])
+            self._cold_draws += int(cold.size)
+            if self._cold_draws >= self.weights.size:
+                self.build_all()
+        return picks.astype(np.intp, copy=False)
+
+    def _route_unbuilt(self, slots: np.ndarray, degrees: np.ndarray) -> Optional[np.ndarray]:
+        """Build the unbuilt *large* segments among ``slots`` (on first touch:
+        one vectorized construction each, where a cold draw would cost the
+        segment's degree every time) and return the block positions whose
+        segment stays unbuilt — the cold draws."""
+        unbuilt = np.flatnonzero(~self._built[slots])
+        if unbuilt.size == 0:
+            return None
+        large = degrees[unbuilt] > _SMALL_SEGMENT
+        if large.any():
+            for slot in np.unique(slots[unbuilt[large]]).tolist():
+                self._build_segment(int(slot))
+            unbuilt = unbuilt[~large]
+        return unbuilt if unbuilt.size else None
+
+    def _cold_pick(self, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Segment-local inverse CDF for a block of draws: draw ``i`` maps
+        ``u[i]`` in ``[0, 1)`` to the row of segment ``slots[i]`` whose share
+        of the segment's weight covers it.  Reads the weights, writes nothing.
+
+        The block's segments are laid end to end (ragged: ``sum(degrees)``
+        entries, whatever the mix of degrees) and one ``cumsum`` yields every
+        segment's running sums.  Each row enters as its *share* of its
+        segment, negated for every other draw of the block: the running sum
+        climbs to 1 over one segment and back to 0 over the next, so it never
+        grows with the block or with another segment's weights, and a
+        segment's own sums are exact to a few ulps of 1.  The picked row is
+        the number of the segment's sums at or below ``u``, capped at the last
+        positive-weight row; a zero-weight row repeats its predecessor's sum
+        and is never the first to exceed anything.
+        """
+        starts = self.offsets[slots]
+        degrees = self.offsets[slots + 1] - starts
+        ends = np.cumsum(degrees)
+        firsts = ends - degrees
+        draw = np.repeat(np.arange(slots.size, dtype=np.intp), degrees)
+        rows = np.arange(int(ends[-1]), dtype=np.intp) + (starts - firsts)[draw]
+        share = self.weights[rows] / self.segment_totals[slots][draw]
+        run = np.cumsum(np.where(draw & 1, -share, share))
+        before = np.concatenate([[0.0], run[ends[:-1] - 1]])
+        sums = np.abs(run - before[draw])
+        pick = np.add.reduceat(sums <= u[draw], firsts, dtype=np.intp)
+        last_positive = np.add.reduceat(sums < sums[ends - 1][draw], firsts, dtype=np.intp)
+        return starts + np.minimum(pick, last_positive)
 
 
 def uniform_segment_pick(

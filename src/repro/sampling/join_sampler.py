@@ -122,8 +122,8 @@ class _LevelPlan:
 
     * ``parent_keys[p]`` is the join-key value of parent row ``p``;
     * ``csr`` groups the node's row positions by key (CSR layout);
-    * ``alias`` holds one Walker/Vose alias table per key segment (built
-      lazily, per segment, on first draw — see
+    * ``alias`` holds one Walker/Vose alias table per key segment (drawn
+      from cold until building pays — see
       :class:`~repro.sampling.alias.SegmentedAliasTable`), whose
       ``segment_totals`` double as the realized weight sums driving the
       accept/reject test.
@@ -247,7 +247,7 @@ class JoinSampler:
         (an edge whose own relations mutated is rebuilt from the
         delta-maintained CSR indexes; an untouched edge keeps its CSR, key
         arrays, and alias tables, invalidating only the segments whose child
-        weights actually moved — rebuilt lazily on next draw), and —
+        weights actually moved — drawn cold from the new weights), and —
         critically — discards buffered draws, which describe the *previous*
         database state.
         """
@@ -552,9 +552,8 @@ class JoinSampler:
         summarize the child's whole *subtree*, so a delta further down can
         move them: those are diffed in one vectorized compare and only the
         dirtied segments' alias tables are invalidated
-        (:meth:`SegmentedAliasTable.rebuild_segments`; reconstruction happens
-        lazily on the next draw that touches them).  Unbuilt plans stay
-        unbuilt.
+        (:meth:`SegmentedAliasTable.rebuild_segments`; they are drawn cold
+        until the table next builds itself).  Unbuilt plans stay unbuilt.
         """
         if self._plans is None:
             return

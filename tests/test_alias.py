@@ -10,7 +10,12 @@ Two layers of guarantees:
 * **distribution equivalence** — drawing through the alias table must be
   chi-square-compatible with the inverse-CDF (``searchsorted``) reference
   the batched engine used before, both flat and per-CSR-segment, including
-  after per-segment rebuilds (the epoch protocol).
+  after per-segment rebuilds (the epoch protocol);
+* **the cold kernel is exact, and the table builds only where it pays** —
+  a draw into an unbuilt small segment is a segment-local inverse CDF whose
+  preimages have the weights' measure (checked at the breakpoints, without
+  sampling); the table promotes itself after serving as many cold draws as
+  it has rows and from then on is read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +23,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sampling.alias import AliasTable, SegmentedAliasTable, uniform_segment_pick
+from repro.sampling.alias import (
+    _SMALL_SEGMENT,
+    AliasTable,
+    SegmentedAliasTable,
+    uniform_segment_pick,
+)
 
 from tests.stat_helpers import STAT_SEED, assert_uniform
 
@@ -126,7 +136,7 @@ class TestSegmentRebuild:
         offsets = np.array([0, 3, 6, 10])
         weights = np.array([1.0, 2.0, 3.0, 5.0, 5.0, 5.0, 1.0, 1.0, 1.0, 7.0])
         table = SegmentedAliasTable(weights, offsets)
-        table.ensure_built(np.array([0, 1, 2], dtype=np.intp))
+        table.build_all()
         built_before = table._built.copy()
         assert built_before.all()
 
@@ -138,9 +148,17 @@ class TestSegmentRebuild:
         assert table._built[1] and table._built[2]
         assert table.segment_totals[0] == pytest.approx(5.0)
 
+        # The dirtied slot is drawn cold, from the new weights, and the
+        # count toward promotion started over with the delta.
+        assert table._cold_draws == 0
+        assert table._cold_pick(np.array([0, 0, 0]), np.array([0.0, 0.79, 0.81])).tolist() == [
+            0, 0, 2
+        ]
         rng = np.random.default_rng(STAT_SEED)
-        picks = table.sample(rng, np.zeros(10_000, dtype=np.intp))
-        freq = np.bincount(picks, minlength=3)[:3] / 10_000
+        picks = table.sample(rng, np.zeros(9, dtype=np.intp))
+        assert not table._built[0] and table._cold_draws == 9
+        picks = np.concatenate([picks, table.sample(rng, np.zeros(10_000, dtype=np.intp))])
+        freq = np.bincount(picks, minlength=3)[:3] / picks.size
         assert freq[0] == pytest.approx(0.8, abs=0.02)
         assert freq[1] == 0.0
         assert freq[2] == pytest.approx(0.2, abs=0.02)
@@ -158,6 +176,147 @@ class TestSegmentRebuild:
             np.random.default_rng(0), np.array([0, 2, 0, 2], dtype=np.intp)
         )
         assert ((picks < 2) | (picks >= 2)).all()
+
+
+def random_layout(seed, n_segments=60, max_degree=9, zero_share=0.25):
+    """A CSR layout with empty and degree-1 segments and zero-weight rows."""
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(0, max_degree + 1, size=n_segments)
+    degrees[:3] = (0, 1, 1)
+    offsets = np.concatenate([[0], np.cumsum(degrees)])
+    weights = rng.random(int(offsets[-1])) * 10.0 ** rng.integers(-3, 4, size=int(offsets[-1]))
+    weights[rng.random(weights.size) < zero_share] = 0.0
+    return weights, offsets
+
+
+class TestColdDraws:
+    """Draws into unbuilt small segments: segment-local inverse CDF."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_preimages_have_the_weights_measure(self, seed):
+        """No sampling: the kernel is monotone in ``u``, so a row's preimage
+        is an interval, and probing just inside both ends of where it should
+        lie pins its measure to ``w / total`` within 4 * delta < 1e-12."""
+        delta = 2e-13
+        weights, offsets = random_layout(seed)
+        table = SegmentedAliasTable(weights, offsets)
+        slots, probes, expected = [], [], []
+        for slot in np.flatnonzero(table.segment_totals > 0):
+            lo, hi = int(offsets[slot]), int(offsets[slot + 1])
+            edges = np.concatenate([[0.0], np.cumsum(weights[lo:hi]) / weights[lo:hi].sum()])
+            for row in range(hi - lo):
+                left, right = edges[row] + delta, min(edges[row + 1], 1.0) - delta
+                if weights[lo + row] > 0 and left < right:
+                    probes += [left, (left + right) / 2, right]
+                    slots += [slot] * 3
+                    expected += [lo + row] * 3
+        slots, probes, expected = map(np.asarray, (slots, probes, expected))
+        assert expected.size > 300
+        assert (table._cold_pick(slots, probes) == expected).all()
+        # Where a draw falls in the block (its neighbours, its parity in the
+        # running sum) changes nothing.
+        order = np.random.default_rng(seed).permutation(slots.size)
+        assert (table._cold_pick(slots[order], probes[order]) == expected[order]).all()
+        assert (table.prob == 1.0).all() and table._cold_draws == 0  # wrote nothing
+
+    def test_is_monotone_in_u(self):
+        weights, offsets = random_layout(11)
+        table = SegmentedAliasTable(weights, offsets)
+        slot = int(np.argmax(np.diff(offsets) * (table.segment_totals > 0)))
+        grid = np.linspace(0.0, 1.0, 4001, endpoint=False)
+        picks = table._cold_pick(np.full(grid.size, slot), grid)
+        assert (np.diff(picks) >= 0).all()
+        assert (weights[picks] > 0).all()
+
+    def test_zero_weight_row_is_unreachable_however_close_u_is_to_one(self):
+        tenth = [0.1] * 10  # shares whose running sum stops short of 1.0
+        weights = np.array([3.0, 0.0, 1.0, 0.0, 0.0] + [0.0, 2.0] + tenth + [0.0])
+        offsets = np.array([0, 5, 7, 18])
+        table = SegmentedAliasTable(weights, offsets)
+        almost_one = np.nextafter(1.0, 0.0)
+        for u in (almost_one, 1.0 - 1e-12, 0.999999):
+            picks = table._cold_pick(np.array([0, 1, 2]), np.full(3, u))
+            assert picks.tolist() == [2, 6, 16]
+        assert table._cold_pick(np.array([0, 1, 2]), np.zeros(3)).tolist() == [0, 6, 7]
+
+    def test_cold_and_built_draws_consume_the_same_generator_values(self):
+        weights, offsets = random_layout(5, zero_share=0.0)
+        slots = np.flatnonzero(np.diff(offsets) > 0).repeat(3)
+        cold, built = SegmentedAliasTable(weights, offsets), SegmentedAliasTable(weights, offsets)
+        built.build_all()
+        rng_cold, rng_built = np.random.default_rng(9), np.random.default_rng(9)
+        cold_picks = cold.sample(rng_cold, slots[:40])
+        built_picks = built.sample(rng_built, slots[:40])
+        assert not cold._all_built and cold._cold_draws > 0
+        assert rng_cold.bit_generator.state == rng_built.bit_generator.state
+        # Same darts: in a segment of degree 1 both paths return the one row.
+        single = np.diff(offsets)[slots[:40]] == 1
+        assert (cold_picks[single] == built_picks[single]).all()
+
+    def test_promotes_itself_exactly_when_cold_draws_reach_its_rows(self):
+        # 4 rows in non-uniform segments (slots 0 and 2), 3 in a uniform one.
+        weights = np.array([1.0, 2.0, 5.0, 5.0, 5.0, 1.0, 9.0])
+        offsets = np.array([0, 2, 5, 7])
+        table = SegmentedAliasTable(weights, offsets)
+        rng = np.random.default_rng(3)
+        table.sample(rng, np.array([1, 1, 1, 1, 1, 1, 1, 1]))  # uniform: not cold
+        assert table._cold_draws == 0 and not table._all_built
+        table.sample(rng, np.array([0, 1, 2, 0]))
+        assert table._cold_draws == 3 and not table._all_built
+        table.sample(rng, np.array([2, 0, 1]))
+        assert table._cold_draws == 5 and not table._all_built
+        assert (table.prob == 1.0).all()  # nothing built by a draw's first touch
+        table.sample(rng, np.array([0, 0]))
+        assert table._cold_draws == 7 and table._all_built and table._built.all()
+        assert (table.prob != 1.0).any()
+
+    def test_promotion_reaches_the_tables_of_an_eager_build(self):
+        weights, offsets = random_layout(8)
+        lazy, eager = SegmentedAliasTable(weights, offsets), SegmentedAliasTable(weights, offsets)
+        eager.build_all()
+        rng = np.random.default_rng(2)
+        drawable = np.flatnonzero(lazy.segment_totals > 0)
+        while not lazy._all_built:
+            lazy.sample(rng, rng.choice(drawable, size=64))
+        assert (lazy.prob == eager.prob).all() and (lazy.alias == eager.alias).all()
+
+    def test_a_fully_built_table_never_mutates_on_sample(self):
+        """The thread-sharing contract of the warm path: read-only arrays."""
+        weights, offsets = random_layout(4)
+        table = SegmentedAliasTable(weights, offsets)
+        table.build_all()
+        for array in (table.prob, table.alias, table._built, table.weights):
+            array.setflags(write=False)
+        rng = np.random.default_rng(1)
+        drawable = np.flatnonzero(table.segment_totals > 0)
+        picks = table.sample(rng, rng.choice(drawable, size=5000))
+        assert table._cold_draws == 0 and table._all_built
+        assert (weights[picks] > 0).all()
+
+    def test_a_large_segment_still_builds_on_first_touch(self):
+        degree = _SMALL_SEGMENT + 1
+        weights = np.concatenate([np.arange(1.0, degree + 1), [1.0, 3.0]])
+        offsets = np.array([0, degree, degree + 2])
+        table = SegmentedAliasTable(weights, offsets)
+        picks = table.sample(np.random.default_rng(0), np.array([0, 1, 0, 1]))
+        assert table._built[0] and not table._built[1]
+        assert table._cold_draws == 2
+        assert ((picks[[0, 2]] < degree) & (picks[[1, 3]] >= degree)).all()
+
+    def test_cold_draw_frequencies_match_the_weights(self):
+        weights = np.array([1.0, 0.0, 3.0, 4.0, 2.0, 2.0, 0.5, 0.0, 1.5])
+        offsets = np.array([0, 4, 6, 9])
+        table = SegmentedAliasTable(weights, offsets)
+        rng = np.random.default_rng(STAT_SEED)
+        slots = rng.choice(np.array([0, 2]), size=40_000)
+        picks = table.sample(rng, slots)  # one block: every draw of it is cold
+        for slot in (0, 2):
+            lo, hi = offsets[slot], offsets[slot + 1]
+            own = picks[slots == slot]
+            freq = np.bincount(own - lo, minlength=hi - lo) / own.size
+            expected = weights[lo:hi] / weights[lo:hi].sum()
+            assert np.abs(freq - expected).max() < 0.01
+            assert (freq[expected == 0] == 0).all()
 
 
 class TestUniformSegmentPick:

@@ -9,7 +9,11 @@ accidental change to any layer underneath shows up as a readable diff.
 
 Regenerate after an intentional behaviour change with::
 
-    UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cli_golden.py
+    UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cli_golden.py -k <case>
+
+and only the cases whose bytes that change is meant to move (``git status``
+on ``tests/goldens/`` is the check): the error paths, and every route the
+change does not touch, must come out byte-identical.
 """
 
 from __future__ import annotations
@@ -76,8 +80,12 @@ CASES = {
         "--json", *COMMON,
     ],
     # One case per aggregate route the cases above miss (each explicit backend,
-    # sharded wander/union steps, bootstrap over sharded join steps).  Pinned
-    # at the commit before the draw loops were unified: never regenerate.
+    # sharded wander/union steps, bootstrap over sharded join steps).  These
+    # pin the draw paths themselves, so regenerate one only in a PR that
+    # changes which rows a seed draws *and* carries a test that the new
+    # kernel is exact (as tests/test_alias.py::TestColdDraws is for the cold
+    # draw): then a changed estimate is a different sample of the same law,
+    # not a different law.  A refactor regenerates none of them.
     "cli_aggregate_wander.json": [
         "aggregate", "--workload", "UQ1", "--aggregate", "sum",
         "--attribute", "totalprice", "--rel-error", "0.1",

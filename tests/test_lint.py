@@ -200,9 +200,24 @@ class TestScratchCopySeeding:
         assert run_lint([str(path)]).live == []
         text = path.read_text()
         mutated = text.replace(
-            "    # --------------------------------------------------------------- iteration\n",
+            "    # ------------------------------------------------------------------ rounds\n",
             "    def known(self, name, value):\n"
             "        return self.membership.memo.get((name, value))\n\n",
+        )
+        assert mutated != text
+        path.write_text(mutated)
+        _assert_catches(path, "EPOCH001")
+
+    def test_epoch_violation_in_alias_table_copy(self, tmp_path):
+        """The table's built flags and cold-draw count are per-snapshot
+        state: a new public reader has to be registered, or it is caught."""
+        path = _scratch_copy(tmp_path, "src/repro/sampling/alias.py")
+        assert run_lint([str(path)]).live == []
+        text = path.read_text()
+        mutated = text.replace(
+            "    # ------------------------------------------------------------------ draws\n",
+            "    def is_hot(self):\n"
+            "        return self._all_built or self._cold_draws > 0\n\n",
         )
         assert mutated != text
         path.write_text(mutated)

@@ -1,6 +1,9 @@
 """Tests for repro.core.online_sampler (Algorithm 2: reuse + backtracking)."""
 
+from collections import Counter
+
 import pytest
+from scipy.stats import chi2_contingency
 
 from repro.aqp import AggregateSpec, OnlineAggregator, exact_aggregate
 from repro.core.online_sampler import OnlineUnionSampler, _Record
@@ -196,3 +199,155 @@ class TestTimeAccounting:
         result = sampler.sample(300)
         if result.stats.backtrack_rounds:
             assert result.stats.timer.get("estimation_update") > 0
+
+    def test_round_time_is_charged_to_the_phases_pro_rata(self, union_triple, monkeypatch):
+        """One clock reading per round, split by how its iterations ended."""
+        from repro.core import online_sampler
+
+        sampler = OnlineUnionSampler(union_triple, seed=14, walks_per_join=100, phi=50)
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(online_sampler.time, "perf_counter", lambda: float(next(ticks)))
+        sizes, shares = [], []
+        run_round = sampler._round
+
+        def spy(size):
+            before = sampler.stats.accepted
+            run_round(size)
+            sizes.append(size)
+            shares.append((sampler.stats.accepted - before) / size)
+
+        monkeypatch.setattr(sampler, "_round", spy)
+        timer = sampler.sample(400).stats.timer
+        assert len(sizes) > 3  # every round took one tick of the fake clock
+        assert timer.get("accepted") == pytest.approx(sum(shares))
+        assert timer.get("accepted") + timer.get("rejected") == pytest.approx(len(sizes))
+        assert 0 < timer.get("reuse_accepted") < timer.get("accepted")
+
+
+def scalar_sample(sampler, count):
+    """``sample(count)`` one iteration at a time through the ``_iterate``
+    oracle: count the iteration, run it, refine when due."""
+    limit = max(count, 1) * sampler.max_iterations_factor
+    while sampler._live_count < count:
+        if sampler.stats.iterations >= limit:
+            raise RuntimeError("iteration guard")
+        sampler.stats.iterations += 1
+        if sampler._iterate() is not None:
+            sampler.stats.accepted += 1
+        sampler._maybe_update_parameters()
+    return [s for s in sampler._accepted if s is not None][:count]
+
+
+def refinement_record_counts(sampler, monkeypatch):
+    """Total recorded draws at each refinement the sampler runs from now on."""
+    seen = []
+    refine = sampler._refine_parameters
+
+    def spy(old):
+        seen.append(sum(len(records) for records in sampler._records.values()))
+        return refine(old)
+
+    monkeypatch.setattr(sampler, "_refine_parameters", spy)
+    return seen
+
+
+class TestRoundsAgainstTheScalarOracle:
+    """``sample`` runs Algorithm 2 a round at a time; ``_iterate`` is the
+    same law one iteration at a time.  Different generator use, same process."""
+
+    SEEDS = range(24)
+
+    def make(self, queries, seed, **options):
+        options = {"walks_per_join": 60, "phi": 50, **options}
+        return OnlineUnionSampler(queries, seed=seed, **options)
+
+    @pytest.mark.parametrize("fixture", ["union_pair", "union_triple"])
+    def test_per_value_frequencies_are_homogeneous(self, fixture, request):
+        queries = request.getfixturevalue(fixture)
+        universe = union_values(queries)
+        rounds, scalar = Counter(), Counter()
+        for seed in self.SEEDS:
+            rounds.update(s.value for s in self.make(queries, seed).sample(300).samples)
+            scalar.update(s.value for s in scalar_sample(self.make(queries, seed), 300))
+        table = [[counter[v] for v in universe] for counter in (rounds, scalar)]
+        assert min(map(min, table)) > 0
+        assert chi2_contingency(table)[1] > 0.001
+
+    def test_every_iteration_is_accounted_for(self, union_triple):
+        for seed in self.SEEDS:
+            sampler = self.make(union_triple, seed)
+            result = sampler.sample(250)
+            stats = result.stats
+            assert stats.iterations == stats.accepted + stats.rejected_duplicate
+            assert len(result) == 250 == sampler._live_count
+            assert sampler._live_count == (
+                stats.accepted - stats.revision_removed - stats.backtrack_removed
+            )
+            recorded = sum(len(records) for records in sampler._records.values())
+            assert recorded == stats.iterations  # one recorded draw per iteration
+            iterations = [s.iteration for s in result.samples]
+            assert iterations == sorted(set(iterations)) and iterations[-1] <= stats.iterations
+
+    def test_refinements_fire_at_the_same_record_counts(self, union_triple, monkeypatch):
+        for seed in range(6):
+            by_rounds = self.make(union_triple, seed, phi=40, gamma=0.97)
+            by_iteration = self.make(union_triple, seed, phi=40, gamma=0.97)
+            seen_rounds = refinement_record_counts(by_rounds, monkeypatch)
+            seen_scalar = refinement_record_counts(by_iteration, monkeypatch)
+            by_rounds.sample(400)
+            scalar_sample(by_iteration, 400)
+            for seen, sampler in ((seen_rounds, by_rounds), (seen_scalar, by_iteration)):
+                assert seen == [40 * (k + 1) for k in range(len(seen))]
+                assert len(seen) == sampler.stats.backtrack_rounds > 0
+
+    def test_a_round_never_runs_past_a_due_refinement(self, union_triple, monkeypatch):
+        sampler = self.make(union_triple, 3, phi=30, gamma=1.0)  # never confident
+        sizes = []
+        run_round = sampler._round
+        monkeypatch.setattr(sampler, "_round", lambda n: (sizes.append(n), run_round(n))[1])
+        sampler.sample(200)
+        assert max(sizes) <= 30 and sampler.stats.backtrack_rounds == sum(sizes) // 30
+
+    def test_successive_calls_are_cumulative(self, union_triple):
+        sampler = self.make(union_triple, 5)
+        first = sampler.sample(80)
+        after_first = first.stats.iterations
+        second = sampler.sample(200)
+        assert len(first) == 80 and len(second) == 200
+        early = [s for s in second.samples if s.iteration <= after_first]
+        survivors = [s for s in first.samples if s in early]
+        assert early[: len(survivors)] == survivors  # kept in place, unless revised away
+        assert sampler.sample(200).stats.iterations == second.stats.iterations  # nothing owed
+
+    def test_revisions_still_shrink_the_live_set(self, union_triple):
+        revised = 0
+        for seed in self.SEEDS:
+            sampler = self.make(union_triple, seed, reuse=False)
+            result = sampler.sample(120)
+            revised += result.stats.revision_removed
+            assert len(result) == 120
+            assert len({(s.value, s.source_join) for s in result.samples}) <= 5
+            owner = {}
+            for sample in result.samples:  # one owning join per live value
+                assert owner.setdefault(sample.value, sample.source_join) == sample.source_join
+        assert revised > 0
+
+    def test_iteration_guard_still_raises(self, union_triple):
+        sampler = self.make(union_triple, 1, max_iterations_factor=1)
+        with pytest.raises(RuntimeError, match="exceeded 200 iterations"):
+            sampler.sample(200)  # duplicates are rejected: 200 iterations cannot do
+        assert sampler.stats.iterations == 200
+
+    def test_a_mutation_between_calls_drops_the_queued_leftovers(self, union_triple):
+        sampler = self.make(union_triple, 2, reuse=False)
+        sampler.sample(60)
+        assert any(sampler._value_queues.values())  # a block's surplus stays queued
+        gone = (5, 500)
+        relation = union_triple[2].relation(union_triple[2].relation_names[-1])
+        relation.delete_rows(
+            [i for i, row in enumerate(relation.rows) if row[-1] == 500]
+        )
+        assert gone not in union_values(union_triple)
+        result = sampler.sample(150)
+        assert gone not in {s.value for s in result.samples}
+        assert set(s.value for s in result.samples) == set(union_values(union_triple))

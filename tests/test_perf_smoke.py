@@ -153,3 +153,85 @@ def test_batched_membership_probes_beat_the_scalar_loop():
         f"contains_many ({batched_s * 1e3:.1f} ms) is not 3x ahead of the scalar "
         f"loop ({scalar_s * 1e3:.1f} ms) — batched membership kernel regressed"
     )
+
+
+# ------------------------------------------------- counted, not timed, gates
+def test_union_rounds_refill_once_per_round_and_join(monkeypatch):
+    """The steady state of ``OnlineUnionSampler.sample``: a round fetches
+    each selected join's draws as one block, so 5 000 samples cost at most
+    rounds x joins descents (one ``draw_and_drain`` per refill; refilling a
+    value at a time makes ~150)."""
+    from repro.core import OnlineUnionSampler, union_sampler
+
+    queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
+    sampler = OnlineUnionSampler(queries, seed=29)
+    sampler.sample(1000)
+    calls, rounds = [], []
+    drain, run_round = union_sampler.draw_and_drain, sampler._round
+    monkeypatch.setattr(
+        union_sampler, "draw_and_drain",
+        lambda *args, **kwargs: (calls.append(args[1]), drain(*args, **kwargs))[1],
+    )
+    monkeypatch.setattr(sampler, "_round", lambda n: (rounds.append(n), run_round(n))[1])
+    assert len(sampler.sample(6000)) == 6000
+    assert 0 < len(calls) <= len(rounds) * len(queries)
+    assert len(rounds) <= 5 + sampler.stats.backtrack_rounds
+    assert sum(calls) <= sum(rounds)  # sized by the round's demand, no more
+
+
+def test_scalar_union_refills_are_sized_by_the_remaining_demand(monkeypatch):
+    """The per-sample union samplers (the oracles of the spine's gate) refill
+    a join's queue with what the call still expects to ask of it."""
+    from repro.core import SetUnionSampler, union_sampler
+    from repro.estimation import FullJoinUnionEstimator
+
+    queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
+    calls = []
+    drain = union_sampler.draw_and_drain
+    monkeypatch.setattr(
+        union_sampler, "draw_and_drain",
+        lambda *args, **kwargs: (calls.append(args[1]), drain(*args, **kwargs))[1],
+    )
+    for mode in ("record", "strict"):
+        calls.clear()
+        sampler = SetUnionSampler(queries, FullJoinUnionEstimator(queries), seed=31, mode=mode)
+        assert len(sampler.sample(2000)) == 2000
+        assert len(calls) <= 12 * len(queries)  # a geometric tail, not ~2000 / 32
+        assert max(calls) > 100
+
+
+def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
+    """A draw's first touch never builds a small segment's alias table: it is
+    served cold, and tables appear only when ``build_all`` runs (``warm()``,
+    or the table promoting itself)."""
+    from repro.sampling import alias
+
+    building_all = []
+    first_touch = []
+    build_all = alias.SegmentedAliasTable.build_all
+    build_segment = alias.SegmentedAliasTable._build_segment
+
+    def spy_build_all(table):
+        building_all.append(table)
+        try:
+            build_all(table)
+        finally:
+            building_all.pop()
+
+    def spy_build_segment(table, slot):
+        degree = int(table.offsets[slot + 1] - table.offsets[slot])
+        if degree <= alias._SMALL_SEGMENT and not building_all:
+            first_touch.append((slot, degree))
+        build_segment(table, slot)
+
+    monkeypatch.setattr(alias.SegmentedAliasTable, "build_all", spy_build_all)
+    monkeypatch.setattr(alias.SegmentedAliasTable, "_build_segment", spy_build_segment)
+    sampler = JoinSampler(smoke_query, weights="ew", seed=37)
+    tables = [plan.alias for plan in sampler._level_plans()]
+    assert any(not table._all_built for table in tables)
+    sampler.sample_block(64)
+    assert any(table._cold_draws for table in tables)
+    sampler.sample_block(20_000)  # far past every table's rows: all promoted
+    assert all(table._all_built for table in tables)
+    sampler.warm().sample_block(500)
+    assert first_touch == []

@@ -230,11 +230,11 @@ class TestEpochPlanPatching:
         top = plans_before[0]  # R -> S edge: endpoints untouched below
         assert top.parent.relation == "R" and top.node.relation == "S"
         built_before = top.alias._built.copy()
-        assert built_before.all()  # the draw above built every touched table
+        assert built_before.all()  # 50 cold draws >= S's rows: the table built itself
 
         # Mutate the leaf T only: the R->S edge keeps its CSR/keys/alias by
         # reference; S's weights summarize T, so the dirtied segments must be
-        # invalidated for lazy rebuild while untouched segments stay built.
+        # invalidated (drawn cold) while untouched segments stay built.
         chain_query.relation("T").extend([(100, 77), (100, 78)])
         assert sampler.refresh()
         plans_after = sampler._plans
@@ -242,7 +242,7 @@ class TestEpochPlanPatching:
         assert plans_after[0] is top  # edge object survived the epoch
         assert plans_after[0].csr is top.csr
         # The S rows joining the new T rows gained weight: their key segments
-        # went unbuilt (lazy rebuild), while untouched segments stayed built.
+        # went unbuilt (drawn cold), while untouched segments stayed built.
         assert not top.alias._built.all()
         # The S->T edge's own child mutated: that plan was rebuilt fresh.
         assert plans_after[1] is not plans_before[1]
