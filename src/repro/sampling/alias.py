@@ -22,17 +22,19 @@ Two structures cover the sampler's needs:
   Segments whose weights are uniform (the common leaf-level case: every
   weight 1) need no table at all.  A non-uniform segment's table costs
   O(degree) to build, so a segment that is drawn from about once must not
-  pay for one: a draw into an *unbuilt small* segment is served **cold**, by
-  a segment-local inverse CDF computed for the whole block of such draws in
-  a handful of ragged array operations (no per-segment Python, nothing
+  pay for one: a draw into an *unbuilt* segment is served **cold**, by a
+  segment-local inverse CDF computed for the whole block of such draws in a
+  handful of ragged array operations (no per-segment Python, nothing
   written to the table).  Tables are built only where they pay: a large
-  segment on first touch (one vectorized construction, amortized over its
-  degree), and every remaining segment at once by ``build_all()`` — which
-  the warm server path calls per epoch, and which the table calls on itself
-  once it has served as many cold draws as it has rows (by then the
-  workload has paid, draw by draw, what the tables cost).  After a mutation
-  epoch ``rebuild_segments()`` invalidates exactly the slots a delta dirtied
-  and the count starts over.
+  segment when one block draws from it more than once (one vectorized
+  construction; a small segment costs a cold draw at most ``_SMALL_SEGMENT``
+  rows and is never built by a draw), and every remaining segment at once
+  by ``build_all()`` — which the warm server
+  path calls per epoch, and which the table calls on itself once it has
+  served as many cold draws as it has rows (by then the workload has paid,
+  draw by draw, what the tables cost).  After a mutation epoch
+  ``rebuild_segments()`` invalidates exactly the slots a delta dirtied and
+  the count starts over.
 
 Every draw path consumes the underlying generator identically (one uniform
 for the dart, one for the coin — a cold draw inverts the first and ignores
@@ -50,8 +52,8 @@ import numpy as np
 _MAX_ROUNDS = 64
 
 #: Below this size the sequential list-based Vose beats the vectorized
-#: construction (numpy call overhead dominates tiny segments) — and an
-#: unbuilt segment is drawn from cold instead of built on first touch.
+#: construction (numpy call overhead dominates tiny segments) — and a draw
+#: never builds the segment's table: it is served cold, whatever the block.
 _SMALL_SEGMENT = 64
 
 
@@ -228,9 +230,9 @@ class SegmentedAliasTable:
     Draws address segments by slot id and return **global row indices** into
     the CSR order, so the caller can gather ``csr.row_positions[result]``
     directly.  Uniform segments (all weights equal — detected vectorized at
-    construction) skip table construction entirely; the remaining small
-    segments are drawn from cold until :meth:`build_all` runs (see the module
-    docstring), which is what makes the epoch protocol cheap:
+    construction) skip table construction entirely; the remaining segments
+    are drawn from cold until building pays (see the module docstring),
+    which is what makes the epoch protocol cheap:
     :meth:`rebuild_segments` just clears the built flag of the dirtied slots.
     """
 
@@ -366,18 +368,23 @@ class SegmentedAliasTable:
         return picks.astype(np.intp, copy=False)
 
     def _route_unbuilt(self, slots: np.ndarray, degrees: np.ndarray) -> Optional[np.ndarray]:
-        """Build the unbuilt *large* segments among ``slots`` (on first touch:
-        one vectorized construction each, where a cold draw would cost the
-        segment's degree every time) and return the block positions whose
-        segment stays unbuilt — the cold draws."""
+        """The block positions to serve cold: those whose segment is unbuilt.
+
+        A cold draw scans its segment.  For a small segment that is at most
+        ``_SMALL_SEGMENT`` rows, whatever the block holds.  A *large* segment
+        is served cold only to a block that draws from it once; a block that
+        draws from it again is the evidence that a table pays, so it is built
+        first (one vectorized construction) — which also keeps what a block
+        scans cold within ``_SMALL_SEGMENT`` rows per draw plus the table's
+        own rows.
+        """
         unbuilt = np.flatnonzero(~self._built[slots])
-        if unbuilt.size == 0:
-            return None
-        large = degrees[unbuilt] > _SMALL_SEGMENT
-        if large.any():
-            for slot in np.unique(slots[unbuilt[large]]).tolist():
+        large = unbuilt[degrees[unbuilt] > _SMALL_SEGMENT]
+        if large.size:
+            touched, hits = np.unique(slots[large], return_counts=True)
+            for slot in touched[hits > 1].tolist():
                 self._build_segment(int(slot))
-            unbuilt = unbuilt[~large]
+            unbuilt = unbuilt[~self._built[slots[unbuilt]]]
         return unbuilt if unbuilt.size else None
 
     def _cold_pick(self, slots: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -293,15 +293,29 @@ class TestColdDraws:
         assert table._cold_draws == 0 and table._all_built
         assert (weights[picks] > 0).all()
 
-    def test_a_large_segment_still_builds_on_first_touch(self):
+    def test_a_large_segment_is_built_by_the_block_that_draws_from_it_twice(self):
         degree = _SMALL_SEGMENT + 1
         weights = np.concatenate([np.arange(1.0, degree + 1), [1.0, 3.0]])
         offsets = np.array([0, degree, degree + 2])
         table = SegmentedAliasTable(weights, offsets)
-        picks = table.sample(np.random.default_rng(0), np.array([0, 1, 0, 1]))
+        rng = np.random.default_rng(0)
+        picks = table.sample(rng, np.array([0, 1, 1]))  # once: served cold
+        assert not table._built.any() and table._cold_draws == 3
+        assert picks[0] < degree <= picks[1:].min()
+        picks = table.sample(rng, np.array([0, 1, 0, 1]))  # twice: a table pays
         assert table._built[0] and not table._built[1]
-        assert table._cold_draws == 2
+        assert table._cold_draws == 5
         assert ((picks[[0, 2]] < degree) & (picks[[1, 3]] >= degree)).all()
+
+    def test_cold_draws_into_a_large_segment_follow_its_weights(self):
+        degree = 3 * _SMALL_SEGMENT
+        weights = np.random.default_rng(6).random(degree) + 0.01
+        table = SegmentedAliasTable(np.concatenate([weights, [1.0, 2.0]]),
+                                    np.array([0, degree, degree + 2]))
+        edges = np.cumsum(weights) / weights.sum()
+        probes = np.concatenate([edges[:-1] - 2e-13, edges[:-1] + 2e-13])
+        expected = np.concatenate([np.arange(degree - 1), np.arange(1, degree)])
+        assert (table._cold_pick(np.zeros(probes.size, dtype=np.intp), probes) == expected).all()
 
     def test_cold_draw_frequencies_match_the_weights(self):
         weights = np.array([1.0, 0.0, 3.0, 4.0, 2.0, 2.0, 0.5, 0.0, 1.5])
