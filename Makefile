@@ -1,6 +1,6 @@
 PYTHONPATH := src
 
-.PHONY: test lint bench bench-spine bench-aqp bench-parallel bench-pipeline bench-resilience bench-reuse bench-server bench-overload bench-updates bench-full profile serve
+.PHONY: test lint bench-spine bench-resilience bench-reuse bench-overload bench-updates bench-full profile serve
 
 test:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
@@ -31,30 +31,12 @@ bench-spine:
 	python3 benchmarks/spine/run.py --workload uq1_sf005 --seed 100 --trace 1 --smoke \
 		| tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
-# Batched-engine micro-benchmark: writes BENCH_batch_engine.json at the root.
-bench:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_batch_engine.py
-
-# Columnar pipeline benchmark (block vs boxed end-to-end aggregate, dtype
-# audit, --workers 2 bit-identity): writes BENCH_pipeline.json at the root.
-bench-pipeline:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_pipeline.py
-
 # cProfiles of the aggregate hot path and of the union sampler's first 1 000
 # samples (UQ1 at SF 0.05); top-25 cumulative saved under benchmarks/profiles/
 # (see docs/performance.md).
 profile:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_aggregate.py
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_union.py
-
-# AQP benchmark (auto-planned vs hand-picked backends): writes BENCH_aqp.json.
-bench-aqp:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_aqp.py
-
-# Parallel sampling service benchmark (worker scaling + bit-identical merge
-# vs the sequential reference): writes BENCH_parallel.json at the root.
-bench-parallel:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_parallel.py
 
 # Shard-supervision benchmark (fault-free overhead budget + chaos recovery):
 # writes BENCH_resilience.json (see docs/resilience.md).
@@ -65,12 +47,6 @@ bench-resilience:
 # RF1/RF2 refresh stream): writes BENCH_updates.json at the root.
 bench-updates:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_updates.py
-
-# Server load benchmark (p50/p99 latency + qps at 1/4/16 concurrent clients,
-# bit-identical-to-sequential hard gate): writes BENCH_server.json at the
-# root (see docs/server.md).
-bench-server:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_server.py
 
 # Overload robustness benchmark (fault-free overhead budget, 5x offered-load
 # shedding with structured Retry-After + bit-identical replays, transport
@@ -88,6 +64,6 @@ bench-reuse:
 serve:
 	PYTHONPATH=$(PYTHONPATH) python -m repro serve
 
-# Full pytest-benchmark harness (paper figures + micro benchmarks).
+# Full pytest-benchmark harness (paper figures and ablations).
 bench-full:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest benchmarks/ --benchmark-only -q

@@ -22,13 +22,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Plain scripts (own `main()`, run via the make bench-* targets), not
 #: pytest-benchmark suites — keep them out of `pytest benchmarks/`.
 collect_ignore = [
-    "bench_batch_engine.py",
-    "bench_aqp.py",
-    "bench_parallel.py",
-    "bench_pipeline.py",
     "bench_resilience.py",
     "bench_reuse_cache.py",
-    "bench_server.py",
     "bench_updates.py",
     "profile_aggregate.py",
     "common.py",

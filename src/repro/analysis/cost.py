@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.result import SampleResult
 from repro.estimation.parameters import UnionParameters
-from repro.joins.join_tree import build_join_tree
 from repro.joins.query import JoinQuery
 from repro.sampling.olken import olken_refined_bound, olken_upper_bound
 
@@ -95,8 +94,8 @@ class BackendCostModel:
     """Unit costs of the single-join sampler backends.
 
     The constants are calibrated against the **columnar block pipeline**
-    (``BENCH_pipeline.json`` / ``BENCH_batch_engine.json``): alias-table
-    draws put a batched accept/reject attempt and a wander-join walk both in
+    (the per-layer timings of the measurement spine, ``benchmarks/spine``):
+    alias-table draws put a batched accept/reject attempt and a wander-join walk both in
     the few-hundred-nanosecond range, so the decision is dominated by the
     setup terms (the EW weight build plus per-level alias/plan construction
     vs. the EO statistics pass vs. wander's zero setup) and by the per-sample
@@ -157,17 +156,8 @@ def walk_success_ratio(query: JoinQuery) -> float:
     O(rows) while tracking the measured success rate closely on the TPC-H
     workloads.  Clamped to ``[1e-9, 1]``.
     """
-    tree = build_join_tree(query)
-    pairs = []
-
-    def collect(node, parent):
-        pairs.append((node, parent))
-        for child in node.children:
-            collect(child, node)
-
-    collect(tree.root, None)
     product = 1.0
-    for node, parent in pairs:
+    for node, parent in query.join_tree().descent():
         if parent is None:
             continue
         parent_rel = query.relation(parent.relation)

@@ -37,7 +37,7 @@ from repro.analysis.cost import (
     estimate_backend_costs,
     walk_success_ratio,
 )
-from repro.joins.query import JoinQuery, observed_versions
+from repro.joins.query import JoinQuery
 
 #: Every backend the planner can hand out.
 BACKENDS = ("exact-weight", "olken", "wander-join", "online-union")
@@ -148,15 +148,14 @@ class SamplerPlanner:
 
         query = self.queries[0]
         # A plan is a pure function of the database snapshot and the budget;
-        # re-planning the same (epoch, target) — e.g. repeated aggregations
-        # between mutations — must not re-pay the statistics passes, so the
-        # decision is memoized on the query keyed by the relation versions
-        # (the same epoch protocol the samplers use).
-        versions = observed_versions((query,))
-        cache_key = (versions, self.target_samples, self.cost_model)
-        cached = getattr(query, "_sampler_plan_cache", None)
-        if cached is not None and cached[0] == cache_key:
-            return cached[1]
+        # re-planning the same (snapshot, target) — e.g. repeated aggregations
+        # between mutations — must not re-pay the statistics passes.
+        return query.derived(
+            ("plan", self.target_samples, self.cost_model),
+            lambda: self._plan_join(query, supported),
+        )
+
+    def _plan_join(self, query: JoinQuery, supported: Tuple[str, ...]) -> SamplerPlan:
         acceptance = acceptance_ratio(query)
         walk_success = (
             walk_success_ratio(query) if "wander-join" in supported else None
@@ -196,7 +195,7 @@ class SamplerPlanner:
         if query.is_cyclic:
             model = self.cost_model or BackendCostModel()
             per_attempt_acceptance *= model.cyclic_survival_prior
-        plan = SamplerPlan(
+        return SamplerPlan(
             backend=backend,
             weights=BACKEND_WEIGHTS.get(backend),
             batch_size=_clamp_batch(self.target_samples / max(per_attempt_acceptance, 1e-9)),
@@ -205,8 +204,6 @@ class SamplerPlanner:
             target_samples=self.target_samples,
             rationale=tuple(rationale),
         )
-        query._sampler_plan_cache = (cache_key, plan)
-        return plan
 
 
 def choose_weights(query: JoinQuery, target_samples: int = 1024) -> str:

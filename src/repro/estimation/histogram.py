@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.estimation.base import UnionSizeEstimator
-from repro.joins.join_tree import build_join_tree
 from repro.joins.query import JoinQuery, JoinType
 from repro.joins.splitting import SplitChain, build_split_chains
 from repro.joins.template import Template, find_standard_template
@@ -129,7 +128,7 @@ class HistogramUnionEstimator(UnionSizeEstimator):
         stage_degrees: List[Tuple[Mapping[object, float], ...]] = []
         per_query_stages = []
         for query in queries:
-            tree = build_join_tree(query)
+            tree = query.join_tree()
             chain = tree.chain_relations()
             edges = []
             node = tree.root

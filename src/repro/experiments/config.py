@@ -3,8 +3,8 @@
 Every figure-reproduction function in :mod:`repro.experiments.figures` takes an
 :class:`ExperimentConfig` describing the data scale, overlap scales, sample
 sizes and random seed, so benchmarks, examples and the test-suite can run the
-same experiments at different sizes (tiny for CI, larger for the recorded
-results in ``EXPERIMENTS.md``).
+same experiments at different sizes (tiny for CI and the pytest-benchmark
+harness, larger by default).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class ExperimentConfig:
         )
 
 
-#: Configuration used by the committed EXPERIMENTS.md numbers.
+#: Default configuration of the ``run_*`` figure functions when none is given.
 DEFAULT_CONFIG = ExperimentConfig()
 
 #: Tiny configuration used by the pytest-benchmark harness so a full

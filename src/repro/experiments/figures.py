@@ -3,8 +3,8 @@
 Each ``run_*`` function regenerates the data behind one figure (or one
 ablation) and returns a :class:`~repro.experiments.reporting.SeriesTable`
 holding exactly the series the paper plots.  The pytest-benchmark harness in
-``benchmarks/`` wraps these functions; ``EXPERIMENTS.md`` records their output
-at the committed configuration.
+``benchmarks/`` wraps these functions and writes each table to
+``benchmarks/results/<benchmark>.txt``; no recorded output is committed.
 
 Absolute runtimes are not expected to match the paper (the authors ran C++-
 adjacent Python on a 64-core server against multi-GB TPC-H data; this is a

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
+from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery, check_union_compatible
 
 ResultValue = Tuple
 
 
-def iterate_join_assignments(
-    query: JoinQuery, tree: Optional[JoinTree] = None
-) -> Iterator[Dict[str, int]]:
+def iterate_join_assignments(query: JoinQuery) -> Iterator[Dict[str, int]]:
     """Yield every complete row assignment (relation -> row position) of the join.
 
     Assignments are produced by a depth-first walk of the join tree guided by
@@ -27,7 +25,7 @@ def iterate_join_assignments(
     push down (§8.3, second alternative) is never bound.  Each yielded dict is
     an independent copy.
     """
-    tree = tree or build_join_tree(query)
+    tree = query.join_tree()
     root_rel = query.relation(tree.root.relation)
     filtered = query.unpushed_predicates
     assignment: Dict[str, int] = {}
@@ -79,8 +77,7 @@ def execute_join(query: JoinQuery) -> List[ResultValue]:
     Duplicate values are preserved (the multiset of join results projected
     onto the output attributes).
     """
-    tree = build_join_tree(query)
-    return [query.project_assignment(a) for a in iterate_join_assignments(query, tree)]
+    return [query.project_assignment(a) for a in iterate_join_assignments(query)]
 
 
 def join_result_set(query: JoinQuery) -> Set[ResultValue]:

@@ -79,6 +79,19 @@ class JoinTree:
                 return node
         raise KeyError(f"relation {relation!r} not in join tree")
 
+    def descent(self) -> List[Tuple[JoinTreeNode, Optional[JoinTreeNode]]]:
+        """``(node, parent)`` pairs in pre-order: the order in which a
+        root-to-leaf walk binds relations (the root's parent is None)."""
+        pairs: List[Tuple[JoinTreeNode, Optional[JoinTreeNode]]] = []
+
+        def visit(node: JoinTreeNode, parent: Optional[JoinTreeNode]) -> None:
+            pairs.append((node, parent))
+            for child in node.children:
+                visit(child, node)
+
+        visit(self.root, None)
+        return pairs
+
     def relation_order(self) -> List[str]:
         """Relations in pre-order (root first)."""
         return [n.relation for n in self.root.walk()]

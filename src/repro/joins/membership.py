@@ -52,7 +52,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tup
 import numpy as np
 import numpy.typing as npt
 
-from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
+from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
 from repro.relational.columnar import as_column_array
 from repro.relational.index import SortedIndex
@@ -87,16 +87,18 @@ def _equal(left: npt.NDArray[Any], right: npt.NDArray[Any]) -> BoolArray:
 class JoinMembershipProber:
     """Answers ``value ∈ J`` for output values of a union-compatible join."""
 
-    def __init__(self, query: JoinQuery, tree: Optional[JoinTree] = None) -> None:
+    def __init__(self, query: JoinQuery) -> None:
         self.query = query
-        self.tree = tree or build_join_tree(query)
+        self.tree = query.join_tree()
         #: relation name -> list of (attribute, output position) constraints
         self._constraints: Dict[str, List[Tuple[str, int]]] = {}
         for position, out in enumerate(query.output_attributes):
             self._constraints.setdefault(out.relation, []).append((out.attribute, position))
         #: pre-order list of (node, parent relation name or None)
-        self._order: List[Tuple[JoinTreeNode, Optional[str]]] = []
-        self._collect_order(self.tree.root, None)
+        self._order: List[Tuple[JoinTreeNode, Optional[str]]] = [
+            (node, None if parent is None else parent.relation)
+            for node, parent in self.tree.descent()
+        ]
         #: per level, the relations whose bound rows a later level (as a
         #: parent) or a residual condition still reads
         residual = {name for cond in self.tree.residual_conditions for name in cond.relations()}
@@ -106,11 +108,6 @@ class JoinMembershipProber:
         ]
         self.probe_count = 0
         self.lookup_count = 0
-
-    def _collect_order(self, node: JoinTreeNode, parent: Optional[str]) -> None:
-        self._order.append((node, parent))
-        for child in node.children:
-            self._collect_order(child, node.relation)
 
     def _check_width(self, value: Sequence[object]) -> None:
         if len(value) != len(self.query.output_attributes):

@@ -13,11 +13,29 @@ graph, matching the three join classes handled by the paper.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
+
+if TYPE_CHECKING:
+    from repro.joins.join_tree import JoinTree
+
+T = TypeVar("T")
 
 
 class JoinType(str, Enum):
@@ -116,6 +134,15 @@ class JoinQuery:
             raise ValueError(f"query {name!r} has multiple relations but no join conditions")
 
         self._join_type: Optional[JoinType] = None
+        #: the snapshot memo behind :meth:`derived`: the version vector it
+        #: was filled under, and key -> value
+        self._derived: Tuple[Tuple[int, ...], Dict[Hashable, Any]] = ((), {})
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo is a cache: a copy rebuilds what it uses, on its side.
+        state = dict(self.__dict__)
+        state["_derived"] = ((), {})
+        return state
 
     # ------------------------------------------------------------------ access
     @property
@@ -152,6 +179,33 @@ class JoinQuery:
             f"JoinQuery({self.name!r}, relations={list(self.relation_order)}, "
             f"type={self.join_type.value})"
         )
+
+    # --------------------------------------------------------- snapshot memo
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, memoized under ``key`` for the current snapshot.
+
+        An entry is valid exactly while :func:`observed_versions` of this
+        query reads the same: the first call after any base relation mutates
+        drops every entry, and each key is rebuilt once on its next use.  An
+        entry built while a mutation lands is filed under the vector read
+        before the build, so it is never served on the new snapshot.
+        """
+        versions = observed_versions((self,))
+        memo_versions, entries = self._derived
+        if memo_versions != versions:
+            entries = {}
+            self._derived = (versions, entries)
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
+
+    def join_tree(self) -> "JoinTree":
+        """The rooted join tree of the current snapshot, built once per
+        snapshot (the child order and the cyclic skeleton follow live max
+        degrees, so a mutation can change the tree)."""
+        from repro.joins.join_tree import build_join_tree
+
+        return self.derived("join_tree", lambda: build_join_tree(self))
 
     # -------------------------------------------------------------- structure
     def adjacency(self) -> Dict[str, Dict[str, List[JoinCondition]]]:

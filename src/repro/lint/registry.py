@@ -72,7 +72,6 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
                     "_closed",
                     "stats",
                     "epochs_restarted",
-                    "_last_execution",
                     "_last_outcome",
                 }
             )

@@ -15,7 +15,6 @@ the fault-tolerance layer.
 from repro.parallel.pool import (
     DEFAULT_SHARDS,
     EXECUTION_MODES,
-    SMALL_JOB_THRESHOLD,
     ParallelRunReport,
     ParallelSamplerPool,
     parallel_aggregate,
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_SHARDS",
     "EXECUTION_MODES",
     "SHARD_BACKENDS",
-    "SMALL_JOB_THRESHOLD",
     "ParallelRunReport",
     "ParallelSamplerPool",
     "ShardResult",

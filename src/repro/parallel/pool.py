@@ -44,16 +44,15 @@ count, rung) and the original traceback chained, instead of the old blanket
 Processes vs threads: process workers (``multiprocessing`` with the
 ``spawn`` start method) sidestep the GIL but pay per-worker interpreter
 start-up plus pickling of the relations; thread workers share memory and
-start instantly but only overlap during GIL-releasing numpy sections.  The
-``"auto"`` execution policy picks processes for large jobs on multi-core
-machines and threads otherwise; see ``docs/parallel.md`` and
-``docs/resilience.md``.
+start instantly but only overlap during GIL-releasing numpy sections.
+Threads are the default: measured, process transport plus interpreter
+start-up dominates a pooled job at the sizes this service runs; see
+``docs/parallel.md`` and ``docs/resilience.md``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -84,12 +83,7 @@ from repro.utils.rng import RandomState, shard_seed_sequences
 #: that the same seed gives the same answer no matter how many workers run.
 DEFAULT_SHARDS = 8
 
-#: ``"auto"`` execution uses in-process threads below this total sample
-#: count: a spawned worker pays interpreter start-up plus a pickled copy of
-#: the relations, which small jobs never amortize.
-SMALL_JOB_THRESHOLD = 4096
-
-EXECUTION_MODES = ("auto", "thread", "process")
+EXECUTION_MODES = ("thread", "process")
 
 
 @dataclass
@@ -146,12 +140,9 @@ class ParallelSamplerPool:
         Worker count; defaults to ``os.cpu_count()``.  Does **not** influence
         the answer — only how many shards run concurrently.
     execution:
-        ``"thread"``, ``"process"``, or ``"auto"`` (processes for large jobs
-        on multi-core machines with picklable tasks, threads otherwise).
-    start_method:
-        ``multiprocessing`` start method for process execution.  ``"spawn"``
-        (the default) is the only start method that is both fork-safe and
-        identical across platforms.
+        ``"thread"`` (the default) or ``"process"`` (``spawn``-started
+        worker processes: the one start method that is both fork-safe and
+        identical across platforms).
     job_timeout:
         Job-level deadline in wall-clock seconds, enforced on **every**
         execution mode: process shards are terminated at the deadline;
@@ -186,8 +177,7 @@ class ParallelSamplerPool:
     def __init__(
         self,
         workers: Optional[int] = None,
-        execution: str = "auto",
-        start_method: str = "spawn",
+        execution: str = "thread",
         job_timeout: Optional[float] = None,
         max_epoch_restarts: int = 3,
         shard_timeout: Optional[float] = None,
@@ -206,7 +196,6 @@ class ParallelSamplerPool:
             raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         self.execution = execution
-        self.start_method = start_method
         self.job_timeout = job_timeout
         self.max_epoch_restarts = max_epoch_restarts
         self.shard_timeout = shard_timeout
@@ -221,9 +210,6 @@ class ParallelSamplerPool:
         self.epochs_restarted = 0
         #: lifetime supervision counters of this pool (all runs, all epochs)
         self.stats = SupervisionStats()
-        #: execution mode of the most recent run() (resolving "auto" pickles
-        #: the tasks, so it is done once per run and remembered for reports)
-        self._last_execution: Optional[str] = None
         self._last_outcome: Optional[SupervisedOutcome] = None
         #: long-lived thread executor, created lazily on the first thread-rung
         #: run and reused across jobs until close() (supervisors borrow it).
@@ -344,16 +330,14 @@ class ParallelSamplerPool:
         this run only — the server maps per-request deadlines onto a shared
         pool through them.
         """
-        results, outcome, execution = self._run_supervised(
+        results, outcome = self._run_supervised(
             tasks, job_timeout=job_timeout, allow_partial=allow_partial
         )
         # Per-caller outcome rides a thread-local (concurrent run() callers
-        # must not read each other's supervision outcome); the _last_* pair
-        # is best-effort shared bookkeeping for external introspection.
+        # must not read each other's supervision outcome); _last_outcome is
+        # best-effort shared bookkeeping for external introspection.
         self._tls.outcome = outcome
-        self._tls.execution = execution
         with self._lock:
-            self._last_execution = execution
             self._last_outcome = outcome
         return results
 
@@ -363,7 +347,7 @@ class ParallelSamplerPool:
         *,
         job_timeout: Optional[float] = None,
         allow_partial: Optional[bool] = None,
-    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome], Optional[str]]:
+    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome]]:
         """Thread-safe core of :meth:`run`: no shared last-run bookkeeping.
 
         Concurrent callers (the server multiplexes requests onto one pool)
@@ -372,14 +356,13 @@ class ParallelSamplerPool:
         the pool lock.
         """
         if not tasks:
-            return [], None, None
+            return [], None
         with self._lock:
             if self._closed:
                 raise RuntimeError("ParallelSamplerPool is closed")
-        execution = self._resolve_execution(tasks)
-        rung = execution
+        rung = self.execution
         executor = None
-        if execution == "thread":
+        if rung == "thread":
             if self.workers == 1 or len(tasks) == 1:
                 # Single-worker thread jobs gain nothing from the executor:
                 # run inline, the same fast path the pre-resilience pool had.
@@ -395,7 +378,6 @@ class ParallelSamplerPool:
             deadline=self.job_timeout if job_timeout is None else job_timeout,
             allow_partial=self.allow_partial if allow_partial is None else allow_partial,
             fault_plan=self.fault_plan,
-            start_method=self.start_method,
             executor=executor,
         )
         try:
@@ -405,7 +387,7 @@ class ParallelSamplerPool:
             # still leaves its attempts/retries on ``self.stats``.
             with self._lock:
                 self.stats.merge(supervisor.stats)
-        return outcome.results, outcome, execution
+        return outcome.results, outcome
 
     def sample(
         self,
@@ -423,10 +405,10 @@ class ParallelSamplerPool:
         tasks = self.plan_tasks(
             queries, count, seed=seed, method=method, shards=shards, max_attempts=max_attempts
         )
-        results, outcome, execution = self._run_with_epoch_guard(
+        results, outcome = self._run_with_epoch_guard(
             tasks, job_timeout=job_timeout, allow_partial=allow_partial
         )
-        report = self._base_report(tasks, results, outcome, execution)
+        report = self._base_report(tasks, results, outcome)
         query = tasks[0].queries[0]
         for result in results:
             if result.block is not None:
@@ -469,10 +451,10 @@ class ParallelSamplerPool:
             shards=shards,
             max_attempts=max_attempts,
         )
-        results, outcome, execution = self._run_with_epoch_guard(
+        results, outcome = self._run_with_epoch_guard(
             tasks, job_timeout=job_timeout, allow_partial=allow_partial
         )
-        report = self._base_report(tasks, results, outcome, execution)
+        report = self._base_report(tasks, results, outcome)
         merged: Optional[AggregateAccumulator] = None
         for result in results:
             if result.accumulator is None:
@@ -520,24 +502,13 @@ class ParallelSamplerPool:
                              "use it with aggregate() or pick exact-weight/olken")
         return method
 
-    def _resolve_execution(self, tasks: Sequence[ShardTask]) -> str:
-        if self.execution != "auto":
-            return self.execution
-        if self.workers <= 1 or (os.cpu_count() or 1) <= 1:
-            return "thread"
-        if sum(t.count for t in tasks) < SMALL_JOB_THRESHOLD:
-            return "thread"
-        if not _tasks_picklable(tasks):
-            return "thread"
-        return "process"
-
     def _run_with_epoch_guard(
         self,
         tasks: Sequence[ShardTask],
         *,
         job_timeout: Optional[float] = None,
         allow_partial: Optional[bool] = None,
-    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome], Optional[str]]:
+    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome]]:
         """Run the job, discarding and restarting on mutation epoch bumps."""
         queries = tasks[0].queries
         restarts = 0
@@ -554,9 +525,8 @@ class ParallelSamplerPool:
                     tasks, job_timeout=job_timeout, allow_partial=allow_partial
                 )
             outcome = getattr(self._tls, "outcome", None)
-            execution = getattr(self._tls, "execution", None)
             if observed_versions(queries) == before:
-                return results, outcome, execution
+                return results, outcome
             # A refresh() epoch bump landed while shards were in flight: the
             # results mix database snapshots, so they are discarded wholesale
             # (the PR 2/PR 3 restart semantics) and the job re-runs against
@@ -576,14 +546,12 @@ class ParallelSamplerPool:
         tasks: Sequence[ShardTask],
         results: Sequence[ShardResult],
         outcome: Optional[SupervisedOutcome] = None,
-        execution: Optional[str] = None,
     ) -> ParallelRunReport:
         with self._lock:
-            last_execution = self._last_execution
             epochs_restarted = self.epochs_restarted
         report = ParallelRunReport(
             backend=tasks[0].backend,
-            execution=execution or last_execution or self._resolve_execution(tasks),
+            execution=self.execution,
             workers=self.workers,
             shards=len(tasks),
             attempts=sum(r.attempts for r in results),
@@ -616,15 +584,6 @@ class ParallelSamplerPool:
         return report
 
 
-def _tasks_picklable(tasks: Sequence[ShardTask]) -> bool:
-    """True when every task survives pickling (specs may carry lambdas)."""
-    try:
-        pickle.dumps(tasks[0])
-    except Exception:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------- convenience
 def parallel_sample(
     queries: Union[JoinQuery, Sequence[JoinQuery]],
@@ -634,7 +593,7 @@ def parallel_sample(
     shards: Optional[int] = None,
     seed: RandomState = None,
     method: str = "auto",
-    execution: str = "auto",
+    execution: str = "thread",
     job_timeout: Optional[float] = None,
     shard_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -666,7 +625,7 @@ def parallel_aggregate(
     shards: Optional[int] = None,
     seed: RandomState = None,
     method: str = "auto",
-    execution: str = "auto",
+    execution: str = "thread",
     job_timeout: Optional[float] = None,
     shard_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -752,7 +711,6 @@ def sequential_reference(tasks: Sequence[ShardTask]) -> List[ShardResult]:
 __all__ = [
     "DEFAULT_SHARDS",
     "EXECUTION_MODES",
-    "SMALL_JOB_THRESHOLD",
     "ParallelRunReport",
     "ParallelSamplerPool",
     "parallel_sample",

@@ -329,8 +329,6 @@ class ShardSupervisor:
         Deterministic fault plan threaded into every ``run_shard`` call
         (``None``: workers fall back to the ``REPRO_FAULT_RATE`` env
         harness).
-    start_method:
-        ``multiprocessing`` start method for process-rung attempts.
     executor:
         Optional pre-built ``ThreadPoolExecutor`` for thread-rung attempts.
         Borrowed, not owned: reused across supervisor runs (the long-lived
@@ -348,7 +346,6 @@ class ShardSupervisor:
         deadline: Optional[float] = None,
         allow_partial: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        start_method: str = "spawn",
         executor: Optional[object] = None,
     ) -> None:
         if execution not in LADDER:
@@ -367,7 +364,6 @@ class ShardSupervisor:
         self.deadline = deadline
         self.allow_partial = allow_partial
         self.fault_plan = fault_plan
-        self.start_method = start_method
         self.stats = SupervisionStats()
         if self.tasks:
             self._expected_versions: Optional[Tuple[int, ...]] = observed_versions(
@@ -479,7 +475,7 @@ class ShardSupervisor:
         import multiprocessing as mp
 
         if self._mp_context is None:
-            self._mp_context = mp.get_context(self.start_method)
+            self._mp_context = mp.get_context("spawn")
         parent_conn, child_conn = self._mp_context.Pipe(duplex=False)
         process = self._mp_context.Process(
             target=_process_shard_entry,

@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
+from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
 from repro.sampling.alias import AliasTable, SegmentedAliasTable
 from repro.sampling.blocks import SampleBlock
@@ -164,13 +164,11 @@ class JoinSampler:
         query: JoinQuery,
         weights: str | WeightFunction = "ew",
         seed: RandomState = None,
-        tree: Optional[JoinTree] = None,
         enforce_predicates: bool = True,
         max_batch_size: int = 8192,
         _prototype: Optional["JoinSampler"] = None,
     ) -> None:
         self.query = query
-        self.tree = tree or build_join_tree(query)
         if isinstance(weights, WeightFunction):
             self.weight_function = weights
             # A prebuilt weight function may predate mutations of the base
@@ -182,13 +180,15 @@ class JoinSampler:
                 from repro.aqp.planner import choose_weights
 
                 weights = choose_weights(query)
-            self.weight_function = make_weight_function(weights, query, self.tree)
+            self.weight_function = make_weight_function(weights, query)
+        #: the tree the weights were computed over (a clone made by
+        #: :meth:`split` thereby walks its prototype's tree)
+        self.tree = self.weight_function.tree
         self.rng = ensure_rng(seed)
         self.enforce_predicates = enforce_predicates
         self.stats = JoinSamplerStats()
         #: pre-order node list (root first) for the descent
-        self._order: List[Tuple[JoinTreeNode, Optional[JoinTreeNode]]] = []
-        self._collect(self.tree.root, None)
+        self._order = self.tree.descent()
         self._relation_order = tuple(node.relation for node, _ in self._order)
         self._relations = [self.query.relation(name) for name in self._relation_order]
         self._db_versions = tuple(r.version for r in self._relations)
@@ -223,11 +223,6 @@ class JoinSampler:
         # Cumulative weights serve only the scalar reference path; built
         # lazily so the hot block path never pays for them.
         self._root_cumulative: Optional[np.ndarray] = None
-
-    def _collect(self, node: JoinTreeNode, parent: Optional[JoinTreeNode]) -> None:
-        self._order.append((node, parent))
-        for child in node.children:
-            self._collect(child, node)
 
     # ----------------------------------------------------------------- public
     @property
@@ -497,7 +492,6 @@ class JoinSampler:
                 self.query,
                 weights=self.weight_function,
                 seed=stream,
-                tree=self.tree,
                 enforce_predicates=self.enforce_predicates,
                 max_batch_size=self._max_batch_size,
                 _prototype=self if share_plans else None,

@@ -14,9 +14,7 @@ upper bound because residual conditions only filter results.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.joins.join_tree import JoinTree, build_join_tree
+from repro.joins.join_tree import JoinTree
 from repro.joins.query import JoinQuery
 
 
@@ -29,13 +27,13 @@ def node_max_degree(query: JoinQuery, tree: JoinTree, relation: str) -> int:
     return stats.max_degree
 
 
-def olken_upper_bound(query: JoinQuery, tree: Optional[JoinTree] = None) -> float:
+def olken_upper_bound(query: JoinQuery) -> float:
     """Extended Olken upper bound on the join size of ``query``.
 
     Returns 0.0 when any relation is empty or any hop has no joinable values
     at all (maximum degree 0).
     """
-    tree = tree or build_join_tree(query)
+    tree = query.join_tree()
     root_rel = query.relation(tree.root.relation)
     bound = float(len(root_rel))
     for node in tree.root.walk():
@@ -48,14 +46,14 @@ def olken_upper_bound(query: JoinQuery, tree: Optional[JoinTree] = None) -> floa
     return bound
 
 
-def olken_refined_bound(query: JoinQuery, tree: Optional[JoinTree] = None) -> float:
+def olken_refined_bound(query: JoinQuery) -> float:
     """Refinement of the Olken bound using *average* degrees instead of maxima.
 
     This is no longer a guaranteed upper bound; it is the cheap unbiased-ish
     estimate the paper mentions as the refinement available when full
     histograms exist for all join attributes (§5.1).
     """
-    tree = tree or build_join_tree(query)
+    tree = query.join_tree()
     root_rel = query.relation(tree.root.relation)
     estimate = float(len(root_rel))
     for node in tree.root.walk():

@@ -23,13 +23,12 @@ The union framework uses wander join in two places:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
 from repro.joins.query import JoinQuery
 from repro.sampling.alias import uniform_segment_pick
 from repro.sampling.blocks import SampleBlock
@@ -137,24 +136,13 @@ def z_value(confidence: float) -> float:
 class WanderJoin:
     """Random-walk sampler and size estimator for one join query."""
 
-    def __init__(
-        self,
-        query: JoinQuery,
-        seed: RandomState = None,
-        tree: Optional[JoinTree] = None,
-    ) -> None:
+    def __init__(self, query: JoinQuery, seed: RandomState = None) -> None:
         self.query = query
-        self.tree = tree or build_join_tree(query)
+        self.tree = query.join_tree()
         self.rng = ensure_rng(seed)
-        self._order: List[Tuple[JoinTreeNode, Optional[JoinTreeNode]]] = []
-        self._collect(self.tree.root, None)
+        self._order = self.tree.descent()
         self.walk_count = 0
         self.success_count = 0
-
-    def _collect(self, node: JoinTreeNode, parent: Optional[JoinTreeNode]) -> None:
-        self._order.append((node, parent))
-        for child in node.children:
-            self._collect(child, node)
 
     # ------------------------------------------------------------------ walks
     def walk(self) -> WalkResult:

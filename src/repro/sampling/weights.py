@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
+from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
 
 
@@ -40,9 +40,9 @@ class WeightFunction(ABC):
     #: short identifier used in experiment labels ("ew", "eo", ...)
     name: str = "abstract"
 
-    def __init__(self, query: JoinQuery, tree: Optional[JoinTree] = None) -> None:
+    def __init__(self, query: JoinQuery) -> None:
         self.query = query
-        self.tree = tree or build_join_tree(query)
+        self.tree = query.join_tree()
         self._relation_names = [
             node.relation for node in self.tree.root.post_order()
         ]
@@ -157,8 +157,8 @@ class ExactWeightFunction(WeightFunction):
 
     name = "ew"
 
-    def __init__(self, query: JoinQuery, tree: Optional[JoinTree] = None) -> None:
-        super().__init__(query, tree)
+    def __init__(self, query: JoinQuery) -> None:
+        super().__init__(query)
         self._weights: Dict[str, np.ndarray] = {}
         #: per join edge (parent, child): sum of child weights per CSR key slot
         self._key_sums: Dict[Tuple[str, str], np.ndarray] = {}
@@ -267,13 +267,8 @@ class ExtendedOlkenWeightFunction(WeightFunction):
 
     name = "eo"
 
-    def __init__(
-        self,
-        query: JoinQuery,
-        tree: Optional[JoinTree] = None,
-        prune_dangling: bool = True,
-    ) -> None:
-        super().__init__(query, tree)
+    def __init__(self, query: JoinQuery, prune_dangling: bool = True) -> None:
+        super().__init__(query)
         self.prune_dangling = prune_dangling
         self._cap: Dict[str, float] = {}
         self._max_degree: Dict[str, float] = {}
@@ -341,15 +336,14 @@ class ExtendedOlkenWeightFunction(WeightFunction):
 def make_weight_function(
     method: str,
     query: JoinQuery,
-    tree: Optional[JoinTree] = None,
     **kwargs,
 ) -> WeightFunction:
     """Factory: ``"ew"``/``"exact"`` or ``"eo"``/``"olken"`` -> weight function."""
     key = method.lower()
     if key in ("ew", "exact", "exact_weight"):
-        return ExactWeightFunction(query, tree)
+        return ExactWeightFunction(query)
     if key in ("eo", "olken", "extended_olken"):
-        return ExtendedOlkenWeightFunction(query, tree, **kwargs)
+        return ExtendedOlkenWeightFunction(query, **kwargs)
     raise ValueError(f"unknown weight method {method!r}; expected 'ew' or 'eo'")
 
 

@@ -42,8 +42,8 @@ sheds, open breakers, exhausted epoch restarts) carry a machine-readable
 Determinism contract: a ``sample``/``aggregate`` response is a pure function
 of the request (including ``seed``) and the database snapshot it ran
 against — never of what else the server is doing concurrently.  The
-concurrency suite and ``benchmarks/bench_server.py`` hold the server to
-that bit-for-bit.
+concurrency suite (``tests/test_server.py``) holds the server to that
+bit-for-bit.
 """
 
 from __future__ import annotations

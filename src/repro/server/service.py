@@ -18,8 +18,7 @@ per ``(query, weights)`` and serves each request from an O(1) clone
 prototype's fully built structures read-only.  Clones draw from their own
 request-seeded stream without consuming the prototype's, so a request's
 answer is a pure function of ``(request, snapshot)`` — bit-identical whether
-it runs alone or besides 16 others (the gate in
-``benchmarks/bench_server.py``).
+it runs alone or besides 16 others (pinned by ``tests/test_server.py``).
 
 Epoch consistency
 -----------------

@@ -169,18 +169,6 @@ class TestProcessBackend:
             thread_run.accumulator.estimate()
         )
 
-    def test_auto_execution_falls_back_to_threads_for_small_jobs(self):
-        pool = ParallelSamplerPool(workers=4, execution="auto")
-        tasks = pool.plan_tasks(make_chain(), 32, seed=0)
-        assert pool._resolve_execution(tasks) == "thread"
-
-    def test_unpicklable_spec_falls_back_to_threads(self):
-        pool = ParallelSamplerPool(workers=4, execution="auto")
-        threshold = 5
-        spec = AggregateSpec("count", where=lambda row: row["c"] > threshold)
-        tasks = pool.plan_tasks(make_chain(), 100_000, seed=0, spec=spec)
-        assert pool._resolve_execution(tasks) == "thread"
-
 
 class TestEpochCancellation:
     def test_mid_flight_mutation_discards_and_restarts(self, monkeypatch):

@@ -1,11 +1,11 @@
 """Performance smoke gate for the batched sampling engine.
 
-A tiny-scale version of ``benchmarks/bench_micro.py`` wired into tier-1: the
-batched path must deliver at least the scalar reference path's throughput, so
-a regression that silently disables the vectorized engine fails the test
-suite rather than only the (optional) benchmark run.  Thresholds are
-deliberately loose — the real speedup is recorded in
-``BENCH_batch_engine.json`` — to keep the test robust on noisy CI machines.
+A tiny-scale throughput check wired into tier-1: the batched path must
+deliver at least the scalar reference path's throughput, so a regression
+that silently disables the vectorized engine fails the test suite rather
+than only the (optional) benchmark run.  Thresholds are deliberately loose
+— end-to-end and per-layer timings live in the measurement spine
+(``benchmarks/spine``) — to keep the test robust on noisy CI machines.
 """
 
 import time
@@ -73,9 +73,9 @@ def test_batch_and_scalar_agree_on_acceptance(smoke_query):
 def test_block_pipeline_at_least_boxed_throughput(smoke_query):
     """The zero-object aggregate pipeline must not regress below the boxed
     path it replaced: sample_block -> ingest_block vs boxed draws ->
-    observe, same draws, same estimator state (the real margin — >= 2x on
-    the TPC-H workloads — is recorded in ``BENCH_pipeline.json``; the gate
-    here is deliberately loose for noisy CI machines)."""
+    observe, same draws, same estimator state (the real margin is >= 2x on
+    the TPC-H workloads; the gate here is deliberately loose for noisy CI
+    machines)."""
     from repro.aqp import AggregateAccumulator, AggregateSpec
 
     spec = AggregateSpec("sum", attribute="retailprice")

@@ -179,3 +179,128 @@ class TestUnionCompatibility:
     def test_check_union_compatible_rejects_empty(self):
         with pytest.raises(ValueError):
             check_union_compatible([])
+
+
+# ------------------------------------------------------------- snapshot memo
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Counts ``build_join_tree`` calls (the join-tree tenant's builder)."""
+    from repro.joins import join_tree
+
+    calls = []
+    original = join_tree.build_join_tree
+
+    def counting(query, *args, **kwargs):
+        calls.append(query.name)
+        return original(query, *args, **kwargs)
+
+    monkeypatch.setattr(join_tree, "build_join_tree", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def uq1():
+    from repro.tpch.workloads import build_uq1
+
+    return build_uq1(scale_factor=0.0005, seed=3)
+
+
+class TestSnapshotMemo:
+    def test_derived_builds_once_per_key_and_snapshot(self, chain_query):
+        builds = []
+        first = chain_query.derived("k", lambda: builds.append(1) or len(builds))
+        again = chain_query.derived("k", lambda: builds.append(1) or len(builds))
+        assert first == again == 1
+        chain_query.relation("T").extend([(300, 11)])
+        assert chain_query.derived("k", lambda: builds.append(1) or len(builds)) == 2
+
+    def test_second_warm_request_builds_no_tree(self, tree_builds):
+        from repro.server import SamplingService
+
+        service = SamplingService(workload_name="UQ1", scale_factor=0.0005, seed=3)
+        try:
+            request = {"kind": "sample", "query": service.workload.query_names[0],
+                       "count": 20, "seed": 1}
+            assert service.handle(request)["ok"]
+            tree_builds.clear()
+            assert service.handle(request)["ok"]
+            assert tree_builds == []
+        finally:
+            service.close()
+
+    def test_second_auto_aggregate_builds_no_tree(self, uq1, tree_builds):
+        from repro.aqp import AggregateSpec, aggregate
+
+        query = uq1.queries[0]
+        first = aggregate(query, AggregateSpec("count"), rel_error=0.2, seed=4)
+        tree_builds.clear()
+        second = aggregate(query, AggregateSpec("count"), rel_error=0.2, seed=4)
+        assert tree_builds == []
+        assert second.estimates == first.estimates
+
+    def test_second_union_sampler_builds_no_tree(self, uq1, tree_builds):
+        from repro.core.online_sampler import OnlineUnionSampler
+
+        OnlineUnionSampler(uq1.queries, seed=5)
+        tree_builds.clear()
+        OnlineUnionSampler(uq1.queries, seed=5)
+        assert tree_builds == []
+
+    def test_mutation_rebuilds_each_query_over_the_relation_once(self, tree_builds):
+        from repro.sampling.join_sampler import JoinSampler
+        from repro.sampling.wander_join import WanderJoin
+
+        r = Relation("R", ["a", "b"], [(1, 10), (2, 20), (3, 10)])
+        s = Relation("S", ["b", "c"], [(10, 100), (20, 200)])
+        t = Relation("T", ["c", "d"], [(100, 7), (200, 8)])
+        u = Relation("U", ["d", "e"], [(7, 1), (8, 2)])
+        rs = JoinQuery("RS", [r, s], [JoinCondition("R", "b", "S", "b")],
+                       [OutputAttribute("a", "R", "a"), OutputAttribute("c", "S", "c")])
+        st = JoinQuery("ST", [s, t], [JoinCondition("S", "c", "T", "c")],
+                       [OutputAttribute("b", "S", "b"), OutputAttribute("d", "T", "d")])
+        tu = JoinQuery("TU", [t, u], [JoinCondition("T", "d", "U", "d")],
+                       [OutputAttribute("c", "T", "c"), OutputAttribute("e", "U", "e")])
+        queries = (rs, st, tu)
+        for query in queries:
+            query.join_tree()
+        tree_builds.clear()
+        s.delete_rows([0])
+        for _ in range(2):
+            for query in queries:
+                query.join_tree()
+                JoinSampler(query, seed=0)
+                WanderJoin(query, seed=0)
+        assert sorted(tree_builds) == ["RS", "ST"]
+
+    def test_sampler_keeps_its_tree_and_a_new_one_sees_the_rebuild(self, acyclic_query):
+        from repro.joins.executor import join_result_set
+        from repro.joins.join_tree import build_join_tree
+        from repro.sampling.join_sampler import JoinSampler
+
+        def child_order(tree):
+            return [child.relation for child in tree.root.children]
+
+        before = JoinSampler(acyclic_query, seed=1)
+        old_tree = before.tree
+        assert child_order(old_tree) == ["D", "E"]
+        # D's max degree on k rises from 2 to 3, past E's 2: E now goes first.
+        acyclic_query.relation("D").extend([(2, "d4"), (2, "d5")])
+        after = JoinSampler(acyclic_query, seed=1)
+        rebuilt = build_join_tree(acyclic_query)
+        assert child_order(after.tree) == child_order(rebuilt) == ["E", "D"]
+        assert before.tree is old_tree
+        results = join_result_set(acyclic_query)
+        assert {draw.value for draw in before.sample_many(20)} <= results
+        assert {draw.value for draw in after.sample_many(20)} <= results
+
+    def test_pickled_query_samples_bit_identically(self, chain_query):
+        import pickle
+
+        from repro.sampling.join_sampler import JoinSampler
+
+        chain_query.join_tree()
+        copy = pickle.loads(pickle.dumps(chain_query))
+        assert copy.join_tree() is not chain_query.join_tree()
+        original = [d.value for d in JoinSampler(chain_query, seed=7).sample_many(50)]
+        restored = [d.value for d in JoinSampler(copy, seed=7).sample_many(50)]
+        assert restored == original
