@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.cache.store import SampleCache, epoch_vector
+from repro.cache.store import SampleCache
 from repro.resilience.errors import EmptyResultError, JobDeadlineExceeded
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
@@ -36,7 +36,7 @@ from repro.aqp.planner import (
     supported_backends,
 )
 from repro.aqp.sources import build_sources, draw_into, reject_degenerate_union_count
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import z_value
@@ -390,7 +390,7 @@ class OnlineAggregator:
             return 0
         query = self.queries[0]
         entry = self._cache_entry
-        if entry is None or not entry.alive or entry.epoch != epoch_vector(query):
+        if entry is None or not entry.alive or entry.epoch != observed_versions((query,)):
             entry = self.cache.entry(query, BACKEND_WEIGHTS[self.backend])
             self._cache_entry = entry
             self._cache_cursor = 0

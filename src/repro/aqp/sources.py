@@ -124,22 +124,16 @@ class UnionSource:
     :class:`OnlineUnionSampler` or any prebuilt object with ``sample(count)``.
     """
 
-    def __init__(self, sampler: Any, queries: Sequence[JoinQuery]) -> None:
+    def __init__(self, sampler: Any) -> None:
         self.sampler = sampler
-        self._queries = tuple(queries)
-        self._versions = observed_versions(self._queries)
         self._consumed = 0
 
     def refresh(self) -> bool:
         refresh = getattr(self.sampler, "refresh", None)
         if refresh is None:
             # A prebuilt sampler (e.g. SetUnionSampler with exact parameters)
-            # cannot follow a mutation; refuse to mix snapshots.
-            if observed_versions(self._queries) != self._versions:
-                raise RuntimeError(
-                    "base relations mutated but the provided union sampler has "
-                    "no refresh(); rebuild the aggregator for the new snapshot"
-                )
+            # cannot follow a mutation: its own sample() refuses a moved
+            # snapshot, so the next draw raises rather than mix snapshots.
             return False
         stale = bool(refresh())
         if stale:
@@ -194,14 +188,14 @@ def build_sources(
         shards = [sampler] if parallelism == 1 else sampler.split(parallelism)
         return [JoinSource(shard, max_attempts) for shard in shards]
     if sampler is not None:
-        return [UnionSource(sampler, queries)]
+        return [UnionSource(sampler)]
     streams: Sequence[RandomState] = (
         [seed] if parallelism == 1 else spawn_rngs(seed, parallelism)
     )
     if backend == "wander-join":
         return [WanderSource(WanderJoin(queries[0], seed=stream)) for stream in streams]
     return [
-        UnionSource(OnlineUnionSampler(list(queries), seed=stream, warmup=warmup), queries)
+        UnionSource(OnlineUnionSampler(list(queries), seed=stream, warmup=warmup))
         for stream in streams
     ]
 

@@ -5,11 +5,6 @@ for the key structure, the reweighting math, and the epoch-invalidation
 contract.
 """
 
-from repro.cache.store import (
-    CachedStream,
-    SampleCache,
-    epoch_vector,
-    shape_key,
-)
+from repro.cache.store import CachedStream, SampleCache, shape_key
 
-__all__ = ["CachedStream", "SampleCache", "epoch_vector", "shape_key"]
+__all__ = ["CachedStream", "SampleCache", "shape_key"]

@@ -22,11 +22,11 @@ unbiased, with honest variance, *provided* three invariants hold:
    vice versa) biases the estimate.  Consumers ingest a cached block wholly
    or not at all.
 2. **One snapshot.**  Contributions are exchangeable only within one
-   database epoch.  Every entry is pinned to the epoch vector (per-relation
-   ``Relation.version``) it was drawn under; a lookup under any other vector
-   is a miss and drops the stale entry.  ``drop_relation`` invalidates
-   eagerly on mutation — and only entries touching the mutated relation,
-   never the whole cache.
+   database epoch.  Every entry is pinned to the version vector
+   (:func:`~repro.joins.query.observed_versions` of its query) it was drawn
+   under; a lookup under any other vector is a miss and drops the stale
+   entry.  ``drop_relation`` invalidates eagerly on mutation — and only
+   entries touching the mutated relation, never the whole cache.
 3. **No double-consumption within one estimate.**  A consumer tracks a
    cursor into the entry's block list and never re-ingests a block it has
    already merged (re-ingesting would correlate contributions and shrink the
@@ -41,7 +41,7 @@ Entries are keyed by :func:`shape_key` — the join's structural identity
 (query name, relation names, equi-join conditions, output schema) plus the
 weight-function string, i.e. the sampling *distribution* — never by the
 aggregate, filter, or group-by, which are applied downstream by the
-accumulator over the shared draw stream.  The epoch vector is held alongside
+accumulator over the shared draw stream.  The version vector is held alongside
 and checked on every lookup.
 
 Eviction is LRU over entries, accounted in bytes (``SampleBlock.nbytes``),
@@ -54,7 +54,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 from repro.sampling.blocks import SampleBlock
 
 #: default cache budget: enough for ~1M cached (sample × 4-relation) rows.
@@ -81,13 +81,6 @@ def shape_key(query: JoinQuery, weights: str) -> Tuple:
         (out.name, out.relation, out.attribute) for out in query.output_attributes
     )
     return (query.name, tuple(sorted(query.relations)), conditions, outputs, weights)
-
-
-def epoch_vector(query: JoinQuery) -> Tuple[Tuple[str, int], ...]:
-    """Per-relation ``(name, version)`` pairs — the entry's snapshot pin."""
-    return tuple(
-        (name, relation.version) for name, relation in sorted(query.relations.items())
-    )
 
 
 class CachedStream:
@@ -142,7 +135,7 @@ class SampleCache:
         the epoch protocol: only streams whose snapshot actually changed pay.
         """
         key = shape_key(query, weights)
-        epoch = epoch_vector(query)
+        epoch = observed_versions((query,))
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -153,9 +146,7 @@ class SampleCache:
                 self.stale_drops += 1
                 self._drop(existing)
             self.misses += 1
-            entry = CachedStream(
-                key, epoch, frozenset(name for name, _ in epoch)
-            )
+            entry = CachedStream(key, epoch, frozenset(query.relations))
             self._entries[key] = entry
             self._touch(entry)
             return entry
@@ -168,7 +159,7 @@ class SampleCache:
         """
         with self._lock:
             existing = self._entries.get(shape_key(query, weights))
-            if existing is not None and existing.epoch == epoch_vector(query):
+            if existing is not None and existing.epoch == observed_versions((query,)):
                 return existing
             return None
 
@@ -276,6 +267,5 @@ __all__ = [
     "CachedStream",
     "SampleCache",
     "DEFAULT_MAX_BYTES",
-    "epoch_vector",
     "shape_key",
 ]

@@ -19,6 +19,15 @@ is accurate but costs walks.  The online sampler combines them:
 * refinement stops once the overlap estimates reach the target confidence
   level ``gamma``.
 
+As §7 extends Algorithm 1, :class:`OnlineUnionSampler` extends its skeleton
+(:class:`~repro.core.union_sampler.UnionSamplerBase`): the per-join samplers,
+value queues, iteration guard and the
+:class:`~repro.core.union_sampler.RecordLedger` — whose record rule decides
+every iteration and whose ``retain`` is backtracking — are Algorithm 1's.
+What this class adds is a warm-up of its own, reuse, refinement, and a
+``refresh`` that starts a new snapshot: everything that describes one
+snapshot is set in one method, :meth:`OnlineUnionSampler._start_snapshot`.
+
 Iterations only interact through the ``orig_join`` record and the refinement
 schedule, so :meth:`OnlineUnionSampler.sample` runs them a *round* at a time:
 as many iterations as the call still owes samples, cut short where the next
@@ -36,12 +45,18 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.core.result import SampleResult, SamplingStats, UnionSample
-from repro.core.union_sampler import drain_value_queue, refill_value_queue
+from repro.core.result import SampleResult, UnionSample
+from repro.core.union_sampler import (
+    RecordLedger,
+    UnionSamplerBase,
+    drain_value_queue,
+    refill_value_queue,
+)
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.estimation.parameters import UnionParameters
 from repro.estimation.random_walk import CollectedSample, RandomWalkUnionEstimator
@@ -51,22 +66,21 @@ from repro.estimation.union_size import (
     cover_sizes_from_overlaps,
     union_size_from_k_overlaps,
 )
-from repro.joins.membership import UnionMembershipIndex
-from repro.joins.query import JoinQuery, check_union_compatible
-from repro.sampling.join_sampler import JoinSampler
+from repro.joins.membership import UnionMembershipIndex, Value
+from repro.joins.query import JoinQuery, observed_versions
 from repro.sampling.wander_join import z_value
-from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
+from repro.utils.rng import RandomState, spawn_rngs
 
 
 @dataclass
 class _Record:
     """One recorded draw: the tuple value and the probability it carried."""
 
-    value: Tuple
+    value: Value
     weight: float  # Horvitz–Thompson style weight used for overlap refinement
 
 
-class OnlineUnionSampler:
+class OnlineUnionSampler(UnionSamplerBase):
     """Algorithm 2: set-union sampling with sample reuse and backtracking."""
 
     algorithm = "online-set-union"
@@ -84,22 +98,16 @@ class OnlineUnionSampler:
         warmup_estimator: Optional[RandomWalkUnionEstimator | HistogramUnionEstimator] = None,
         max_iterations_factor: int = 1000,
     ) -> None:
-        check_union_compatible(list(queries))
+        self._prepare(queries, join_weights, seed, max_iterations_factor)
         if warmup not in ("random-walk", "histogram"):
             raise ValueError("warmup must be 'random-walk' or 'histogram'")
         if phi <= 0:
             raise ValueError("phi must be positive")
         if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-        self.queries: List[JoinQuery] = list(queries)
-        self.names = [q.name for q in self.queries]
         self.reuse = reuse
         self.phi = phi
         self.gamma = gamma
-        self.max_iterations_factor = max_iterations_factor
-        self.rng = ensure_rng(seed)
-        self.stats = SamplingStats()
-        self.confidence_level = 0.0
 
         with self.stats.timer.phase("warmup"):
             # Derive the warm-up and per-join streams from self.rng instead of
@@ -107,11 +115,8 @@ class OnlineUnionSampler:
             # would alias its walk stream with this sampler's selection and
             # backtracking draws (see the aliasing contract in repro.utils.rng).
             warmup_rng, sampler_parent = spawn_rngs(self.rng, 2)
-            sampler_seeds = spawn_rngs(sampler_parent, len(self.queries))
-            self.join_samplers: Dict[str, JoinSampler] = {
-                q.name: JoinSampler(q, weights=join_weights, seed=s)
-                for q, s in zip(self.queries, sampler_seeds)
-            }
+            self._open_join_samplers(spawn_rngs(sampler_parent, len(self.queries)))
+            estimator: RandomWalkUnionEstimator | HistogramUnionEstimator
             if warmup_estimator is not None:
                 estimator = warmup_estimator
             elif warmup == "random-walk":
@@ -120,33 +125,7 @@ class OnlineUnionSampler:
                 )
             else:
                 estimator = self._histogram_estimator()
-            self.parameters: UnionParameters = estimator.estimate()
-            self._pools: Dict[str, List[CollectedSample]] = {n: [] for n in self.names}
-            if self.reuse and isinstance(estimator, RandomWalkUnionEstimator):
-                for name, samples in estimator.all_collected_samples().items():
-                    self._pools[name] = list(samples)
-            #: probers + ``(join, value)`` memo: the random-walk warm-up's own
-            #: (what it learned about the pooled values is not asked again)
-            self.membership = (
-                estimator.membership
-                if isinstance(estimator, RandomWalkUnionEstimator)
-                else UnionMembershipIndex(self.queries)
-            )
-            #: per-join uniform sample values, refilled block-wise
-            self._value_queues: Dict[str, Deque[Tuple]] = {
-                n: deque() for n in self.names
-            }
-
-        self._probabilities = self.parameters.selection_probabilities(use_cover=True)
-        #: per-join recorded draws (line 3 of Algorithm 2)
-        self._records: Dict[str, List[_Record]] = {n: [] for n in self.names}
-        self._records_since_update = 0
-        self._orig_join: Dict[Tuple, int] = {}
-        #: accepted samples in acceptance order; revisions tombstone entries
-        #: (set them to None) via the value -> slots side index
-        self._accepted: List[Optional[UnionSample]] = []
-        self._value_slots: Dict[Tuple, List[int]] = {}
-        self._live_count = 0
+            self._start_snapshot(estimator)
 
     def _histogram_estimator(self) -> HistogramUnionEstimator:
         """The cheap warm-up: histogram overlap bounds around join sizes that
@@ -166,40 +145,56 @@ class OnlineUnionSampler:
             self.queries, join_size_method="eo", exact_join_sizes=exact
         )
 
+    def _start_snapshot(
+        self, estimator: RandomWalkUnionEstimator | HistogramUnionEstimator
+    ) -> None:
+        """Set everything that describes one database snapshot, from that
+        snapshot's warm-up.  ``__init__`` and :meth:`refresh` both come here,
+        so nothing of a previous snapshot survives a refresh — a field added
+        here is reset with the rest (and named in the EPOCH001 contract)."""
+        self.parameters = estimator.estimate()
+        self._probabilities = self.parameters.selection_probabilities(use_cover=True)
+        self.confidence_level = 0.0
+        #: warm-up walk results not yet reused (their walk probabilities
+        #: were computed against this snapshot's degrees)
+        self._pools: Dict[str, List[CollectedSample]] = {n: [] for n in self.names}
+        if self.reuse and isinstance(estimator, RandomWalkUnionEstimator):
+            for name, samples in estimator.all_collected_samples().items():
+                self._pools[name] = list(samples)
+        #: probers + ``(join, value)`` memo: a random-walk warm-up's own (what
+        #: it learned about the pooled values is not asked again)
+        if isinstance(estimator, RandomWalkUnionEstimator):
+            self.membership = estimator.membership
+        elif self.membership is None:
+            self.membership = UnionMembershipIndex(self.queries)
+        else:
+            self.membership.memo.clear()
+        #: per-join recorded draws (line 3 of Algorithm 2)
+        self._records: Dict[str, List[_Record]] = {n: [] for n in self.names}
+        self._records_since_update = 0
+        self._ledger = RecordLedger(self.stats)
+        self._value_queues = {n: deque() for n in self.names}
+        self._versions = observed_versions(self.queries)
+
     # ------------------------------------------------------------------ public
     def refresh(self) -> bool:
         """Start a new epoch after the base relations mutated.
 
         Returns True when any underlying relation was stale.  The per-join
-        samplers re-sync themselves (delta-maintained weights/plans); this
-        method additionally drops everything whose validity was tied to the
-        previous database snapshot: the reuse pools (their walk probabilities
-        were computed against old degrees), the recorded draws and accepted
-        samples (uniform over the *old* union, not the new one), the
-        membership memo (shared with the warm-up estimator, whose walks are
-        dropped here too), and the join-selection distribution, which is
-        re-estimated from the samplers' delta-maintained exact sizes and the
-        delta-maintained histogram statistics.  Samples
-        returned before the refresh remain valid uniform draws over the
-        snapshot they were taken from.
+        samplers re-sync themselves (delta-maintained weights/plans); the
+        rest of the sampler's state describes a snapshot, and
+        :meth:`_start_snapshot` sets it afresh from a histogram warm-up built
+        on the samplers' delta-maintained exact sizes and the
+        delta-maintained histogram statistics.  Samples returned before the
+        refresh remain valid uniform draws over the snapshot they were taken
+        from.
         """
-        refreshed = [sampler.refresh() for sampler in self.join_samplers.values()]
-        if not any(refreshed):
+        for sampler in self.join_samplers.values():
+            sampler.refresh()
+        if observed_versions(self.queries) == self._versions:
             return False
         with self.stats.timer.phase("refresh"):
-            self.parameters = self._histogram_estimator().estimate()
-            self._probabilities = self.parameters.selection_probabilities(use_cover=True)
-            self._pools = {name: [] for name in self.names}
-            self._records = {name: [] for name in self.names}
-            self._records_since_update = 0
-            self._orig_join = {}
-            self._accepted = []
-            self._value_slots = {}
-            self._live_count = 0
-            self.membership.memo.clear()
-            for queue in self._value_queues.values():
-                queue.clear()
-            self.confidence_level = 0.0
+            self._start_snapshot(self._histogram_estimator())
         return True
 
     def sample(self, count: int) -> SampleResult:
@@ -212,36 +207,21 @@ class OnlineUnionSampler:
         samplers refresh themselves, but uniformity over the *union* also
         depends on this class's own cached state.)
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
         self.refresh()
-        max_iterations = max(count, 1) * self.max_iterations_factor
-        while self._live_count < count:
-            if self.stats.iterations >= max_iterations:
-                raise RuntimeError(
-                    f"OnlineUnionSampler exceeded {max_iterations} iterations while "
-                    f"collecting {count} samples"
-                )
+        limit = self._iteration_limit(count)
+        while self._ledger.live < count:
+            self._guard(limit, count)
             # An iteration accepts at most one sample and records exactly one
             # draw, so a round this long neither overshoots the demand nor
             # runs past the record count at which the next refinement fires.
-            size = min(count - self._live_count, max_iterations - self.stats.iterations)
+            size = min(count - self._ledger.live, limit - self.stats.iterations)
             if self.confidence_level < self.gamma:
                 size = min(size, self.phi - self._records_since_update)
             self._round(size)
             self._maybe_update_parameters()
-        self.stats.join_sampler_attempts = sum(
-            s.stats.attempts for s in self.join_samplers.values()
-        )
-        self.stats.join_sampler_rejections = self.stats.join_sampler_attempts - sum(
-            s.stats.accepted for s in self.join_samplers.values()
-        )
-        live = [s for s in self._accepted if s is not None]
-        return SampleResult(
-            samples=live[:count],
-            parameters=self.parameters,
-            stats=self.stats,
-            algorithm=self.algorithm + ("-reuse" if self.reuse else ""),
+        return self._result(
+            self._ledger.live_samples()[:count],
+            self.algorithm + ("-reuse" if self.reuse else ""),
         )
 
     # ------------------------------------------------------------------ rounds
@@ -260,32 +240,22 @@ class OnlineUnionSampler:
         ]
         self._records_since_update += size
 
-        # Lines 11-17 for the whole round, in selection order: the orig_join
-        # record with revision, as in Algorithm 1.
-        orig_join, value_slots, accepted = self._orig_join, self._value_slots, self._accepted
+        # Lines 11-17 for the whole round, in selection order: Algorithm 1's
+        # record rule.
+        offer = self._ledger.offer
         iteration = stats.iterations
         kept = kept_reused = 0
         for position in selections.tolist():
             iteration += 1
             name, stream = draws[position]
             value, reused = next(stream)
-            recorded = orig_join.get(value)
-            if recorded is not None and recorded != position:
-                if recorded < position:
-                    stats.rejected_duplicate += 1
-                    continue
-                stats.revisions += 1
-                self._remove_value(value)
-            orig_join[value] = position
-            value_slots.setdefault(value, []).append(len(accepted))
-            accepted.append(UnionSample(value, name, iteration, reused=reused))
-            kept += 1
-            kept_reused += reused
+            if offer(value, position, name, iteration, reused) is not None:
+                kept += 1
+                kept_reused += reused
 
         stats.iterations = iteration
         stats.accepted += kept
         stats.reused_accepted += kept_reused
-        self._live_count += kept
         # One clock reading per round, charged to the phases in proportion
         # to the iterations that ended in each.
         per_iteration = (time.perf_counter() - started) / size
@@ -293,7 +263,7 @@ class OnlineUnionSampler:
         stats.timer.add("reuse_accepted", per_iteration * kept_reused)
         stats.timer.add("rejected", per_iteration * (size - kept))
 
-    def _select_joins(self, count: int) -> np.ndarray:
+    def _select_joins(self, count: int) -> npt.NDArray[np.int64]:
         """``count`` join positions from the selection distribution, in one
         categorical draw (uniform when no join has positive probability)."""
         weights = np.array([max(self._probabilities.get(n, 0.0), 0.0) for n in self.names])
@@ -302,7 +272,7 @@ class OnlineUnionSampler:
             return self.rng.integers(0, len(self.names), size=count)
         return self.rng.choice(len(self.names), size=count, p=weights / total)
 
-    def _round_draws(self, name: str, count: int) -> Iterator[Tuple[Tuple, bool]]:
+    def _round_draws(self, name: str, count: int) -> Iterator[Tuple[Value, bool]]:
         """What ``count`` successive selections of join ``name`` draw, as
         ``(value, reused)`` pairs, recorded with the weight each carried."""
         join_size = max(self.parameters.join_sizes[name], 1e-12)
@@ -349,27 +319,17 @@ class OnlineUnionSampler:
                 trials.append(None)
         return trials
 
-    def _remove_value(self, value: Tuple) -> None:
-        """Revision: drop the accepted copies of ``value`` (tombstoned through
-        the value -> slots index)."""
-        removed = 0
-        for slot in self._value_slots.pop(value, ()):
-            if self._accepted[slot] is not None:
-                self._accepted[slot] = None
-                removed += 1
-        self._live_count -= removed
-        self.stats.revision_removed += removed
-
     # ------------------------------------------------------------------ oracle
-    def _iterate(self) -> Optional[UnionSample]:
+    def _iterate(self, remaining: int) -> List[UnionSample]:
         """One iteration of Algorithm 2, written as the paper prints it: the
         reference the tests hold :meth:`_round` to (as ``try_sample`` is for
-        ``sample_block``).  The caller counts iterations and refines."""
+        ``sample_block``).  It draws one value at a time, whatever
+        ``remaining`` is; the caller counts iterations and refines."""
         position = int(self._select_joins(1)[0])
         join_name = self.names[position]
         join_size = max(self.parameters.join_sizes[join_name], 1e-12)
 
-        value: Optional[Tuple] = None
+        value: Optional[Value] = None
         reused = False
 
         pool = self._pools[join_name]
@@ -395,24 +355,14 @@ class OnlineUnionSampler:
             )
             self._record(join_name, value, join_size)
 
-        # Lines 11-17: the orig_join record with revision, as in Algorithm 1.
-        recorded = self._orig_join.get(value)
-        if recorded is not None and recorded < position:
-            self.stats.rejected_duplicate += 1
-            return None
-        if recorded is not None and recorded > position:
-            self.stats.revisions += 1
-            self._remove_value(value)
-        self._orig_join[value] = position
-        sample = UnionSample(value, join_name, self.stats.iterations, reused=reused)
-        if reused:
-            self.stats.reused_accepted += 1
-        self._value_slots.setdefault(value, []).append(len(self._accepted))
-        self._accepted.append(sample)
-        self._live_count += 1
-        return sample
+        # Lines 11-17: Algorithm 1's record rule.
+        sample = self._ledger.offer(value, position, join_name, self.stats.iterations, reused)
+        if sample is None:
+            return []
+        self.stats.reused_accepted += reused
+        return [sample]
 
-    def _record(self, join_name: str, value: Tuple, weight: float) -> None:
+    def _record(self, join_name: str, value: Value, weight: float) -> None:
         self._records[join_name].append(_Record(value, weight))
         self._records_since_update += 1
 
@@ -432,12 +382,14 @@ class OnlineUnionSampler:
 
     def _refine_parameters(self, old: UnionParameters) -> UnionParameters:
         """Re-estimate overlaps from the recorded draws (random-walk method, §6.2)."""
+        membership = self.membership
+        assert membership is not None
         join_sizes = dict(old.join_sizes)
         worst_half_width = 0.0
         # Per round, not per subset: a pivot's recorded values, their weights
         # and the weights' total, and one probe of the values per other join.
-        recorded: Dict[str, Tuple[List[Tuple], List[float], float]] = {}
-        inside: Dict[Tuple[str, str], np.ndarray] = {}
+        recorded: Dict[str, Tuple[List[Value], List[float], float]] = {}
+        inside: Dict[Tuple[str, str], npt.NDArray[np.bool_]] = {}
 
         def overlap_of(subset: FrozenSet[str]) -> float:
             nonlocal worst_half_width
@@ -459,7 +411,7 @@ class OnlineUnionSampler:
                 if name == pivot:
                     continue
                 if (pivot, name) not in inside:
-                    inside[pivot, name] = self.membership.recall_many(name, values)
+                    inside[pivot, name] = membership.recall_many(name, values)
                 hit &= inside[pivot, name]
             # Added one at a time in record order: the estimate keeps the
             # bits of the per-record loop this replaces.
@@ -497,33 +449,18 @@ class OnlineUnionSampler:
         )
 
     def _backtrack(self, old: UnionParameters, new: UnionParameters) -> None:
-        """Re-accept previously sampled tuples under the refined parameters (§7).
-
-        Backtracking touches every accepted sample by design, so it compacts
-        tombstoned slots and rebuilds the value -> slots index as it goes.
-        """
-        retained: List[Optional[UnionSample]] = []
-        slots: Dict[Tuple, List[int]] = {}
-        removed = 0
-        for sample in self._accepted:
-            if sample is None:
-                continue
-            name = sample.source_join
+        """Re-accept previously sampled tuples under the refined parameters
+        (§7): each live sample stays with probability ``min(1, new/old)`` of
+        its join's cover-to-union ratio, one uniform draw per live sample in
+        acceptance order."""
+        keep_probability: Dict[str, float] = {}
+        for name in self.names:
             old_ratio = old.cover_sizes[name] / max(old.union_size, 1e-12)
             new_ratio = new.cover_sizes[name] / max(new.union_size, 1e-12)
-            if old_ratio <= 0:
-                keep_probability = 1.0
-            else:
-                keep_probability = min(new_ratio / old_ratio, 1.0)
-            if self.rng.random() < keep_probability:
-                slots.setdefault(sample.value, []).append(len(retained))
-                retained.append(sample)
-            else:
-                removed += 1
-        self._accepted = retained
-        self._value_slots = slots
-        self._live_count = len(retained)
-        self.stats.backtrack_removed += removed
+            keep_probability[name] = 1.0 if old_ratio <= 0 else min(new_ratio / old_ratio, 1.0)
+        self.stats.backtrack_removed += self._ledger.retain(
+            lambda sample: self.rng.random() < keep_probability[sample.source_join]
+        )
 
 
 __all__ = ["OnlineUnionSampler"]

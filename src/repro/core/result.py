@@ -11,7 +11,7 @@ regular phase (Fig. 6b).  :class:`SamplingStats` collects those counters and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.estimation.parameters import UnionParameters
 from repro.utils.timer import PhaseTimer
@@ -34,7 +34,7 @@ class UnionSample:
         True when the tuple came from the warm-up reuse pool (§7).
     """
 
-    value: Tuple
+    value: Tuple[Any, ...]
     source_join: str
     iteration: int
     reused: bool = False
@@ -142,11 +142,11 @@ class SampleResult:
     stats: SamplingStats
     algorithm: str = ""
 
-    def values(self) -> List[Tuple]:
+    def values(self) -> List[Tuple[Any, ...]]:
         """The sampled tuple values, in acceptance order."""
         return [s.value for s in self.samples]
 
-    def distinct_values(self) -> List[Tuple]:
+    def distinct_values(self) -> List[Tuple[Any, ...]]:
         """Distinct sampled values (first occurrence order)."""
         return list(dict.fromkeys(s.value for s in self.samples))
 

@@ -1,12 +1,16 @@
 """Union sampling algorithms: disjoint union, Bernoulli set union, and
 non-Bernoulli (cover-based) set union — Algorithm 1 of the paper.
 
-All samplers share the same shape: a warm-up supplies
-:class:`~repro.estimation.parameters.UnionParameters` (join sizes, cover
-sizes, union size), then every iteration selects a join, draws one uniform
-sample from it via a single-join :class:`~repro.sampling.join_sampler.JoinSampler`,
-and decides whether to keep the tuple so that the accepted stream is uniform
-over the *set union* (or trivially uniform over the disjoint union).
+All samplers share one skeleton, :class:`UnionSamplerBase`: a warm-up
+supplies :class:`~repro.estimation.parameters.UnionParameters` (join sizes,
+cover sizes, union size), then every iteration selects a join, draws one
+uniform sample from it via a single-join
+:class:`~repro.sampling.join_sampler.JoinSampler`, and decides whether to
+keep the tuple so that the accepted stream is uniform over the *set union*
+(or trivially uniform over the disjoint union).  The skeleton pins the
+database snapshot it was built on: these samplers have no ``refresh()``, so
+once a base relation mutates, ``sample`` refuses rather than serve a union
+that no longer exists.
 
 Three set-union selection/deduplication policies are provided:
 
@@ -15,12 +19,16 @@ Three set-union selection/deduplication policies are provided:
   is drawn from the first join that contains it.
 * **record** (Algorithm 1 as printed): joins are selected with probability
   ``|J'_j|/|U|``; ownership of values is tracked in the ``orig_join`` record
-  and corrected with *revisions* when a lower-index join later samples the
-  same value.
+  of a :class:`RecordLedger` and corrected with *revisions* when a
+  lower-index join later samples the same value.
 * **strict**: joins are selected proportionally to their full sizes and a
   membership probe enforces the lowest-index cover exactly.  Every accepted
   tuple then has probability exactly ``1/|U|`` — this is the variant used by
   the statistical uniformity tests.
+
+Algorithm 2 (:mod:`repro.core.online_sampler`) extends this skeleton the way
+§7 extends Algorithm 1: the same ledger and record rule, plus sample reuse,
+refinement and backtracking.
 """
 
 from __future__ import annotations
@@ -28,15 +36,15 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
 from repro.estimation.base import UnionSizeEstimator
 from repro.estimation.parameters import UnionParameters
-from repro.joins.membership import UnionMembershipIndex
-from repro.joins.query import JoinQuery, check_union_compatible
+from repro.joins.membership import UnionMembershipIndex, Value
+from repro.joins.query import JoinQuery, check_union_compatible, observed_versions
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
@@ -44,9 +52,9 @@ from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_r
 
 def refill_value_queue(
     sampler: JoinSampler,
-    queue: Deque,
+    queue: Deque[Any],
     count: int,
-    annotate: Optional[Callable[[List[Tuple]], Iterable]] = None,
+    annotate: Optional[Callable[[List[Value]], Iterable[Any]]] = None,
 ) -> None:
     """Queue ``count`` (or a few more) uniform sample *values* of a join.
 
@@ -64,23 +72,95 @@ def refill_value_queue(
 
 def drain_value_queue(
     sampler: JoinSampler,
-    queue: Deque,
+    queue: Deque[Any],
     demand: int = 1,
-    annotate: Optional[Callable[[List[Tuple]], Iterable]] = None,
-):
+    annotate: Optional[Callable[[List[Value]], Iterable[Any]]] = None,
+) -> Any:
     """One uniform sample value from a join; an empty queue first refills
     with ``demand`` values — what the caller still expects to ask of it."""
-    if queue and sampler.stale:
-        # A mutation epoch landed since the queue was filled: the parked
-        # values describe the previous snapshot and must not be served.
-        queue.clear()
     if not queue:
         refill_value_queue(sampler, queue, max(demand, 1), annotate)
     return queue.popleft()
 
 
+class RecordLedger:
+    """Algorithm 1's ``orig_join`` record and the samples it keeps.
+
+    ``samples`` lists the kept samples in acceptance order; a revision
+    tombstones (sets to ``None``) the copies it drops instead of rebuilding
+    the list, through a value -> slots side index.  Three operations:
+
+    * :meth:`offer` — the record rule, for the record policy and Algorithm 2;
+    * :meth:`keep` — a sample with no record (the strict policy's probes
+      already decided it);
+    * :meth:`retain` — backtracking's filter over the live samples.
+    """
+
+    def __init__(self, stats: SamplingStats) -> None:
+        self.stats = stats
+        #: value -> position of the join recorded as its origin
+        self.owners: Dict[Value, int] = {}
+        self.samples: List[Optional[UnionSample]] = []
+        #: how many entries of ``samples`` are not tombstones
+        self.live = 0
+        self._slots: Dict[Value, List[int]] = {}
+
+    def offer(
+        self, value: Value, position: int, join_name: str, iteration: int, reused: bool = False
+    ) -> Optional[UnionSample]:
+        """The record rule for ``value`` drawn from the join at ``position``:
+        rejected (``None``) when an earlier join owns it; when a later join
+        does, a *revision* drops that owner's copies.  Then the value is
+        recorded as this join's and the sample kept."""
+        recorded = self.owners.get(value)
+        if recorded is not None and recorded != position:
+            if recorded < position:
+                self.stats.rejected_duplicate += 1
+                return None
+            self.stats.revisions += 1
+            slots = self._slots.pop(value, [])
+            for slot in slots:
+                self.samples[slot] = None
+            self.live -= len(slots)
+            self.stats.revision_removed += len(slots)
+        self.owners[value] = position
+        # keep(), inlined: this runs once per iteration of every round.
+        sample = UnionSample(value, join_name, iteration, reused)
+        self._slots.setdefault(value, []).append(len(self.samples))
+        self.samples.append(sample)
+        self.live += 1
+        return sample
+
+    def keep(self, sample: UnionSample) -> UnionSample:
+        """Keep ``sample``; a later revision of its value drops it."""
+        self._slots.setdefault(sample.value, []).append(len(self.samples))
+        self.samples.append(sample)
+        self.live += 1
+        return sample
+
+    def retain(self, predicate: Callable[[UnionSample], bool]) -> int:
+        """Keep the live samples ``predicate`` accepts — asked once per live
+        sample, in acceptance order — and compact the tombstones away; the
+        record is untouched.  Returns how many samples were dropped."""
+        kept: List[Optional[UnionSample]] = []
+        self._slots = {}
+        for sample in self.samples:
+            if sample is not None and predicate(sample):
+                self._slots.setdefault(sample.value, []).append(len(kept))
+                kept.append(sample)
+        removed = self.live - len(kept)
+        self.samples = kept
+        self.live = len(kept)
+        return removed
+
+    def live_samples(self) -> List[UnionSample]:
+        """The kept samples, in acceptance order."""
+        return [sample for sample in self.samples if sample is not None]
+
+
 class UnionSamplerBase:
-    """Shared machinery: per-join samplers, selection distribution, timing."""
+    """Shared machinery: per-join samplers, selection distribution, the
+    snapshot pin, the iteration guard and timing."""
 
     algorithm = "base"
 
@@ -92,6 +172,26 @@ class UnionSamplerBase:
         seed: RandomState = None,
         max_iterations_factor: int = 1000,
     ) -> None:
+        self._prepare(queries, join_weights, seed, max_iterations_factor)
+        with self.stats.timer.phase("warmup"):
+            if isinstance(parameters, UnionSizeEstimator):
+                parameters = parameters.estimate()
+            self.parameters = parameters
+            self._open_join_samplers(spawn_rngs(self.rng, len(self.queries)))
+
+        missing = [n for n in self.names if n not in self.parameters.join_sizes]
+        if missing:
+            raise ValueError(f"parameters missing join sizes for {missing}")
+
+    def _prepare(
+        self,
+        queries: Sequence[JoinQuery],
+        join_weights: str,
+        seed: RandomState,
+        max_iterations_factor: int,
+    ) -> None:
+        """The state every union sampler starts from, before its warm-up
+        (each derives its join samplers' streams and parameters its own way)."""
         check_union_compatible(list(queries))
         self.queries: List[JoinQuery] = list(queries)
         self.names: List[str] = [q.name for q in self.queries]
@@ -99,30 +199,23 @@ class UnionSamplerBase:
         self.max_iterations_factor = max_iterations_factor
         self.rng = ensure_rng(seed)
         self.stats = SamplingStats()
-
-        with self.stats.timer.phase("warmup"):
-            if isinstance(parameters, UnionSizeEstimator):
-                parameters = parameters.estimate()
-            self.parameters = parameters
-            sampler_seeds = spawn_rngs(self.rng, len(self.queries))
-            self.join_samplers: Dict[str, JoinSampler] = {
-                q.name: JoinSampler(q, weights=join_weights, seed=s)
-                for q, s in zip(self.queries, sampler_seeds)
-            }
-
-        missing = [n for n in self.names if n not in self.parameters.join_sizes]
-        if missing:
-            raise ValueError(f"parameters missing join sizes for {missing}")
-
+        #: the snapshot the sampler's state describes
+        self._versions = observed_versions(self.queries)
         #: each join's per-iteration selection probability (the policy's own)
         self._probabilities: Dict[str, float] = {}
         #: batched join-selection state (rebuilt when the distribution changes)
         self._selector: Optional[BatchedCategorical] = None
         self._selector_source: Optional[Dict[str, float]] = None
         #: per-join uniform sample values, refilled block-wise (zero-object)
-        self._value_queues: Dict[str, Deque[Tuple]] = {n: deque() for n in self.names}
+        self._value_queues: Dict[str, Deque[Any]] = {n: deque() for n in self.names}
         #: probers of the cover test, for the policies that probe
         self.membership: Optional[UnionMembershipIndex] = None
+
+    def _open_join_samplers(self, seeds: Sequence[np.random.Generator]) -> None:
+        self.join_samplers: Dict[str, JoinSampler] = {
+            q.name: JoinSampler(q, weights=self.join_weights, seed=s)
+            for q, s in zip(self.queries, seeds)
+        }
 
     # ------------------------------------------------------------------ hooks
     def _iterate(self, remaining: int) -> List[UnionSample]:
@@ -133,40 +226,55 @@ class UnionSamplerBase:
     # ----------------------------------------------------------------- public
     def sample(self, count: int) -> SampleResult:
         """Draw ``count`` samples from the union (with replacement)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        limit = self._iteration_limit(count)
         accepted: List[UnionSample] = []
-        max_iterations = max(count, 1) * self.max_iterations_factor
         while len(accepted) < count:
-            if self.stats.iterations >= max_iterations:
-                raise RuntimeError(
-                    f"{type(self).__name__} exceeded {max_iterations} iterations "
-                    f"while collecting {count} samples (rejection rate too high)"
-                )
-            self.stats.iterations += 1
-            started = time.perf_counter()
-            new_samples = self._iterate(count - len(accepted))
-            elapsed = time.perf_counter() - started
-            if new_samples:
-                self.stats.timer.add("accepted", elapsed)
-                accepted.extend(new_samples)
-                self.stats.accepted += len(new_samples)
-            else:
-                self.stats.timer.add("rejected", elapsed)
-        self._collect_join_sampler_stats()
-        return SampleResult(
-            samples=accepted[:count] if count else [],
-            parameters=self.parameters,
-            stats=self.stats,
-            algorithm=self.algorithm,
-        )
+            accepted.extend(self._step(limit, count, count - len(accepted)))
+        return self._result(accepted[:count], self.algorithm)
 
     # --------------------------------------------------------------- internal
-    def _collect_join_sampler_stats(self) -> None:
+    def _iteration_limit(self, count: int) -> int:
+        """The iteration budget of ``sample(count)``, granted only while the
+        snapshot the sampler was built on is still the database's."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if observed_versions(self.queries) != self._versions:
+            raise RuntimeError(
+                f"base relations mutated since this {type(self).__name__} was built "
+                "and it has no refresh(); build a new sampler for the new snapshot"
+            )
+        return max(count, 1) * self.max_iterations_factor
+
+    def _guard(self, limit: int, count: int) -> None:
+        if self.stats.iterations >= limit:
+            raise RuntimeError(
+                f"{type(self).__name__} exceeded {limit} iterations "
+                f"while collecting {count} samples (rejection rate too high)"
+            )
+
+    def _step(self, limit: int, count: int, remaining: int) -> List[UnionSample]:
+        """One guarded, counted and timed iteration; returns what it accepted."""
+        self._guard(limit, count)
+        self.stats.iterations += 1
+        started = time.perf_counter()
+        new_samples = self._iterate(remaining)
+        elapsed = time.perf_counter() - started
+        if new_samples:
+            self.stats.timer.add("accepted", elapsed)
+            self.stats.accepted += len(new_samples)
+        else:
+            self.stats.timer.add("rejected", elapsed)
+        return new_samples
+
+    def _result(self, samples: List[UnionSample], algorithm: str) -> SampleResult:
+        """The call's result, with the per-join samplers' totals collected."""
         attempts = sum(s.stats.attempts for s in self.join_samplers.values())
         accepted = sum(s.stats.accepted for s in self.join_samplers.values())
         self.stats.join_sampler_attempts = attempts
         self.stats.join_sampler_rejections = attempts - accepted
+        return SampleResult(
+            samples=samples, parameters=self.parameters, stats=self.stats, algorithm=algorithm
+        )
 
     def _select_join(self, probabilities: Dict[str, float]) -> str:
         """Select a join; selections are drawn one multinomial batch at a time."""
@@ -174,7 +282,7 @@ class UnionSamplerBase:
             weights = [probabilities.get(n, 0.0) for n in self.names]
             self._selector = BatchedCategorical(self.rng, self.names, weights)
             self._selector_source = probabilities
-        return self._selector.draw()
+        return str(self._selector.draw())
 
     def _demand(self, join_name: str, remaining: int) -> int:
         """Draws the rest of the call expects to ask of ``join_name``: one
@@ -182,29 +290,31 @@ class UnionSamplerBase:
         selection probability (rejections ask again, with less owed)."""
         return math.ceil(remaining * min(self._probabilities.get(join_name, 0.0), 1.0))
 
-    def _draw_value(self, join_name: str, remaining: int) -> Tuple:
+    def _draw_value(self, join_name: str, remaining: int) -> Value:
         self.stats.record_draw(join_name)
-        return drain_value_queue(
+        value: Value = drain_value_queue(
             self.join_samplers[join_name],
             self._value_queues[join_name],
             self._demand(join_name, remaining),
         )
+        return value
 
-    def _draw_cover_value(self, position: int, remaining: int) -> Tuple[Tuple, bool]:
+    def _draw_cover_value(self, position: int, remaining: int) -> Tuple[Value, bool]:
         """A value of join ``position`` and whether an earlier join contains
         it: the cover test of the probing policies.  It runs when the join's
         queue refills, on the whole block, and its verdicts are queued beside
         the values."""
         join_name = self.names[position]
         self.stats.record_draw(join_name)
-        return drain_value_queue(
+        drawn: Tuple[Value, bool] = drain_value_queue(
             self.join_samplers[join_name],
             self._value_queues[join_name],
             self._demand(join_name, remaining),
             lambda values: zip(values, self._owned_by_earlier(position, values)),
         )
+        return drawn
 
-    def _owned_by_earlier(self, position: int, values: List[Tuple]) -> List[bool]:
+    def _owned_by_earlier(self, position: int, values: List[Value]) -> List[bool]:
         """Per value, whether a join before ``position`` contains it: one
         batched probe per earlier join, each narrowed to the values no join
         before it has claimed."""
@@ -215,7 +325,8 @@ class UnionSamplerBase:
             if free.size == 0:
                 break
             owned[free] = self.membership.contains_many(earlier, [values[i] for i in free])
-        return owned.tolist()
+        verdicts: List[bool] = owned.tolist()
+        return verdicts
 
 
 class DisjointUnionSampler(UnionSamplerBase):
@@ -227,7 +338,7 @@ class DisjointUnionSampler(UnionSamplerBase):
 
     algorithm = "disjoint-union"
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._probabilities = self.parameters.selection_probabilities(use_cover=False)
 
@@ -248,7 +359,9 @@ class BernoulliUnionSampler(UnionSamplerBase):
 
     algorithm = "bernoulli-set-union"
 
-    def __init__(self, *args, membership: Optional[UnionMembershipIndex] = None, **kwargs) -> None:
+    def __init__(
+        self, *args: Any, membership: Optional[UnionMembershipIndex] = None, **kwargs: Any
+    ) -> None:
         super().__init__(*args, **kwargs)
         self.membership = membership or UnionMembershipIndex(self.queries)
         union_size = max(self.parameters.union_size, 1e-12)
@@ -315,16 +428,8 @@ class SetUnionSampler(UnionSamplerBase):
             use_cover=(mode == "record")
         )
         self._positions = {name: i for i, name in enumerate(self.names)}
-        #: value -> index of the join currently recorded as its origin
-        self._orig_join: Dict[Tuple, int] = {}
-        #: accepted samples in acceptance order; revisions tombstone entries
-        #: (set them to None) instead of rebuilding the whole list
-        self._accepted: List[Optional[UnionSample]] = []
-        #: value -> slots of its accepted copies (side index driving revisions)
-        self._value_slots: Dict[Tuple, List[int]] = {}
-        self._live_count = 0
+        self._ledger = RecordLedger(self.stats)
 
-    # -------------------------------------------------------------- iteration
     def _iterate(self, remaining: int) -> List[UnionSample]:
         join_name = self._select_join(self._probabilities)
         position = self._positions[join_name]
@@ -334,74 +439,19 @@ class SetUnionSampler(UnionSamplerBase):
             if owned:
                 self.stats.rejected_duplicate += 1
                 return []
-            sample = UnionSample(value, join_name, self.stats.iterations)
-            self._accept(sample)
-            return [sample]
+            return [self._ledger.keep(UnionSample(value, join_name, self.stats.iterations))]
 
         value = self._draw_value(join_name, remaining)
-        recorded = self._orig_join.get(value)
-        if recorded is not None and recorded < position:
-            # Already owned by an earlier join in the cover order: reject.
-            self.stats.rejected_duplicate += 1
-            return []
-        if recorded is not None and recorded > position:
-            # Revision: the cover says this value belongs to the earlier join.
-            self.stats.revisions += 1
-            removed = self._remove_value(value)
-            self.stats.revision_removed += removed
-        self._orig_join[value] = position
-        sample = UnionSample(value, join_name, self.stats.iterations)
-        self._accept(sample)
-        return [sample]
+        sample = self._ledger.offer(value, position, join_name, self.stats.iterations)
+        return [] if sample is None else [sample]
 
-    def _accept(self, sample: UnionSample) -> None:
-        """Record an accepted sample and index its slot for later revisions."""
-        self._value_slots.setdefault(sample.value, []).append(len(self._accepted))
-        self._accepted.append(sample)
-        self._live_count += 1
-
-    def _remove_value(self, value: Tuple) -> int:
-        """Drop all previously accepted copies of ``value`` (revision step).
-
-        The value -> slots side index makes this O(copies of the value)
-        instead of a rebuild of the whole accepted list.
-        """
-        removed = 0
-        for slot in self._value_slots.pop(value, ()):
-            if self._accepted[slot] is not None:
-                self._accepted[slot] = None
-                removed += 1
-        self._live_count -= removed
-        return removed
-
-    # ----------------------------------------------------------------- public
     def sample(self, count: int) -> SampleResult:
         """Draw ``count`` samples, honouring revisions (which may shrink the pool)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        max_iterations = max(count, 1) * self.max_iterations_factor
-        while self._live_count < count:
-            if self.stats.iterations >= max_iterations:
-                raise RuntimeError(
-                    f"SetUnionSampler exceeded {max_iterations} iterations while "
-                    f"collecting {count} samples"
-                )
-            self.stats.iterations += 1
-            started = time.perf_counter()
-            new_samples = self._iterate(count - self._live_count)
-            elapsed = time.perf_counter() - started
-            if new_samples:
-                self.stats.timer.add("accepted", elapsed)
-                self.stats.accepted += len(new_samples)
-            else:
-                self.stats.timer.add("rejected", elapsed)
-        self._collect_join_sampler_stats()
-        live = [s for s in self._accepted if s is not None]
-        return SampleResult(
-            samples=live[:count],
-            parameters=self.parameters,
-            stats=self.stats,
-            algorithm=f"{self.algorithm}-{self.mode}",
+        limit = self._iteration_limit(count)
+        while self._ledger.live < count:
+            self._step(limit, count, count - self._ledger.live)
+        return self._result(
+            self._ledger.live_samples()[:count], f"{self.algorithm}-{self.mode}"
         )
 
 

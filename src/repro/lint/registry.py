@@ -168,14 +168,14 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         ),
         exempt=frozenset({"stale"}),
     ),
-    # Union-level uniformity needs the join-selection distribution, the
-    # membership memo (behind ``membership``, shared with the warm-up
-    # estimator), the per-join value queues (a round's leftovers stay there)
-    # and the per-join samplers re-synced before any draw: all describe the
-    # snapshot they were filled from.
+    # The per-snapshot state, exactly what ``_start_snapshot`` sets (the
+    # membership memo sits behind ``membership``).
     "OnlineUnionSampler": EpochContract(
         refresh_methods=frozenset({"refresh"}),
-        cached_attrs=frozenset({"_probabilities", "membership", "_value_queues"}),
+        cached_attrs=frozenset({
+            "parameters", "_probabilities", "confidence_level", "_pools", "membership",
+            "_records", "_records_since_update", "_ledger", "_value_queues", "_versions",
+        }),
         entry_points=frozenset({"sample"}),
     ),
     # The table has no staleness check of its own: its owner's does it
@@ -227,7 +227,6 @@ MERGE_REGISTRY: Dict[str, MergeContract] = {
 DETERMINISM_FUNCTIONS: FrozenSet[str] = frozenset(
     {
         "shape_key",
-        "epoch_vector",
         "plan_tasks",
         "observed_versions",
         "shard_seed_sequences",

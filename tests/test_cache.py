@@ -24,11 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aqp import AggregateSpec, OnlineAggregator, exact_aggregate
-from repro.cache import SampleCache, epoch_vector, shape_key
+from repro.cache import SampleCache, shape_key
 from repro.cache.store import CachedStream
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import execute_join
-from repro.joins.query import JoinQuery
+from repro.joins.query import JoinQuery, observed_versions
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
 
@@ -138,7 +138,7 @@ class TestSampleCache:
         # The lazy path is per-object: re-resolving q2 (whose R did not
         # change) starts a fresh entry at its unchanged epoch.
         fresh = cache.entry(q2, "ew")
-        assert fresh.epoch == epoch_vector(q2)
+        assert fresh.epoch == observed_versions((q2,))
 
     def test_stale_epoch_is_a_miss_and_drops_the_entry(self):
         query = build_chain()
@@ -150,7 +150,7 @@ class TestSampleCache:
         assert replacement is not entry
         assert not entry.alive
         assert cache.stats_dict()["stale_drops"] == 1
-        assert replacement.epoch == epoch_vector(query)
+        assert replacement.epoch == observed_versions((query,))
 
     def test_read_returns_whole_blocks_from_cursor(self):
         query = build_chain()
@@ -382,7 +382,7 @@ def test_no_interleaving_serves_a_stale_epoch(ops):
             assert report.to_dict() == reference.to_dict()
         else:
             assert cached.cached_samples > 0
-            assert cached._cache_entry.epoch == epoch_vector(query)
+            assert cached._cache_entry.epoch == observed_versions((query,))
             truth = sum_truth(query)
             estimate = report.estimates[()]
             slack = 5 * estimate.half_width + 0.5 * abs(truth) + 1e-9

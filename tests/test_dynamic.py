@@ -266,7 +266,7 @@ class TestStreamingScenario:
         assert not sampler.refresh()  # nothing mutated: no-op
         union_pair[0].relation("S").append((10, 900))
         assert sampler.refresh()
-        assert sampler._live_count == 0  # old-epoch bookkeeping dropped
+        assert sampler._ledger.live == 0  # old-epoch bookkeeping dropped
         result = sampler.sample(80)
         universe = set()
         for query in union_pair:

@@ -10,10 +10,13 @@ Three layers:
   name-keyed contracts follow the code wherever it lives.
 """
 
+import ast
+import inspect
 import json
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -207,6 +210,39 @@ class TestScratchCopySeeding:
         assert mutated != text
         path.write_text(mutated)
         _assert_catches(path, "EPOCH001")
+
+    @pytest.mark.parametrize(
+        "attr", ["_ledger", "_records", "_pools", "parameters", "confidence_level"]
+    )
+    def test_per_snapshot_reader_in_online_sampler_copy(self, tmp_path, attr):
+        """Every field ``_start_snapshot`` sets is epoch state: a public
+        reader of any of them that skips ``refresh()`` is caught."""
+        path = _scratch_copy(tmp_path, "src/repro/core/online_sampler.py")
+        text = path.read_text()
+        mutated = text.replace(
+            "    # ------------------------------------------------------------------ rounds\n",
+            f"    def peek(self):\n        return self.{attr}\n\n",
+        )
+        assert mutated != text
+        path.write_text(mutated)
+        _assert_catches(path, "EPOCH001")
+
+    def test_the_contract_names_what_start_snapshot_sets(self):
+        """The EPOCH001 contract and the one per-snapshot reset list the
+        same fields, so a field added to either is caught without the other."""
+        from repro.core.online_sampler import OnlineUnionSampler
+        from repro.lint.registry import EPOCH_REGISTRY
+
+        source = textwrap.dedent(inspect.getsource(OnlineUnionSampler._start_snapshot))
+        assigned = {
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+        assert assigned == EPOCH_REGISTRY["OnlineUnionSampler"].cached_attrs
 
     def test_epoch_violation_in_alias_table_copy(self, tmp_path):
         """The table's built flags and cold-draw count are per-snapshot

@@ -226,16 +226,13 @@ class TestTimeAccounting:
 
 def scalar_sample(sampler, count):
     """``sample(count)`` one iteration at a time through the ``_iterate``
-    oracle: count the iteration, run it, refine when due."""
-    limit = max(count, 1) * sampler.max_iterations_factor
-    while sampler._live_count < count:
-        if sampler.stats.iterations >= limit:
-            raise RuntimeError("iteration guard")
-        sampler.stats.iterations += 1
-        if sampler._iterate() is not None:
-            sampler.stats.accepted += 1
+    oracle, in Algorithm 1's skeleton: guard, count and run the iteration,
+    then refine when due."""
+    limit = sampler._iteration_limit(count)
+    while sampler._ledger.live < count:
+        sampler._step(limit, count, count - sampler._ledger.live)
         sampler._maybe_update_parameters()
-    return [s for s in sampler._accepted if s is not None][:count]
+    return sampler._ledger.live_samples()[:count]
 
 
 def refinement_record_counts(sampler, monkeypatch):
@@ -279,8 +276,8 @@ class TestRoundsAgainstTheScalarOracle:
             result = sampler.sample(250)
             stats = result.stats
             assert stats.iterations == stats.accepted + stats.rejected_duplicate
-            assert len(result) == 250 == sampler._live_count
-            assert sampler._live_count == (
+            assert len(result) == 250 == sampler._ledger.live
+            assert sampler._ledger.live == (
                 stats.accepted - stats.revision_removed - stats.backtrack_removed
             )
             recorded = sum(len(records) for records in sampler._records.values())

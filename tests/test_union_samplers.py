@@ -1,11 +1,14 @@
 """Tests for repro.core.union_sampler (disjoint, Bernoulli, set-union)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.uniformity import chi_square_uniformity
+from repro.core.result import SamplingStats, UnionSample
 from repro.core.union_sampler import (
     BernoulliUnionSampler,
     DisjointUnionSampler,
+    RecordLedger,
     SetUnionSampler,
 )
 from repro.estimation.exact import FullJoinUnionEstimator
@@ -192,3 +195,87 @@ class TestTimeAccounting:
         estimator = FullJoinUnionEstimator(union_triple)
         sampler = SetUnionSampler(union_triple, estimator, seed=15)
         assert sampler.stats.warmup_seconds > 0
+
+
+class TestSnapshotPin:
+    """Samplers without ``refresh()`` refuse a mutated database instead of
+    serving the snapshot they were built on."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda queries, exact: SetUnionSampler(queries, exact, seed=3, mode="record"),
+            lambda queries, exact: SetUnionSampler(queries, exact, seed=3, mode="strict"),
+            lambda queries, exact: BernoulliUnionSampler(queries, exact, seed=3),
+            lambda queries, exact: DisjointUnionSampler(queries, exact, seed=3),
+        ],
+        ids=["set-union-record", "set-union-strict", "bernoulli", "disjoint"],
+    )
+    def test_a_mutation_is_refused_not_served(self, union_pair, make):
+        sampler = make(union_pair, FullJoinUnionEstimator(union_pair).estimate())
+        assert len(sampler.sample(40)) == 40
+        # (2, 300) leaves the union: J1 was its only join.
+        union_pair[0].relation("S").delete_where(lambda row, schema: row == (20, 300))
+        with pytest.raises(RuntimeError, match="no refresh"):
+            sampler.sample(60)
+
+
+# One ledger operation: offer or keep a value drawn from a join position, or
+# retain every live sample except those accepted at the listed iterations.
+LEDGER_OPERATIONS = st.one_of(
+    st.tuples(st.sampled_from(["offer", "keep"]), st.integers(0, 3), st.integers(0, 2)),
+    st.tuples(st.just("retain"), st.frozensets(st.integers(0, 40)), st.just(0)),
+)
+
+
+class TestRecordLedger:
+    """The record rule, written once for Algorithms 1 and 2, against a replay
+    that recomputes the live samples from scratch after every operation."""
+
+    @given(st.lists(LEDGER_OPERATIONS, max_size=40))
+    @example([("keep", 1, 0), ("offer", 1, 2), ("offer", 1, 0)])  # revision drops a kept copy
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_naive_replay(self, operations):
+        stats = SamplingStats()
+        ledger = RecordLedger(stats)
+        live, owners = [], {}
+        revisions = removed = rejected = 0
+        for iteration, (kind, argument, position) in enumerate(operations):
+            if kind == "retain":
+                asked = []
+
+                def keep(sample, dropped=argument, asked=asked):
+                    asked.append(sample)
+                    return sample.iteration not in dropped
+
+                survivors = [s for s in live if s.iteration not in argument]
+                assert ledger.retain(keep) == len(live) - len(survivors)
+                assert asked == live  # once per live sample, in order
+                live = survivors
+                continue
+            value, name = (argument,), f"J{position}"
+            sample = UnionSample(value, name, iteration)
+            if kind == "keep":
+                assert ledger.keep(sample) is sample
+                live.append(sample)
+                continue
+            owner = owners.get(value)
+            if owner is not None and owner < position:
+                rejected += 1
+                assert ledger.offer(value, position, name, iteration) is None
+                continue
+            if owner is not None and owner > position:
+                revisions += 1
+                removed += sum(s.value == value for s in live)
+                live = [s for s in live if s.value != value]
+            owners[value] = position
+            live.append(sample)
+            assert ledger.offer(value, position, name, iteration) == sample
+        assert ledger.live_samples() == live
+        assert ledger.live == len(live)
+        assert ledger.owners == owners
+        assert (stats.revisions, stats.revision_removed, stats.rejected_duplicate) == (
+            revisions,
+            removed,
+            rejected,
+        )
