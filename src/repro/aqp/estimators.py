@@ -30,10 +30,13 @@ counts, duplicates included); aggregates over a **union of joins** follow the
 paper's set semantics (each distinct output tuple of ``J_1 ∪ ... ∪ J_n``
 counts once), because that is what the union samplers draw uniformly from.
 
-Accumulators are mergeable: estimates are computed with exactly-rounded
-summation (:func:`math.fsum`), so merging partial accumulators in *any*
-chunking order yields bit-identical estimates — a property the test suite
-verifies with Hypothesis.
+Accumulators are mergeable and incremental.  Each group keeps its
+contributions as float64 chunk arrays and, per chunk, adds the two totals its
+aggregate needs into exact integers (:class:`_ExactSum`); an estimate rounds
+each total once, which gives exactly what :func:`math.fsum` over every
+contribution gives.  So merging partial accumulators in *any* chunking order
+yields bit-identical estimates — a property the test suite verifies with
+Hypothesis — and a COUNT/SUM estimate costs O(groups), not O(contributions).
 """
 
 from __future__ import annotations
@@ -193,14 +196,126 @@ class AggregateReport:
         return payload
 
 
-class _GroupData:
-    """Accepted contributions of one group: inverse weights and g-values."""
+#: Exact totals count in units of ``2**-_SCALE``: ``np.frexp`` writes a finite
+#: float64 as ``M * 2**(e - 53)`` with an integer mantissa ``|M| < 2**53`` and
+#: ``e >= -1073``.
+_SCALE = 1126
+_UNIT = 1 << _SCALE
+#: Mantissas are bincounted as two halves of at most 27 bits: float64 bin sums
+#: of up to ``2**26`` halves are exact integers.
+_HALF_BITS = 26
+#: Terms per kernel run: far below ``2**26``, and small enough that a run's
+#: temporaries (64 KiB each) stay in cache and below malloc's mmap threshold
+#: instead of being mapped and faulted in afresh for every call.
+_RUN = 8192
 
-    __slots__ = ("weights", "values")
+
+class _ExactSum:
+    """A float64 total kept exactly, so partials merge in any order.
+
+    Finite terms add into ``total``, an integer in units of ``2**-_SCALE``;
+    non-finite terms are set aside in ``special``.  :meth:`value` rounds once:
+    int true division is correctly rounded, as :func:`math.fsum` is, and
+    ``fsum`` over the set-aside terms does what ``fsum`` over all terms does
+    with them (inf, nan, ``ValueError`` on ``inf + -inf``).
+    """
+
+    __slots__ = ("total", "special")
 
     def __init__(self) -> None:
-        self.weights: List[float] = []
-        self.values: List[float] = []
+        self.total = 0
+        self.special: List[float] = []
+
+    def merge(self, other: "_ExactSum") -> None:
+        self.total += other.total
+        self.special.extend(other.special)
+
+    def value(self) -> float:
+        if self.special:
+            return math.fsum(self.special)
+        return self.total / _UNIT
+
+
+def _exact_sums(
+    terms: np.ndarray, inverse: Optional[np.ndarray] = None, n_groups: int = 1
+) -> List[_ExactSum]:
+    """Exact per-group sums of ``terms``; term ``i`` belongs to ``inverse[i]``.
+
+    The mantissa halves are bincounted per (group, exponent), and each nonzero
+    bin is shifted into its group's integer: a handful of NumPy passes plus one
+    Python step per bin, however many terms there are.
+    """
+    sums = [_ExactSum() for _ in range(n_groups)]
+    finite = np.isfinite(terms)
+    if not finite.all():
+        bad = ~finite
+        owners = np.zeros(int(bad.sum()), dtype=int) if inverse is None else inverse[bad]
+        for owner, term in zip(owners.tolist(), terms[bad].tolist()):
+            sums[owner].special.append(term)
+        terms = terms[finite]
+        inverse = None if inverse is None else inverse[finite]
+    for start in range(0, len(terms), _RUN):
+        mantissa, exponent = np.frexp(terms[start:start + _RUN])
+        # M = high * 2**26 + low: integers, |high| <= 2**27, |low| <= 2**25.
+        high = np.rint(mantissa * 2.0 ** (53 - _HALF_BITS))
+        low = mantissa * 2.0 ** 53 - high * 2.0 ** _HALF_BITS
+        e_min = int(exponent.min())
+        span = int(exponent.max()) - e_min + 1
+        bins = exponent - e_min
+        if inverse is not None:
+            bins = inverse[start:start + _RUN] * span + bins
+        size = n_groups * span
+        high_sums = np.bincount(bins, weights=high, minlength=size).tolist()
+        low_sums = np.bincount(bins, weights=low, minlength=size).tolist()
+        for b, (high_sum, low_sum) in enumerate(zip(high_sums, low_sums)):
+            if high_sum or low_sum:
+                group, e = divmod(b, span)
+                exact = (int(high_sum) << _HALF_BITS) + int(low_sum)
+                sums[group].total += exact << (e + e_min + _SCALE - 53)
+    return sums
+
+
+class _GroupData:
+    """Accepted contributions of one group, and the totals its estimate reads.
+
+    ``weights``/``values`` (inverse weights and g-values, in ingest order) are
+    kept as float64 chunks for the bootstrap, AVG's residual and ``merge``;
+    ``first``/``second`` are the exact totals of the aggregate's two terms
+    (:meth:`AggregateAccumulator._terms`).
+    """
+
+    __slots__ = ("count", "first", "second", "_weights", "_values")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.first = _ExactSum()
+        self.second = _ExactSum()
+        self._weights: List[np.ndarray] = []
+        self._values: List[np.ndarray] = []
+
+    def add(
+        self, weights: np.ndarray, values: np.ndarray, first: _ExactSum, second: _ExactSum
+    ) -> None:
+        self.count += len(weights)
+        self._weights.append(weights)
+        self._values.append(values)
+        self.first.merge(first)
+        self.second.merge(second)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _joined(self._weights)
+
+    @property
+    def values(self) -> np.ndarray:
+        return _joined(self._values)
+
+
+def _joined(chunks: List[np.ndarray]) -> np.ndarray:
+    """The chunks as one array, kept as the list's only chunk."""
+    if len(chunks) != 1:
+        chunks[:] = [np.concatenate(chunks) if chunks else np.empty(0)]
+    return chunks[0]
 
 
 class AggregateAccumulator:
@@ -255,21 +370,23 @@ class AggregateAccumulator:
         if weights is not None and len(weights) != len(values):
             raise ValueError("weights must align with values")
         self.attempts += int(attempts)
+        self.accepted += len(values)
         where = self.spec.where
+        index: Dict[Tuple, int] = {}
+        inverse: List[int] = []
+        w_list: List[float] = []
+        g_list: List[float] = []
         for i, value in enumerate(values):
-            self.accepted += 1
-            if where is not None:
-                row = dict(zip(self.schema, value))
-                if not where(row):
-                    continue
-            w = float(weight) if weight is not None else float(weights[i])  # type: ignore[index]
-            g = 1.0 if self._value_pos is None else float(value[self._value_pos])
+            if where is not None and not where(dict(zip(self.schema, value))):
+                continue
+            w_list.append(float(weight if weights is None else weights[i]))  # type: ignore[arg-type]
+            g_list.append(1.0 if self._value_pos is None else float(value[self._value_pos]))
             key = tuple(value[p] for p in self._group_pos)
-            data = self._groups.get(key)
-            if data is None:
-                data = self._groups[key] = _GroupData()
-            data.weights.append(w)
-            data.values.append(g)
+            inverse.append(index.setdefault(key, len(index)))
+        if w_list:
+            self._ingest(
+                list(index), np.array(inverse), np.array(w_list), np.array(g_list)
+            )
 
     def ingest_block(
         self,
@@ -340,60 +457,79 @@ class AggregateAccumulator:
 
         if self._value_pos is None:
             g_arr = np.ones(k, dtype=float)
-        else:
-            g_arr = np.asarray(columns[self._value_pos], dtype=float)
+        else:  # a copy: kept contributions must not alias the caller's column
+            g_arr = np.array(columns[self._value_pos], dtype=float)
+        if w_arr is None:
+            w_arr = np.full(k, float(weight))  # type: ignore[arg-type]
         if mask is not None:
-            g_arr = g_arr[mask]
-            if w_arr is not None:
-                w_arr = w_arr[mask]
+            g_arr, w_arr = g_arr[mask], w_arr[mask]
 
         if not self._group_pos:
-            data = self._groups.get(GLOBAL_GROUP)
-            if data is None:
-                data = self._groups[GLOBAL_GROUP] = _GroupData()
-            data.values.extend(g_arr.tolist())
-            if w_arr is None:
-                data.weights.extend([float(weight)] * len(g_arr))
-            else:
-                data.weights.extend(w_arr.tolist())
+            self._ingest([GLOBAL_GROUP], None, w_arr, g_arr)
             return
-
         group_cols = [
             columns[p] if mask is None else columns[p][mask] for p in self._group_pos
         ]
         if len(group_cols) == 1 and group_cols[0].dtype != object:
-            # Single typed group column: unique + one stable argsort splits
-            # the block into per-group runs without touching Python rows.
+            # Single typed group column: groups in sorted key order, no
+            # Python rows.
             uniq, inverse = np.unique(group_cols[0], return_inverse=True)
-            order = np.argsort(inverse, kind="stable")
-            counts = np.bincount(inverse, minlength=len(uniq))
-            bounds = np.concatenate([[0], np.cumsum(counts)])
-            g_sorted = g_arr[order]
-            w_sorted = w_arr[order] if w_arr is not None else None
-            for gi, value in enumerate(uniq.tolist()):
-                lo, hi = int(bounds[gi]), int(bounds[gi + 1])
-                key = (value,)
-                data = self._groups.get(key)
-                if data is None:
-                    data = self._groups[key] = _GroupData()
-                data.values.extend(g_sorted[lo:hi].tolist())
-                if w_sorted is None:
-                    data.weights.extend([float(weight)] * (hi - lo))
-                else:
-                    data.weights.extend(w_sorted[lo:hi].tolist())
-            return
+            keys = [(value,) for value in uniq.tolist()]
+        else:
+            # Composite or object-typed keys: one Python pass to code rows.
+            index: Dict[Tuple, int] = {}
+            inverse = np.array([
+                index.setdefault(key, len(index))
+                for key in zip(*(c.tolist() for c in group_cols))
+            ])
+            keys = list(index)
+        self._ingest(keys, inverse, w_arr, g_arr)
 
-        # Composite or object-typed keys: one Python pass to bucket rows.
-        key_rows = list(zip(*(c.tolist() for c in group_cols)))
-        g_list = g_arr.tolist()
-        w_list = w_arr.tolist() if w_arr is not None else None
-        shared = float(weight) if w_list is None else 0.0
-        for i, key in enumerate(key_rows):
+    def _terms(self, w: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The two per-contribution terms whose totals the estimate reads.
+
+        ``float_power`` squares as CPython's ``x ** 2`` does (``libm`` pow);
+        ``np.square`` is ``x * x``, which differs from it in the last bit of
+        about one product in a thousand.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.spec.kind == "count":
+                return w, w * w
+            wg = w * g
+            if self.spec.kind == "sum":
+                return wg, np.float_power(wg, 2.0)
+            return w, wg
+
+    def _ingest(
+        self,
+        keys: Sequence[Tuple],
+        inverse: Optional[np.ndarray],
+        w: np.ndarray,
+        g: np.ndarray,
+    ) -> None:
+        """Append contribution ``(w[i], g[i])`` to group ``keys[inverse[i]]``.
+
+        Groups new to the accumulator are created in ``keys`` order, each
+        group's contributions keep stream order, and both exact totals of
+        every group come from one kernel pass over the chunk.
+        """
+        n = len(keys)
+        if n == 1:
+            inverse = None
+        first, second = self._terms(w, g)
+        firsts, seconds = _exact_sums(first, inverse, n), _exact_sums(second, inverse, n)
+        if inverse is None:
+            runs = [(w, g)]
+        else:
+            order = np.argsort(inverse, kind="stable")
+            w, g = w[order], g[order]
+            bounds = np.cumsum(np.bincount(inverse, minlength=n)).tolist()
+            runs = [(w[lo:hi], g[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
+        for key, (w_run, g_run), a, b in zip(keys, runs, firsts, seconds):
             data = self._groups.get(key)
             if data is None:
                 data = self._groups[key] = _GroupData()
-            data.values.append(g_list[i])
-            data.weights.append(shared if w_list is None else w_list[i])
+            data.add(w_run, g_run, a, b)
 
     def merge(self, other: "AggregateAccumulator") -> "AggregateAccumulator":
         """Fold another accumulator (same spec/schema) into this one."""
@@ -405,8 +541,7 @@ class AggregateAccumulator:
             mine = self._groups.get(key)
             if mine is None:
                 mine = self._groups[key] = _GroupData()
-            mine.weights.extend(data.weights)
-            mine.values.extend(data.values)
+            mine.add(data.weights, data.values, data.first, data.second)
         return self
 
     def reset(self) -> None:
@@ -431,7 +566,7 @@ class AggregateAccumulator:
         rng = ensure_rng(seed) if ci_method == "bootstrap" else None
         for key, data in groups.items():
             point, half = self._point_and_clt(data, confidence)
-            if ci_method == "bootstrap" and data.weights:
+            if ci_method == "bootstrap" and data.count:
                 low, high = self._bootstrap_interval(
                     data, confidence, bootstrap_replicates, rng
                 )
@@ -443,7 +578,7 @@ class AggregateAccumulator:
                 ci_low=low,
                 ci_high=high,
                 confidence=confidence,
-                accepted=len(data.weights),
+                accepted=data.count,
                 attempts=self.attempts,
                 ci_method=ci_method,
             )
@@ -460,39 +595,36 @@ class AggregateAccumulator:
     def _point_and_clt(self, data: _GroupData, confidence: float) -> Tuple[float, float]:
         """Point estimate and CLT half-width for one group.
 
-        All sums run through :func:`math.fsum` (exactly-rounded), so the result
-        does not depend on the order contributions were ingested or merged.
+        COUNT and SUM read the group's exact totals (Σw and Σw², or Σwg and
+        Σ(wg)²), each rounded once: O(1) per group, and exactly what
+        :func:`math.fsum` over the contributions gives, whatever order they
+        were ingested or merged in.  AVG reads Σw and Σwg the same way; its
+        residual sum depends on the current ratio, so it is recomputed over
+        the contribution arrays through the same exact kernel.
         """
         m = self.attempts
-        kind = self.spec.kind
         if m == 0:
             return 0.0, float("inf")
         z = z_value(confidence)
-        if kind == "avg":
-            sum_w = math.fsum(data.weights)
+        s1 = data.first.value()
+        if self.spec.kind == "avg":
+            sum_w = s1
             if sum_w <= 0:
                 return float("nan"), float("inf")
-            sum_wg = math.fsum(w * g for w, g in zip(data.weights, data.values))
-            ratio = sum_wg / sum_w
+            ratio = data.second.value() / sum_w
             if m < 2:
                 return ratio, float("inf")
             # Linearized (delta-method) variance of the Hájek ratio: the
             # per-attempt residual w·(g − R) has exact mean zero, rejected
             # attempts contribute zero.
-            ss = math.fsum(
-                (w * (g - ratio)) ** 2 for w, g in zip(data.weights, data.values)
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = np.float_power(data.weights * (data.values - ratio), 2.0)
+            ss = _exact_sums(squares)[0].value()
             variance = ss / (m - 1)
             mean_w = sum_w / m
             half = z * math.sqrt(variance / m) / mean_w
             return ratio, half
-        if kind == "count":
-            contributions = data.weights
-            s1 = math.fsum(contributions)
-            s2 = math.fsum(w * w for w in contributions)
-        else:  # sum
-            s1 = math.fsum(w * g for w, g in zip(data.weights, data.values))
-            s2 = math.fsum((w * g) ** 2 for w, g in zip(data.weights, data.values))
+        s2 = data.second.value()
         point = s1 / m
         if m < 2:
             return point, float("inf")
@@ -515,9 +647,8 @@ class AggregateAccumulator:
         failed attempts.
         """
         m = self.attempts
-        n = len(data.weights)
-        w = np.asarray(data.weights, dtype=float)
-        g = np.asarray(data.values, dtype=float)
+        n = data.count
+        w, g = data.weights, data.values
         kind = self.spec.kind
         stats: List[float] = []
         hits = rng.binomial(m, n / m, size=replicates) if m > 0 else np.zeros(replicates, int)

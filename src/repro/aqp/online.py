@@ -273,8 +273,9 @@ class OnlineAggregator:
         # Geometric step schedule: start small so an easy target stops after
         # a few hundred samples, grow toward the planned batch size so a
         # tight target is not nickel-and-dimed by per-step overhead.  Total
-        # overshoot is bounded by the final step; total estimate() cost stays
-        # O(n log n).
+        # overshoot is bounded by the final step.  A COUNT/SUM estimate()
+        # reads running exact totals, O(groups) per step; AVG's residual pass
+        # keeps its total cost O(n log n).
         step_size = min(self.batch_size, 256)
         while not self._converged(report, rel_error, min_accepted):
             with self._lock:

@@ -395,7 +395,10 @@ class OnlineUnionSampler(UnionSamplerBase):
             nonlocal worst_half_width
             if len(subset) == 1:
                 return join_sizes[next(iter(subset))]
-            pivot = max(subset, key=lambda n: len(self._records[n]))
+            # Ties go to the earliest declared join, not to string-hash order.
+            pivot = max(
+                (n for n in self.names if n in subset), key=lambda n: len(self._records[n])
+            )
             records = self._records[pivot]
             if not records:
                 # No member of the subset has been drawn from yet: the

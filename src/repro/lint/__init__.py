@@ -1,7 +1,7 @@
 """``repro.lint`` — an AST-based invariant linter for this codebase.
 
 The system's correctness rests on a handful of hand-maintained contracts:
-the versioned epoch protocol (PR 2), the exactly-rounded ``fsum`` merge law
+the versioned epoch protocol (PR 2), the exactly-rounded merge law
 (PR 3), SeedSequence-only RNG discipline (PR 4), and lock-guarded shared
 state in the server/pool/cache layers (PR 7/8).  Nothing in CPython checks
 those statically: a new entry point that forgets ``refresh()``, a bare

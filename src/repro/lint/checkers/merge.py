@@ -1,14 +1,14 @@
-"""Merge law: accumulator contributions merge exactly-rounded (PR 3).
+"""Merge law: accumulator contributions merge exactly-rounded.
 
-Mergeable accumulators keep raw per-attempt contributions and sum them
-once, at estimate time, with :func:`math.fsum` — that is what makes merged
-partials bit-identical in any chunk order, which the parallel shard
-coordinator, the cache tier, and the worker-invariance tests all rely on.
-Folding previously-rounded float partials with ``+=`` (or a plain binary
-``+``) reintroduces order-dependent rounding; so does collapsing a
-contribution list with the builtin ``sum``.  Integer tallies (attempt and
-acceptance counters) are exact under ``+=`` and exempt via the contract's
-``int_counters``.
+Mergeable accumulators keep their per-attempt contributions and never fold
+rounded float partials; their totals are exact integers, rounded once at
+estimate time — that is what makes merged partials bit-identical in any
+chunk order, which the parallel shard coordinator, the cache tier, and the
+worker-invariance tests all rely on.  Folding previously-rounded float
+partials with ``+=`` (or a plain binary ``+``) reintroduces order-dependent
+rounding; so does collapsing contributions with the builtin ``sum``.
+Integers (exact totals, attempt and acceptance counters) are exact under
+``+=`` and exempt via the contract's ``int_counters``.
 """
 
 from __future__ import annotations
@@ -30,16 +30,16 @@ RULES = (
         id="MERGE001",
         name="rounded-partial-fold",
         invariant=(
-            "accumulator sum fields merge by extending contribution lists, "
-            "never by `+=` on rounded float partials"
+            "accumulators keep contributions and add into exact integer "
+            "totals, never `+=` on rounded float partials"
         ),
     ),
     Rule(
         id="MERGE002",
         name="builtin-sum-in-accumulator",
         invariant=(
-            "accumulator estimates use math.fsum (exactly rounded), never "
-            "the builtin sum"
+            "accumulator totals are exact integers rounded once at estimate "
+            "time, never the builtin sum"
         ),
     ),
 )
@@ -73,9 +73,9 @@ def _check_class(
                         col=sub.col_offset,
                         message=(
                             f"{node.name}: `self.{target.attr} += ...` folds a "
-                            "rounded partial; keep contributions and fsum at "
-                            "estimate time (int counters belong in the "
-                            "contract's int_counters)"
+                            "rounded partial; keep contributions and exact "
+                            "integer totals, rounded once at estimate time "
+                            "(integers belong in the contract's int_counters)"
                         ),
                     )
                 )
@@ -102,7 +102,8 @@ def _check_class(
                         message=(
                             f"{node.name}: `self.{target.attr} = self."
                             f"{target.attr} + ...` folds a rounded partial; "
-                            "keep contributions and fsum at estimate time"
+                            "keep contributions and exact integer totals, "
+                            "rounded once at estimate time"
                         ),
                     )
                 )
@@ -122,8 +123,8 @@ def _check_class(
                     col=sub.col_offset,
                     message=(
                         f"{node.name}: builtin sum() inside a mergeable "
-                        "accumulator; use math.fsum for exactly-rounded, "
-                        "order-invariant totals"
+                        "accumulator rounds as it goes; keep exact integer "
+                        "totals and round once at estimate time"
                     ),
                 )
             )

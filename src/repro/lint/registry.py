@@ -202,12 +202,13 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
 # ----------------------------------------------------------------- merge law
 @dataclass(frozen=True)
 class MergeContract:
-    """The PR 3 merge law of one mergeable accumulator class.
+    """The merge law of one mergeable accumulator class.
 
-    Statistical contributions must be *kept* (list extend) and summed once
-    with :func:`math.fsum` at estimate time; folding previously-rounded
-    float partials with ``+=`` destroys chunk-order invariance.  Integer
-    tallies in ``int_counters`` are exact under ``+=`` and exempt.
+    Statistical contributions are *kept*, and rounded float partials are
+    never folded: ``+=`` on a rounded float destroys chunk-order
+    invariance.  Totals are exact integers, rounded once at estimate time;
+    they and the integer tallies are named in ``int_counters``, exact under
+    ``+=`` and exempt.
     """
 
     int_counters: FrozenSet[str]
@@ -217,7 +218,10 @@ MERGE_REGISTRY: Dict[str, MergeContract] = {
     "AggregateAccumulator": MergeContract(
         int_counters=frozenset({"attempts", "accepted"})
     ),
-    "_GroupData": MergeContract(int_counters=frozenset()),
+    "_GroupData": MergeContract(int_counters=frozenset({"count"})),
+    # The exact sum: an integer in units of 2**-1126, plus the non-finite
+    # terms set aside in a list.
+    "_ExactSum": MergeContract(int_counters=frozenset({"total"})),
 }
 
 

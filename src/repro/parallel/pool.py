@@ -16,7 +16,8 @@ answers (pinned by ``tests/test_parallel.py`` and the Hypothesis property in
 **Shard-merge via the accumulator merge law.**  Aggregate shards return
 partial :class:`~repro.aqp.estimators.AggregateAccumulator` objects; the
 coordinator folds them with :meth:`AggregateAccumulator.merge`, whose
-exactly-rounded (``math.fsum``) estimates are chunk-order-invariant — the
+exactly-rounded estimates (exact integer totals, rounded once) are
+chunk-order-invariant — the
 algebraic property that makes fan-out/merge safe (PR 3).
 
 **Epoch-aware cancellation.**  The coordinator snapshots every base

@@ -11,6 +11,9 @@ Two invariants are pinned here:
   in chunks, with the partial accumulators merged back in *any* order,
   produces bit-identical estimates and confidence intervals to a single
   accumulator fed the whole stream (exactly-rounded summation);
+* **exact totals ≡ fsum**: the accumulator's incremental exact totals give
+  bit for bit what the scalar formula — one ``math.fsum`` generator pass per
+  sum over every contribution — gives, non-finite values included;
 * **parallel determinism**: the parallel sampling service built on that
   merge law answers bit-identically for any worker count — same query, same
   seed, same shard plan ⇒ same merged estimate and CI bounds whether 1, 2,
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aqp import (
@@ -33,6 +38,8 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
+from repro.sampling.wander_join import z_value
+from repro.utils.rng import ensure_rng
 
 # --------------------------------------------------------------------- shapes
 rows_ab = st.lists(
@@ -261,6 +268,206 @@ def _same(x: float, y: float) -> bool:
     if math.isnan(x) and math.isnan(y):
         return True
     return x == y
+
+
+# ------------------------------------------------ exact totals ≡ fsum oracle
+def fsum_point_and_clt(weights, values, m, kind, confidence=0.95):
+    """Point estimate and CLT half-width by the scalar formula: one
+    ``math.fsum`` generator pass per sum over every contribution."""
+    if m == 0:
+        return 0.0, float("inf")
+    z = z_value(confidence)
+    if kind == "avg":
+        sum_w = math.fsum(weights)
+        if sum_w <= 0:
+            return float("nan"), float("inf")
+        ratio = math.fsum(w * g for w, g in zip(weights, values)) / sum_w
+        if m < 2:
+            return ratio, float("inf")
+        ss = math.fsum((w * (g - ratio)) ** 2 for w, g in zip(weights, values))
+        return ratio, z * math.sqrt(ss / (m - 1) / m) / (sum_w / m)
+    if kind == "count":
+        s1 = math.fsum(weights)
+        s2 = math.fsum(w * w for w in weights)
+    else:
+        s1 = math.fsum(w * g for w, g in zip(weights, values))
+        s2 = math.fsum((w * g) ** 2 for w, g in zip(weights, values))
+    if m < 2:
+        return s1 / m, float("inf")
+    return s1 / m, z * math.sqrt(max(s2 - s1 * s1 / m, 0.0) / (m - 1) / m)
+
+
+def fsum_bootstrap(weights, values, m, kind, confidence, replicates, rng):
+    """The percentile bootstrap over contribution lists."""
+    w, g, n = np.asarray(weights, dtype=float), np.asarray(values, dtype=float), len(weights)
+    stats = []
+    for k in rng.binomial(m, n / m, size=replicates):
+        if k == 0:
+            stats.append(0.0 if kind != "avg" else float("nan"))
+            continue
+        idx = rng.integers(0, n, size=int(k))
+        if kind == "count":
+            stats.append(float(w[idx].sum()) / m)
+        elif kind == "sum":
+            stats.append(float((w[idx] * g[idx]).sum()) / m)
+        else:
+            denom = float(w[idx].sum())
+            stats.append(float((w[idx] * g[idx]).sum()) / denom if denom > 0 else float("nan"))
+    arr = np.asarray([s for s in stats if not math.isnan(s)], dtype=float)
+    alpha = (1.0 - confidence) / 2.0
+    return float(np.quantile(arr, alpha)), float(np.quantile(arr, 1.0 - alpha))
+
+
+#: w ∈ [1e5, 1e6] and g ∈ [900, 5e5]: where ``(w*g) ** 2 != (w*g) * (w*g)``
+#: for about one product in a thousand.
+big_weights = st.floats(1e5, 1e6)
+wide_values = st.one_of(
+    st.floats(900, 5e5), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def contribution_chunks(draw):
+    """Chunks of ``(k, x)`` rows, each with a shared weight or per-sample
+    weights, and each ingested through ``observe`` or ``ingest_block``."""
+    chunks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.tuples(st.integers(-2, 2), wide_values), max_size=30))
+        if draw(st.booleans()):
+            weights = draw(big_weights)
+        else:
+            weights = draw(st.lists(big_weights, min_size=len(rows), max_size=len(rows)))
+        chunks.append((rows, weights, draw(st.integers(0, 5)), draw(st.booleans())))
+    return chunks
+
+
+ORACLE_SPECS = [
+    AggregateSpec("count"),
+    AggregateSpec("sum", attribute="x"),
+    AggregateSpec("avg", attribute="x"),
+    AggregateSpec("count", group_by="k"),
+    AggregateSpec("sum", attribute="x", group_by="k"),
+    AggregateSpec("avg", attribute="x", group_by="k"),
+    AggregateSpec("sum", attribute="x", group_by=("k", "x")),
+    AggregateSpec("sum", attribute="x", where=lambda row: row["k"] >= 0),
+]
+
+
+class TestExactTotalsMatchTheFsumOracle:
+    SCHEMA = ("k", "x")
+
+    def feed(self, spec, chunks):
+        accumulator = AggregateAccumulator(spec, self.SCHEMA)
+        for rows, weights, extra, via_block in chunks:
+            weighting = {"weight": weights} if isinstance(weights, float) else {"weights": weights}
+            if via_block:
+                columns = [
+                    np.array([k for k, _ in rows], dtype=np.int64),
+                    np.array([x for _, x in rows], dtype=float),
+                ]
+                accumulator.ingest_block(columns, attempts=len(rows) + extra, **weighting)
+            else:
+                accumulator.observe(rows, attempts=len(rows) + extra, **weighting)
+        return accumulator
+
+    def contributions(self, spec, chunks):
+        """Per-group ``(weights, values)`` lists in stream order."""
+        groups = {}
+        for rows, weights, _, _ in chunks:
+            for i, row in enumerate(rows):
+                named = dict(zip(self.SCHEMA, row))
+                if spec.where is not None and not spec.where(named):
+                    continue
+                key = tuple(named[a] for a in spec.group_attributes)
+                ws, gs = groups.setdefault(key, ([], []))
+                ws.append(weights if isinstance(weights, float) else weights[i])
+                gs.append(1.0 if spec.attribute is None else float(row[1]))
+        return groups or {(): ([], [])}
+
+    def assert_matches_oracle(self, spec, chunks):
+        m = sum(len(rows) + extra for rows, _, extra, _ in chunks)
+        report = self.feed(spec, chunks).estimate()
+        expected = self.contributions(spec, chunks)
+        assert set(report.estimates) == set(expected)
+        for key, (ws, gs) in expected.items():
+            point, half = fsum_point_and_clt(ws, gs, m, spec.kind)
+            got = report.estimates[key]
+            assert got.accepted == len(ws)
+            assert _same(got.estimate, point), (key, got, point)
+            assert _same(got.ci_low, point - half), (key, got, half)
+            assert _same(got.ci_high, point + half), (key, got, half)
+
+    @given(spec=st.sampled_from(ORACLE_SPECS), chunks=contribution_chunks())
+    @settings(max_examples=200, deadline=None)
+    def test_estimates_are_bit_identical_to_the_fsum_formula(self, spec, chunks):
+        self.assert_matches_oracle(spec, chunks)
+
+    @pytest.mark.parametrize("kind", ["count", "sum", "avg"])
+    def test_large_streams_where_squares_round_differently(self, kind):
+        """20k products in the regime where ``x ** 2`` (libm pow) and
+        ``x * x`` disagree in the last bit for some of them."""
+        rng = np.random.default_rng(11)
+        w, x = rng.uniform(1e5, 1e6, 20_000), rng.uniform(900, 5e5, 20_000)
+        products = (w * x).tolist()
+        assert any(p ** 2 != p * p for p in products)
+        rows = [(0, v) for v in x.tolist()]
+        chunks = [(rows[:7_000], w[:7_000].tolist(), 3, True),
+                  (rows[7_000:], w[7_000:].tolist(), 0, False)]
+        spec = AggregateSpec(kind, attribute=None if kind == "count" else "x")
+        self.assert_matches_oracle(spec, chunks)
+
+    @pytest.mark.parametrize("via_block", [True, False])
+    def test_single_products_whose_square_rounds_differently(self, via_block):
+        """One contribution per accumulator, so Σ(wg)² is that one square
+        and the interval shows its last bit."""
+        rng = np.random.default_rng(13)
+        w, x = rng.uniform(1e5, 1e6, 5_000), rng.uniform(900, 5e5, 5_000)
+        odd = [(wi, xi) for wi, xi in zip(w.tolist(), x.tolist())
+               if (wi * xi) ** 2 != (wi * xi) * (wi * xi)]
+        assert len(odd) >= 2
+        for wi, xi in odd:
+            self.assert_matches_oracle(
+                AggregateSpec("sum", attribute="x"), [([(0, xi)], [wi], 999, via_block)]
+            )
+
+    @pytest.mark.parametrize("kind", ["sum", "avg"])
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, math.inf, 2.0], [math.nan, 3.0], [math.inf, math.nan], [-math.inf, 4.0]],
+    )
+    def test_non_finite_values_behave_as_fsum_does(self, kind, values):
+        rows = [(0, v) for v in values]
+        chunks = [(rows[:1], 2.0, 1, True), (rows[1:], 2.0, 0, False)]
+        self.assert_matches_oracle(AggregateSpec(kind, attribute="x"), chunks)
+
+    @pytest.mark.parametrize("kind", ["sum", "avg"])
+    def test_inf_plus_minus_inf_raises_as_fsum_does(self, kind):
+        chunks = [([(0, math.inf)], 2.0, 0, True), ([(0, -math.inf)], 2.0, 0, False)]
+        with pytest.raises(ValueError):
+            fsum_point_and_clt([2.0, 2.0], [math.inf, -math.inf], 2, kind)
+        with pytest.raises(ValueError):
+            self.feed(AggregateSpec(kind, attribute="x"), chunks).estimate()
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_empty_groups(self, spec):
+        self.assert_matches_oracle(spec, [([], 5.0, 0, True)])
+        self.assert_matches_oracle(spec, [([], 5.0, 4, False)])
+        self.assert_matches_oracle(spec, [([(-1, 7.0)], 5.0, 4, False)])
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS[:6])
+    def test_bootstrap_interval_under_a_fixed_seed(self, spec):
+        rng = np.random.default_rng(5)
+        rows = [(int(k), float(x)) for k, x in zip(rng.integers(0, 3, 300),
+                                                   rng.uniform(900, 5e5, 300))]
+        chunks = [(rows[:120], 3e5, 40, True), (rows[120:], rng.uniform(1e5, 1e6, 180).tolist(), 0, False)]
+        m = 340
+        report = self.feed(spec, chunks).estimate(ci_method="bootstrap", seed=9)
+        expected = self.contributions(spec, chunks)
+        oracle_rng = ensure_rng(9)
+        for key, got in report.estimates.items():
+            ws, gs = expected[key]
+            low, high = fsum_bootstrap(ws, gs, m, spec.kind, 0.95, 200, oracle_rng)
+            assert (got.ci_low, got.ci_high) == (low, high)
 
 
 # -------------------------------------------------------- parallel determinism

@@ -1,6 +1,11 @@
 """Tests for repro.core.online_sampler (Algorithm 2: reuse + backtracking)."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from scipy.stats import chi2_contingency
@@ -13,6 +18,8 @@ from repro.parallel import parallel_aggregate
 from repro.tpch.workloads import build_uq1, build_uq2
 
 from tests.stat_helpers import assert_no_catastrophic_bias
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def union_values(queries):
@@ -56,6 +63,35 @@ class TestConstruction:
 def union_sum(queries, spec):
     """The enumerated union's exact aggregate: the truth, not another run."""
     return exact_aggregate(union_values(queries), spec, queries[0].output_schema)[()]
+
+
+REFINE_A_TIE = """
+import json
+from repro.core.online_sampler import OnlineUnionSampler, _Record
+from tests.conftest import make_chain_query
+
+j1 = make_chain_query("J1", r_rows=[(1, 10), (2, 20)], s_rows=[(10, 100), (10, 200), (20, 300)])
+j2 = make_chain_query("J2", r_rows=[(1, 10), (3, 30)], s_rows=[(10, 100), (10, 200), (30, 400)])
+sampler = OnlineUnionSampler([j1, j2], warmup="histogram", seed=1)
+sampler._records["J1"] = [_Record(v, 3.0) for v in [(1, 100), (2, 300)] * 5]
+sampler._records["J2"] = [_Record(v, 3.0) for v in [(1, 100)] + [(3, 400)] * 4] * 2
+refined = sampler._refine_parameters(sampler.parameters)
+overlaps = sorted([sorted(k), v] for k, v in refined.overlaps.items())
+print(json.dumps([refined.union_size, refined.cover_sizes, overlaps]))
+"""
+
+
+def refined_under_hash_seed(hash_seed):
+    """The refined parameters of :data:`REFINE_A_TIE`, in a fresh process."""
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": str(hash_seed),
+        "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", REFINE_A_TIE], env=env, cwd=REPO_ROOT,
+        capture_output=True, text=True, check=True,
+    ).stdout
 
 
 class TestJoinSizesAreExact:
@@ -102,6 +138,16 @@ class TestJoinSizesAreExact:
         sampler._records["J1"] = [_Record(v, 3.0) for v in [(1, 100), (2, 300)] * 30]
         sampler._refine_parameters(sampler.parameters)
         assert sampler.confidence_level == 0.0
+
+    def test_refinement_does_not_depend_on_the_string_hash_seed(self):
+        """J1 and J2 hold ten records each, so the pivot of their overlap is
+        a tie; J1's records put the overlap at 1.5 and J2's at 0.6.  The tie
+        goes to the earlier declared join in every process, whatever
+        ``PYTHONHASHSEED`` orders the frozenset of join names."""
+        outputs = {refined_under_hash_seed(seed) for seed in range(6)}
+        assert len(outputs) == 1, outputs
+        union_size, covers, overlaps = json.loads(outputs.pop())
+        assert overlaps == [[["J1", "J2"], 1.5]]
 
     def test_pooled_union_sum_matches_the_enumerated_union(self):
         """Every pooled union shard warms up from histograms (ROADMAP 1(a):

@@ -8,8 +8,10 @@ than only the (optional) benchmark run.  Thresholds are deliberately loose
 (``benchmarks/spine``) — to keep the test robust on noisy CI machines.
 """
 
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 from repro.joins.membership import UnionMembershipIndex
@@ -152,6 +154,35 @@ def test_batched_membership_probes_beat_the_scalar_loop():
     assert batched_s * 3 <= scalar_s, (
         f"contains_many ({batched_s * 1e3:.1f} ms) is not 3x ahead of the scalar "
         f"loop ({scalar_s * 1e3:.1f} ms) — batched membership kernel regressed"
+    )
+
+
+def test_sum_estimate_cost_does_not_grow_with_the_sample():
+    """A COUNT/SUM ``estimate()`` rounds running exact totals, so its cost is
+    per group, not per contribution: the median at 200k contributions stays
+    under 3x the median at 10k.  A pass over every contribution at estimate
+    time puts the ratio near 20x."""
+    from repro.aqp import AggregateAccumulator, AggregateSpec
+
+    rng = np.random.default_rng(41)
+
+    def median_estimate_s(contributions):
+        accumulator = AggregateAccumulator(AggregateSpec("sum", attribute="x"), ("x",))
+        for _ in range(contributions // 2000):
+            accumulator.ingest_block(
+                [rng.uniform(900, 5e5, 2000)], attempts=2100, weight=3.5e5
+            )
+        times = []
+        for _ in range(31):
+            started = time.perf_counter()
+            accumulator.estimate()
+            times.append(time.perf_counter() - started)
+        return statistics.median(times)
+
+    small, large = median_estimate_s(10_000), median_estimate_s(200_000)
+    assert large < 3 * small, (
+        f"estimate() at 200k contributions ({large * 1e6:.0f} us) is not within 3x "
+        f"of 10k ({small * 1e6:.0f} us) — estimates re-sum the contributions again"
     )
 
 

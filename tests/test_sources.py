@@ -38,7 +38,10 @@ def state(accumulator):
     return (
         accumulator.attempts,
         accumulator.accepted,
-        {key: (data.weights, data.values) for key, data in accumulator._groups.items()},
+        {
+            key: (data.weights.tolist(), data.values.tolist())
+            for key, data in accumulator._groups.items()
+        },
     )
 
 
@@ -181,7 +184,7 @@ class TestFanOut:
 
     def test_bootstrap_bounds_depend_on_main_then_surplus_order(self):
         """The pin above has teeth: shard-by-shard ingestion keeps the point
-        estimate (fsum is order-free) but moves the bootstrap bounds."""
+        estimate (exact totals are order-free) but moves the bootstrap bounds."""
         _, in_order = hand_split_run(make_chain(), 29, self.STEPS, "bootstrap")
         _, interleaved = hand_split_run(
             make_chain(), 29, self.STEPS, "bootstrap", interleave=True
