@@ -5,12 +5,12 @@ Builds the customer ⋈ orders ⋈ lineitem dynamic scenario at a ~100k-row
 lineitem scale, then replays the same TPC-H RF1/RF2 refresh stream twice:
 
 * **delta** — the incremental path: every batch goes through
-  ``Relation._commit_delta`` (O(Δ) patches to hash/CSR indexes, column
-  arrays and statistics), the weight function patches only the segments the
+  ``Relation._apply`` (the next snapshot of the column arrays, O(Δ)
+  patches to the CSR indexes and statistics), the weight function patches only the segments the
   dirty relations influence, and the sampler refreshes its plans;
 * **rebuild** — the seed behaviour: every batch wholesale-invalidates all
-  caches and rebuilds indexes, statistics, column arrays, weights and
-  sampler plans from scratch on next access.
+  caches and rebuilds indexes, statistics, weights and sampler plans from
+  scratch on next access.
 
 Both modes draw the same number of samples per epoch, so the measured time
 is "apply updates + bring the sampling engine back to serving state + serve".
@@ -68,8 +68,8 @@ def run_mode(mode: str) -> dict:
         counts = apply_batch(tables, batch)
         if mode == "rebuild":
             # Seed behaviour: caches die with the mutation; everything —
-            # indexes, CSR, statistics, column arrays, weights, plans — is
-            # rebuilt from the raw rows before the next sample is served.
+            # indexes, CSR, statistics, weights, plans — is rebuilt from the
+            # column arrays before the next sample is served.
             for name in query.relation_order:
                 query.relation(name)._invalidate()
             sampler = JoinSampler(query, weights="ew", seed=7)

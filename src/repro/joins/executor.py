@@ -45,10 +45,7 @@ def iterate_join_assignments(query: JoinQuery) -> Iterator[Dict[str, int]]:
             child = node.children[idx]
             parent_rel = query.relation(node.relation)
             child_rel = query.relation(child.relation)
-            key = tuple(
-                parent_rel.value(assignment[node.relation], attr)
-                for attr in child.parent_attributes
-            )
+            key = parent_rel.project_row(assignment[node.relation], child.parent_attributes)
             lookup = key if len(key) > 1 else key[0]
             index = child_rel.index_on_columns(child.child_attributes)
             for pos in index.positions(lookup).tolist():
@@ -75,9 +72,19 @@ def execute_join(query: JoinQuery) -> List[ResultValue]:
     """Materialize the join and return the list of output values (``t.val``).
 
     Duplicate values are preserved (the multiset of join results projected
-    onto the output attributes).
+    onto the output attributes).  The values are gathered column by column
+    once every assignment is known.
     """
-    return [query.project_assignment(a) for a in iterate_join_assignments(query)]
+    outputs = query.output_attributes
+    positions: Dict[str, List[int]] = {out.relation: [] for out in outputs}
+    for assignment in iterate_join_assignments(query):
+        for name, bound in positions.items():
+            bound.append(assignment[name])
+    columns = [
+        query.relation(out.relation).column_array(out.attribute)[positions[out.relation]].tolist()
+        for out in outputs
+    ]
+    return list(zip(*columns))
 
 
 def join_result_set(query: JoinQuery) -> Set[ResultValue]:

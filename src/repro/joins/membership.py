@@ -190,9 +190,7 @@ class JoinMembershipProber:
         else:
             parent_rel = self.query.relation(parent)
             key_attrs = node.child_attributes
-            key = tuple(
-                parent_rel.value(assignment[parent], attr) for attr in node.parent_attributes
-            )
+            key = parent_rel.project_row(assignment[parent], node.parent_attributes)
         for pos in self._candidate_rows(node.relation, value, key_attrs, key):
             assignment[node.relation] = pos
             if self._search(value, assignment, depth + 1):

@@ -7,7 +7,6 @@ truth (hash joins, set/disjoint union).
 """
 
 from repro.relational.columnar import (
-    ColumnStore,
     as_column_array,
     concat_column_arrays,
     tuple_key_array,
@@ -52,7 +51,6 @@ __all__ = [
     "RelationDelta",
     "Row",
     "SortedIndex",
-    "ColumnStore",
     "as_column_array",
     "concat_column_arrays",
     "tuple_key_array",

@@ -1,44 +1,73 @@
-"""Columnar backing for relations.
+"""Column arrays: the row storage of a relation.
 
-The batched sampling engine operates on whole batches of rows at once, which
-needs per-attribute NumPy arrays (gather parent keys, project survivors) next
-to the row-major tuples that the scalar code paths keep using.
-:class:`ColumnStore` builds those arrays lazily, one attribute at a time, and
-also materializes composite join keys as object arrays of tuples so that
-multi-attribute equi-joins go through the same batched machinery.
+A :class:`~repro.relational.relation.Relation` stores one immutable 1-D NumPy
+array per attribute and nothing else; row tuples are views read from them.
+The helpers here build such arrays from Python values and derive the next
+snapshot of one from a mutation batch: a swap-remove gather for deletions,
+positional writes into a copy for updates, one append for insertions —
+into the unused room behind the last row, or into a new buffer.  None of
+them writes an element of an existing snapshot, so an array already handed
+out stays consistent with the snapshot it was read from.
+
+Every array round-trips its values: ``array.tolist()`` and ``array.item(i)``
+return the Python objects the rows held, equal in value and in type.  Typed
+arrays are used only where NumPy guarantees that; every other column is an
+``object`` array holding the original objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from operator import methodcaller
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
+
+from repro.relational.delta import RelationDelta
+
+Row = Tuple[Any, ...]
+
+#: Python types a typed array returns unchanged, with the dtype kinds NumPy
+#: may infer for them (``np.asarray`` turns ints beyond int64 into floats or
+#: objects, which the kind check rejects).
+_NATIVE_KINDS: Dict[type, str] = {int: "iu", float: "f", bool: "b", str: "U", bytes: "S"}
 
 
-def as_column_array(values: Sequence[object]) -> np.ndarray:
+def as_column_array(values: Sequence[object]) -> npt.NDArray[Any]:
     """1-D array over a column's values, falling back to ``object`` dtype.
 
-    Homogeneous numeric/string columns become typed arrays (fast vectorized
-    comparisons); anything NumPy would reshape, reject, or silently coerce
-    (tuples, mixed types — ``np.asarray([1, "x"])`` stringifies the int) is
-    stored as an object array so row identity is preserved.  Integer columns
-    are stored in the smallest safe signed dtype for their value range
-    (NumPy's int64 default quadruples resident bytes for typical key
-    columns); widening on concatenation is automatic, and replacements that
-    no longer fit trigger a rebuild (see :meth:`ColumnStore._patched`).
+    A column whose values all share one of the types ``int``, ``float``,
+    ``bool``, ``str`` or ``bytes`` becomes a typed array (fast vectorized
+    comparisons and gathers); anything else — mixed types, ``None``, tuples,
+    NumPy scalars, ints beyond 64 bits — is stored as an object array so row
+    identity is preserved.  So are strings ending in NUL, which ``<U``/``S``
+    arrays silently strip.  Integer columns are stored in the smallest safe
+    signed dtype for their value range (NumPy's int64 default quadruples
+    resident bytes for typical key columns).
     """
-    if len({type(v) for v in values}) > 1:
+    if not len(values):
+        return np.asarray([])
+    types = {type(v) for v in values}
+    kinds = _NATIVE_KINDS.get(types.pop()) if len(types) == 1 else None
+    if kinds is None or (kinds in "US" and _any_nul_suffix(values)):
         return _object_array(values)
-    try:
-        array = np.asarray(values)
-    except (ValueError, TypeError):
-        array = _object_array(values)
-    if array.ndim != 1 or array.dtype.kind in ("O", "V"):
-        array = _object_array(values)
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in kinds:
+        return _object_array(values)
     return shrink_integer_array(array)
 
 
-def shrink_integer_array(array: np.ndarray) -> np.ndarray:
+def _any_nul_suffix(values: Sequence[object]) -> bool:
+    """Whether some value of a ``str`` or ``bytes`` column ends in NUL."""
+    nul = b"\x00" if isinstance(values[0], bytes) else "\x00"
+    return any(map(methodcaller("endswith", nul), values))
+
+
+#: the dtypes integer columns shrink to, with their ranges
+_SHRUNK_RANGES = [(t, int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (np.int16, np.int32)]
+
+
+def shrink_integer_array(array: npt.NDArray[Any]) -> npt.NDArray[Any]:
     """Downcast a signed integer array to the smallest dtype holding its range.
 
     int8 is deliberately skipped (the savings on tiny columns are noise);
@@ -47,33 +76,32 @@ def shrink_integer_array(array: np.ndarray) -> np.ndarray:
     if array.dtype.kind != "i" or array.size == 0 or array.dtype.itemsize <= 2:
         return array
     lo, hi = int(array.min()), int(array.max())
-    for candidate in (np.int16, np.int32):
-        info = np.iinfo(candidate)
-        if info.min <= lo and hi <= info.max:
+    for candidate, low, high in _SHRUNK_RANGES:
+        if low <= lo and hi <= high:
             return array.astype(candidate)
     return array
 
 
-def _object_array(values: Sequence[object]) -> np.ndarray:
+def _object_array(values: Sequence[object]) -> npt.NDArray[Any]:
     array = np.empty(len(values), dtype=object)
     array[:] = list(values)
     return array
 
 
-def concat_column_arrays(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
+def concat_column_arrays(base: npt.NDArray[Any], tail: npt.NDArray[Any]) -> npt.NDArray[Any]:
     """Concatenate two column arrays preserving row identity.
 
     Same-kind arrays concatenate natively (NumPy widens string widths and
     numeric precision as needed); anything else — object arrays or kind
     mismatches such as an int column receiving a string — falls back to one
     object array, matching what :func:`as_column_array` would build from the
-    combined values.
+    combined values.  An empty side contributes nothing, not its dtype.
     """
-    if (
-        base.dtype == object
-        or tail.dtype == object
-        or base.dtype.kind != tail.dtype.kind
-    ):
+    if not len(base):
+        return tail
+    if not len(tail):
+        return base
+    if base.dtype == object or tail.dtype == object or base.dtype.kind != tail.dtype.kind:
         out = np.empty(len(base) + len(tail), dtype=object)
         out[: len(base)] = base.tolist()
         out[len(base) :] = tail.tolist()
@@ -81,151 +109,99 @@ def concat_column_arrays(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return np.concatenate([base, tail])
 
 
-def tuple_key_array(columns: Sequence[np.ndarray]) -> np.ndarray:
+def tuple_key_array(columns: Sequence[npt.NDArray[Any]]) -> npt.NDArray[Any]:
     """Object array of per-row key tuples from several column arrays."""
     if not columns:
         raise ValueError("at least one column is required")
-    rows = list(zip(*(column.tolist() for column in columns)))
-    array = np.empty(len(rows), dtype=object)
-    array[:] = rows
-    return array
+    return _object_array(list(zip(*(column.tolist() for column in columns))))
 
 
-class ColumnStore:
-    """Lazy per-attribute column arrays for one relation.
+def with_values(
+    array: npt.NDArray[Any], positions: Sequence[int], values: Sequence[object]
+) -> npt.NDArray[Any]:
+    """Copy of ``array`` holding ``values`` at ``positions``.
 
-    The store is invalidated wholesale when the relation mutates; arrays are
-    rebuilt from the row tuples on next access.
+    When the dtype cannot hold the new values exactly (a longer string into a
+    ``<U`` column, an int outside the shrunk range, a value of another type)
+    the column is rebuilt from its values instead.
     """
+    if array.dtype == object:
+        new = _object_array(values)
+    else:
+        new = as_column_array(values)
+        if not _holds(array.dtype, new.dtype):
+            column = array.tolist()
+            for position, value in zip(positions, values):
+                column[position] = value
+            return as_column_array(column)
+    out = array.copy()
+    out[list(positions)] = new
+    return out
 
-    __slots__ = ("_schema", "_rows", "_arrays", "_key_arrays")
 
-    def __init__(self, schema, rows: List[Tuple]) -> None:
-        self._schema = schema
-        self._rows = rows
-        self._arrays: Dict[str, np.ndarray] = {}
-        self._key_arrays: Dict[Tuple[str, ...], np.ndarray] = {}
+def with_room(array: npt.NDArray[Any], size: int) -> npt.NDArray[Any]:
+    """A new buffer holding ``array[:size]``, with room to append behind it."""
+    buffer = np.empty(size + size // 8 + 16, dtype=array.dtype)
+    buffer[:size] = array[:size]
+    return buffer
 
-    def array(self, attribute: str) -> np.ndarray:
-        """Column array of ``attribute`` (row order, duplicates kept)."""
-        if attribute not in self._arrays:
-            position = self._schema.position(attribute)
-            self._arrays[attribute] = as_column_array(
-                [row[position] for row in self._rows]
-            )
-        return self._arrays[attribute]
 
-    def key_array(self, attributes: Sequence[str]) -> np.ndarray:
-        """Per-row join-key array for one or several attributes.
+def patched(
+    array: npt.NDArray[Any],
+    buffer: Optional[npt.NDArray[Any]],
+    delta: RelationDelta,
+    project: Callable[[Row], object],
+    inserted_rows: Sequence[Row] = (),
+) -> Tuple[npt.NDArray[Any], Optional[npt.NDArray[Any]]]:
+    """``(next snapshot, buffer behind it)`` of a per-row array after one batch.
 
-        A single attribute returns its column array; composite keys return an
-        object array of tuples matching the keys of
-        :meth:`~repro.relational.relation.Relation.index_on_columns`.
-        """
-        attrs = tuple(attributes)
-        if len(attrs) == 1:
-            return self.array(attrs[0])
-        if attrs not in self._key_arrays:
-            self._key_arrays[attrs] = tuple_key_array(
-                [self.array(a) for a in attrs]
-            )
-        return self._key_arrays[attrs]
+    ``project`` maps a row to this array's value (one attribute, or the key
+    tuple of a composite key); ``inserted_rows`` are the rows the batch
+    appends.  ``buffer`` is the caller's own buffer whose prefix is ``array``
+    (None when it has none): insertions are written into the room behind that
+    prefix, which no snapshot covers, and only a full buffer is reallocated.
+    Deletions/moves become one swap-remove gather into a new buffer with
+    room, replacements one positional write into a copy.
+    """
+    survivors = delta.new_size - len(delta.inserted)
+    if delta.deleted or delta.moved:
+        buffer = with_room(array, survivors)
+        if delta.moved:
+            buffer[[new for _, new in delta.moved]] = array[[old for old, _ in delta.moved]]
+        array = buffer[:survivors]
+    # identity, not equality: an update of 1 to True must reach the column
+    replacements = [
+        (position, project(new))
+        for position, old, new in delta.replaced
+        if project(old) is not project(new)
+    ]
+    if replacements:
+        positions, values = zip(*replacements)
+        array, buffer = with_values(array, positions, values), None
+    if delta.inserted:
+        tail = as_column_array([project(row) for row in inserted_rows])
+        end = survivors + len(tail)
+        if buffer is None or len(buffer) < end or not _holds(buffer.dtype, tail.dtype):
+            buffer = with_room(concat_column_arrays(array, tail), end)
+        else:
+            buffer[survivors:end] = tail
+        array = buffer[:end]
+    return array, buffer
 
-    def gather(self, attribute: str, positions: np.ndarray) -> list:
-        """Python-typed values of ``attribute`` at the given row positions."""
-        return self.array(attribute)[positions].tolist()
 
-    def invalidate(self) -> None:
-        self._arrays.clear()
-        self._key_arrays.clear()
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the materialized column/key arrays.
-
-        Object arrays report pointer storage only (the boxed values live on
-        the heap); typed arrays report their full buffer — the number the
-        dtype audit shrinks.
-        """
-        return int(
-            sum(a.nbytes for a in self._arrays.values())
-            + sum(a.nbytes for a in self._key_arrays.values())
-        )
-
-    # ------------------------------------------------------------- maintenance
-    def apply_delta(self, delta, inserted_rows: Sequence[Tuple]) -> None:
-        """Patch every cached array in place of a full rebuild.
-
-        Deletions/moves become one vectorized gather + truncation, insertions
-        one concatenation, replacements one fancy assignment.  An array whose
-        dtype cannot safely hold a replacement value (e.g. a wider string into
-        a fixed-width ``<U`` column) is dropped and rebuilt lazily on next
-        access — correctness first, incrementality where it is safe.
-        """
-        for attribute in list(self._arrays):
-            position = self._schema.position(attribute)
-            patched = self._patched(
-                self._arrays[attribute],
-                delta,
-                lambda row, p=position: row[p],
-                inserted_rows,
-            )
-            if patched is None:
-                del self._arrays[attribute]
-            else:
-                self._arrays[attribute] = patched
-        for attrs in list(self._key_arrays):
-            positions = self._schema.positions(attrs)
-            patched = self._patched(
-                self._key_arrays[attrs],
-                delta,
-                lambda row, ps=positions: tuple(row[p] for p in ps),
-                inserted_rows,
-            )
-            if patched is None:
-                del self._key_arrays[attrs]
-            else:
-                self._key_arrays[attrs] = patched
-
-    def _patched(self, base, delta, project, inserted_rows):
-        """One array patched by ``delta``; None when it must be rebuilt."""
-        survivors = delta.new_size - len(delta.inserted)
-        arr = base
-        if delta.deleted or delta.moved:
-            arr = base.copy()
-            if delta.moved:
-                arr[[new for _, new in delta.moved]] = base[
-                    [old for old, _ in delta.moved]
-                ]
-            arr = arr[:survivors]
-        replacements = [
-            (position, project(new_row))
-            for position, old_row, new_row in delta.replaced
-            if project(old_row) != project(new_row)
-        ]
-        if replacements:
-            if arr is base:
-                arr = base.copy()
-            if arr.dtype == object:
-                for position, value in replacements:
-                    arr[position] = value
-            else:
-                values = as_column_array([v for _, v in replacements])
-                if values.dtype == object or not np.can_cast(
-                    values.dtype, arr.dtype, casting="safe"
-                ):
-                    return None  # dtype cannot hold the new values: rebuild
-                arr[[p for p, _ in replacements]] = values
-        if delta.inserted:
-            tail = as_column_array([project(row) for row in inserted_rows])
-            arr = concat_column_arrays(arr, tail)
-        return arr
+def _holds(buffer: np.dtype[Any], values: np.dtype[Any]) -> bool:
+    """Whether a buffer of one dtype takes values of another unchanged."""
+    if buffer == object:
+        return True
+    return values.kind == buffer.kind and np.can_cast(values, buffer)
 
 
 __all__ = [
-    "ColumnStore",
     "as_column_array",
     "concat_column_arrays",
+    "patched",
     "shrink_integer_array",
     "tuple_key_array",
+    "with_room",
+    "with_values",
 ]

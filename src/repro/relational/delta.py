@@ -1,15 +1,15 @@
 """Delta records for incremental relation maintenance.
 
 A :class:`RelationDelta` describes one mutation batch of a
-:class:`~repro.relational.relation.Relation` precisely enough for every
-derived structure (the CSR key index of every indexed key set, whose degrees
-are also the column statistics, and the column arrays) to update itself in
-O(Δ) instead of rebuilding from scratch:
+:class:`~repro.relational.relation.Relation` precisely enough for its column
+arrays and every derived structure (the CSR key index of every indexed key
+set, whose degrees are also the column statistics) to move to the next
+snapshot without rebuilding from scratch:
 
 * ``inserted`` — post-state positions of rows appended by the batch;
 * ``deleted`` — ``(pre-state position, row)`` pairs removed by the batch;
 * ``moved`` — ``(old position, new position)`` pairs for surviving rows that
-  the *swap-remove* deletion scheme relocated to keep the row storage dense
+  the *swap-remove* deletion scheme relocated to keep the columns dense
   (no tombstones: every position in ``[0, new_size)`` always holds a live
   row, so position-based samplers keep working unchanged);
 * ``replaced`` — ``(position, old row, new row)`` for in-place updates.

@@ -191,7 +191,7 @@ class SampleBlock:
         for out in query.output_attributes:
             relation = query.relation(out.relation)
             columns.append(
-                relation.columns.array(out.attribute)[self.positions[out.relation]]
+                relation.column_array(out.attribute)[self.positions[out.relation]]
             )
         return columns
 

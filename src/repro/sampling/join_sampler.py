@@ -307,10 +307,7 @@ class JoinSampler:
                 continue
             parent_rel = self.query.relation(parent.relation)
             child_rel = self.query.relation(node.relation)
-            parent_row = parent_rel.row(assignment[parent.relation])
-            key = tuple(
-                parent_row[parent_rel.schema.position(a)] for a in node.parent_attributes
-            )
+            key = parent_rel.project_row(assignment[parent.relation], node.parent_attributes)
             lookup = key if len(key) > 1 else key[0]
             index = child_rel.index_on_columns(node.child_attributes)
             joinable = index.positions(lookup)

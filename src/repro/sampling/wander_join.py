@@ -161,10 +161,7 @@ class WanderJoin:
                 continue
             parent_rel = self.query.relation(parent.relation)
             child_rel = self.query.relation(node.relation)
-            parent_row = parent_rel.row(assignment[parent.relation])
-            key = tuple(
-                parent_row[parent_rel.schema.position(a)] for a in node.parent_attributes
-            )
+            key = parent_rel.project_row(assignment[parent.relation], node.parent_attributes)
             lookup = key if len(key) > 1 else key[0]
             joinable = child_rel.index_on_columns(node.child_attributes).positions(lookup)
             if len(joinable) == 0:
@@ -212,7 +209,7 @@ class WanderJoin:
         for out in self.query.output_attributes:
             relation = self.query.relation(out.relation)
             value_columns.append(
-                relation.columns.gather(out.attribute, chosen[out.relation][walks])
+                relation.column_array(out.attribute)[chosen[out.relation][walks]].tolist()
             )
         values = list(zip(*value_columns))
         relation_names = [node.relation for node, _ in self._order]

@@ -30,7 +30,7 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.tpch.generator import generate_tpch
-from repro.tpch.workloads import UnionWorkload
+from repro.tpch.workloads import UnionWorkload, customer_group_rows
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -51,23 +51,8 @@ def build_cyclic_bundle_workload(
 
     # Partition customers into a shared group (0) and two exclusive groups.
     groups: Dict[int, int] = {}
-    for pos in range(len(customer)):
-        key = customer.value(pos, "custkey")
+    for key in customer.column("custkey"):
         groups[key] = 0 if rng.random() < overlap_scale else int(rng.integers(1, 3))
-
-    def customers_for(variant: int) -> Relation:
-        allowed = {0, variant}
-        return customer.select(
-            lambda row, schema: groups[row[schema.position("custkey")]] in allowed,
-            name="customer",
-        )
-
-    def orders_for(variant: int) -> Relation:
-        allowed = {0, variant}
-        return orders.select(
-            lambda row, schema: groups.get(row[schema.position("custkey")], -1) in allowed,
-            name="orders",
-        )
 
     output = lambda source_a, source_b: [  # noqa: E731 - small local helper
         OutputAttribute("custkey", "customer", "custkey"),
@@ -79,11 +64,12 @@ def build_cyclic_bundle_workload(
     ]
 
     # ---- CY_W: cyclic join with two lineitem aliases sharing the order ------
-    lineitem_a = Relation("lineitem_a", lineitem.schema, lineitem.rows)
-    lineitem_b = _second_lineitems(lineitem)
+    lineitem_a = lineitem.rename({}, name="lineitem_a")
+    lineitem_b = lineitem.rename({}, name="lineitem_b")
     query_w = JoinQuery(
         name="CY_W",
-        relations=[customers_for(1), orders_for(1), lineitem_a, lineitem_b],
+        relations=[customer_group_rows(customer, groups, 1),
+                   customer_group_rows(orders, groups, 1), lineitem_a, lineitem_b],
         conditions=[
             JoinCondition("customer", "custkey", "orders", "custkey"),
             JoinCondition("orders", "orderkey", "lineitem_a", "orderkey"),
@@ -99,7 +85,8 @@ def build_cyclic_bundle_workload(
     order_pairs = _order_pairs_view(lineitem)
     query_e = JoinQuery(
         name="CY_E",
-        relations=[customers_for(2), orders_for(2), order_pairs],
+        relations=[customer_group_rows(customer, groups, 2),
+                   customer_group_rows(orders, groups, 2), order_pairs],
         conditions=[
             JoinCondition("customer", "custkey", "orders", "custkey"),
             JoinCondition("orders", "orderkey", "order_pairs", "orderkey"),
@@ -127,19 +114,13 @@ def build_cyclic_bundle_workload(
     )
 
 
-def _second_lineitems(lineitem: Relation) -> Relation:
-    """Second alias of the lineitem relation (same rows, distinct name)."""
-    return Relation("lineitem_b", lineitem.schema, lineitem.rows)
-
-
 def _order_pairs_view(lineitem: Relation) -> Relation:
     """Denormalized view: one row per ordered pair of line items of one order."""
     by_order: Dict[object, list] = {}
-    order_pos = lineitem.schema.position("orderkey")
-    line_pos = lineitem.schema.position("linenumber")
-    qty_pos = lineitem.schema.position("quantity")
-    for row in lineitem:
-        by_order.setdefault(row[order_pos], []).append((row[line_pos], row[qty_pos]))
+    for orderkey, line, qty in zip(
+        *(lineitem.column(a) for a in ("orderkey", "linenumber", "quantity"))
+    ):
+        by_order.setdefault(orderkey, []).append((line, qty))
     rows = []
     for orderkey, items in by_order.items():
         for line_a, qty_a in items:

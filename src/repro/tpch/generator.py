@@ -133,8 +133,7 @@ class TPCHGenerator:
         suppliers_per_part = 4
         supplier_count = len(supplier)
         rows = []
-        for part_pos in range(len(part)):
-            partkey = part.value(part_pos, "partkey")
+        for partkey in part.column("partkey"):
             for i in range(suppliers_per_part):
                 suppkey = int(((partkey + i * (supplier_count // suppliers_per_part + 1))
                                % supplier_count) + 1)
@@ -153,9 +152,10 @@ class TPCHGenerator:
         priorities = self.rng.integers(0, len(tpch_schema.ORDER_PRIORITIES), size=count)
         prices = np.round(self.rng.uniform(850.0, 500_000.0, size=count), 2)
         dates = self.rng.integers(8_035, 10_591, size=count)  # days: 1992-01-01..1998-12-31
+        custkeys = customer.column("custkey")
         rows = []
         for key in range(count):
-            custkey = customer.value(int(cust_positions[key]), "custkey")
+            custkey = custkeys[int(cust_positions[key])]
             rows.append(
                 (
                     key + 1,
@@ -175,9 +175,7 @@ class TPCHGenerator:
         part_count = len(part)
         supplier_count = len(supplier)
         rows = []
-        for order_pos in range(order_count):
-            orderkey = orders.value(order_pos, "orderkey")
-            orderdate = orders.value(order_pos, "orderdate")
+        for orderkey, orderdate in zip(orders.column("orderkey"), orders.column("orderdate")):
             lines = int(self.rng.integers(1, 2 * average_lines + 1))
             for linenumber in range(1, lines + 1):
                 partkey = int(self.rng.integers(1, part_count + 1))

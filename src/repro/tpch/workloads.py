@@ -22,7 +22,7 @@ samplers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -93,44 +93,30 @@ def build_uq1(
     # exclusive to one join.  Rows of downstream relations inherit the group of
     # their nation, so complete join results stay within one group.
     nation_groups: Dict[int, int] = {}
-    for pos in range(len(nation)):
-        key = nation.value(pos, "nationkey")
+    for key in nation.column("nationkey"):
         if rng.random() < overlap_scale:
             nation_groups[key] = 0
         else:
             nation_groups[key] = int(rng.integers(1, n_joins + 1))
 
-    cust_nation = {customer.value(i, "custkey"): customer.value(i, "nationkey")
-                   for i in range(len(customer))}
-    order_cust = {orders.value(i, "orderkey"): orders.value(i, "custkey")
-                  for i in range(len(orders))}
-
-    def nation_group(nationkey: int) -> int:
-        return nation_groups[nationkey]
+    cust_group = dict(zip(customer.column("custkey"),
+                          map(nation_groups.__getitem__, customer.column("nationkey"))))
+    order_group = dict(zip(orders.column("orderkey"),
+                           map(cust_group.__getitem__, orders.column("custkey"))))
 
     queries: List[JoinQuery] = []
     for variant in range(1, n_joins + 1):
         allowed = {0, variant}
-
-        def keep_nation(row, schema, allowed=allowed):
-            return nation_group(row[schema.position("nationkey")]) in allowed
-
-        def keep_order(row, schema, allowed=allowed):
-            custkey = row[schema.position("custkey")]
-            return nation_group(cust_nation[custkey]) in allowed
-
-        def keep_lineitem(row, schema, allowed=allowed):
-            orderkey = row[schema.position("orderkey")]
-            custkey = order_cust.get(orderkey)
-            if custkey is None:
-                return False
-            return nation_group(cust_nation[custkey]) in allowed
-
-        nation_v = nation.select(keep_nation, name="nation")
-        supplier_v = supplier.select(keep_nation, name="supplier")
-        customer_v = customer.select(keep_nation, name="customer")
-        orders_v = orders.select(keep_order, name="orders")
-        lineitem_v = lineitem.select(keep_lineitem, name="lineitem")
+        nations = _keys_in(nation_groups, allowed)
+        nation_v = nation.select(_isin(nation, "nationkey", nations), name="nation")
+        supplier_v = supplier.select(_isin(supplier, "nationkey", nations), name="supplier")
+        customer_v = customer.select(_isin(customer, "nationkey", nations), name="customer")
+        orders_v = orders.select(
+            _isin(orders, "custkey", _keys_in(cust_group, allowed)), name="orders"
+        )
+        lineitem_v = lineitem.select(
+            _isin(lineitem, "orderkey", _keys_in(order_group, allowed)), name="lineitem"
+        )
 
         conditions = [
             JoinCondition("nation", "nationkey", "supplier", "nationkey"),
@@ -198,7 +184,7 @@ def build_uq2(
     partsupp = tables["partsupp"]
     part = tables["part"]
 
-    nation_names = sorted({nation.value(i, "n_name") for i in range(len(nation))})
+    nation_names = sorted(set(nation.column("n_name")))
     kept_nations = nation_names[: max(int(len(nation_names) * nation_fraction), 1)]
     sizes = sorted(part.column("p_size"))
     size_threshold = sizes[min(int(len(sizes) * size_fraction), len(sizes) - 1)]
@@ -280,27 +266,11 @@ def build_uq3(
     orders = tables["orders"]
 
     customer_groups: Dict[int, int] = {}
-    for pos in range(len(customer)):
-        key = customer.value(pos, "custkey")
+    for key in customer.column("custkey"):
         if rng.random() < overlap_scale:
             customer_groups[key] = 0
         else:
             customer_groups[key] = int(rng.integers(1, 4))
-
-    def customers_for(variant: int) -> Relation:
-        allowed = {0, variant}
-        return customer.select(
-            lambda row, schema: customer_groups[row[schema.position("custkey")]] in allowed,
-            name="customer",
-        )
-
-    def orders_for(variant: int) -> Relation:
-        allowed = {0, variant}
-        return orders.select(
-            lambda row, schema: customer_groups.get(row[schema.position("custkey")], -1)
-            in allowed,
-            name="orders",
-        )
 
     output_names = [
         "custkey",
@@ -318,8 +288,8 @@ def build_uq3(
     # (nationkey): three edges out of one node, so the join graph is a genuine
     # non-chain tree.  nation is a key-preserving extension, so the output
     # result set is unchanged but the estimator has to handle the tree shape.
-    customer_a = customers_for(1)
-    orders_a = orders_for(1)
+    customer_a = customer_group_rows(customer, customer_groups, 1)
+    orders_a = customer_group_rows(orders, customer_groups, 1)
     nation_a = tables["nation"]
     query_a = JoinQuery(
         name="UQ3_JA",
@@ -342,8 +312,8 @@ def build_uq3(
     )
 
     # --- J_B: chain over vertically split customer ----------------------------
-    customer_b = customers_for(2)
-    orders_b = orders_for(2)
+    customer_b = customer_group_rows(customer, customer_groups, 2)
+    orders_b = customer_group_rows(orders, customer_groups, 2)
     cust_part1 = customer_b.project(["custkey", "nationkey", "mktsegment"], name="cust_part1")
     cust_part2 = customer_b.project(["custkey", "c_acctbal"], name="cust_part2")
     query_b = JoinQuery(
@@ -367,8 +337,8 @@ def build_uq3(
     )
 
     # --- J_C: chain over a denormalized customer-supplier view ----------------
-    customer_c = customers_for(3)
-    orders_c = orders_for(3)
+    customer_c = customer_group_rows(customer, customer_groups, 3)
+    orders_c = customer_group_rows(orders, customer_groups, 3)
     custsupp = hash_join(customer_c, supplier, "nationkey", "nationkey", name="custsupp")
     custsupp = custsupp.project(
         ["custkey", "nationkey", "mktsegment", "c_acctbal", "suppkey", "s_acctbal"],
@@ -403,6 +373,23 @@ def build_uq3(
         },
     )
     return workload
+
+
+def _keys_in(groups: Dict[int, int], allowed: Set[int]) -> List[int]:
+    """The keys whose group is ``allowed``."""
+    return [key for key, group in groups.items() if group in allowed]
+
+
+def _isin(relation: Relation, attribute: str, keys: Sequence[int]) -> np.ndarray:
+    """Selection mask of the rows whose ``attribute`` is one of ``keys``."""
+    return np.isin(relation.column_array(attribute), np.asarray(keys, dtype=np.int64))
+
+
+def customer_group_rows(relation: Relation, groups: Dict[int, int], variant: int) -> Relation:
+    """The rows of ``relation`` whose ``custkey`` is in the shared group 0 or
+    in group ``variant``, under the relation's own name."""
+    keys = _keys_in(groups, {0, variant})
+    return relation.select(_isin(relation, "custkey", keys), name=relation.name)
 
 
 def build_workload(

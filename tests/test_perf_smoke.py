@@ -8,13 +8,16 @@ than only the (optional) benchmark run.  Thresholds are deliberately loose
 (``benchmarks/spine``) — to keep the test robust on noisy CI machines.
 """
 
+import gc
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.joins.membership import UnionMembershipIndex
+from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.tpch.workloads import build_uq2
@@ -266,3 +269,22 @@ def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     assert all(table._all_built for table in tables)
     sampler.warm().sample_block(500)
     assert first_touch == []
+
+
+def test_a_relation_retains_its_column_arrays_and_little_else():
+    """Columns are the only row storage: once built, a relation retains
+    about its arrays' bytes, not one tuple (~120 B) per row beside them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        relation = Relation(
+            "R", ["k", "x", "s"], [(i, i * 0.25, f"s{i % 997}") for i in range(200_000)]
+        )
+        for attribute in relation.attribute_names:  # the arrays, wherever they live
+            relation.column_array(attribute)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.25 * relation.cache_nbytes()["columns"]

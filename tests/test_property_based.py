@@ -159,45 +159,90 @@ class TestUnionCalculusProperties:
 
 
 # -------------------------------------------------------- incremental updates
-#: one mutation of a two-column relation: ("append", row) | ("extend", rows) |
-#: ("delete", key value on column a) | ("update", (row index hint, new a))
+#: values of the mixed column ``m``: big ints beyond int64, bools, None,
+#: floats, NUL-suffixed and longer strings (an update widening a ``<U``
+#: column) and tuples — whatever a typed column array cannot hold must land
+#: in an object column unchanged
+mixed_values = st.one_of(
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63) - 1),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3).map(lambda text: text + "\x00"),
+    st.text(max_size=12),
+    st.tuples(st.integers(0, 3), st.text(max_size=2)),
+)
+#: one row (a, b, m); relations without the ``m`` column take ``(a, b)``
+mixed_rows = st.tuples(st.integers(0, 8), st.integers(0, 4), mixed_values)
+
+#: one mutation: ("append", row) | ("extend", rows) | ("delete", key value on
+#: column a) | ("update", (row index hint, new a, new m))
 mutation_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), st.tuples(st.integers(0, 8), st.integers(0, 4))),
-        st.tuples(
-            st.just("extend"),
-            st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4)), max_size=4),
-        ),
+        st.tuples(st.just("append"), mixed_rows),
+        st.tuples(st.just("extend"), st.lists(mixed_rows, max_size=4)),
         st.tuples(st.just("delete"), st.integers(0, 8)),
-        st.tuples(st.just("update"), st.tuples(st.integers(0, 40), st.integers(0, 8))),
+        st.tuples(
+            st.just("update"), st.tuples(st.integers(0, 40), st.integers(0, 8), mixed_values)
+        ),
     ),
     min_size=1,
     max_size=25,
 )
 
 
-def _apply_ops(relation: Relation, ops) -> None:
+def _apply_ops(relation: Relation, ops, shadow: list, check: bool = True) -> None:
+    """Apply ``ops`` to ``relation`` and replay them on ``shadow``, a plain
+    list of row tuples; with ``check``, the relation's rows must equal the
+    shadow — in value and in type, field by field — after every op."""
+    names = relation.schema.names
+    width = len(names)
     for kind, payload in ops:
         if kind == "append":
-            relation.append(payload)
+            relation.append(payload[:width])
+            shadow.append(payload[:width])
         elif kind == "extend":
-            relation.extend(payload)
+            relation.extend(row[:width] for row in payload)
+            shadow.extend(row[:width] for row in payload)
         elif kind == "delete":
             relation.delete_where(
                 lambda row, schema, key=payload: row[schema.position("a")] == key
             )
-        else:
-            index_hint, new_value = payload
-            if len(relation):
-                relation.update_rows(
-                    [index_hint % len(relation)], {"a": new_value}
-                )
+            # swap-remove: the tail's survivors fill the holes, in order
+            doomed = [p for p, row in enumerate(shadow) if row[0] == payload]
+            size = len(shadow) - len(doomed)
+            holes = [p for p in doomed if p < size]
+            survivors = [p for p in range(size, len(shadow)) if p not in doomed]
+            for old, new in zip(survivors, holes):
+                shadow[new] = shadow[old]
+            del shadow[size:]
+        elif shadow:
+            index_hint, new_a, new_m = payload
+            position = index_hint % len(shadow)
+            assignments = {"a": new_a, "m": new_m}
+            assignments = {name: assignments[name] for name in names if name in assignments}
+            relation.update_rows([position], assignments)
+            new_row = tuple(assignments.get(name, value)
+                            for name, value in zip(names, shadow[position]))
+            if new_row != shadow[position]:  # an equal row is left as it is
+                shadow[position] = new_row
+        if check:
+            _assert_rows(relation, shadow)
 
 
-def _assert_matches_rebuild(relation: Relation) -> None:
+def _assert_rows(relation: Relation, shadow: list) -> None:
+    rows = relation.rows
+    assert rows == shadow
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in shadow]
+    for position, name in enumerate(relation.schema.names):
+        assert relation.column_array(name).tolist() == [row[position] for row in shadow]
+
+
+def _assert_matches_rebuild(relation: Relation, shadow: list) -> None:
     """The maintained index, its statistics view and scalar ``positions()``
-    all equal those of a relation rebuilt from ``relation.rows``."""
-    fresh = Relation("F", relation.schema, relation.rows)
+    all equal those of a relation rebuilt from the shadow rows."""
+    fresh = Relation("F", relation.schema, shadow)
     for attrs, domain in (
         (["a"], range(9)),
         (["a", "b"], [(a, b) for a in range(9) for b in range(5)]),
@@ -224,6 +269,8 @@ def _assert_matches_rebuild(relation: Relation) -> None:
     single = relation.index_on("a")
     assert single.slots_for(np.arange(9)).tolist() == [single.slot(v) for v in range(9)]
     assert relation.column_array("a").tolist() == fresh.column_array("a").tolist()
+    keys = relation.join_key_array(["a", "b"]).tolist()
+    assert keys == fresh.join_key_array(["a", "b"]).tolist()
 
 
 class TestIncrementalMaintenanceProperties:
@@ -232,23 +279,25 @@ class TestIncrementalMaintenanceProperties:
     indexes, the statistics read through them, column arrays, and the
     sampling weights derived from them."""
 
-    @given(rows=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4)), max_size=20),
-           ops=mutation_ops)
+    @given(rows=st.lists(mixed_rows, max_size=20), ops=mutation_ops)
     @settings(max_examples=60, deadline=None)
     def test_maintained_structures_match_rebuild(self, rows, ops):
-        relation = Relation("R", ["a", "b"], rows)
+        relation = Relation("R", ["a", "b", "m"], rows)
+        shadow = list(rows)
         # Build every cache first so each op exercises the delta path.
         relation.index_on("a")
-        relation.column_array("a")
         relation.index_on_columns(["a", "b"])
-        coalesced = Relation("C", ["a", "b"], rows)  # reads nothing until the end:
+        relation.join_key_array(["a", "b"])
+        coalesced = Relation("C", ["a", "b", "m"], rows)  # reads nothing until the end:
         coalesced.index_on("a")  # consecutive appends reach it as one delta
         coalesced.index_on_columns(["a", "b"])
         for op in ops:
-            _apply_ops(relation, [op])
-            _assert_matches_rebuild(relation)
-        _apply_ops(coalesced, ops)
-        _assert_matches_rebuild(coalesced)
+            _apply_ops(relation, [op], shadow)
+            _assert_matches_rebuild(relation, shadow)
+        coalesced_shadow = list(rows)
+        _apply_ops(coalesced, ops, coalesced_shadow, check=False)
+        _assert_rows(coalesced, coalesced_shadow)
+        _assert_matches_rebuild(coalesced, coalesced_shadow)
 
     @given(rows_r=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)),
                            min_size=1, max_size=12),
@@ -259,7 +308,7 @@ class TestIncrementalMaintenanceProperties:
     def test_refreshed_weights_match_exact_size(self, rows_r, rows_s, ops):
         query = _build_two_relation_query((rows_r, rows_s))
         weights = ExactWeightFunction(query)
-        _apply_ops(query.relation("R"), ops)
+        _apply_ops(query.relation("R"), ops, list(rows_r))
         weights.refresh()
         assert weights.total_weight == pytest.approx(
             exact_join_size(query, distinct=False)
@@ -279,7 +328,7 @@ class TestIncrementalMaintenanceProperties:
         level; full chi-square equivalence is covered in test_dynamic)."""
         query = _build_two_relation_query((rows_r, rows_s))
         sampler = JoinSampler(query, weights="ew", seed=11)
-        _apply_ops(query.relation("R"), ops)
+        _apply_ops(query.relation("R"), ops, list(rows_r))
         population = join_result_set(query)
         if not population:
             with pytest.raises(RuntimeError):

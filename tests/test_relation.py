@@ -217,3 +217,60 @@ class TestDerivations:
     def test_distinct(self):
         rel = Relation("r", ["a"], [(1,), (2,), (1,)])
         assert rel.distinct().rows == [(1,), (2,)]
+
+    def test_select_with_boolean_mask(self, people):
+        thirty = people.select(people.column_array("age") == 30, name="thirty")
+        assert thirty.rows == [(1, 30, "rome"), (3, 30, "rome")]
+        with pytest.raises(ValueError, match="mask"):
+            people.select(np.ones(3, dtype=bool))
+
+
+class TestColumnStorage:
+    """One array per attribute is the row storage: rows are views of it."""
+
+    def test_rows_round_trip_value_and_type(self):
+        rows = [(1, 2.5, "x", True, b"k", None, (1, 2), 2**70),
+                (-3, 0.0, "", False, b"", 7, (), -(2**64))]
+        rel = Relation("r", list("abcdefgh"), rows)
+        for view in (rel.rows, list(rel), [rel.row(0), rel[1]]):
+            assert view == rows
+            assert [list(map(type, r)) for r in view] == [list(map(type, r)) for r in rows]
+        assert rel.column_array("a").dtype == np.int16
+        assert rel.column_array("h").dtype == object
+
+    def test_nul_suffixed_strings_survive_the_column_path(self):
+        from repro.joins.conditions import JoinCondition, OutputAttribute
+        from repro.joins.executor import execute_join
+        from repro.joins.query import JoinQuery
+        from repro.sampling.join_sampler import JoinSampler
+
+        r = Relation("R", ["k", "s"], [(1, "x\x00"), (2, "y")])
+        s = Relation("S", ["k", "t"], [(1, 10), (2, 20)])
+        query = JoinQuery("q", [r, s], [JoinCondition("R", "k", "S", "k")],
+                          [OutputAttribute.direct("R", "s"), OutputAttribute.direct("S", "t")])
+        assert r.column_array("s").tolist() == r.column("s") == ["x\x00", "y"]
+        support = set(JoinSampler(query, weights="ew", seed=1).sample_block(50).values(query))
+        assert support <= set(execute_join(query)) == {("x\x00", 10), ("y", 20)}
+        raw = Relation("B", ["b"], [(b"x\x00",), (b"y",)])
+        assert raw.column_array("b").tolist() == raw.column("b") == [b"x\x00", b"y"]
+
+    def test_update_rebuilds_a_column_its_dtype_cannot_hold(self):
+        rel = Relation("r", ["k", "s"], [(1, "ab"), (2, "cd")])
+        rel.update_rows([0], {"s": "a much longer string", "k": 2**40})
+        rel.update_rows([1], {"s": None})
+        assert rel.rows == [(2**40, "a much longer string"), (2, None)]
+        rel.update_rows([1], {"k": True})
+        assert type(rel.value(1, "k")) is bool
+
+    def test_mutations_replace_arrays_never_write_them(self, people):
+        before = people.column_array("age")
+        assert not before.flags.writeable
+        people.update_rows([0], {"age": 99})
+        people.delete_rows([1])
+        people.append((5, 50, "kyiv"))
+        assert before.tolist() == [30, 25, 30, 40]
+        assert people.column("age") == [99, 40, 30, 50]
+
+    def test_derivations_share_the_arrays(self, people):
+        assert people.project(["age"]).column_array("age") is people.column_array("age")
+        assert people.rename({}, name="p2").column_array("city") is people.column_array("city")

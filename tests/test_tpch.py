@@ -173,3 +173,93 @@ class TestBuildWorkload:
         assert uq1_small.query(uq1_small.query_names[0]).name == uq1_small.query_names[0]
         with pytest.raises(KeyError):
             uq1_small.query("nope")
+
+
+class TestMaskSelections:
+    """The builders select through column masks; every workload relation
+    holds exactly the rows the row-predicate form selects."""
+
+    SCALE = 0.002
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return generate_tpch(self.SCALE, seed=5)
+
+    @staticmethod
+    def _assert_selects(relation, base, predicate):
+        expected = base.select(predicate)
+        assert relation.rows == expected.rows
+        assert relation.schema == base.schema
+
+    def test_uq1(self, tables):
+        workload = build_uq1(self.SCALE, 0.3, seed=6, tables=tables)
+        groups = workload.metadata["nation_groups"]
+        customer, orders = tables["customer"], tables["orders"]
+        cust_nation = dict(zip(customer.column("custkey"), customer.column("nationkey")))
+        order_cust = dict(zip(orders.column("orderkey"), orders.column("custkey")))
+        for variant, query in enumerate(workload.queries, start=1):
+            allowed = {0, variant}
+
+            def keep_nation(row, schema):
+                return groups[row[schema.position("nationkey")]] in allowed
+
+            def keep_order(row, schema):
+                return groups[cust_nation[row[schema.position("custkey")]]] in allowed
+
+            def keep_lineitem(row, schema):
+                custkey = order_cust.get(row[schema.position("orderkey")])
+                return custkey is not None and groups[cust_nation[custkey]] in allowed
+
+            for name, predicate in (("nation", keep_nation), ("supplier", keep_nation),
+                                    ("customer", keep_nation), ("orders", keep_order),
+                                    ("lineitem", keep_lineitem)):
+                self._assert_selects(query.relation(name), tables[name], predicate)
+
+    def test_uq2(self, tables):
+        for query in build_uq2(self.SCALE, seed=6, tables=tables).queries:
+            for name, relation in query.relations.items():
+                if name in query.predicates:
+                    self._assert_selects(relation, tables[name], query.predicates[name])
+                else:
+                    assert relation is tables[name]
+
+    def test_uq3(self, tables):
+        from repro.relational.operators import hash_join
+
+        workload = build_uq3(self.SCALE, 0.3, seed=6, tables=tables)
+        groups = workload.metadata["customer_groups"]
+        customer, orders, supplier = tables["customer"], tables["orders"], tables["supplier"]
+        for variant, query in enumerate(workload.queries, start=1):
+            allowed = {0, variant}
+
+            def keep(row, schema):
+                return groups.get(row[schema.position("custkey")], -1) in allowed
+
+            self._assert_selects(query.relation("orders"), orders, keep)
+            customers = customer.select(keep)
+            if variant == 1:
+                assert query.relation("customer").rows == customers.rows
+            elif variant == 2:
+                for part in ("cust_part1", "cust_part2"):
+                    relation = query.relation(part)
+                    assert relation.rows == customers.project(relation.schema.names).rows
+            else:
+                custsupp = query.relation("custsupp")
+                joined = hash_join(customers, supplier, "nationkey", "nationkey")
+                assert custsupp.rows == joined.project(custsupp.schema.names).rows
+
+    def test_cyclic(self, tables):
+        from repro.tpch.cyclic import build_cyclic_bundle_workload
+
+        workload = build_cyclic_bundle_workload(self.SCALE, 0.3, seed=6, tables=tables)
+        groups = workload.metadata["customer_groups"]
+        for variant, query in enumerate(workload.queries, start=1):
+            allowed = {0, variant}
+
+            def keep(row, schema):
+                return groups.get(row[schema.position("custkey")], -1) in allowed
+
+            for name in ("customer", "orders"):
+                self._assert_selects(query.relation(name), tables[name], keep)
+        aliases = workload.queries[0].relations
+        assert aliases["lineitem_a"].rows == aliases["lineitem_b"].rows == tables["lineitem"].rows
