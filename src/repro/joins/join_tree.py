@@ -92,6 +92,17 @@ class JoinTree:
         visit(self.root, None)
         return pairs
 
+    def shape(self) -> Tuple[object, ...]:
+        """A hashable identity of the tree's structure: two trees of one
+        query with equal shapes bind the same relations on the same keys in
+        the same order and check the same residual conditions."""
+        edges = tuple(
+            (node.relation, parent and parent.relation, node.parent_attributes,
+             node.child_attributes)
+            for node, parent in self.descent()
+        )
+        return edges, self.residual_conditions
+
     def relation_order(self) -> List[str]:
         """Relations in pre-order (root first)."""
         return [n.relation for n in self.root.walk()]

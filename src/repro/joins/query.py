@@ -135,13 +135,16 @@ class JoinQuery:
 
         self._join_type: Optional[JoinType] = None
         #: the snapshot memo behind :meth:`derived`: the version vector it
-        #: was filled under, and key -> value
-        self._derived: Tuple[Tuple[int, ...], Dict[Hashable, Any]] = ((), {})
+        #: was filled under, key -> value, and the entries of the snapshot
+        #: before it that no ``patch`` has consumed yet
+        self._derived: Tuple[Tuple[int, ...], Dict[Hashable, Any], Dict[Hashable, Any]] = (
+            (), {}, {}
+        )
 
     def __getstate__(self) -> Dict[str, object]:
         # The memo is a cache: a copy rebuilds what it uses, on its side.
         state = dict(self.__dict__)
-        state["_derived"] = ((), {})
+        state["_derived"] = ((), {}, {})
         return state
 
     # ------------------------------------------------------------------ access
@@ -181,22 +184,33 @@ class JoinQuery:
         )
 
     # --------------------------------------------------------- snapshot memo
-    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+    def derived(
+        self,
+        key: Hashable,
+        build: Callable[[], T],
+        patch: Optional[Callable[[T], T]] = None,
+    ) -> T:
         """``build()``, memoized under ``key`` for the current snapshot.
 
         An entry is valid exactly while :func:`observed_versions` of this
         query reads the same: the first call after any base relation mutates
-        drops every entry, and each key is rebuilt once on its next use.  An
-        entry built while a mutation lands is filed under the vector read
-        before the build, so it is never served on the new snapshot.
+        retires every entry, and each key is rebuilt once on its next use.
+        With ``patch``, the rebuild is ``patch(last)`` when the snapshot
+        before held an entry ``last`` under the key: a tenant that can bring
+        itself up to date from its own last value does so (``patch`` must not
+        write ``last``, which samplers of that snapshot may still read).
+        Retired entries live until the next snapshot change.  An entry built
+        while a mutation lands is filed under the vector read before the
+        build, so it is never served on the new snapshot.
         """
         versions = observed_versions((self,))
-        memo_versions, entries = self._derived
+        memo_versions, entries, previous = self._derived
         if memo_versions != versions:
-            entries = {}
-            self._derived = (versions, entries)
+            previous, entries = entries, {}
+            self._derived = (versions, entries, previous)
         if key not in entries:
-            entries[key] = build()
+            last = previous.pop(key, None) if patch is not None else None
+            entries[key] = build() if last is None else patch(last)
         return entries[key]
 
     def join_tree(self) -> "JoinTree":

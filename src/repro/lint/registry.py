@@ -86,10 +86,20 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
         }
     ),
     # PR 7: a shared sampler serves concurrent server requests; the buffer
-    # and lazily-built plans mutate on every draw.
+    # and the sampler's views (its build decisions) move on every draw.
     "JoinSampler": LockContract(
-        locks={"_lock": frozenset({"_block_buffer", "_plans"})},
+        locks={"_lock": frozenset({"_block_buffer", "_views"})},
         locked_decorators={"_locked": "_lock"},
+    ),
+    # Every sampler of a snapshot reads one descent: its plans and the
+    # scalar path's cumulative weights are built once, by whoever asks first.
+    "_Descent": LockContract(
+        locks={"_lock": frozenset({"_plans", "_root_cumulative"})}
+    ),
+    # The shared alias tables: views of concurrent samplers build segments
+    # into one prob/alias pair, so builds (and patch copies) serialize.
+    "SegmentTables": LockContract(
+        locks={"_lock": frozenset({"built", "prob", "alias"})}
     ),
     # PR 7: step/estimate interleave from concurrent callers; the
     # accumulator and epoch bookkeeping move together under the lock.
@@ -147,16 +157,7 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
     # stale buffers before serving — the PR 2 protocol.
     "JoinSampler": EpochContract(
         refresh_methods=frozenset({"refresh"}),
-        cached_attrs=frozenset(
-            {
-                "_root_alias",
-                "_root_weights",
-                "_root_total",
-                "_root_cumulative",
-                "_plans",
-                "_block_buffer",
-            }
-        ),
+        cached_attrs=frozenset({"_descent", "_views", "_block_buffer"}),
         entry_points=frozenset(
             {
                 "try_sample",
@@ -166,7 +167,9 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
                 "pop_buffered_blocks",
             }
         ),
-        exempt=frozenset({"stale"}),
+        # ``weight_function`` names the snapshot last synced with, as the
+        # attribute it replaced did; readers that need it current refresh.
+        exempt=frozenset({"stale", "weight_function"}),
     ),
     # The per-snapshot state, exactly what ``_start_snapshot`` sets (the
     # membership memo sits behind ``membership``).
@@ -178,14 +181,15 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         }),
         entry_points=frozenset({"sample"}),
     ),
-    # The table has no staleness check of its own: its owner's does it
-    # (``JoinSampler.refresh`` replaces the table or calls
-    # ``rebuild_segments``, which restarts the cold-draw count), and its draw
+    # A sampler's view of the shared tables has no staleness check of its
+    # own: its owner's does it (``JoinSampler.refresh`` replaces the view or
+    # calls ``resync``, which restarts the cold-draw count), and its draw
     # methods are reached only through that owner's checked entry points.
-    # Registered so that the built flags and the count toward promotion stay
-    # named as per-snapshot state: a new public reader must be listed here.
+    # Registered so that the view's build decisions and its count toward
+    # promotion stay named as per-snapshot state: a new public reader must
+    # be listed here.
     "SegmentedAliasTable": EpochContract(
-        refresh_methods=frozenset({"rebuild_segments"}),
+        refresh_methods=frozenset({"resync"}),
         cached_attrs=frozenset({"_built", "_all_built", "_cold_draws"}),
         exempt=frozenset({"sample", "build_all"}),
     ),

@@ -17,36 +17,53 @@ Two structures cover the sampler's needs:
   almost every light bucket to one heavy bucket in O(n) array ops, and the
   few boundary leftovers finish in pairing rounds (a sequential fallback
   guards pathological weight profiles).
-* :class:`SegmentedAliasTable` — one alias table per key segment of a CSR
-  :class:`~repro.relational.index.SortedIndex` (the per-level child choice).
-  Segments whose weights are uniform (the common leaf-level case: every
-  weight 1) need no table at all.  A non-uniform segment's table costs
-  O(degree) to build, so a segment that is drawn from about once must not
-  pay for one: a draw into an *unbuilt* segment is served **cold**, by a
-  segment-local inverse CDF computed for the whole block of such draws in a
-  handful of ragged array operations (no per-segment Python, nothing
-  written to the table).  Tables are built only where they pay: a large
-  segment when one block draws from it more than once (one vectorized
-  construction; a small segment costs a cold draw at most ``_SMALL_SEGMENT``
-  rows and is never built by a draw), and every remaining segment at once
-  by ``build_all()`` — which the warm server
-  path calls per epoch, and which the table calls on itself once it has
-  served as many cold draws as it has rows (by then the workload has paid,
-  draw by draw, what the tables cost).  After a mutation epoch
-  ``rebuild_segments()`` invalidates exactly the slots a delta dirtied and
-  the count starts over.
+* :class:`SegmentTables` + :class:`SegmentedAliasTable` — one alias table
+  per key segment of a CSR :class:`~repro.relational.index.SortedIndex`
+  (the per-level child choice), in two halves.  The **shared tables**
+  (weights, segment totals, ``prob``/``alias``, the mask of built segments
+  and a lock that serialises builds) are one object per snapshot, held by
+  the query's descent and read by every sampler of that snapshot.  The
+  **per-sampler view** holds that sampler's *build decisions*.  Segments
+  whose weights are uniform (the common leaf-level case: every weight 1)
+  need no table at all.  A non-uniform segment's table costs O(degree) to
+  build, so a segment that is drawn from about once must not pay for one:
+  a draw into a segment the view has not built is served **cold**, by a
+  segment-local inverse CDF computed for the whole block of such draws in
+  a handful of ragged array operations (no per-segment Python, nothing
+  written).  A view decides to build only where it pays: a large segment
+  when one block draws from it more than once (one vectorized
+  construction; a small segment costs a cold draw at most
+  ``_SMALL_SEGMENT`` rows and is never built by a draw), and every
+  remaining segment at once by ``build_all()`` — which the warm server
+  path calls per epoch, and which the view calls on itself once it has
+  served as many cold draws as the tables have rows (by then the workload
+  has paid, draw by draw, what the tables cost).  A decision to build a
+  segment that another view already built costs nothing but the mark, so
+  the amortisation is paid once per snapshot, while what a seed draws
+  depends on its own decisions only.  A mutation never writes published
+  tables: ``SegmentTables.patched()`` gives the next snapshot's tables,
+  sharing nothing it changes, and ``SegmentedAliasTable.resync()`` drops
+  exactly the decisions on the segments a delta dirtied.
 
 Every draw path consumes the underlying generator identically (one uniform
 for the dart, one for the coin — a cold draw inverts the first and ignores
 the second), so a fixed seed yields a fixed draw sequence regardless of how
-many segments happen to be uniform, built, or cold.
+many segments happen to be uniform, built, or cold.  Alias index arrays are
+int32 whenever the row count allows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import threading
+from typing import Any, Optional, Sequence
 
 import numpy as np
+import numpy.typing as npt
+
+_Floats = npt.NDArray[np.float64]
+_Indices = npt.NDArray[np.intp]
+#: alias entries: int32 or intp, see ``_index_dtype``
+_AliasIndices = npt.NDArray[np.signedinteger[Any]]
 
 #: Vectorized pairing rounds before the sequential fallback takes over.
 _MAX_ROUNDS = 64
@@ -57,7 +74,14 @@ _MAX_ROUNDS = 64
 _SMALL_SEGMENT = 64
 
 
-def _build_flat(scaled: np.ndarray, prob: np.ndarray, alias: np.ndarray, base: int) -> None:
+def _index_dtype(n: int) -> type[np.signedinteger[Any]]:
+    """Dtype of an alias array over ``n`` rows: int32 while every row index
+    fits (half the bytes), else the platform index type.  Draws are the same
+    either way: ``np.where`` against the ``intp`` darts promotes to ``intp``."""
+    return np.int32 if n < 2**31 else np.intp
+
+
+def _build_flat(scaled: _Floats, prob: _Floats, alias: _AliasIndices, base: int) -> None:
     """Fill ``prob``/``alias`` (views of length n) for one distribution.
 
     ``scaled`` are the weights normalized to sum to ``n`` (consumed — the
@@ -161,7 +185,7 @@ def _build_flat(scaled: np.ndarray, prob: np.ndarray, alias: np.ndarray, base: i
 
 
 def _pin_zero_weights(
-    weights: np.ndarray, prob: np.ndarray, alias: np.ndarray, base: int
+    weights: _Floats, prob: _Floats, alias: _AliasIndices, base: int
 ) -> None:
     """Numerical backstop: a zero-weight item must never be drawn.
 
@@ -191,7 +215,7 @@ class AliasTable:
 
     __slots__ = ("n", "total", "prob", "alias")
 
-    def __init__(self, weights: Sequence[float] | np.ndarray) -> None:
+    def __init__(self, weights: Sequence[float] | npt.NDArray[Any]) -> None:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
@@ -200,13 +224,13 @@ class AliasTable:
         self.n = int(w.size)
         self.total = float(w.sum())
         self.prob = np.ones(self.n, dtype=float)
-        self.alias = np.arange(self.n, dtype=np.intp)
+        self.alias = np.arange(self.n, dtype=_index_dtype(self.n))
         if self.n and self.total > 0:
             # The scale product is a fresh array: _build_flat may consume it.
             _build_flat(w * (self.n / self.total), self.prob, self.alias, 0)
             _pin_zero_weights(w, self.prob, self.alias, 0)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int) -> _Indices:
         """``size`` independent draws (indices into the weight vector)."""
         if self.n == 0 or self.total <= 0:
             raise ValueError("cannot sample from an empty or all-zero table")
@@ -215,8 +239,9 @@ class AliasTable:
         return np.where(keep, darts, self.alias[darts]).astype(np.intp, copy=False)
 
 
-class SegmentedAliasTable:
-    """Per-segment alias tables over a CSR (offsets + per-row weights) layout.
+class SegmentTables:
+    """The shared half of a segmented alias table: one alias table per key
+    segment of a CSR (offsets + per-row weights) layout.
 
     Parameters
     ----------
@@ -227,57 +252,40 @@ class SegmentedAliasTable:
         ``weights[offsets[i]:offsets[i+1]]``.  Zero-length segments are legal
         (deletions pending compaction) and simply never drawn from.
 
-    Draws address segments by slot id and return **global row indices** into
-    the CSR order, so the caller can gather ``csr.row_positions[result]``
-    directly.  Uniform segments (all weights equal — detected vectorized at
-    construction) skip table construction entirely; the remaining segments
-    are drawn from cold until building pays (see the module docstring),
-    which is what makes the epoch protocol cheap:
-    :meth:`rebuild_segments` just clears the built flag of the dirtied slots.
+    ``built`` marks the segments whose tables ``prob``/``alias`` hold;
+    uniform segments (all weights equal, detected vectorized here) draw
+    through the identity arrays and start built.  A segment's table is a
+    function of its weights alone, so it is built at most once, by
+    whichever view first decides to build it, under ``_lock``.  Published
+    tables only ever gain built segments; the next snapshot's are a new
+    object (:meth:`patched`).
     """
 
     __slots__ = (
-        "offsets",
-        "weights",
-        "segment_totals",
-        "prob",
-        "alias",
-        "_built",
-        "_all_built",
-        "_cold_draws",
+        "offsets", "weights", "segment_totals", "uniform", "prob", "alias", "built",
+        "complete", "_lock",
     )
 
-    def __init__(self, weights: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(self, weights: npt.NDArray[Any], offsets: npt.NDArray[Any]) -> None:
         self.offsets = np.asarray(offsets)
         self.weights = np.asarray(weights, dtype=float)
         n = self.weights.size
         n_seg = len(self.offsets) - 1
-        starts = self.offsets[:-1]
-        ends = self.offsets[1:]
-        nonempty = ends > starts
+        nonempty = self.offsets[1:] > self.offsets[:-1]
+        ne_starts = np.asarray(self.offsets[:-1][nonempty], dtype=np.intp)
         self.segment_totals = np.zeros(n_seg, dtype=float)
-        if n_seg and n:
-            ne_starts = np.asarray(starts[nonempty], dtype=np.intp)
-            if ne_starts.size:
-                self.segment_totals[nonempty] = np.add.reduceat(self.weights, ne_starts)
+        self.uniform = np.ones(n_seg, dtype=bool)
+        if ne_starts.size and n:
+            self.segment_totals[nonempty] = np.add.reduceat(self.weights, ne_starts)
+            self.uniform[nonempty] = np.maximum.reduceat(
+                self.weights, ne_starts
+            ) == np.minimum.reduceat(self.weights, ne_starts)
         self.prob = np.ones(n, dtype=float)
-        self.alias = np.arange(n, dtype=np.intp)
-        # A segment whose weights are all equal draws uniformly through the
-        # identity prob/alias arrays — mark it built without doing any work.
-        self._built = np.zeros(n_seg, dtype=bool)
-        if n_seg and n:
-            seg_max = np.zeros(n_seg, dtype=float)
-            seg_min = np.zeros(n_seg, dtype=float)
-            ne_starts = np.asarray(starts[nonempty], dtype=np.intp)
-            if ne_starts.size:
-                seg_max[nonempty] = np.maximum.reduceat(self.weights, ne_starts)
-                seg_min[nonempty] = np.minimum.reduceat(self.weights, ne_starts)
-            self._built = (seg_max == seg_min) | ~nonempty
-        elif n_seg:
-            self._built = np.ones(n_seg, dtype=bool)
-        self._all_built = bool(self._built.all()) if n_seg else True
-        #: cold draws served since the table (or its last delta) was new
-        self._cold_draws = 0
+        self.alias = np.arange(n, dtype=_index_dtype(n))
+        self.built = self.uniform.copy()
+        #: every segment built: views made from now on may skip the mask
+        self.complete = bool(self.built.all())
+        self._lock = threading.Lock()
 
     @property
     def n_segments(self) -> int:
@@ -295,99 +303,55 @@ class SegmentedAliasTable:
             _pin_zero_weights(
                 self.weights[start:end], self.prob[start:end], self.alias[start:end], start
             )
-        self._built[slot] = True
+        self.built[slot] = True
+
+    def build(self, slots: _Indices) -> None:
+        """Build the tables of ``slots`` that no view has built yet."""
+        with self._lock:
+            for slot in slots[~self.built[slots]].tolist():
+                self._build_segment(int(slot))
 
     def build_all(self) -> None:
-        """Eagerly build every pending segment, making the table read-only.
-
-        Once every segment is built, :meth:`sample` never mutates the table
-        again (it short-circuits on ``_all_built``), so a fully built table
-        can be shared across threads without locking.  The warm server path
-        calls this once per epoch so per-request sampler clones can share one
-        table; a table that has served as many cold draws as it has rows
-        calls it on itself.
-        """
-        if self._all_built:
+        """Build every segment still unbuilt (a no-op once complete)."""
+        if self.complete:
             return
-        for slot in np.flatnonzero(~self._built).tolist():
-            self._build_segment(int(slot))
-        self._all_built = True
-
-    def rebuild_segments(self, slots: Iterable[int], weights: Optional[np.ndarray] = None) -> None:
-        """Invalidate the given segments after a delta.
-
-        ``weights`` optionally replaces the rows' weights in CSR order (same
-        shape — for shape-changing deltas build a fresh table instead).  Only
-        the named slots lose their tables (and are drawn from cold, with the
-        new weights, until the next :meth:`build_all`); everything else keeps
-        its tables, which is the "per-segment where the delta is local" half
-        of the epoch protocol.
-        """
-        slot_arr = np.asarray(list(slots), dtype=np.intp)
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != self.weights.shape:
-                raise ValueError(
-                    "rebuild_segments cannot change the CSR shape; build a new table"
-                )
-            self.weights = w
-            for slot in slot_arr.tolist():
-                start, end = int(self.offsets[slot]), int(self.offsets[slot + 1])
-                self.segment_totals[slot] = float(self.weights[start:end].sum())
-        for slot in slot_arr.tolist():
-            start, end = int(self.offsets[slot]), int(self.offsets[slot + 1])
-            self.prob[start:end] = 1.0
-            self.alias[start:end] = np.arange(start, end, dtype=np.intp)
-            segment = self.weights[start:end]
-            uniform = segment.size == 0 or float(segment.max()) == float(segment.min())
-            self._built[slot] = uniform
-            if not uniform:
-                self._all_built = False
-        self._cold_draws = 0
-
-    # ------------------------------------------------------------------ draws
-    def sample(self, rng: np.random.Generator, slots: np.ndarray) -> np.ndarray:
-        """One weighted draw per entry of ``slots``; returns global CSR indices.
-
-        Every addressed slot must have positive total weight (the sampler
-        filters empty/zero segments through :attr:`segment_totals` first).
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        starts = self.offsets[slots]
-        degrees = self.offsets[slots + 1] - starts
-        dart = rng.random(slots.size)
-        coin = rng.random(slots.size)
-        cold = None if self._all_built else self._route_unbuilt(slots, degrees)
-        darts = starts + np.minimum((dart * degrees).astype(np.intp), degrees - 1)
-        picks = np.where(coin < self.prob[darts], darts, self.alias[darts])
-        if cold is not None:
-            picks[cold] = self._cold_pick(slots[cold], dart[cold])
-            self._cold_draws += int(cold.size)
-            if self._cold_draws >= self.weights.size:
-                self.build_all()
-        return picks.astype(np.intp, copy=False)
-
-    def _route_unbuilt(self, slots: np.ndarray, degrees: np.ndarray) -> Optional[np.ndarray]:
-        """The block positions to serve cold: those whose segment is unbuilt.
-
-        A cold draw scans its segment.  For a small segment that is at most
-        ``_SMALL_SEGMENT`` rows, whatever the block holds.  A *large* segment
-        is served cold only to a block that draws from it once; a block that
-        draws from it again is the evidence that a table pays, so it is built
-        first (one vectorized construction) — which also keeps what a block
-        scans cold within ``_SMALL_SEGMENT`` rows per draw plus the table's
-        own rows.
-        """
-        unbuilt = np.flatnonzero(~self._built[slots])
-        large = unbuilt[degrees[unbuilt] > _SMALL_SEGMENT]
-        if large.size:
-            touched, hits = np.unique(slots[large], return_counts=True)
-            for slot in touched[hits > 1].tolist():
+        with self._lock:
+            for slot in np.flatnonzero(~self.built).tolist():
                 self._build_segment(int(slot))
-            unbuilt = unbuilt[~self._built[slots[unbuilt]]]
-        return unbuilt if unbuilt.size else None
+            self.complete = True
 
-    def _cold_pick(self, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def changed_segments(self, weights: _Floats) -> npt.NDArray[np.bool_]:
+        """Mask of the segments in which ``weights`` (same CSR) differ."""
+        mask = np.zeros(self.n_segments, dtype=bool)
+        rows = np.flatnonzero(weights != self.weights)
+        mask[np.searchsorted(self.offsets, rows, side="right") - 1] = True
+        return mask
+
+    def patched(self, weights: npt.NDArray[Any]) -> "SegmentTables":
+        """These tables over new row weights of the same CSR, as new tables.
+
+        A segment whose rows kept their weights keeps its table, built or
+        not; a changed segment starts over (built only if now uniform, drawn
+        cold from its new weights until a view builds it).  Returns ``self``
+        when no weight moved.  Nothing of ``self`` is written: samplers still
+        drawing from the previous snapshot keep exactly what they read.
+        """
+        w = np.asarray(weights, dtype=float)
+        if w.shape != self.weights.shape:
+            raise ValueError("a patch cannot change the CSR shape; build new tables")
+        changed = self.changed_segments(w)
+        if not changed.any():
+            return self
+        tables = SegmentTables(w, self.offsets)
+        kept_rows = np.repeat(~changed, np.diff(self.offsets))
+        with self._lock:
+            tables.prob[kept_rows] = self.prob[kept_rows]
+            tables.alias[kept_rows] = self.alias[kept_rows]
+            tables.built[~changed] = self.built[~changed]
+        tables.complete = bool(tables.built.all())
+        return tables
+
+    def cold_pick(self, slots: _Indices, u: _Floats) -> _Indices:
         """Segment-local inverse CDF for a block of draws: draw ``i`` maps
         ``u[i]`` in ``[0, 1)`` to the row of segment ``slots[i]`` whose share
         of the segment's weight covers it.  Reads the weights, writes nothing.
@@ -418,9 +382,126 @@ class SegmentedAliasTable:
         return starts + np.minimum(pick, last_positive)
 
 
+class SegmentedAliasTable:
+    """One sampler's view of shared :class:`SegmentTables`: its build decisions.
+
+    Draws address segments by slot id and return **global row indices** into
+    the CSR order, so the caller can gather ``csr.row_positions[result]``
+    directly.  The view keeps which segments *this sampler* has decided to
+    draw from a table (``_built``), whether that is all of them
+    (``_all_built``) and its count toward promotion (``_cold_draws``); a
+    segment it has not decided to build is drawn cold, even when another
+    sampler's view had the shared table build it.  Deciding to build a
+    segment that is already built only marks it.  So a draw depends on the
+    seed and the snapshot alone, never on what other samplers of the
+    snapshot did (see the module docstring for the rule).
+
+    A new view has built nothing but the uniform segments; ``all_built``
+    builds every segment first and gives a view that reads no mask and
+    writes nothing (it may share the tables' own ``built`` array).
+    :meth:`resync` moves a view to the next snapshot's tables over the same
+    CSR.
+    """
+
+    __slots__ = ("tables", "_built", "_all_built", "_cold_draws")
+
+    def __init__(self, tables: SegmentTables, all_built: bool = False) -> None:
+        self.tables = tables
+        if all_built:
+            tables.build_all()
+            self._built = tables.built
+        else:
+            self._built = tables.uniform.copy()
+        self._all_built = all_built or bool(self._built.all())
+        #: cold draws served since the view (or its last delta) was new
+        self._cold_draws = 0
+
+    def build_all(self) -> None:
+        """Build every segment for this view: from now on it only reads.
+
+        Once every segment is built, :meth:`sample` never mutates the view or
+        the tables again (it short-circuits on ``_all_built``), so the view's
+        draws need no lock.  ``warm()`` calls this per epoch; a view that has
+        served as many cold draws as its tables have rows calls it on itself.
+        """
+        if self._all_built:
+            return
+        self.tables.build_all()
+        self._built = self.tables.built
+        self._all_built = True
+
+    def resync(self, tables: SegmentTables) -> "SegmentedAliasTable":
+        """Move to ``tables``, the next snapshot's tables over the same CSR;
+        returns self.
+
+        Only the segments whose weights moved lose this view's build decision
+        (drawn cold, with the new weights, until it builds them again) and
+        the count toward promotion starts over; everything else keeps its
+        decision — the "per-segment where the delta is local" half of the
+        epoch protocol.
+        """
+        if tables is self.tables:
+            return self
+        changed = self.tables.changed_segments(tables.weights)
+        self.tables = tables
+        if changed.any():
+            self._built = self._built.copy()  # possibly the old tables' mask
+            self._built[changed] = tables.uniform[changed]
+            self._all_built = self._all_built and bool(tables.uniform[changed].all())
+            self._cold_draws = 0
+        return self
+
+    # ------------------------------------------------------------------ draws
+    def sample(self, rng: np.random.Generator, slots: npt.NDArray[Any]) -> _Indices:
+        """One weighted draw per entry of ``slots``; returns global CSR indices.
+
+        Every addressed slot must have positive total weight (the sampler
+        filters empty/zero segments through ``segment_totals`` first).
+        """
+        tables = self.tables
+        slots = np.asarray(slots, dtype=np.intp)
+        starts = tables.offsets[slots]
+        degrees = tables.offsets[slots + 1] - starts
+        dart = rng.random(slots.size)
+        coin = rng.random(slots.size)
+        cold = None if self._all_built else self._route_unbuilt(slots, degrees)
+        darts = starts + np.minimum((dart * degrees).astype(np.intp), degrees - 1)
+        picks = np.where(coin < tables.prob[darts], darts, tables.alias[darts])
+        if cold is not None:
+            picks[cold] = tables.cold_pick(slots[cold], dart[cold])
+            self._cold_draws += int(cold.size)
+            if self._cold_draws >= tables.weights.size:
+                self.build_all()
+        return picks.astype(np.intp, copy=False)
+
+    def _route_unbuilt(
+        self, slots: _Indices, degrees: npt.NDArray[Any]
+    ) -> Optional[_Indices]:
+        """The block positions to serve cold: those whose segment is unbuilt.
+
+        A cold draw scans its segment.  For a small segment that is at most
+        ``_SMALL_SEGMENT`` rows, whatever the block holds.  A *large* segment
+        is served cold only to a block that draws from it once; a block that
+        draws from it again is the evidence that a table pays, so it is built
+        first (one vectorized construction, or none if the shared tables hold
+        it already) — which also keeps what a block scans cold within
+        ``_SMALL_SEGMENT`` rows per draw plus the table's own rows.
+        """
+        unbuilt = np.flatnonzero(~self._built[slots])
+        large = unbuilt[degrees[unbuilt] > _SMALL_SEGMENT]
+        if large.size:
+            touched, hits = np.unique(slots[large], return_counts=True)
+            repeated = touched[hits > 1]
+            if repeated.size:
+                self.tables.build(repeated)
+                self._built[repeated] = True
+                unbuilt = unbuilt[~self._built[slots[unbuilt]]]
+        return unbuilt if unbuilt.size else None
+
+
 def uniform_segment_pick(
-    rng: np.random.Generator, starts: np.ndarray, degrees: np.ndarray
-) -> np.ndarray:
+    rng: np.random.Generator, starts: npt.NDArray[Any], degrees: npt.NDArray[Any]
+) -> _Indices:
     """One uniform pick inside each CSR segment (the wander-join hop kernel).
 
     The degenerate alias table of a uniform segment is a single dart — no
@@ -432,4 +513,4 @@ def uniform_segment_pick(
     )
 
 
-__all__ = ["AliasTable", "SegmentedAliasTable", "uniform_segment_pick"]
+__all__ = ["AliasTable", "SegmentTables", "SegmentedAliasTable", "uniform_segment_pick"]

@@ -38,21 +38,25 @@ samplers and :func:`repro.aqp.sources.fan_out` drives them.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar, cast
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
-from repro.sampling.alias import AliasTable, SegmentedAliasTable
-from repro.sampling.blocks import SampleBlock
+from repro.relational.index import SortedIndex
+from repro.sampling.alias import AliasTable, SegmentedAliasTable, SegmentTables
+from repro.sampling.blocks import PositionArray, SampleBlock
 from repro.sampling.weights import (
     ExactWeightFunction,
     WeightFunction,
     make_weight_function,
+    weight_kind,
 )
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
@@ -96,7 +100,10 @@ class JoinSamplerStats:
         return self.accepted / self.attempts
 
 
-def _locked(method: Callable) -> Callable:
+_Method = TypeVar("_Method", bound=Callable[..., Any])
+
+
+def _locked(method: _Method) -> _Method:
     """Serialize a public entry point on the sampler's reentrant lock.
 
     Draw calls mutate shared state (buffers, stats, lazily-built plans, the
@@ -107,14 +114,14 @@ def _locked(method: Callable) -> Callable:
     """
 
     @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
+    def wrapper(self: "JoinSampler", *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             return method(self, *args, **kwargs)
 
-    return wrapper
+    return cast(_Method, wrapper)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LevelPlan:
     """Precomputed per-node arrays for the batched descent.
 
@@ -122,19 +129,127 @@ class _LevelPlan:
 
     * ``parent_keys[p]`` is the join-key value of parent row ``p``;
     * ``csr`` groups the node's row positions by key (CSR layout);
-    * ``alias`` holds one Walker/Vose alias table per key segment (drawn
-      from cold until building pays — see
-      :class:`~repro.sampling.alias.SegmentedAliasTable`), whose
+    * ``tables`` holds one Walker/Vose alias table per key segment, shared
+      by every sampler of the snapshot (each draws through its own
+      :class:`~repro.sampling.alias.SegmentedAliasTable` view); its
       ``segment_totals`` double as the realized weight sums driving the
       accept/reject test.
     """
 
     node: JoinTreeNode
     parent: JoinTreeNode
-    parent_keys: np.ndarray
-    csr: object  # SortedIndex
-    alias: SegmentedAliasTable
+    parent_keys: npt.NDArray[Any]
+    csr: SortedIndex
+    tables: SegmentTables
     bound: Optional[float]
+
+
+class _Descent:
+    """What every sampler of one snapshot shares for one (query, weight
+    kind, join-tree shape): the weight function, the root alias table and
+    the per-edge level plans.
+
+    Held in ``query.derived`` (a caller's own weight function gets an
+    unmemoized one), built once per snapshot, and never rewritten once
+    published: the root alias is built eagerly, the plans once, on the
+    first batched draw, under ``_lock``, and the next snapshot's descent is
+    :meth:`patched` from this one.
+    """
+
+    def __init__(
+        self, weight_function: WeightFunction, previous: Optional["_Descent"] = None
+    ) -> None:
+        self.weight_function = weight_function
+        self.tree = weight_function.tree
+        #: the snapshot the structures describe (a caller may refresh its
+        #: own weight function in place; the plans still describe this one)
+        self.versions = {
+            node.relation: weight_function.query.relation(node.relation).version
+            for node in self.tree.nodes()
+        }
+        self.root_weights = np.asarray(weight_function.root_weights(), dtype=float)
+        self.root_total = float(self.root_weights.sum())
+        self.root_alias: Optional[AliasTable]
+        if previous is not None and np.array_equal(previous.root_weights, self.root_weights):
+            self.root_alias = previous.root_alias
+        else:
+            self.root_alias = (
+                AliasTable(self.root_weights) if self.root_total > 0 else None
+            )
+        self._lock = threading.Lock()
+        # Cumulative weights serve only the scalar reference path; built
+        # lazily so the hot block path never pays for them.
+        self._root_cumulative: Optional[npt.NDArray[np.float64]] = None
+        self._plans: Optional[List[_LevelPlan]] = None
+
+    def plans(self) -> List[_LevelPlan]:
+        """Per-edge CSR/alias structures in descent order, built once."""
+        with self._lock:
+            if self._plans is None:
+                self._plans = [
+                    self._build_plan(node, parent)
+                    for node, parent in self.tree.descent()
+                    if parent is not None
+                ]
+            return self._plans
+
+    def root_cumulative(self) -> npt.NDArray[np.float64]:
+        with self._lock:
+            if self._root_cumulative is None:
+                self._root_cumulative = np.cumsum(self.root_weights)
+            return self._root_cumulative
+
+    def _build_plan(self, node: JoinTreeNode, parent: JoinTreeNode) -> _LevelPlan:
+        query = self.weight_function.query
+        csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
+        return _LevelPlan(
+            node=node,
+            parent=parent,
+            parent_keys=query.relation(parent.relation).join_key_array(
+                node.parent_attributes
+            ),
+            csr=csr,
+            tables=SegmentTables(self._csr_weights(node, csr), csr.offsets),
+            bound=self.weight_function.acceptance_bound(node),
+        )
+
+    def _csr_weights(self, node: JoinTreeNode, csr: SortedIndex) -> npt.NDArray[np.float64]:
+        return np.asarray(
+            self.weight_function.weights_for(node, csr.row_positions), dtype=float
+        )
+
+    def patched(self) -> "_Descent":
+        """The current snapshot's descent, built from this one per edge.
+
+        The weights are refreshed incrementally
+        (:meth:`~repro.sampling.weights.WeightFunction.refreshed`) and the
+        root alias is reused when the root weights did not move.  An edge
+        whose own relations mutated gets a fresh plan (its CSR layout and/or
+        parent key arrays changed).  An edge whose endpoints are untouched
+        keeps its CSR and key arrays by reference — but its child weights
+        summarize the child's whole *subtree*, so a delta further down can
+        move them: :meth:`SegmentTables.patched` copies its tables, resetting
+        only the dirtied segments.  Plans never built stay unbuilt.
+        """
+        successor = _Descent(self.weight_function.refreshed(), previous=self)
+        dirty = {
+            name for name, version in successor.versions.items()
+            if version != self.versions[name]
+        }
+        with self._lock:
+            plans = self._plans
+        if plans is not None:
+            successor._plans = [successor._patched_plan(plan, dirty) for plan in plans]
+        return successor
+
+    def _patched_plan(self, plan: _LevelPlan, dirty: Set[str]) -> _LevelPlan:
+        if plan.node.relation in dirty or plan.parent.relation in dirty:
+            return self._build_plan(plan.node, plan.parent)
+        return dataclasses.replace(
+            plan,
+            tables=plan.tables.patched(self._csr_weights(plan.node, plan.csr)),
+            bound=self.weight_function.acceptance_bound(plan.node),
+        )
 
 
 class JoinSampler:
@@ -166,24 +281,42 @@ class JoinSampler:
         seed: RandomState = None,
         enforce_predicates: bool = True,
         max_batch_size: int = 8192,
-        _prototype: Optional["JoinSampler"] = None,
     ) -> None:
-        self.query = query
+        descent_key: Optional[Hashable] = None
         if isinstance(weights, WeightFunction):
-            self.weight_function = weights
-            # A prebuilt weight function may predate mutations of the base
-            # relations; re-sync before caching anything derived from it.
-            self.weight_function.refresh()
+            # A caller's own weight function may predate mutations of the
+            # base relations; its descent is this sampler's (and its
+            # clones') alone.
+            descent = _Descent(weights.refreshed())
         else:
             if weights == "auto":
                 # Deferred import: the planner lives above the sampling layer.
                 from repro.aqp.planner import choose_weights
 
                 weights = choose_weights(query)
-            self.weight_function = make_weight_function(weights, query)
-        #: the tree the weights were computed over (a clone made by
-        #: :meth:`split` thereby walks its prototype's tree)
-        self.tree = self.weight_function.tree
+            kind = weight_kind(weights)
+            descent_key = ("descent", kind, query.join_tree().shape())
+            descent = query.derived(
+                descent_key,
+                lambda: _Descent(make_weight_function(kind, query)),
+                patch=_Descent.patched,
+            )
+        self._start(query, descent, descent_key, seed, enforce_predicates, max_batch_size)
+
+    def _start(
+        self,
+        query: JoinQuery,
+        descent: _Descent,
+        descent_key: Optional[Hashable],
+        seed: RandomState,
+        enforce_predicates: bool,
+        max_batch_size: int,
+        views: Optional[List[SegmentedAliasTable]] = None,
+    ) -> None:
+        self.query = query
+        #: the tree the weights were computed over, for life (a sampler
+        #: refreshed after a mutation keeps drawing over it)
+        self.tree = descent.tree
         self.rng = ensure_rng(seed)
         self.enforce_predicates = enforce_predicates
         self.stats = JoinSamplerStats()
@@ -192,37 +325,23 @@ class JoinSampler:
         self._relation_order = tuple(node.relation for node, _ in self._order)
         self._relations = [self.query.relation(name) for name in self._relation_order]
         self._db_versions = tuple(r.version for r in self._relations)
-        self._plans: Optional[List[_LevelPlan]] = None
+        #: the snapshot's shared structures, and the memo key they are
+        #: fetched under again after a mutation (None: never published)
+        self._descent = descent
+        self._descent_key = descent_key
+        #: this sampler's build decisions, one view per level plan (made on
+        #: the first batched call)
+        self._views = views
         #: surplus accepted work in struct-of-arrays form (the one buffer)
         self._block_buffer: List[SampleBlock] = []
         self._min_batch_size = 32
         self._max_batch_size = max(int(max_batch_size), 1)
         self._lock = threading.RLock()
-        #: True when ``_root_alias``/``_plans`` are borrowed read-only from a
-        #: warm prototype (see :meth:`split`); a refresh must then drop the
-        #: borrowed structures instead of mutating them in place.
-        self._shared_plans = False
-        if _prototype is not None:
-            # Borrow the prototype's (fully built, read-only) structures
-            # instead of paying the O(root rows) alias construction per clone.
-            self._root_weights = _prototype._root_weights
-            self._root_total = _prototype._root_total
-            self._root_alias = _prototype._root_alias
-            self._root_cumulative = _prototype._root_cumulative
-            self._plans = _prototype._plans
-            self._shared_plans = True
-        else:
-            self._load_root_weights()
 
-    def _load_root_weights(self) -> None:
-        self._root_weights = np.asarray(self.weight_function.root_weights(), dtype=float)
-        self._root_total = float(self._root_weights.sum())
-        self._root_alias = (
-            AliasTable(self._root_weights) if self._root_total > 0 else None
-        )
-        # Cumulative weights serve only the scalar reference path; built
-        # lazily so the hot block path never pays for them.
-        self._root_cumulative: Optional[np.ndarray] = None
+    @property
+    def weight_function(self) -> WeightFunction:
+        """The weights of the snapshot this sampler last synced with."""
+        return self._descent.weight_function
 
     # ----------------------------------------------------------------- public
     @property
@@ -236,15 +355,15 @@ class JoinSampler:
 
         The epoch protocol: every effective mutation bumps
         :attr:`Relation.version`; each draw entry point compares those
-        counters (a handful of int comparisons) and, on staleness, refreshes
-        the weight function (which patches only the affected segments),
-        rebuilds the root alias table, re-syncs the level plans **per edge**
-        (an edge whose own relations mutated is rebuilt from the
-        delta-maintained CSR indexes; an untouched edge keeps its CSR, key
-        arrays, and alias tables, invalidating only the segments whose child
-        weights actually moved — drawn cold from the new weights), and —
-        critically — discards buffered draws, which describe the *previous*
-        database state.
+        counters (a handful of int comparisons) and, on staleness, fetches
+        the snapshot's descent again — from the query's memo, where the first
+        sampler to need it patched the last one (weights refreshed
+        incrementally, tables copied only where a delta dirtied them) — and
+        re-syncs this sampler's views **per edge**: an edge whose own
+        relations mutated gets a fresh view, an untouched edge keeps its
+        build decisions except on the segments whose child weights moved
+        (drawn cold from the new weights).  Then — critically — it discards
+        buffered draws, which describe the *previous* database state.
         """
         versions = tuple(r.version for r in self._relations)
         if versions == self._db_versions:
@@ -256,15 +375,21 @@ class JoinSampler:
             )
             if relation.version != version
         }
-        self.weight_function.refresh()
-        self._load_root_weights()
-        if self._shared_plans:
-            # The plans belong to the warm prototype; never mutate them from
-            # a borrower.  Drop the reference and rebuild lazily on demand.
-            self._plans = None
-            self._shared_plans = False
+        previous = self._descent
+        if self._descent_key is None:
+            descent = previous.patched()
         else:
-            self._refresh_plans(stale_names)
+            descent = self.query.derived(
+                self._descent_key, previous.patched, patch=_Descent.patched
+            )
+        if self._views is not None:
+            self._views = [
+                SegmentedAliasTable(plan.tables)
+                if plan.node.relation in stale_names or plan.parent.relation in stale_names
+                else view.resync(plan.tables)
+                for plan, view in zip(descent.plans(), self._views)
+            ]
+        self._descent = descent
         self._block_buffer.clear()
         self._db_versions = versions
         return True
@@ -291,9 +416,6 @@ class JoinSampler:
         """
         self.refresh()
         self.stats.attempts += 1
-        if self._root_total <= 0:
-            self.stats.rejected_empty += 1
-            return None
         assignment: Dict[str, int] = {}
         root = self.tree.root
         root_pos = self._weighted_root_choice()
@@ -441,17 +563,17 @@ class JoinSampler:
     def warm(self) -> "JoinSampler":
         """Eagerly build every descent structure; returns self for chaining.
 
-        After warming, the root alias table, every level plan, and every
-        per-segment alias table exist and are fully built, so subsequent
-        draws (and :meth:`split` clones that borrow the structures) never
-        pay lazy-construction cost — and, because a fully built
-        :class:`~repro.sampling.alias.SegmentedAliasTable` is read-only, the
-        structures are safe to share across threads.  The server calls this
-        once per (query, weights, epoch).
+        After warming, this sampler's views are all built, and so is every
+        per-segment alias table of the snapshot's shared descent: subsequent
+        draws never pay lazy-construction cost, and — because a fully built
+        view only reads — :meth:`split` clones drawing from the same tables
+        are safe on concurrent threads.  The server calls this once per
+        (query, weights, epoch); whatever another sampler of the snapshot
+        built already is not built again.
         """
         self.refresh()
-        for plan in self._level_plans():
-            plan.alias.build_all()
+        for view in self._level_views():
+            view.build_all()
         return self
 
     @_locked
@@ -463,38 +585,44 @@ class JoinSampler:
     ) -> List["JoinSampler"]:
         """``count`` independent shard samplers over the same join.
 
-        The shards share this sampler's weight function and join tree (so the
-        expensive weight computation is paid once) but draw from independent
-        streams derived via :func:`~repro.utils.rng.spawn_rngs` — by default
-        from this sampler's own stream, so a fixed parent seed yields a fixed
-        family of shards; with an explicit ``seed`` the parent's stream is
-        left untouched (the server's per-request clones rely on this).
-        Shards are safe to run on concurrent threads as long as the base
-        relations do not mutate mid-batch (the coordinator epoch guard in
-        :mod:`repro.parallel` handles mutations between batches).
+        The shards share this sampler's descent — weights, join tree, root
+        alias and level plans, so the expensive structures are paid once —
+        but draw from independent streams derived via
+        :func:`~repro.utils.rng.spawn_rngs`: by default from this sampler's
+        own stream, so a fixed parent seed yields a fixed family of shards;
+        with an explicit ``seed`` the parent's stream is left untouched (the
+        server's per-request clones rely on this).  Shards are safe to run
+        on concurrent threads as long as the base relations do not mutate
+        mid-batch (the coordinator epoch guard in :mod:`repro.parallel`
+        handles mutations between batches).
 
-        With ``share_plans=True`` this sampler is warmed first and the clones
-        borrow its root alias table and level plans **read-only** (a fully
-        built table never mutates on draw), so a clone costs O(1) instead of
-        O(root rows).  A borrowing clone that observes a mutation epoch drops
-        the borrowed structures and rebuilds its own.
+        A shard makes its own build decisions, as a new sampler would.  With
+        ``share_plans=True`` this sampler is warmed first and every shard
+        starts from all-built views, which only read the shared tables, so a
+        clone costs O(levels).  After a mutation a shard fetches the next
+        snapshot's descent like any sampler.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         if share_plans:
             self.warm()
-        streams = spawn_rngs(self.rng if seed is None else seed, count)
-        shards = [
-            JoinSampler(
+        else:
+            self.refresh()
+        plans = self._descent.plans() if share_plans else []
+        shards: List[JoinSampler] = []
+        for stream in spawn_rngs(self.rng if seed is None else seed, count):
+            shard = JoinSampler.__new__(JoinSampler)
+            views = [SegmentedAliasTable(plan.tables, all_built=True) for plan in plans]
+            shard._start(
                 self.query,
-                weights=self.weight_function,
-                seed=stream,
-                enforce_predicates=self.enforce_predicates,
-                max_batch_size=self._max_batch_size,
-                _prototype=self if share_plans else None,
+                self._descent,
+                self._descent_key,
+                stream,
+                self.enforce_predicates,
+                self._max_batch_size,
+                views=views if share_plans else None,
             )
-            for stream in streams
-        ]
+            shards.append(shard)
         return shards
 
     # ------------------------------------------------------------- block path
@@ -507,80 +635,29 @@ class JoinSampler:
             estimate = need * 4
         return max(self._min_batch_size, min(estimate, self._max_batch_size))
 
-    def _level_plans(self) -> List[_LevelPlan]:
-        """Per-node CSR/alias structures, built once on first batched call."""
-        if self._plans is None:
-            self._plans = [
-                self._build_plan(node, parent)
-                for node, parent in self._order
-                if parent is not None
-            ]
-        return self._plans
-
-    def _build_plan(self, node: JoinTreeNode, parent: JoinTreeNode) -> _LevelPlan:
-        parent_rel = self.query.relation(parent.relation)
-        child_rel = self.query.relation(node.relation)
-        csr = child_rel.sorted_index_on_columns(node.child_attributes)
-        csr_weights = np.asarray(
-            self.weight_function.weights_for(node, csr.row_positions),
-            dtype=float,
-        )
-        return _LevelPlan(
-            node=node,
-            parent=parent,
-            parent_keys=parent_rel.join_key_array(node.parent_attributes),
-            csr=csr,
-            alias=SegmentedAliasTable(csr_weights, csr.offsets),
-            bound=self.weight_function.acceptance_bound(node),
-        )
-
-    def _refresh_plans(self, stale_names: set) -> None:
-        """Re-sync built level plans with a new mutation epoch, per edge.
-
-        An edge whose own relations mutated gets a fresh plan (its CSR layout
-        and/or parent key arrays changed shape).  An edge whose endpoints are
-        untouched keeps everything by reference — but its child weights
-        summarize the child's whole *subtree*, so a delta further down can
-        move them: those are diffed in one vectorized compare and only the
-        dirtied segments' alias tables are invalidated
-        (:meth:`SegmentedAliasTable.rebuild_segments`; they are drawn cold
-        until the table next builds itself).  Unbuilt plans stay unbuilt.
-        """
-        if self._plans is None:
-            return
-        refreshed: List[_LevelPlan] = []
-        for plan in self._plans:
-            if plan.node.relation in stale_names or plan.parent.relation in stale_names:
-                refreshed.append(self._build_plan(plan.node, plan.parent))
-                continue
-            new_weights = np.asarray(
-                self.weight_function.weights_for(plan.node, plan.csr.row_positions),
-                dtype=float,
-            )
-            plan.bound = self.weight_function.acceptance_bound(plan.node)
-            changed = np.flatnonzero(new_weights != plan.alias.weights)
-            if changed.size:
-                slots = np.unique(
-                    np.searchsorted(plan.csr.offsets, changed, side="right") - 1
-                )
-                plan.alias.rebuild_segments(slots.tolist(), new_weights)
-            refreshed.append(plan)
-        self._plans = refreshed
+    def _level_views(self) -> List[SegmentedAliasTable]:
+        """This sampler's view of each level plan's tables, made on the
+        first batched call (fresh views: nothing built but the uniform)."""
+        if self._views is None:
+            self._views = [SegmentedAliasTable(plan.tables) for plan in self._descent.plans()]
+        return self._views
 
     def _attempt_block(self, size: int) -> Optional[SampleBlock]:
         """Run ``size`` root-to-leaf walks simultaneously; return the accepted."""
         self.stats.attempts += size
-        if self._root_total <= 0 or self._root_alias is None:
+        descent = self._descent
+        if descent.root_alias is None:
             self.stats.rejected_empty += size
             return None
 
-        chosen: Dict[str, np.ndarray] = {
+        chosen: Dict[str, PositionArray] = {
             name: np.full(size, -1, dtype=np.intp) for name in self._relation_order
         }
-        chosen[self.tree.root.relation] = self._batch_root_choice(size)
+        # The root row: one draw from the root alias table (O(1) per draw).
+        chosen[self.tree.root.relation] = descent.root_alias.sample(self.rng, size)
         walks = np.arange(size, dtype=np.intp)
 
-        for plan in self._level_plans():
+        for plan, view in zip(descent.plans(), self._level_views()):
             if walks.size == 0:
                 break
             parent_positions = chosen[plan.parent.relation][walks]
@@ -593,7 +670,7 @@ class JoinSampler:
                 slots = slots[present]
                 if walks.size == 0:
                     break
-            realized = plan.alias.segment_totals[slots]
+            realized = plan.tables.segment_totals[slots]
             positive = realized > 0
             if not positive.all():
                 self.stats.rejected_empty += int((~positive).sum())
@@ -612,7 +689,7 @@ class JoinSampler:
                         break
             # Weighted child choice: one alias-table draw per walk (a dart
             # and a coin — two array lookups, no binary search).
-            idx = plan.alias.sample(self.rng, slots)
+            idx = view.sample(self.rng, slots)
             chosen[plan.node.relation][walks] = plan.csr.row_positions[idx]
 
         if walks.size and self.tree.residual_conditions:
@@ -629,15 +706,12 @@ class JoinSampler:
                 name: chosen[name][walks] for name in self._relation_order
             },
             attempts=size,
-            weight=self.weight_function.total_weight,
+            weight=descent.weight_function.total_weight,
         )
 
-    def _batch_root_choice(self, size: int) -> np.ndarray:
-        """``size`` root rows via the root alias table (O(1) per draw)."""
-        assert self._root_alias is not None
-        return self._root_alias.sample(self.rng, size)
-
-    def _filter_residuals(self, chosen: Dict[str, np.ndarray], walks: np.ndarray) -> np.ndarray:
+    def _filter_residuals(
+        self, chosen: Dict[str, PositionArray], walks: PositionArray
+    ) -> PositionArray:
         """Drop walks whose assembled assignment violates a residual condition."""
         ok = self.tree.residual_mask(
             {name: positions[walks] for name, positions in chosen.items()}
@@ -648,7 +722,9 @@ class JoinSampler:
             walks = walks[ok]
         return walks
 
-    def _filter_predicates(self, chosen: Dict[str, np.ndarray], walks: np.ndarray) -> np.ndarray:
+    def _filter_predicates(
+        self, chosen: Dict[str, PositionArray], walks: PositionArray
+    ) -> PositionArray:
         """Drop walks violating predicates that were not pushed down (§8.3)."""
         keep = np.ones(walks.size, dtype=bool)
         for rel_name in self.query.unpushed_predicates:
@@ -664,21 +740,21 @@ class JoinSampler:
 
     # --------------------------------------------------------------- internals
     def _weighted_root_choice(self) -> Optional[int]:
-        if self._root_total <= 0:
+        descent = self._descent
+        weights, total = descent.root_weights, descent.root_total
+        if total <= 0:
             return None
-        if self._root_cumulative is None:
-            self._root_cumulative = np.cumsum(self._root_weights)
-        target = self.rng.random() * self._root_total
-        pos = int(np.searchsorted(self._root_cumulative, target, side="right"))
-        if pos >= len(self._root_weights):
-            pos = len(self._root_weights) - 1
-        if self._root_weights[pos] <= 0:
+        target = self.rng.random() * total
+        pos = int(np.searchsorted(descent.root_cumulative(), target, side="right"))
+        if pos >= len(weights):
+            pos = len(weights) - 1
+        if weights[pos] <= 0:
             # Landed on a zero-weight row due to floating point edge effects;
             # fall back to an explicit renormalized choice.
-            positive = np.flatnonzero(self._root_weights > 0)
+            positive = np.flatnonzero(weights > 0)
             if positive.size == 0:
                 return None
-            probabilities = self._root_weights[positive] / self._root_weights[positive].sum()
+            probabilities = weights[positive] / weights[positive].sum()
             pos = int(self.rng.choice(positive, p=probabilities))
         return pos
 

@@ -24,6 +24,7 @@ estimator — and lives in :mod:`repro.sampling.wander_join`.
 
 from __future__ import annotations
 
+import copy
 import threading
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Sequence, Set, Tuple
@@ -47,9 +48,8 @@ class WeightFunction(ABC):
             node.relation for node in self.tree.root.post_order()
         ]
         self._versions = self._capture_versions()
-        # Sampler clones created by JoinSampler.split() share one weight
-        # function; the lock serializes their concurrent refresh() calls (the
-        # second caller re-checks staleness under the lock and no-ops).
+        # Serializes concurrent refresh() calls on one function (the second
+        # caller re-checks staleness under the lock and no-ops).
         self._refresh_lock = threading.Lock()
 
     # -------------------------------------------------------------- staleness
@@ -93,8 +93,25 @@ class WeightFunction(ABC):
             self._versions = self._capture_versions()
         return True
 
+    def refreshed(self) -> "WeightFunction":
+        """This function at the current snapshot, leaving ``self`` as it was.
+
+        Returns ``self`` when nothing is stale, else a copy refreshed by the
+        same incremental :meth:`refresh`: ``_refresh`` replaces the arrays
+        and containers it changes instead of writing them, so the copy shares
+        exactly what the delta left alone.  A descent published to other
+        samplers (:mod:`repro.sampling.join_sampler`) moves to the next
+        snapshot this way.
+        """
+        if not self.stale_relations():
+            return self
+        successor = copy.copy(self)
+        successor.refresh()
+        return successor
+
     def _refresh(self, dirty: Set[str]) -> None:
-        """Recompute state invalidated by the ``dirty`` relations."""
+        """Recompute state invalidated by the ``dirty`` relations, replacing
+        (never writing into) the containers that hold it."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ api
@@ -177,6 +194,10 @@ class ExactWeightFunction(WeightFunction):
         factor segments rather than a whole-tree recomputation.
         """
         recomputed: Set[str] = set()
+        # Fresh dicts: a copy made by refreshed() shares the old ones.
+        self._weights = dict(self._weights)
+        self._key_sums = dict(self._key_sums)
+        self._factors = dict(self._factors)
 
         def changed(relation_name: str) -> bool:
             return (
@@ -279,8 +300,8 @@ class ExtendedOlkenWeightFunction(WeightFunction):
         # Caps are a handful of maintained max-degree lookups and the root
         # weights one vectorized slot gather, so EO recomputes both wholesale
         # (the delta-maintained statistics make this O(#relations + |root|)).
-        self._cap.clear()
-        self._max_degree.clear()
+        self._cap = {}
+        self._max_degree = {}
         self._compute_caps()
         self._root_weights = self._compute_root_weights()
 
@@ -333,18 +354,31 @@ class ExtendedOlkenWeightFunction(WeightFunction):
         return self._max_degree[node.relation] * self._cap[node.relation]
 
 
+_KINDS = {
+    "ew": "ew", "exact": "ew", "exact_weight": "ew",
+    "eo": "eo", "olken": "eo", "extended_olken": "eo",
+}
+
+
+def weight_kind(method: str) -> str:
+    """The kind (``"ew"`` or ``"eo"``) a method name or alias stands for."""
+    try:
+        return _KINDS[method.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown weight method {method!r}; expected 'ew' or 'eo'"
+        ) from None
+
+
 def make_weight_function(
     method: str,
     query: JoinQuery,
     **kwargs,
 ) -> WeightFunction:
     """Factory: ``"ew"``/``"exact"`` or ``"eo"``/``"olken"`` -> weight function."""
-    key = method.lower()
-    if key in ("ew", "exact", "exact_weight"):
+    if weight_kind(method) == "ew":
         return ExactWeightFunction(query)
-    if key in ("eo", "olken", "extended_olken"):
-        return ExtendedOlkenWeightFunction(query, **kwargs)
-    raise ValueError(f"unknown weight method {method!r}; expected 'ew' or 'eo'")
+    return ExtendedOlkenWeightFunction(query, **kwargs)
 
 
 __all__ = [
@@ -352,4 +386,5 @@ __all__ = [
     "ExactWeightFunction",
     "ExtendedOlkenWeightFunction",
     "make_weight_function",
+    "weight_kind",
 ]

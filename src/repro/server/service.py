@@ -13,9 +13,9 @@ Warm state
 The seed-level costs of a request are the O(rows) structures: weight
 functions, level plans, root and per-segment alias tables.  The service
 keeps one **warm prototype** :class:`~repro.sampling.join_sampler.JoinSampler`
-per ``(query, weights)`` and serves each request from an O(1) clone
-(``split(1, seed=request_seed, share_plans=True)``) that borrows the
-prototype's fully built structures read-only.  Clones draw from their own
+per ``(query, weights)`` and serves each request from an O(levels) clone
+(``split(1, seed=request_seed, share_plans=True)``) that draws from the
+snapshot's shared, fully built descent through all-built views.  Clones draw from their own
 request-seeded stream without consuming the prototype's, so a request's
 answer is a pure function of ``(request, snapshot)`` — bit-identical whether
 it runs alone or besides 16 others (pinned by ``tests/test_server.py``).

@@ -3,7 +3,7 @@
 
 class JoinSampler:
     def __init__(self):
-        self._root_weights = [1.0]
+        self._descent = [1.0]
         self._epoch = 0
 
     def refresh(self):
@@ -11,9 +11,9 @@ class JoinSampler:
         return False
 
     def sample_block(self, count):
-        return self._root_weights[:count]
+        return self._descent[:count]
 
     def sample_many(self, count):
-        out = list(self._root_weights)
+        out = list(self._descent)
         self.refresh()
         return out[:count]

@@ -52,14 +52,14 @@ class AggregateAccumulator:
 
 class JoinSampler:
     def __init__(self):
-        self._root_weights = [1.0, 2.0]
+        self._descent = [1.0, 2.0]
 
     def refresh(self):
         return False
 
     def sample_block(self, count):
         self.refresh()
-        return self._root_weights[:count]
+        return self._descent[:count]
 
     def sample_many(self, count):
         # Delegating to another checked entry point counts as refreshing.

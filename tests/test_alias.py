@@ -14,8 +14,12 @@ Two layers of guarantees:
 * **the cold kernel is exact, and the table builds only where it pays** —
   a draw into an unbuilt small segment is a segment-local inverse CDF whose
   preimages have the weights' measure (checked at the breakpoints, without
-  sampling); the table promotes itself after serving as many cold draws as
-  it has rows and from then on is read-only.
+  sampling); a view promotes itself after serving as many cold draws as
+  its tables have rows and from then on is read-only;
+* **one table per snapshot, one set of decisions per sampler** — views of
+  shared tables build each segment at most once and draw exactly what a
+  view of private tables draws; a patch leaves the published tables as
+  they were.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.sampling.alias import (
     _SMALL_SEGMENT,
     AliasTable,
     SegmentedAliasTable,
+    SegmentTables,
     uniform_segment_pick,
 )
 
@@ -39,6 +44,11 @@ def bucket_mass(table: AliasTable) -> np.ndarray:
     np.add.at(mass, np.arange(table.n), table.prob / table.n)
     np.add.at(mass, table.alias, (1 - table.prob) / table.n)
     return mass
+
+
+def fresh_view(weights, offsets) -> SegmentedAliasTable:
+    """A sampler's view of new tables that no other view has touched."""
+    return SegmentedAliasTable(SegmentTables(weights, offsets))
 
 
 WEIGHT_PROFILES = {
@@ -106,7 +116,7 @@ class TestAliasVsSearchsorted:
         degrees = rng_w.integers(1, 9, size=40)
         offsets = np.concatenate([[0], np.cumsum(degrees)])
         weights = rng_w.random(int(offsets[-1])) + 0.05
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         rng = np.random.default_rng(STAT_SEED)
         slots = rng.integers(0, 40, size=30_000).astype(np.intp)
         picks = table.sample(rng, slots)
@@ -123,7 +133,7 @@ class TestAliasVsSearchsorted:
     def test_uniform_segments_draw_uniformly(self):
         offsets = np.array([0, 5, 5, 9])
         weights = np.ones(9)
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         # Uniform segments are pre-marked built: no construction work at all.
         assert table._built.all()
         rng = np.random.default_rng(STAT_SEED)
@@ -132,26 +142,34 @@ class TestAliasVsSearchsorted:
 
 
 class TestSegmentRebuild:
-    def test_rebuild_segments_is_local(self):
+    def test_a_patch_is_local_and_writes_nothing_published(self):
         offsets = np.array([0, 3, 6, 10])
         weights = np.array([1.0, 2.0, 3.0, 5.0, 5.0, 5.0, 1.0, 1.0, 1.0, 7.0])
-        table = SegmentedAliasTable(weights, offsets)
+        tables = SegmentTables(weights, offsets)
+        table = SegmentedAliasTable(tables)
         table.build_all()
-        built_before = table._built.copy()
-        assert built_before.all()
+        assert table._built.all()
+        published = [a.copy() for a in (tables.weights, tables.prob, tables.alias,
+                                         tables.segment_totals, tables.built)]
 
         new_weights = weights.copy()
         new_weights[0:3] = [4.0, 0.0, 1.0]
-        table.rebuild_segments([0], new_weights)
+        patched = tables.patched(new_weights)
+        assert table.resync(patched) is table and table.tables is patched
         # Only slot 0 was invalidated; the others keep their tables.
-        assert not table._built[0]
+        assert not table._built[0] and not patched.built[0]
         assert table._built[1] and table._built[2]
-        assert table.segment_totals[0] == pytest.approx(5.0)
+        assert patched.built[2] and (patched.prob[6:] == tables.prob[6:]).all()
+        assert patched.segment_totals[0] == pytest.approx(5.0)
+        assert patched.offsets is tables.offsets
+        for before, after in zip(published, (tables.weights, tables.prob, tables.alias,
+                                             tables.segment_totals, tables.built)):
+            assert (before == after).all()
 
         # The dirtied slot is drawn cold, from the new weights, and the
         # count toward promotion started over with the delta.
         assert table._cold_draws == 0
-        assert table._cold_pick(np.array([0, 0, 0]), np.array([0.0, 0.79, 0.81])).tolist() == [
+        assert patched.cold_pick(np.array([0, 0, 0]), np.array([0.0, 0.79, 0.81])).tolist() == [
             0, 0, 2
         ]
         rng = np.random.default_rng(STAT_SEED)
@@ -163,15 +181,19 @@ class TestSegmentRebuild:
         assert freq[1] == 0.0
         assert freq[2] == pytest.approx(0.2, abs=0.02)
 
-    def test_rebuild_rejects_shape_change(self):
-        table = SegmentedAliasTable(np.ones(4), np.array([0, 2, 4]))
+    def test_an_unchanged_patch_is_the_same_tables(self):
+        tables = SegmentTables(np.array([1.0, 2.0, 3.0]), np.array([0, 3]))
+        assert tables.patched(np.array([1.0, 2.0, 3.0])) is tables
+
+    def test_patch_rejects_shape_change(self):
+        tables = SegmentTables(np.ones(4), np.array([0, 2, 4]))
         with pytest.raises(ValueError, match="shape"):
-            table.rebuild_segments([0], np.ones(5))
+            tables.patched(np.ones(5))
 
     def test_empty_segments_are_legal(self):
         offsets = np.array([0, 2, 2, 4])  # middle slot emptied by deletions
-        table = SegmentedAliasTable(np.ones(4), offsets)
-        assert table.segment_totals[1] == 0.0
+        table = fresh_view(np.ones(4), offsets)
+        assert table.tables.segment_totals[1] == 0.0
         picks = table.sample(
             np.random.default_rng(0), np.array([0, 2, 0, 2], dtype=np.intp)
         )
@@ -199,9 +221,9 @@ class TestColdDraws:
         lie pins its measure to ``w / total`` within 4 * delta < 1e-12."""
         delta = 2e-13
         weights, offsets = random_layout(seed)
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         slots, probes, expected = [], [], []
-        for slot in np.flatnonzero(table.segment_totals > 0):
+        for slot in np.flatnonzero(table.tables.segment_totals > 0):
             lo, hi = int(offsets[slot]), int(offsets[slot + 1])
             edges = np.concatenate([[0.0], np.cumsum(weights[lo:hi]) / weights[lo:hi].sum()])
             for row in range(hi - lo):
@@ -212,19 +234,19 @@ class TestColdDraws:
                     expected += [lo + row] * 3
         slots, probes, expected = map(np.asarray, (slots, probes, expected))
         assert expected.size > 300
-        assert (table._cold_pick(slots, probes) == expected).all()
+        assert (table.tables.cold_pick(slots, probes) == expected).all()
         # Where a draw falls in the block (its neighbours, its parity in the
         # running sum) changes nothing.
         order = np.random.default_rng(seed).permutation(slots.size)
-        assert (table._cold_pick(slots[order], probes[order]) == expected[order]).all()
-        assert (table.prob == 1.0).all() and table._cold_draws == 0  # wrote nothing
+        assert (table.tables.cold_pick(slots[order], probes[order]) == expected[order]).all()
+        assert (table.tables.prob == 1.0).all() and table._cold_draws == 0  # wrote nothing
 
     def test_is_monotone_in_u(self):
         weights, offsets = random_layout(11)
-        table = SegmentedAliasTable(weights, offsets)
-        slot = int(np.argmax(np.diff(offsets) * (table.segment_totals > 0)))
+        table = fresh_view(weights, offsets)
+        slot = int(np.argmax(np.diff(offsets) * (table.tables.segment_totals > 0)))
         grid = np.linspace(0.0, 1.0, 4001, endpoint=False)
-        picks = table._cold_pick(np.full(grid.size, slot), grid)
+        picks = table.tables.cold_pick(np.full(grid.size, slot), grid)
         assert (np.diff(picks) >= 0).all()
         assert (weights[picks] > 0).all()
 
@@ -232,17 +254,17 @@ class TestColdDraws:
         tenth = [0.1] * 10  # shares whose running sum stops short of 1.0
         weights = np.array([3.0, 0.0, 1.0, 0.0, 0.0] + [0.0, 2.0] + tenth + [0.0])
         offsets = np.array([0, 5, 7, 18])
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         almost_one = np.nextafter(1.0, 0.0)
         for u in (almost_one, 1.0 - 1e-12, 0.999999):
-            picks = table._cold_pick(np.array([0, 1, 2]), np.full(3, u))
+            picks = table.tables.cold_pick(np.array([0, 1, 2]), np.full(3, u))
             assert picks.tolist() == [2, 6, 16]
-        assert table._cold_pick(np.array([0, 1, 2]), np.zeros(3)).tolist() == [0, 6, 7]
+        assert table.tables.cold_pick(np.array([0, 1, 2]), np.zeros(3)).tolist() == [0, 6, 7]
 
     def test_cold_and_built_draws_consume_the_same_generator_values(self):
         weights, offsets = random_layout(5, zero_share=0.0)
         slots = np.flatnonzero(np.diff(offsets) > 0).repeat(3)
-        cold, built = SegmentedAliasTable(weights, offsets), SegmentedAliasTable(weights, offsets)
+        cold, built = fresh_view(weights, offsets), fresh_view(weights, offsets)
         built.build_all()
         rng_cold, rng_built = np.random.default_rng(9), np.random.default_rng(9)
         cold_picks = cold.sample(rng_cold, slots[:40])
@@ -257,7 +279,7 @@ class TestColdDraws:
         # 4 rows in non-uniform segments (slots 0 and 2), 3 in a uniform one.
         weights = np.array([1.0, 2.0, 5.0, 5.0, 5.0, 1.0, 9.0])
         offsets = np.array([0, 2, 5, 7])
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         rng = np.random.default_rng(3)
         table.sample(rng, np.array([1, 1, 1, 1, 1, 1, 1, 1]))  # uniform: not cold
         assert table._cold_draws == 0 and not table._all_built
@@ -265,30 +287,31 @@ class TestColdDraws:
         assert table._cold_draws == 3 and not table._all_built
         table.sample(rng, np.array([2, 0, 1]))
         assert table._cold_draws == 5 and not table._all_built
-        assert (table.prob == 1.0).all()  # nothing built by a draw's first touch
+        assert (table.tables.prob == 1.0).all()  # nothing built by a draw's first touch
         table.sample(rng, np.array([0, 0]))
         assert table._cold_draws == 7 and table._all_built and table._built.all()
-        assert (table.prob != 1.0).any()
+        assert (table.tables.prob != 1.0).any()
 
     def test_promotion_reaches_the_tables_of_an_eager_build(self):
         weights, offsets = random_layout(8)
-        lazy, eager = SegmentedAliasTable(weights, offsets), SegmentedAliasTable(weights, offsets)
+        lazy, eager = fresh_view(weights, offsets), fresh_view(weights, offsets)
         eager.build_all()
         rng = np.random.default_rng(2)
-        drawable = np.flatnonzero(lazy.segment_totals > 0)
+        drawable = np.flatnonzero(lazy.tables.segment_totals > 0)
         while not lazy._all_built:
             lazy.sample(rng, rng.choice(drawable, size=64))
-        assert (lazy.prob == eager.prob).all() and (lazy.alias == eager.alias).all()
+        assert (lazy.tables.prob == eager.tables.prob).all()
+        assert (lazy.tables.alias == eager.tables.alias).all()
 
     def test_a_fully_built_table_never_mutates_on_sample(self):
         """The thread-sharing contract of the warm path: read-only arrays."""
         weights, offsets = random_layout(4)
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         table.build_all()
-        for array in (table.prob, table.alias, table._built, table.weights):
+        for array in (table.tables.prob, table.tables.alias, table._built, table.tables.weights):
             array.setflags(write=False)
         rng = np.random.default_rng(1)
-        drawable = np.flatnonzero(table.segment_totals > 0)
+        drawable = np.flatnonzero(table.tables.segment_totals > 0)
         picks = table.sample(rng, rng.choice(drawable, size=5000))
         assert table._cold_draws == 0 and table._all_built
         assert (weights[picks] > 0).all()
@@ -297,7 +320,7 @@ class TestColdDraws:
         degree = _SMALL_SEGMENT + 1
         weights = np.concatenate([np.arange(1.0, degree + 1), [1.0, 3.0]])
         offsets = np.array([0, degree, degree + 2])
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         rng = np.random.default_rng(0)
         picks = table.sample(rng, np.array([0, 1, 1]))  # once: served cold
         assert not table._built.any() and table._cold_draws == 3
@@ -310,17 +333,18 @@ class TestColdDraws:
     def test_cold_draws_into_a_large_segment_follow_its_weights(self):
         degree = 3 * _SMALL_SEGMENT
         weights = np.random.default_rng(6).random(degree) + 0.01
-        table = SegmentedAliasTable(np.concatenate([weights, [1.0, 2.0]]),
-                                    np.array([0, degree, degree + 2]))
+        table = fresh_view(np.concatenate([weights, [1.0, 2.0]]),
+                           np.array([0, degree, degree + 2]))
         edges = np.cumsum(weights) / weights.sum()
         probes = np.concatenate([edges[:-1] - 2e-13, edges[:-1] + 2e-13])
         expected = np.concatenate([np.arange(degree - 1), np.arange(1, degree)])
-        assert (table._cold_pick(np.zeros(probes.size, dtype=np.intp), probes) == expected).all()
+        slots = np.zeros(probes.size, dtype=np.intp)
+        assert (table.tables.cold_pick(slots, probes) == expected).all()
 
     def test_cold_draw_frequencies_match_the_weights(self):
         weights = np.array([1.0, 0.0, 3.0, 4.0, 2.0, 2.0, 0.5, 0.0, 1.5])
         offsets = np.array([0, 4, 6, 9])
-        table = SegmentedAliasTable(weights, offsets)
+        table = fresh_view(weights, offsets)
         rng = np.random.default_rng(STAT_SEED)
         slots = rng.choice(np.array([0, 2]), size=40_000)
         picks = table.sample(rng, slots)  # one block: every draw of it is cold
@@ -331,6 +355,52 @@ class TestColdDraws:
             expected = weights[lo:hi] / weights[lo:hi].sum()
             assert np.abs(freq - expected).max() < 0.01
             assert (freq[expected == 0] == 0).all()
+
+
+class TestSharedTables:
+    """Views share one table per snapshot; each keeps its own decisions."""
+
+    def test_a_view_draws_what_it_draws_alone_whatever_another_built(self):
+        weights, offsets = random_layout(3, max_degree=3 * _SMALL_SEGMENT, n_segments=12)
+        drawable = np.flatnonzero(np.diff(offsets) > 0)
+        blocks = [np.random.default_rng(k).choice(drawable, size=50) for k in range(6)]
+
+        def draws(view):
+            rng = np.random.default_rng(4)
+            return [view.sample(rng, block).tolist() for block in blocks]
+
+        alone = draws(fresh_view(weights, offsets))
+        shared = SegmentTables(weights, offsets)
+        SegmentedAliasTable(shared).build_all()  # another sampler built every table
+        assert shared.complete
+        assert draws(SegmentedAliasTable(shared)) == alone
+
+    def test_each_segment_is_built_at_most_once(self, monkeypatch):
+        weights, offsets = random_layout(7, max_degree=3 * _SMALL_SEGMENT, n_segments=12)
+        tables = SegmentTables(weights, offsets)
+        built = []
+        build_segment = SegmentTables._build_segment
+        monkeypatch.setattr(
+            SegmentTables, "_build_segment",
+            lambda self, slot: (built.append(slot), build_segment(self, slot))[1],
+        )
+        drawable = np.flatnonzero(tables.segment_totals > 0)
+        for seed in range(4):
+            view, rng = SegmentedAliasTable(tables), np.random.default_rng(seed)
+            while not view._all_built:
+                view.sample(rng, rng.choice(drawable, size=40))
+        assert built and len(built) == len(set(built))
+        assert SegmentedAliasTable(tables, all_built=True)._built is tables.built
+
+    def test_alias_indices_are_int32_and_draws_are_intp(self):
+        weights, offsets = random_layout(2)
+        flat, tables = AliasTable(weights + 1.0), SegmentTables(weights, offsets)
+        assert flat.alias.dtype == np.int32 and tables.alias.dtype == np.int32
+        view = SegmentedAliasTable(tables)
+        view.build_all()
+        drawable = np.flatnonzero(tables.segment_totals > 0)
+        assert view.sample(np.random.default_rng(0), drawable).dtype == np.intp
+        assert flat.sample(np.random.default_rng(0), 10).dtype == np.intp
 
 
 class TestUniformSegmentPick:

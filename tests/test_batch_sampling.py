@@ -273,3 +273,103 @@ class TestBatchedCategorical:
             BatchedCategorical(rng, [], [])
         with pytest.raises(ValueError):
             BatchedCategorical(rng, ["a"], [1.0, 2.0])
+
+
+# ------------------------------------------- draws depend on seed and snapshot
+def _order_chain(name, tables, predicates=None):
+    """customer ⋈ orders ⋈ lineitem over the base tables the refresh churns."""
+    return JoinQuery(
+        name,
+        [tables["customer"], tables["orders"], tables["lineitem"]],
+        [
+            JoinCondition("customer", "custkey", "orders", "custkey"),
+            JoinCondition("orders", "orderkey", "lineitem", "orderkey"),
+        ],
+        [
+            OutputAttribute("custkey", "customer", "custkey"),
+            OutputAttribute("orderkey", "orders", "orderkey"),
+            OutputAttribute("linenumber", "lineitem", "linenumber"),
+        ],
+        predicates=predicates,
+        push_down_predicates=False,
+    )
+
+
+def _digest(parts) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray)
+                 else repr(part).encode())
+    return h.hexdigest()
+
+
+def _block_parts(block):
+    return [block.positions[name] for name in block.relation_order]
+
+
+def _draw(surface, weights, queries, seed):
+    """Position digest of what sampler(s) of ``seed`` draw through ``surface``."""
+    from repro.core import OnlineUnionSampler
+
+    query = queries[0]
+    if surface == "sample_block":
+        sampler = JoinSampler(query, weights=weights, seed=seed)
+        return _digest(p for size in (64, 900, 4000)
+                       for p in _block_parts(sampler.sample_block(size)))
+    if surface == "try_sample":
+        sampler = JoinSampler(query, weights=weights, seed=seed)
+        draws = [sampler.try_sample() for _ in range(300)]
+        return _digest(sorted(d.assignment.items()) if d else None for d in draws)
+    if surface == "split":
+        sampler = JoinSampler(query, weights=weights, seed=seed)
+        parts = [p for shard in sampler.split(2) for size in (50, 2000)
+                 for p in _block_parts(shard.sample_block(size))]
+        for shard in sampler.split(2, seed=seed + 1, share_plans=True):
+            parts += _block_parts(shard.sample_block(500))
+        return _digest(parts)
+    union = OnlineUnionSampler(queries, seed=seed, join_weights=weights, walks_per_join=50)
+    return _digest((s.value, s.source_join, s.iteration) for s in union.sample(400).samples)
+
+
+@pytest.mark.parametrize("weights", ["ew", "eo"])
+@pytest.mark.parametrize("surface", ["sample_block", "try_sample", "split", "union"])
+def test_draws_depend_only_on_seed_and_snapshot(surface, weights, tpch_order_tables):
+    """Sampler B draws the same whether another sampler of the same query
+    drew first, a warm prototype exists, or neither — before an RF batch,
+    and for a sampler created after it."""
+    import pickle
+
+    from repro.dynamic import TPCHRefreshStream, apply_batch
+    from repro.relational.predicates import Comparison
+
+    def run(scenario):
+        tables = pickle.loads(pickle.dumps(tpch_order_tables))  # a fresh database
+        queries = [
+            _order_chain("all", tables),
+            _order_chain("small", tables, {"lineitem": Comparison("quantity", "<", 25)}),
+        ]
+        stream = TPCHRefreshStream(tables, seed=5, orders_per_batch=48)
+        digests = []
+        for _ in range(2):
+            if scenario == "other_first":
+                _draw(surface, weights, queries, seed=1)
+                JoinSampler(queries[0], weights=weights, seed=3).sample_block(20_000)
+            elif scenario == "warm_prototype":
+                for query in queries:
+                    JoinSampler(query, weights=weights, seed=0).warm()
+            digests.append(_draw(surface, weights, queries, seed=2))
+            apply_batch(tables, stream.batch())
+        return digests
+
+    alone = run("neither")
+    assert run("other_first") == alone
+    assert run("warm_prototype") == alone
+
+
+@pytest.fixture(scope="module")
+def tpch_order_tables():
+    from repro.tpch import generate_tpch
+
+    return generate_tpch(0.002, seed=3)

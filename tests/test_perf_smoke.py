@@ -8,6 +8,7 @@ than only the (optional) benchmark run.  Thresholds are deliberately loose
 (``benchmarks/spine``) — to keep the test robust on noisy CI machines.
 """
 
+import copy
 import gc
 import statistics
 import time
@@ -237,36 +238,39 @@ def test_scalar_union_refills_are_sized_by_the_remaining_demand(monkeypatch):
 def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     """A draw's first touch never builds a small segment's alias table: it is
     served cold, and tables appear only when ``build_all`` runs (``warm()``,
-    or the table promoting itself)."""
+    or a view promoting itself)."""
     from repro.sampling import alias
 
     building_all = []
     first_touch = []
-    build_all = alias.SegmentedAliasTable.build_all
-    build_segment = alias.SegmentedAliasTable._build_segment
+    build_all = alias.SegmentTables.build_all
+    build_segment = alias.SegmentTables._build_segment
 
-    def spy_build_all(table):
-        building_all.append(table)
+    def spy_build_all(tables):
+        building_all.append(tables)
         try:
-            build_all(table)
+            build_all(tables)
         finally:
             building_all.pop()
 
-    def spy_build_segment(table, slot):
-        degree = int(table.offsets[slot + 1] - table.offsets[slot])
+    def spy_build_segment(tables, slot):
+        degree = int(tables.offsets[slot + 1] - tables.offsets[slot])
         if degree <= alias._SMALL_SEGMENT and not building_all:
             first_touch.append((slot, degree))
-        build_segment(table, slot)
+        build_segment(tables, slot)
 
-    monkeypatch.setattr(alias.SegmentedAliasTable, "build_all", spy_build_all)
-    monkeypatch.setattr(alias.SegmentedAliasTable, "_build_segment", spy_build_segment)
-    sampler = JoinSampler(smoke_query, weights="ew", seed=37)
-    tables = [plan.alias for plan in sampler._level_plans()]
-    assert any(not table._all_built for table in tables)
+    monkeypatch.setattr(alias.SegmentTables, "build_all", spy_build_all)
+    monkeypatch.setattr(alias.SegmentTables, "_build_segment", spy_build_segment)
+    # A copy starts with an empty snapshot memo: no other test's sampler has
+    # built any of its tables.
+    query = copy.copy(smoke_query)
+    sampler = JoinSampler(query, weights="ew", seed=37)
+    views = sampler._level_views()
+    assert any(not view._all_built for view in views)
     sampler.sample_block(64)
-    assert any(table._cold_draws for table in tables)
+    assert any(view._cold_draws for view in views)
     sampler.sample_block(20_000)  # far past every table's rows: all promoted
-    assert all(table._all_built for table in tables)
+    assert all(view._all_built for view in views)
     sampler.warm().sample_block(500)
     assert first_touch == []
 

@@ -225,27 +225,29 @@ class TestEpochPlanPatching:
     def test_descendant_delta_patches_segments_instead_of_rebuilding(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=3)
         sampler.sample_block(50)
-        plans_before = sampler._plans
-        assert plans_before is not None
+        plans_before = sampler._descent.plans()
         top = plans_before[0]  # R -> S edge: endpoints untouched below
         assert top.parent.relation == "R" and top.node.relation == "S"
-        built_before = top.alias._built.copy()
-        assert built_before.all()  # 50 cold draws >= S's rows: the table built itself
+        assert sampler._views[0]._built.all()  # every S segment is uniform
 
-        # Mutate the leaf T only: the R->S edge keeps its CSR/keys/alias by
-        # reference; S's weights summarize T, so the dirtied segments must be
-        # invalidated (drawn cold) while untouched segments stay built.
+        # Mutate the leaf T only: the R->S edge keeps its CSR and parent keys
+        # by reference; S's weights summarize T, so the dirtied segments must
+        # be invalidated (drawn cold) while untouched segments stay built.
         chain_query.relation("T").extend([(100, 77), (100, 78)])
         assert sampler.refresh()
-        plans_after = sampler._plans
-        assert plans_after is not None
-        assert plans_after[0] is top  # edge object survived the epoch
+        plans_after = sampler._descent.plans()
         assert plans_after[0].csr is top.csr
-        # The S rows joining the new T rows gained weight: their key segments
-        # went unbuilt (drawn cold), while untouched segments stayed built.
-        assert not top.alias._built.all()
+        assert plans_after[0].parent_keys is top.parent_keys
+        # The S rows joining the new T rows gained weight: their key segment
+        # went unbuilt, in the shared tables and in this sampler's view,
+        # while the untouched segment stayed built.
+        dirty = top.tables.changed_segments(plans_after[0].tables.weights)
+        assert dirty.any() and not dirty.all()
+        for built in (plans_after[0].tables.built, sampler._views[0]._built):
+            assert not built[dirty].any() and built[~dirty].all()
         # The S->T edge's own child mutated: that plan was rebuilt fresh.
-        assert plans_after[1] is not plans_before[1]
+        assert plans_after[1].csr is chain_query.relation("T").sorted_index_on_columns(["c"])
+        assert plans_after[1].tables is not plans_before[1].tables
 
         # Correctness after the patch: the sample support matches the join.
         population = join_result_set(chain_query)
@@ -253,10 +255,94 @@ class TestEpochPlanPatching:
 
     def test_unbuilt_plans_stay_unbuilt_on_refresh(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=3)
-        assert sampler._plans is None
+        assert sampler._views is None and sampler._descent._plans is None
         chain_query.relation("T").append((100, 79))
         sampler.refresh()
-        assert sampler._plans is None
+        assert sampler._views is None and sampler._descent._plans is None
+
+
+class TestOneDescentPerSnapshot:
+    """Every sampler of a snapshot shares one descent, and a mutation never
+    writes the one that was published."""
+
+    def test_no_array_of_a_published_snapshot_is_written(self, chain_query):
+        prototype = JoinSampler(chain_query, weights="ew", seed=0).warm()
+        clone = prototype.split(1, seed=1, share_plans=True)[0]
+        top, view = clone._descent.plans()[0], clone._views[0]
+        assert top.node.relation == "S"
+        held = {name: getattr(top.tables, name).copy()
+                for name in ("weights", "prob", "alias", "segment_totals", "built")}
+        view_built = view._built.copy()
+        chain_query.relation("T").extend([(100, 77), (100, 78), (200, 79)])
+        assert prototype.refresh()
+        assert prototype._descent.plans()[0].tables is not top.tables
+        for name, before in held.items():
+            assert getattr(top.tables, name).tobytes() == before.tobytes(), name
+        assert view._built.tobytes() == view_built.tobytes()
+        assert clone._descent.plans()[0] is top
+
+    def test_a_callers_weight_function_gets_its_own_descent(self, chain_query):
+        from repro.sampling.weights import ExactWeightFunction
+
+        weights = ExactWeightFunction(chain_query)
+        own = JoinSampler(chain_query, weights=weights, seed=1)
+        shared = JoinSampler(chain_query, weights="ew", seed=1)
+        assert own.weight_function is weights
+        assert own._descent is not shared._descent
+        assert own.split(1)[0]._descent is own._descent
+        own.sample_block(30)
+        chain_query.relation("S").extend([(10, 300), (20, 200)])
+        weights.refresh()  # the caller refreshes its function in place
+        assert set(own.sample_block(300).values(chain_query)) == join_result_set(chain_query)
+
+    def test_ten_samplers_build_once_and_a_delete_patches_once(self, chain_query, monkeypatch):
+        from repro.sampling import alias, join_sampler, weights
+
+        calls = {"full": 0, "patch": 0, "root_alias": 0}
+        segment_builds = []
+        compute = weights.ExactWeightFunction._compute
+        patched = join_sampler._Descent.patched
+        root_alias = alias.AliasTable.__init__
+        build_segment = alias.SegmentTables._build_segment
+
+        def spy_compute(self, dirty):
+            calls["full"] += dirty is None
+            return compute(self, dirty)
+
+        def spy_patched(self):
+            calls["patch"] += 1
+            return patched(self)
+
+        def spy_root_alias(self, root_weights):
+            calls["root_alias"] += 1
+            return root_alias(self, root_weights)
+
+        def spy_build_segment(self, slot):
+            segment_builds.append((id(self), slot))
+            return build_segment(self, slot)
+
+        monkeypatch.setattr(weights.ExactWeightFunction, "_compute", spy_compute)
+        monkeypatch.setattr(join_sampler._Descent, "patched", spy_patched)
+        monkeypatch.setattr(alias.AliasTable, "__init__", spy_root_alias)
+        monkeypatch.setattr(alias.SegmentTables, "_build_segment", spy_build_segment)
+        chain_query.relation("S").extend([(10, 300), (10, 100), (10, 100), (20, 100)])
+        samplers = [JoinSampler(chain_query, weights="ew", seed=k) for k in range(10)]
+        for k, sampler in enumerate(samplers):
+            sampler.sample_block(40 + k)
+            if k % 3 == 0:
+                sampler.warm()
+        assert calls == {"full": 1, "patch": 0, "root_alias": 1}
+        assert segment_builds and len(segment_builds) == len(set(segment_builds))
+        assert len({id(s._descent) for s in samplers}) == 1
+
+        chain_query.relation("R").delete_rows([0])
+        for sampler in samplers:
+            sampler.sample_block(20)
+        late = JoinSampler(chain_query, weights="ew", seed=99)
+        late.sample_block(20)
+        assert calls["full"] == 1 and calls["patch"] == 1
+        assert len({id(s._descent) for s in samplers + [late]}) == 1
+        assert set(late.sample_block(200).values(chain_query)) == join_result_set(chain_query)
 
 
 # ---------------------------------------------------------------- dtype audit
