@@ -12,6 +12,7 @@ graph, matching the three join classes handled by the paper.
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
@@ -140,12 +141,21 @@ class JoinQuery:
         self._derived: Tuple[Tuple[int, ...], Dict[Hashable, Any], Dict[Hashable, Any]] = (
             (), {}, {}
         )
+        #: serializes :meth:`derived`, so a snapshot publishes one value per
+        #: key however many threads reach it first (re-entrant: a build may
+        #: itself fetch another entry, e.g. the join tree)
+        self._derived_lock = threading.RLock()
 
     def __getstate__(self) -> Dict[str, object]:
         # The memo is a cache: a copy rebuilds what it uses, on its side.
         state = dict(self.__dict__)
         state["_derived"] = ((), {}, {})
+        del state["_derived_lock"]  # locks do not pickle; a copy gets its own
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._derived_lock = threading.RLock()
 
     # ------------------------------------------------------------------ access
     @property
@@ -201,17 +211,20 @@ class JoinQuery:
         write ``last``, which samplers of that snapshot may still read).
         Retired entries live until the next snapshot change.  An entry built
         while a mutation lands is filed under the vector read before the
-        build, so it is never served on the new snapshot.
+        build, so it is never served on the new snapshot.  Calls are
+        serialized per query: threads that reach a new snapshot together
+        share one build (or one patch) per key.
         """
-        versions = observed_versions((self,))
-        memo_versions, entries, previous = self._derived
-        if memo_versions != versions:
-            previous, entries = entries, {}
-            self._derived = (versions, entries, previous)
-        if key not in entries:
-            last = previous.pop(key, None) if patch is not None else None
-            entries[key] = build() if last is None else patch(last)
-        return entries[key]
+        with self._derived_lock:
+            versions = observed_versions((self,))
+            memo_versions, entries, previous = self._derived
+            if memo_versions != versions:
+                previous, entries = entries, {}
+                self._derived = (versions, entries, previous)
+            if key not in entries:
+                last = previous.pop(key, None) if patch is not None else None
+                entries[key] = build() if last is None else patch(last)
+            return entries[key]
 
     def join_tree(self) -> "JoinTree":
         """The rooted join tree of the current snapshot, built once per

@@ -96,6 +96,11 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
     "_Descent": LockContract(
         locks={"_lock": frozenset({"_plans", "_root_cumulative"})}
     ),
+    # The snapshot memo: threads reaching a new snapshot together must
+    # publish one descent per key, not one each.
+    "JoinQuery": LockContract(
+        locks={"_derived_lock": frozenset({"_derived"})}
+    ),
     # The shared alias tables: views of concurrent samplers build segments
     # into one prob/alias pair, so builds (and patch copies) serialize.
     "SegmentTables": LockContract(

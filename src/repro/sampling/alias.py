@@ -439,6 +439,13 @@ class SegmentedAliasTable:
         the count toward promotion starts over; everything else keeps its
         decision — the "per-segment where the delta is local" half of the
         epoch protocol.
+
+        A kept decision needs its table in ``tables``, which need not hold
+        it: they may descend from other tables than this view's (a snapshot
+        in between retired the chain, or a segment's weights moved and came
+        back), or this view built the segment after they were patched.  So
+        every kept segment ``tables`` lack is built into them here — the
+        table of the same weights, so the view draws what it drew before.
         """
         if tables is self.tables:
             return self
@@ -449,6 +456,11 @@ class SegmentedAliasTable:
             self._built[changed] = tables.uniform[changed]
             self._all_built = self._all_built and bool(tables.uniform[changed].all())
             self._cold_draws = 0
+        if self._all_built:
+            tables.build_all()
+            self._built = tables.built
+        else:
+            tables.build(np.flatnonzero(self._built))
         return self
 
     # ------------------------------------------------------------------ draws

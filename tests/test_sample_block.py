@@ -344,6 +344,113 @@ class TestOneDescentPerSnapshot:
         assert len({id(s._descent) for s in samplers + [late]}) == 1
         assert set(late.sample_block(200).values(chain_query)) == join_result_set(chain_query)
 
+    def test_threads_reaching_a_snapshot_together_publish_one_descent(
+        self, chain_query, monkeypatch
+    ):
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.sampling import join_sampler, weights
+
+        calls = {"full": 0, "patch": 0}
+        compute = weights.ExactWeightFunction._compute
+        patched = join_sampler._Descent.patched
+
+        def spy_compute(self, dirty):
+            calls["full"] += dirty is None
+            time.sleep(0.02)  # a window two unserialized misses would share
+            return compute(self, dirty)
+
+        def spy_patched(self):
+            calls["patch"] += 1
+            time.sleep(0.02)
+            return patched(self)
+
+        monkeypatch.setattr(weights.ExactWeightFunction, "_compute", spy_compute)
+        monkeypatch.setattr(join_sampler._Descent, "patched", spy_patched)
+        workers = 8
+        barrier = threading.Barrier(workers)
+
+        def construct(seed):
+            barrier.wait()
+            sampler = JoinSampler(chain_query, weights="ew", seed=seed)
+            sampler.sample_block(10)
+            return sampler
+
+        def all_at_once():
+            with ThreadPoolExecutor(workers) as pool:
+                return list(pool.map(construct, range(workers)))
+
+        first = all_at_once()
+        assert calls == {"full": 1, "patch": 0}
+        assert len({id(s._descent) for s in first}) == 1
+        chain_query.relation("T").append((100, 79))
+        second = all_at_once()
+        assert calls == {"full": 1, "patch": 1}
+        assert len({id(s._descent) for s in second}) == 1
+
+
+class TestBrokenDescentChains:
+    """A sampler refreshed onto a descent that does not descend, patch by
+    patch, from the one it built its tables in still draws what it would
+    have drawn alone, and draws it uniformly."""
+
+    @staticmethod
+    def _query():
+        # S's segment b=10 is non-uniform under EW (weights 3 and 1), and no
+        # mutation below touches it; the mutations move segment b=20 or
+        # move b=10's weights and back.
+        return make_chain_query(
+            "chain",
+            r_rows=[(1, 10), (2, 20)],
+            s_rows=[(10, 100), (10, 101), (20, 200), (20, 201)],
+            t_rows=[(100, 1), (100, 2), (100, 3), (101, 4), (200, 5), (201, 6)],
+            output=("a", "c", "d"),
+        )
+
+    @staticmethod
+    def _run(weights, gap, intervene):
+        query = TestBrokenDescentChains._query()
+        sampler = JoinSampler(query, weights=weights, seed=1)
+        sampler.sample_block(200)
+        sampler.warm()
+        leaf = query.relation("T")
+        if gap == "retired":
+            # A snapshot in between fetches only the join tree, which
+            # retires the descent the next one would have been patched from.
+            leaf.append((200, 7))
+            if intervene:
+                query.join_tree()
+            leaf.append((201, 8))
+        else:
+            # b=10's weights move and come back: the middle snapshot's
+            # descent resets that segment, and so does the one patched next.
+            leaf.append((100, 7))
+            if intervene:
+                JoinSampler(query, weights=weights, seed=5).warm()
+            leaf.delete_rows([len(leaf) - 1])
+        JoinSampler(query, weights=weights, seed=9)  # fetches the descent only
+        block = sampler.sample_block(8000)
+        digest = b"".join(block.positions[name].tobytes() for name in block.relation_order)
+        return query, block, digest
+
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    @pytest.mark.parametrize("gap", ["retired", "round_trip"])
+    def test_draws_match_the_unbroken_chain_and_stay_uniform(self, weights, gap):
+        from collections import Counter
+
+        from repro.joins.executor import execute_join
+
+        _, _, alone = self._run(weights, gap, intervene=False)
+        query, block, digest = self._run(weights, gap, intervene=True)
+        assert digest == alone
+        population = execute_join(query)
+        counts = Counter(block.values(query))
+        assert set(counts) == set(population)
+        expected = len(block) / len(population)
+        assert all(abs(n - expected) < 0.15 * expected for n in counts.values()), counts
+
 
 # ---------------------------------------------------------------- dtype audit
 class TestDtypeAudit:
