@@ -30,10 +30,11 @@ new snapshot, matching the restart semantics of
 
 **Fault tolerance via shard supervision.**  Every shard is dispatched
 individually by a :class:`~repro.resilience.supervisor.ShardSupervisor`
-(PR 6): per-shard timeouts, bounded retries with deterministic backoff,
-poison-shard detection, a ``process -> thread -> inline`` degradation
-ladder, pre-merge result-integrity checks, and job-level deadlines with
-principled partial results (``allow_partial``).  Because shard payloads are
+as one future per attempt on the pool's executor: per-shard timeouts,
+bounded retries with deterministic backoff, poison-shard detection, a
+``process -> thread`` degradation step, pre-merge result-integrity checks,
+and job-level deadlines with principled partial results
+(``allow_partial``).  Because shard payloads are
 pure functions of (task, seed) — never of the attempt number or the rung —
 retries and degradations are invisible in the merged answer: a job that
 survived crashes is bit-identical to a fault-free run
@@ -212,8 +213,9 @@ class ParallelSamplerPool:
         #: lifetime supervision counters of this pool (all runs, all epochs)
         self.stats = SupervisionStats()
         self._last_outcome: Optional[SupervisedOutcome] = None
-        #: long-lived thread executor, created lazily on the first thread-rung
-        #: run and reused across jobs until close() (supervisors borrow it).
+        #: long-lived executor of thread and process attempts, created
+        #: lazily on the first non-inline run and reused across jobs until
+        #: close() (supervisors borrow it).
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         #: guards the executor lifecycle, the shared counters, and the
         #: last-run bookkeeping against concurrent run() callers (the server
@@ -253,7 +255,8 @@ class ParallelSamplerPool:
         self.close()
 
     def _borrowed_executor(self) -> ThreadPoolExecutor:
-        """The shared thread executor, created on first use."""
+        """The shared executor, created on first use: its ``max_workers``
+        caps the thread and process attempts alike."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("ParallelSamplerPool is closed")
@@ -353,7 +356,7 @@ class ParallelSamplerPool:
 
         Concurrent callers (the server multiplexes requests onto one pool)
         each get their own supervisor and outcome; only the lifetime
-        counters and the borrowed thread executor are shared, both under
+        counters and the borrowed executor are shared, both under
         the pool lock.
         """
         if not tasks:
@@ -362,14 +365,11 @@ class ParallelSamplerPool:
             if self._closed:
                 raise RuntimeError("ParallelSamplerPool is closed")
         rung = self.execution
-        executor = None
-        if rung == "thread":
-            if self.workers == 1 or len(tasks) == 1:
-                # Single-worker thread jobs gain nothing from the executor:
-                # run inline, the same fast path the pre-resilience pool had.
-                rung = "inline"
-            else:
-                executor = self._borrowed_executor()
+        if rung == "thread" and (self.workers == 1 or len(tasks) == 1):
+            # Single-worker thread jobs gain nothing from the executor: run
+            # inline, the same fast path the pre-resilience pool had.
+            rung = "inline"
+        executor = None if rung == "inline" else self._borrowed_executor()
         supervisor = ShardSupervisor(
             tasks,
             execution=rung,

@@ -12,9 +12,11 @@ Three pieces, layered under :mod:`repro.parallel`:
   replayable pattern, plus the ``REPRO_FAULT_RATE`` environment harness for
   CI chaos legs.
 * :mod:`repro.resilience.supervisor` — :class:`ShardSupervisor`, the
-  per-shard dispatch engine with bounded retries (:class:`RetryPolicy`),
-  per-shard timeouts, job deadlines with principled partial results, poison
-  detection, and the ``process -> thread -> inline`` degradation ladder.
+  per-shard dispatch engine: every attempt is one future, launched, waited
+  on and collected the same way on every rung.  It brings bounded retries
+  (:class:`RetryPolicy`), per-shard timeouts, job deadlines with principled
+  partial results, poison detection, and the one ``process -> thread``
+  degradation step.
 
 See ``docs/resilience.md`` for the design rationale and the determinism
 argument (retries and degradations never change the merged answer).

@@ -10,14 +10,23 @@ individually** and walks a small state machine per shard:
 ``                       |--fail--> classify --> retry (backoff) / degrade /``
 ``                                              poison / give up``
 
+Every attempt has one shape, whatever its rung: a
+:class:`concurrent.futures.Future` that resolves to the shard's result or
+raises its failure.  A thread attempt runs ``run_shard`` on the executor; a
+process attempt is an executor job that spawns one worker process and
+blocks on its pipe; an inline attempt runs in the coordinator and yields a
+future that is already done.  The executor's ``max_workers`` is the one
+concurrency cap, and the coordinator's loop is launch, one
+``concurrent.futures.wait``, collect.
+
 The pieces:
 
-* **Per-shard timeouts** — process attempts are terminated at the deadline;
-  thread attempts are *abandoned* (a thread cannot be forcibly cancelled:
-  the supervisor emits a ``RuntimeWarning``, discards the late result, and
-  retries).  Thread and inline attempts additionally carry a cooperative
-  deadline that :func:`repro.parallel.shards.run_shard` polls at stage
-  boundaries.
+* **Per-shard timeouts** — a timed-out attempt is abandoned and the shard
+  retried.  Abandoning terminates a worker process; a thread cannot be
+  forcibly cancelled, so the supervisor emits a ``RuntimeWarning`` and
+  discards the late result.  Thread and inline attempts additionally carry
+  a cooperative deadline that :func:`repro.parallel.shards.run_shard` polls
+  at stage boundaries.
 * **Bounded retries with exponential backoff + deterministic jitter** —
   :class:`RetryPolicy`; the jitter is derived from
   :func:`repro.utils.rng.keyed_rng` ``(seed, shard, attempt)``, so a retried
@@ -31,14 +40,12 @@ The pieces:
   exception signature twice in a row** is declared a
   :class:`~repro.resilience.errors.PoisonShardError` and not retried
   further (determinism means the third attempt would fail identically too).
-* **Graceful-degradation ladder** — ``process -> thread -> inline``.  Two
-  consecutive worker-process deaths on one shard step that shard down a
-  rung: if spawned workers keep dying (resource limits, a hostile
-  ``os._exit``), the same task re-runs on an in-process thread, and as a
-  last resort inline in the coordinator — same seed, same answer, less
-  isolation.
+* **Graceful degradation** — ``process -> thread``.  Two consecutive
+  worker-process deaths on one shard, or a worker that cannot even launch,
+  move that shard onto an in-process thread: same seed, same answer, less
+  isolation.  Only a process attempt can crash, so this is the only step.
 * **Job deadlines with principled partial results** — when the job-level
-  deadline expires, running processes are terminated and, under
+  deadline expires, running attempts are abandoned and, under
   ``allow_partial``, the shards that *did* complete are returned with
   ``degraded=True``; because every shard is an independent fixed-seed HT
   estimate, the merged partial answer is still unbiased for the snapshot —
@@ -51,10 +58,10 @@ The pieces:
   echo, payload checksum); rejected results count as transient failures and
   the shard re-runs.
 
-Fault-free overhead is kept near zero: thread-rung shards go straight onto
-one ``ThreadPoolExecutor`` and the supervisor blocks on a completion event
-(no polling); the single-worker thread case collapses to a plain inline
-loop, exactly like the pre-resilience fast path.
+Fault-free overhead is kept near zero: the coordinator blocks in one
+``concurrent.futures.wait`` on its live attempts (no polling), and the
+single-worker thread case collapses to inline attempts, exactly like the
+pre-resilience fast path.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from __future__ import annotations
 import time
 import traceback
 import warnings
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -82,14 +90,10 @@ from repro.resilience.errors import (
 from repro.resilience.faults import FaultPlan
 from repro.utils.rng import keyed_rng
 
-#: The degradation ladder, most isolated rung first.  A shard starts on the
-#: rung matching the pool's resolved execution mode and only ever steps down.
+#: The execution rungs, most isolated first.  A shard starts on the rung
+#: matching the pool's resolved execution mode; the only step down is
+#: ``process -> thread``.
 LADDER = ("process", "thread", "inline")
-
-#: Upper bound on one wait slice when thread and process attempts are in
-#: flight simultaneously (mixed-rung runs mid-degradation) and no single
-#: waitable covers both.
-_MIXED_POLL_SECONDS = 0.02
 
 
 @dataclass(frozen=True)
@@ -236,14 +240,14 @@ class _ShardState:
     """Supervisor-side bookkeeping for one shard of the plan."""
 
     __slots__ = (
-        "task", "attempt", "rung_index", "not_before", "last_signature",
+        "task", "attempt", "rung", "not_before", "last_signature",
         "crash_streak", "history", "done", "failure",
     )
 
-    def __init__(self, task: ShardTask, rung_index: int) -> None:
+    def __init__(self, task: ShardTask, rung: str) -> None:
         self.task = task
         self.attempt = 0          # next attempt number to launch
-        self.rung_index = rung_index
+        self.rung = rung
         self.not_before = 0.0     # monotonic launch gate (backoff)
         self.last_signature: Optional[Tuple[str, str]] = None
         self.crash_streak = 0
@@ -251,27 +255,27 @@ class _ShardState:
         self.done = False
         self.failure: Optional[ShardFailure] = None
 
-    @property
-    def rung(self) -> str:
-        return LADDER[self.rung_index]
-
 
 class _Handle:
-    """One in-flight shard attempt (thread future or worker process)."""
+    """One shard attempt: its future and, on the process rung, its worker."""
 
-    __slots__ = ("state", "attempt", "rung", "future", "process", "conn",
-                 "started_at", "abandoned", "message")
+    __slots__ = ("state", "attempt", "rung", "future", "process", "started_at", "abandoned")
 
     def __init__(self, state: _ShardState, attempt: int, rung: str) -> None:
         self.state = state
         self.attempt = attempt
         self.rung = rung
-        self.future = None
+        self.future: Optional[Future] = None
         self.process = None
-        self.conn = None
         self.started_at: Optional[float] = None
         self.abandoned = False
-        self.message = None  # received process message, pre-collection
+
+    @property
+    def attribution(self) -> Dict[str, object]:
+        """The shard-attribution keywords every :class:`ShardError` takes."""
+        task = self.state.task
+        return dict(shard_id=task.shard_id, backend=task.backend, seed=task.seed,
+                    attempt=self.attempt, rung=self.rung)
 
 
 def _process_shard_entry(conn, task: "ShardTask", attempt: int,
@@ -305,6 +309,10 @@ class _RemoteShardException(RuntimeError):
         super().__init__(f"{type_name}: {message}")
 
 
+class _LaunchFailure(Exception):
+    """The worker process never started (unpicklable task, spawn failure)."""
+
+
 class ShardSupervisor:
     """Dispatch a shard plan with retries, timeouts, and degradation.
 
@@ -315,7 +323,8 @@ class ShardSupervisor:
     execution:
         Starting rung: ``"process"``, ``"thread"``, or ``"inline"``.
     workers:
-        Concurrency cap across all rungs.
+        Concurrency cap: ``max_workers`` of the executor created when none
+        is given.
     policy:
         Retry/backoff policy.
     shard_timeout:
@@ -330,9 +339,11 @@ class ShardSupervisor:
         (``None``: workers fall back to the ``REPRO_FAULT_RATE`` env
         harness).
     executor:
-        Optional pre-built ``ThreadPoolExecutor`` for thread-rung attempts.
-        Borrowed, not owned: reused across supervisor runs (the long-lived
-        pool hands its executor to every run) and never shut down here.
+        Optional pre-built ``ThreadPoolExecutor`` for thread and process
+        attempts (a process attempt holds one executor thread while its
+        worker runs).  Borrowed, not owned: reused across supervisor runs
+        (the long-lived pool hands its executor to every run) and never
+        shut down here.
     """
 
     def __init__(
@@ -375,21 +386,18 @@ class ShardSupervisor:
         self._states: List[_ShardState] = []
         self._running: List[_Handle] = []
         self._deadline_at: Optional[float] = None
-        #: thread-rung executor.  A caller-provided executor (the pool's
-        #: long-lived one) is borrowed — reused across supervisors and never
-        #: shut down here; a lazily-created one is owned and reaped in
-        #: ``_cleanup``.
+        #: executor of thread and process attempts.  A caller-provided
+        #: executor (the pool's long-lived one) is borrowed — reused across
+        #: supervisors and never shut down here; a lazily-created one is
+        #: owned and reaped in ``_cleanup``.
         self._executor = executor
         self._owns_executor = executor is None
-        self._event = None
-        self._mp_context = None
         self._warned_thread_cancel = False
 
     # ------------------------------------------------------------------ public
     def run(self) -> SupervisedOutcome:
         """Execute the plan; returns completed results in shard-id order."""
-        rung_index = LADDER.index(self.execution)
-        self._states = [_ShardState(task, rung_index) for task in self.tasks]
+        self._states = [_ShardState(task, self.execution) for task in self.tasks]
         started = time.monotonic()
         self._deadline_at = None if self.deadline is None else started + self.deadline
         try:
@@ -419,8 +427,10 @@ class ShardSupervisor:
             self._launch_ready(now)
             if not any(s for s in self._states if not s.done and s.failure is None):
                 break  # inline launches may have resolved everything
-            self._wait_for_event()
-            self._collect_finished()
+            self._wait()
+            for handle in list(self._running):
+                if handle.future.done():
+                    self._collect(handle)
             self._expire_timeouts()
         return self._finish()
 
@@ -431,98 +441,89 @@ class ShardSupervisor:
         for state in self._states:
             if state.done or state.failure is not None or self._is_running(state):
                 continue
-            if state.not_before > now:
-                continue
-            rung = state.rung
-            if rung != "thread" and self._live_slots() >= self.workers:
-                continue
-            self._launch(state, now)
+            if state.not_before <= now:
+                self._launch(state)
 
-    def _live_slots(self) -> int:
-        """Process/inline attempts occupy real capacity; thread attempts are
-        queued by the executor itself (its ``max_workers`` is the cap)."""
-        return sum(1 for h in self._running if h.rung == "process" and not h.abandoned)
-
-    def _launch(self, state: _ShardState, now: float) -> None:
-        attempt = state.attempt
+    def _launch(self, state: _ShardState) -> None:
         rung = state.rung
         self.stats.attempts += 1
         self.stats.rungs[rung] = self.stats.rungs.get(rung, 0) + 1
-        if attempt > 0:
+        if state.attempt > 0:
             self.stats.retries += 1
-        handle = _Handle(state, attempt, rung)
-        if rung == "process":
-            try:
-                self._start_process(handle)
-            except Exception as error:
-                # The attempt never launched (unpicklable task, spawn
-                # failure): the process rung itself is broken for this
-                # shard — step straight down the ladder and retry there.
-                self._note(state, f"attempt {attempt + 1}: process launch failed: {error}")
-                self._degrade(state, reason=f"process launch failed: {error}")
-                self._after_failure(state, self._crash_error(state, handle, error), "crash",
-                                    original=error, count_crash=True, force_retry=True)
-                return
-            self._running.append(handle)
-        elif rung == "thread":
-            self._start_thread(handle)
-            self._running.append(handle)
-        else:
-            self._run_inline(handle, now)
-
-    # ------------------------------------------------------------------- rungs
-    def _start_process(self, handle: _Handle) -> None:
-        import multiprocessing as mp
-
-        if self._mp_context is None:
-            self._mp_context = mp.get_context("spawn")
-        parent_conn, child_conn = self._mp_context.Pipe(duplex=False)
-        process = self._mp_context.Process(
-            target=_process_shard_entry,
-            args=(child_conn, handle.state.task, handle.attempt, self.fault_plan),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        handle.started_at = time.monotonic()
-
-    def _start_thread(self, handle: _Handle) -> None:
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        if self._event is None:
-            self._event = threading.Event()
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard"
-            )
-            self._owns_executor = True
-        handle.future = self._executor.submit(self._thread_entry, handle)
-        handle.future.add_done_callback(lambda _f: self._event.set())
-
-    def _thread_entry(self, handle: _Handle) -> "ShardResult":
-        from repro.parallel.shards import run_shard
-
-        handle.started_at = time.monotonic()
-        deadline = self._coop_deadline(handle)
-        return run_shard(handle.state.task, handle.attempt, self.fault_plan, deadline)
-
-    def _run_inline(self, handle: _Handle, now: float) -> None:
-        from repro.parallel.shards import run_shard
-
-        handle.started_at = now
-        deadline = self._coop_deadline(handle)
+        handle = _Handle(state, state.attempt, rung)
+        self._running.append(handle)
+        if rung != "inline":
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix="repro-shard"
+                )
+                self._owns_executor = True
+            handle.future = self._executor.submit(self._attempt, handle)
+            return
+        # Inline: a future already done when created, collected before the
+        # next shard launches — the sequential fast path and its fail-fast
+        # order.
+        handle.future = Future()
         try:
-            result = run_shard(handle.state.task, handle.attempt, self.fault_plan, deadline)
-        except ShardTimeout as error:
-            self._handle_failure(handle, error, "timeout", original=error)
-            return
-        except Exception as error:  # noqa: BLE001 - classified below
-            self._handle_failure(handle, error, "exception", original=error)
-            return
-        self._accept_result(handle, result)
+            handle.future.set_result(self._attempt(handle))
+        except Exception as error:  # noqa: BLE001 - classified in _collect
+            handle.future.set_exception(error)
+        self._collect(handle)
+
+    def _attempt(self, handle: _Handle) -> "ShardResult":
+        """Run one attempt to its result, or raise its failure.
+
+        A process attempt spawns one worker and blocks on its pipe: it
+        raises ``_LaunchFailure`` if the worker never started,
+        :class:`ShardCrash` with the exit code if it died without a message,
+        and ``_RemoteShardException`` for an error it sent back.
+        """
+        from repro.parallel.shards import run_shard
+
+        handle.started_at = time.monotonic()
+        task = handle.state.task
+        if handle.rung != "process":
+            deadline = self._coop_deadline(handle)
+            return run_shard(task, handle.attempt, self.fault_plan, deadline)
+        import multiprocessing as mp
+        from multiprocessing import connection
+
+        try:
+            context = mp.get_context("spawn")
+            conn, child_conn = context.Pipe(duplex=False)
+            with child_conn:
+                process = context.Process(
+                    target=_process_shard_entry,
+                    args=(child_conn, task, handle.attempt, self.fault_plan),
+                    daemon=True,
+                )
+                process.start()
+        except Exception as error:
+            raise _LaunchFailure(error) from error
+        handle.process = process
+        # Abandoned while the worker was spawning: ``_abandon`` sets the flag
+        # before it reads ``handle.process``, so one side always terminates.
+        if handle.abandoned:
+            process.terminate()
+        message = None
+        try:
+            connection.wait([conn, process.sentinel])
+            if conn.poll():
+                message = conn.recv()
+        except EOFError:
+            pass  # the pipe died mid-send
+        finally:
+            conn.close()
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+        if message is None:  # died without a message: os._exit, OOM kill, ...
+            raise ShardCrash("worker process died before returning a result",
+                             exitcode=process.exitcode, **handle.attribution)
+        if message[0] == "error":
+            raise _RemoteShardException(*message[1:])
+        return message[1]
 
     def _coop_deadline(self, handle: _Handle) -> Optional[CooperativeDeadline]:
         expires = []
@@ -532,16 +533,8 @@ class ShardSupervisor:
             expires.append(self._deadline_at)
         if not expires:
             return None
-        task = handle.state.task
-        return CooperativeDeadline(
-            min(expires),
-            shard_id=task.shard_id,
-            backend=task.backend,
-            seed=task.seed,
-            attempt=handle.attempt,
-            rung=handle.rung,
-            timeout=self.shard_timeout,
-        )
+        return CooperativeDeadline(min(expires), timeout=self.shard_timeout,
+                                   **handle.attribution)
 
     # ------------------------------------------------------------------ waiting
     def _next_event_delay(self) -> Optional[float]:
@@ -549,108 +542,66 @@ class ShardSupervisor:
         candidates: List[float] = []
         if self._deadline_at is not None:
             candidates.append(self._deadline_at)
-        if self.shard_timeout is not None:
-            for handle in self._running:
-                if handle.started_at is not None and not handle.abandoned:
-                    candidates.append(handle.started_at + self.shard_timeout)
+        for handle in self._running:
+            if self.shard_timeout is not None and not handle.abandoned:
+                # An attempt still queued on the executor expires no sooner
+                # than one timeout from now.
+                started = now if handle.started_at is None else handle.started_at
+                candidates.append(started + self.shard_timeout)
         for state in self._states:
             if not state.done and state.failure is None and not self._is_running(state):
-                candidates.append(max(state.not_before, now))
+                candidates.append(state.not_before)
         if not candidates:
             return None
         return max(0.0, min(candidates) - now)
 
-    def _wait_for_event(self) -> None:
-        live = [h for h in self._running if not h.abandoned]
-        if not live:
-            # Everything launchable is backing off: sleep to the gate.
-            delay = self._next_event_delay()
-            if delay:
-                time.sleep(min(delay, self.policy.backoff_cap or 0.05))
-            return
+    def _wait(self) -> None:
+        """Block until an attempt finishes or the next timeout, deadline or
+        backoff gate is due."""
+        live = [h.future for h in self._running if not h.abandoned]
         delay = self._next_event_delay()
-        processes = [h for h in live if h.process is not None]
-        threads = [h for h in live if h.future is not None]
-        if processes and threads:
-            time.sleep(_MIXED_POLL_SECONDS if delay is None else min(delay, _MIXED_POLL_SECONDS))
-        elif processes:
-            from multiprocessing import connection
-
-            waitables = []
-            for h in processes:
-                waitables.append(h.conn)
-                waitables.append(h.process.sentinel)
-            connection.wait(waitables, timeout=delay)
-        else:
-            if any(h.future.done() for h in threads):
-                return
-            self._event.wait(timeout=delay)
-            self._event.clear()
+        if live:
+            wait(live, timeout=delay, return_when=FIRST_COMPLETED)
+        elif delay:
+            # Everything launchable is backing off: sleep to the gate.
+            time.sleep(min(delay, self.policy.backoff_cap or 0.05))
 
     # --------------------------------------------------------------- collection
-    def _collect_finished(self) -> None:
-        for handle in list(self._running):
-            if handle.process is not None:
-                self._collect_process(handle)
-            else:
-                self._collect_thread(handle)
-
-    def _collect_thread(self, handle: _Handle) -> None:
-        future = handle.future
-        if not future.done():
-            return
+    def _collect(self, handle: _Handle) -> None:
         self._running.remove(handle)
         if handle.abandoned:
-            return  # late result of a timed-out attempt: discarded
-        error = future.exception()
+            return  # late outcome of a timed-out or deadline-hit attempt: discarded
+        error = handle.future.exception()
         if error is None:
-            self._accept_result(handle, future.result())
+            self._accept_result(handle, handle.future.result())
+        elif isinstance(error, _LaunchFailure):
+            # The process rung itself is broken for this shard: step straight
+            # down the ladder and retry there.
+            state = handle.state
+            self._note(state, f"attempt {handle.attempt + 1}: process launch failed: {error}")
+            self._degrade(state, reason=f"process launch failed: {error}")
+            self.stats.shard_crashes += 1
+            self._schedule_retry(state)
         elif isinstance(error, ShardTimeout):
             self._handle_failure(handle, error, "timeout", original=error)
+        elif handle.rung == "process" and isinstance(error, ShardCrash):
+            self._handle_failure(handle, error, "crash")
         else:
             self._handle_failure(handle, error, "exception", original=error)
 
-    def _collect_process(self, handle: _Handle) -> None:
-        if handle.message is None and handle.conn.poll():
-            try:
-                handle.message = handle.conn.recv()
-            except EOFError:
-                handle.message = ("eof",)
-        if handle.message is None:
-            if handle.process.is_alive():
-                return
-            # Died without a message: hard crash (os._exit, OOM kill, ...).
-            self._running.remove(handle)
-            exitcode = handle.process.exitcode
-            self._close_process(handle)
-            error = self._crash_error(handle.state, handle, None, exitcode=exitcode)
-            self._handle_failure(handle, error, "crash")
-            return
-        self._running.remove(handle)
-        message = handle.message
-        self._close_process(handle, join=True)
-        if message[0] == "ok":
-            self._accept_result(handle, message[1])
-        elif message[0] == "error":
-            remote = _RemoteShardException(message[1], message[2], message[3])
-            self._handle_failure(handle, remote, "exception", original=remote)
-        else:  # "eof": the pipe died mid-send
-            error = self._crash_error(handle.state, handle, None,
-                                      exitcode=handle.process.exitcode)
-            self._handle_failure(handle, error, "crash")
+    def _abandon(self, handle: _Handle) -> None:
+        """Give up on a live attempt; its outcome, if one comes, is discarded.
 
-    def _close_process(self, handle: _Handle, join: bool = False) -> None:
-        try:
-            if join:
-                handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5.0)
-        finally:
-            try:
-                handle.conn.close()
-            except Exception:
-                pass
+        A worker process is terminated (if the executor has not started the
+        attempt yet, it never will); a running thread cannot be, so it is
+        counted as abandoned.
+        """
+        handle.abandoned = True
+        handle.future.cancel()
+        if handle.rung != "process":
+            self.stats.abandoned_threads += 1
+        elif handle.process is not None:
+            handle.process.terminate()
 
     def _expire_timeouts(self) -> None:
         if self.shard_timeout is None:
@@ -661,38 +612,21 @@ class ShardSupervisor:
                 continue
             if now - handle.started_at < self.shard_timeout:
                 continue
-            state = state_ = handle.state
-            task = state_.task
-            error = ShardTimeout(
-                "shard attempt exceeded its per-shard timeout",
-                timeout=self.shard_timeout,
-                shard_id=task.shard_id,
-                backend=task.backend,
-                seed=task.seed,
-                attempt=handle.attempt,
-                rung=handle.rung,
-            )
-            if handle.process is not None:
-                self._running.remove(handle)
-                self._close_process(handle)
-            else:
-                # A thread cannot be forcibly cancelled: abandon the future
-                # (its eventual result is discarded) and warn once.
-                handle.abandoned = True
-                self.stats.abandoned_threads += 1
-                if not self._warned_thread_cancel:
-                    self._warned_thread_cancel = True
-                    message = (
-                        f"shard {task.shard_id} exceeded its {self.shard_timeout:g}s "
-                        "timeout on the thread rung; thread workers cannot be "
-                        "forcibly cancelled — the attempt is abandoned (cooperative "
-                        "deadline checks run at stage boundaries only) and the "
-                        "shard is retried"
-                    )
-                    self.stats.warnings.append(message)
-                    warnings.warn(message, RuntimeWarning, stacklevel=2)
+            self._abandon(handle)
+            if handle.rung != "process" and not self._warned_thread_cancel:
+                self._warned_thread_cancel = True
+                message = (
+                    f"shard {handle.state.task.shard_id} exceeded its "
+                    f"{self.shard_timeout:g}s timeout on the thread rung; thread "
+                    "workers cannot be forcibly cancelled — the attempt is "
+                    "abandoned (cooperative deadline checks run at stage "
+                    "boundaries only) and the shard is retried"
+                )
+                self.stats.warnings.append(message)
+                warnings.warn(message, RuntimeWarning, stacklevel=2)
+            error = ShardTimeout("shard attempt exceeded its per-shard timeout",
+                                 timeout=self.shard_timeout, **handle.attribution)
             self._handle_failure(handle, error, "timeout")
-            del state
 
     # ----------------------------------------------------------- classification
     def _accept_result(self, handle: _Handle, result: "ShardResult") -> None:
@@ -701,51 +635,20 @@ class ShardSupervisor:
         state = handle.state
         problem = verify_shard_result(state.task, result, self._expected_versions)
         if problem is not None:
-            task = state.task
-            error = CorruptShardResult(
-                problem,
-                shard_id=task.shard_id,
-                backend=task.backend,
-                seed=task.seed,
-                attempt=handle.attempt,
-                rung=handle.rung,
-            )
-            self._handle_failure(handle, error, "corrupt")
+            self._handle_failure(handle, CorruptShardResult(problem, **handle.attribution),
+                                 "corrupt")
             return
         state.done = True
         state.crash_streak = 0
         self._results[state.task.shard_id] = result
         self.stats.completed += 1
 
-    def _crash_error(self, state: _ShardState, handle: _Handle, original,
-                     exitcode: Optional[int] = None) -> ShardCrash:
-        task = state.task
-        message = "worker process died before returning a result"
-        if original is not None:
-            message = f"shard attempt could not be executed: {original}"
-        return ShardCrash(
-            message,
-            exitcode=exitcode,
-            shard_id=task.shard_id,
-            backend=task.backend,
-            seed=task.seed,
-            attempt=handle.attempt,
-            rung=handle.rung,
-        )
-
     def _handle_failure(self, handle: _Handle, error: BaseException, category: str,
                         original: Optional[BaseException] = None) -> None:
         state = handle.state
-        task = state.task
         if not isinstance(error, ShardError):
-            wrapped = ShardCrash(
-                f"shard raised {type(error).__name__}: {error}",
-                shard_id=task.shard_id,
-                backend=task.backend,
-                seed=task.seed,
-                attempt=handle.attempt,
-                rung=handle.rung,
-            )
+            wrapped = ShardCrash(f"shard raised {type(error).__name__}: {error}",
+                                 **handle.attribution)
             wrapped.__cause__ = original if original is not None else error
             shard_error: ShardError = wrapped
         else:
@@ -788,32 +691,22 @@ class ShardSupervisor:
                 "shard failed identically twice; retries cannot succeed "
                 f"(signature {state.last_signature!r})",
                 failure_signature=state.last_signature or ("", ""),
-                shard_id=task.shard_id,
-                backend=task.backend,
-                seed=task.seed,
-                attempt=handle.attempt,
-                rung=handle.rung,
+                **handle.attribution,
             )
             poison_error.__cause__ = shard_error
             self._fail_shard(state, handle.attempt + 1, poison_error)
             return
 
-        self._after_failure(state, shard_error, category, original=original)
-
-    def _after_failure(self, state: _ShardState, shard_error: ShardError, category: str,
-                       original: Optional[BaseException] = None,
-                       count_crash: bool = False, force_retry: bool = False) -> None:
-        if count_crash:
-            counter = "shard_crashes"
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         attempts_used = state.attempt + 1
-        if not force_retry and attempts_used > self.policy.max_retries:
+        if attempts_used > self.policy.max_retries:
             self._fail_shard(state, attempts_used, shard_error)
-            return
-        retry = state.attempt + 1
-        state.attempt = retry
+        else:
+            self._schedule_retry(state)
+
+    def _schedule_retry(self, state: _ShardState) -> None:
+        state.attempt += 1
         state.not_before = time.monotonic() + self.policy.backoff_for(
-            state.task.shard_id, retry
+            state.task.shard_id, state.attempt
         )
 
     def _signature_of(self, error: BaseException) -> Tuple[str, str]:
@@ -838,64 +731,49 @@ class ShardSupervisor:
             raise error from error.__cause__
 
     def _degrade(self, state: _ShardState, reason: str) -> None:
-        if state.rung_index + 1 < len(LADDER):
-            state.rung_index += 1
-            state.crash_streak = 0
-            self.stats.degradations += 1
-            self._note(state, f"degraded to rung {state.rung!r}: {reason}")
+        """Move a process-rung shard onto a thread: the ladder's only step."""
+        state.rung = "thread"
+        state.crash_streak = 0
+        self.stats.degradations += 1
+        self._note(state, f"degraded to rung {state.rung!r}: {reason}")
 
     def _note(self, state: _ShardState, message: str) -> None:
         state.history.append(message)
 
     # ------------------------------------------------------------------- finish
-    def _finish(self) -> SupervisedOutcome:
+    def _finish(self, deadline_hit: bool = False) -> SupervisedOutcome:
         failures = [s.failure for s in self._states if s.failure is not None]
-        incomplete = tuple(sorted(
-            s.task.shard_id for s in self._states if not s.done
-        ))
         return SupervisedOutcome(
             results=[self._results[i] for i in sorted(self._results)],
             stats=self.stats,
             failures=failures,
             planned=len(self._states),
-            degraded=bool(failures),
-            incomplete_shards=incomplete,
+            degraded=deadline_hit or bool(failures),
+            deadline_hit=deadline_hit,
+            incomplete_shards=self._incomplete(),
         )
 
+    def _incomplete(self) -> Tuple[int, ...]:
+        return tuple(sorted(s.task.shard_id for s in self._states if not s.done))
+
     def _finish_deadline(self) -> SupervisedOutcome:
-        for handle in list(self._running):
-            if handle.process is not None:
-                self._running.remove(handle)
-                self._close_process(handle)
-            else:
-                handle.abandoned = True
-                self.stats.abandoned_threads += 1
-        incomplete = tuple(sorted(
-            s.task.shard_id for s in self._states if not s.done
-        ))
+        for handle in self._running:
+            if not handle.abandoned:
+                self._abandon(handle)
         if not self.allow_partial:
             raise JobDeadlineExceeded(
                 f"parallel job exceeded its {self.deadline:g}s deadline",
                 deadline=self.deadline,
                 completed=len(self._results),
                 planned=len(self._states),
-                incomplete_shards=incomplete,
+                incomplete_shards=self._incomplete(),
             )
-        failures = [s.failure for s in self._states if s.failure is not None]
-        return SupervisedOutcome(
-            results=[self._results[i] for i in sorted(self._results)],
-            stats=self.stats,
-            failures=failures,
-            planned=len(self._states),
-            degraded=True,
-            deadline_hit=True,
-            incomplete_shards=incomplete,
-        )
+        return self._finish(deadline_hit=True)
 
     def _cleanup(self) -> None:
-        for handle in list(self._running):
-            if handle.process is not None:
-                self._close_process(handle)
+        for handle in self._running:
+            if not handle.abandoned:
+                self._abandon(handle)
         self._running.clear()
         if self._executor is not None:
             if self._owns_executor:

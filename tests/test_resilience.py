@@ -9,6 +9,7 @@ bit-identical to the fault-free sequential reference.
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
@@ -368,6 +369,48 @@ class TestProcessRungResilience:
         assert pool.stats.shard_crashes == 2
         assert pool.stats.degradations == 1, "two kills walk down the ladder"
         assert pool.stats.rungs.get("thread", 0) >= 1
+
+    def test_waiting_for_a_worker_does_not_spin_the_coordinator(self):
+        # Four shards on two workers: half the attempts queue behind the
+        # others, and the coordinator must block, not poll, while they do.
+        _, reference = plan_and_reference(count=24, shards=4, seed=41)
+        pool = ParallelSamplerPool(workers=2, execution="process", fault_plan=NO_FAULTS)
+        wall, cpu = time.perf_counter(), time.process_time()
+        report = pool.aggregate(make_chain(), SPEC_SUM, 24, seed=41, shards=4)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        pool.close()
+        assert report_key(report.accumulator.estimate()) == reference
+        assert cpu < 0.15 * wall, f"coordinator burned {cpu:.2f}s CPU in {wall:.2f}s"
+
+    def test_unpicklable_task_degrades_to_threads_at_launch(self):
+        spec = AggregateSpec("sum", attribute="c", where=lambda row: row["c"] % 2 == 0)
+        thread_run = ParallelSamplerPool(workers=2, execution="thread").aggregate(
+            make_chain(), spec, 24, seed=41, shards=2)
+        pool = ParallelSamplerPool(workers=2, execution="process",
+                                   fault_plan=NO_FAULTS, retry_policy=FAST)
+        report = pool.aggregate(make_chain(), spec, 24, seed=41, shards=2)
+        pool.close()
+        assert (report_key(report.accumulator.estimate())
+                == report_key(thread_run.accumulator.estimate()))
+        assert pool.stats.shard_crashes == pool.stats.degradations == 2
+        assert pool.stats.rungs == {"process": 2, "thread": 2}
+
+    def test_timed_out_worker_is_terminated_and_retried(self):
+        _, reference = plan_and_reference(count=24, shards=2, seed=41)
+        plan = FaultPlan(scripted={(0, 0): FaultAction("sleep", duration=60.0)})
+        pool = ParallelSamplerPool(workers=2, execution="process", fault_plan=plan,
+                                   retry_policy=FAST, shard_timeout=5.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            started = time.monotonic()
+            report = pool.aggregate(make_chain(), SPEC_SUM, 24, seed=41, shards=2)
+            elapsed = time.monotonic() - started
+        pool.close()
+        assert report_key(report.accumulator.estimate()) == reference
+        assert pool.stats.shard_timeouts == 1
+        assert pool.stats.abandoned_threads == 0, "a worker process is killed, not abandoned"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert elapsed < 60.0, "the sleeping worker must be terminated, not waited on"
 
     def test_kill_fault_degrades_to_raise_in_threads(self):
         # In a thread rung os._exit would kill the coordinator; the harness
