@@ -136,7 +136,12 @@ def acceptance_ratio(query: JoinQuery) -> float:
     The true rate is ``|J| / W_eo``; the planner proxies ``|J|`` with the
     average-degree refinement of the Olken bound (§5.1), i.e. the ratio of
     average to maximum degrees along the join tree.  Clamped to ``(0, 1]``.
+    Memoized per snapshot (a ``query.derived`` tenant).
     """
+    return query.derived("acceptance_ratio", lambda: _acceptance_ratio(query))
+
+
+def _acceptance_ratio(query: JoinQuery) -> float:
     bound = olken_upper_bound(query)
     if bound <= 0:
         return 1.0  # empty join: every backend is instantly "done"
@@ -154,8 +159,13 @@ def walk_success_ratio(query: JoinQuery) -> float:
     deliberately ignores *which* parent the walk is at (hops are uniform,
     dangling rows are what kill walks in practice), which keeps the estimate
     O(rows) while tracking the measured success rate closely on the TPC-H
-    workloads.  Clamped to ``[1e-9, 1]``.
+    workloads.  Clamped to ``[1e-9, 1]``.  Memoized per snapshot like
+    :func:`acceptance_ratio`.
     """
+    return query.derived("walk_success_ratio", lambda: _walk_success_ratio(query))
+
+
+def _walk_success_ratio(query: JoinQuery) -> float:
     product = 1.0
     for node, parent in query.join_tree().descent():
         if parent is None:
@@ -182,19 +192,17 @@ def estimate_backend_costs(
     query: JoinQuery,
     sample_size: int,
     model: Optional[BackendCostModel] = None,
-    acceptance: Optional[float] = None,
-    walk_success: Optional[float] = None,
     backends: Optional[Sequence[str]] = None,
 ) -> Dict[str, float]:
     """Expected seconds for each single-join backend to produce ``sample_size``
     accepted samples (wander join: walks of equivalent estimator value).
 
-    ``acceptance``/``walk_success`` accept precomputed ratios so a planner
-    that already derived them does not pay the statistics passes twice, and
     ``backends`` restricts which entries are priced at all — the statistics
     behind an entry are only computed when that entry is requested (planning
     itself must stay cheap relative to the sampling it prices; pricing a
-    backend the capability matrix already excluded would be pure waste).
+    backend the capability matrix already excluded would be pure waste), and
+    each is computed once per snapshot (the two ratios are ``derived``
+    tenants), so pricing the same snapshot again is O(relations).
 
     * ``exact-weight`` pays the O(rows) weight/plan/alias build, then accepts
       every attempt (up to residual survival on cyclic skeletons);
@@ -220,17 +228,13 @@ def estimate_backend_costs(
             rows * model.weight_build_seconds_per_row + n / survival * model.attempt_seconds
         )
     if "olken" in wanted:
-        if acceptance is None:
-            acceptance = acceptance_ratio(query)
         costs["olken"] = (
             rows * model.stats_seconds_per_row
-            + n / (acceptance * survival) * model.attempt_seconds
+            + n / (acceptance_ratio(query) * survival) * model.attempt_seconds
         )
     if "wander-join" in wanted:
-        if walk_success is None:
-            walk_success = walk_success_ratio(query)
         costs["wander-join"] = (
-            n * model.ht_design_effect / (walk_success * survival) * model.walk_seconds
+            n * model.ht_design_effect / (walk_success_ratio(query) * survival) * model.walk_seconds
         )
     return costs
 

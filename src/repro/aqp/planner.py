@@ -157,16 +157,8 @@ class SamplerPlanner:
 
     def _plan_join(self, query: JoinQuery, supported: Tuple[str, ...]) -> SamplerPlan:
         acceptance = acceptance_ratio(query)
-        walk_success = (
-            walk_success_ratio(query) if "wander-join" in supported else None
-        )
         eligible = estimate_backend_costs(
-            query,
-            self.target_samples,
-            self.cost_model,
-            acceptance=acceptance,
-            walk_success=walk_success,
-            backends=supported,
+            query, self.target_samples, self.cost_model, backends=supported
         )
         backend = min(eligible, key=lambda name: eligible[name])
         rationale = [
@@ -186,7 +178,7 @@ class SamplerPlanner:
             per_attempt_acceptance = acceptance
         elif backend == "wander-join":
             # Walks fail on dangling rows, not on the accept/reject test.
-            per_attempt_acceptance = walk_success if walk_success is not None else 1.0
+            per_attempt_acceptance = walk_success_ratio(query)
             rationale.append(
                 f"walk success ~{per_attempt_acceptance:.3g} (dangling-row model)"
             )

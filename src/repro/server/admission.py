@@ -19,6 +19,8 @@ already resident.  Samples the cache tier already holds
 is an array gather, not a draw, so a fully cached warm request prices at
 (near) zero.  Priced seconds are model units, not a wall-clock promise;
 they only need to rank requests consistently, exactly like the planner.
+The statistics behind a price are per-snapshot memo tenants, so only the
+first request after a mutation pays their O(rows) pass.
 
 Accounting is transactional: :meth:`AdmissionController.admit` checks every
 limit and reserves the slot *and* the priced seconds in one locked step,

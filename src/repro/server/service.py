@@ -19,6 +19,8 @@ snapshot's shared, fully built descent through all-built views.  Clones draw fro
 request-seeded stream without consuming the prototype's, so a request's
 answer is a pure function of ``(request, snapshot)`` — bit-identical whether
 it runs alone or besides 16 others (pinned by ``tests/test_server.py``).
+Its price reads the snapshot's memoized statistics and its values leave
+column by column (:func:`json_rows`): a warm request pays for its draw.
 
 Epoch consistency
 -----------------
@@ -59,6 +61,7 @@ from repro.joins.query import JoinQuery
 from repro.parallel.pool import ParallelSamplerPool
 from repro.parallel.shards import observed_versions
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
+from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.server.admission import AdmissionController, AdmissionLimits, AdmissionTicket
 from repro.server.overload import (
@@ -115,6 +118,17 @@ def jsonify(value):
     return value
 
 
+def json_rows(block: SampleBlock, query: JoinQuery) -> List[List[object]]:
+    """``jsonify(block.values(query))``, converted per column: a typed
+    column leaves through ``tolist()``, which is JSON-native already, and
+    only an ``object`` column goes value by value through :func:`jsonify`."""
+    columns = [
+        list(map(jsonify, c.tolist())) if c.dtype == object else c.tolist()
+        for c in block.value_columns(query)
+    ]
+    return list(map(list, zip(*columns))) if columns else [[] for _ in range(len(block))]
+
+
 def _request_error(error: Exception) -> RequestError:
     """The structured protocol error an exception is reported (and counted
     by the circuit breakers) as."""
@@ -149,8 +163,8 @@ class SamplingService:
         Admission-control knobs (see :class:`AdmissionLimits`) or a
         prebuilt controller.
     warm_on_start:
-        Build the ``"ew"`` warm prototype of every query at startup so the
-        first request is as fast as the thousandth.  Lazy otherwise.
+        Build the ``"ew"`` warm prototype and pricing statistics of every
+        query at startup so the first request is as fast as the thousandth.  Lazy otherwise.
     sample_chunk:
         Draw granularity of the warm sample path; each chunk boundary is an
         epoch checkpoint and a deadline checkpoint, so smaller chunks react
@@ -250,6 +264,7 @@ class SamplingService:
         if warm_on_start:
             for query in self.workload.queries:
                 self._prototype(query, "ew")
+                self.admission.price([query], 0)  # primes the pricing statistics
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -388,19 +403,19 @@ class SamplingService:
     ) -> Iterator[AdmissionTicket]:
         """The envelope every ``sample``/``aggregate`` body runs inside.
 
-        Price once, up front (the overload gate and the admission controller
-        account the same cost-model seconds), then breaker check → gate →
-        admission → watchdog → counters → body, released in reverse.  The
-        reservations must drain even when the body fails mid-flight: leaking
-        one would wedge the inflight count until restart.  Yields the
-        admission ticket, whose ``priced_seconds`` goes into the response.
+        Breaker check → price (once: the gate and admission account the
+        same seconds; inside the ``try``, so a failed price hands a half-open
+        probe slot back) → gate → admission → watchdog → counters → body,
+        released in reverse.  The reservations must drain even when the body
+        fails mid-flight: leaking one would wedge the inflight count until
+        restart.  Yields the ticket, whose ``priced_seconds`` is returned.
         """
-        priced = self.admission.price(
-            queries, samples, warm=warm, cached_samples=cached_samples
-        )
         self._breakers.check(breaker_key)
         outcome = "neutral"
         try:
+            priced = self.admission.price(
+                queries, samples, warm=warm, cached_samples=cached_samples
+            )
             gate_ticket = self._overload.admit(priced)
             try:
                 ticket = self.admission.admit(
@@ -537,9 +552,7 @@ class SamplingService:
         # Values are projected only now, after the final epoch check: the
         # relations provably match the snapshot every block was drawn from,
         # so stale row positions can never be read through.
-        values: List = []
-        for block in blocks:
-            values.extend(block.values(query))
+        values = [row for block in blocks for row in json_rows(block, query)]
         return {
             "count": count,
             "backend": _WEIGHTS_TO_BACKEND[weights],
@@ -550,7 +563,7 @@ class SamplingService:
             "accepted": len(values),
             "epoch_restarts": restarts,
             "degraded": degraded,
-            "values": jsonify(values),
+            "values": values,
             "sources": [query.name] * len(values),
         }
 
@@ -824,4 +837,4 @@ class SamplingService:
         }
 
 
-__all__ = ["SamplingService", "jsonify"]
+__all__ = ["SamplingService", "json_rows", "jsonify"]

@@ -10,18 +10,26 @@ blending epochs.
 
 from __future__ import annotations
 
+import copy
+import json
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis import cost
 from repro.aqp import AggregateSpec, OnlineAggregator
+from repro.aqp.planner import SamplerPlanner, choose_weights
 from repro.cache import SampleCache
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
 from repro.relational.relation import Relation
+from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.server import (
+    AdmissionController,
     AdmissionLimits,
     SamplingService,
     ServerClient,
@@ -29,6 +37,7 @@ from repro.server import (
     start_server,
 )
 from repro.server.protocol import ERROR_CODES, MAX_REQUEST_WORKERS
+from repro.server.service import json_rows, jsonify
 
 
 def make_service(**overrides) -> SamplingService:
@@ -219,6 +228,116 @@ class TestAdmissionControl:
             assert stats["admission"]["admitted"] >= 1
             assert stats["admission"]["rejected"] >= 1
             assert stats["admission"]["inflight"] == 0
+
+
+class TestPricingMemo:
+    """A price reads per-snapshot statistics: the acceptance and walk-success
+    ratios are ``query.derived`` tenants, so their O(rows) passes run once
+    per snapshot however many prices, plans and weight choices read them."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Count Olken-bound passes and uncached walk-success passes."""
+        counts = {"olken": 0, "walk": 0}
+
+        def spy(name, original):
+            def counted(query):
+                counts[name] += 1
+                return original(query)
+            return counted
+
+        monkeypatch.setattr(cost, "olken_upper_bound",
+                            spy("olken", cost.olken_upper_bound))
+        monkeypatch.setattr(cost, "_walk_success_ratio",
+                            spy("walk", cost._walk_success_ratio))
+        return counts
+
+    def test_one_pass_per_snapshot(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        query = make_chain()
+        admission = AdmissionController()
+        first = admission.price([query], 150, warm=True)
+        assert admission.price([query], 150, warm=True) == first
+        SamplerPlanner(query, 4096).plan()
+        choose_weights(query)
+        assert passes == {"olken": 1, "walk": 1}
+        # The memo is a cache: an empty one prices bit for bit the same.
+        assert admission.price([copy.copy(query)], 150, warm=True) == first
+        passes.update(olken=0, walk=0)
+        query.relation("R").delete_rows([0])
+        admission.price([query], 150, warm=True)
+        admission.price([query], 150, warm=True)
+        assert passes == {"olken": 1, "walk": 1}
+
+    def test_first_warm_sample_runs_no_statistics_pass(self, monkeypatch):
+        with make_service() as svc:
+            passes = self.count_passes(monkeypatch)
+            response = svc.handle({"kind": "sample", "query": "UQ1_J1",
+                                   "count": 16, "seed": 4})
+            assert response["ok"], response
+            assert passes == {"olken": 0, "walk": 0}
+
+    def test_open_breaker_sheds_before_pricing(self, monkeypatch):
+        now = [0.0]
+        with make_service(warm_on_start=False, clock=lambda: now[0]) as svc:
+            key = ("UQ1_J1", "ew")
+            for _ in range(svc.overload_config.breaker_threshold):
+                svc._breakers.record(key, "failure")
+
+            def unpriceable(*args, **kwargs):
+                raise AssertionError("priced")
+
+            monkeypatch.setattr(svc.admission, "price", unpriceable)
+            request = {"kind": "sample", "query": "UQ1_J1", "count": 8, "seed": 1}
+            assert svc.handle(request)["error"]["code"] == "circuit-open"
+            # Half-open: a probe whose pricing fails hands its slot back.
+            now[0] += svc.overload_config.breaker_open_seconds + 0.1
+            assert svc.handle(request)["error"]["code"] == "internal"
+            assert svc._breakers.state_of(key) == "half-open"
+            monkeypatch.undo()
+            assert svc.handle(request)["ok"]
+            assert svc._breakers.state_of(key) == "closed"
+
+
+_OBJECT_VALUES = [
+    np.int64(-7), np.float32(1.5), np.bool_(True), None, 2**70,
+    "nul\x00", (1, ("x", np.int64(2))),
+]
+
+
+class TestJsonRows:
+    """Warm values leave per column, as the per-value ``jsonify`` left them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(-2**40, 2**40),
+                st.floats(allow_nan=False),
+                st.text(max_size=4),
+                st.sampled_from(_OBJECT_VALUES),
+            ),
+            min_size=1, max_size=12,
+        ),
+        picks=st.lists(st.integers(0, 10**6), max_size=20),
+    )
+    def test_matches_jsonify_of_values(self, rows, picks):
+        relation = Relation("T", ["i", "f", "s", "o"], rows)
+        query = JoinQuery(
+            "t", [relation], [],
+            [OutputAttribute(a, "T", a) for a in ("i", "f", "s", "o")],
+        )
+        assert relation.column_array("o").dtype == object
+        block = SampleBlock(
+            ("T",), {"T": np.array([p % len(rows) for p in picks], dtype=np.intp)}
+        )
+        columns = json_rows(block, query)
+        expected = jsonify(block.values(query))
+        assert columns == expected
+        assert json.dumps(columns) == json.dumps(expected)
+        bare = copy.copy(query)
+        bare.output_attributes = ()
+        assert json_rows(block, bare) == [[]] * len(picks)
 
 
 class TestEpochConsistency:
