@@ -153,13 +153,13 @@ def walk_success_ratio(query: JoinQuery) -> float:
     """Estimated probability that one wander-join walk completes.
 
     Per join edge, the fraction of parent rows with at least one joinable
-    child row (one vectorized CSR slot lookup over the delta-maintained
-    indexes — the structures the samplers build anyway); the walk succeeds
-    when every hop finds a child, so the per-edge fractions multiply.  This
-    deliberately ignores *which* parent the walk is at (hops are uniform,
-    dangling rows are what kill walks in practice), which keeps the estimate
-    O(rows) while tracking the measured success rate closely on the TPC-H
-    workloads.  Clamped to ``[1e-9, 1]``.  Memoized per snapshot like
+    child row (read from the edge's slot map,
+    :meth:`~repro.joins.query.JoinQuery.edge_slots` — the map the samplers
+    gather from anyway); the walk succeeds when every hop finds a child, so
+    the per-edge fractions multiply.  This deliberately ignores *which*
+    parent the walk is at (hops are uniform, dangling rows are what kill
+    walks in practice), which keeps the estimate O(rows) while tracking the
+    measured success rate closely on the TPC-H workloads.  Clamped to ``[1e-9, 1]``.  Memoized per snapshot like
     :func:`acceptance_ratio`.
     """
     return query.derived("walk_success_ratio", lambda: _walk_success_ratio(query))
@@ -173,9 +173,8 @@ def _walk_success_ratio(query: JoinQuery) -> float:
         parent_rel = query.relation(parent.relation)
         if len(parent_rel) == 0:
             return 1e-9
-        child_rel = query.relation(node.relation)
-        csr = child_rel.sorted_index_on_columns(node.child_attributes)
-        slots = csr.slots_for(parent_rel.join_key_array(node.parent_attributes))
+        csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
+        slots = query.edge_slots(parent.relation, node)
         joinable = slots >= 0
         if bool(joinable.any()):
             degrees = np.diff(csr.offsets)

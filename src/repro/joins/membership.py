@@ -22,11 +22,11 @@ other would not build):
   is one array of value ids plus one array of row positions per bound
   relation that a later level still reads.  The root level seeds it from the
   CSR of ``index_on(attr)`` for the first output attribute of the root; every
-  further level gathers the parents' join keys
-  (``join_key_array(parent_attrs)[positions]``), resolves them to slots of
-  the child's join-key CSR (``SortedIndex.slots_for``) and expands each
-  frontier row into its slot's segment (``offsets`` + ``row_positions``,
-  ``np.repeat``/``np.arange``); the output constraints of the level's
+  further level gathers the bound parents' slots in the child's join-key CSR
+  from the edge's per-snapshot map (``query.edge_slots(parent, node)
+  [positions]``, no key lookup) and expands each frontier row into its
+  slot's segment (``offsets`` + ``row_positions``, ``np.repeat``/
+  ``np.arange``); the output constraints of the level's
   relation then keep the rows with ``column_array(attr)[positions] ==
   field[value id]``, one constraint at a time so that the first (usually a
   key) shrinks what the rest compare.  ``JoinTree.residual_mask`` finishes;
@@ -231,8 +231,7 @@ class JoinMembershipProber:
             self.lookup_count += len(value_ids)
             if parent is not None:
                 index: Optional[SortedIndex] = relation.index_on_columns(node.child_attributes)
-                keys = query.relation(parent).join_key_array(node.parent_attributes)
-                slots = index.slots_for(keys[bound[parent]])
+                slots = query.edge_slots(parent, node)[bound[parent]]
             elif constraints:
                 # Root: seed from the first output constraint, through the
                 # index's dict so that equality means what it means to the

@@ -30,11 +30,12 @@ from typing import (
 )
 
 from repro.joins.conditions import JoinCondition, OutputAttribute
+from repro.relational.index import IntArray, smallest_index_dtype
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
-    from repro.joins.join_tree import JoinTree
+    from repro.joins.join_tree import JoinTree, JoinTreeNode
 
 T = TypeVar("T")
 
@@ -233,6 +234,36 @@ class JoinQuery:
         from repro.joins.join_tree import build_join_tree
 
         return self.derived("join_tree", lambda: build_join_tree(self))
+
+    def edge_slots(self, parent: str, node: JoinTreeNode) -> IntArray:
+        """Joinability of one join-tree edge, resolved for every parent row.
+
+        ``slots[p]`` is the slot of parent row ``p``'s join key in the join-key
+        CSR of ``node``'s relation, or -1 when no row of it holds the key.
+        Every batched consumer of the edge (the samplers' descent, wander
+        join, membership frontiers, the weight and pricing passes) gathers
+        from this map instead of looking keys up.  One ``slots_for`` pass over
+        the parent's key column builds it; it is kept per snapshot under the
+        edge (:meth:`derived`), read-only and in the smallest signed dtype,
+        and survives a mutation of neither of its two relations by reference.
+        """
+        parent_rel, child_rel = self.relation(parent), self.relation(node.relation)
+
+        def versions() -> Tuple[int, int]:
+            return parent_rel.version, child_rel.version
+
+        def build() -> Tuple[Tuple[int, int], IntArray]:
+            built_at = versions()
+            csr = child_rel.index_on_columns(node.child_attributes)
+            slots = csr.slots_for(parent_rel.join_key_array(node.parent_attributes))
+            slots = slots.astype(smallest_index_dtype(csr.n_keys))
+            slots.setflags(write=False)
+            return built_at, slots
+
+        key = ("edge_slots", parent, node.relation, node.parent_attributes, node.child_attributes)
+        return self.derived(
+            key, build, patch=lambda last: last if last[0] == versions() else build()
+        )[1]
 
     # -------------------------------------------------------------- structure
     def adjacency(self) -> Dict[str, Dict[str, List[JoinCondition]]]:

@@ -10,8 +10,9 @@ array.  It backs
 
 * scalar joinability lookups (``positions``/``degree``) of the reference
   walkers, the ground-truth executor and the membership probes,
-* whole-batch lookups of the batched sampling engine, where "joinable rows
-  for a batch of parent keys" is a handful of NumPy gathers,
+* the batched engines, through one whole-column ``slots_for`` per join edge
+  and snapshot (:meth:`~repro.joins.query.JoinQuery.edge_slots`): "joinable
+  rows for a batch of parent rows" is then a handful of NumPy gathers,
 * the degree statistics (`d_A(v, R)`, `M_A(R)`) read through
   :class:`~repro.relational.statistics.ColumnStatistics`.
 """
@@ -22,6 +23,8 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
+
+from repro.relational.columnar import as_column_array
 
 IntArray = npt.NDArray[np.signedinteger[Any]]
 
@@ -57,10 +60,14 @@ class SortedIndex:
         deletions may leave zero-degree slots behind until the next lazy
         compaction, and every consumer treats those as "no joinable rows".
 
-    A key value maps to its slot through a plain dict; whole batches of
-    homogeneous numeric/string keys resolve through a vectorized
-    ``searchsorted`` over a sorted key array instead.  Slots are numbered in
-    first-occurrence order of their key, and positions inside a slot ascend.
+    A key value maps to its slot through a plain dict; whole batches resolve
+    through a vectorized ``searchsorted`` over a sorted key array instead
+    when the keys form a typed column (see :meth:`_build_sorted_lookup`).
+    The batched engines call ``slots_for`` once per join edge and snapshot,
+    over the parent's whole key column, and gather from the resulting map
+    (:meth:`~repro.joins.query.JoinQuery.edge_slots`).  Slots are numbered
+    in first-occurrence order of their key, and positions inside a slot
+    ascend.
     """
 
     __slots__ = (
@@ -114,19 +121,20 @@ class SortedIndex:
         return int(self.row_positions.nbytes + self.offsets.nbytes)
 
     def _build_sorted_lookup(self) -> Tuple[npt.NDArray[Any], ...]:
-        """The vectorized key -> slot lookup arrays (see ``_sorted_lookup``)."""
-        keys = list(self._slot_of)
-        if keys and len({type(k) for k in keys}) == 1:
-            # Mixed-type keys must stay on the dict path: np.asarray would
-            # silently stringify them and corrupt the searchsorted lookup.
-            try:
-                key_array = np.asarray(keys)
-            except (ValueError, TypeError):  # pragma: no cover - exotic keys
-                key_array = np.empty(0, dtype=object)
-            if key_array.ndim == 1 and key_array.dtype != object:
-                order = np.argsort(key_array, kind="stable")
-                return key_array[order], np.asarray(order, dtype=np.intp)
-        return ()
+        """The vectorized key -> slot lookup arrays (see ``_sorted_lookup``).
+
+        The keys go through :func:`as_column_array`, which keeps a typed
+        array only where every key round-trips: mixed types, tuples and
+        NUL-suffixed strings (which a ``<U`` array would strip into another
+        key) come back as ``object`` and stay on the dict path.
+        """
+        if not self._slot_of:
+            return ()
+        key_array = as_column_array(list(self._slot_of))
+        if key_array.dtype == object:
+            return ()
+        order = np.argsort(key_array, kind="stable")
+        return key_array[order], np.asarray(order, dtype=np.intp)
 
     @classmethod
     def build(cls, values: Iterable[object], attribute: str = "") -> "SortedIndex":
@@ -161,9 +169,10 @@ class SortedIndex:
     def slots_for(self, values: Sequence[object] | npt.NDArray[Any]) -> npt.NDArray[np.intp]:
         """Slot ids for a batch of key values (-1 where absent).
 
-        Homogeneous non-object key columns resolve through one vectorized
-        ``searchsorted``; tuple/mixed keys fall back to dict lookups in a
-        single ``fromiter`` pass.
+        A typed array resolves through one vectorized ``searchsorted`` when
+        the index keys form a typed column too; anything else (lists, object
+        arrays, tuple/mixed/NUL-suffixed keys) goes through dict lookups in a
+        single ``fromiter`` pass.  Both paths return the same slots.
         """
         if isinstance(values, np.ndarray) and values.dtype != object and values.ndim == 1:
             if self._sorted_lookup is None:

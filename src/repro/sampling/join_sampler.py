@@ -49,7 +49,7 @@ import numpy.typing as npt
 
 from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
-from repro.relational.index import SortedIndex
+from repro.relational.index import IntArray, SortedIndex
 from repro.sampling.alias import AliasTable, SegmentedAliasTable, SegmentTables
 from repro.sampling.blocks import PositionArray, SampleBlock
 from repro.sampling.weights import (
@@ -127,7 +127,10 @@ class _LevelPlan:
 
     For the non-root node ``node`` with parent ``parent``:
 
-    * ``parent_keys[p]`` is the join-key value of parent row ``p``;
+    * ``parent_slots[p]`` is the ``csr`` slot parent row ``p`` joins to, -1
+      when none (the query's per-snapshot edge map,
+      :meth:`~repro.joins.query.JoinQuery.edge_slots`): a walk's hop resolves
+      its joinable rows with one gather, no key lookup;
     * ``csr`` groups the node's row positions by key (CSR layout);
     * ``tables`` holds one Walker/Vose alias table per key segment, shared
       by every sampler of the snapshot (each draws through its own
@@ -138,7 +141,7 @@ class _LevelPlan:
 
     node: JoinTreeNode
     parent: JoinTreeNode
-    parent_keys: npt.NDArray[Any]
+    parent_slots: IntArray
     csr: SortedIndex
     tables: SegmentTables
     bound: Optional[float]
@@ -185,12 +188,20 @@ class _Descent:
     def plans(self) -> List[_LevelPlan]:
         """Per-edge CSR/alias structures in descent order, built once."""
         with self._lock:
+            if self._plans is not None:
+                return self._plans
+        # The edge maps are fetched before taking the lock: they live in the
+        # query's memo, whose lock a concurrent patched() of this descent
+        # holds while it waits for this one.
+        query = self.weight_function.query
+        edges = [
+            (node, parent, query.edge_slots(parent.relation, node))
+            for node, parent in self.tree.descent()
+            if parent is not None
+        ]
+        with self._lock:
             if self._plans is None:
-                self._plans = [
-                    self._build_plan(node, parent)
-                    for node, parent in self.tree.descent()
-                    if parent is not None
-                ]
+                self._plans = [self._build_plan(*edge) for edge in edges]
             return self._plans
 
     def root_cumulative(self) -> npt.NDArray[np.float64]:
@@ -199,15 +210,15 @@ class _Descent:
                 self._root_cumulative = np.cumsum(self.root_weights)
             return self._root_cumulative
 
-    def _build_plan(self, node: JoinTreeNode, parent: JoinTreeNode) -> _LevelPlan:
+    def _build_plan(
+        self, node: JoinTreeNode, parent: JoinTreeNode, parent_slots: IntArray
+    ) -> _LevelPlan:
         query = self.weight_function.query
         csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
         return _LevelPlan(
             node=node,
             parent=parent,
-            parent_keys=query.relation(parent.relation).join_key_array(
-                node.parent_attributes
-            ),
+            parent_slots=parent_slots,
             csr=csr,
             tables=SegmentTables(self._csr_weights(node, csr), csr.offsets),
             bound=self.weight_function.acceptance_bound(node),
@@ -225,8 +236,8 @@ class _Descent:
         (:meth:`~repro.sampling.weights.WeightFunction.refreshed`) and the
         root alias is reused when the root weights did not move.  An edge
         whose own relations mutated gets a fresh plan (its CSR layout and/or
-        parent key arrays changed).  An edge whose endpoints are untouched
-        keeps its CSR and key arrays by reference — but its child weights
+        edge map changed).  An edge whose endpoints are untouched keeps its
+        CSR and edge map by reference — but its child weights
         summarize the child's whole *subtree*, so a delta further down can
         move them: :meth:`SegmentTables.patched` copies its tables, resetting
         only the dirtied segments.  Plans never built stay unbuilt.
@@ -244,7 +255,10 @@ class _Descent:
 
     def _patched_plan(self, plan: _LevelPlan, dirty: Set[str]) -> _LevelPlan:
         if plan.node.relation in dirty or plan.parent.relation in dirty:
-            return self._build_plan(plan.node, plan.parent)
+            query = self.weight_function.query
+            return self._build_plan(
+                plan.node, plan.parent, query.edge_slots(plan.parent.relation, plan.node)
+            )
         return dataclasses.replace(
             plan,
             tables=plan.tables.patched(self._csr_weights(plan.node, plan.csr)),
@@ -660,9 +674,7 @@ class JoinSampler:
         for plan, view in zip(descent.plans(), self._level_views()):
             if walks.size == 0:
                 break
-            parent_positions = chosen[plan.parent.relation][walks]
-            keys = plan.parent_keys[parent_positions]
-            slots = plan.csr.slots_for(keys)
+            slots = plan.parent_slots[chosen[plan.parent.relation][walks]]
             present = slots >= 0
             if not present.all():
                 self.stats.rejected_empty += int((~present).sum())

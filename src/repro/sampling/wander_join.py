@@ -195,7 +195,8 @@ class WanderJoin:
     def walk_batch(self, size: int) -> List[WalkResult]:
         """``size`` independent walks performed level-by-level, vectorized.
 
-        Each hop is one key gather, one CSR slot lookup, and one uniform
+        Each hop is one gather from the edge's slot map
+        (:meth:`~repro.joins.query.JoinQuery.edge_slots`) and one uniform
         choice within the joinable segment for every surviving walk at once;
         probabilities accumulate as ``1/|R_1| · Π 1/d`` exactly as in
         :meth:`walk`.
@@ -274,13 +275,10 @@ class WanderJoin:
                 continue
             if walks.size == 0:
                 break
-            parent_rel = self.query.relation(parent.relation)
-            child_rel = self.query.relation(node.relation)
-            csr = child_rel.sorted_index_on_columns(node.child_attributes)
-            keys = parent_rel.join_key_array(node.parent_attributes)[
-                chosen[parent.relation][walks]
-            ]
-            slots = csr.slots_for(keys)
+            csr = self.query.relation(node.relation).sorted_index_on_columns(
+                node.child_attributes
+            )
+            slots = self.query.edge_slots(parent.relation, node)[chosen[parent.relation][walks]]
             present = slots >= 0
             walks = walks[present]
             slots = slots[present]

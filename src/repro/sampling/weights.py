@@ -169,7 +169,8 @@ class ExactWeightFunction(WeightFunction):
     ``weight(v, t)`` equals the exact number of results of the subtree rooted
     at relation ``v`` that use row ``t``; the total weight equals the exact
     size of the (skeleton) join.  Building costs one bottom-up pass with a
-    hash lookup per row and child.
+    gather per row and child, through the edge's slot map
+    (:meth:`~repro.joins.query.JoinQuery.edge_slots`).
     """
 
     name = "ew"
@@ -230,13 +231,7 @@ class ExactWeightFunction(WeightFunction):
                     if key_sums.size == 0:
                         factor = np.zeros(len(relation), dtype=float)
                     else:
-                        child_rel = self.query.relation(child.relation)
-                        csr = child_rel.sorted_index_on_columns(
-                            child.child_attributes
-                        )
-                        slots = csr.slots_for(
-                            relation.join_key_array(child.parent_attributes)
-                        )
+                        slots = self.query.edge_slots(name, child)
                         factor = np.where(
                             slots >= 0, key_sums[np.maximum(slots, 0)], 0.0
                         )
@@ -322,10 +317,7 @@ class ExtendedOlkenWeightFunction(WeightFunction):
         if not self.prune_dangling:
             return weights
         for child in root.children:
-            child_rel = self.query.relation(child.relation)
-            csr = child_rel.sorted_index_on_columns(child.child_attributes)
-            slots = csr.slots_for(relation.join_key_array(child.parent_attributes))
-            weights[slots < 0] = 0.0
+            weights[self.query.edge_slots(root.relation, child) < 0] = 0.0
         return weights
 
     @property

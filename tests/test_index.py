@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dynamic import DeleteEvent, InsertEvent, UpdateBatch, apply_batch
+from repro.joins.conditions import JoinCondition, OutputAttribute
+from repro.joins.query import JoinQuery
 from repro.relational.index import SortedIndex
+from repro.relational.relation import Relation
 
 
 class TestSortedIndexLookups:
@@ -101,3 +106,86 @@ class TestBuildLayout:
         assert idx.offsets.tolist() == offsets
         assert [idx.slot(key) for key in keys] == list(range(len(keys)))
         assert list(idx.frequencies()) == keys
+
+
+# --------------------------------------------------------- edge slot maps
+#: key pools per kind: every key of a relation comes from its kind's pool, so
+#: parents and children overlap; NUL-suffixed strings sit beside their prefix
+_KEY_POOLS = {
+    "int": [0, 1, 7, -3, 40_000, 2**40],
+    "bool": [True, False],
+    "float": [0.0, -0.0, 1.5, -2.25, 1e300],
+    "str": ["a", "a\x00", "b", "", "\x00", "ab\x00\x00"],
+    "bytes": [b"a", b"a\x00", b"b", b""],
+    "mixed": [1, "1", 1.5, (1,), None, b"1"],
+    "composite": [(1, "a"), (1, "a\x00"), (2, "a"), (2, "b")],
+}
+
+
+def _relation(name, kind, keys):
+    """A relation keyed on ``k`` (``k1, k2`` for composite keys) plus a row id."""
+    if kind == "composite":
+        return Relation(name, ["k1", "k2", "id"], [(*key, i) for i, key in enumerate(keys)])
+    return Relation(name, ["k", "id"], [(key, i) for i, key in enumerate(keys)])
+
+
+def _edge_query(kind, parent, child):
+    attrs = ["k1", "k2"] if kind == "composite" else ["k"]
+    query = JoinQuery(
+        "edge",
+        [parent, child],
+        [JoinCondition("P", a, "C", a) for a in attrs],
+        [OutputAttribute("pid", "P", "id"), OutputAttribute("cid", "C", "id")],
+    )
+    return query, tuple(attrs)
+
+
+def _assert_edge_map_matches_scalar_lookups(query, attrs):
+    parent, child = query.relation("P"), query.relation("C")
+    node = query.join_tree().root.children[0]
+    csr = child.index_on_columns(attrs)
+    keys = [row[: len(attrs)] if len(attrs) > 1 else row[0] for row in parent.rows]
+    edge = query.edge_slots("P", node)
+    assert edge.tolist() == [csr.slot(key) for key in keys]
+    assert not edge.flags.writeable and edge.dtype.kind == "i"
+    vectorised = csr.slots_for(parent.join_key_array(attrs))
+    assert vectorised.tolist() == csr.slots_for(keys).tolist()
+
+
+_edge_cases = st.sampled_from(sorted(_KEY_POOLS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.lists(st.sampled_from(_KEY_POOLS[kind]), min_size=1, max_size=12),
+        st.lists(st.sampled_from(_KEY_POOLS[kind]), min_size=1, max_size=12),
+        st.lists(st.sampled_from(_KEY_POOLS[kind]), max_size=4),
+        st.sampled_from(_KEY_POOLS[kind]),
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_edge_cases)
+def test_edge_map_equals_scalar_slot_lookups(case):
+    """``edge_slots`` is ``[csr.slot(k) for k in parent keys]``, and the
+    vectorised and list paths of ``slots_for`` agree, for every key kind —
+    before and after an ``apply_batch`` and a ``delete_rows``."""
+    kind, parent_keys, child_keys, inserted, doomed = case
+    parent, child = _relation("P", kind, parent_keys), _relation("C", kind, child_keys)
+    query, attrs = _edge_query(kind, parent, child)
+    _assert_edge_map_matches_scalar_lookups(query, attrs)
+
+    rows = [(*key, -1) if kind == "composite" else (key, -1) for key in inserted]
+    doomed_value = doomed[0] if kind == "composite" else doomed
+    batch = UpdateBatch(
+        sequence=0,
+        events=(
+            InsertEvent("C", tuple(rows)),
+            InsertEvent("P", tuple(rows)),
+            DeleteEvent("C", attrs[0], doomed_value),
+        ),
+    )
+    apply_batch({"P": parent, "C": child}, batch)
+    _assert_edge_map_matches_scalar_lookups(query, attrs)
+
+    parent.delete_rows(range(0, len(parent), 2))
+    _assert_edge_map_matches_scalar_lookups(query, attrs)

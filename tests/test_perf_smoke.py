@@ -235,6 +235,122 @@ def test_scalar_union_refills_are_sized_by_the_remaining_demand(monkeypatch):
         assert max(calls) > 100
 
 
+def _spy_slots_for(monkeypatch):
+    """The CSR of every ``SortedIndex.slots_for`` call from here on."""
+    from repro.relational.index import SortedIndex
+
+    calls = []
+    slots_for = SortedIndex.slots_for
+
+    def spy(csr, values):
+        calls.append(csr)
+        return slots_for(csr, values)
+
+    monkeypatch.setattr(SortedIndex, "slots_for", spy)
+    return calls
+
+
+def _edge_of_csr(query):
+    """``id(child join-key CSR) -> (parent, child)`` for every join-tree edge."""
+    return {
+        id(query.relation(node.relation).index_on_columns(node.child_attributes)): (
+            parent.relation,
+            node.relation,
+        )
+        for node, parent in query.join_tree().descent()
+        if parent is not None
+    }
+
+
+def test_draws_resolve_no_join_key_after_the_first_block(smoke_query, monkeypatch):
+    """A hop gathers its slots from the edge's per-snapshot map: once the
+    first block built the maps, ``sample_block`` (EW and EO), ``walk_block``
+    and the bound-parent levels of ``contains_many`` look no key up (the
+    membership root still seeds from its output-attribute index)."""
+    from repro.joins.membership import JoinMembershipProber
+    from repro.sampling.wander_join import WanderJoin
+
+    query = copy.copy(smoke_query)
+    ew = JoinSampler(query, weights="ew", seed=41)
+    eo = JoinSampler(query, weights="eo", seed=43)
+    walker = WanderJoin(query, seed=47)
+    prober = JoinMembershipProber(query)
+    values = ew.sample_block(300).values(query)
+    eo.sample_block(300)
+    walker.walk_block(300)
+    prober.contains_many(values)
+
+    calls = _spy_slots_for(monkeypatch)
+    ew.sample_block(5000)
+    eo.sample_block(5000)
+    walker.walk_block(5000)
+    assert calls == []
+    assert prober.contains_many(values).all()
+    edges = _edge_of_csr(query)
+    assert [edges[id(csr)] for csr in calls if id(csr) in edges] == []
+
+
+def test_one_full_column_pass_per_edge_and_snapshot(smoke_query, monkeypatch):
+    """Three samplers, the weight passes, a wander walk and the pricing
+    ratio of one snapshot resolve each edge's parent column exactly once."""
+    from repro.analysis.cost import walk_success_ratio
+    from repro.sampling.wander_join import WanderJoin
+
+    query = copy.copy(smoke_query)  # an empty snapshot memo
+    edges = _edge_of_csr(query)
+    calls = _spy_slots_for(monkeypatch)
+    for weights, seed in (("ew", 51), ("eo", 53), ("ew", 55)):
+        JoinSampler(query, weights=weights, seed=seed).sample_block(500)
+    WanderJoin(query, seed=57).walk_block(500)
+    walk_success_ratio(query)
+    assert sorted(edges[id(csr)] for csr in calls) == sorted(edges.values())
+
+
+def test_a_refresh_batch_rebuilds_only_the_edges_it_touches(monkeypatch):
+    """An RF batch inserts into and deletes from ``orders``/``lineitem``
+    only: the next snapshot rebuilds the maps of the two edges incident to
+    them, once each, and keeps ``nation -> customer``'s map by reference."""
+    from repro.analysis.cost import walk_success_ratio
+    from repro.dynamic import TPCHRefreshStream, apply_batch
+    from repro.joins.conditions import JoinCondition, OutputAttribute
+    from repro.joins.query import JoinQuery
+    from repro.sampling.wander_join import WanderJoin
+    from repro.tpch import generate_tpch
+
+    tables = generate_tpch(0.001, seed=3)
+    query = JoinQuery(
+        "rf",
+        [tables[name] for name in ("nation", "customer", "orders", "lineitem")],
+        [
+            JoinCondition("nation", "nationkey", "customer", "nationkey"),
+            JoinCondition("customer", "custkey", "orders", "custkey"),
+            JoinCondition("orders", "orderkey", "lineitem", "orderkey"),
+        ],
+        [OutputAttribute("linenumber", "lineitem", "linenumber")],
+    )
+    samplers = [JoinSampler(query, weights=w, seed=61) for w in ("ew", "eo")]
+    walker = WanderJoin(query, seed=63)
+
+    def use_every_consumer():
+        for sampler in samplers:
+            sampler.sample_block(500)
+        walker.walk_block(500)
+        walk_success_ratio(query)
+
+    use_every_consumer()
+    nation_edge = query.join_tree().node_for("customer")
+    kept = query.edge_slots("nation", nation_edge)
+    apply_batch(tables, TPCHRefreshStream(tables, seed=5, orders_per_batch=8).batch())
+    calls = _spy_slots_for(monkeypatch)
+    use_every_consumer()
+    edges = _edge_of_csr(query)
+    assert sorted(edges[id(csr)] for csr in calls) == [
+        ("customer", "orders"),
+        ("orders", "lineitem"),
+    ]
+    assert query.edge_slots("nation", nation_edge) is kept
+
+
 def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     """A draw's first touch never builds a small segment's alias table: it is
     served cold, and tables appear only when ``build_all`` runs (``warm()``,

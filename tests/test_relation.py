@@ -253,6 +253,13 @@ class TestColumnStorage:
         assert support <= set(execute_join(query)) == {("x\x00", 10), ("y", 20)}
         raw = Relation("B", ["b"], [(b"x\x00",), (b"y",)])
         assert raw.column_array("b").tolist() == raw.column("b") == [b"x\x00", b"y"]
+        # As a join key: the typed parent value "a" joins "a", never "a\x00".
+        r = Relation("R", ["k", "x"], [("a", 1), ("b", 2)])
+        s = Relation("S", ["k", "y"], [("a\x00", 10), ("a", 20), ("b", 30)])
+        query = JoinQuery("q", [r, s], [JoinCondition("R", "k", "S", "k")],
+                          [OutputAttribute.direct("R", "x"), OutputAttribute.direct("S", "y")])
+        support = set(JoinSampler(query, weights="ew", seed=1).sample_block(2000).values(query))
+        assert support == set(execute_join(query)) == {(1, 20), (2, 30)}
 
     def test_update_rebuilds_a_column_its_dtype_cannot_hold(self):
         rel = Relation("r", ["k", "s"], [(1, "ab"), (2, "cd")])

@@ -230,14 +230,14 @@ class TestEpochPlanPatching:
         assert top.parent.relation == "R" and top.node.relation == "S"
         assert sampler._views[0]._built.all()  # every S segment is uniform
 
-        # Mutate the leaf T only: the R->S edge keeps its CSR and parent keys
+        # Mutate the leaf T only: the R->S edge keeps its CSR and slot map
         # by reference; S's weights summarize T, so the dirtied segments must
         # be invalidated (drawn cold) while untouched segments stay built.
         chain_query.relation("T").extend([(100, 77), (100, 78)])
         assert sampler.refresh()
         plans_after = sampler._descent.plans()
         assert plans_after[0].csr is top.csr
-        assert plans_after[0].parent_keys is top.parent_keys
+        assert plans_after[0].parent_slots is top.parent_slots
         # The S rows joining the new T rows gained weight: their key segment
         # went unbuilt, in the shared tables and in this sampler's view,
         # while the untouched segment stayed built.
@@ -389,6 +389,47 @@ class TestOneDescentPerSnapshot:
         second = all_at_once()
         assert calls == {"full": 1, "patch": 1}
         assert len({id(s._descent) for s in second}) == 1
+
+    def test_building_plans_while_the_next_snapshot_patches_them_does_not_deadlock(
+        self, chain_query, monkeypatch
+    ):
+        """A descent's first ``plans()`` fetches edge maps from the query's
+        memo while a refresh, holding the memo's lock, patches that very
+        descent: neither may wait on the other's lock."""
+        import threading
+        import time
+
+        from repro.sampling import join_sampler
+
+        patching = threading.Event()
+        patched = join_sampler._Descent.patched
+
+        def slow_patched(self):
+            patching.set()
+            time.sleep(0.1)  # the memo's lock is held; the builder starts now
+            return patched(self)
+
+        monkeypatch.setattr(join_sampler._Descent, "patched", slow_patched)
+        builder = JoinSampler(chain_query, weights="eo", seed=1)
+        refresher = JoinSampler(chain_query, weights="eo", seed=2)
+        descent = builder._descent
+        assert descent._plans is None
+        chain_query.relation("T").append((100, 79))
+
+        def build_plans():
+            patching.wait(timeout=10)
+            descent.plans()
+
+        threads = [
+            threading.Thread(target=refresher.refresh, daemon=True),
+            threading.Thread(target=build_plans, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert descent._plans is not None and refresher._descent is not descent
 
 
 class TestBrokenDescentChains:
