@@ -64,6 +64,7 @@ from repro.estimation.union_size import (
     compute_all_overlaps,
     compute_k_overlaps,
     cover_sizes_from_overlaps,
+    pivot_readers,
     union_size_from_k_overlaps,
 )
 from repro.joins.membership import UnionMembershipIndex, Value
@@ -171,6 +172,10 @@ class OnlineUnionSampler(UnionSamplerBase):
             self.membership.memo.clear()
         #: per-join recorded draws (line 3 of Algorithm 2)
         self._records: Dict[str, List[_Record]] = {n: [] for n in self.names}
+        #: (pivot, other join) -> whether the other join contains each of the
+        #: pivot's records so far: records only grow within a snapshot, so a
+        #: refinement round probes only the ones recorded since the last
+        self._inside: Dict[Tuple[str, str], npt.NDArray[np.bool_]] = {}
         self._records_since_update = 0
         self._ledger = RecordLedger(self.stats)
         self._value_queues = {n: deque() for n in self.names}
@@ -380,25 +385,43 @@ class OnlineUnionSampler(UnionSamplerBase):
         self._probabilities = refined.selection_probabilities(use_cover=True)
         self.stats.timer.add("estimation_update", time.perf_counter() - started)
 
-    def _refine_parameters(self, old: UnionParameters) -> UnionParameters:
-        """Re-estimate overlaps from the recorded draws (random-walk method, §6.2)."""
+    def _pivot(self, subset: FrozenSet[str]) -> str:
+        """The member whose records estimate the subset's overlap: the one
+        with the most records (ties go to the earliest declared join, not to
+        string-hash order)."""
+        return max((n for n in self.names if n in subset), key=lambda n: len(self._records[n]))
+
+    def _probe_new_records(self) -> None:
+        """Bring ``_inside`` up to date for every (pivot, other member) pair
+        this round reads: one recall per other join, over the records each
+        of its pivots added since the pair was last answered."""
         membership = self.membership
         assert membership is not None
+        for name, pivots in pivot_readers(self.names, self._pivot).items():
+            known = [len(self._inside.get((pivot, name), ())) for pivot in pivots]
+            blocks = [
+                [r.value for r in self._records[pivot][start:]]
+                for pivot, start in zip(pivots, known)
+            ]
+            if any(blocks):
+                for pivot, part in zip(pivots, membership.recall_blocks(name, blocks)):
+                    self._inside[pivot, name] = np.concatenate(
+                        [self._inside.get((pivot, name), part[:0]), part]
+                    )
+
+    def _refine_parameters(self, old: UnionParameters) -> UnionParameters:
+        """Re-estimate overlaps from the recorded draws (random-walk method, §6.2)."""
         join_sizes = dict(old.join_sizes)
         worst_half_width = 0.0
-        # Per round, not per subset: a pivot's recorded values, their weights
-        # and the weights' total, and one probe of the values per other join.
-        recorded: Dict[str, Tuple[List[Value], List[float], float]] = {}
-        inside: Dict[Tuple[str, str], npt.NDArray[np.bool_]] = {}
+        self._probe_new_records()
+        # Per round, not per subset: a pivot's recorded weights and their total.
+        recorded: Dict[str, Tuple[List[float], float]] = {}
 
         def overlap_of(subset: FrozenSet[str]) -> float:
             nonlocal worst_half_width
             if len(subset) == 1:
                 return join_sizes[next(iter(subset))]
-            # Ties go to the earliest declared join, not to string-hash order.
-            pivot = max(
-                (n for n in self.names if n in subset), key=lambda n: len(self._records[n])
-            )
+            pivot = self._pivot(subset)
             records = self._records[pivot]
             if not records:
                 # No member of the subset has been drawn from yet: the
@@ -407,15 +430,12 @@ class OnlineUnionSampler(UnionSamplerBase):
                 return old.overlap(list(subset))
             if pivot not in recorded:
                 weights = [r.weight for r in records]
-                recorded[pivot] = ([r.value for r in records], weights, sum(weights))
-            values, weights, total_weight = recorded[pivot]
+                recorded[pivot] = (weights, sum(weights))
+            weights, total_weight = recorded[pivot]
             hit = np.ones(len(records), dtype=bool)
             for name in subset:
-                if name == pivot:
-                    continue
-                if (pivot, name) not in inside:
-                    inside[pivot, name] = membership.recall_many(name, values)
-                hit &= inside[pivot, name]
+                if name != pivot:
+                    hit &= self._inside[pivot, name]
             # Added one at a time in record order: the estimate keeps the
             # bits of the per-record loop this replaces.
             hit_weight = 0.0

@@ -39,6 +39,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
 from repro.estimation.base import UnionSizeEstimator
@@ -50,11 +51,16 @@ from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
 
 
+#: maps a refilled block's values (as tuples, and as one array per output
+#: attribute) to the entries a value queue serves
+Annotate = Callable[[List[Value], List[npt.NDArray[Any]]], Iterable[Any]]
+
+
 def refill_value_queue(
     sampler: JoinSampler,
     queue: Deque[Any],
     count: int,
-    annotate: Optional[Callable[[List[Value]], Iterable[Any]]] = None,
+    annotate: Optional[Annotate] = None,
 ) -> None:
     """Queue ``count`` (or a few more) uniform sample *values* of a join.
 
@@ -64,17 +70,21 @@ def refill_value_queue(
     — the drawn block plus the sampler's parked surplus — so one refill pays
     a single descent and a single columnar projection for the whole batch.
     ``annotate`` maps the values to the queue's entries (what is queued is
-    what is served); whatever it learns about them it learns once per block.
+    what is served); whatever it learns about them it learns once per block,
+    from the block's value columns.
     """
-    values = SampleBlock.concat(draw_and_drain(sampler, count)).values(sampler.query)
-    queue.extend(values if annotate is None else annotate(values))
+    block = SampleBlock.concat(draw_and_drain(sampler, count))
+    values = block.values(sampler.query)
+    queue.extend(
+        values if annotate is None else annotate(values, block.value_columns(sampler.query))
+    )
 
 
 def drain_value_queue(
     sampler: JoinSampler,
     queue: Deque[Any],
     demand: int = 1,
-    annotate: Optional[Callable[[List[Value]], Iterable[Any]]] = None,
+    annotate: Optional[Annotate] = None,
 ) -> Any:
     """One uniform sample value from a join; an empty queue first refills
     with ``demand`` values — what the caller still expects to ask of it."""
@@ -310,21 +320,23 @@ class UnionSamplerBase:
             self.join_samplers[join_name],
             self._value_queues[join_name],
             self._demand(join_name, remaining),
-            lambda values: zip(values, self._owned_by_earlier(position, values)),
+            lambda values, columns: zip(values, self._owned_by_earlier(position, columns)),
         )
         return drawn
 
-    def _owned_by_earlier(self, position: int, values: List[Value]) -> List[bool]:
-        """Per value, whether a join before ``position`` contains it: one
-        batched probe per earlier join, each narrowed to the values no join
-        before it has claimed."""
+    def _owned_by_earlier(self, position: int, columns: List[npt.NDArray[Any]]) -> List[bool]:
+        """Per value of a block given as columns, whether a join before
+        ``position`` contains it: one batched probe per earlier join, each
+        narrowed to the values no join before it has claimed."""
         assert self.membership is not None
-        owned = np.zeros(len(values), dtype=bool)
+        owned = np.zeros(len(columns[0]), dtype=bool)
         for earlier in self.names[:position]:
             free = np.flatnonzero(~owned)
             if free.size == 0:
                 break
-            owned[free] = self.membership.contains_many(earlier, [values[i] for i in free])
+            owned[free] = self.membership.contains_columns(
+                earlier, [column[free] for column in columns]
+            )
         verdicts: List[bool] = owned.tolist()
         return verdicts
 

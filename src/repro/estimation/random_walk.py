@@ -23,15 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.estimation.base import UnionSizeEstimator
+from repro.estimation.union_size import pivot_readers
 from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery
+from repro.relational.columnar import concat_column_arrays
 from repro.sampling.wander_join import RunningEstimator, SizeEstimate, WanderJoin, z_value
-from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
+from repro.utils.rng import RandomState, spawn_rngs
 
 
 @dataclass
@@ -102,6 +106,11 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         #: sampler warmed up by this estimator goes on using both
         self.membership = UnionMembershipIndex(self.queries)
         self._samples: Dict[str, List[CollectedSample]] = {q.name: [] for q in self.queries}
+        #: per join, its samples' output values as one array per attribute
+        self._fields: Dict[str, List[npt.NDArray[Any]]] = {}
+        #: (pivot, other join) -> whether the other join contains each of the
+        #: pivot's samples; filled for every subset's pivot at the first overlap
+        self._inside: Dict[Tuple[str, str], npt.NDArray[np.bool_]] = {}
         self._size_estimates: Dict[str, SizeEstimate] = {}
         self._prepared = False
 
@@ -118,6 +127,7 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         walker = self._walkers[query.name]
         estimator = RunningEstimator()
         samples = self._samples[query.name]
+        chunks: List[List[npt.NDArray[Any]]] = []
         # Walks run in vectorized batches: the first batch covers the minimum
         # walk budget, later ones re-check the confidence target per batch.
         while estimator.count < self.walks_per_join:
@@ -125,7 +135,9 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
                 chunk = self.min_walks - estimator.count
             else:
                 chunk = min(64, self.walks_per_join - estimator.count)
-            for result in walker.walk_batch(chunk):
+            results, fields = walker.walk_batch_with_values(chunk)
+            chunks.append(fields)
+            for result in results:
                 estimator.add(result.inverse_probability)
                 if result.success:
                     samples.append(
@@ -138,6 +150,9 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
                     and estimate.relative_half_width <= self.relative_half_width
                 ):
                     break
+        self._fields[query.name] = [
+            reduce(concat_column_arrays, columns) for columns in zip(*chunks)
+        ]
         self._size_estimates[query.name] = estimator.estimate(self.confidence)
 
     # ------------------------------------------------------------------ sizes
@@ -167,12 +182,15 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         if not samples:
             return OverlapEstimate(0.0, 0.0, 0.0, 0.0, self.confidence, 0)
 
-        # One probe of the whole sample list per other join; the memo makes
-        # it one per pair of joins over all the subsets that share the pivot.
-        values = [sample.value for sample in samples]
-        in_all = np.ones(len(values), dtype=bool)
+        if not self._inside:
+            self._answer(pivot_readers(
+                [q.name for q in self.queries],
+                lambda subset: self._pivot([self._by_name[name] for name in subset]).name,
+            ))
+        self._answer({query.name: [pivot.name] for query in others})
+        in_all = np.ones(len(samples), dtype=bool)
         for query in others:
-            in_all &= self.membership.recall_many(query.name, values)
+            in_all &= self._inside[pivot.name, query.name]
 
         total_weight = 0.0
         overlap_weight = 0.0
@@ -219,6 +237,20 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
     def _pivot(self, queries: Sequence[JoinQuery]) -> JoinQuery:
         """The join whose samples drive Eq. 2: the smallest estimated join."""
         return min(queries, key=lambda q: self.join_size(q))
+
+    def _answer(self, readers: Dict[str, List[str]]) -> None:
+        """Fill ``_inside`` for the (pivot, join) pairs of ``readers`` (join
+        -> pivots) it lacks: one recall per join, over the samples of every
+        pivot that asks it (the memo skips what an earlier probe answered)."""
+        for other, pivots in readers.items():
+            pivots = [pivot for pivot in pivots if (pivot, other) not in self._inside]
+            if pivots:
+                parts = self.membership.recall_blocks(
+                    other,
+                    [[sample.value for sample in self._samples[pivot]] for pivot in pivots],
+                    [self._fields[pivot] for pivot in pivots],
+                )
+                self._inside.update(((pivot, other), part) for pivot, part in zip(pivots, parts))
 
     # ------------------------------------------------------------------ reuse
     def collected_samples(self, name: str) -> List[CollectedSample]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence
+from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence
 
 OverlapFunction = Callable[[FrozenSet[str]], float]
 
@@ -38,6 +38,21 @@ def powerset(names: Sequence[str], min_size: int = 1) -> List[FrozenSet[str]]:
     for size in range(min_size, len(names) + 1):
         subsets.extend(frozenset(c) for c in itertools.combinations(names, size))
     return subsets
+
+
+def pivot_readers(
+    names: Sequence[str], pivot_of: Callable[[FrozenSet[str]], str]
+) -> Dict[str, List[str]]:
+    """Join -> the pivots whose samples are probed against it: every overlap
+    set of two or more of ``names`` estimates its size from its pivot's
+    samples (``pivot_of``), asking each other member which it contains."""
+    readers: Dict[str, List[str]] = {name: [] for name in names}
+    for subset in powerset(names, min_size=2):
+        pivot = pivot_of(subset)
+        for name in subset:
+            if name != pivot and pivot not in readers[name]:
+                readers[name].append(pivot)
+    return readers
 
 
 def compute_all_overlaps(
@@ -147,6 +162,7 @@ __all__ = [
     "OverlapFunction",
     "MAX_JOINS_FOR_EXACT_LATTICE",
     "powerset",
+    "pivot_readers",
     "compute_all_overlaps",
     "compute_k_overlaps",
     "union_size_from_k_overlaps",

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.joins.conditions import JoinCondition
 from repro.joins.query import JoinQuery, JoinType
+from repro.relational.columnar import equal_values
 
 
 @dataclass
@@ -168,14 +169,7 @@ class JoinTree:
             right_values = right.column_array(cond.right_attribute)[
                 assignments[cond.right_relation]
             ]
-            equal = np.asarray(left_values == right_values)
-            if equal.shape != (size,):  # mixed-dtype comparison collapsed
-                equal = np.fromiter(
-                    (a == b for a, b in zip(left_values.tolist(), right_values.tolist())),
-                    dtype=bool,
-                    count=size,
-                )
-            ok &= equal
+            ok &= equal_values(left_values, right_values)
         return ok
 
 

@@ -182,7 +182,8 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         refresh_methods=frozenset({"refresh"}),
         cached_attrs=frozenset({
             "parameters", "_probabilities", "confidence_level", "_pools", "membership",
-            "_records", "_records_since_update", "_ledger", "_value_queues", "_versions",
+            "_records", "_inside", "_records_since_update", "_ledger", "_value_queues",
+            "_versions",
         }),
         entry_points=frozenset({"sample"}),
     ),

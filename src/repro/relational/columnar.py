@@ -17,7 +17,6 @@ arrays are used only where NumPy guarantees that; every other column is an
 
 from __future__ import annotations
 
-from operator import methodcaller
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,16 +50,32 @@ def as_column_array(values: Sequence[object]) -> npt.NDArray[Any]:
     kinds = _NATIVE_KINDS.get(types.pop()) if len(types) == 1 else None
     if kinds is None or (kinds in "US" and _any_nul_suffix(values)):
         return _object_array(values)
+    if kinds == "f":
+        return np.fromiter(values, dtype=np.float64, count=len(values))
+    if kinds == "iu":
+        try:
+            return shrink_integer_array(np.fromiter(values, dtype=np.int64, count=len(values)))
+        except OverflowError:
+            pass  # past int64: NumPy picks uint64 or gives up (object)
+    if kinds == "U":
+        # The width np.asarray would find, found in one pass over the lengths.
+        texts: Sequence[Any] = values
+        return np.array(texts, dtype=f"<U{max(1, max(map(len, texts)))}")
     array = np.asarray(values)
     if array.ndim != 1 or array.dtype.kind not in kinds:
         return _object_array(values)
     return shrink_integer_array(array)
 
 
-def _any_nul_suffix(values: Sequence[object]) -> bool:
-    """Whether some value of a ``str`` or ``bytes`` column ends in NUL."""
-    nul = b"\x00" if isinstance(values[0], bytes) else "\x00"
-    return any(map(methodcaller("endswith", nul), values))
+def _any_nul_suffix(values: Sequence[Any]) -> bool:
+    """Whether some value of a ``str`` or ``bytes`` column ends in NUL.
+
+    One join in C tells whether any value holds a NUL at all (the common
+    answer is no); only then are the suffixes checked one by one.
+    """
+    if isinstance(values[0], bytes):
+        return b"\x00" in b"".join(values) and any(v.endswith(b"\x00") for v in values)
+    return "\x00" in "".join(values) and any(v.endswith("\x00") for v in values)
 
 
 #: the dtypes integer columns shrink to, with their ranges
@@ -80,6 +95,41 @@ def shrink_integer_array(array: npt.NDArray[Any]) -> npt.NDArray[Any]:
         if low <= lo and hi <= high:
             return array.astype(candidate)
     return array
+
+
+#: every integer of at most this magnitude is exactly a float64
+_FLOAT_EXACT = 2**53
+
+
+def equal_values(left: npt.NDArray[Any], right: npt.NDArray[Any]) -> npt.NDArray[np.bool_]:
+    """Elementwise ``left[i] == right[i]`` with Python's meaning of ``==``.
+
+    NumPy compares natively only where that is exact: arrays of one dtype
+    kind, bools against numbers, and ints against floats while every int
+    lies within ±2**53 (past it NumPy rounds the int, and ``2**53 + 1 ==
+    2.0**53``).  Anything else — object arrays, strings against numbers,
+    signed against unsigned ints, big ints against floats — compares
+    element by element.
+    """
+    if _natively_equal(left, right):
+        return np.asarray(left == right, dtype=bool)
+    return np.fromiter(
+        (bool(a == b) for a, b in zip(left.tolist(), right.tolist())),
+        dtype=bool,
+        count=len(left),
+    )
+
+
+def _natively_equal(left: npt.NDArray[Any], right: npt.NDArray[Any]) -> bool:
+    kinds = {left.dtype.kind, right.dtype.kind}
+    if len(kinds) == 1:
+        return "O" not in kinds
+    if "b" in kinds:
+        return kinds <= set("biuf")
+    if "f" not in kinds or not kinds <= set("iuf"):
+        return False
+    ints = left if left.dtype.kind in "iu" else right
+    return not len(ints) or bool(-_FLOAT_EXACT <= ints.min() and ints.max() <= _FLOAT_EXACT)
 
 
 def _object_array(values: Sequence[object]) -> npt.NDArray[Any]:
@@ -198,6 +248,7 @@ def _holds(buffer: np.dtype[Any], values: np.dtype[Any]) -> bool:
 
 __all__ = [
     "as_column_array",
+    "equal_values",
     "concat_column_arrays",
     "patched",
     "shrink_integer_array",

@@ -19,7 +19,7 @@ array.  It backs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -45,6 +45,30 @@ def smallest_index_dtype(max_value: int) -> "np.dtype[np.signedinteger[Any]]":
     return np.dtype(np.intp)
 
 
+#: integer keys spanning at most this many times as many values as there are
+#: keys resolve batches through a direct table instead of ``searchsorted``
+DENSE_SPAN = 4
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+class _BatchLookup(NamedTuple):
+    """How :meth:`SortedIndex.slots_for` resolves a typed array of keys.
+
+    ``kind`` is the keys' dtype kind; only arrays of that kind take this path.
+    Integer keys whose span is at most :data:`DENSE_SPAN` times their count
+    keep a *direct table* (``slots`` is None): ``keys[k - low]`` is the slot
+    of key ``k``, and the first and last entries (one below and one above
+    every key) hold -1, so a key clipped into the table's range resolves.
+    Other keys are kept sorted in ``keys``, with their slots in ``slots``,
+    for ``searchsorted``.
+    """
+
+    kind: str
+    keys: npt.NDArray[Any]
+    slots: Optional[npt.NDArray[np.intp]]
+    low: int = 0
+
+
 class SortedIndex:
     """Value -> row-position index over one key set, in CSR layout.
 
@@ -61,8 +85,9 @@ class SortedIndex:
         compaction, and every consumer treats those as "no joinable rows".
 
     A key value maps to its slot through a plain dict; whole batches resolve
-    through a vectorized ``searchsorted`` over a sorted key array instead
-    when the keys form a typed column (see :meth:`_build_sorted_lookup`).
+    through a direct table (dense integer keys) or a vectorized
+    ``searchsorted`` over a sorted key array instead when the keys form a
+    typed column (see :class:`_BatchLookup`).
     The batched engines call ``slots_for`` once per join edge and snapshot,
     over the parent's whole key column, and gather from the resulting map
     (:meth:`~repro.joins.query.JoinQuery.edge_slots`).  Slots are numbered
@@ -90,11 +115,11 @@ class SortedIndex:
         # Invariant: dict insertion order equals slot order (maintained by
         # apply_delta when keys are added or slots are compacted away).
         self._slot_of = slot_of
-        # (sorted keys, their slots) for vectorized lookups, () when the keys
-        # cannot be sorted as one array, None until the first batch lookup
-        # after the key set changed: an index that only serves scalar
-        # lookups never pays the O(n_keys log n_keys) pass.
-        self._sorted_lookup: Tuple[npt.NDArray[Any], ...] | None = None
+        # The vectorized key -> slot lookup, () when the keys cannot form one
+        # typed array, None until the first batch lookup after the key set
+        # changed: an index that only serves scalar lookups never pays the
+        # O(n_keys log n_keys) pass.
+        self._sorted_lookup: _BatchLookup | Tuple[()] | None = None
 
     def _adopt_arrays(self, row_positions: IntArray, offsets: IntArray) -> None:
         """Store the CSR arrays in the smallest safe index dtype, read-only.
@@ -120,8 +145,8 @@ class SortedIndex:
         """Resident bytes of the CSR arrays (the dtype-audit accounting)."""
         return int(self.row_positions.nbytes + self.offsets.nbytes)
 
-    def _build_sorted_lookup(self) -> Tuple[npt.NDArray[Any], ...]:
-        """The vectorized key -> slot lookup arrays (see ``_sorted_lookup``).
+    def _build_sorted_lookup(self) -> _BatchLookup | Tuple[()]:
+        """The vectorized key -> slot lookup (see :class:`_BatchLookup`).
 
         The keys go through :func:`as_column_array`, which keeps a typed
         array only where every key round-trips: mixed types, tuples and
@@ -133,8 +158,15 @@ class SortedIndex:
         key_array = as_column_array(list(self._slot_of))
         if key_array.dtype == object:
             return ()
+        if key_array.dtype.kind == "i":
+            low, high = int(key_array.min()), int(key_array.max())
+            span = high - low + 1
+            if span <= DENSE_SPAN * len(key_array) and _INT64_MIN < low and high < _INT64_MAX:
+                table = np.full(span + 2, -1, dtype=smallest_index_dtype(len(key_array)))
+                table[key_array.astype(np.intp) - (low - 1)] = np.arange(len(key_array))
+                return _BatchLookup("i", table, None, low - 1)
         order = np.argsort(key_array, kind="stable")
-        return key_array[order], np.asarray(order, dtype=np.intp)
+        return _BatchLookup(key_array.dtype.kind, key_array[order], order.astype(np.intp))
 
     @classmethod
     def build(cls, values: Iterable[object], attribute: str = "") -> "SortedIndex":
@@ -170,18 +202,25 @@ class SortedIndex:
         """Slot ids for a batch of key values (-1 where absent).
 
         A typed array resolves through one vectorized ``searchsorted`` when
-        the index keys form a typed column too; anything else (lists, object
-        arrays, tuple/mixed/NUL-suffixed keys) goes through dict lookups in a
-        single ``fromiter`` pass.  Both paths return the same slots.
+        the index keys form a typed column of the same dtype kind; anything
+        else (lists, object arrays, tuple/mixed/NUL-suffixed keys, an int
+        array against float keys) goes through dict lookups in a single
+        ``fromiter`` pass, so that ``1 == 1.0 == True`` and ``2**53 + 1 !=
+        2.0**53`` keep Python's meaning.  Both paths return the same slots.
         """
         if isinstance(values, np.ndarray) and values.dtype != object and values.ndim == 1:
             if self._sorted_lookup is None:
                 self._sorted_lookup = self._build_sorted_lookup()
-            if self._sorted_lookup:
-                sorted_keys, sorted_slots = self._sorted_lookup
-                idx = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
-                found = sorted_keys[idx] == values
-                return np.asarray(np.where(found, sorted_slots[idx], -1), dtype=np.intp)
+            lookup = self._sorted_lookup
+            if isinstance(lookup, _BatchLookup) and lookup.kind == values.dtype.kind:
+                if lookup.slots is None:
+                    high = lookup.low + len(lookup.keys) - 1
+                    idx = np.clip(values.astype(np.intp, copy=False), lookup.low, high)
+                    return np.asarray(lookup.keys[idx - lookup.low], dtype=np.intp)
+                idx = np.minimum(np.searchsorted(lookup.keys, values), len(lookup.keys) - 1)
+                found = lookup.keys[idx] == values
+                return np.asarray(np.where(found, lookup.slots[idx], -1), dtype=np.intp)
+            values = values.tolist()
         get = self._slot_of.get
         return np.fromiter(
             (get(v, -1) for v in values), dtype=np.intp, count=len(values)

@@ -201,18 +201,26 @@ class WanderJoin:
         probabilities accumulate as ``1/|R_1| · Π 1/d`` exactly as in
         :meth:`walk`.
         """
+        return self.walk_batch_with_values(size)[0]
+
+    def walk_batch_with_values(
+        self, size: int
+    ) -> Tuple[List[WalkResult], List[np.ndarray]]:
+        """:meth:`walk_batch`, plus the successful walks' output values as
+        one array per output attribute, in walk order."""
         chosen, walks, probability, size = self._descend(size)
         results = [WalkResult(success=False) for _ in range(size)]
+        columns = [
+            self.query.relation(out.relation).column_array(out.attribute)
+            for out in self.query.output_attributes
+        ]
         if walks is None or walks.size == 0:
-            return results
-
-        value_columns = []
-        for out in self.query.output_attributes:
-            relation = self.query.relation(out.relation)
-            value_columns.append(
-                relation.column_array(out.attribute)[chosen[out.relation][walks]].tolist()
-            )
-        values = list(zip(*value_columns))
+            return results, [column[:0] for column in columns]
+        value_columns = [
+            column[chosen[out.relation][walks]]
+            for column, out in zip(columns, self.query.output_attributes)
+        ]
+        values = list(zip(*(column.tolist() for column in value_columns)))
         relation_names = [node.relation for node, _ in self._order]
         assignment_columns = {
             name: chosen[name][walks].tolist() for name in relation_names
@@ -224,7 +232,7 @@ class WanderJoin:
                 assignment={name: assignment_columns[name][i] for name in relation_names},
                 probability=float(probability[walk_id]),
             )
-        return results
+        return results, value_columns
 
     def walk_block(self, size: int) -> SampleBlock:
         """``size`` walks as one struct-of-arrays block (zero-object path).

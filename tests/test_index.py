@@ -113,6 +113,8 @@ class TestBuildLayout:
 #: parents and children overlap; NUL-suffixed strings sit beside their prefix
 _KEY_POOLS = {
     "int": [0, 1, 7, -3, 40_000, 2**40],
+    # a direct table when the child's keys leave out the int64 extremes
+    "dense int": [-2, 0, 1, 3, -(2**63), 2**63 - 1],
     "bool": [True, False],
     "float": [0.0, -0.0, 1.5, -2.25, 1e300],
     "str": ["a", "a\x00", "b", "", "\x00", "ab\x00\x00"],

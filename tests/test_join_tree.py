@@ -1,9 +1,12 @@
 """Tests for repro.joins.join_tree."""
 
+import numpy as np
 import pytest
 
+from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.join_tree import build_join_tree
-from repro.joins.query import JoinType
+from repro.joins.query import JoinQuery, JoinType
+from repro.relational.relation import Relation
 
 
 class TestChainTree:
@@ -88,6 +91,29 @@ class TestCyclicTree:
                     checked_false += not expected
         # Both outcomes must actually occur for the test to be meaningful.
         assert checked_true > 0 and checked_false > 0
+
+    def test_residual_mask_keeps_ints_past_2_53_exact(self):
+        """Every edge of the triangle meets an int past 2**53 with a float
+        column: NumPy would round the int and call 2**53 + 1 equal to
+        2.0**53, whichever edge is the residual one."""
+        big, rounded = 2**53 + 1, float(2**53)
+        r = Relation("R", ["x", "z"], [(big, big), (1, 1)])
+        s = Relation("S", ["x", "y"], [(rounded, big), (1.0, 1)])
+        t = Relation("T", ["y", "z"], [(rounded, rounded), (1.0, 1.0)])
+        query = JoinQuery(
+            "triangle", [r, s, t],
+            [JoinCondition("R", "x", "S", "x"), JoinCondition("S", "y", "T", "y"),
+             JoinCondition("T", "z", "R", "z")],
+            [OutputAttribute("x", "R", "x")],
+        )
+        tree = build_join_tree(query)
+        assert tree.has_residuals
+        for row in (0, 1):
+            rows = {name: np.array([row]) for name in query.relation_names}
+            assert tree.residual_mask(rows).tolist() == [row == 1]
+            assert tree.residual_satisfied({name: row for name in query.relation_names}) is (
+                row == 1
+            )
 
 
 class TestTraversals:

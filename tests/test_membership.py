@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.online_sampler import OnlineUnionSampler
 from repro.core.union_sampler import BernoulliUnionSampler, SetUnionSampler
+from repro.dynamic import DeleteEvent, InsertEvent, UpdateBatch, apply_batch
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.estimation.random_walk import RandomWalkUnionEstimator
 from repro.joins import membership
@@ -107,8 +108,14 @@ INT_KEYS = st.integers(0, 2)
 STR_KEYS = st.sampled_from(["k0", "k1", "k2"])
 #: mixed int/float payloads: 2 == 2.0 must mean the same to both probes
 PAYLOADS = st.sampled_from([0, 1, 2, 2.0, 2.5, 7])
-#: fields no relation holds, of a type its column may not have
-FOREIGN = [99, 1.0, "zz", "k1", None]
+#: an int column past 2**53, where NumPy would round an int to meet a float
+WIDE = st.sampled_from([0, 5, 2**53 + 1])
+#: pairwise unequal values of mixed kinds, for a column whose values are unique
+UNIQUE = [True, 2.0, 3, 2**53 + 1, float(2**53), "u", "u\x00", -1.5, 2**70]
+#: fields no relation holds, of a type its column may not have, and fields
+#: one ``==`` away from a held value of another kind (1 == 1.0 == True,
+#: 2**53 == 2.0**53 != 2**53 + 1, "k1" != "k1\x00")
+FOREIGN = [99, 1.0, "zz", "k1", None, 1, 2, 2**53, float(2**53 + 1), "k1\x00", "u", False]
 
 
 @st.composite
@@ -116,7 +123,11 @@ def joins_with_values(draw):
     """A generated join (chain / composite-key chain / star / triangle, int or
     string keys, duplicate and dangling rows, possibly an empty relation, an
     optional pushed or non-pushed predicate, any non-empty choice of output
-    attributes) and a block of candidate values for it."""
+    attributes) and a block of candidate values for it.  In the *keyed*
+    chain, ``S.u`` is unique and of mixed kinds while ``S.b`` takes at most
+    three values, so a probe seeds ``S`` from ``u``'s index and checks the
+    edge to its parent through the row -> slot map; ``S.w``/``T.w`` join on
+    ints past 2**53."""
     keys = draw(st.sampled_from([INT_KEYS, STR_KEYS]))
 
     def relation(name, **columns):
@@ -125,8 +136,17 @@ def joins_with_values(draw):
             rows = []
         return Relation(name, list(columns), rows)
 
-    shape = draw(st.sampled_from(["chain", "composite", "star", "cyclic"]))
-    if shape == "chain":
+    shape = draw(st.sampled_from(["chain", "composite", "star", "cyclic", "keyed"]))
+    if shape == "keyed":
+        rows = relation("S", b=keys, w=WIDE).rows
+        unique = draw(st.permutations(UNIQUE))
+        relations = [
+            relation("R", a=PAYLOADS, b=keys),
+            Relation("S", ["b", "u", "w"], [(b, u, w) for (b, w), u in zip(rows, unique)]),
+            relation("T", w=WIDE, d=PAYLOADS),
+        ]
+        conditions = [JoinCondition("R", "b", "S", "b"), JoinCondition("S", "w", "T", "w")]
+    elif shape == "chain":
         relations = [
             relation("R", a=PAYLOADS, b=keys),
             relation("S", b=keys, c=keys),
@@ -159,6 +179,8 @@ def joins_with_values(draw):
         ]
     sources = [(r.name, a) for r in relations for a in r.attribute_names]
     chosen = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=4, unique=True))
+    if shape == "keyed":  # u is S's first output attribute
+        chosen = [("S", "u")] + [source for source in chosen if source != ("S", "u")]
     outputs = [OutputAttribute(f"{rel}_{attr}", rel, attr) for rel, attr in chosen]
     predicates = None
     filtered = draw(st.sampled_from([None] + [s for s in sources if s[1] in ("a", "d")]))
@@ -168,8 +190,12 @@ def joins_with_values(draw):
         "generated", relations, conditions, outputs,
         predicates=predicates, push_down_predicates=draw(st.booleans()),
     )
+    # Deduplicated by type and repr, not by ==, so that 1, 1.0 and True all stay.
     domains = [
-        sorted(set(query.relation(rel).column(attr)) | set(FOREIGN), key=repr)
+        sorted(
+            {(type(v), repr(v)): v for v in query.relation(rel).column(attr) + FOREIGN}.values(),
+            key=repr,
+        )
         for rel, attr in chosen
     ]
     candidates = st.tuples(*(st.sampled_from(domain) for domain in domains))
@@ -198,6 +224,73 @@ class TestContainsMany:
         assert answers.tolist() == expected
         results = join_result_set(query)
         assert expected == [value in results for value in values]
+
+    def test_both_seeds_fire_over_generated_joins(self):
+        """Over a run of generated joins, some bound-parent level seeds from
+        its output attribute's index and some from the join-key CSR."""
+        seeds = set()
+
+        @settings(max_examples=120, deadline=None)
+        @given(joins_with_values())
+        def probe(generated):
+            query, values = generated
+            JoinMembershipProber(query).contains_many(values)
+            seeds.update(
+                "field" if level.seed_field >= 0 else "edge"
+                for level in membership.probe_plan(query).levels
+                if level.parent is not None
+            )
+
+        probe()
+        assert seeds == {"field", "edge"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(joins_with_values(), st.data())
+    def test_answers_follow_a_refresh_batch(self, generated, data):
+        """After an update batch on one relation the kernel answers for the
+        new snapshot: a probe plan kept from the old one would not."""
+        query, values = generated
+        prober = JoinMembershipProber(query)
+        prober.contains_many(values)  # this snapshot's plan
+        name = data.draw(st.sampled_from(query.relation_order))
+        relation = query.relation(name)
+        events = []
+        if len(relation):
+            attr = data.draw(st.sampled_from(relation.attribute_names))
+            events.append(DeleteEvent(name, attr, relation.value(0, attr)))
+        pools = [
+            sorted(
+                {(type(v), repr(v)): v for r in query.relations.values()
+                 if attr in r.schema for v in r.column(attr)}.values(),
+                key=repr,
+            )
+            for attr in relation.attribute_names
+        ]
+        if all(pools):
+            rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=4))
+            events.append(InsertEvent(name, tuple(rows)))
+        apply_batch(query.relations, UpdateBatch(1, tuple(events)))
+        expected = [prober.contains(value) for value in values]
+        assert prober.contains_many(values).tolist() == expected
+        results = join_result_set(query)
+        assert expected == [value in results for value in values]
+
+    def test_an_int_past_2_53_is_not_its_rounded_float(self):
+        """NumPy compares int64 with float64 in float64, where 2**53 + 1
+        rounds to 2.0**53; the kernel must not report such a value."""
+        r = Relation("R", ["k", "a"], [(1, 2**53 + 1), (2, 5)])
+        s = Relation("S", ["k", "b"], [(1, 10), (2, 20)])
+        query = JoinQuery(
+            "big", [r, s], [JoinCondition("R", "k", "S", "k")],
+            [OutputAttribute("k", "R", "k"), OutputAttribute("a", "R", "a"),
+             OutputAttribute("b", "S", "b")],
+        )
+        value = (1, float(2**53), 10)
+        prober = JoinMembershipProber(query)
+        assert not prober.contains(value)
+        assert value not in set(execute_join(query))
+        assert prober.contains_many([value]).tolist() == [False]
+        assert prober.contains_many([(1, 2**53 + 1, 10)]).tolist() == [True]
 
     def test_empty_block(self, chain_query):
         answers = JoinMembershipProber(chain_query).contains_many([])
@@ -264,16 +357,26 @@ class TestNonPushedPredicates:
 
 
 # ---------------------------------------- consumers: batched ≡ scalar, bitwise
-def _scalar_contains_many(self, values):
-    """What contains_many computes, the way every consumer used to ask."""
+def _scalar_contains_columns(self, fields):
+    """What the frontier engine computes, the way every consumer used to ask."""
+    values = list(zip(*(field.tolist() for field in fields)))
     return np.fromiter((self.contains(v) for v in values), dtype=bool, count=len(values))
 
 
 def _both_kernels(run):
-    """``run()`` under the batched kernel and under the scalar loop."""
+    """``run()`` under the batched kernel and under the scalar loop (every
+    batched probe, tuple form included, goes through ``contains_columns``;
+    a consumer that got around it would never reach the scalar loop)."""
     batched = run()
-    with mock.patch.object(JoinMembershipProber, "contains_many", _scalar_contains_many):
+    probed = []
+
+    def scalar_engine(self, fields):
+        probed.append(len(fields[0]))
+        return _scalar_contains_columns(self, fields)
+
+    with mock.patch.object(JoinMembershipProber, "contains_columns", scalar_engine):
         scalar = run()
+    assert probed, "the consumer never reached the membership engine"
     return batched, scalar
 
 

@@ -130,9 +130,9 @@ def test_block_pipeline_at_least_boxed_throughput(smoke_query):
 def test_batched_membership_probes_beat_the_scalar_loop():
     """The union warm-up and refinement probe whole value lists; the frontier
     kernel must stay well ahead of asking the scalar search once per value:
-    500 drawn values x every other join, floor 3x (measured: ~9x here, where
-    the relations are tiny and the kernel's fixed cost shows; 20-35x at
-    SF 0.05, see docs/performance.md)."""
+    500 drawn values x every other join, floor 3x (measured: ~25x here,
+    where the relations are tiny and the kernel's fixed cost shows; 45-80x
+    at SF 0.05, see docs/performance.md)."""
     queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
     index = UnionMembershipIndex(queries)
     values = JoinSampler(queries[0], seed=23).sample_block(500).values(queries[0])
@@ -265,8 +265,9 @@ def _edge_of_csr(query):
 def test_draws_resolve_no_join_key_after_the_first_block(smoke_query, monkeypatch):
     """A hop gathers its slots from the edge's per-snapshot map: once the
     first block built the maps, ``sample_block`` (EW and EO), ``walk_block``
-    and the bound-parent levels of ``contains_many`` look no key up (the
-    membership root still seeds from its output-attribute index)."""
+    and the bound-parent levels of ``contains_many`` look no join key up
+    (membership levels seeded by an output attribute look the field up in
+    that attribute's index)."""
     from repro.joins.membership import JoinMembershipProber
     from repro.sampling.wander_join import WanderJoin
 
@@ -408,3 +409,127 @@ def test_a_relation_retains_its_column_arrays_and_little_else():
     finally:
         tracemalloc.stop()
     assert retained <= 1.25 * relation.cache_nbytes()["columns"]
+
+
+def _spy_membership_engine(monkeypatch):
+    """``(join name, value tuples)`` of every call of the frontier engine
+    (``contains_columns``, which the tuple form calls too) from here on."""
+    from repro.joins.membership import JoinMembershipProber
+
+    calls = []
+    engine = JoinMembershipProber.contains_columns
+
+    def spy(prober, fields):
+        calls.append((prober.query.name, list(zip(*(field.tolist() for field in fields)))))
+        return engine(prober, fields)
+
+    monkeypatch.setattr(JoinMembershipProber, "contains_columns", spy)
+    return calls
+
+
+def test_a_union_snapshot_probes_each_value_once_per_join(monkeypatch):
+    """A new ``OnlineUnionSampler`` and its first samples, one snapshot: no
+    ``(join, value)`` reaches the membership engine twice (the memo holds
+    the warm-up's answers), the warm-up and every refinement round make at
+    most one engine call per join (the new values of every pivot that asks
+    a join go in one block), and the rounds ask the memo about each record
+    at most once per join that reads it (a round asks only about the
+    records added since the last one; asking about all of them every round
+    costs rounds x records)."""
+    from repro.core import OnlineUnionSampler
+    from repro.joins.membership import UnionMembershipIndex
+
+    queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
+    calls = _spy_membership_engine(monkeypatch)
+    sampler = OnlineUnionSampler(queries, seed=21, phi=60, walks_per_join=200)
+    phases = [[name for name, _ in calls]]
+    refine, recall = sampler._refine_parameters, UnionMembershipIndex.recall_many
+    asks = []
+
+    def spy_refine(old):
+        start = len(calls)
+        try:
+            return refine(old)
+        finally:
+            phases.append([name for name, _ in calls[start:]])
+
+    def spy_recall(index, name, values, fields=None):
+        asks.append(len(values))
+        return recall(index, name, values, fields)
+
+    monkeypatch.setattr(sampler, "_refine_parameters", spy_refine)
+    monkeypatch.setattr(UnionMembershipIndex, "recall_many", spy_recall)
+    sampler.sample(1500)
+    assert len(phases) >= 4, "fewer than three refinement rounds ran"
+    assert phases[0] and any(phases[1:]), "nothing was probed"
+    for names in phases:
+        assert len(names) == len(set(names)), f"two engine calls for one join: {names}"
+    asked = [(name, value) for name, values in calls for value in values]
+    assert len(asked) == len(set(asked))
+    # one ask per (pivot, other join) pair and record of the pivot
+    assert 0 < sum(asks) <= sum(len(answers) for answers in sampler._inside.values())
+
+
+def test_each_query_builds_its_probe_plan_once_per_snapshot(monkeypatch):
+    """Every prober of a query shares its per-snapshot probe plan: it is
+    built once, rebuilt once after a batch mutates one of its relations
+    (keeping the levels the batch did not touch, by reference), and kept
+    when only another query's relations change."""
+    from repro.dynamic import TPCHRefreshStream, apply_batch
+    from repro.joins import membership
+    from repro.joins.conditions import JoinCondition, OutputAttribute
+    from repro.joins.membership import JoinMembershipProber
+    from repro.joins.query import JoinQuery
+    from repro.tpch import generate_tpch
+
+    tables = generate_tpch(0.001, seed=3)
+    orders = JoinQuery(
+        "orders",
+        [tables[name] for name in ("nation", "customer", "orders", "lineitem")],
+        [
+            JoinCondition("nation", "nationkey", "customer", "nationkey"),
+            JoinCondition("customer", "custkey", "orders", "custkey"),
+            JoinCondition("orders", "orderkey", "lineitem", "orderkey"),
+        ],
+        [
+            OutputAttribute("custkey", "customer", "custkey"),
+            OutputAttribute("orderkey", "orders", "orderkey"),
+            OutputAttribute("linenumber", "lineitem", "linenumber"),
+        ],
+    )
+    parts = JoinQuery(
+        "parts",
+        [tables["partsupp"], tables["part"]],
+        [JoinCondition("partsupp", "partkey", "part", "partkey")],
+        [OutputAttribute("partkey", "part", "partkey"), OutputAttribute("size", "part", "p_size")],
+    )
+    builds = []
+    build = membership._build_plan
+    monkeypatch.setattr(
+        membership, "_build_plan",
+        lambda query, last=None: (builds.append(query.name), build(query, last))[1],
+    )
+    probers = [JoinMembershipProber(query) for query in (orders, orders, parts, parts)]
+    blocks = {
+        query.name: JoinSampler(query, seed=5).sample_block(200).values(query)
+        for query in (orders, parts)
+    }
+
+    def probe_all():
+        for prober in probers:
+            values = blocks[prober.query.name]
+            assert prober.contains_many(values).tolist() == [
+                prober.contains(value) for value in values
+            ]
+
+    probe_all()
+    probe_all()
+    assert sorted(builds) == ["orders", "parts"]
+    seeds = {level.node.relation: level.seed_field >= 0 for level in membership.probe_plan(orders).levels}
+    assert seeds == {"nation": False, "customer": True, "orders": True, "lineitem": False}
+    kept = membership.probe_plan(orders).levels
+    apply_batch(tables, TPCHRefreshStream(tables, seed=5, orders_per_batch=8).batch())
+    probe_all()
+    assert sorted(builds) == ["orders", "orders", "parts"]
+    levels = membership.probe_plan(orders).levels
+    assert [new is old for new, old in zip(levels, kept)] == [True, True, False, False]
