@@ -14,8 +14,9 @@ yields a join result ``t_i`` together with a known inverse inclusion weight
   per skeleton result, so ``w_i = W`` (the weight function's total weight);
 * wander join: a successful walk carries probability ``p(t_i)``, so
   ``w_i = 1/p(t_i)``;
-* union samplers: each returned sample is uniform over the set union ``U``,
-  so ``w_i = |U|``.
+* the union cover source: an attempt keeps each value of the set union
+  ``U`` with probability ``1/ΣW`` (``W_j`` summed over the joins), so
+  ``w_i = ΣW``.
 
 For any per-result function ``g`` the mean of ``X_i = w_i · g(t_i)`` over all
 attempts (failed attempts contribute 0) is an unbiased estimate of
@@ -28,7 +29,7 @@ attempt-level contributions, or from a binomial-thinned bootstrap.
 Aggregates over a **single join** follow SQL bag semantics (every join result
 counts, duplicates included); aggregates over a **union of joins** follow the
 paper's set semantics (each distinct output tuple of ``J_1 ∪ ... ∪ J_n``
-counts once), because that is what the union samplers draw uniformly from.
+counts once), because that is what the cover source draws uniformly from.
 
 Accumulators are mergeable and incremental.  Each group keeps its
 contributions as float64 chunk arrays and, per chunk, adds the two totals its

@@ -35,7 +35,7 @@ from repro.aqp.planner import (
     SamplerPlanner,
     supported_backends,
 )
-from repro.aqp.sources import build_sources, draw_into, reject_degenerate_union_count
+from repro.aqp.sources import build_sources, draw_into
 from repro.joins.query import JoinQuery, observed_versions
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
@@ -57,10 +57,7 @@ class OnlineAggregator:
         ``"auto"`` (cost-based planning) or an explicit backend:
         ``"exact-weight"``, ``"olken"``, ``"wander-join"``, ``"online-union"``.
         Explicit backends are validated against the capability matrix.
-    union_sampler:
-        Optional pre-built union sampler (e.g. a strict
-        :class:`~repro.core.union_sampler.SetUnionSampler` with exact
-        parameters); defaults to :class:`OnlineUnionSampler`.
+        A union's ``"online-union"`` steps count cover-source attempts.
     confidence / ci_method:
         Interval defaults used by :meth:`estimate` and the stopping rule.
     parallelism:
@@ -97,7 +94,6 @@ class OnlineAggregator:
         ci_method: str = "clt",
         batch_size: Optional[int] = None,
         target_samples: int = 1024,
-        union_sampler: Optional[object] = None,
         bootstrap_replicates: int = 200,
         parallelism: int = 1,
         join_sampler: Optional[JoinSampler] = None,
@@ -147,9 +143,9 @@ class OnlineAggregator:
             # rejection-inflated sizing so a step lands near the target.
             self.batch_size = self.plan.batch_size
         else:
-            # Accept/reject and union steps request *accepted* samples; the
-            # samplers size their internal attempt batches themselves
-            # (plan.batch_size caps JoinSampler's attempt batches below).
+            # Accept/reject steps request *accepted* samples, union steps
+            # attempts of the cover source; plan.batch_size caps the
+            # JoinSamplers' attempt batches below.
             self.batch_size = min(self.plan.target_samples, self.plan.batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -158,19 +154,8 @@ class OnlineAggregator:
         self.accumulator = AggregateAccumulator(spec, schema)
         self.epochs_restarted = 0
 
-        if join_sampler is not None and self.backend not in BACKEND_WEIGHTS:
-            raise ValueError(
-                f"join_sampler= only applies to JoinSampler backends, not "
-                f"{self.backend!r}"
-            )
-        prebuilt: Optional[object] = join_sampler
-        if self.backend == "online-union":
-            prebuilt = union_sampler
-            # Before any warm-up is paid for: a sampler built here always
-            # runs on estimated parameters.
-            reject_degenerate_union_count(spec, getattr(union_sampler, "parameters", None))
         self._sources = build_sources(
-            self.queries, self.backend, sampler_rng, self.parallelism, sampler=prebuilt,
+            self.queries, self.backend, sampler_rng, self.parallelism, sampler=join_sampler,
             # plan.batch_size caps JoinSampler's attempt batches
             max_batch_size=max(self.batch_size, 1),
         )

@@ -9,7 +9,8 @@ cheapest *supported* backend wins.
 
 Capability matrix (what "supported" means):
 
-* ``online-union`` — the only backend that samples a union of several joins;
+* ``online-union`` — the only backend that samples a union of several joins
+  (:class:`~repro.aqp.sources.UnionCoverSource`);
   never eligible for a single join.
 * ``exact-weight`` / ``olken`` — any single join (cyclic skeletons are
   handled by residual rejection, non-pushed-down predicates by predicate
@@ -142,7 +143,7 @@ class SamplerPlanner:
                 target_samples=self.target_samples,
                 rationale=(
                     f"{len(self.queries)} union-compatible joins: only the "
-                    "online union sampler draws from a set union",
+                    "union cover source draws from a set union",
                 ),
             )
 

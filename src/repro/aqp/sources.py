@@ -6,19 +6,24 @@ in-process shard) and :func:`draw_into` drives them.  Both consumers — every
 aggregate mode of :func:`repro.parallel.shards.run_shard` — go through that
 one driver, so "how a backend's draws become Horvitz–Thompson contributions"
 is written down here and nowhere else.
+Every source is an attempt-level HT stream, a union's included
+(:class:`UnionCoverSource`); none replays or rewrites what it drew.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, List, Optional, Protocol, Sequence, TypeVar
+from functools import reduce
+from typing import Any, List, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
-from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
+import numpy as np
+import numpy.typing as npt
+
+from repro.aqp.estimators import AggregateAccumulator
 from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.core.online_sampler import OnlineUnionSampler
-from repro.core.result import SampleResult
-from repro.estimation.parameters import UnionParameters
+from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery, observed_versions
+from repro.relational.columnar import concat_column_arrays
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.sampling.wander_join import WanderJoin
@@ -62,11 +67,8 @@ class JoinSource:
 
     def draw(self, n: int) -> List[SampleBlock]:
         if self.total_weight <= 0:
-            # Empty join: every walk would fail (and sample_block would spin
-            # to max_attempts); account the n failed attempts directly.
-            block: SampleBlock = self.sampler.sample_block(0)
-            block.attempts = n
-            return [block]
+            # Empty join (sample_block would spin): n walks fail at the root.
+            return [self.sampler.attempt_block(n)]
         return draw_and_drain(self.sampler, n, self.max_attempts)
 
     def ingest(
@@ -115,63 +117,88 @@ class WanderSource:
             )
 
 
-class UnionSource:
-    """Set-union sampler; its draws *replace* what was ingested before.
+class CoverDraw(NamedTuple):
+    """A :class:`UnionCoverSource` draw: the kept values (one array per output
+    attribute), each one's owning join, the attempts, and their weight ΣW."""
 
-    Revisions and backtracking rewrite the sampler's history, so a draw asks
-    for the cumulative quota and the accumulator is rebuilt from every
-    shard's full live sample list each step.  ``sampler`` is an
-    :class:`OnlineUnionSampler` or any prebuilt object with ``sample(count)``.
+    columns: List[npt.NDArray[Any]]
+    owners: npt.NDArray[np.intp]
+    attempts: int
+    weight: float
+
+    @staticmethod
+    def concat(draws: Sequence["CoverDraw"]) -> "CoverDraw":
+        parts = zip(*(draw.columns for draw in draws))
+        columns = [reduce(concat_column_arrays, column) for column in parts]
+        owners = np.concatenate([draw.owners for draw in draws])
+        return CoverDraw(columns, owners, sum(draw.attempts for draw in draws), draws[0].weight)
+
+
+class UnionCoverSource:
+    """The set union through its disjoint cover ``U = ⊔_j (J_j \\ ∪_{i<j} J_i)``.
+
+    A draw of ``n`` *attempts* splits them multinomially by the joins' exact
+    weights ``W_j``; each join makes its share of walks
+    (:meth:`JoinSampler.attempt_block`) and keeps a value only when no
+    earlier join contains it.  Every value of ``U`` is then kept with
+    probability exactly ``1/ΣW`` per attempt, by its owner alone: the same
+    attempt-level HT stream :class:`JoinSource` feeds, with weight ``ΣW``
+    (set semantics, for joins that produce each of their values once).
     """
 
-    def __init__(self, sampler: Any) -> None:
-        self.sampler = sampler
-        self._consumed = 0
+    def __init__(
+        self, queries: Sequence[JoinQuery], seed: RandomState, max_batch_size: int = 8192
+    ) -> None:
+        self.queries = tuple(queries)
+        self.rng, *streams = spawn_rngs(seed, len(self.queries) + 1)
+        self.samplers = [
+            JoinSampler(query, weights="ew", seed=stream, max_batch_size=max_batch_size)
+            for query, stream in zip(self.queries, streams)
+        ]
+        self.membership = UnionMembershipIndex(self.queries)
 
     def refresh(self) -> bool:
-        refresh = getattr(self.sampler, "refresh", None)
-        if refresh is None:
-            # A prebuilt sampler (e.g. SetUnionSampler with exact parameters)
-            # cannot follow a mutation: its own sample() refuses a moved
-            # snapshot, so the next draw raises rather than mix snapshots.
-            return False
-        stale = bool(refresh())
-        if stale:
-            self._consumed = 0
-        return stale
+        return any([sampler.refresh() for sampler in self.samplers])
 
-    def draw(self, n: int) -> SampleResult:
-        self._consumed += n
-        result: SampleResult = self.sampler.sample(self._consumed)
-        return result
+    def draw(self, n: int) -> CoverDraw:
+        weights = np.array([sampler.size_bound for sampler in self.samplers], dtype=float)
+        total = float(weights.sum())
+        names = [query.name for query in self.queries]
+        # The n attempts are accounted once, on an empty first part.
+        width = len(self.queries[0].output_attributes)
+        parts = [CoverDraw([np.asarray([])] * width, np.empty(0, dtype=np.intp), n, total)]
+        shares = self.rng.multinomial(n, weights / total) if total > 0 else np.zeros_like(weights)
+        for position in np.flatnonzero(shares):
+            sampler = self.samplers[position]
+            columns = sampler.attempt_block(int(shares[position])).value_columns(sampler.query)
+            kept = ~self.membership.contained_in_any(names[:position], columns)
+            owners = np.full(int(kept.sum()), position, dtype=np.intp)
+            parts.append(CoverDraw([column[kept] for column in columns], owners, 0, total))
+        return CoverDraw.concat(parts)
 
-    def ingest(self, accumulator: AggregateAccumulator, draws: Sequence[SampleResult]) -> None:
-        accumulator.reset()
-        for result in draws:
-            accumulator.observe(
-                [sample.value for sample in result.samples],
-                attempts=len(result.samples),
-                weight=float(result.parameters.union_size),
-            )
+    def ingest(self, accumulator: AggregateAccumulator, draws: Sequence[CoverDraw]) -> None:
+        # Every shard's kept values in shard order, as ONE chunk (the order
+        # and the chunking are part of the answer, as for JoinSource).
+        merged = CoverDraw.concat(draws)
+        accumulator.ingest_block(merged.columns, attempts=merged.attempts, weight=merged.weight)
 
 
 def build_sources(
     queries: Sequence[JoinQuery], backend: str, seed: RandomState, parallelism: int = 1,
-    *, sampler: Any = None, max_batch_size: int = 8192, max_attempts: int = 1_000_000,
-    warmup: str = "random-walk",
+    *, sampler: Optional[JoinSampler] = None, max_batch_size: int = 8192,
+    max_attempts: int = 1_000_000,
 ) -> List[Source[Any]]:
     """``parallelism`` sources of ``backend``, their streams derived from ``seed``.
 
-    ``sampler`` wraps a prebuilt sampler (the server's warm clone, a strict
-    union sampler) instead of building one.  The last three keywords are the
-    samplers' own defaults; each has one caller that needs another value (the
-    aggregator sizes attempt batches to its step; shard tasks carry an
-    attempt budget and warm unions up with the cheap histogram estimator).
+    ``sampler`` wraps a prebuilt join sampler (the server's warm clone)
+    instead of building one.  The last two keywords are the samplers' own
+    defaults; each has one caller that needs another value (the aggregator
+    sizes attempt batches to its step; shard tasks carry an attempt budget).
     """
-    if sampler is not None and parallelism > 1:
+    if sampler is not None and (parallelism > 1 or backend not in BACKEND_WEIGHTS):
         raise ValueError(
-            "a prebuilt sampler cannot be sharded; drop join_sampler= / "
-            "union_sampler= or set parallelism=1"
+            f"a prebuilt join sampler serves one {'/'.join(BACKEND_WEIGHTS)} source, "
+            f"not {parallelism} of {backend!r}; drop join_sampler= or set parallelism=1"
         )
     if backend in BACKEND_WEIGHTS:
         if sampler is None:
@@ -187,17 +214,12 @@ def build_sources(
         # split() shards share the weight function and derive their streams.
         shards = [sampler] if parallelism == 1 else sampler.split(parallelism)
         return [JoinSource(shard, max_attempts) for shard in shards]
-    if sampler is not None:
-        return [UnionSource(sampler)]
     streams: Sequence[RandomState] = (
         [seed] if parallelism == 1 else spawn_rngs(seed, parallelism)
     )
     if backend == "wander-join":
         return [WanderSource(WanderJoin(queries[0], seed=stream)) for stream in streams]
-    return [
-        UnionSource(OnlineUnionSampler(list(queries), seed=stream, warmup=warmup))
-        for stream in streams
-    ]
+    return [UnionCoverSource(queries, stream, max_batch_size) for stream in streams]
 
 
 def split_evenly(total: int, parts: int) -> List[int]:
@@ -222,35 +244,12 @@ def draw_into(
     return sources[0].ingest(accumulator, fan_out(sources, size))
 
 
-def reject_degenerate_union_count(
-    spec: AggregateSpec, parameters: Optional[UnionParameters] = None
-) -> None:
-    """Refuse unfiltered COUNT(*) over a union with *estimated* parameters.
-
-    Every sample's HT contribution is the constant ``|U|`` parameter, so the
-    CLT interval collapses to zero width around whatever the union size
-    *estimate* is — a nominal 95% interval with no coverage at all, and more
-    samples cannot help.  With exact ``parameters`` (``FullJoinUnionEstimator``)
-    the zero-width answer is the exact ``|U|`` and is allowed.
-    """
-    if spec.kind != "count" or spec.where is not None or spec.group_attributes:
-        return
-    if parameters is not None and parameters.method == "full-join":
-        return
-    raise ValueError(
-        "COUNT(*) over a union of joins just echoes the union-size "
-        "parameter (every sample contributes the same |U|), so its "
-        "confidence interval would be a zero-width lie around an "
-        "estimate. Use the union-size estimators (`repro estimate`) for "
-        "|U|, supply exact parameters, or add a where filter / group-by."
-    )
-
-
 __all__ = [
+    "CoverDraw",
     "Source",
+    "UnionCoverSource",
     "build_sources",
     "draw_into",
     "fan_out",
-    "reject_degenerate_union_count",
     "split_evenly",
 ]

@@ -273,8 +273,8 @@ def command_sample(args: argparse.Namespace) -> int:
             return 2
     if args.workers > 1:
         # The parallel service plans its own backend (shard-local union
-        # samplers with histogram warm-ups); silently dropping an explicit
-        # sampler choice would misreport what actually ran.
+        # cover sources, no warm-up); silently dropping an explicit sampler
+        # choice would misreport what actually ran.
         overridden = [
             flag
             for flag, value, default in (
@@ -470,9 +470,8 @@ def command_aggregate(args: argparse.Namespace) -> int:
                 cache=cache,
             )
         except ValueError as error:
-            # e.g. an attribute missing from the output schema, a backend that
-            # cannot sample the query shape, or unfiltered COUNT(*) over a
-            # union.
+            # e.g. an attribute missing from the output schema, or a backend
+            # that cannot sample the query shape.
             print(f"error: {error}", file=sys.stderr)
             return 2
         try:

@@ -314,31 +314,18 @@ class UnionSamplerBase:
         it: the cover test of the probing policies.  It runs when the join's
         queue refills, on the whole block, and its verdicts are queued beside
         the values."""
-        join_name = self.names[position]
+        join_name, membership = self.names[position], self.membership
+        assert membership is not None
         self.stats.record_draw(join_name)
         drawn: Tuple[Value, bool] = drain_value_queue(
             self.join_samplers[join_name],
             self._value_queues[join_name],
             self._demand(join_name, remaining),
-            lambda values, columns: zip(values, self._owned_by_earlier(position, columns)),
+            lambda values, columns: zip(
+                values, membership.contained_in_any(self.names[:position], columns).tolist()
+            ),
         )
         return drawn
-
-    def _owned_by_earlier(self, position: int, columns: List[npt.NDArray[Any]]) -> List[bool]:
-        """Per value of a block given as columns, whether a join before
-        ``position`` contains it: one batched probe per earlier join, each
-        narrowed to the values no join before it has claimed."""
-        assert self.membership is not None
-        owned = np.zeros(len(columns[0]), dtype=bool)
-        for earlier in self.names[:position]:
-            free = np.flatnonzero(~owned)
-            if free.size == 0:
-                break
-            owned[free] = self.membership.contains_columns(
-                earlier, [column[free] for column in columns]
-            )
-        verdicts: List[bool] = owned.tolist()
-        return verdicts
 
 
 class DisjointUnionSampler(UnionSamplerBase):

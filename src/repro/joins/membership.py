@@ -453,9 +453,14 @@ class UnionMembershipIndex:
         """Batched :meth:`contains` (see :meth:`JoinMembershipProber.contains_many`)."""
         return self.probers[query_name].contains_many(values)
 
-    def contains_columns(self, query_name: str, fields: Fields) -> BoolArray:
-        """Batched :meth:`contains` over a value block held as columns."""
-        return self.probers[query_name].contains_columns(fields)
+    def contained_in_any(self, query_names: Sequence[str], fields: Fields) -> BoolArray:
+        """Per value of a column block, whether one of ``query_names`` contains
+        it: one probe per join, of the values no join before it claimed."""
+        found = np.zeros(len(fields[0]), dtype=bool)
+        for name in query_names:
+            free = np.flatnonzero(~found)
+            found[free] = self.probers[name].contains_columns([field[free] for field in fields])
+        return found
 
     def recall_many(
         self, query_name: str, values: Sequence[Value], fields: Optional[Fields] = None

@@ -168,6 +168,7 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
                 "try_sample",
                 "sample_many",
                 "sample_block",
+                "attempt_block",
                 "warm",
                 "pop_buffered_blocks",
             }

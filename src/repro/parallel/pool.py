@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
 from repro.aqp.planner import supported_backends
-from repro.aqp.sources import reject_degenerate_union_count, split_evenly
+from repro.aqp.sources import split_evenly
 from repro.joins.query import JoinQuery
 from repro.parallel.shards import (
     SHARD_BACKENDS,
@@ -296,9 +296,6 @@ class ParallelSamplerPool:
         if shard_count < 1:
             raise ValueError(f"shards must be >= 1, got {shard_count}")
         backend = self._resolve_backend(queries, method, spec, count)
-        if backend == "online-union" and spec is not None:
-            # Union shards warm up with *estimated* parameters.
-            reject_degenerate_union_count(spec)
         seeds = shard_seed_sequences(seed, shard_count)
         return [
             ShardTask(
@@ -439,8 +436,8 @@ class ParallelSamplerPool:
     ) -> ParallelRunReport:
         """Merged :class:`AggregateAccumulator` over ``count`` samples.
 
-        ``count`` is the fleet-wide accepted-sample target (wander-join: walk
-        attempts), split across shards.  Call ``report.accumulator.estimate()``
+        ``count`` is the fleet-wide accepted-sample target (wander-join and
+        online-union: attempts), split across shards.  Call ``report.accumulator.estimate()``
         (or :func:`parallel_aggregate`) for confidence intervals.
         """
         tasks = self.plan_tasks(

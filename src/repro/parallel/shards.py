@@ -2,8 +2,8 @@
 
 A parallel run is planned as a fixed list of **shards**.  Each shard is a
 self-contained, picklable :class:`ShardTask`: the queries to sample, the
-backend to use, the number of accepted samples (or walk attempts) the shard
-must produce, and a :class:`numpy.random.SeedSequence` child derived from the
+backend to use, the number of accepted samples (or attempts) the shard must
+produce, and a :class:`numpy.random.SeedSequence` child derived from the
 root seed with :func:`repro.utils.rng.shard_seed_sequences`.
 
 Because a shard's output depends only on its task — never on which worker
@@ -17,7 +17,8 @@ sums, chunk-order-invariant); for plain sampling it is list concatenation.
 :func:`run_shard` is the single worker entry point.  An aggregate shard is
 one block source (:mod:`repro.aqp.sources`) driven once by the same
 ``draw_into`` that drives every ``OnlineAggregator.step``; a plain-sampling
-shard differs only in payload (a join block or union values).  ``run_shard``
+shard differs only in payload: a join block, or union values drawn from the
+same :class:`~repro.aqp.sources.UnionCoverSource` (no warm-up).  ``run_shard``
 must stay a module-level function: ``multiprocessing`` with the ``spawn``
 start method imports this module inside the worker and looks it up by name.
 """
@@ -25,6 +26,7 @@ start method imports this module inside the worker and looks it up by name.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -33,8 +35,7 @@ import numpy as np
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
 from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.aqp.sources import build_sources, draw_into
-from repro.core.online_sampler import OnlineUnionSampler
+from repro.aqp.sources import CoverDraw, UnionCoverSource, build_sources, draw_into
 from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience.faults import (
     FaultPlan,
@@ -66,8 +67,8 @@ class ShardTask:
     backend:
         One of :data:`SHARD_BACKENDS`.
     count:
-        Accepted samples this shard must produce (``wander-join``: walk
-        *attempts*, since walks are the attempt unit of that backend).
+        Accepted samples this shard must produce (aggregate shards of
+        ``wander-join`` and ``online-union``: *attempts*, their HT unit).
     seed:
         The shard's independent :class:`numpy.random.SeedSequence` child.
     spec:
@@ -197,11 +198,8 @@ def run_shard(
     if task.spec is not None:
         accumulator = AggregateAccumulator(task.spec, task.queries[0].output_schema)
         if task.count:
-            # The cheap histogram warm-up keeps per-shard fixed costs low — a
-            # parallel run pays the union warm-up once per shard, not per job.
             sources = build_sources(
-                task.queries, task.backend, rng,
-                max_attempts=task.max_attempts, warmup="histogram",
+                task.queries, task.backend, rng, max_attempts=task.max_attempts
             )
             draw_into(accumulator, sources, task.count)
         result.accumulator = accumulator
@@ -210,8 +208,13 @@ def run_shard(
         # both must agree in the merged report.
         result.attempts = accumulator.attempts
         result.accepted = accumulator.accepted
+    elif task.count and task.backend == "online-union":
+        _sample_union(task, rng, result)
     elif task.count:
-        _sample_plain(task, rng, result)
+        sampler = JoinSampler(task.queries[0], weights=BACKEND_WEIGHTS[task.backend], seed=rng)
+        result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
+        result.attempts = sampler.stats.attempts
+        result.accepted = sampler.stats.accepted
     return _finish_shard(result, action, deadline, seal)
 
 
@@ -271,20 +274,27 @@ def verify_shard_result(
     return None
 
 
-def _sample_plain(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
-    """Plain-sampling payload: a join block, or union values with sources."""
-    if task.backend == "online-union":
-        union = OnlineUnionSampler(list(task.queries), seed=rng, warmup="histogram")
-        sample_result = union.sample(task.count)
-        result.values = [s.value for s in sample_result.samples]
-        result.sources = [s.source_join for s in sample_result.samples]
-        result.attempts = sample_result.stats.iterations
-        result.accepted = len(sample_result.samples)
-    else:
-        sampler = JoinSampler(task.queries[0], weights=BACKEND_WEIGHTS[task.backend], seed=rng)
-        result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
-        result.attempts = sampler.stats.attempts
-        result.accepted = sampler.stats.accepted
+def _sample_union(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
+    """Draw from the cover source until ``count`` values are kept, permute,
+    truncate.  A draw groups its kept values by join; permuted they are
+    exchangeable, so the prefix is i.i.d. uniform over the union."""
+    source = UnionCoverSource(task.queries, rng)
+    draws: List[CoverDraw] = []
+    kept = attempts = 0
+    while kept < task.count:
+        if not kept and attempts >= task.max_attempts:
+            raise RuntimeError(f"the union kept no value in {attempts} attempts")
+        need = task.count - kept
+        # Size from the share kept so far (+25%); double while none is.
+        size = math.ceil(need * attempts / kept * 1.25) if kept else max(need, attempts)
+        draws.append(source.draw(size))
+        kept += len(draws[-1].owners)
+        attempts += size
+    merged, chosen = CoverDraw.concat(draws), rng.permutation(kept)[: task.count]
+    result.values = list(zip(*(column[chosen].tolist() for column in merged.columns)))
+    result.sources = [task.queries[owner].name for owner in merged.owners[chosen].tolist()]
+    result.attempts = attempts
+    result.accepted = task.count
 
 
 __all__ = [

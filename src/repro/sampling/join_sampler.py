@@ -529,7 +529,7 @@ class JoinSampler:
             size = min(self._next_batch_size(need), max(1, max_attempts - attempts_since_accept))
             accepted = self._attempt_block(size)
             attempts += size
-            if accepted is not None and len(accepted):
+            if len(accepted):
                 attempts_since_accept = 0
                 parts.append(accepted)
                 have += len(accepted)
@@ -551,6 +551,20 @@ class JoinSampler:
             block, tail = block.split(count)
             self._block_buffer.append(tail)
         return block
+
+    @_locked
+    def attempt_block(self, size: int) -> SampleBlock:
+        """Exactly ``size`` walks, in batches of at most ``max_batch_size``;
+        the accepted ones as one block with ``attempts == size`` and
+        ``weight == W`` (an attempt-level HT chunk).  The surplus buffer of
+        :meth:`sample_block` is neither read nor filled."""
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        self.refresh()
+        step = self._max_batch_size
+        empty = SampleBlock.empty(self._relation_order, self.weight_function.total_weight)
+        chunks = [self._attempt_block(min(step, size - start)) for start in range(0, size, step)]
+        return SampleBlock.concat([empty, *chunks])
 
     def _park(self, parts: List[SampleBlock]) -> None:
         for part in parts:
@@ -656,13 +670,14 @@ class JoinSampler:
             self._views = [SegmentedAliasTable(plan.tables) for plan in self._descent.plans()]
         return self._views
 
-    def _attempt_block(self, size: int) -> Optional[SampleBlock]:
+    def _attempt_block(self, size: int) -> SampleBlock:
         """Run ``size`` root-to-leaf walks simultaneously; return the accepted."""
         self.stats.attempts += size
         descent = self._descent
         if descent.root_alias is None:
             self.stats.rejected_empty += size
-            return None
+            empty = SampleBlock.empty(self._relation_order, descent.weight_function.total_weight)
+            return dataclasses.replace(empty, attempts=size)
 
         chosen: Dict[str, PositionArray] = {
             name: np.full(size, -1, dtype=np.intp) for name in self._relation_order
@@ -708,8 +723,6 @@ class JoinSampler:
             walks = self._filter_residuals(chosen, walks)
         if walks.size and self.enforce_predicates and self.query.unpushed_predicates:
             walks = self._filter_predicates(chosen, walks)
-        if walks.size == 0:
-            return None
 
         self.stats.accepted += int(walks.size)
         return SampleBlock(

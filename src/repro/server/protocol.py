@@ -78,8 +78,8 @@ ERROR_CODES: Dict[str, int] = {
 }
 
 #: upper bound on a request's ``workers`` field: a worker is a sampler (for
-#: ``query="union"`` a whole union warm-up) plus a thread per step, none of
-#: which the admission price sees.  (Its byte-size twin ``MAX_REQUEST_BYTES``
+#: ``query="union"`` one per join) plus a thread per step, none of which the
+#: admission price sees.  (Its byte-size twin ``MAX_REQUEST_BYTES``
 #: lives in :mod:`repro.server.http`, which the service cannot import.)
 MAX_REQUEST_WORKERS = 64
 

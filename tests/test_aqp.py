@@ -10,6 +10,7 @@ variant, the stopping rule, epoch restarts, GROUP-BY, and the merge law.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.aqp import (
@@ -18,9 +19,8 @@ from repro.aqp import (
     OnlineAggregator,
     exact_aggregate,
 )
-from repro.core.union_sampler import SetUnionSampler
-from repro.estimation.exact import FullJoinUnionEstimator
 from repro.joins.executor import execute_join, join_result_set
+from repro.tpch.workloads import build_uq1, build_uq2, build_uq3
 
 from tests.stat_helpers import assert_ci_coverage
 
@@ -127,64 +127,107 @@ class TestCoverageCyclic:
         assert_ci_coverage(trial, truth[()], trials=TRIALS, min_coverage=MIN_COVERAGE)
 
 
-class TestCoverageUnion:
-    """Union workloads: set semantics over J_1 ∪ ... ∪ J_n."""
+#: per small UQ fixture: the SUM/AVG attribute, and the relation of its
+#: first join the mutation case deletes from
+UNION_FIXTURES = {
+    "uq1_small": ("totalprice", "lineitem"),
+    "uq2_small": ("retailprice", "partsupp"),
+    "uq3_small": ("totalprice", "orders"),
+}
 
-    def test_sum_strict_union_coverage(self, union_triple):
+#: private copies of the fixtures for the mutation case (the session ones
+#: must keep their row order)
+PRIVATE_WORKLOADS = {
+    "uq1_small": lambda: build_uq1(scale_factor=0.0005, overlap_scale=0.3, n_joins=3, seed=42),
+    "uq2_small": lambda: build_uq2(scale_factor=0.0005, seed=42),
+    "uq3_small": lambda: build_uq3(scale_factor=0.0005, overlap_scale=0.3, seed=42),
+}
+
+
+def union_spec(fixture, kind):
+    attribute, _ = UNION_FIXTURES[fixture]
+    return AggregateSpec(kind, attribute=None if kind == "count" else attribute)
+
+
+def doomed_rows(relation):
+    """Positions of the rows whose first attribute is a multiple of 5: chosen
+    by content, so every trial deletes the same rows, wherever the restores
+    of earlier trials moved them."""
+    first = relation.column_array(relation.attribute_names[0])
+    return np.flatnonzero(first % 5 == 0).tolist()
+
+
+class TestCoverageUnion:
+    """Union workloads: set semantics over J_1 ∪ ... ∪ J_n, on the default
+    backend (the cover source), against the enumerated union."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("kind", ["sum", "avg", "count"])
+    @pytest.mark.parametrize("fixture", sorted(UNION_FIXTURES))
+    def test_union_coverage(self, request, fixture, kind, parallelism):
+        queries = list(request.getfixturevalue(fixture).queries)
+        spec = union_spec(fixture, kind)
+        truth = union_truth(queries, spec)
+
+        def trial(seed):
+            agg = OnlineAggregator(
+                queries, spec, method="online-union", seed=seed, parallelism=parallelism
+            )
+            return agg.step(512).overall
+
+        assert_ci_coverage(trial, truth[()], trials=TRIALS, min_coverage=MIN_COVERAGE)
+
+    @pytest.mark.parametrize("kind", ["sum", "avg", "count"])
+    @pytest.mark.parametrize("fixture", sorted(UNION_FIXTURES))
+    def test_union_coverage_after_mutation(self, fixture, kind):
+        """A step, a ``delete_rows``, a step: the aggregator restarts, and
+        the interval covers the union of the mutated database."""
+        queries = list(PRIVATE_WORKLOADS[fixture]().queries)
+        relation = queries[0].relation(UNION_FIXTURES[fixture][1])
+        spec = union_spec(fixture, kind)
+
+        def deleted():
+            positions = doomed_rows(relation)
+            rows = [relation.row(position) for position in positions]
+            relation.delete_rows(positions)
+            return rows
+
+        restore = deleted()
+        truth = union_truth(queries, spec)
+        relation.extend(restore)
+
+        def trial(seed):
+            agg = OnlineAggregator(queries, spec, method="online-union", seed=seed)
+            agg.step(256)
+            restore = deleted()
+            try:
+                estimate = agg.step(512).overall
+            finally:
+                relation.extend(restore)
+            assert agg.epochs_restarted == 1
+            return estimate
+
+        assert_ci_coverage(trial, truth[()], trials=TRIALS, min_coverage=MIN_COVERAGE)
+
+    def test_sum_toy_union_coverage(self, union_triple):
         spec = AggregateSpec("sum", attribute="c")
         truth = union_truth(union_triple, spec)
-        parameters = FullJoinUnionEstimator(union_triple).estimate()
 
         def trial(seed):
-            sampler = SetUnionSampler(union_triple, parameters, seed=seed, mode="strict")
-            agg = OnlineAggregator(
-                union_triple,
-                spec,
-                method="online-union",
-                seed=seed,
-                union_sampler=sampler,
-                batch_size=256,
-            )
+            agg = OnlineAggregator(union_triple, spec, seed=seed, batch_size=256)
             return agg.step().overall
 
         assert_ci_coverage(trial, truth[()], trials=TRIALS, min_coverage=MIN_COVERAGE)
 
-    def test_count_strict_union_coverage(self, union_pair):
-        spec = AggregateSpec(
-            "count", where=lambda row: row["a"] == 1
-        )
+    def test_filtered_count_toy_union_coverage(self, union_pair):
+        spec = AggregateSpec("count", where=lambda row: row["a"] == 1)
         truth = union_truth(union_pair, spec)
-        parameters = FullJoinUnionEstimator(union_pair).estimate()
 
         def trial(seed):
-            sampler = SetUnionSampler(union_pair, parameters, seed=seed, mode="strict")
-            agg = OnlineAggregator(
-                union_pair,
-                spec,
-                method="online-union",
-                seed=seed,
-                union_sampler=sampler,
-                batch_size=256,
-            )
+            agg = OnlineAggregator(union_pair, spec, seed=seed, batch_size=256)
             return agg.step().overall
 
         assert_ci_coverage(trial, truth[()], trials=TRIALS, min_coverage=MIN_COVERAGE)
-
-    def test_degenerate_union_count_is_refused_on_estimated_parameters(self, union_pair):
-        """Unfiltered COUNT(*) over a union would echo the estimated |U| with
-        a zero-width interval; only exact parameters make that honest."""
-        with pytest.raises(ValueError, match="zero-width"):
-            OnlineAggregator(union_pair, AggregateSpec("count"), seed=1)
-
-    def test_degenerate_union_count_allowed_with_exact_parameters(self, union_pair):
-        parameters = FullJoinUnionEstimator(union_pair).estimate()
-        sampler = SetUnionSampler(union_pair, parameters, seed=1, mode="strict")
-        agg = OnlineAggregator(
-            union_pair, AggregateSpec("count"), seed=1, union_sampler=sampler
-        )
-        estimate = agg.step(64).overall
-        assert estimate.estimate == float(len(union_values(union_pair)))
-        assert estimate.half_width == 0.0
 
 
 class TestCoverageBootstrap:

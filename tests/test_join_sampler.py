@@ -99,6 +99,19 @@ class TestRejectionAccounting:
         sampler.sample_many(100)
         assert sampler.stats.rejected_residual > 0
 
+    def test_attempt_block_makes_exactly_size_walks(self, cyclic_query):
+        """Batched by max_batch_size, every walk counted once, the accepted
+        ones returned whole; the surplus buffer is left alone."""
+        sampler = JoinSampler(cyclic_query, weights="ew", seed=5, max_batch_size=64)
+        block = sampler.attempt_block(150)
+        assert block.attempts == sampler.stats.attempts == 150
+        assert len(block) == sampler.stats.accepted
+        assert 0 < len(block) < 150  # the residual condition rejects some walks
+        assert block.weight == sampler.size_bound
+        assert set(block.values(cyclic_query)) <= join_result_set(cyclic_query)
+        assert sampler.pop_buffered_blocks() == []
+        assert len(sampler.attempt_block(0)) == 0
+
 
 class TestPredicateEnforcement:
     def _query(self, push_down: bool) -> JoinQuery:
@@ -178,8 +191,7 @@ class TestBatchEdgeCases:
             calls["n"] += 1
             if calls["n"] == 1:
                 return real_attempt(size).split(1)[0]
-            sampler.stats.attempts += size
-            return None
+            return real_attempt(size).split(0)[0]  # size walks, none accepted
 
         monkeypatch.setattr(sampler, "_attempt_block", one_accept_then_dry)
         with pytest.raises(RuntimeError, match="failed to accept"):

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.uniformity import chi_square_uniformity
 from repro.aqp import AggregateSpec
+from repro.joins.executor import join_result_set
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
 from repro.parallel import (
@@ -48,6 +50,7 @@ def make_union(count=2):
 
 
 SPEC_SUM = AggregateSpec("sum", attribute="c")
+SPEC_COUNT = AggregateSpec("count")
 
 
 def report_key(report):
@@ -98,11 +101,10 @@ class TestShardPlanning:
         with pytest.raises(ValueError, match="cannot sample"):
             ParallelSamplerPool().plan_tasks(make_union(), 10, seed=0, method="olken")
 
-    def test_degenerate_union_count_rejected(self):
-        with pytest.raises(ValueError, match="COUNT"):
-            ParallelSamplerPool().plan_tasks(
-                make_union(), 10, seed=0, spec=AggregateSpec("count")
-            )
+    def test_union_count_is_planned(self):
+        """COUNT(*) over a union is an ordinary attempt-level HT aggregate."""
+        tasks = ParallelSamplerPool().plan_tasks(make_union(), 10, seed=0, spec=SPEC_COUNT)
+        assert {task.backend for task in tasks} == {"online-union"}
 
 
 class TestDeterminism:
@@ -136,6 +138,19 @@ class TestDeterminism:
                 reference.merge(result.accumulator)
         assert report_key(merged.estimate()) == report_key(reference.estimate())
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("spec", [SPEC_SUM, SPEC_COUNT], ids=["sum", "count"])
+    def test_union_aggregate_identical_across_worker_counts(self, spec, workers):
+        """Union cover shards merge like join shards: the worker count (and,
+        under the fault harness, every retry) leaves the answer unchanged."""
+        reference = parallel_aggregate(
+            make_union(3), spec, 90, seed=29, workers=1, execution="thread"
+        )
+        run = parallel_aggregate(
+            make_union(3), spec, 90, seed=29, workers=workers, execution="thread"
+        )
+        assert report_key(run) == report_key(reference)
+
     def test_union_sampling_identical_across_worker_counts(self):
         queries = make_union()
         reference = parallel_sample(queries, 20, seed=31, workers=1, execution="thread")
@@ -154,6 +169,27 @@ class TestDeterminism:
         assert run.values == reference.values
 
 
+class TestUnionExactness:
+    def test_pooled_union_samples_are_uniform_over_the_exact_union(self, uq2_small):
+        """Pooled union samples against the enumerated union of UQ2: every
+        value a member, each tagged with its cover owner, and chi-square
+        compatible with uniform (60 jobs of 8 shards, 400 values each)."""
+        queries = list(uq2_small.queries)
+        results = {query.name: join_result_set(query) for query in queries}
+        population = set().union(*results.values())
+        values, sources = [], []
+        for job in range(60):
+            run = parallel_sample(queries, 400, seed=job, workers=2, execution="thread")
+            values.extend(run.values)
+            sources.extend(run.sources)
+        assert len(values) == 60 * 400
+        assert set(values) <= population
+        for value, source in set(zip(values, sources)):
+            assert source == next(q.name for q in queries if value in results[q.name])
+        result = chi_square_uniformity(values, sorted(population))
+        assert result.p_value >= 0.01, result
+
+
 class TestProcessBackend:
     """Spawn-based workers; kept small (interpreter start-up per worker)."""
 
@@ -165,6 +201,21 @@ class TestProcessBackend:
         process_run = ParallelSamplerPool(
             workers=2, execution="process", job_timeout=240
         ).aggregate(query, SPEC_SUM, 24, seed=41, shards=2)
+        assert report_key(process_run.accumulator.estimate()) == report_key(
+            thread_run.accumulator.estimate()
+        )
+
+    def test_union_process_run_matches_thread_run(self):
+        """Union cover shards pickle, run in spawned workers, and merge to
+        the thread rung's answer bit for bit."""
+        queries = make_union(3)
+        thread_run = ParallelSamplerPool(workers=1, execution="thread").aggregate(
+            queries, SPEC_COUNT, 48, seed=43, shards=2
+        )
+        process_run = ParallelSamplerPool(
+            workers=2, execution="process", job_timeout=240
+        ).aggregate(queries, SPEC_COUNT, 48, seed=43, shards=2)
+        assert process_run.backend == "online-union"
         assert report_key(process_run.accumulator.estimate()) == report_key(
             thread_run.accumulator.estimate()
         )
@@ -293,7 +344,9 @@ class TestOnlineAggregatorParallelism:
             make_union(), SPEC_SUM, method="online-union", seed=19, parallelism=2
         )
         report = aggregator.step(30)
-        assert report.accepted >= 30
+        # a union step is 30 attempts, split over the joins and the shards
+        assert report.attempts == 30
+        assert 0 < report.accepted <= 30
 
     def test_union_epoch_restart_resets_fleet(self):
         from repro.aqp import OnlineAggregator
@@ -312,18 +365,6 @@ class TestOnlineAggregatorParallelism:
 
         with pytest.raises(ValueError, match="parallelism"):
             OnlineAggregator(make_chain(), SPEC_SUM, seed=1, parallelism=0)
-
-    def test_prebuilt_union_sampler_cannot_be_sharded(self):
-        from repro.aqp import OnlineAggregator
-        from repro.core.online_sampler import OnlineUnionSampler
-
-        queries = make_union()
-        prebuilt = OnlineUnionSampler(queries, seed=3, warmup="histogram")
-        with pytest.raises(ValueError, match="union_sampler"):
-            OnlineAggregator(
-                queries, SPEC_SUM, method="online-union", seed=1,
-                union_sampler=prebuilt, parallelism=2,
-            )
 
 
 class TestPoolLifecycle:

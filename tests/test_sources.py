@@ -16,9 +16,7 @@ import pytest
 from repro.aqp import AggregateAccumulator, AggregateSpec, OnlineAggregator
 from repro.aqp.planner import BACKEND_WEIGHTS
 from repro.aqp.sources import build_sources, split_evenly
-from repro.core.online_sampler import OnlineUnionSampler
-from repro.core.union_sampler import SetUnionSampler
-from repro.estimation.exact import FullJoinUnionEstimator
+from repro.joins.membership import JoinMembershipProber
 from repro.parallel import ShardTask, run_shard
 from repro.resilience import NO_FAULTS
 from repro.sampling.blocks import SampleBlock
@@ -70,12 +68,21 @@ def reference_ingest(accumulator, backend, queries, rng, count, max_attempts=1_0
             block.value_columns(query), attempts=block.attempts, weights=block.weights
         )
     else:
-        result = OnlineUnionSampler(list(queries), seed=rng, warmup="histogram").sample(count)
-        accumulator.observe(
-            [s.value for s in result.samples],
-            attempts=len(result.samples),
-            weight=float(result.parameters.union_size),
-        )
+        # The cover rule, with the scalar membership oracle: a multinomial
+        # split of the attempts by total weight, each join's share of walks,
+        # and a value kept only when no earlier join contains it.
+        select, *streams = spawn_rngs(rng, len(queries) + 1)
+        samplers = [JoinSampler(q, weights="ew", seed=s) for q, s in zip(queries, streams)]
+        weights = np.array([s.weight_function.total_weight for s in samplers])
+        shares = select.multinomial(count, weights / weights.sum())
+        kept = []
+        for position, (sampler, share) in enumerate(zip(samplers, shares)):
+            if not share:
+                continue
+            for value in sampler.attempt_block(int(share)).values(sampler.query):
+                if not any(JoinMembershipProber(q).contains(value) for q in queries[:position]):
+                    kept.append(value)
+        accumulator.observe(kept, attempts=count, weight=float(weights.sum()))
 
 
 # ---------------------------------------------------- run_shard == the source
@@ -97,9 +104,7 @@ class TestShardAndSourceAgree:
 
         direct = AggregateAccumulator(SPEC, schema)
         if count:
-            (source,) = build_sources(
-                queries, backend, ensure_rng(seed), max_attempts=5000, warmup="histogram"
-            )
+            (source,) = build_sources(queries, backend, ensure_rng(seed), max_attempts=5000)
             source.ingest(direct, [source.draw(count)])
         assert state(direct) == state(reference)
 
@@ -214,14 +219,3 @@ class TestEpochRestart:
         assert restarted.epochs_restarted == 1
         # the first step's contributions are gone, not topped up
         assert restarted.accumulator.attempts < control.accumulator.attempts
-
-    def test_prebuilt_union_sampler_without_refresh_still_raises(self):
-        queries = make_union()
-        parameters = FullJoinUnionEstimator(queries).estimate()
-        sampler = SetUnionSampler(queries, parameters, seed=1, mode="strict")
-        assert not hasattr(sampler, "refresh")
-        aggregator = OnlineAggregator(queries, SPEC, seed=1, union_sampler=sampler)
-        aggregator.step(16)
-        queries[0].relation("R").extend([(999, 0)])
-        with pytest.raises(RuntimeError, match="no refresh"):
-            aggregator.step(16)
