@@ -50,16 +50,6 @@ class UpdateBatch:
     sequence: int
     events: Tuple[UpdateEvent, ...]
 
-    @property
-    def insert_count(self) -> int:
-        return sum(
-            len(e.rows) for e in self.events if isinstance(e, InsertEvent)
-        )
-
-    @property
-    def delete_count(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, DeleteEvent))
-
 
 def apply_event(tables: Dict[str, Relation], event: UpdateEvent) -> int:
     """Apply one event; returns the number of rows inserted or deleted.

@@ -262,9 +262,5 @@ class RandomWalkUnionEstimator(UnionSizeEstimator):
         self.prepare()
         return {name: list(samples) for name, samples in self._samples.items()}
 
-    def total_walks(self) -> int:
-        """Total random walks performed during the warm-up."""
-        return sum(w.walk_count for w in self._walkers.values())
-
 
 __all__ = ["RandomWalkUnionEstimator", "CollectedSample", "OverlapEstimate"]

@@ -176,13 +176,6 @@ def _hop_max_degree(query: JoinQuery, parent: str, child: str) -> float:
     return float(query.relation(child).statistics_on_columns(child_attrs).max_degree)
 
 
-def _hop_average_degree(query: JoinQuery, parent: str, child: str) -> float:
-    adjacency = query.adjacency()
-    conditions = adjacency[parent][child]
-    child_attrs = tuple(c.attribute_for(child) for c in conditions)
-    return float(query.relation(child).statistics_on_columns(child_attrs).average_degree)
-
-
 def _build_split_relation(query: JoinQuery, first: str, second: str) -> SplitRelation:
     sources = query.output_sources()
     first_rel, first_attr = sources[first]

@@ -19,7 +19,7 @@ array.  It backs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -101,6 +101,7 @@ class SortedIndex:
         "offsets",
         "_slot_of",
         "_sorted_lookup",
+        "compactions",
     )
 
     def __init__(
@@ -117,9 +118,14 @@ class SortedIndex:
         self._slot_of = slot_of
         # The vectorized key -> slot lookup, () when the keys cannot form one
         # typed array, None until the first batch lookup after the key set
-        # changed: an index that only serves scalar lookups never pays the
-        # O(n_keys log n_keys) pass.
+        # changed in a way a direct table does not absorb (a compaction, a
+        # new key outside its rules): an index that only serves scalar
+        # lookups never pays the O(n_keys log n_keys) pass.
         self._sorted_lookup: _BatchLookup | Tuple[()] | None = None
+        #: compactions run so far: slot ids survive every delta in between
+        #: (new keys only append slots), so structures laid out by slot can
+        #: follow the index by comparing this counter
+        self.compactions = 0
 
     def _adopt_arrays(self, row_positions: IntArray, offsets: IntArray) -> None:
         """Store the CSR arrays in the smallest safe index dtype, read-only.
@@ -167,6 +173,36 @@ class SortedIndex:
                 return _BatchLookup("i", table, None, low - 1)
         order = np.argsort(key_array, kind="stable")
         return _BatchLookup(key_array.dtype.kind, key_array[order], order.astype(np.intp))
+
+    def _extended_lookup(self, new_keys: List[object]) -> Optional[_BatchLookup]:
+        """The direct table widened to ``new_keys``, the keys of the slots a
+        delta just appended (in slot order); None when a rebuild is due.
+
+        Only a direct table is extended, and only where
+        :meth:`_build_sorted_lookup` would build one over the grown key set:
+        every new key an ``int``, the span at most :data:`DENSE_SPAN` times
+        the key count, both bounds inside int64.  The result equals that
+        rebuild at O(span) copying and O(Δ) Python work; the old table is
+        not written.
+        """
+        lookup = self._sorted_lookup
+        if not isinstance(lookup, _BatchLookup) or lookup.slots is not None:
+            return None
+        if any(type(key) is not int for key in new_keys):
+            return None
+        ints = cast(List[int], new_keys)
+        old_low = lookup.low + 1
+        low = min(old_low, min(ints))
+        high = max(lookup.low + len(lookup.keys) - 2, max(ints))
+        n_keys = len(self._slot_of)
+        if high - low + 1 > DENSE_SPAN * n_keys or not (_INT64_MIN < low and high < _INT64_MAX):
+            return None
+        table = np.full(high - low + 3, -1, dtype=smallest_index_dtype(n_keys))
+        table[old_low - low : old_low - low + len(lookup.keys)] = lookup.keys
+        table[np.asarray(ints, dtype=np.intp) - (low - 1)] = np.arange(
+            n_keys - len(ints), n_keys
+        )
+        return _BatchLookup("i", table, None, low - 1)
 
     @classmethod
     def build(cls, values: Iterable[object], attribute: str = "") -> "SortedIndex":
@@ -285,9 +321,10 @@ class SortedIndex:
         segment sizes); array surgery is a handful of vectorized
         ``np.delete``/``np.insert``/gather calls.  Slots whose segment empties
         survive as zero-degree slots until enough of them accumulate to be
-        worth one O(n_keys) compaction pass.  Fresh arrays are produced rather
-        than mutated, so previously handed-out views stay internally
-        consistent.
+        worth one O(n_keys) compaction pass; until then slot ids survive, and
+        new keys only append slots (a direct-table lookup is widened to them,
+        :meth:`_extended_lookup`).  Fresh arrays are produced rather than
+        mutated, so previously handed-out views stay internally consistent.
         """
         # Writable scratch copies, widened to intp for the surgery (inserted
         # positions may exceed the current shrunk dtype's range); the final
@@ -331,7 +368,7 @@ class SortedIndex:
             remap[[old for old, _ in moved]] = [new for _, new in moved]
             row_positions = remap[row_positions]
 
-        new_key_added = False
+        new_keys: List[object] = []
         if added:
             ins_counts = np.zeros(n_keys, dtype=np.intp)
             ins_ops: List[Tuple[int, int, int]] = []
@@ -355,7 +392,7 @@ class SortedIndex:
                 )
                 offsets[1:] += np.cumsum(ins_counts)
             if pending_new:
-                new_key_added = True
+                new_keys = list(pending_new)
                 chunks: List[int] = []
                 tail_offsets: List[int] = []
                 total = int(offsets[-1])
@@ -393,8 +430,11 @@ class SortedIndex:
             }
 
         self._adopt_arrays(row_positions, offsets)
-        if compacted or new_key_added:
+        if compacted:
+            self.compactions += 1
             self._sorted_lookup = None
+        elif new_keys:
+            self._sorted_lookup = self._extended_lookup(new_keys)
 
     # ------------------------------------------------------------ aggregation
     def segment_sums(self, row_values: npt.NDArray[Any]) -> npt.NDArray[np.float64]:

@@ -43,7 +43,9 @@ Two structures cover the sampler's needs:
   depends on its own decisions only.  A mutation never writes published
   tables: ``SegmentTables.patched()`` gives the next snapshot's tables,
   sharing nothing it changes, and ``SegmentedAliasTable.resync()`` drops
-  exactly the decisions on the segments a delta dirtied.
+  exactly the decisions on the segments a delta dirtied; over a CSR whose
+  rows a delta moved, ``SegmentTables.reshaped()`` gives fresh tables that
+  reduce only the segments the delta changed.
 
 Every draw path consumes the underlying generator identically (one uniform
 for the dart, one for the coin — a cold draw inverts the first and ignores
@@ -205,6 +207,17 @@ def _pin_zero_weights(
     prob[zero] = 0.0
 
 
+def _reduce_segments(
+    values: _Floats, starts: _Indices
+) -> tuple[_Floats, npt.NDArray[np.bool_]]:
+    """Total and all-equal flag of each segment of ``values``: segment ``i``
+    runs from ``starts[i]`` (ascending) to the next start, the last one to
+    the end."""
+    totals: _Floats = np.add.reduceat(values, starts)
+    uniform = np.maximum.reduceat(values, starts) == np.minimum.reduceat(values, starts)
+    return totals, uniform
+
+
 class AliasTable:
     """Alias table over one weight vector (e.g. the root-row weights).
 
@@ -267,22 +280,33 @@ class SegmentTables:
     )
 
     def __init__(self, weights: npt.NDArray[Any], offsets: npt.NDArray[Any]) -> None:
-        self.offsets = np.asarray(offsets)
-        self.weights = np.asarray(weights, dtype=float)
-        n = self.weights.size
-        n_seg = len(self.offsets) - 1
-        nonempty = self.offsets[1:] > self.offsets[:-1]
-        ne_starts = np.asarray(self.offsets[:-1][nonempty], dtype=np.intp)
-        self.segment_totals = np.zeros(n_seg, dtype=float)
-        self.uniform = np.ones(n_seg, dtype=bool)
-        if ne_starts.size and n:
-            self.segment_totals[nonempty] = np.add.reduceat(self.weights, ne_starts)
-            self.uniform[nonempty] = np.maximum.reduceat(
-                self.weights, ne_starts
-            ) == np.minimum.reduceat(self.weights, ne_starts)
+        offsets = np.asarray(offsets)
+        weights = np.asarray(weights, dtype=float)
+        nonempty = offsets[1:] > offsets[:-1]
+        ne_starts = np.asarray(offsets[:-1][nonempty], dtype=np.intp)
+        segment_totals = np.zeros(len(offsets) - 1, dtype=float)
+        uniform = np.ones(len(offsets) - 1, dtype=bool)
+        if ne_starts.size and weights.size:
+            segment_totals[nonempty], uniform[nonempty] = _reduce_segments(weights, ne_starts)
+        self._start(weights, offsets, segment_totals, uniform)
+
+    def _start(
+        self,
+        weights: _Floats,
+        offsets: npt.NDArray[Any],
+        segment_totals: _Floats,
+        uniform: npt.NDArray[np.bool_],
+    ) -> None:
+        """Adopt the CSR and its segment reductions; build no table but the
+        uniform segments' (which need none)."""
+        self.offsets = offsets
+        self.weights = weights
+        self.segment_totals = segment_totals
+        self.uniform = uniform
+        n = weights.size
         self.prob = np.ones(n, dtype=float)
         self.alias = np.arange(n, dtype=_index_dtype(n))
-        self.built = self.uniform.copy()
+        self.built = uniform.copy()
         #: every segment built: views made from now on may skip the mask
         self.complete = bool(self.built.all())
         self._lock = threading.Lock()
@@ -320,12 +344,37 @@ class SegmentTables:
                 self._build_segment(int(slot))
             self.complete = True
 
-    def changed_segments(self, weights: _Floats) -> npt.NDArray[np.bool_]:
-        """Mask of the segments in which ``weights`` (same CSR) differ."""
-        mask = np.zeros(self.n_segments, dtype=bool)
-        rows = np.flatnonzero(weights != self.weights)
-        mask[np.searchsorted(self.offsets, rows, side="right") - 1] = True
-        return mask
+    def changed_segments(
+        self, weights: _Floats, offsets: Optional[npt.NDArray[Any]] = None
+    ) -> npt.NDArray[np.bool_]:
+        """Mask of the slots of the CSR ``offsets`` (default: these tables'
+        own) whose degree or row weights differ from these tables'; slots
+        appended past these tables' count are changed.
+
+        ``offsets`` must number the slots as these tables do: rows inserted
+        and deleted, slots appended, none compacted away
+        (:attr:`~repro.relational.index.SortedIndex.compactions` tells).
+        Slots whose degree moved cut the CSR into runs over which every
+        offset shifts by one constant, so each run's weights compare as two
+        slices: O(rows) comparisons, O(changed slots) Python.
+        """
+        old = self.offsets
+        offsets = old if offsets is None else np.asarray(offsets)
+        n_old = self.n_segments
+        if len(offsets) - 1 < n_old:
+            raise ValueError("slots were compacted away; build new tables")
+        changed = np.ones(len(offsets) - 1, dtype=bool)
+        changed[:n_old] = np.diff(old) != np.diff(offsets[: n_old + 1])
+        cuts = np.flatnonzero(changed[:n_old]).tolist()
+        moved: list[_Indices] = []
+        for first, end in zip([0] + [cut + 1 for cut in cuts], cuts + [n_old]):
+            lo, hi = int(old[first]), int(old[end])
+            shift = int(offsets[first]) - lo
+            differ = self.weights[lo:hi] != weights[lo + shift : hi + shift]
+            moved.append(np.flatnonzero(differ) + lo)
+        rows = np.concatenate(moved)
+        changed[np.searchsorted(old, rows.astype(old.dtype), side="right") - 1] = True
+        return changed
 
     def patched(self, weights: npt.NDArray[Any]) -> "SegmentTables":
         """These tables over new row weights of the same CSR, as new tables.
@@ -342,13 +391,54 @@ class SegmentTables:
         changed = self.changed_segments(w)
         if not changed.any():
             return self
-        tables = SegmentTables(w, self.offsets)
+        tables = self._carried(w, self.offsets, changed)
         kept_rows = np.repeat(~changed, np.diff(self.offsets))
         with self._lock:
             tables.prob[kept_rows] = self.prob[kept_rows]
             tables.alias[kept_rows] = self.alias[kept_rows]
             tables.built[~changed] = self.built[~changed]
         tables.complete = bool(tables.built.all())
+        return tables
+
+    def reshaped(self, weights: npt.NDArray[Any], offsets: npt.NDArray[Any]) -> "SegmentTables":
+        """New tables over the CSR these tables' CSR became by deltas that
+        renumbered no slot (see :meth:`changed_segments`).
+
+        Equal to ``SegmentTables(weights, offsets)`` field for field, at the
+        cost of the delta: only the changed and appended segments are
+        reduced.  Like fresh tables, they have built nothing but the uniform
+        segments (a dirty edge's views start cold), and nothing of ``self``
+        is written.
+        """
+        w = np.asarray(weights, dtype=float)
+        offsets = np.asarray(offsets)
+        return self._carried(w, offsets, self.changed_segments(w, offsets))
+
+    def _carried(
+        self, w: _Floats, offsets: npt.NDArray[Any], changed: npt.NDArray[np.bool_]
+    ) -> "SegmentTables":
+        """Fresh tables over ``w``/``offsets`` that reduce the ``changed``
+        slots and take every other slot's total and uniform flag from these
+        tables."""
+        kept = np.flatnonzero(~changed)
+        segment_totals = np.zeros(changed.size, dtype=float)
+        uniform = np.ones(changed.size, dtype=bool)
+        segment_totals[kept] = self.segment_totals[kept]
+        uniform[kept] = self.uniform[kept]
+        slots = np.flatnonzero(changed)
+        starts = np.asarray(offsets[slots], dtype=np.intp)
+        degrees = np.asarray(offsets[slots + 1], dtype=np.intp) - starts
+        nonempty = degrees > 0
+        slots, starts, degrees = slots[nonempty], starts[nonempty], degrees[nonempty]
+        if slots.size:
+            # The changed segments' rows laid end to end: each reduces over
+            # exactly the values a whole-CSR reduceat gives it.
+            ends = np.cumsum(degrees)
+            firsts = ends - degrees
+            rows = np.arange(int(ends[-1]), dtype=np.intp) + np.repeat(starts - firsts, degrees)
+            segment_totals[slots], uniform[slots] = _reduce_segments(w[rows], firsts)
+        tables = SegmentTables.__new__(SegmentTables)
+        tables._start(w, offsets, segment_totals, uniform)
         return tables
 
     def cold_pick(self, slots: _Indices, u: _Floats) -> _Indices:

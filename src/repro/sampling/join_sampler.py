@@ -136,7 +136,9 @@ class _LevelPlan:
       by every sampler of the snapshot (each draws through its own
       :class:`~repro.sampling.alias.SegmentedAliasTable` view); its
       ``segment_totals`` double as the realized weight sums driving the
-      accept/reject test.
+      accept/reject test;
+    * ``compactions`` is the count of ``csr``'s compactions the tables were
+      laid out under: while it holds, their slot ids are still ``csr``'s.
     """
 
     node: JoinTreeNode
@@ -145,6 +147,7 @@ class _LevelPlan:
     csr: SortedIndex
     tables: SegmentTables
     bound: Optional[float]
+    compactions: int
 
 
 class _Descent:
@@ -211,17 +214,34 @@ class _Descent:
             return self._root_cumulative
 
     def _build_plan(
-        self, node: JoinTreeNode, parent: JoinTreeNode, parent_slots: IntArray
+        self,
+        node: JoinTreeNode,
+        parent: JoinTreeNode,
+        parent_slots: IntArray,
+        previous: Optional[_LevelPlan] = None,
     ) -> _LevelPlan:
+        """The level plan of one edge; ``previous`` is the edge's plan of an
+        earlier snapshot, whose tables are reshaped when the CSR they were
+        laid out over is still the relation's, with the same slot ids."""
         query = self.weight_function.query
         csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
+        weights = self._csr_weights(node, csr)
+        if (
+            previous is not None
+            and previous.csr is csr
+            and previous.compactions == csr.compactions
+        ):
+            tables = previous.tables.reshaped(weights, csr.offsets)
+        else:
+            tables = SegmentTables(weights, csr.offsets)
         return _LevelPlan(
             node=node,
             parent=parent,
             parent_slots=parent_slots,
             csr=csr,
-            tables=SegmentTables(self._csr_weights(node, csr), csr.offsets),
+            tables=tables,
             bound=self.weight_function.acceptance_bound(node),
+            compactions=csr.compactions,
         )
 
     def _csr_weights(self, node: JoinTreeNode, csr: SortedIndex) -> npt.NDArray[np.float64]:
@@ -235,12 +255,15 @@ class _Descent:
         The weights are refreshed incrementally
         (:meth:`~repro.sampling.weights.WeightFunction.refreshed`) and the
         root alias is reused when the root weights did not move.  An edge
-        whose own relations mutated gets a fresh plan (its CSR layout and/or
-        edge map changed).  An edge whose endpoints are untouched keeps its
-        CSR and edge map by reference — but its child weights
-        summarize the child's whole *subtree*, so a delta further down can
-        move them: :meth:`SegmentTables.patched` copies its tables, resetting
-        only the dirtied segments.  Plans never built stay unbuilt.
+        whose own relations mutated gets a new plan (its CSR layout and/or
+        edge map changed), with its tables reshaped from the last ones
+        (:meth:`SegmentTables.reshaped`) while the CSR's slot ids survive,
+        built anew after a compaction or a rebuilt index.  An edge whose
+        endpoints are untouched keeps its CSR and edge map by reference —
+        but its child weights summarize the child's whole *subtree*, so a
+        delta further down can move them: :meth:`SegmentTables.patched`
+        copies its tables, resetting only the dirtied segments.  Plans never
+        built stay unbuilt.
         """
         successor = _Descent(self.weight_function.refreshed(), previous=self)
         dirty = {
@@ -257,7 +280,10 @@ class _Descent:
         if plan.node.relation in dirty or plan.parent.relation in dirty:
             query = self.weight_function.query
             return self._build_plan(
-                plan.node, plan.parent, query.edge_slots(plan.parent.relation, plan.node)
+                plan.node,
+                plan.parent,
+                query.edge_slots(plan.parent.relation, plan.node),
+                previous=plan,
             )
         return dataclasses.replace(
             plan,

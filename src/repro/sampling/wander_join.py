@@ -64,12 +64,6 @@ class SizeEstimate:
     half_width: float
 
     @property
-    def standard_error(self) -> float:
-        if self.walks == 0:
-            return float("inf")
-        return math.sqrt(self.variance / self.walks)
-
-    @property
     def relative_half_width(self) -> float:
         if self.estimate == 0:
             return float("inf")

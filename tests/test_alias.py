@@ -19,13 +19,14 @@ Two layers of guarantees:
 * **one table per snapshot, one set of decisions per sampler** — views of
   shared tables build each segment at most once and draw exactly what a
   view of private tables draws; a patch leaves the published tables as
-  they were.
+  they were, and a reshape over an edited CSR equals fresh tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sampling.alias import (
     _SMALL_SEGMENT,
@@ -198,6 +199,78 @@ class TestSegmentRebuild:
             np.random.default_rng(0), np.array([0, 2, 0, 2], dtype=np.intp)
         )
         assert ((picks < 2) | (picks >= 2)).all()
+
+
+_TABLE_FIELDS = ("offsets", "weights", "segment_totals", "uniform", "prob", "alias", "built")
+
+
+def assert_same_tables(got, expected):
+    """Field for field, bytes and dtypes included."""
+    for field in _TABLE_FIELDS:
+        a, b = getattr(got, field), getattr(expected, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+    assert got.complete == expected.complete
+
+
+_weights = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0]),  # uniform and zero-weight rows
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+_segments = st.lists(st.lists(_weights, max_size=9), min_size=1, max_size=24)
+
+
+def _edited(data, segments):
+    """One delta's worth of edits: every old segment kept, reweighted in
+    place, grown, shrunk or emptied; then slots appended."""
+    edited = []
+    for rows in segments:
+        rows = list(rows)
+        kind = data.draw(
+            st.sampled_from(["keep", "keep", "reweight", "insert", "delete", "empty"])
+        )
+        if kind == "reweight" and rows:
+            rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(_weights)
+        elif kind == "insert":
+            for weight in data.draw(st.lists(_weights, min_size=1, max_size=3)):
+                rows.insert(data.draw(st.integers(0, len(rows))), weight)
+        elif kind == "delete" and rows:
+            del rows[data.draw(st.integers(0, len(rows) - 1))]
+        elif kind == "empty":
+            rows = []
+        edited.append(rows)
+    return edited + data.draw(st.lists(st.lists(_weights, max_size=5), max_size=4))
+
+
+def _csr(segments, dtype):
+    offsets = np.cumsum([0] + [len(rows) for rows in segments]).astype(dtype)
+    return np.array([w for rows in segments for w in rows], dtype=float), offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_segments, st.sampled_from([np.int16, np.int32, np.intp]), st.booleans(), st.data())
+def test_reshaped_tables_equal_fresh_tables(segments, dtype, warm, data):
+    """Across random CSR edits (row inserts and deletes, appended and
+    emptied slots, weight changes inside same-degree segments, zero-weight
+    rows), two reshapes in a row give exactly ``SegmentTables(weights,
+    offsets)`` and write nothing of the tables they start from."""
+    tables = SegmentTables(*_csr(segments, dtype))
+    for _ in range(2):
+        if warm:
+            tables.build_all()  # built tables must not leak into the reshape
+        before = [getattr(tables, field).copy() for field in _TABLE_FIELDS]
+        segments = _edited(data, segments)
+        weights, offsets = _csr(segments, dtype)
+        reshaped = tables.reshaped(weights, offsets)
+        assert_same_tables(reshaped, SegmentTables(weights, offsets))
+        for field, kept in zip(_TABLE_FIELDS, before):
+            assert np.array_equal(getattr(tables, field), kept), field
+        tables = reshaped
+
+
+def test_a_reshape_rejects_compacted_slots():
+    tables = SegmentTables(np.ones(4), np.array([0, 2, 4]))
+    with pytest.raises(ValueError, match="compacted"):
+        tables.reshaped(np.ones(4), np.array([0, 4]))
 
 
 def random_layout(seed, n_segments=60, max_degree=9, zero_share=0.25):

@@ -191,3 +191,117 @@ def test_edge_map_equals_scalar_slot_lookups(case):
 
     parent.delete_rows(range(0, len(parent), 2))
     _assert_edge_map_matches_scalar_lookups(query, attrs)
+
+
+# ------------------------------------------------- maintained batch lookup
+def _assert_lookup_is_a_rebuild(index):
+    """The lookup ``apply_delta`` kept (None: dropped) is the one a rebuild
+    over the current key set gives, dtype and bounds included."""
+    kept = index._sorted_lookup
+    if kept is None:
+        return
+    rebuilt = index._build_sorted_lookup()
+    if rebuilt == ():
+        assert kept == ()
+        return
+    assert kept != () and (kept.kind, kept.low) == (rebuilt.kind, rebuilt.low)
+    assert kept.keys.dtype == rebuilt.keys.dtype
+    assert kept.keys.tolist() == rebuilt.keys.tolist()
+    assert (kept.slots is None) == (rebuilt.slots is None)
+    if kept.slots is not None:
+        assert kept.slots.tolist() == rebuilt.slots.tolist()
+
+
+#: typed probes around and far outside the keys of the property below
+_INT_PROBES = np.arange(-40, 100, dtype=np.int64)
+
+
+def _assert_slots_are_dict_lookups(relation, index):
+    keys = relation.column("k")
+    column = relation.join_key_array(("k",))
+    assert index.slots_for(column).tolist() == [index.slot(k) for k in keys]
+    probes = np.concatenate([_INT_PROBES, [10_000, -10_000]])
+    assert index.slots_for(probes).tolist() == [index.slot(int(p)) for p in probes]
+
+
+_dense_keys = st.integers(-30, 90)  # inside or next to the dense range
+_new_keys = st.one_of(
+    _dense_keys,
+    st.sampled_from([10_000, -10_000]),  # pushes the span past DENSE_SPAN
+    st.sampled_from([True, 1.0, 2**63, -(2**63), 2**63 - 1, "a\x00", "a", 0.5]),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(_dense_keys, min_size=1, max_size=8)),
+        st.tuples(st.just("insert"), st.lists(_new_keys, min_size=1, max_size=8)),
+        # positions modulo the relation's size at the time of the delete
+        st.tuples(st.just("delete"), st.lists(st.integers(0, 999), min_size=1, max_size=8)),
+        # every row of the keys of one parity: often enough emptied slots
+        # for a compaction
+        st.tuples(st.just("purge"), st.integers(0, 1)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-20, 60), min_size=20, max_size=60, unique=True), _ops)
+def test_maintained_lookup_equals_a_rebuild(initial, ops):
+    """After any sequence of ``apply_delta`` batches (appended dense ints,
+    keys that push the span past ``DENSE_SPAN``, ``True``/``1.0``/``2**63``/
+    NUL-suffixed keys, deletes that empty slots, compactions), the kept
+    batch lookup equals ``_build_sorted_lookup()`` and ``slots_for`` equals
+    dict lookups, on the typed column and on int probes."""
+    relation = Relation("R", ["k", "id"], [(key, i) for i, key in enumerate(initial)])
+    index = relation.index_on("k")
+    for op, arg in ops:
+        index.slots_for(_INT_PROBES)  # a lookup to maintain, if the keys form one
+        if op == "insert":
+            relation.extend((key, -1) for key in arg)
+        elif op == "delete" and len(relation):
+            relation.delete_rows({p % len(relation) for p in arg})
+        elif op == "purge":
+            keys = relation.column("k")
+            relation.delete_rows(
+                [i for i, k in enumerate(keys) if type(k) is int and k % 2 == arg][:64]
+            )
+        assert relation.index_on("k") is index  # patched, not rebuilt
+        _assert_lookup_is_a_rebuild(index)
+        _assert_slots_are_dict_lookups(relation, index)
+
+
+def test_appended_dense_keys_extend_the_direct_table():
+    """New int keys inside the dense rules widen the table in place of a
+    rebuild; a key that pushes the span past them, or a compaction, drops
+    the lookup until the next batch call."""
+    relation = Relation("R", ["k", "id"], [(key, key) for key in range(40)])
+    index = relation.index_on("k")
+    index.slots_for(_INT_PROBES)
+    relation.extend([(-3, 0), (41, 0), (45, 0)])
+    assert relation.index_on("k") is index  # flushes the coalesced inserts
+    assert index._sorted_lookup is not None and index._sorted_lookup.slots is None
+    _assert_lookup_is_a_rebuild(index)
+    assert index.slots_for(np.asarray([-3, 41, 45, 44])).tolist() == [40, 41, 42, -1]
+
+    relation.extend([(10_000, 0)])
+    relation.index_on("k")
+    assert index._sorted_lookup is None
+    index.slots_for(_INT_PROBES)
+    assert index._sorted_lookup.slots is not None  # sorted keys now
+
+    compactions = index.compactions
+    relation.delete_rows(range(30))
+    assert index.compactions == compactions + 1 and index._sorted_lookup is None
+
+
+def test_an_extended_table_widens_its_dtype_with_the_key_count():
+    """The table holds slot ids in the smallest index dtype of the key
+    count, like a rebuild: the 32 768th key moves it from int16 to int32."""
+    n = int(np.iinfo(np.int16).max)
+    index = SortedIndex.build(range(n), "k")
+    index.slots_for(np.arange(3))
+    assert index._sorted_lookup.keys.dtype == np.int16
+    index.apply_delta(removed=[], moved=[], added=[(n, n)], old_row_count=n)
+    assert index._sorted_lookup.keys.dtype == np.int32
+    _assert_lookup_is_a_rebuild(index)
+    assert index.slots_for(np.asarray([n, n - 1])).tolist() == [n, n - 1]

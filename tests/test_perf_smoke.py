@@ -352,6 +352,37 @@ def test_a_refresh_batch_rebuilds_only_the_edges_it_touches(monkeypatch):
     assert query.edge_slots("nation", nation_edge) is kept
 
 
+def test_a_refresh_batch_rebuilds_no_key_lookup_and_no_level_tables(monkeypatch):
+    """An RF batch on the order chain appends dense orderkeys and moves a
+    few dozen segments: each refresh widens the lineitem key lookup instead
+    of rebuilding it (no ``_build_sorted_lookup``) and reshapes the
+    ``orders``/``lineitem`` levels' tables (no ``SegmentTables`` built from
+    scratch), for EW and EO samplers alike, batch after batch."""
+    from repro.dynamic import apply_batch, build_order_stream_scenario
+    from repro.relational.index import SortedIndex
+    from repro.sampling.alias import SegmentTables
+
+    tables, query, stream = build_order_stream_scenario(0.001, seed=3, orders_per_batch=16)
+    samplers = [JoinSampler(query, weights=w, seed=61) for w in ("ew", "eo")]
+    for sampler in samplers:
+        sampler.sample_block(500)
+    built = []
+    for owner, name in ((SortedIndex, "_build_sorted_lookup"), (SegmentTables, "__init__")):
+        original = getattr(owner, name)
+
+        def spy(obj, *args, _original=original, _name=name):
+            built.append(_name)
+            return _original(obj, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    for _ in range(3):
+        apply_batch(tables, stream.batch())
+        for sampler in samplers:
+            assert sampler.refresh()
+            sampler.sample_block(500)
+    assert built == []
+
+
 def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     """A draw's first touch never builds a small segment's alias table: it is
     served cold, and tables appear only when ``build_all`` runs (``warm()``,

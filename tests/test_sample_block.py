@@ -245,7 +245,8 @@ class TestEpochPlanPatching:
         assert dirty.any() and not dirty.all()
         for built in (plans_after[0].tables.built, sampler._views[0]._built):
             assert not built[dirty].any() and built[~dirty].all()
-        # The S->T edge's own child mutated: that plan was rebuilt fresh.
+        # The S->T edge's own child mutated: it got a new plan, its tables
+        # reshaped over T's grown CSR.
         assert plans_after[1].csr is chain_query.relation("T").sorted_index_on_columns(["c"])
         assert plans_after[1].tables is not plans_before[1].tables
 
@@ -491,6 +492,47 @@ class TestBrokenDescentChains:
         assert set(counts) == set(population)
         expected = len(block) / len(population)
         assert all(abs(n - expected) < 0.15 * expected for n in counts.values()), counts
+
+
+class TestRefreshBatchesReshape:
+    """An RF batch widens the key lookup and reshapes the dirty edges'
+    tables instead of rebuilding them; the blocks drawn after each batch are
+    byte for byte those that rebuilt lookups and fresh tables give."""
+
+    @staticmethod
+    def _digests(weights, batches=5):
+        from repro.dynamic import apply_batch, build_order_stream_scenario
+
+        tables, query, stream = build_order_stream_scenario(0.001, seed=13, orders_per_batch=24)
+        sampler = JoinSampler(query, weights=weights, seed=19)
+        sampler.sample_block(1000)
+        digests = []
+        for _ in range(batches):
+            apply_batch(tables, stream.batch())
+            block = sampler.sample_block(1000)
+            digests.append(b"".join(block.positions[n].tobytes() for n in block.relation_order))
+        return digests
+
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    def test_blocks_after_rf_batches_match_fresh_tables(self, weights, monkeypatch):
+        from repro.relational.index import SortedIndex
+        from repro.sampling.alias import SegmentTables
+
+        reshapes = []
+        reshaped = SegmentTables.reshaped
+
+        def spy(tables, *args):
+            reshapes.append(tables)
+            return reshaped(tables, *args)
+
+        monkeypatch.setattr(SegmentTables, "reshaped", spy)
+        maintained = self._digests(weights)
+        assert len(reshapes) == 2 * 5  # both levels, every batch
+        monkeypatch.setattr(
+            SegmentTables, "reshaped", lambda _, w, offsets: SegmentTables(w, offsets)
+        )
+        monkeypatch.setattr(SortedIndex, "_extended_lookup", lambda index, keys: None)
+        assert self._digests(weights) == maintained
 
 
 # ---------------------------------------------------------------- dtype audit
