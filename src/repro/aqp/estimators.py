@@ -48,10 +48,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.relational.columnar import as_column_array
+from repro.relational.predicates import Predicate
 from repro.sampling.wander_join import z_value
 from repro.utils.rng import RandomState, ensure_rng
 
 AGGREGATE_KINDS = ("count", "sum", "avg")
+#: an aggregate's filter (see AggregateSpec.where)
+Where = Predicate | Callable[[Mapping[str, object]], bool]
 
 #: Group key used when no GROUP BY is requested.
 GLOBAL_GROUP: Tuple = ()
@@ -69,15 +73,17 @@ class AggregateSpec:
         Output attribute the aggregate runs over (required for SUM/AVG,
         ignored for COUNT).
     where:
-        Optional predicate over ``{output attribute: value}`` dicts; results
-        failing it contribute nothing (``COUNT(*) FILTER (WHERE ...)``).
+        Optional filter; results failing it contribute nothing (``COUNT(*)
+        FILTER (WHERE ...)``): a ``Predicate`` over the output attributes
+        (masked per block; it pickles), or a callable on ``{output
+        attribute: value}`` dicts, called once per result.
     group_by:
         Optional output attribute (or tuple of attributes) to group by.
     """
 
     kind: str
     attribute: Optional[str] = None
-    where: Optional[Callable[[Mapping[str, object]], bool]] = None
+    where: Optional[Where] = None
     group_by: Optional[Tuple[str, ...] | str] = None
 
     def __post_init__(self) -> None:
@@ -372,13 +378,13 @@ class AggregateAccumulator:
             raise ValueError("weights must align with values")
         self.attempts += int(attempts)
         self.accepted += len(values)
-        where = self.spec.where
+        passed = _where_mask(self.spec.where, self.schema, values)
         index: Dict[Tuple, int] = {}
         inverse: List[int] = []
         w_list: List[float] = []
         g_list: List[float] = []
         for i, value in enumerate(values):
-            if where is not None and not where(dict(zip(self.schema, value))):
+            if passed is not None and not passed[i]:
                 continue
             w_list.append(float(weight if weights is None else weights[i]))  # type: ignore[arg-type]
             g_list.append(1.0 if self._value_pos is None else float(value[self._value_pos]))
@@ -406,11 +412,9 @@ class AggregateAccumulator:
         **bit-identical** to what :meth:`observe` would store for the boxed
         equivalent of the block, so the exactly-rounded merge law is
         preserved: mixing ``observe`` and ``ingest_block`` chunks in any
-        order yields the same estimates.
-
-        A ``where`` callable may expose a vectorized twin as a ``columnar``
-        attribute (``columnar(name -> array) -> bool mask``); plain row
-        callables fall back to one Python pass over the zipped columns.
+        order yields the same estimates.  A ``where`` predicate is one
+        :meth:`~repro.relational.predicates.Predicate.mask` over the named
+        columns; a plain callable costs one Python pass over the rows.
         """
         columns = [np.asarray(c) for c in columns]
         if len(columns) != len(self.schema):
@@ -437,24 +441,9 @@ class AggregateAccumulator:
         if k == 0:
             return
 
-        mask: Optional[np.ndarray] = None
-        where = self.spec.where
-        if where is not None:
-            columnar = getattr(where, "columnar", None)
-            if callable(columnar):
-                named = dict(zip(self.schema, columns))
-                mask = np.asarray(columnar(named), dtype=bool)
-                if mask.shape != (k,):
-                    raise ValueError("columnar where must return one bool per sample")
-            else:
-                rows = zip(*(c.tolist() for c in columns))
-                mask = np.fromiter(
-                    (bool(where(dict(zip(self.schema, row)))) for row in rows),
-                    dtype=bool,
-                    count=k,
-                )
-            if not bool(mask.any()):
-                return
+        mask = _where_mask(self.spec.where, self.schema, columns=columns)
+        if mask is not None and not bool(mask.any()):
+            return
 
         if self._value_pos is None:
             g_arr = np.ones(k, dtype=float)
@@ -675,6 +664,29 @@ class AggregateAccumulator:
         )
 
 
+def _where_mask(
+    where: Optional[Where],
+    schema: Sequence[str],
+    rows: Sequence[Tuple] = (),
+    columns: Optional[Sequence[np.ndarray]] = None,
+) -> Optional[np.ndarray]:
+    """Per result — value tuples ``rows``, or a block of ``columns`` — whether
+    it passes ``where`` (None: no filter): a predicate's mask over the named
+    columns, or one call of a plain callable per ``{attribute: value}`` dict."""
+    if where is None:
+        return None
+    if columns is None:
+        columns = [as_column_array(c) for c in zip(*rows)] or [np.empty(0)] * len(schema)
+    if isinstance(where, Predicate):
+        return where.mask(dict(zip(schema, columns)))
+    records = zip(*(column.tolist() for column in columns))
+    return np.fromiter(
+        (bool(where(dict(zip(schema, row)))) for row in records),
+        dtype=bool,
+        count=len(columns[0]),
+    )
+
+
 def exact_aggregate(
     values: Sequence[Tuple],
     spec: AggregateSpec,
@@ -693,8 +705,9 @@ def exact_aggregate(
     group_pos = tuple(positions[a] for a in spec.group_attributes)
     sums: Dict[Tuple, List[float]] = {}
     counts: Dict[Tuple, int] = {}
-    for value in values:
-        if spec.where is not None and not spec.where(dict(zip(schema, value))):
+    passed = _where_mask(spec.where, schema, values)
+    for i, value in enumerate(values):
+        if passed is not None and not passed[i]:
             continue
         key = tuple(value[p] for p in group_pos)
         g = 1.0 if value_pos is None else float(value[value_pos])

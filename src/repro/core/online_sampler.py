@@ -140,7 +140,7 @@ class OnlineUnionSampler(UnionSamplerBase):
             for name, sampler in self.join_samplers.items()
             if (size := sampler.exact_size()) is not None
             and not sampler.tree.residual_conditions
-            and not sampler.query.unpushed_predicates
+            and not sampler.query.row_masks()
         }
         return HistogramUnionEstimator(
             self.queries, join_size_method="eo", exact_join_sizes=exact

@@ -74,6 +74,8 @@ def apply_batch(tables: Dict[str, Relation], batch: UpdateBatch) -> Dict[str, in
     rather than one per event — the difference between touching a large index
     bucket once and touching it once per deleted key.  Event order is still
     honoured: a group is flushed before any insert into the same tables.
+    The batch's trailing inserts are applied before returning, so the batch,
+    not the relation's next reader, pays for their maintenance.
     """
     inserted = deleted = 0
     doomed: Dict[str, set] = {}
@@ -94,6 +96,8 @@ def apply_batch(tables: Dict[str, Relation], batch: UpdateBatch) -> Dict[str, in
             positions = relation.index_on(event.attribute).positions(event.value)
             doomed.setdefault(event.relation, set()).update(positions.tolist())
     flush()
+    for name in {event.relation for event in batch.events if isinstance(event, InsertEvent)}:
+        tables[name].flush()
     return {"inserted": inserted, "deleted": deleted}
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery, check_union_compatible
 
@@ -27,7 +29,7 @@ def iterate_join_assignments(query: JoinQuery) -> Iterator[Dict[str, int]]:
     """
     tree = query.join_tree()
     root_rel = query.relation(tree.root.relation)
-    filtered = query.unpushed_predicates
+    admitted = query.row_masks()
     assignment: Dict[str, int] = {}
 
     def bind_subtree(node: JoinTreeNode) -> Iterator[None]:
@@ -47,10 +49,10 @@ def iterate_join_assignments(query: JoinQuery) -> Iterator[Dict[str, int]]:
             child_rel = query.relation(child.relation)
             key = parent_rel.project_row(assignment[node.relation], child.parent_attributes)
             lookup = key if len(key) > 1 else key[0]
-            index = child_rel.index_on_columns(child.child_attributes)
-            for pos in index.positions(lookup).tolist():
-                if child.relation in filtered and not query.admits_row(child.relation, pos):
-                    continue
+            positions = child_rel.index_on_columns(child.child_attributes).positions(lookup)
+            if child.relation in admitted:
+                positions = positions[admitted[child.relation][positions]]
+            for pos in positions.tolist():
                 assignment[child.relation] = pos
                 for _ in bind_subtree(child):
                     yield from bind_children(idx + 1)
@@ -58,9 +60,8 @@ def iterate_join_assignments(query: JoinQuery) -> Iterator[Dict[str, int]]:
 
         yield from bind_children(0)
 
-    for root_pos in range(len(root_rel)):
-        if tree.root.relation in filtered and not query.admits_row(tree.root.relation, root_pos):
-            continue
+    root = admitted.get(tree.root.relation)
+    for root_pos in range(len(root_rel)) if root is None else np.flatnonzero(root).tolist():
         assignment.clear()
         assignment[tree.root.relation] = root_pos
         for _ in bind_subtree(tree.root):

@@ -51,7 +51,8 @@ once per snapshot (:func:`probe_plan`): a level whose relation and parent did
 not mutate is carried into the next snapshot's plan as it is.
 
 Predicates that were not pushed down (§8.3, second alternative) are checked
-on every bound row by both, so the answer is membership in what the sampler
+on every bound row by both, through the query's per-snapshot row masks
+(``JoinQuery.row_masks``), so the answer is membership in what the sampler
 can produce.
 
 :class:`UnionMembershipIndex` holds one prober per join of a union and the
@@ -105,8 +106,9 @@ class ProbeLevel(NamedTuple):
     row_slot: Optional[IntArray]
     #: (column, output position) for the constraints the seed leaves to check
     checks: Tuple[Tuple[npt.NDArray[Any], int], ...]
-    #: rows must pass a predicate that was not pushed down
-    filtered: bool
+    #: which rows pass the relation's unpushed predicate (None: no predicate;
+    #: the query's per-snapshot row mask, see ``JoinQuery.row_masks``)
+    admitted: Optional[BoolArray]
     #: relations whose bound rows a later level or a residual condition reads
     live: FrozenSet[str]
     #: the (relation, parent) versions the level was built under
@@ -214,7 +216,7 @@ def _build_level(
         edge=edge,
         row_slot=row_slot,
         checks=tuple((relation.column_array(attr), position) for attr, position in checks),
-        filtered=node.relation in query.unpushed_predicates,
+        admitted=query.row_masks().get(node.relation),
         live=live,
         versions=versions,
     )
@@ -307,8 +309,9 @@ class JoinMembershipProber:
             positions = relation.index_on(attr).positions(value[out_pos]).tolist()
         else:
             positions = range(len(relation))
-        if relation_name in self.query.unpushed_predicates:
-            positions = [p for p in positions if self.query.admits_row(relation_name, p)]
+        admitted = self.query.row_masks().get(relation_name)
+        if admitted is not None:
+            positions = [p for p in positions if admitted[p]]
         if not constraints:
             return list(positions)
         matched = []
@@ -410,14 +413,8 @@ class JoinMembershipProber:
             for column, out_pos in level.checks:
                 keep = equal_values(column[positions], fields[out_pos][value_ids[origin]])
                 origin, positions = origin[keep], positions[keep]
-            if level.filtered:
-                rows, row_of = np.unique(positions, return_inverse=True)
-                admitted = np.fromiter(
-                    (self.query.admits_row(level.node.relation, p) for p in rows.tolist()),
-                    dtype=bool,
-                    count=len(rows),
-                )
-                keep = admitted[row_of]
+            if level.admitted is not None:
+                keep = level.admitted[positions]
                 origin, positions = origin[keep], positions[keep]
             if len(origin) == 0:
                 return origin

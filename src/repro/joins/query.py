@@ -31,7 +31,7 @@ from typing import (
 
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.relational.index import IntArray, smallest_index_dtype
-from repro.relational.predicates import Predicate
+from repro.relational.predicates import BoolArray, Predicate
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
@@ -338,19 +338,32 @@ class JoinQuery:
             values.append(rel.value(assignment[out.relation], out.attribute))
         return tuple(values)
 
-    @property
-    def unpushed_predicates(self) -> Dict[str, Predicate]:
-        """The predicates left to check on bound rows (§8.3, second
-        alternative): all of them when they were not pushed down, else none."""
-        return {} if self.push_down_predicates else self.predicates
+    def row_masks(self) -> Dict[str, BoolArray]:
+        """Relation name -> which of its rows pass its predicate, for the
+        predicates left to check on bound rows (§8.3, second alternative):
+        all of them when they were not pushed down, else none.
 
-    def admits_row(self, relation_name: str, position: int) -> bool:
-        """Whether the row passes its relation's not-pushed-down predicate."""
-        predicate = self.unpushed_predicates.get(relation_name)
-        if predicate is None:
-            return True
-        relation = self._relations[relation_name]
-        return predicate.evaluate(relation.row(position), relation.schema)
+        Every such check (samplers, membership probes, executor) gathers
+        ``mask[positions]`` from these.  Each is one ``Predicate.mask`` over
+        the relation's columns, kept read-only per snapshot (:meth:`derived`)
+        and across mutations of other relations.
+        """
+        if self.push_down_predicates:
+            return {}
+        return {name: self._row_mask(name) for name in self.predicates}
+
+    def _row_mask(self, name: str) -> BoolArray:
+        relation = self._relations[name]
+
+        def build() -> Tuple[int, BoolArray]:
+            version, mask = relation.version, relation.mask(self.predicates[name])
+            mask.setflags(write=False)
+            return version, mask
+
+        def patch(last: Tuple[int, BoolArray]) -> Tuple[int, BoolArray]:
+            return last if last[0] == relation.version else build()
+
+        return self.derived(("row_mask", name), build, patch)[1]
 
     def aligns_with(self, other: "JoinQuery") -> bool:
         """True when both queries produce the same standardized output schema."""

@@ -73,8 +73,9 @@ class ShardTask:
         The shard's independent :class:`numpy.random.SeedSequence` child.
     spec:
         Aggregate to accumulate, or ``None`` for plain sampling.  Process
-        execution requires the spec (notably its ``where`` callable) to be
-        picklable; the pool falls back to threads otherwise.
+        execution requires the spec to be picklable: a ``where``
+        :class:`~repro.relational.predicates.Predicate` is, a lambda is not,
+        and the pool falls back to threads for it.
     max_attempts:
         Attempt budget forwarded to the underlying sampler.
     """
@@ -128,8 +129,8 @@ class ShardResult:
     worker_attempt: int = 0
     #: blake2b digest over the payload, computed by the worker just before
     #: hand-off and re-verified by the coordinator before merging; ``None``
-    #: when the payload is unpicklable (lambda predicates) and the check is
-    #: skipped
+    #: when the payload is unpicklable (a ``where`` given as a lambda rather
+    #: than a ``Predicate``) and the check is skipped
     checksum: Optional[str] = None
 
     def fingerprint(self) -> Optional[str]:
@@ -253,8 +254,8 @@ def verify_shard_result(
     a mismatch *with* a live version bump is a genuine mutation epoch and is
     left to the pool's epoch guard), and the **payload checksum** (the
     worker's sealed digest must reproduce on the coordinator's side).
-    Unpicklable payloads (lambda predicates) carry no checksum; the cheaper
-    echoes still apply.
+    Unpicklable payloads (a lambda ``where`` instead of a ``Predicate``)
+    carry no checksum; the cheaper echoes still apply.
     """
     if result.shard_id != task.shard_id:
         return (

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 
@@ -76,7 +77,7 @@ def natural_join(left: Relation, right: Relation, name: Optional[str] = None) ->
     return Relation(name or f"{left.name}_njoin_{right.name}", out_schema, out_rows)
 
 
-def selection(relation: Relation, predicate, name: Optional[str] = None) -> Relation:
+def selection(relation: Relation, predicate: Predicate, name: Optional[str] = None) -> Relation:
     """Rows of ``relation`` satisfying ``predicate`` (see relational.predicates)."""
     return relation.select(predicate, name=name)
 

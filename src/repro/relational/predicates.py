@@ -4,7 +4,12 @@ Paper §8.3 supports selection predicates either by pushing them down into
 base relations before sampling, or by checking them during sampling with an
 extra rejection factor.  Both paths need a small predicate algebra, which this
 module provides: comparisons, membership, range, conjunction, disjunction and
-negation, all evaluated against a row + schema pair.
+negation.  :meth:`Predicate.mask` is the one evaluator: over a block of rows
+given as one array per attribute, one bool per row.  A comparison is one
+NumPy operation when the column's dtype kind is the constant's; otherwise
+(object columns, mixed kinds, ints past int64, NUL-suffixed strings, which
+``<U`` arrays strip) Python's operator runs per element, as in
+``SortedIndex.slots_for``, so ``1 == 1.0 == True`` keeps Python's meaning.
 """
 
 from __future__ import annotations
@@ -12,11 +17,17 @@ from __future__ import annotations
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
-from repro.relational.schema import Schema
+import numpy as np
+import numpy.typing as npt
 
-_COMPARATORS: dict[str, Callable[[object, object], bool]] = {
+Column = npt.NDArray[Any]
+BoolArray = npt.NDArray[np.bool_]
+#: attribute name -> one array per attribute, all of one length
+Columns = Mapping[str, Column]
+
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
     "==": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -25,13 +36,41 @@ _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     ">=": operator.ge,
 }
 
+#: the column dtype kind a constant of each Python type compares natively with
+_NATIVE_KIND = {int: "i", float: "f", bool: "b", str: "U", bytes: "S"}
+
+
+def _native_kind(value: Any) -> Optional[str]:
+    """The column dtype kind ``value`` compares with natively, if any."""
+    kind = _NATIVE_KIND.get(type(value))
+    if kind == "i" and not -(2**63) <= value < 2**63:
+        return None
+    if kind == "U" and value.endswith("\x00") or kind == "S" and value.endswith(b"\x00"):
+        return None
+    return kind
+
+
+def _compare(column: Column, op: str, value: object) -> BoolArray:
+    """``column[i] <op> value`` for every row, with Python's meaning."""
+    compare = _COMPARATORS[op]
+    if column.dtype.kind == _native_kind(value):
+        return np.asarray(compare(column, value), dtype=bool)
+    return np.fromiter(
+        (bool(compare(item, value)) for item in column.tolist()), dtype=bool, count=len(column)
+    )
+
+
+def _length(columns: Columns) -> int:
+    """Rows in a column block (0 when it holds no column)."""
+    return len(next(iter(columns.values()))) if columns else 0
+
 
 class Predicate(ABC):
     """Base class for all selection predicates."""
 
     @abstractmethod
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        """Whether ``row`` (interpreted under ``schema``) satisfies the predicate."""
+    def mask(self, columns: Columns) -> BoolArray:
+        """Per row of ``columns``, whether it satisfies the predicate."""
 
     @abstractmethod
     def attributes(self) -> Tuple[str, ...]:
@@ -47,16 +86,13 @@ class Predicate(ABC):
     def __invert__(self) -> "Predicate":
         return Not(self)
 
-    def __call__(self, row: Sequence, schema: Schema) -> bool:
-        return self.evaluate(row, schema)
-
 
 @dataclass(frozen=True)
 class TruePredicate(Predicate):
     """Predicate that accepts every row (neutral element for conjunction)."""
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return True
+    def mask(self, columns: Columns) -> BoolArray:
+        return np.ones(_length(columns), dtype=bool)
 
     def attributes(self) -> Tuple[str, ...]:
         return ()
@@ -74,8 +110,8 @@ class Comparison(Predicate):
         if self.op not in _COMPARATORS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return _COMPARATORS[self.op](row[schema.position(self.attribute)], self.value)
+    def mask(self, columns: Columns) -> BoolArray:
+        return _compare(columns[self.attribute], self.op, self.value)
 
     def attributes(self) -> Tuple[str, ...]:
         return (self.attribute,)
@@ -92,8 +128,11 @@ class InSet(Predicate):
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "values", frozenset(values))
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return row[schema.position(self.attribute)] in self.values
+    def mask(self, columns: Columns) -> BoolArray:
+        column, values = columns[self.attribute], self.values
+        if all(_native_kind(v) == column.dtype.kind for v in values):
+            return np.isin(column, list(values))
+        return np.fromiter((item in values for item in column.tolist()), bool, len(column))
 
     def attributes(self) -> Tuple[str, ...]:
         return (self.attribute,)
@@ -107,50 +146,44 @@ class Between(Predicate):
     low: object
     high: object
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        value = row[schema.position(self.attribute)]
-        return self.low <= value <= self.high
+    def mask(self, columns: Columns) -> BoolArray:
+        column = columns[self.attribute]
+        return _compare(column, ">=", self.low) & _compare(column, "<=", self.high)
 
     def attributes(self) -> Tuple[str, ...]:
         return (self.attribute,)
 
 
-class And(Predicate):
+class _Connective(Predicate):
+    """The children of an ``And`` (``_all``) or an ``Or``."""
+
+    _all = True
+
+    def __init__(self, children: Iterable[Predicate]) -> None:
+        self.children = tuple(children)
+
+    def mask(self, columns: Columns) -> BoolArray:
+        fold = np.logical_and if self._all else np.logical_or
+        out = np.full(_length(columns), self._all)
+        for child in self.children:
+            out = fold(out, child.mask(columns))
+        return out
+
+    def attributes(self) -> Tuple[str, ...]:
+        return tuple(dict.fromkeys(name for c in self.children for name in c.attributes()))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({list(self.children)!r})"
+
+
+class And(_Connective):
     """Conjunction of predicates (true when all children are true)."""
 
-    def __init__(self, children: Iterable[Predicate]) -> None:
-        self.children = tuple(children)
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return all(child.evaluate(row, schema) for child in self.children)
-
-    def attributes(self) -> Tuple[str, ...]:
-        names: list[str] = []
-        for child in self.children:
-            names.extend(child.attributes())
-        return tuple(dict.fromkeys(names))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"And({list(self.children)!r})"
-
-
-class Or(Predicate):
+class Or(_Connective):
     """Disjunction of predicates (true when any child is true)."""
 
-    def __init__(self, children: Iterable[Predicate]) -> None:
-        self.children = tuple(children)
-
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return any(child.evaluate(row, schema) for child in self.children)
-
-    def attributes(self) -> Tuple[str, ...]:
-        names: list[str] = []
-        for child in self.children:
-            names.extend(child.attributes())
-        return tuple(dict.fromkeys(names))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Or({list(self.children)!r})"
+    _all = False
 
 
 @dataclass(frozen=True)
@@ -159,8 +192,8 @@ class Not(Predicate):
 
     child: Predicate
 
-    def evaluate(self, row: Sequence, schema: Schema) -> bool:
-        return not self.child.evaluate(row, schema)
+    def mask(self, columns: Columns) -> BoolArray:
+        return ~self.child.mask(columns)
 
     def attributes(self) -> Tuple[str, ...]:
         return self.child.attributes()
@@ -174,8 +207,7 @@ def selectivity(predicate: Predicate, relation) -> float:
     """
     if len(relation) == 0:
         return 0.0
-    satisfied = sum(1 for row in relation if predicate.evaluate(row, relation.schema))
-    return satisfied / len(relation)
+    return float(relation.mask(predicate).mean())
 
 
 __all__ = [

@@ -28,11 +28,14 @@ import numpy.typing as npt
 from repro.relational.columnar import as_column_array, patched, tuple_key_array
 from repro.relational.delta import RelationDelta
 from repro.relational.index import SortedIndex
+from repro.relational.predicates import Predicate
 from repro.relational.schema import Attribute, Schema
 from repro.relational.statistics import ColumnStatistics
 
 Row = Tuple[Any, ...]
 Column = npt.NDArray[Any]
+#: the rows an operation applies to: a predicate, or one bool per row
+Selection = Predicate | npt.NDArray[np.bool_]
 
 #: Delta maintenance pays O(Δ · bucket) Python work per cache; once a batch
 #: touches more than this fraction of the relation a full rebuild-on-demand is
@@ -238,6 +241,10 @@ class Relation:
         self._pending_inserts.extend(new_rows)
         self._version += 1
 
+    def flush(self) -> None:
+        """Apply the queued inserts now instead of on the next read."""
+        self._snapshot()
+
     def _flush_pending(self) -> None:
         """Apply the coalesced insert delta queued by append/extend."""
         pending, self._pending_inserts = self._pending_inserts, []
@@ -281,20 +288,22 @@ class Relation:
         )
         return len(unique)
 
-    def _mask(self, predicate: Any) -> npt.NDArray[np.bool_]:
-        """Per-row truth of a ``(row, schema)`` predicate (see :meth:`select`)."""
-        evaluate = getattr(predicate, "evaluate", None) or predicate
-        return np.fromiter(
-            (bool(evaluate(row, self.schema)) for row in self.rows), dtype=bool, count=len(self)
-        )
+    def mask(self, selection: Selection) -> npt.NDArray[np.bool_]:
+        """Per-row truth of ``selection``: a :class:`Predicate`, masked over
+        the columns, or a boolean array with one entry per row, checked and
+        returned as it is."""
+        if isinstance(selection, np.ndarray):
+            if selection.dtype != bool or selection.shape != (len(self),):
+                raise ValueError(
+                    f"a selection mask must be a boolean array of length {len(self)}"
+                )
+            return selection
+        return selection.mask(dict(zip(self.schema.names, self._snapshot())))
 
-    def delete_where(self, predicate: Any) -> int:
-        """Delete every row satisfying ``predicate``; returns the count removed.
-
-        ``predicate`` follows the :meth:`select` protocol: a callable taking
-        ``(row, schema)`` or an object with an ``evaluate(row, schema)`` method.
-        """
-        return self.delete_rows(np.flatnonzero(self._mask(predicate)).tolist())
+    def delete_where(self, selection: Selection) -> int:
+        """Delete every row satisfying ``selection`` (see :meth:`mask`);
+        returns the count removed."""
+        return self.delete_rows(np.flatnonzero(self.mask(selection)).tolist())
 
     def update_rows(self, positions: Iterable[int], assignments: Mapping[str, object]) -> int:
         """Overwrite attributes of the rows at ``positions``.
@@ -327,9 +336,10 @@ class Relation:
         self._apply(RelationDelta(old_size=size, new_size=size, replaced=tuple(changed)))
         return len(changed)
 
-    def update(self, predicate: Any, assignments: Mapping[str, object]) -> int:
-        """Update every row satisfying ``predicate`` (see :meth:`update_rows`)."""
-        return self.update_rows(np.flatnonzero(self._mask(predicate)).tolist(), assignments)
+    def update(self, selection: Selection, assignments: Mapping[str, object]) -> int:
+        """Update every row satisfying ``selection`` (see :meth:`mask` and
+        :meth:`update_rows`)."""
+        return self.update_rows(np.flatnonzero(self.mask(selection)).tolist(), assignments)
 
     # ------------------------------------------------------ delta maintenance
     def _apply(self, delta: RelationDelta, inserted_rows: Sequence[Row] = ()) -> None:
@@ -470,24 +480,10 @@ class Relation:
             self._size,
         )
 
-    def select(self, predicate: Any, name: Optional[str] = None) -> "Relation":
-        """New relation containing rows satisfying ``predicate``.
-
-        ``predicate`` is either a callable taking ``(row, schema)``, an
-        object with an ``evaluate(row, schema)`` method (see
-        :mod:`repro.relational.predicates`), or a boolean mask array with one
-        entry per row (computed from :meth:`column_array`, it skips building
-        the row tuples).
-        """
-        if isinstance(predicate, np.ndarray):
-            if predicate.dtype != bool or predicate.shape != (len(self),):
-                raise ValueError(
-                    f"a selection mask must be a boolean array of length {len(self)}"
-                )
-            mask = predicate
-        else:
-            mask = self._mask(predicate)
-        return self._taken(name or f"{self.name}_sel", mask)
+    def select(self, selection: Selection, name: Optional[str] = None) -> "Relation":
+        """New relation containing the rows satisfying ``selection`` (a
+        :class:`Predicate` or a boolean mask, see :meth:`mask`)."""
+        return self._taken(name or f"{self.name}_sel", self.mask(selection))
 
     def _taken(self, name: str, positions: Any) -> "Relation":
         """New relation over the rows at ``positions`` (a mask or index list)."""

@@ -306,10 +306,6 @@ class JoinSampler:
         :class:`~repro.sampling.weights.WeightFunction`.
     seed:
         Seed or generator for reproducible draws.
-    enforce_predicates:
-        When True and the query carries predicates that were *not* pushed
-        down, each assembled result is additionally checked against them and
-        rejected on failure (§8.3 second alternative).
     max_batch_size:
         Upper bound on the number of simultaneous walks of one batched pass.
     """
@@ -319,7 +315,6 @@ class JoinSampler:
         query: JoinQuery,
         weights: str | WeightFunction = "ew",
         seed: RandomState = None,
-        enforce_predicates: bool = True,
         max_batch_size: int = 8192,
     ) -> None:
         descent_key: Optional[Hashable] = None
@@ -341,7 +336,7 @@ class JoinSampler:
                 lambda: _Descent(make_weight_function(kind, query)),
                 patch=_Descent.patched,
             )
-        self._start(query, descent, descent_key, seed, enforce_predicates, max_batch_size)
+        self._start(query, descent, descent_key, seed, max_batch_size)
 
     def _start(
         self,
@@ -349,7 +344,6 @@ class JoinSampler:
         descent: _Descent,
         descent_key: Optional[Hashable],
         seed: RandomState,
-        enforce_predicates: bool,
         max_batch_size: int,
         views: Optional[List[SegmentedAliasTable]] = None,
     ) -> None:
@@ -358,7 +352,6 @@ class JoinSampler:
         #: refreshed after a mutation keeps drawing over it)
         self.tree = descent.tree
         self.rng = ensure_rng(seed)
-        self.enforce_predicates = enforce_predicates
         self.stats = JoinSamplerStats()
         #: pre-order node list (root first) for the descent
         self._order = self.tree.descent()
@@ -492,7 +485,8 @@ class JoinSampler:
         if not self.tree.residual_satisfied(assignment):
             self.stats.rejected_residual += 1
             return None
-        if self.enforce_predicates and not self._predicates_satisfied(assignment):
+        masks = self.query.row_masks().items()
+        if not all(admitted[assignment[name]] for name, admitted in masks):
             self.stats.rejected_predicate += 1
             return None
 
@@ -672,7 +666,6 @@ class JoinSampler:
                 self._descent,
                 self._descent_key,
                 stream,
-                self.enforce_predicates,
                 self._max_batch_size,
                 views=views if share_plans else None,
             )
@@ -747,8 +740,12 @@ class JoinSampler:
 
         if walks.size and self.tree.residual_conditions:
             walks = self._filter_residuals(chosen, walks)
-        if walks.size and self.enforce_predicates and self.query.unpushed_predicates:
-            walks = self._filter_predicates(chosen, walks)
+        # Predicates not pushed down (§8.3): a gather from each filtered
+        # relation's per-snapshot row mask.
+        for name, admitted in self.query.row_masks().items():
+            keep = admitted[chosen[name][walks]]
+            self.stats.rejected_predicate += int(keep.size - keep.sum())
+            walks = walks[keep]
 
         self.stats.accepted += int(walks.size)
         return SampleBlock(
@@ -773,22 +770,6 @@ class JoinSampler:
             walks = walks[ok]
         return walks
 
-    def _filter_predicates(
-        self, chosen: Dict[str, PositionArray], walks: PositionArray
-    ) -> PositionArray:
-        """Drop walks violating predicates that were not pushed down (§8.3)."""
-        keep = np.ones(walks.size, dtype=bool)
-        for rel_name in self.query.unpushed_predicates:
-            positions = chosen[rel_name][walks]
-            for i, pos in enumerate(positions.tolist()):
-                if keep[i] and not self.query.admits_row(rel_name, pos):
-                    keep[i] = False
-        rejected = int((~keep).sum())
-        if rejected:
-            self.stats.rejected_predicate += rejected
-            walks = walks[keep]
-        return walks
-
     # --------------------------------------------------------------- internals
     def _weighted_root_choice(self) -> Optional[int]:
         descent = self._descent
@@ -808,12 +789,6 @@ class JoinSampler:
             probabilities = weights[positive] / weights[positive].sum()
             pos = int(self.rng.choice(positive, p=probabilities))
         return pos
-
-    def _predicates_satisfied(self, assignment: Dict[str, int]) -> bool:
-        return all(
-            self.query.admits_row(rel_name, assignment[rel_name])
-            for rel_name in self.query.unpushed_predicates
-        )
 
 
 def draw_and_drain(

@@ -22,6 +22,7 @@ from repro.dynamic import (
 )
 from repro.dynamic.stream import UpdateBatch
 from repro.joins.executor import exact_join_size, join_result_set
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
@@ -34,7 +35,7 @@ from tests.stat_helpers import assert_uniform
 class TestRelationMutations:
     def test_delete_where_returns_count_and_keeps_density(self):
         rel = Relation("R", ["a", "b"], [(i, i % 3) for i in range(9)])
-        removed = rel.delete_where(lambda row, schema: row[schema.position("b")] == 1)
+        removed = rel.delete_where(Comparison("b", "==", 1))
         assert removed == 3
         assert len(rel) == 6
         assert sorted(rel.column("a")) == [0, 2, 3, 5, 6, 8]
@@ -42,7 +43,7 @@ class TestRelationMutations:
     def test_update_where_changes_matching_rows(self):
         rel = Relation("R", ["a", "b"], [(1, 10), (2, 20), (3, 10)])
         changed = rel.update(
-            lambda row, schema: row[schema.position("b")] == 10,
+            Comparison("b", "==", 10),
             {"b": lambda old: old + 5},
         )
         assert changed == 2
@@ -87,7 +88,7 @@ class TestWeightRefresh:
         weights = factory(chain_query)
         relation = chain_query.relation("S")
         relation.extend([(10, 500), (20, 600)])
-        relation.delete_where(lambda row, schema: row[schema.position("c")] == 100)
+        relation.delete_where(Comparison("c", "==", 100))
         assert weights.stale
         assert weights.refresh()
         fresh = factory(chain_query)
@@ -118,9 +119,9 @@ class TestSamplingUnderUpdates:
         center.append((3, 7))            # new center row
         d.extend([(3, "d4"), (2, "d5"), (1, "d6")])
         e.extend([(7, "e4"), (7, "e5")])
-        d.delete_where(lambda row, schema: row[schema.position("y")] == "d1")
-        e.delete_where(lambda row, schema: row[schema.position("z")] == "e3")
-        center.update(lambda row, schema: row[schema.position("k")] == 2, {"x": 5})
+        d.delete_where(Comparison("y", "==", "d1"))
+        e.delete_where(Comparison("z", "==", "e3"))
+        center.update(Comparison("k", "==", 2), {"x": 5})
 
     @staticmethod
     def _churn_cyclic(query) -> None:
@@ -130,8 +131,8 @@ class TestSamplingUnderUpdates:
         r.extend([(9, 2), (9, 3)])
         s.append((3, 4))
         t.extend([(4, 9), (5, 1)])
-        r.delete_where(lambda row, schema: row[schema.position("a")] == 7)
-        t.delete_where(lambda row, schema: row == (5, 9))
+        r.delete_where(Comparison("a", "==", 7))
+        t.delete_where(Comparison("c", "==", 5) & Comparison("a", "==", 9))
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acyclic_uniform_after_interleaved_updates(self, acyclic_query, weights):
@@ -166,9 +167,7 @@ class TestSamplingUnderUpdates:
         sampler = JoinSampler(chain_query, weights="ew", seed=109, max_batch_size=64)
         sampler.sample_many(10)  # leaves surplus accepted draws buffered
         assert sampler._block_buffer
-        chain_query.relation("S").delete_where(
-            lambda row, schema: row[schema.position("b")] == 10
-        )
+        chain_query.relation("S").delete_where(Comparison("b", "==", 10))
         assert sampler.stale
         draws = sampler.sample_many(50)
         population = join_result_set(chain_query)
@@ -228,6 +227,25 @@ class TestRefreshStream:
         # all lineitem deletions applied as ONE delta (one version bump)
         assert tables["lineitem"].version == version_before + 1
 
+    def test_apply_batch_leaves_no_insert_for_the_next_refresh(self, monkeypatch):
+        """The batch pays for its own trailing inserts: a refresh after it
+        applies no queued insert delta."""
+        tables, query, stream = build_order_stream_scenario(
+            scale_factor=0.0005, seed=21, orders_per_batch=12
+        )
+        sampler = JoinSampler(query, seed=4)
+        sampler.sample_block(100)
+        counts = apply_batch(tables, stream.batch())
+        assert counts["inserted"] > 0
+        flushed = []
+        flush = Relation._flush_pending
+        monkeypatch.setattr(
+            Relation, "_flush_pending", lambda rel: (flushed.append(rel.name), flush(rel))[1]
+        )
+        assert sampler.refresh()
+        sampler.sample_block(100)
+        assert flushed == []
+
     def test_stream_conserves_live_orderkeys(self):
         tables = {"orders": _orders_fixture(), "lineitem": _lineitem_fixture()}
         stream = TPCHRefreshStream(tables, seed=3, orders_per_batch=16)
@@ -286,7 +304,7 @@ class TestStreamingScenario:
         assert sampler.membership.memo["J1", value] is True
         assert any(sampler._value_queues.values()), "no parked values to go stale"
 
-        j1.relation("S").delete_where(lambda row, schema: row == (10, 100))
+        j1.relation("S").delete_where(Comparison("b", "==", 10) & Comparison("c", "==", 100))
         assert value not in join_result_set(j1) and value in join_result_set(j2)
         result = sampler.sample(60)
         sources = {s.source_join for s in result.samples if s.value == value}

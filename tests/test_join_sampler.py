@@ -130,16 +130,10 @@ class TestPredicateEnforcement:
         enforced = self._query(push_down=False)
         pushed = self._query(push_down=True)
         expected = join_result_set(pushed)
-        sampler = JoinSampler(enforced, weights="ew", seed=23, enforce_predicates=True)
+        sampler = JoinSampler(enforced, weights="ew", seed=23)
         seen = {d.value for d in sampler.sample_many(300)}
         assert seen == expected
         assert sampler.stats.rejected_predicate > 0
-
-    def test_enforcement_disabled_samples_unfiltered_join(self):
-        enforced = self._query(push_down=False)
-        sampler = JoinSampler(enforced, weights="ew", seed=29, enforce_predicates=False)
-        seen = {d.value for d in sampler.sample_many(300)}
-        assert (3, 100) in seen
 
 
 class TestBatchEdgeCases:

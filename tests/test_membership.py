@@ -16,7 +16,7 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import execute_join, join_result_set
 from repro.joins.membership import JoinMembershipProber, UnionMembershipIndex
 from repro.joins.query import JoinQuery
-from repro.relational.predicates import Comparison
+from repro.relational.predicates import Between, Comparison
 from repro.relational.relation import Relation
 from repro.sampling.join_sampler import JoinSampler
 
@@ -354,6 +354,39 @@ class TestNonPushedPredicates:
         filtered, _ = make_predicated_pair(push_down=False)
         drawn = {d.value for d in JoinSampler(filtered, seed=3).sample_many(200)}
         assert drawn == set(execute_join(filtered))
+
+    def test_unpushed_chain_stays_within_the_executed_join(self):
+        """Three relations, predicates on the root and on the leaf, checked
+        on bound rows: draws and column probes keep to ``execute_join``."""
+        relations = [
+            Relation("R", ["a", "b"], [(i, i % 4) for i in range(12)]),
+            Relation("S", ["b", "c"], [(i % 4, i) for i in range(10)]),
+            Relation("T", ["c", "d"], [(i % 10, float(i)) for i in range(20)]),
+        ]
+        conditions = [JoinCondition("R", "b", "S", "b"), JoinCondition("S", "c", "T", "c")]
+        outputs = [
+            OutputAttribute.direct("R", "a"),
+            OutputAttribute.direct("S", "c"),
+            OutputAttribute.direct("T", "d"),
+        ]
+        predicates = {
+            "R": Comparison("a", "!=", 3) & Comparison("a", "<", 10),
+            "T": Between("d", 2, 15.5),
+        }
+
+        def join(push_down):
+            return JoinQuery("chain", relations, conditions, outputs, predicates, push_down)
+
+        query = join(push_down=False)
+        results = execute_join(query)
+        assert sorted(results) == sorted(execute_join(join(push_down=True)))
+        drawn = JoinSampler(query, seed=9).sample_block(500).values(query)
+        assert set(drawn) == set(results)
+        candidates = sorted(join_result_set(JoinQuery("all", relations, conditions, outputs)))
+        fields = [np.array(column) for column in zip(*candidates)]
+        answers = JoinMembershipProber(query).contains_columns(fields)
+        assert answers.tolist() == [value in set(results) for value in candidates]
+        assert 0 < answers.sum() < len(candidates)
 
 
 # ---------------------------------------- consumers: batched ≡ scalar, bitwise

@@ -26,6 +26,7 @@ from repro.parallel import (
     run_shard,
     sequential_reference,
 )
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.resilience import NO_FAULTS
 
@@ -56,6 +57,19 @@ SPEC_COUNT = AggregateSpec("count")
 def report_key(report):
     e = report.overall
     return (e.estimate, e.ci_low, e.ci_high, report.attempts, report.accepted)
+
+
+def accumulator_state(accumulator):
+    """Everything an accumulator's estimates read, as comparable bytes."""
+    return (
+        accumulator.attempts,
+        accumulator.accepted,
+        [
+            (key, data.count, data.first.total, data.second.total,
+             data.weights.tobytes(), data.values.tobytes())
+            for key, data in accumulator._groups.items()
+        ],
+    )
 
 
 class TestShardPlanning:
@@ -216,6 +230,28 @@ class TestProcessBackend:
             workers=2, execution="process", job_timeout=240
         ).aggregate(queries, SPEC_COUNT, 48, seed=43, shards=2)
         assert process_run.backend == "online-union"
+        assert report_key(process_run.accumulator.estimate()) == report_key(
+            thread_run.accumulator.estimate()
+        )
+
+
+    def test_predicate_where_runs_on_the_process_rung(self):
+        """A ``where`` given as a Predicate pickles: its spec crosses to the
+        spawned workers without a degradation to threads, and the merged
+        accumulator is the thread rung's, bit for bit."""
+        query = make_chain()
+        spec = AggregateSpec("sum", attribute="c", where=Comparison("c", ">=", 20))
+        thread_run = ParallelSamplerPool(workers=1, execution="thread").aggregate(
+            query, spec, 24, seed=47, shards=2
+        )
+        process_run = ParallelSamplerPool(
+            workers=2, execution="process", job_timeout=240
+        ).aggregate(query, spec, 24, seed=47, shards=2)
+        assert process_run.execution == "process"
+        assert process_run.degradations == 0
+        assert accumulator_state(process_run.accumulator) == accumulator_state(
+            thread_run.accumulator
+        )
         assert report_key(process_run.accumulator.estimate()) == report_key(
             thread_run.accumulator.estimate()
         )

@@ -564,3 +564,63 @@ def test_each_query_builds_its_probe_plan_once_per_snapshot(monkeypatch):
     assert sorted(builds) == ["orders", "orders", "parts"]
     levels = membership.probe_plan(orders).levels
     assert [new is old for new, old in zip(levels, kept)] == [True, True, False, False]
+
+
+def test_an_unpushed_predicate_is_masked_once_per_snapshot(monkeypatch):
+    """With ``push_down_predicates=False``, ``sample_block``, membership
+    probes and ``execute_join`` of one snapshot evaluate each predicate
+    once between them (the query's per-snapshot row mask); later draws
+    evaluate it zero times; a mutation of its relation costs exactly one
+    more evaluation, and a mutation of another relation none."""
+    from repro.joins.conditions import JoinCondition, OutputAttribute
+    from repro.joins.executor import execute_join
+    from repro.joins.membership import JoinMembershipProber
+    from repro.joins.query import JoinQuery
+    from repro.relational.predicates import Comparison
+    from repro.tpch import generate_tpch
+
+    tables = generate_tpch(SMOKE_SCALE, seed=SMOKE_SEED)
+    names = ("nation", "supplier", "partsupp", "part")
+    query = JoinQuery(
+        "unpushed",
+        [tables[name] for name in names],
+        [
+            JoinCondition("nation", "nationkey", "supplier", "nationkey"),
+            JoinCondition("supplier", "suppkey", "partsupp", "suppkey"),
+            JoinCondition("partsupp", "partkey", "part", "partkey"),
+        ],
+        [
+            OutputAttribute("suppkey", "supplier", "suppkey"),
+            OutputAttribute("partkey", "part", "partkey"),
+            OutputAttribute("size", "part", "p_size"),
+        ],
+        predicates={
+            "supplier": Comparison("s_acctbal", ">=", 0.0),
+            "part": Comparison("p_size", "<=", 30),
+        },
+        push_down_predicates=False,
+    )
+    masked = []
+    mask = Comparison.mask
+    monkeypatch.setattr(
+        Comparison, "mask", lambda p, columns: (masked.append(p.attribute), mask(p, columns))[1]
+    )
+    sampler = JoinSampler(query, seed=61)
+    prober = JoinMembershipProber(query)
+
+    def snapshot():
+        values = sampler.sample_block(300).values(query)
+        assert prober.contains_many(values).all()
+        assert set(values) <= set(execute_join(query))
+
+    snapshot()
+    assert sorted(masked) == ["p_size", "s_acctbal"]
+    sampler.sample_block(3000)
+    snapshot()
+    assert sorted(masked) == ["p_size", "s_acctbal"]
+    tables["part"].delete_rows([0, 1])
+    snapshot()
+    assert sorted(masked) == ["p_size", "p_size", "s_acctbal"]
+    tables["partsupp"].delete_rows([0])
+    snapshot()
+    assert sorted(masked) == ["p_size", "p_size", "s_acctbal"]

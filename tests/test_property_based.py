@@ -31,6 +31,7 @@ from repro.joins.executor import exact_join_size, join_result_set
 from repro.joins.membership import JoinMembershipProber
 from repro.joins.query import JoinQuery
 from repro.relational.index import SortedIndex
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.relational.statistics import ColumnStatistics
 from repro.sampling.join_sampler import JoinSampler
@@ -206,9 +207,7 @@ def _apply_ops(relation: Relation, ops, shadow: list, check: bool = True) -> Non
             relation.extend(row[:width] for row in payload)
             shadow.extend(row[:width] for row in payload)
         elif kind == "delete":
-            relation.delete_where(
-                lambda row, schema, key=payload: row[schema.position("a")] == key
-            )
+            relation.delete_where(Comparison("a", "==", payload))
             # swap-remove: the tail's survivors fill the holes, in order
             doomed = [p for p, row in enumerate(shadow) if row[0] == payload]
             size = len(shadow) - len(doomed)

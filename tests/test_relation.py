@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.relational.predicates import Comparison
+from repro.relational.predicates import Comparison, TruePredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
@@ -115,12 +115,12 @@ class TestNoOpMutationsPreserveCaches:
         self._assert_preserved(people, cached)
 
     def test_delete_matching_nothing_is_noop(self, people, cached):
-        assert people.delete_where(lambda row, schema: False) == 0
+        assert people.delete_where(np.zeros(len(people), dtype=bool)) == 0
         assert people.delete_rows([]) == 0
         self._assert_preserved(people, cached)
 
     def test_update_assigning_identical_values_is_noop(self, people, cached):
-        assert people.update(lambda row, schema: True, {"age": lambda old: old}) == 0
+        assert people.update(TruePredicate(), {"age": lambda old: old}) == 0
         assert people.update_rows([0, 1], {"city": lambda old: old}) == 0
         self._assert_preserved(people, cached)
 
@@ -204,8 +204,8 @@ class TestDerivations:
         young = people.select(Comparison("age", "<", 35))
         assert len(young) == 3
 
-    def test_select_with_callable(self, people):
-        rome = people.select(lambda row, schema: row[schema.position("city")] == "rome")
+    def test_select_with_string_comparison(self, people):
+        rome = people.select(Comparison("city", "==", "rome"))
         assert len(rome) == 2
 
     def test_rename(self, people):

@@ -23,6 +23,7 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import join_result_set
 from repro.joins.query import JoinQuery
 from repro.parallel import ParallelSamplerPool, sequential_reference
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
@@ -175,17 +176,9 @@ class TestParallelBlockShipping:
 
 
 class TestColumnarWhere:
-    def test_columnar_where_protocol_matches_row_fallback(self, chain_query):
+    def test_predicate_where_matches_row_callable(self, chain_query):
         sampler = JoinSampler(chain_query, seed=11)
         block = sampler.sample_block(200)
-
-        class Predicate:
-            def __call__(self, row):
-                return row["c"] >= 200
-
-            def columnar(self, columns):
-                return np.asarray(columns["c"]) >= 200
-
         row_only = AggregateAccumulator(
             AggregateSpec("count", where=lambda row: row["c"] >= 200),
             chain_query.output_schema,
@@ -194,7 +187,7 @@ class TestColumnarWhere:
             block.value_columns(chain_query), attempts=block.attempts, weight=block.weight
         )
         vectorized = AggregateAccumulator(
-            AggregateSpec("count", where=Predicate()), chain_query.output_schema
+            AggregateSpec("count", where=Comparison("c", ">=", 200)), chain_query.output_schema
         )
         vectorized.ingest_block(
             block.value_columns(chain_query), attempts=block.attempts, weight=block.weight

@@ -14,6 +14,7 @@ from repro.core.union_sampler import (
 from repro.estimation.exact import FullJoinUnionEstimator
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.joins.executor import join_result_set
+from repro.relational.predicates import Comparison
 
 from tests.conftest import make_predicated_pair
 
@@ -215,7 +216,9 @@ class TestSnapshotPin:
         sampler = make(union_pair, FullJoinUnionEstimator(union_pair).estimate())
         assert len(sampler.sample(40)) == 40
         # (2, 300) leaves the union: J1 was its only join.
-        union_pair[0].relation("S").delete_where(lambda row, schema: row == (20, 300))
+        union_pair[0].relation("S").delete_where(
+            Comparison("b", "==", 20) & Comparison("c", "==", 300)
+        )
         with pytest.raises(RuntimeError, match="no refresh"):
             sampler.sample(60)
 
