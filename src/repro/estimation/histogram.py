@@ -31,8 +31,8 @@ from repro.estimation.base import UnionSizeEstimator
 from repro.joins.query import JoinQuery, JoinType
 from repro.joins.splitting import SplitChain, build_split_chains
 from repro.joins.template import Template, find_standard_template
+from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.olken import olken_upper_bound
-from repro.sampling.weights import ExactWeightFunction
 
 
 class HistogramUnionEstimator(UnionSizeEstimator):
@@ -96,7 +96,11 @@ class HistogramUnionEstimator(UnionSizeEstimator):
     def join_size(self, query: JoinQuery) -> float:
         if query.name not in self._join_size_cache:
             if self.join_size_method == "ew":
-                size = ExactWeightFunction(query).total_weight
+                # An EW sampler's bound is its join's exact (skeleton) size,
+                # read from the snapshot's shared descent: the union's
+                # samplers draw from the same one, so one weight pass serves
+                # both.
+                size = JoinSampler(query, "ew").size_bound
             else:
                 size = olken_upper_bound(query)
             self._join_size_cache[query.name] = float(size)

@@ -111,15 +111,13 @@ class ProbeLevel(NamedTuple):
     admitted: Optional[BoolArray]
     #: relations whose bound rows a later level or a residual condition reads
     live: FrozenSet[str]
-    #: the (relation, parent) versions the level was built under
-    versions: Tuple[int, int]
 
 
 def _level_key(
-    node: JoinTreeNode, parent: Optional[str], live: FrozenSet[str], versions: Tuple[int, int]
+    node: JoinTreeNode, parent: Optional[str], live: FrozenSet[str]
 ) -> Tuple[object, ...]:
     """What a level must share with another snapshot's to be reused."""
-    return (node.relation, parent, node.parent_attributes, node.child_attributes, live, versions)
+    return (node.relation, parent, node.parent_attributes, node.child_attributes, live)
 
 
 class ProbePlan(NamedTuple):
@@ -133,9 +131,13 @@ def probe_plan(query: JoinQuery) -> ProbePlan:
     """The probe plan of ``query``'s current snapshot, built once per snapshot
     (:meth:`~repro.joins.query.JoinQuery.derived`); the next snapshot's plan
     keeps every level of this one whose relation and parent did not mutate."""
-    return query.derived(
-        ("probe_plan",), lambda: _build_plan(query), patch=lambda last: _build_plan(query, last)
-    )
+    def patch(last: ProbePlan, changed: FrozenSet[str]) -> ProbePlan:
+        return _build_plan(
+            query,
+            [level for level in last.levels if not changed & {level.node.relation, level.parent}],
+        )
+
+    return query.derived(("probe_plan",), lambda: _build_plan(query), patch)
 
 
 def _output_constraints(query: JoinQuery) -> Dict[str, List[Tuple[str, int]]]:
@@ -157,28 +159,22 @@ def _mean_run(relation: Relation, attribute: str) -> float:
     return len(column) / max(distinct, 1)
 
 
-def _build_plan(query: JoinQuery, last: Optional[ProbePlan] = None) -> ProbePlan:
+def _build_plan(query: JoinQuery, unchanged: Optional[List[ProbeLevel]] = None) -> ProbePlan:
+    """The current snapshot's plan, keeping each level of ``unchanged`` (the
+    last snapshot's levels whose relation and parent did not mutate) that
+    the current tree binds the same way."""
     tree = query.join_tree()
     order = tree.descent()
     constraints = _output_constraints(query)
     residual = {name for cond in tree.residual_conditions for name in cond.relations()}
-    kept = {} if last is None else {
-        _level_key(level.node, level.parent, level.live, level.versions): level
-        for level in last.levels
-    }
+    kept = {_level_key(level.node, level.parent, level.live): level for level in unchanged or ()}
     levels = []
     for depth, (node, parent_node) in enumerate(order):
         parent = None if parent_node is None else parent_node.relation
         live = frozenset(residual | {p.relation for _, p in order[depth + 1 :] if p is not None})
-        versions = (
-            query.relation(node.relation).version,
-            -1 if parent is None else query.relation(parent).version,
-        )
-        level = kept.get(_level_key(node, parent, live, versions))
+        level = kept.get(_level_key(node, parent, live))
         if level is None:
-            level = _build_level(
-                query, node, parent, constraints.get(node.relation, []), live, versions
-            )
+            level = _build_level(query, node, parent, constraints.get(node.relation, []), live)
         levels.append(level)
     return ProbePlan(tree, tuple(levels))
 
@@ -189,7 +185,6 @@ def _build_level(
     parent: Optional[str],
     constraints: List[Tuple[str, int]],
     live: FrozenSet[str],
-    versions: Tuple[int, int],
 ) -> ProbeLevel:
     relation = query.relation(node.relation)
     seed: Optional[SortedIndex] = None
@@ -218,7 +213,6 @@ def _build_level(
         checks=tuple((relation.column_array(attr), position) for attr, position in checks),
         admitted=query.row_masks().get(node.relation),
         live=live,
-        versions=versions,
     )
 
 

@@ -19,6 +19,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -137,11 +138,11 @@ class JoinQuery:
 
         self._join_type: Optional[JoinType] = None
         #: the snapshot memo behind :meth:`derived`: the version vector it
-        #: was filled under, key -> value, and the entries of the snapshot
-        #: before it that no ``patch`` has consumed yet
-        self._derived: Tuple[Tuple[int, ...], Dict[Hashable, Any], Dict[Hashable, Any]] = (
-            (), {}, {}
-        )
+        #: was filled under, key -> value, and the vector and entries of the
+        #: snapshot before it (the entries no ``patch`` has consumed yet)
+        self._derived: Tuple[
+            Tuple[int, ...], Dict[Hashable, Any], Tuple[int, ...], Dict[Hashable, Any]
+        ] = ((), {}, (), {})
         #: serializes :meth:`derived`, so a snapshot publishes one value per
         #: key however many threads reach it first (re-entrant: a build may
         #: itself fetch another entry, e.g. the join tree)
@@ -150,7 +151,7 @@ class JoinQuery:
     def __getstate__(self) -> Dict[str, object]:
         # The memo is a cache: a copy rebuilds what it uses, on its side.
         state = dict(self.__dict__)
-        state["_derived"] = ((), {}, {})
+        state["_derived"] = ((), {}, (), {})
         del state["_derived_lock"]  # locks do not pickle; a copy gets its own
         return state
 
@@ -199,17 +200,19 @@ class JoinQuery:
         self,
         key: Hashable,
         build: Callable[[], T],
-        patch: Optional[Callable[[T], T]] = None,
+        patch: Optional[Callable[[T, FrozenSet[str]], T]] = None,
     ) -> T:
         """``build()``, memoized under ``key`` for the current snapshot.
 
         An entry is valid exactly while :func:`observed_versions` of this
         query reads the same: the first call after any base relation mutates
         retires every entry, and each key is rebuilt once on its next use.
-        With ``patch``, the rebuild is ``patch(last)`` when the snapshot
-        before held an entry ``last`` under the key: a tenant that can bring
-        itself up to date from its own last value does so (``patch`` must not
-        write ``last``, which samplers of that snapshot may still read).
+        With ``patch``, the rebuild is ``patch(last, changed)`` when the
+        snapshot before held an entry ``last`` under the key, ``changed``
+        naming the relations whose versions moved since: a tenant that can
+        bring itself up to date from its own last value does so, and keeps
+        no version pin of its own (``patch`` must not write ``last``, which
+        samplers of that snapshot may still read).
         Retired entries live until the next snapshot change.  An entry built
         while a mutation lands is filed under the vector read before the
         build, so it is never served on the new snapshot.  Calls are
@@ -218,13 +221,21 @@ class JoinQuery:
         """
         with self._derived_lock:
             versions = observed_versions((self,))
-            memo_versions, entries, previous = self._derived
+            memo_versions, entries, previous_versions, previous = self._derived
             if memo_versions != versions:
-                previous, entries = entries, {}
-                self._derived = (versions, entries, previous)
+                previous_versions, previous, entries = memo_versions, entries, {}
+                self._derived = (versions, entries, previous_versions, previous)
             if key not in entries:
                 last = previous.pop(key, None) if patch is not None else None
-                entries[key] = build() if last is None else patch(last)
+                if last is None:
+                    entries[key] = build()
+                else:
+                    changed = frozenset(
+                        name
+                        for name, old, new in zip(self._relations, previous_versions, versions)
+                        if old != new
+                    )
+                    entries[key] = patch(last, changed)
             return entries[key]
 
     def join_tree(self) -> "JoinTree":
@@ -249,21 +260,18 @@ class JoinQuery:
         """
         parent_rel, child_rel = self.relation(parent), self.relation(node.relation)
 
-        def versions() -> Tuple[int, int]:
-            return parent_rel.version, child_rel.version
-
-        def build() -> Tuple[Tuple[int, int], IntArray]:
-            built_at = versions()
+        def build() -> IntArray:
             csr = child_rel.index_on_columns(node.child_attributes)
             slots = csr.slots_for(parent_rel.join_key_array(node.parent_attributes))
             slots = slots.astype(smallest_index_dtype(csr.n_keys))
             slots.setflags(write=False)
-            return built_at, slots
+            return slots
+
+        def patch(last: IntArray, changed: FrozenSet[str]) -> IntArray:
+            return build() if parent in changed or node.relation in changed else last
 
         key = ("edge_slots", parent, node.relation, node.parent_attributes, node.child_attributes)
-        return self.derived(
-            key, build, patch=lambda last: last if last[0] == versions() else build()
-        )[1]
+        return self.derived(key, build, patch)
 
     # -------------------------------------------------------------- structure
     def adjacency(self) -> Dict[str, Dict[str, List[JoinCondition]]]:
@@ -355,15 +363,15 @@ class JoinQuery:
     def _row_mask(self, name: str) -> BoolArray:
         relation = self._relations[name]
 
-        def build() -> Tuple[int, BoolArray]:
-            version, mask = relation.version, relation.mask(self.predicates[name])
+        def build() -> BoolArray:
+            mask = relation.mask(self.predicates[name])
             mask.setflags(write=False)
-            return version, mask
+            return mask
 
-        def patch(last: Tuple[int, BoolArray]) -> Tuple[int, BoolArray]:
-            return last if last[0] == relation.version else build()
+        def patch(last: BoolArray, changed: FrozenSet[str]) -> BoolArray:
+            return build() if name in changed else last
 
-        return self.derived(("row_mask", name), build, patch)[1]
+        return self.derived(("row_mask", name), build, patch)
 
     def aligns_with(self, other: "JoinQuery") -> bool:
         """True when both queries produce the same standardized output schema."""

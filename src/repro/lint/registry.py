@@ -175,7 +175,7 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         ),
         # ``weight_function`` names the snapshot last synced with, as the
         # attribute it replaced did; readers that need it current refresh.
-        exempt=frozenset({"stale", "weight_function"}),
+        exempt=frozenset({"weight_function"}),
     ),
     # The per-snapshot state, exactly what ``_start_snapshot`` sets (the
     # membership memo sits behind ``membership``).

@@ -56,6 +56,7 @@ int32 whenever the row count allows.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Optional, Sequence
 
@@ -207,6 +208,16 @@ def _pin_zero_weights(
     prob[zero] = 0.0
 
 
+def _scaled(weights: _Floats, total: float, n: int) -> _Floats:
+    """``weights`` scaled to mean 1, as a new array.  ``n / total`` is inf
+    for a subnormal ``total`` (and ``inf * 0`` NaN), so such weights are
+    divided first; all others keep the one-multiply rounding."""
+    scale = n / float(total)
+    if math.isfinite(scale):
+        return weights * scale
+    return weights / total * n
+
+
 def _reduce_segments(
     values: _Floats, starts: _Indices
 ) -> tuple[_Floats, npt.NDArray[np.bool_]]:
@@ -239,8 +250,8 @@ class AliasTable:
         self.prob = np.ones(self.n, dtype=float)
         self.alias = np.arange(self.n, dtype=_index_dtype(self.n))
         if self.n and self.total > 0:
-            # The scale product is a fresh array: _build_flat may consume it.
-            _build_flat(w * (self.n / self.total), self.prob, self.alias, 0)
+            # The scaled weights are a fresh array: _build_flat may consume it.
+            _build_flat(_scaled(w, self.total, self.n), self.prob, self.alias, 0)
             _pin_zero_weights(w, self.prob, self.alias, 0)
 
     def sample(self, rng: np.random.Generator, size: int) -> _Indices:
@@ -322,7 +333,7 @@ class SegmentTables:
         total = self.segment_totals[slot]
         degree = end - start
         if degree > 0 and total > 0:
-            scaled = self.weights[start:end] * (degree / total)  # fresh array
+            scaled = _scaled(self.weights[start:end], total, degree)  # fresh array
             _build_flat(scaled, self.prob[start:end], self.alias[start:end], start)
             _pin_zero_weights(
                 self.weights[start:end], self.prob[start:end], self.alias[start:end], start

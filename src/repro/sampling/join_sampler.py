@@ -42,7 +42,19 @@ import dataclasses
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    cast,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -150,29 +162,33 @@ class _LevelPlan:
     compactions: int
 
 
+def _read_versions(query: JoinQuery) -> Dict[str, int]:
+    return {name: relation.version for name, relation in query.relations.items()}
+
+
 class _Descent:
     """What every sampler of one snapshot shares for one (query, weight
     kind, join-tree shape): the weight function, the root alias table and
     the per-edge level plans.
 
-    Held in ``query.derived`` (a caller's own weight function gets an
-    unmemoized one), built once per snapshot, and never rewritten once
-    published: the root alias is built eagerly, the plans once, on the
+    Held in ``query.derived``, built once per snapshot, and never rewritten
+    once published: the root alias is built eagerly, the plans once, on the
     first batched draw, under ``_lock``, and the next snapshot's descent is
     :meth:`patched` from this one.
     """
 
     def __init__(
-        self, weight_function: WeightFunction, previous: Optional["_Descent"] = None
+        self,
+        weight_function: WeightFunction,
+        versions: Dict[str, int],
+        previous: Optional["_Descent"] = None,
     ) -> None:
         self.weight_function = weight_function
         self.tree = weight_function.tree
-        #: the snapshot the structures describe (a caller may refresh its
-        #: own weight function in place; the plans still describe this one)
-        self.versions = {
-            node.relation: weight_function.query.relation(node.relation).version
-            for node in self.tree.nodes()
-        }
+        #: the snapshot the weights and structures describe: the one record
+        #: of it, read before the weight pass, so a mutation landing during
+        #: the pass counts as not included and the next patch recomputes it
+        self.versions = versions
         self.root_weights = np.asarray(weight_function.root_weights(), dtype=float)
         self.root_total = float(self.root_weights.sum())
         self.root_alias: Optional[AliasTable]
@@ -187,6 +203,12 @@ class _Descent:
         # lazily so the hot block path never pays for them.
         self._root_cumulative: Optional[npt.NDArray[np.float64]] = None
         self._plans: Optional[List[_LevelPlan]] = None
+
+    @classmethod
+    def built(cls, kind: str, query: JoinQuery) -> "_Descent":
+        """The current snapshot's descent, from a full weight pass."""
+        versions = _read_versions(query)
+        return cls(make_weight_function(kind, query), versions)
 
     def plans(self) -> List[_LevelPlan]:
         """Per-edge CSR/alias structures in descent order, built once."""
@@ -252,8 +274,9 @@ class _Descent:
     def patched(self) -> "_Descent":
         """The current snapshot's descent, built from this one per edge.
 
-        The weights are refreshed incrementally
-        (:meth:`~repro.sampling.weights.WeightFunction.refreshed`) and the
+        The relations whose versions moved since :attr:`versions` are the
+        dirty ones, read before the weights move forward incrementally past
+        them (:meth:`~repro.sampling.weights.WeightFunction.successor`); the
         root alias is reused when the root weights did not move.  An edge
         whose own relations mutated gets a new plan (its CSR layout and/or
         edge map changed), with its tables reshaped from the last ones
@@ -265,11 +288,9 @@ class _Descent:
         copies its tables, resetting only the dirtied segments.  Plans never
         built stay unbuilt.
         """
-        successor = _Descent(self.weight_function.refreshed(), previous=self)
-        dirty = {
-            name for name, version in successor.versions.items()
-            if version != self.versions[name]
-        }
+        versions = _read_versions(self.weight_function.query)
+        dirty = {name for name, version in versions.items() if version != self.versions[name]}
+        successor = _Descent(self.weight_function.successor(dirty), versions, previous=self)
         with self._lock:
             plans = self._plans
         if plans is not None:
@@ -292,6 +313,12 @@ class _Descent:
         )
 
 
+def _patch_descent(last: _Descent, changed: FrozenSet[str]) -> _Descent:
+    # The descent diffs the versions against its own record, the one
+    # record of what its weights include.
+    return last.patched()
+
+
 class JoinSampler:
     """Accept/reject uniform sampler over one join query.
 
@@ -300,10 +327,9 @@ class JoinSampler:
     query:
         The join to sample from.
     weights:
-        ``"ew"`` (exact weights), ``"eo"`` (extended Olken), ``"auto"``
+        ``"ew"`` (exact weights), ``"eo"`` (extended Olken) or ``"auto"``
         (cost-based choice between the two via
-        :func:`repro.aqp.planner.choose_weights`), or a prebuilt
-        :class:`~repro.sampling.weights.WeightFunction`.
+        :func:`repro.aqp.planner.choose_weights`).
     seed:
         Seed or generator for reproducible draws.
     max_batch_size:
@@ -313,36 +339,27 @@ class JoinSampler:
     def __init__(
         self,
         query: JoinQuery,
-        weights: str | WeightFunction = "ew",
+        weights: str = "ew",
         seed: RandomState = None,
         max_batch_size: int = 8192,
     ) -> None:
-        descent_key: Optional[Hashable] = None
-        if isinstance(weights, WeightFunction):
-            # A caller's own weight function may predate mutations of the
-            # base relations; its descent is this sampler's (and its
-            # clones') alone.
-            descent = _Descent(weights.refreshed())
-        else:
-            if weights == "auto":
-                # Deferred import: the planner lives above the sampling layer.
-                from repro.aqp.planner import choose_weights
+        if weights == "auto":
+            # Deferred import: the planner lives above the sampling layer.
+            from repro.aqp.planner import choose_weights
 
-                weights = choose_weights(query)
-            kind = weight_kind(weights)
-            descent_key = ("descent", kind, query.join_tree().shape())
-            descent = query.derived(
-                descent_key,
-                lambda: _Descent(make_weight_function(kind, query)),
-                patch=_Descent.patched,
-            )
+            weights = choose_weights(query)
+        kind = weight_kind(weights)
+        descent_key = ("descent", kind, query.join_tree().shape())
+        descent = query.derived(
+            descent_key, lambda: _Descent.built(kind, query), patch=_patch_descent
+        )
         self._start(query, descent, descent_key, seed, max_batch_size)
 
     def _start(
         self,
         query: JoinQuery,
         descent: _Descent,
-        descent_key: Optional[Hashable],
+        descent_key: Hashable,
         seed: RandomState,
         max_batch_size: int,
         views: Optional[List[SegmentedAliasTable]] = None,
@@ -359,7 +376,7 @@ class JoinSampler:
         self._relations = [self.query.relation(name) for name in self._relation_order]
         self._db_versions = tuple(r.version for r in self._relations)
         #: the snapshot's shared structures, and the memo key they are
-        #: fetched under again after a mutation (None: never published)
+        #: fetched under again after a mutation
         self._descent = descent
         self._descent_key = descent_key
         #: this sampler's build decisions, one view per level plan (made on
@@ -377,11 +394,6 @@ class JoinSampler:
         return self._descent.weight_function
 
     # ----------------------------------------------------------------- public
-    @property
-    def stale(self) -> bool:
-        """True when a base relation mutated since the last (re)build."""
-        return tuple(r.version for r in self._relations) != self._db_versions
-
     @_locked
     def refresh(self) -> bool:
         """Re-sync with mutated base relations; returns True when stale.
@@ -408,13 +420,9 @@ class JoinSampler:
             )
             if relation.version != version
         }
-        previous = self._descent
-        if self._descent_key is None:
-            descent = previous.patched()
-        else:
-            descent = self.query.derived(
-                self._descent_key, previous.patched, patch=_Descent.patched
-            )
+        descent = self.query.derived(
+            self._descent_key, self._descent.patched, patch=_patch_descent
+        )
         if self._views is not None:
             self._views = [
                 SegmentedAliasTable(plan.tables)

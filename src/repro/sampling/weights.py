@@ -25,7 +25,6 @@ estimator — and lives in :mod:`repro.sampling.wander_join`.
 from __future__ import annotations
 
 import copy
-import threading
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Sequence, Set, Tuple
 
@@ -44,69 +43,22 @@ class WeightFunction(ABC):
     def __init__(self, query: JoinQuery) -> None:
         self.query = query
         self.tree = query.join_tree()
-        self._relation_names = [
-            node.relation for node in self.tree.root.post_order()
-        ]
-        self._versions = self._capture_versions()
-        # Serializes concurrent refresh() calls on one function (the second
-        # caller re-checks staleness under the lock and no-ops).
-        self._refresh_lock = threading.Lock()
 
-    # -------------------------------------------------------------- staleness
-    def _capture_versions(self) -> Dict[str, int]:
-        return {
-            name: self.query.relation(name).version
-            for name in self._relation_names
-        }
+    # -------------------------------------------------------------- snapshots
+    def successor(self, dirty: Set[str]) -> "WeightFunction":
+        """These weights moved forward past mutations of the ``dirty``
+        relations, as a new function; ``self`` is left as it was.
 
-    def stale_relations(self) -> Set[str]:
-        """Names of base relations mutated since the weights were computed."""
-        return {
-            name
-            for name in self._relation_names
-            if self.query.relation(name).version != self._versions[name]
-        }
-
-    @property
-    def stale(self) -> bool:
-        """True when some base relation mutated under the weight function."""
-        return bool(self.stale_relations())
-
-    def refresh(self) -> bool:
-        """Re-sync with mutated base relations; returns True when work ran.
-
-        The epoch/staleness protocol: every mutation batch bumps the owning
-        relation's ``version``; ``refresh`` diffs those counters against the
-        versions captured when the weights were computed and recomputes only
-        what the dirty relations can influence (see ``_refresh``).  A call on
-        fresh weights is O(#relations) integer comparisons.
+        A weight function is a value of one snapshot and holds no record of
+        which: its owner (the shared descent of
+        :mod:`repro.sampling.join_sampler`) reads the relation versions
+        before the weight pass and diffs them into ``dirty``.  ``_refresh``
+        recomputes only what those relations can influence and replaces the
+        arrays and containers it changes instead of writing them, so the
+        copy shares exactly what the delta left alone.
         """
-        if not self.stale_relations():
-            return False
-        with self._refresh_lock:
-            # Double-checked: a concurrent refresh may have run while we
-            # waited on the lock, in which case there is nothing left to do.
-            dirty = self.stale_relations()
-            if not dirty:
-                return False
-            self._refresh(dirty)
-            self._versions = self._capture_versions()
-        return True
-
-    def refreshed(self) -> "WeightFunction":
-        """This function at the current snapshot, leaving ``self`` as it was.
-
-        Returns ``self`` when nothing is stale, else a copy refreshed by the
-        same incremental :meth:`refresh`: ``_refresh`` replaces the arrays
-        and containers it changes instead of writing them, so the copy shares
-        exactly what the delta left alone.  A descent published to other
-        samplers (:mod:`repro.sampling.join_sampler`) moves to the next
-        snapshot this way.
-        """
-        if not self.stale_relations():
-            return self
         successor = copy.copy(self)
-        successor.refresh()
+        successor._refresh(dirty)
         return successor
 
     def _refresh(self, dirty: Set[str]) -> None:
@@ -152,16 +104,6 @@ class WeightFunction(ABC):
         """Summary used by benchmarks (total weight and per-node bounds)."""
         return {"total_weight": self.total_weight}
 
-    # Locks are not picklable; drop on serialization, recreate on load.
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_refresh_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._refresh_lock = threading.Lock()
-
 
 class ExactWeightFunction(WeightFunction):
     """Exact per-row join-result counts (the paper's **EW** instantiation).
@@ -195,7 +137,7 @@ class ExactWeightFunction(WeightFunction):
         factor segments rather than a whole-tree recomputation.
         """
         recomputed: Set[str] = set()
-        # Fresh dicts: a copy made by refreshed() shares the old ones.
+        # Fresh dicts: a copy made by successor() shares the old ones.
         self._weights = dict(self._weights)
         self._key_sums = dict(self._key_sums)
         self._factors = dict(self._factors)
@@ -362,15 +304,11 @@ def weight_kind(method: str) -> str:
         ) from None
 
 
-def make_weight_function(
-    method: str,
-    query: JoinQuery,
-    **kwargs,
-) -> WeightFunction:
+def make_weight_function(method: str, query: JoinQuery) -> WeightFunction:
     """Factory: ``"ew"``/``"exact"`` or ``"eo"``/``"olken"`` -> weight function."""
     if weight_kind(method) == "ew":
         return ExactWeightFunction(query)
-    return ExtendedOlkenWeightFunction(query, **kwargs)
+    return ExtendedOlkenWeightFunction(query)
 
 
 __all__ = [

@@ -38,6 +38,9 @@ from repro.sampling.alias import (
 
 from tests.stat_helpers import STAT_SEED, assert_uniform
 
+# A kernel that overflows or makes NaN on the way to a table fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def bucket_mass(table: AliasTable) -> np.ndarray:
     """Each item's total draw probability implied by the prob/alias arrays."""
@@ -87,6 +90,28 @@ class TestAliasTableConstruction:
             AliasTable(np.zeros(3)).sample(np.random.default_rng(0), 1)
         with pytest.raises(ValueError):
             AliasTable(np.zeros(0)).sample(np.random.default_rng(0), 1)
+
+
+class TestSubnormalWeights:
+    """A total weight below the smallest normal float: ``n / total``
+    overflows to inf, so the scaling divides by the total first."""
+
+    WEIGHTS = np.array([0.0, 5e-324, 0.0, 1e-323, 2e-323, 0.0])
+
+    def test_root_table_stays_finite_and_skips_zero_rows(self):
+        table = AliasTable(self.WEIGHTS)
+        assert np.isfinite(table.prob).all()
+        assert np.abs(bucket_mass(table) - self.WEIGHTS / self.WEIGHTS.sum()).max() < 1e-9
+        draws = table.sample(np.random.default_rng(STAT_SEED), 5000)
+        assert not np.isin(draws, np.flatnonzero(self.WEIGHTS == 0)).any()
+
+    def test_segment_stays_finite_and_skips_zero_rows(self):
+        weights = np.concatenate([[1.0, 2.0], self.WEIGHTS])
+        tables = SegmentTables(weights, np.array([0, 2, weights.size]))
+        view = SegmentedAliasTable(tables, all_built=True)
+        assert np.isfinite(tables.prob).all()
+        draws = view.sample(np.random.default_rng(STAT_SEED), np.ones(5000, dtype=np.intp))
+        assert set(draws.tolist()) == {3, 5, 6}  # the segment's positive rows
 
 
 class TestAliasVsSearchsorted:

@@ -84,26 +84,56 @@ class TestRelationMutations:
 # ----------------------------------------------------------- weight staleness
 class TestWeightRefresh:
     @pytest.mark.parametrize("factory", [ExactWeightFunction, ExtendedOlkenWeightFunction])
-    def test_refresh_matches_fresh_build(self, chain_query, factory):
+    def test_successor_matches_fresh_build(self, chain_query, factory):
         weights = factory(chain_query)
+        held = weights.root_weights().copy()
         relation = chain_query.relation("S")
         relation.extend([(10, 500), (20, 600)])
         relation.delete_where(Comparison("c", "==", 100))
-        assert weights.stale
-        assert weights.refresh()
+        successor = weights.successor({"S"})
         fresh = factory(chain_query)
-        assert np.allclose(weights.root_weights(), fresh.root_weights())
-        assert weights.total_weight == pytest.approx(fresh.total_weight)
-        assert not weights.refresh()  # second call is a no-op
+        assert np.allclose(successor.root_weights(), fresh.root_weights())
+        assert successor.total_weight == pytest.approx(fresh.total_weight)
+        assert np.array_equal(weights.root_weights(), held)  # the last snapshot's value
 
     def test_ew_total_tracks_exact_size_under_churn(self, chain_query):
         weights = ExactWeightFunction(chain_query)
         for relation_name, row in (("R", (9, 10)), ("T", (100, 11)), ("S", (20, 100))):
             chain_query.relation(relation_name).append(row)
-            weights.refresh()
+            weights = weights.successor({relation_name})
             assert weights.total_weight == pytest.approx(
                 exact_join_size(chain_query, distinct=False)
             )
+
+
+# ------------------------------------------------- a mutation mid weight pass
+class TestMutationDuringTheWeightPass:
+    """A refresh's descent records the versions it read *before* its weight
+    pass: a mutation landing during the pass counts as not included, and
+    the next refresh recomputes what it touched."""
+
+    @pytest.mark.parametrize("factory", [ExactWeightFunction, ExtendedOlkenWeightFunction])
+    def test_the_next_refresh_recomputes_it(self, chain_query, factory, monkeypatch):
+        sampler = JoinSampler(chain_query, weights=factory.name, seed=7)
+        chain_query.relation("S").append((10, 300))
+        refresh, landed = factory._refresh, []
+
+        def refresh_then_mutate(weights, dirty):
+            refresh(weights, dirty)
+            if not landed:  # once, right after the pass
+                landed.append(True)
+                chain_query.relation("T").append((300, 11))
+
+        monkeypatch.setattr(factory, "_refresh", refresh_then_mutate)
+        assert sampler.refresh() and landed
+        assert sampler.refresh()
+        fresh = factory(chain_query)
+        assert sampler.size_bound == fresh.total_weight
+        assert np.array_equal(sampler._descent.root_weights, fresh.root_weights())
+        if factory is ExactWeightFunction:
+            assert sampler.exact_size() == exact_join_size(chain_query, distinct=False) == 13
+        drawn = set(sampler.sample_block(2000).values(chain_query))
+        assert drawn == join_result_set(chain_query)
 
 
 # ----------------------------------------------------- sampling under updates
@@ -168,11 +198,10 @@ class TestSamplingUnderUpdates:
         sampler.sample_many(10)  # leaves surplus accepted draws buffered
         assert sampler._block_buffer
         chain_query.relation("S").delete_where(Comparison("b", "==", 10))
-        assert sampler.stale
         draws = sampler.sample_many(50)
         population = join_result_set(chain_query)
         assert {d.value for d in draws} <= population
-        assert not sampler.stale
+        assert not sampler.refresh()  # the draw synced with the delete
 
     def test_wander_join_tracks_updates(self, chain_query):
         walker = WanderJoin(chain_query, seed=113)

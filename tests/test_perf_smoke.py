@@ -624,3 +624,35 @@ def test_an_unpushed_predicate_is_masked_once_per_snapshot(monkeypatch):
     tables["partsupp"].delete_rows([0])
     snapshot()
     assert sorted(masked) == ["p_size", "p_size", "s_acctbal"]
+
+
+def test_a_histogram_ew_union_runs_one_weight_pass_per_join_and_snapshot(monkeypatch):
+    """``SetUnionSampler`` with ``HistogramUnionEstimator(join_size_method=
+    "ew")`` (the CLI's ``sample --warmup histogram --weights ew``): the
+    estimator reads each join's size from the snapshot's shared EW descent
+    that the union's samplers draw from, so one snapshot runs one full EW
+    pass per join, and the next snapshot patches them (no full pass)."""
+    from repro.core import SetUnionSampler
+    from repro.estimation import HistogramUnionEstimator
+    from repro.sampling import weights
+
+    queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
+    passes = []
+    compute = weights.ExactWeightFunction._compute
+
+    def spy(function, dirty):
+        if dirty is None:
+            passes.append(function.query.name)
+        return compute(function, dirty)
+
+    monkeypatch.setattr(weights.ExactWeightFunction, "_compute", spy)
+
+    def union_sample():
+        estimator = HistogramUnionEstimator(queries, join_size_method="ew")
+        assert len(SetUnionSampler(queries, estimator, seed=3).sample(300)) == 300
+
+    union_sample()
+    assert sorted(passes) == sorted(query.name for query in queries)
+    queries[0].relation("region").delete_rows([0])  # every join reads region
+    union_sample()
+    assert len(passes) == len(queries)

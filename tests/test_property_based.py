@@ -308,7 +308,7 @@ class TestIncrementalMaintenanceProperties:
         query = _build_two_relation_query((rows_r, rows_s))
         weights = ExactWeightFunction(query)
         _apply_ops(query.relation("R"), ops, list(rows_r))
-        weights.refresh()
+        weights = weights.successor({"R"})
         assert weights.total_weight == pytest.approx(
             exact_join_size(query, distinct=False)
         )

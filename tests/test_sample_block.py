@@ -275,20 +275,6 @@ class TestOneDescentPerSnapshot:
         assert view._built.tobytes() == view_built.tobytes()
         assert clone._descent.plans()[0] is top
 
-    def test_a_callers_weight_function_gets_its_own_descent(self, chain_query):
-        from repro.sampling.weights import ExactWeightFunction
-
-        weights = ExactWeightFunction(chain_query)
-        own = JoinSampler(chain_query, weights=weights, seed=1)
-        shared = JoinSampler(chain_query, weights="ew", seed=1)
-        assert own.weight_function is weights
-        assert own._descent is not shared._descent
-        assert own.split(1)[0]._descent is own._descent
-        own.sample_block(30)
-        chain_query.relation("S").extend([(10, 300), (20, 200)])
-        weights.refresh()  # the caller refreshes its function in place
-        assert set(own.sample_block(300).values(chain_query)) == join_result_set(chain_query)
-
     def test_ten_samplers_build_once_and_a_delete_patches_once(self, chain_query, monkeypatch):
         from repro.sampling import alias, join_sampler, weights
 

@@ -1,11 +1,13 @@
 """Tests for the TPC-H style generator and the UQ1/UQ2/UQ3 workloads."""
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.joins.executor import exact_overlap_size, exact_union_size, join_result_set
 from repro.joins.query import JoinType, check_union_compatible
-from repro.relational.predicates import Predicate
+from repro.relational.predicates import Comparison, InSet, Predicate
 from repro.tpch.generator import TPCHGenerator, generate_tpch
 from repro.tpch.schema import CARDINALITIES_AT_SF1, MINIMUM_ROWS, rows_at_scale
 from repro.tpch.workloads import build_uq1, build_uq2, build_uq3, build_workload
@@ -224,11 +226,24 @@ class TestMaskSelections:
                                     ("lineitem", keep_lineitem)):
                 self._assert_selects(query.relation(name), tables[name], predicate)
 
+    @staticmethod
+    def _row_oracle(predicate):
+        """``predicate`` evaluated row by row in plain Python."""
+        if isinstance(predicate, InSet):
+            return lambda row, schema: row[schema.position(predicate.attribute)] in predicate.values
+        assert isinstance(predicate, Comparison), predicate
+        compare = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                   "<=": operator.le, ">": operator.gt, ">=": operator.ge}[predicate.op]
+        return lambda row, schema: compare(
+            row[schema.position(predicate.attribute)], predicate.value
+        )
+
     def test_uq2(self, tables):
         for query in build_uq2(self.SCALE, seed=6, tables=tables).queries:
             for name, relation in query.relations.items():
                 if name in query.predicates:
-                    self._assert_selects(relation, tables[name], query.predicates[name])
+                    oracle = self._row_oracle(query.predicates[name])
+                    self._assert_selects(relation, tables[name], oracle)
                 else:
                     assert relation is tables[name]
 
