@@ -70,7 +70,8 @@ def chi_square_uniformity(
         raise ValueError("at least one sample is required")
     expected = n / len(population_list)
     counts = frequency_table(samples)
-    unknown = sum(count for value, count in counts.items() if value not in set(population_list))
+    members = set(population_list)
+    unknown = sum(count for value, count in counts.items() if value not in members)
     if unknown:
         return ChiSquareResult(
             statistic=float("inf"),

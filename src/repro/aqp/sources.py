@@ -12,9 +12,10 @@ Every source is an attempt-level HT stream, a union's included
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
-from typing import Any, List, NamedTuple, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, List, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -27,7 +28,7 @@ from repro.relational.columnar import concat_column_arrays
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.sampling.wander_join import WanderJoin
-from repro.utils.rng import RandomState, spawn_rngs
+from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
 DrawT = TypeVar("DrawT")
 
@@ -151,6 +152,8 @@ class UnionCoverSource:
     ) -> None:
         self.queries = tuple(queries)
         self.rng, *streams = spawn_rngs(seed, len(self.queries) + 1)
+        #: the root stream, past the children derived from it: orders a take
+        self.order = ensure_rng(seed)
         self.samplers = [
             JoinSampler(query, weights="ew", seed=stream, max_batch_size=max_batch_size)
             for query, stream in zip(self.queries, streams)
@@ -175,6 +178,29 @@ class UnionCoverSource:
             owners = np.full(int(kept.sum()), position, dtype=np.intp)
             parts.append(CoverDraw([column[kept] for column in columns], owners, 0, total))
         return CoverDraw.concat(parts)
+
+    def take(self, count: int, max_attempts: int = 1_000_000) -> CoverDraw:
+        """``count`` values i.i.d. uniform over the union: draw until
+        ``count`` are kept, permute, truncate.  A draw groups its kept values
+        by join; permuted they are exchangeable, so the prefix is i.i.d.
+        uniform.  ``attempts`` counts every attempt made; ``max_attempts``
+        of them keeping nothing raise ``RuntimeError``."""
+        draws: List[CoverDraw] = []
+        kept = attempts = 0
+        # A zero take makes one empty draw, which consumes no random state.
+        while kept < count or not draws:
+            if not kept and attempts >= max_attempts:
+                raise RuntimeError(f"the union kept no value in {attempts} attempts")
+            need = count - kept
+            # Size from the share kept so far (+25%); double while none is.
+            size = math.ceil(need * attempts / kept * 1.25) if kept else max(need, attempts)
+            draws.append(self.draw(size))
+            kept += len(draws[-1].owners)
+            attempts += size
+        merged, chosen = CoverDraw.concat(draws), self.order.permutation(kept)[:count]
+        return merged._replace(
+            columns=[column[chosen] for column in merged.columns], owners=merged.owners[chosen]
+        )
 
     def ingest(self, accumulator: AggregateAccumulator, draws: Sequence[CoverDraw]) -> None:
         # Every shard's kept values in shard order, as ONE chunk (the order
@@ -228,20 +254,21 @@ def split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def fan_out(sources: Sequence[Source[DrawT]], size: int) -> List[DrawT]:
-    """Draw ``size`` across the sources; results come back in source order."""
-    if len(sources) == 1:
-        return [sources[0].draw(size)]
-    quotas = split_evenly(size, len(sources))
-    with ThreadPoolExecutor(max_workers=len(sources)) as executor:
-        return list(executor.map(lambda source, quota: source.draw(quota), sources, quotas))
+def fan_out(draws: Sequence[Callable[[int], DrawT]], size: int) -> List[DrawT]:
+    """Split ``size`` evenly over the draw callables, one thread each;
+    results come back in their order."""
+    if len(draws) == 1:
+        return [draws[0](size)]
+    quotas = split_evenly(size, len(draws))
+    with ThreadPoolExecutor(max_workers=len(draws)) as executor:
+        return list(executor.map(lambda draw, quota: draw(quota), draws, quotas))
 
 
 def draw_into(
     accumulator: AggregateAccumulator, sources: Sequence[Source[DrawT]], size: int
 ) -> Optional[SampleBlock]:
     """One step of the draw loop: fan out, then ingest in source order."""
-    return sources[0].ingest(accumulator, fan_out(sources, size))
+    return sources[0].ingest(accumulator, fan_out([source.draw for source in sources], size))
 
 
 __all__ = [

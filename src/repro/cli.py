@@ -182,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="listen port (0 binds an ephemeral port and "
                        "prints the actual one)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker budget of the shared sampling pool "
-                       "(default: CPU count)")
     serve.add_argument("--max-request-seconds", type=float, default=30.0,
                        help="admission ceiling per request, in cost-model "
                        "seconds")
@@ -567,8 +564,8 @@ def command_figure(args: argparse.Namespace) -> int:
 
 
 def command_serve(args: argparse.Namespace) -> int:
-    # Deferred import: the server stack (and its pool) is only paid for by
-    # the one subcommand that serves.
+    # Deferred import: the server stack is only paid for by the one
+    # subcommand that serves.
     from repro.server import (
         AdmissionLimits,
         OverloadConfig,
@@ -621,7 +618,6 @@ def command_serve(args: argparse.Namespace) -> int:
             scale_factor=args.scale_factor,
             overlap_scale=args.overlap_scale,
             seed=args.seed,
-            workers=args.workers,
             limits=AdmissionLimits(
                 max_request_seconds=args.max_request_seconds,
                 max_samples=args.max_samples,

@@ -62,8 +62,8 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
             )
         }
     ),
-    # PR 7: one pool multiplexes every server request; executor lifecycle,
-    # supervision counters and last-run bookkeeping are shared.
+    # Concurrent run()/sample()/aggregate() callers of one pool share its
+    # executor lifecycle, supervision counters and last-run bookkeeping.
     "ParallelSamplerPool": LockContract(
         locks={
             "_lock": frozenset(

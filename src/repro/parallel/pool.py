@@ -63,14 +63,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
 from repro.aqp.planner import supported_backends
 from repro.aqp.sources import split_evenly
-from repro.joins.query import JoinQuery
-from repro.parallel.shards import (
-    SHARD_BACKENDS,
-    ShardResult,
-    ShardTask,
-    observed_versions,
-    run_shard,
-)
+from repro.joins.query import JoinQuery, observed_versions
+from repro.parallel.shards import SHARD_BACKENDS, ShardResult, ShardTask, run_shard
 from repro.resilience.errors import EmptyResultError
 from repro.resilience.faults import FaultPlan, InjectedFault, fault_plan_from_env
 from repro.resilience.supervisor import (
@@ -218,8 +212,7 @@ class ParallelSamplerPool:
         #: close() (supervisors borrow it).
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         #: guards the executor lifecycle, the shared counters, and the
-        #: last-run bookkeeping against concurrent run() callers (the server
-        #: multiplexes many requests onto one pool).
+        #: last-run bookkeeping against concurrent run() callers.
         self._lock = threading.Lock()
         self._closed = False
         #: per-thread outcome of the most recent run() on that thread
@@ -238,7 +231,7 @@ class ParallelSamplerPool:
         executor is drained (``wait=True``) so every spawned thread is
         actually reaped — the regression for the old behaviour of building a
         fresh executor per run and leaking it to GC under a long-lived
-        server.
+        caller.
         """
         with self._lock:
             if self._closed:
@@ -311,13 +304,7 @@ class ParallelSamplerPool:
         ]
 
     # -------------------------------------------------------------------- run
-    def run(
-        self,
-        tasks: Sequence[ShardTask],
-        *,
-        job_timeout: Optional[float] = None,
-        allow_partial: Optional[bool] = None,
-    ) -> List[ShardResult]:
+    def run(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
         """Execute the shard tasks under supervision, in shard-id order.
 
         Each shard is dispatched individually with per-shard timeouts,
@@ -326,14 +313,8 @@ class ParallelSamplerPool:
         that survive the retry budget re-raise with shard attribution
         (unless ``allow_partial``, in which case the completed shards come
         back and the missing ones are recorded on the run report).
-
-        ``job_timeout``/``allow_partial`` override the pool's defaults for
-        this run only — the server maps per-request deadlines onto a shared
-        pool through them.
         """
-        results, outcome = self._run_supervised(
-            tasks, job_timeout=job_timeout, allow_partial=allow_partial
-        )
+        results, outcome = self._run_supervised(tasks)
         # Per-caller outcome rides a thread-local (concurrent run() callers
         # must not read each other's supervision outcome); _last_outcome is
         # best-effort shared bookkeeping for external introspection.
@@ -343,18 +324,13 @@ class ParallelSamplerPool:
         return results
 
     def _run_supervised(
-        self,
-        tasks: Sequence[ShardTask],
-        *,
-        job_timeout: Optional[float] = None,
-        allow_partial: Optional[bool] = None,
+        self, tasks: Sequence[ShardTask]
     ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome]]:
         """Thread-safe core of :meth:`run`: no shared last-run bookkeeping.
 
-        Concurrent callers (the server multiplexes requests onto one pool)
-        each get their own supervisor and outcome; only the lifetime
-        counters and the borrowed executor are shared, both under
-        the pool lock.
+        Concurrent callers each get their own supervisor and outcome; only
+        the lifetime counters and the borrowed executor are shared, both
+        under the pool lock.
         """
         if not tasks:
             return [], None
@@ -373,8 +349,8 @@ class ParallelSamplerPool:
             workers=self.workers,
             policy=self.retry_policy,
             shard_timeout=self.shard_timeout,
-            deadline=self.job_timeout if job_timeout is None else job_timeout,
-            allow_partial=self.allow_partial if allow_partial is None else allow_partial,
+            deadline=self.job_timeout,
+            allow_partial=self.allow_partial,
             fault_plan=self.fault_plan,
             executor=executor,
         )
@@ -396,16 +372,12 @@ class ParallelSamplerPool:
         method: str = "auto",
         shards: Optional[int] = None,
         max_attempts: int = 1_000_000,
-        job_timeout: Optional[float] = None,
-        allow_partial: Optional[bool] = None,
     ) -> ParallelRunReport:
         """``count`` uniform samples, fanned out and merged in shard order."""
         tasks = self.plan_tasks(
             queries, count, seed=seed, method=method, shards=shards, max_attempts=max_attempts
         )
-        results, outcome = self._run_with_epoch_guard(
-            tasks, job_timeout=job_timeout, allow_partial=allow_partial
-        )
+        results, outcome = self._run_with_epoch_guard(tasks)
         report = self._base_report(tasks, results, outcome)
         query = tasks[0].queries[0]
         for result in results:
@@ -431,8 +403,6 @@ class ParallelSamplerPool:
         method: str = "auto",
         shards: Optional[int] = None,
         max_attempts: int = 1_000_000,
-        job_timeout: Optional[float] = None,
-        allow_partial: Optional[bool] = None,
     ) -> ParallelRunReport:
         """Merged :class:`AggregateAccumulator` over ``count`` samples.
 
@@ -449,9 +419,7 @@ class ParallelSamplerPool:
             shards=shards,
             max_attempts=max_attempts,
         )
-        results, outcome = self._run_with_epoch_guard(
-            tasks, job_timeout=job_timeout, allow_partial=allow_partial
-        )
+        results, outcome = self._run_with_epoch_guard(tasks)
         report = self._base_report(tasks, results, outcome)
         merged: Optional[AggregateAccumulator] = None
         for result in results:
@@ -501,11 +469,7 @@ class ParallelSamplerPool:
         return method
 
     def _run_with_epoch_guard(
-        self,
-        tasks: Sequence[ShardTask],
-        *,
-        job_timeout: Optional[float] = None,
-        allow_partial: Optional[bool] = None,
+        self, tasks: Sequence[ShardTask]
     ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome]]:
         """Run the job, discarding and restarting on mutation epoch bumps."""
         queries = tasks[0].queries
@@ -514,14 +478,7 @@ class ParallelSamplerPool:
             before = observed_versions(queries)
             # Through the public run() so subclass/monkeypatch hooks apply;
             # the supervision outcome comes back on this thread's slot.
-            # Per-request overrides are only forwarded when set, so hooks
-            # with the historical (self, tasks) signature keep working.
-            if job_timeout is None and allow_partial is None:
-                results = self.run(tasks)
-            else:
-                results = self.run(
-                    tasks, job_timeout=job_timeout, allow_partial=allow_partial
-                )
+            results = self.run(tasks)
             outcome = getattr(self._tls, "outcome", None)
             if observed_versions(queries) == before:
                 return results, outcome

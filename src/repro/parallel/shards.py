@@ -26,7 +26,6 @@ start method imports this module inside the worker and looks it up by name.
 from __future__ import annotations
 
 import hashlib
-import math
 import pickle
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
 from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.aqp.sources import CoverDraw, UnionCoverSource, build_sources, draw_into
+from repro.aqp.sources import UnionCoverSource, build_sources, draw_into
 from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience.faults import (
     FaultPlan,
@@ -210,7 +209,11 @@ def run_shard(
         result.attempts = accumulator.attempts
         result.accepted = accumulator.accepted
     elif task.count and task.backend == "online-union":
-        _sample_union(task, rng, result)
+        union = UnionCoverSource(task.queries, rng).take(task.count, task.max_attempts)
+        result.values = list(zip(*(column.tolist() for column in union.columns)))
+        result.sources = [task.queries[owner].name for owner in union.owners.tolist()]
+        result.attempts = union.attempts
+        result.accepted = task.count
     elif task.count:
         sampler = JoinSampler(task.queries[0], weights=BACKEND_WEIGHTS[task.backend], seed=rng)
         result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
@@ -273,29 +276,6 @@ def verify_shard_result(
             )
         return None  # genuine mid-flight mutation: the epoch guard restarts
     return None
-
-
-def _sample_union(task: ShardTask, rng: np.random.Generator, result: ShardResult) -> None:
-    """Draw from the cover source until ``count`` values are kept, permute,
-    truncate.  A draw groups its kept values by join; permuted they are
-    exchangeable, so the prefix is i.i.d. uniform over the union."""
-    source = UnionCoverSource(task.queries, rng)
-    draws: List[CoverDraw] = []
-    kept = attempts = 0
-    while kept < task.count:
-        if not kept and attempts >= task.max_attempts:
-            raise RuntimeError(f"the union kept no value in {attempts} attempts")
-        need = task.count - kept
-        # Size from the share kept so far (+25%); double while none is.
-        size = math.ceil(need * attempts / kept * 1.25) if kept else max(need, attempts)
-        draws.append(source.draw(size))
-        kept += len(draws[-1].owners)
-        attempts += size
-    merged, chosen = CoverDraw.concat(draws), rng.permutation(kept)[: task.count]
-    result.values = list(zip(*(column[chosen].tolist() for column in merged.columns)))
-    result.sources = [task.queries[owner].name for owner in merged.owners[chosen].tolist()]
-    result.attempts = attempts
-    result.accepted = task.count
 
 
 __all__ = [

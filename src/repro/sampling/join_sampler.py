@@ -373,10 +373,9 @@ class JoinSampler:
         #: pre-order node list (root first) for the descent
         self._order = self.tree.descent()
         self._relation_order = tuple(node.relation for node, _ in self._order)
-        self._relations = [self.query.relation(name) for name in self._relation_order]
-        self._db_versions = tuple(r.version for r in self._relations)
-        #: the snapshot's shared structures, and the memo key they are
-        #: fetched under again after a mutation
+        #: the snapshot's shared structures (their versions are this
+        #: sampler's one record of what it synced with), and the memo key
+        #: they are fetched under again after a mutation
         self._descent = descent
         self._descent_key = descent_key
         #: this sampler's build decisions, one view per level plan (made on
@@ -399,30 +398,28 @@ class JoinSampler:
         """Re-sync with mutated base relations; returns True when stale.
 
         The epoch protocol: every effective mutation bumps
-        :attr:`Relation.version`; each draw entry point compares those
-        counters (a handful of int comparisons) and, on staleness, fetches
-        the snapshot's descent again — from the query's memo, where the first
+        :attr:`Relation.version`; each draw entry point fetches the current
+        snapshot's descent from the query's memo, which hands back this
+        sampler's own descent while no relation moved.  Otherwise the first
         sampler to need it patched the last one (weights refreshed
-        incrementally, tables copied only where a delta dirtied them) — and
-        re-syncs this sampler's views **per edge**: an edge whose own
+        incrementally, tables copied only where a delta dirtied them), and
+        this sampler re-syncs its views **per edge**, by the relations whose
+        versions differ between the two descents: an edge whose own
         relations mutated gets a fresh view, an untouched edge keeps its
         build decisions except on the segments whose child weights moved
         (drawn cold from the new weights).  Then — critically — it discards
         buffered draws, which describe the *previous* database state.
         """
-        versions = tuple(r.version for r in self._relations)
-        if versions == self._db_versions:
-            return False
-        stale_names = {
-            name
-            for name, relation, version in zip(
-                self._relation_order, self._relations, self._db_versions
-            )
-            if relation.version != version
-        }
         descent = self.query.derived(
             self._descent_key, self._descent.patched, patch=_patch_descent
         )
+        if descent is self._descent:
+            return False
+        stale_names = {
+            name
+            for name, version in descent.versions.items()
+            if version != self._descent.versions[name]
+        }
         if self._views is not None:
             self._views = [
                 SegmentedAliasTable(plan.tables)
@@ -432,7 +429,6 @@ class JoinSampler:
             ]
         self._descent = descent
         self._block_buffer.clear()
-        self._db_versions = versions
         return True
 
     @property

@@ -202,8 +202,21 @@ class ExactWeightFunction(WeightFunction):
         return float(self._weights[node.relation][position])
 
     def weights_for(self, node: JoinTreeNode, positions: Sequence[int]) -> np.ndarray:
-        """Vectorized weight lookup for several row positions."""
-        return self._weights[node.relation][np.asarray(positions, dtype=np.intp)]
+        """Vectorized weight lookup for several row positions.
+
+        A row appended after the pass that computed these weights (a mutation
+        landing during a refresh, while the descent lays its plans out over
+        the live index) is not in their snapshot and weighs 0; the next
+        refresh recomputes its relation.
+        """
+        weights = self._weights[node.relation]
+        positions = np.asarray(positions, dtype=np.intp)
+        try:
+            return weights[positions]
+        except IndexError:
+            covered = np.zeros(int(positions.max()) + 1)
+            covered[: len(weights)] = weights
+            return covered[positions]
 
     def acceptance_bound(self, node: JoinTreeNode) -> Optional[float]:
         return None  # exact weights never reject

@@ -1,7 +1,6 @@
 """Admission control: price requests before they run, bound what runs at once.
 
-A long-lived server multiplexing many clients onto one
-:class:`~repro.parallel.pool.ParallelSamplerPool` has three resources to
+A long-lived server answering many clients at once has three resources to
 protect — CPU seconds, the per-request sample budget, and concurrency slots
 — and it must refuse work *up front* (a structured ``admission-rejected``
 error the client can act on) rather than let an oversized request starve

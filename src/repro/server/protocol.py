@@ -18,9 +18,10 @@ Request kinds
 
 ``sample``
     ``{"kind": "sample", "query": <join name>, "count": N, "seed": S}``
-    plus optional ``weights`` (``"ew"``/``"eo"``), ``workers`` (> 1 routes
-    through the shared :class:`~repro.parallel.pool.ParallelSamplerPool`),
-    ``deadline`` (seconds), ``allow_partial``, ``max_attempts``.
+    plus optional ``weights`` (``"ew"``/``"eo"``), ``workers`` (clones of
+    the warm sampler, or union cover sources, each drawing an even share on
+    its own thread), ``deadline`` (seconds), ``allow_partial``,
+    ``max_attempts``.  ``query`` may also be ``"union"``.
     ``workers`` is bounded by :data:`MAX_REQUEST_WORKERS` on both kinds.
 ``aggregate``
     ``{"kind": "aggregate", "query": ..., "aggregate": "count|sum|avg",

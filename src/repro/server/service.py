@@ -1,4 +1,4 @@
-"""The sampling service: warm state, epoch-consistent snapshots, multiplexing.
+"""The sampling service: warm state, epoch-consistent snapshots, one draw path.
 
 :class:`SamplingService` is the server's brain, independent of any
 transport: it loads the workload's relations **once**, keeps the expensive
@@ -22,19 +22,25 @@ it runs alone or besides 16 others (pinned by ``tests/test_server.py``).
 Its price reads the snapshot's memoized statistics and its values leave
 column by column (:func:`json_rows`): a warm request pays for its draw.
 
+Every ``sample`` request runs one chunk loop (:meth:`SamplingService._sample`);
+a route only supplies the draw of the next chunk.  A join draws from
+``workers`` clones of its warm prototype, a union from ``workers``
+:class:`~repro.aqp.sources.UnionCoverSource` streams (the sources a union
+``aggregate`` gets); each clone or source draws its even share of every
+chunk, on its own thread when there are several, and the shares join in
+their order.
+
 Epoch consistency
 -----------------
 
 Mutations (``mutate`` requests, or any writer sharing the process) bump
-``Relation.version``.  A request must never blend snapshots: the warm path
-snapshots every base-relation version before drawing, re-checks between
-chunks and before projecting values, and on any bump **discards** the draw
-wholesale and restarts against the new snapshot (bounded by
-``max_epoch_restarts``, then ``epoch-restart-exhausted``).  Values are
-projected only after the final check, so a shape-changing mutation can
-never be read through stale row positions.  Pool-routed requests inherit
-the same guarantee from the coordinator epoch guard in
-:mod:`repro.parallel.pool`.
+``Relation.version``.  A request must never blend snapshots: the chunk loop
+snapshots every base-relation version before drawing, re-checks after every
+chunk, and on any bump **discards** the draw wholesale and restarts against
+the new snapshot (bounded by ``max_epoch_restarts``, then
+``epoch-restart-exhausted``); a response reports its own restarts.  Join
+values are projected only after the final check, so a shape-changing
+mutation can never be read through stale row positions.
 
 Deadlines map onto the PR 6 resilience contract: ``deadline`` without
 ``allow_partial`` fails with ``deadline-exceeded``; with ``allow_partial``
@@ -49,17 +55,19 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.online import planning_budget
 from repro.aqp.planner import BACKEND_WEIGHTS
+from repro.aqp.sources import CoverDraw, build_sources, fan_out
 from repro.cache.store import SampleCache
-from repro.joins.query import JoinQuery
-from repro.parallel.pool import ParallelSamplerPool
-from repro.parallel.shards import observed_versions
+from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
@@ -118,15 +126,17 @@ def jsonify(value):
     return value
 
 
+def _json_columns(columns: Sequence[np.ndarray], length: int) -> List[List[object]]:
+    """Rows of value columns, converted per column: a typed column leaves
+    through ``tolist()``, which is JSON-native already, and only an
+    ``object`` column goes value by value through :func:`jsonify`."""
+    lists = [list(map(jsonify, c.tolist())) if c.dtype == object else c.tolist() for c in columns]
+    return list(map(list, zip(*lists))) if lists else [[] for _ in range(length)]
+
+
 def json_rows(block: SampleBlock, query: JoinQuery) -> List[List[object]]:
-    """``jsonify(block.values(query))``, converted per column: a typed
-    column leaves through ``tolist()``, which is JSON-native already, and
-    only an ``object`` column goes value by value through :func:`jsonify`."""
-    columns = [
-        list(map(jsonify, c.tolist())) if c.dtype == object else c.tolist()
-        for c in block.value_columns(query)
-    ]
-    return list(map(list, zip(*columns))) if columns else [[] for _ in range(len(block))]
+    """``jsonify(block.values(query))``, converted per column."""
+    return _json_columns(block.value_columns(query), len(block))
 
 
 def _request_error(error: Exception) -> RequestError:
@@ -156,9 +166,6 @@ class SamplingService:
         one is built from ``workload_name``/``scale_factor``/
         ``overlap_scale``/``seed`` (paid once, at startup — never per
         request).
-    workers:
-        Worker budget of the shared :class:`ParallelSamplerPool` that
-        multi-worker and union requests multiplex onto.
     limits / admission:
         Admission-control knobs (see :class:`AdmissionLimits`) or a
         prebuilt controller.
@@ -196,7 +203,6 @@ class SamplingService:
         scale_factor: float = 0.001,
         overlap_scale: float = 0.3,
         seed: int = 2023,
-        workers: Optional[int] = None,
         limits: Optional[AdmissionLimits] = None,
         admission: Optional[AdmissionController] = None,
         max_epoch_restarts: int = 3,
@@ -211,9 +217,6 @@ class SamplingService:
         self.workload = workload or build_workload(
             workload_name, scale_factor, overlap_scale, seed
         )
-        # Threads, not processes: the whole point of the server is that every
-        # request shares the already-loaded relations and warm structures.
-        self.pool = ParallelSamplerPool(workers=workers, execution="thread")
         self.admission = admission or AdmissionController(limits)
         self.cache = cache
         self.max_epoch_restarts = int(max_epoch_restarts)
@@ -249,7 +252,7 @@ class SamplingService:
             "samples_served": 0,
             "epoch_restarts": 0,
             "warm_requests": 0,
-            "pool_requests": 0,
+            "cold_requests": 0,
             "prototype_builds": 0,
             "cache_requests": 0,
             "cache_invalidations": 0,
@@ -257,10 +260,12 @@ class SamplingService:
             "transport_errors": 0,
         }
         self._closed = False
-        #: test hook: called after every warm-path chunk, before its epoch
-        #: check — deterministic mid-flight fault injection, same spirit as
-        #: resilience.faults.FaultPlan.
-        self._after_chunk: Optional[Callable[["SamplingService", JoinQuery], None]] = None
+        #: test hook: called after every sample chunk with the request's
+        #: queries, before its epoch check — deterministic mid-flight fault
+        #: injection, same spirit as resilience.faults.FaultPlan.
+        self._after_chunk: Optional[
+            Callable[["SamplingService", Sequence[JoinQuery]], None]
+        ] = None
         if warm_on_start:
             for query in self.workload.queries:
                 self._prototype(query, "ew")
@@ -268,9 +273,8 @@ class SamplingService:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the shared pool; idempotent."""
+        """Refuse further requests; idempotent."""
         self._closed = True
-        self.pool.close()
 
     def __enter__(self) -> "SamplingService":
         return self
@@ -427,7 +431,7 @@ class SamplingService:
                     try:
                         with self._stats_lock:
                             self._counters[
-                                "warm_requests" if warm else "pool_requests"
+                                "warm_requests" if warm else "cold_requests"
                             ] += 1
                             if uses_cache:
                                 self._counters["cache_requests"] += 1
@@ -467,45 +471,62 @@ class SamplingService:
             "sample", label, (label, weights), queries, count,
             warm=warm, deadline=deadline,
         ) as ticket:
-            if warm:
-                result = self._sample_warm(
-                    queries[0], count, seed, weights, deadline,
-                    allow_partial, max_attempts,
-                )
-            else:
-                result = self._sample_pooled(
-                    queries, count, seed, weights, workers,
-                    deadline, allow_partial, max_attempts, union,
-                )
-        result.update(
-            kind="sample", query=label, seed=seed,
-            priced_seconds=ticket.priced_seconds,
-        )
+            drawn = self._sample(
+                queries, count, seed, weights, workers, deadline,
+                allow_partial, max_attempts,
+            )
         with self._stats_lock:
-            self._counters["samples_served"] += len(result["values"])
-        return result
+            self._counters["samples_served"] += drawn["accepted"]
+        return {
+            "count": count,
+            "backend": "online-union" if union else _WEIGHTS_TO_BACKEND[weights],
+            "weights": weights,
+            "warm": warm,
+            "workers": workers,
+            **drawn,
+            "kind": "sample",
+            "query": label,
+            "seed": seed,
+            "priced_seconds": ticket.priced_seconds,
+        }
 
-    def _sample_warm(
+    def _chunk_draws(
         self,
-        query: JoinQuery,
+        queries: Sequence[JoinQuery],
+        seed: int,
+        weights: str,
+        workers: int,
+        max_attempts: int,
+    ) -> List[Callable[[int], Any]]:
+        """One draw per worker, each taking its share of a chunk: a join's
+        warm prototype clones, or a union's cover sources."""
+        if len(queries) > 1:
+            sources = build_sources(queries, "online-union", seed, workers)
+            return [partial(source.take, max_attempts=max_attempts) for source in sources]
+        # split() warms (refresh + build) the prototype; if a mutation
+        # slipped in between the snapshot and the clones, the chunk loop's
+        # epoch check catches the mismatch and restarts — never blends.
+        clones = self._prototype(queries[0], weights).split(workers, seed=seed, share_plans=True)
+        return [partial(clone.sample_block, max_attempts=max_attempts) for clone in clones]
+
+    def _sample(
+        self,
+        queries: Sequence[JoinQuery],
         count: int,
         seed: int,
         weights: str,
+        workers: int,
         deadline: Optional[float],
         allow_partial: bool,
         max_attempts: int,
-    ) -> Dict[str, object]:
-        """Serve from a warm prototype clone under the epoch protocol."""
-        proto = self._prototype(query, weights)
+    ) -> Dict[str, Any]:
+        """Draw ``count`` values chunk by chunk under the epoch protocol."""
         start = time.monotonic()
         restarts = 0
         while True:
-            before = observed_versions((query,))
-            # split() warms (refresh + build) the prototype; if a mutation
-            # slipped in between the snapshot and the clone, the final check
-            # below catches the mismatch and we restart — never blend.
-            clone = proto.split(1, seed=seed, share_plans=True)[0]
-            blocks = []
+            before = observed_versions(queries)
+            draws = self._chunk_draws(queries, seed, weights, workers, max_attempts)
+            parts: List[Any] = []
             drawn = 0
             degraded = False
             clean = True
@@ -520,14 +541,14 @@ class SamplingService:
                     degraded = True
                     break
                 chunk = min(count - drawn, self.sample_chunk)
-                block = clone.sample_block(chunk, max_attempts=max_attempts)
+                shares = fan_out(draws, chunk)
                 if self._after_chunk is not None:
-                    self._after_chunk(self, query)
-                if observed_versions((query,)) != before:
+                    self._after_chunk(self, queries)
+                if observed_versions(queries) != before:
                     clean = False
                     break
-                blocks.append(block)
-                drawn += len(block)
+                parts.extend(shares)
+                drawn += chunk
             if clean:
                 break
             # A mutation epoch landed mid-draw: the chunks describe a mix of
@@ -549,66 +570,26 @@ class SamplingService:
                 "no partial result exists — retry with a larger deadline",
                 deadline=deadline,
             )
-        # Values are projected only now, after the final epoch check: the
-        # relations provably match the snapshot every block was drawn from,
-        # so stale row positions can never be read through.
-        values = [row for block in blocks for row in json_rows(block, query)]
+        if len(queries) > 1:
+            union = CoverDraw.concat(parts)
+            values = _json_columns(union.columns, drawn)
+            sources = [queries[owner].name for owner in union.owners.tolist()]
+            attempts = union.attempts
+        else:
+            # Values are projected only now, after the final epoch check:
+            # the relations provably match the snapshot every block was
+            # drawn from, so stale row positions can never be read through.
+            query = queries[0]
+            values = [row for block in parts for row in json_rows(block, query)]
+            sources = [query.name] * len(values)
+            attempts = sum(block.attempts for block in parts)
         return {
-            "count": count,
-            "backend": _WEIGHTS_TO_BACKEND[weights],
-            "weights": weights,
-            "warm": True,
-            "workers": 1,
-            "attempts": int(sum(b.attempts for b in blocks)),
+            "attempts": int(attempts),
             "accepted": len(values),
             "epoch_restarts": restarts,
             "degraded": degraded,
             "values": values,
-            "sources": [query.name] * len(values),
-        }
-
-    def _sample_pooled(
-        self,
-        queries: Sequence[JoinQuery],
-        count: int,
-        seed: int,
-        weights: str,
-        workers: int,
-        deadline: Optional[float],
-        allow_partial: bool,
-        max_attempts: int,
-        union: bool,
-    ) -> Dict[str, object]:
-        """Route through the shared pool (union sampling / multi-worker)."""
-        method = "auto" if union else _WEIGHTS_TO_BACKEND[weights]
-        report = self.pool.sample(
-            queries,
-            count,
-            seed=seed,
-            method=method,
-            max_attempts=max_attempts,
-            job_timeout=deadline,
-            allow_partial=allow_partial,
-        )
-        if report.degraded and count > 0 and not report.values:
-            raise EmptyResultError(
-                "sample deadline expired before any shard completed; "
-                "no partial result exists — retry with a larger deadline",
-                deadline=deadline,
-                attempts=report.attempts,
-            )
-        return {
-            "count": count,
-            "backend": report.backend,
-            "weights": weights,
-            "warm": False,
-            "workers": min(workers, report.workers),
-            "attempts": report.attempts,
-            "accepted": report.accepted,
-            "epoch_restarts": report.epochs_restarted,
-            "degraded": report.degraded,
-            "values": jsonify(report.values),
-            "sources": list(report.sources),
+            "sources": sources,
         }
 
     # -------------------------------------------------------------- aggregate
@@ -803,11 +784,6 @@ class SamplingService:
     def _handle_stats(self) -> Dict[str, object]:
         with self._stats_lock:
             counters = dict(self._counters)
-        pool_stats = {
-            key: value
-            for key, value in vars(self.pool.stats).items()
-            if isinstance(value, (int, float))
-        }
         return {
             "kind": "stats",
             "workload": self.workload.name,
@@ -829,11 +805,6 @@ class SamplingService:
             "overload": self._overload.snapshot(),
             "breakers": self._breakers.snapshot(),
             "watchdog": self._watchdog.snapshot(),
-            "pool": {
-                "workers": self.pool.workers,
-                "epochs_restarted": self.pool.epochs_restarted,
-                **pool_stats,
-            },
         }
 
 

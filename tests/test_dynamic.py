@@ -24,7 +24,7 @@ from repro.dynamic.stream import UpdateBatch
 from repro.joins.executor import exact_join_size, join_result_set
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
-from repro.sampling.join_sampler import JoinSampler
+from repro.sampling.join_sampler import JoinSampler, _Descent
 from repro.sampling.wander_join import WanderJoin
 from repro.sampling.weights import ExactWeightFunction, ExtendedOlkenWeightFunction
 
@@ -112,9 +112,14 @@ class TestMutationDuringTheWeightPass:
     pass: a mutation landing during the pass counts as not included, and
     the next refresh recomputes what it touched."""
 
+    @pytest.mark.parametrize("drew_first", [False, True], ids=["fresh", "drawn-first"])
     @pytest.mark.parametrize("factory", [ExactWeightFunction, ExtendedOlkenWeightFunction])
-    def test_the_next_refresh_recomputes_it(self, chain_query, factory, monkeypatch):
+    def test_the_next_refresh_recomputes_it(
+        self, chain_query, factory, drew_first, monkeypatch
+    ):
         sampler = JoinSampler(chain_query, weights=factory.name, seed=7)
+        if drew_first:  # the refresh then patches level plans that already exist
+            sampler.sample_block(50)
         chain_query.relation("S").append((10, 300))
         refresh, landed = factory._refresh, []
 
@@ -132,6 +137,9 @@ class TestMutationDuringTheWeightPass:
         assert np.array_equal(sampler._descent.root_weights, fresh.root_weights())
         if factory is ExactWeightFunction:
             assert sampler.exact_size() == exact_join_size(chain_query, distinct=False) == 13
+        fresh_plans = _Descent.built(factory.name, chain_query).plans()
+        for plan, fresh_plan in zip(sampler._descent.plans(), fresh_plans, strict=True):
+            assert np.array_equal(plan.tables.segment_totals, fresh_plan.tables.segment_totals)
         drawn = set(sampler.sample_block(2000).values(chain_query))
         assert drawn == join_result_set(chain_query)
 

@@ -22,8 +22,10 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import cost
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.planner import SamplerPlanner, choose_weights
+from repro.aqp.sources import UnionCoverSource
 from repro.cache import SampleCache
 from repro.joins.conditions import JoinCondition, OutputAttribute
+from repro.joins.executor import execute_join
 from repro.joins.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
@@ -38,6 +40,8 @@ from repro.server import (
 )
 from repro.server.protocol import ERROR_CODES, MAX_REQUEST_WORKERS
 from repro.server.service import json_rows, jsonify
+
+from tests.stat_helpers import assert_uniform
 
 
 def make_service(**overrides) -> SamplingService:
@@ -146,16 +150,16 @@ class TestBitIdenticalConcurrency:
         assert concurrent[3] == sequential[3]
         assert concurrent[2]["ok"] and sequential[2]["ok"]
 
-    def test_union_sample_routes_through_pool(self, service):
-        response = service.handle(
-            {"kind": "sample", "query": "union", "count": 20, "seed": 5}
-        )
+    def test_union_sample_draws_through_the_cover_sources(self, service):
+        request = {"kind": "sample", "query": "union", "count": 20, "seed": 5}
+        response = service.handle(request)
         assert response["ok"]
         result = response["result"]
         assert not result["warm"]
         assert result["backend"] == "online-union"
         assert len(result["values"]) == 20
         assert set(result["sources"]) <= set(service.workload.query_names)
+        assert service.handle(request) == response  # deterministic per request
 
 
 class TestAdmissionControl:
@@ -408,37 +412,55 @@ class TestEpochConsistency:
             svc.close()
 
 
+def query_name(service, route: str) -> str:
+    """The ``query`` field of a route: its first join, or the union."""
+    return "union" if route == "union" else service.workload.query_names[0]
+
+
+ROUTES = pytest.mark.parametrize("route", ["join", "union"])
+
+
 class TestDeadlines:
-    def test_deadline_without_partial_fails_with_deadline_code(self, service):
+    @pytest.fixture
+    def service(self):
+        """Own service per case: every missed deadline feeds the health
+        monitor, and enough of them leave a service shedding."""
+        svc = make_service()
+        yield svc
+        svc.close()
+
+    @ROUTES
+    def test_deadline_without_partial_fails_with_deadline_code(self, service, route):
         response = service.handle(
-            {"kind": "sample", "query": service.workload.query_names[0],
+            {"kind": "sample", "query": query_name(service, route),
              "count": 64, "seed": 4, "deadline": 0.0}
         )
         assert not response["ok"]
         assert response["error"]["code"] == "deadline-exceeded"
 
-    def test_empty_partial_refused(self, service):
+    @ROUTES
+    def test_empty_partial_refused(self, service, route):
         response = service.handle(
-            {"kind": "sample", "query": service.workload.query_names[0],
+            {"kind": "sample", "query": query_name(service, route),
              "count": 64, "seed": 4, "deadline": 0.0, "allow_partial": True}
         )
         assert not response["ok"]
         assert response["error"]["code"] == "empty-result"
 
-    def test_partial_with_data_is_degraded_not_error(self):
+    @ROUTES
+    def test_partial_with_data_is_degraded_not_error(self, route):
         svc = make_service(sample_chunk=4)
         try:
-            name = svc.workload.query_names[0]
             deadline = 0.05
 
-            def outlast_deadline(service, query):
+            def outlast_deadline(service, queries):
                 service._after_chunk = None
                 time.sleep(deadline * 2)
 
             svc._after_chunk = outlast_deadline
             response = svc.handle(
-                {"kind": "sample", "query": name, "count": 64, "seed": 4,
-                 "deadline": deadline, "allow_partial": True}
+                {"kind": "sample", "query": query_name(svc, route), "count": 64,
+                 "seed": 4, "deadline": deadline, "allow_partial": True}
             )
             assert response["ok"], response
             result = response["result"]
@@ -447,8 +469,9 @@ class TestDeadlines:
         finally:
             svc.close()
 
-    def test_aggregate_deadline_mapping(self, service):
-        base = {"kind": "aggregate", "query": service.workload.query_names[0],
+    @ROUTES
+    def test_aggregate_deadline_mapping(self, service, route):
+        base = {"kind": "aggregate", "query": query_name(service, route),
                 "aggregate": "count", "rel_error": 0.01, "seed": 4,
                 "deadline": 0.0}
         hard = service.handle(base)
@@ -457,6 +480,69 @@ class TestDeadlines:
         partial = service.handle({**base, "allow_partial": True})
         assert not partial["ok"]
         assert partial["error"]["code"] == "empty-result"
+
+
+class TestUnionRoute:
+    """A union ``sample`` draws the cover sources a union ``aggregate`` gets,
+    through the chunk loop every ``sample`` runs."""
+
+    @pytest.mark.parametrize(
+        "fixture, workers", [("uq1_small", 1), ("uq2_small", 2)]
+    )
+    def test_values_are_uniform_over_the_enumerated_union(
+        self, request, fixture, workers
+    ):
+        workload = request.getfixturevalue(fixture)
+        population = sorted({v for q in workload.queries for v in execute_join(q)})
+        count = 6 * len(population)
+        with SamplingService(workload=workload, warm_on_start=False) as svc:
+            response = svc.handle({"kind": "sample", "query": "union", "count": count,
+                                   "seed": 17, "workers": workers})
+        assert response["ok"], response
+        values = [tuple(value) for value in response["result"]["values"]]
+        assert len(values) == count
+        assert set(values) <= set(population)
+        assert_uniform(values, population)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_builds_one_cover_source_per_worker(self, service, monkeypatch, workers):
+        built = []
+        init = UnionCoverSource.__init__
+
+        def counted(source, *args, **kwargs):
+            built.append(source)
+            init(source, *args, **kwargs)
+
+        monkeypatch.setattr(UnionCoverSource, "__init__", counted)
+        response = service.handle({"kind": "sample", "query": "union", "count": 40,
+                                   "seed": 3, "workers": workers})
+        assert response["ok"], response
+        assert len(built) == workers
+
+    def test_epoch_restarts_are_per_request(self):
+        svc = make_service(sample_chunk=8, warm_on_start=False)
+        try:
+            fired = []
+
+            def mutate_once(service, queries):
+                if not fired:
+                    fired.append(True)
+                    service.handle({"kind": "mutate", "relation": "lineitem",
+                                    "delete_positions": [0, 1]})
+
+            svc._after_chunk = mutate_once
+            request = {"kind": "sample", "query": "union", "count": 32, "seed": 6}
+            restarted = svc.handle(request)
+            svc._after_chunk = None
+            clean = svc.handle(request)
+            assert fired and restarted["ok"] and clean["ok"]
+            assert restarted["result"]["epoch_restarts"] == 1
+            assert clean["result"]["epoch_restarts"] == 0
+            # The pre-mutation chunks were discarded: the restarted answer is
+            # the clean draw against the post-mutation snapshot.
+            assert clean["result"]["values"] == restarted["result"]["values"]
+        finally:
+            svc.close()
 
 
 class TestProtocolErrors:
@@ -523,7 +609,7 @@ class TestWorkersLimit:
 
     @pytest.fixture(scope="class")
     def healthy(self):
-        """Own service: the shared one is left shedding by the deadline tests."""
+        """Own service, apart from the health state the shared one gathers."""
         svc = make_service()
         yield svc
         svc.close()
@@ -688,10 +774,10 @@ class TestSharedSamplerConcurrency:
 
 
 class TestServiceLifecycle:
-    def test_context_manager_closes_pool(self):
+    def test_context_manager_closes_the_service(self):
         with make_service(warm_on_start=False) as svc:
-            assert not svc.pool.closed
-        assert svc.pool.closed
+            assert svc.handle({"kind": "health"})["ok"]
+        assert svc.handle({"kind": "health"})["error"]["code"] == "internal"
 
     def test_closed_service_refuses_requests(self):
         svc = make_service(warm_on_start=False)
