@@ -377,8 +377,8 @@ class ParallelSamplerPool:
         tasks = self.plan_tasks(
             queries, count, seed=seed, method=method, shards=shards, max_attempts=max_attempts
         )
-        results, outcome = self._run_with_epoch_guard(tasks)
-        report = self._base_report(tasks, results, outcome)
+        results, outcome, restarts = self._run_with_epoch_guard(tasks)
+        report = self._base_report(tasks, results, outcome, restarts)
         query = tasks[0].queries[0]
         for result in results:
             if result.block is not None:
@@ -419,8 +419,8 @@ class ParallelSamplerPool:
             shards=shards,
             max_attempts=max_attempts,
         )
-        results, outcome = self._run_with_epoch_guard(tasks)
-        report = self._base_report(tasks, results, outcome)
+        results, outcome, restarts = self._run_with_epoch_guard(tasks)
+        report = self._base_report(tasks, results, outcome, restarts)
         merged: Optional[AggregateAccumulator] = None
         for result in results:
             if result.accumulator is None:
@@ -470,8 +470,12 @@ class ParallelSamplerPool:
 
     def _run_with_epoch_guard(
         self, tasks: Sequence[ShardTask]
-    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome]]:
-        """Run the job, discarding and restarting on mutation epoch bumps."""
+    ) -> Tuple[List[ShardResult], Optional[SupervisedOutcome], int]:
+        """Run the job, discarding and restarting on mutation epoch bumps.
+
+        Returns the results, the supervision outcome and the job's own
+        restart count (``epochs_restarted`` keeps the pool's lifetime sum).
+        """
         queries = tasks[0].queries
         restarts = 0
         while True:
@@ -481,7 +485,7 @@ class ParallelSamplerPool:
             results = self.run(tasks)
             outcome = getattr(self._tls, "outcome", None)
             if observed_versions(queries) == before:
-                return results, outcome
+                return results, outcome, restarts
             # A refresh() epoch bump landed while shards were in flight: the
             # results mix database snapshots, so they are discarded wholesale
             # (the PR 2/PR 3 restart semantics) and the job re-runs against
@@ -501,9 +505,8 @@ class ParallelSamplerPool:
         tasks: Sequence[ShardTask],
         results: Sequence[ShardResult],
         outcome: Optional[SupervisedOutcome] = None,
+        restarts: int = 0,
     ) -> ParallelRunReport:
-        with self._lock:
-            epochs_restarted = self.epochs_restarted
         report = ParallelRunReport(
             backend=tasks[0].backend,
             execution=self.execution,
@@ -511,7 +514,7 @@ class ParallelSamplerPool:
             shards=len(tasks),
             attempts=sum(r.attempts for r in results),
             accepted=sum(r.accepted for r in results),
-            epochs_restarted=epochs_restarted,
+            epochs_restarted=restarts,
             per_shard=[
                 {"shard": r.shard_id, "attempts": r.attempts, "accepted": r.accepted}
                 for r in results

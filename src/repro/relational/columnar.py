@@ -42,10 +42,14 @@ def as_column_array(values: Sequence[object]) -> npt.NDArray[Any]:
     identity is preserved.  So are strings ending in NUL, which ``<U``/``S``
     arrays silently strip.  Integer columns are stored in the smallest safe
     signed dtype for their value range (NumPy's int64 default quadruples
-    resident bytes for typical key columns).
+    resident bytes for typical key columns).  A 1-D NumPy array of bools,
+    signed ints, floats or strings gives the column a list of its values
+    would give, without the round trip through Python objects.
     """
     if not len(values):
         return np.asarray([])
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "bifU":
+        return _native_array(values)
     types = {type(v) for v in values}
     kinds = _NATIVE_KINDS.get(types.pop()) if len(types) == 1 else None
     if kinds is None or (kinds in "US" and _any_nul_suffix(values)):
@@ -65,6 +69,22 @@ def as_column_array(values: Sequence[object]) -> npt.NDArray[Any]:
     if array.ndim != 1 or array.dtype.kind not in kinds:
         return _object_array(values)
     return shrink_integer_array(array)
+
+
+def _native_array(array: npt.NDArray[Any]) -> npt.NDArray[Any]:
+    """A typed array as its values' column: the array a list of them gives.
+
+    Integers shrink (see :func:`shrink_integer_array`) and strings narrow to
+    their longest value, so the column's bytes do not depend on whether it
+    was built from Python values or from an array.
+    """
+    kind = array.dtype.kind
+    if kind == "U":
+        width = max(1, int(np.char.str_len(array).max()))
+        return array if array.dtype.itemsize == 4 * width else array.astype(f"<U{width}")
+    if kind == "i":
+        return shrink_integer_array(array.astype(np.int64, copy=False))
+    return array.astype(np.float64, copy=False) if kind == "f" else array
 
 
 def _any_nul_suffix(values: Sequence[Any]) -> bool:

@@ -126,17 +126,29 @@ class Relation:
         cls,
         name: str,
         columns: Mapping[str, Sequence[Any]],
-        dtypes: Optional[Mapping[str, str]] = None,
+        dtypes: Schema | Mapping[str, str] | None = None,
     ) -> "Relation":
-        """Build a relation from a mapping of column name -> values."""
+        """Build a relation from a mapping of column name -> values.
+
+        ``dtypes`` names each attribute's type (default ``"int"``), or is the
+        whole :class:`Schema`, whose names must be the columns'.  A column
+        may be a 1-D NumPy array; it is taken (and made read-only) without a
+        copy when its dtype is already the column's (see
+        :func:`as_column_array`).
+        """
         names = list(columns)
         if not names:
             raise ValueError("at least one column is required")
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
-        dtypes = dtypes or {}
-        schema = Schema([Attribute(n, dtypes.get(n, "int")) for n in names])
+        if isinstance(dtypes, Schema):
+            if list(dtypes.names) != names:
+                raise ValueError(f"columns {names} do not match schema {list(dtypes.names)}")
+            schema = dtypes
+        else:
+            types = dtypes or {}
+            schema = Schema([Attribute(n, types.get(n, "int")) for n in names])
         arrays = [as_column_array(columns[n]) for n in names]
         return cls._adopt(name, schema, arrays, lengths.pop())
 

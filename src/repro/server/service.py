@@ -466,6 +466,8 @@ class SamplingService:
         allow_partial = get_bool(request, "allow_partial", False)
         max_attempts = get_int(request, "max_attempts", 1_000_000, minimum=1)
         union = len(queries) > 1
+        if union:
+            weights = "ew"  # the cover sources draw with exact weights only
         warm = not union and workers == 1
         with self._admitted(
             "sample", label, (label, weights), queries, count,

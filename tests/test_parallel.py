@@ -285,6 +285,28 @@ class TestEpochCancellation:
             fresh.accumulator.estimate()
         )
 
+    def test_report_counts_the_jobs_own_restarts(self, monkeypatch):
+        query = make_chain()
+        pool = ParallelSamplerPool(workers=2, execution="thread")
+        relation = query.relation("R")
+        original_run = ParallelSamplerPool.run
+        mutated = {"done": False}
+
+        def run_and_mutate(self, tasks):
+            results = original_run(self, tasks)
+            if not mutated["done"]:
+                mutated["done"] = True
+                relation.extend([(99, 0)])
+            return results
+
+        monkeypatch.setattr(ParallelSamplerPool, "run", run_and_mutate)
+        restarted = pool.sample(query, 40, seed=1, shards=2)
+        again = pool.sample(query, 40, seed=1, shards=2)
+        assert restarted.epochs_restarted == 1
+        assert again.epochs_restarted == 0
+        assert again.values == restarted.values
+        assert pool.epochs_restarted == 1
+
     def test_endless_mutation_gives_up(self, monkeypatch):
         query = make_chain()
         pool = ParallelSamplerPool(workers=1, execution="thread", max_epoch_restarts=2)

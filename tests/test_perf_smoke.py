@@ -21,7 +21,10 @@ from repro.joins.membership import UnionMembershipIndex
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
+from repro.tpch.generator import generate_tpch
 from repro.tpch.workloads import build_uq2
+
+from tests.tpch_oracle import generate_tpch_rows
 
 SMOKE_SCALE = 0.0005
 SMOKE_SEED = 7
@@ -158,6 +161,26 @@ def test_batched_membership_probes_beat_the_scalar_loop():
     assert batched_s * 3 <= scalar_s, (
         f"contains_many ({batched_s * 1e3:.1f} ms) is not 3x ahead of the scalar "
         f"loop ({scalar_s * 1e3:.1f} ms) — batched membership kernel regressed"
+    )
+
+
+def test_column_generator_beats_the_row_oracle():
+    """TPC-H generation replays the row-at-a-time definition a column at a
+    time: at SF 0.01 it must stay 5x ahead of that definition (best of 3;
+    measured ~18x here, and ~30x at SF 0.05 — docs/performance.md)."""
+
+    def best_of(run, repeats=3):
+        times = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            run(0.01, seed=2023)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    columns_s, rows_s = best_of(generate_tpch), best_of(generate_tpch_rows)
+    assert columns_s * 5 <= rows_s, (
+        f"column generation ({columns_s * 1e3:.0f} ms) is not 5x ahead of the row "
+        f"oracle ({rows_s * 1e3:.0f} ms) — the replay regressed"
     )
 
 

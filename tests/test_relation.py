@@ -42,6 +42,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Relation.from_columns("r", {})
 
+    def test_array_columns_are_the_columns_their_values_give(self):
+        schema = Schema([Attribute("k"), Attribute("x", "float"), Attribute("s", "str")])
+        columns = {
+            "k": np.array([3, 70_000, 5], dtype=np.int64),
+            "x": np.array([0.5, -1.25, 2.0], dtype=np.float32),
+            "s": np.array(["AB", "A", "ABC", "ABCDEFGH"])[[0, 1, 2]],
+        }
+        from_arrays = Relation.from_columns("r", columns, schema)
+        from_rows = Relation("r", schema, zip(*(c.tolist() for c in columns.values())))
+        assert from_arrays.schema is schema
+        for name in schema.names:
+            expected = from_rows.column_array(name)
+            assert from_arrays.column_array(name).dtype == expected.dtype
+            assert from_arrays.column_array(name).tobytes() == expected.tobytes()
+
+    def test_from_columns_schema_must_name_the_columns(self):
+        with pytest.raises(ValueError, match="do not match"):
+            Relation.from_columns("r", {"a": [1]}, Schema([Attribute("b")]))
+
 
 class TestAccess:
     def test_len_iter_getitem(self, people):

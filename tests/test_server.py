@@ -519,6 +519,22 @@ class TestUnionRoute:
         assert response["ok"], response
         assert len(built) == workers
 
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    def test_answers_and_breaks_as_exact_weights(self, service, monkeypatch, weights):
+        keys = []
+        record = service._breakers.record
+
+        def recorded(key, outcome):
+            keys.append(key)
+            record(key, outcome)
+
+        monkeypatch.setattr(service._breakers, "record", recorded)
+        response = service.handle({"kind": "sample", "query": "union", "count": 20,
+                                   "seed": 4, "weights": weights})
+        assert response["ok"], response
+        assert response["result"]["weights"] == "ew"
+        assert keys == [(response["result"]["query"], "ew")]
+
     def test_epoch_restarts_are_per_request(self):
         svc = make_service(sample_chunk=8, warm_on_start=False)
         try:
