@@ -16,8 +16,10 @@ snapshot without rebuilding from scratch:
 
 Deletion never produces move chains: the surviving rows of the tail segment
 ``[new_size, old_size)`` are mapped directly onto the holes left in
-``[0, new_size)``, so each ``moved`` pair is independent and the whole batch
-can be applied with one vectorized remap.
+``[0, new_size)``, so each ``moved`` pair is independent, every moved row
+sits at or past the smallest moved position, and a structure indexed by
+position remaps just those entries through a table as long as the deleted
+tail.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class RelationDelta:
     @property
     def touched(self) -> int:
         """Number of rows the batch changes (moves excluded: they only
-        relocate surviving rows and cost one vectorized remap)."""
+        relocate surviving tail rows, remapped by one comparison and a table
+        as long as the deleted tail)."""
         return len(self.inserted) + len(self.deleted) + len(self.replaced)
 
     @property

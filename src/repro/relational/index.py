@@ -51,6 +51,18 @@ DENSE_SPAN = 4
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
+def _running_counts(slots: npt.NDArray[np.intp], n_keys: int) -> npt.NDArray[np.intp]:
+    """Entry ``j`` counts the ``slots`` at or below ``j`` (``j < n_keys``):
+    how far ``offsets[1:]`` moves when every listed slot gains or loses one
+    row.  One ``repeat`` of the running counts over the runs between the
+    distinct slots, instead of a cumulative sum over every key."""
+    distinct, counts = np.unique(slots, return_counts=True)
+    return np.repeat(
+        np.concatenate(([0], np.cumsum(counts))),
+        np.diff(np.concatenate(([0], distinct, [n_keys]))),
+    )
+
+
 class _BatchLookup(NamedTuple):
     """How :meth:`SortedIndex.slots_for` resolves a typed array of keys.
 
@@ -91,8 +103,10 @@ class SortedIndex:
     The batched engines call ``slots_for`` once per join edge and snapshot,
     over the parent's whole key column, and gather from the resulting map
     (:meth:`~repro.joins.query.JoinQuery.edge_slots`).  Slots are numbered
-    in first-occurrence order of their key, and positions inside a slot
-    ascend.
+    in first-occurrence order of their key.  Positions inside a slot ascend
+    when the index is built; :meth:`apply_delta` appends and relocates
+    without reordering them, so afterwards they hold no order (no consumer
+    relies on one).
     """
 
     __slots__ = (
@@ -127,19 +141,24 @@ class SortedIndex:
         #: follow the index by comparing this counter
         self.compactions = 0
 
-    def _adopt_arrays(self, row_positions: IntArray, offsets: IntArray) -> None:
+    def _adopt_arrays(
+        self, row_positions: IntArray, offsets: IntArray, bound: Optional[int] = None
+    ) -> None:
         """Store the CSR arrays in the smallest safe index dtype, read-only.
 
         The dtype audit runs on every (re)build and delta: row positions are
         bounded by the relation size, offsets by the total indexed rows, so
         both shrink to int16/int32 whenever they fit — halving (or better)
-        the resident bytes the batched engine gathers through.  Lookups hand
-        out views of these arrays; keeping them read-only means callers
-        cannot corrupt the index by mutating a result.
+        the resident bytes the batched engine gathers through.  ``bound``
+        (one past the largest position and offset) is scanned for when not
+        given.  Lookups hand out views of these arrays; keeping them
+        read-only means callers cannot corrupt the index by mutating a
+        result.
         """
-        bound = int(offsets[-1]) if len(offsets) else 0
-        if row_positions.size:
-            bound = max(bound, int(row_positions.max()) + 1)
+        if bound is None:
+            bound = int(offsets[-1]) if len(offsets) else 0
+            if row_positions.size:
+                bound = max(bound, int(row_positions.max()) + 1)
         dtype = smallest_index_dtype(bound)
         self.row_positions = np.asarray(row_positions, dtype=dtype)
         self.offsets = np.asarray(offsets, dtype=dtype)
@@ -317,96 +336,104 @@ class SortedIndex:
         ``removed``/``added`` carry ``(key value, row position)`` pairs
         (pre-state positions for removals, post-state for additions);
         ``moved`` carries ``(old position, new position)`` remaps from the
-        swap-remove deletion scheme.  Python-level work is O(Δ + affected
-        segment sizes); array surgery is a handful of vectorized
-        ``np.delete``/``np.insert``/gather calls.  Slots whose segment empties
-        survive as zero-degree slots until enough of them accumulate to be
-        worth one O(n_keys) compaction pass; until then slot ids survive, and
-        new keys only append slots (a direct-table lookup is widened to them,
+        swap-remove deletion scheme.  The index holds every row of its
+        relation exactly once, so its positions are always a permutation of
+        ``range(total_rows)``: the post-state bounds every position and
+        offset without a scan.
+
+        The surgery runs in the adopted dtype, widened only when
+        ``old_row_count + len(added)`` outgrows it.  Python-level work is
+        O(Δ); array work is one pass over the segments the removals touch,
+        one comparison that finds the moved tail rows (swap-remove relocates
+        only rows at or past the smallest moved position, so an
+        O(#deleted)-long table remaps them) and the ``np.delete``/
+        ``np.insert`` copies.  Slots whose segment empties survive as
+        zero-degree slots until enough of them accumulate to be worth one
+        O(n_keys) compaction pass; until then slot ids survive, and new keys
+        only append slots (a direct-table lookup is widened to them,
         :meth:`_extended_lookup`).  Fresh arrays are produced rather than
         mutated, so previously handed-out views stay internally consistent.
         """
-        # Writable scratch copies, widened to intp for the surgery (inserted
-        # positions may exceed the current shrunk dtype's range); the final
-        # _adopt_arrays picks the smallest dtype that fits the new state.
-        row_positions = np.array(self.row_positions, dtype=np.intp)
-        offsets = np.array(self.offsets, dtype=np.intp)
+        dtype = np.promote_types(
+            self.row_positions.dtype,
+            smallest_index_dtype(max(old_row_count, self.total_rows) + len(added)),
+        )
+        row_positions = self.row_positions.astype(dtype, copy=False)
+        offsets = self.offsets.astype(dtype)  # a fresh, writable copy
         n_keys = len(offsets) - 1
+        slot_of = self._slot_of
 
         if removed:
-            by_slot: Dict[int, List[int]] = {}
-            for key, position in removed:
-                slot = self._slot_of.get(key, -1)
-                if slot < 0:
-                    raise KeyError(
-                        f"delta removes key {key!r} absent from CSR index "
-                        f"{self.attribute!r}"
-                    )
-                by_slot.setdefault(slot, []).append(position)
-            del_counts = np.zeros(n_keys, dtype=np.intp)
-            entry_chunks: List[npt.NDArray[np.intp]] = []
-            for slot, positions in by_slot.items():
-                start, end = int(offsets[slot]), int(offsets[slot + 1])
-                segment = row_positions[start:end]
-                if len(positions) == 1:
-                    hits = np.nonzero(segment == positions[0])[0]
-                else:
-                    hits = np.nonzero(np.isin(segment, positions))[0]
-                if hits.size != len(positions):
-                    raise KeyError(
-                        f"delta removes positions {positions!r} not all "
-                        f"indexed under slot {slot} of CSR index "
-                        f"{self.attribute!r}"
-                    )
-                entry_chunks.append(start + hits)
-                del_counts[slot] = hits.size
-            row_positions = np.delete(row_positions, np.concatenate(entry_chunks))
-            offsets[1:] -= np.cumsum(del_counts)
+            slots = np.fromiter(
+                (slot_of.get(key, -1) for key, _ in removed), dtype=np.intp, count=len(removed)
+            )
+            if not bool((slots >= 0).all()):
+                key = removed[int(np.argmin(slots))][0]
+                raise KeyError(
+                    f"delta removes key {key!r} absent from CSR index {self.attribute!r}"
+                )
+            positions = np.fromiter((p for _, p in removed), dtype=np.intp, count=len(removed))
+            # The affected segments' entries laid end to end, each coded as
+            # (slot, position) in one integer: a removal is found where its
+            # key's segment holds its position.
+            affected = np.unique(slots)
+            starts = offsets[affected].astype(np.intp)
+            degrees = offsets[affected + 1] - starts
+            ends = np.cumsum(degrees)
+            entries = np.arange(int(ends[-1]), dtype=np.intp) + np.repeat(
+                starts - (ends - degrees), degrees
+            )
+            entry_slots = np.repeat(affected, degrees)
+            width = max(old_row_count, 1)
+            hit = np.isin(entry_slots * width + row_positions[entries], slots * width + positions)
+            in_range = bool(((positions >= 0) & (positions < width)).all())
+            if not in_range or int(hit.sum()) != len(removed):
+                raise KeyError(
+                    f"delta removes (key, position) pairs not all indexed in CSR "
+                    f"index {self.attribute!r}: {list(removed)!r}"
+                )
+            row_positions = np.delete(row_positions, entries[hit])
+            offsets[1:] -= _running_counts(entry_slots[hit], n_keys)
 
         if moved and row_positions.size:
-            remap = np.arange(old_row_count, dtype=np.intp)
-            remap[[old for old, _ in moved]] = [new for _, new in moved]
-            row_positions = remap[row_positions]
+            olds = np.fromiter((old for old, _ in moved), dtype=np.intp, count=len(moved))
+            news = np.fromiter((new for _, new in moved), dtype=np.intp, count=len(moved))
+            low = int(olds.min())
+            remap = np.arange(low, old_row_count, dtype=dtype)
+            remap[olds - low] = news
+            if not row_positions.flags.writeable:  # still the published array
+                row_positions = row_positions.copy()
+            tail = np.flatnonzero(row_positions >= low)
+            row_positions[tail] = remap[row_positions[tail] - low]
 
         new_keys: List[object] = []
         if added:
-            ins_counts = np.zeros(n_keys, dtype=np.intp)
-            ins_ops: List[Tuple[int, int, int]] = []
-            pending_new: Dict[object, List[int]] = {}
-            for key, position in added:
-                slot = self._slot_of.get(key, -1)
-                if slot >= 0:
-                    ins_ops.append((int(offsets[slot + 1]), slot, position))
-                    ins_counts[slot] += 1
-                else:
-                    pending_new.setdefault(key, []).append(position)
-            if ins_ops:
+            slots = np.fromiter(
+                (slot_of.get(key, -1) for key, _ in added), dtype=np.intp, count=len(added)
+            )
+            positions = np.fromiter((p for _, p in added), dtype=np.intp, count=len(added))
+            known = np.flatnonzero(slots >= 0)
+            if known.size:
                 # Distinct slots can share one insertion index when empty
-                # slots sit between them; ordering by (index, slot) keeps each
-                # value inside its own slot's segment.
-                ins_ops.sort(key=lambda op: (op[0], op[1]))
-                row_positions = np.insert(
-                    row_positions,
-                    [op[0] for op in ins_ops],
-                    [op[2] for op in ins_ops],
-                )
-                offsets[1:] += np.cumsum(ins_counts)
-            if pending_new:
+                # slots sit between them; ordering by (index, slot), stably,
+                # keeps each value inside its own slot's segment.
+                at = offsets[slots[known] + 1]
+                order = np.lexsort((slots[known], at))
+                row_positions = np.insert(row_positions, at[order], positions[known][order])
+                offsets[1:] += _running_counts(slots[known], n_keys)
+            if known.size < len(added):
+                pending_new: Dict[object, List[int]] = {}
+                for i in np.flatnonzero(slots < 0).tolist():
+                    key, position = added[i]
+                    pending_new.setdefault(key, []).append(position)
                 new_keys = list(pending_new)
-                chunks: List[int] = []
-                tail_offsets: List[int] = []
-                total = int(offsets[-1])
-                for key, positions in pending_new.items():
-                    self._slot_of[key] = n_keys + len(tail_offsets)
-                    total += len(positions)
-                    tail_offsets.append(total)
-                    chunks.extend(positions)
-                row_positions = np.concatenate(
-                    [row_positions, np.asarray(chunks, dtype=np.intp)]
-                )
-                offsets = np.concatenate(
-                    [offsets, np.asarray(tail_offsets, dtype=np.intp)]
-                )
+                for key in new_keys:
+                    slot_of[key] = len(slot_of)
+                chunks = list(pending_new.values())
+                tail = np.asarray([p for chunk in chunks for p in chunk], dtype=dtype)
+                ends = offsets[-1] + np.cumsum([len(chunk) for chunk in chunks])
+                row_positions = np.concatenate([row_positions, tail])
+                offsets = np.concatenate([offsets, ends.astype(dtype)])
 
         # Lazy compaction: emptied slots are tolerated (every consumer treats
         # a zero-degree slot as "no joinable rows") and reclaimed wholesale
@@ -429,7 +456,8 @@ class SortedIndex:
                 )
             }
 
-        self._adopt_arrays(row_positions, offsets)
+        # Positions are a permutation of range(total rows): the total bounds both.
+        self._adopt_arrays(row_positions, offsets, bound=int(offsets[-1]))
         if compacted:
             self.compactions += 1
             self._sorted_lookup = None

@@ -301,6 +301,25 @@ class SegmentTables:
             segment_totals[nonempty], uniform[nonempty] = _reduce_segments(weights, ne_starts)
         self._start(weights, offsets, segment_totals, uniform)
 
+    @classmethod
+    def constant(cls, weight: float, offsets: npt.NDArray[Any]) -> "SegmentTables":
+        """``SegmentTables(np.full(offsets[-1], weight), offsets)``, field for
+        field, with no reduction: the weights are a read-only broadcast,
+        every segment is uniform and totals ``degree * weight``.  That
+        product is the reduction's exact sum while the weight is a whole
+        number and no sum passes 2**53; any other weight takes the
+        constructor."""
+        offsets = np.asarray(offsets)
+        weights = np.broadcast_to(float(weight), (int(offsets[-1]),))
+        if not (float(weight).is_integer() and weight * weights.size <= 2**53):
+            return cls(weights, offsets)
+        tables = cls.__new__(cls)
+        tables._start(
+            weights, offsets, np.diff(offsets) * float(weight),
+            np.ones(len(offsets) - 1, dtype=bool),
+        )
+        return tables
+
     def _start(
         self,
         weights: _Floats,
@@ -315,11 +334,13 @@ class SegmentTables:
         self.segment_totals = segment_totals
         self.uniform = uniform
         n = weights.size
-        self.prob = np.ones(n, dtype=float)
-        self.alias = np.arange(n, dtype=_index_dtype(n))
         self.built = uniform.copy()
         #: every segment built: views made from now on may skip the mask
         self.complete = bool(self.built.all())
+        # Tables whose every segment is uniform never build one: their prob
+        # stays all ones, a read-only broadcast instead of an array.
+        self.prob = np.broadcast_to(1.0, (n,)) if self.complete else np.ones(n, dtype=float)
+        self.alias = np.arange(n, dtype=_index_dtype(n))
         self._lock = threading.Lock()
 
     @property
@@ -403,6 +424,8 @@ class SegmentTables:
         if not changed.any():
             return self
         tables = self._carried(w, self.offsets, changed)
+        if tables.complete:
+            return tables  # every segment uniform: nothing built to carry
         kept_rows = np.repeat(~changed, np.diff(self.offsets))
         with self._lock:
             tables.prob[kept_rows] = self.prob[kept_rows]

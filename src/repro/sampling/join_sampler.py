@@ -150,7 +150,10 @@ class _LevelPlan:
       ``segment_totals`` double as the realized weight sums driving the
       accept/reject test;
     * ``compactions`` is the count of ``csr``'s compactions the tables were
-      laid out under: while it holds, their slot ids are still ``csr``'s.
+      laid out under: while it holds, their slot ids are still ``csr``'s;
+    * ``constant`` is the weight every row of ``node`` carries when the
+      weight function names one (:meth:`WeightFunction.constant_weight`),
+      the tables then being uniform ones laid out from the offsets alone.
     """
 
     node: JoinTreeNode
@@ -160,6 +163,7 @@ class _LevelPlan:
     tables: SegmentTables
     bound: Optional[float]
     compactions: int
+    constant: Optional[float]
 
 
 def _read_versions(query: JoinQuery) -> Dict[str, int]:
@@ -244,18 +248,21 @@ class _Descent:
     ) -> _LevelPlan:
         """The level plan of one edge; ``previous`` is the edge's plan of an
         earlier snapshot, whose tables are reshaped when the CSR they were
-        laid out over is still the relation's, with the same slot ids."""
+        laid out over is still the relation's, with the same slot ids.  A
+        constant-weight node's tables come from the offsets alone."""
         query = self.weight_function.query
         csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
-        weights = self._csr_weights(node, csr)
-        if (
+        constant = self.weight_function.constant_weight(node)
+        if constant is not None:
+            tables = SegmentTables.constant(constant, csr.offsets)
+        elif (
             previous is not None
             and previous.csr is csr
             and previous.compactions == csr.compactions
         ):
-            tables = previous.tables.reshaped(weights, csr.offsets)
+            tables = previous.tables.reshaped(self._csr_weights(node, csr), csr.offsets)
         else:
-            tables = SegmentTables(weights, csr.offsets)
+            tables = SegmentTables(self._csr_weights(node, csr), csr.offsets)
         return _LevelPlan(
             node=node,
             parent=parent,
@@ -264,6 +271,7 @@ class _Descent:
             tables=tables,
             bound=self.weight_function.acceptance_bound(node),
             compactions=csr.compactions,
+            constant=constant,
         )
 
     def _csr_weights(self, node: JoinTreeNode, csr: SortedIndex) -> npt.NDArray[np.float64]:
@@ -281,12 +289,14 @@ class _Descent:
         whose own relations mutated gets a new plan (its CSR layout and/or
         edge map changed), with its tables reshaped from the last ones
         (:meth:`SegmentTables.reshaped`) while the CSR's slot ids survive,
-        built anew after a compaction or a rebuilt index.  An edge whose
-        endpoints are untouched keeps its CSR and edge map by reference —
-        but its child weights summarize the child's whole *subtree*, so a
-        delta further down can move them: :meth:`SegmentTables.patched`
-        copies its tables, resetting only the dirtied segments.  Plans never
-        built stay unbuilt.
+        built anew after a compaction or a rebuilt index, and laid out from
+        the offsets over a constant-weight node.  An edge whose endpoints
+        are untouched keeps its CSR and edge map by reference — but its
+        child weights summarize the child's whole *subtree*, so a delta
+        further down can move them: :meth:`SegmentTables.patched` copies its
+        tables, resetting only the dirtied segments, and a constant-weight
+        node keeps its tables unless the constant moved.  Plans never built
+        stay unbuilt.
         """
         versions = _read_versions(self.weight_function.query)
         dirty = {name for name, version in versions.items() if version != self.versions[name]}
@@ -306,10 +316,18 @@ class _Descent:
                 query.edge_slots(plan.parent.relation, plan.node),
                 previous=plan,
             )
+        constant = self.weight_function.constant_weight(plan.node)
+        if constant is None:
+            tables = plan.tables.patched(self._csr_weights(plan.node, plan.csr))
+        elif constant == plan.constant:
+            tables = plan.tables
+        else:
+            tables = SegmentTables.constant(constant, plan.csr.offsets)
         return dataclasses.replace(
             plan,
-            tables=plan.tables.patched(self._csr_weights(plan.node, plan.csr)),
+            tables=tables,
             bound=self.weight_function.acceptance_bound(plan.node),
+            constant=constant,
         )
 
 

@@ -99,6 +99,14 @@ class WeightFunction(ABC):
             [self.weight(node, int(p)) for p in positions], dtype=float
         )
 
+    def constant_weight(self, node: JoinTreeNode) -> Optional[float]:
+        """The weight every row of ``node``'s relation carries, or None.
+
+        A level plan over a constant node lays its tables out from the CSR
+        offsets alone: no weight gather, no per-row comparison.
+        """
+        return None
+
     # -------------------------------------------------------------- utilities
     def describe(self) -> Dict[str, float]:
         """Summary used by benchmarks (total weight and per-node bounds)."""
@@ -155,6 +163,15 @@ class ExactWeightFunction(WeightFunction):
             if not node_dirty and not any(changed(c.relation) for c in node.children):
                 continue  # every input clean: cached weights stay valid
             relation = self.query.relation(name)
+            if not node.children:
+                # A leaf row yields itself: weight 1.  A leaf whose row
+                # count held keeps its array; its dirtiness reaches the
+                # parent edge through ``dirty``.
+                previous = self._weights.get(name)
+                if previous is None or len(previous) != len(relation):
+                    self._weights[name] = np.ones(len(relation), dtype=float)
+                    recomputed.add(name)
+                continue
             weights = np.ones(len(relation), dtype=float)
             for child in node.children:
                 edge = (name, child.relation)
@@ -163,9 +180,11 @@ class ExactWeightFunction(WeightFunction):
                     csr = child_rel.sorted_index_on_columns(child.child_attributes)
                     # Per-key sums of the child weights, then one gather per
                     # parent row: weight(parent) *= sum of joinable child
-                    # weights.
-                    self._key_sums[edge] = csr.segment_sums(
-                        self._weights[child.relation]
+                    # weights.  A leaf's sums are its degrees, exactly.
+                    self._key_sums[edge] = (
+                        csr.segment_sums(self._weights[child.relation])
+                        if child.children
+                        else csr.degrees().astype(float)
                     )
                     self._factors.pop(edge, None)
                 if node_dirty or edge not in self._factors:
@@ -217,6 +236,15 @@ class ExactWeightFunction(WeightFunction):
             covered = np.zeros(int(positions.max()) + 1)
             covered[: len(weights)] = weights
             return covered[positions]
+
+    def constant_weight(self, node: JoinTreeNode) -> Optional[float]:
+        """1 on a leaf, unless the leaf grew past this snapshot: a row
+        appended since weighs 0 (see :meth:`weights_for`)."""
+        if node.children:
+            return None
+        if len(self.query.relation(node.relation)) > len(self._weights[node.relation]):
+            return None
+        return 1.0
 
     def acceptance_bound(self, node: JoinTreeNode) -> Optional[float]:
         return None  # exact weights never reject
@@ -292,6 +320,10 @@ class ExtendedOlkenWeightFunction(WeightFunction):
         if node.is_root:
             return self._root_weights[np.asarray(positions, dtype=np.intp)]
         return np.full(len(positions), self._cap[node.relation], dtype=float)
+
+    def constant_weight(self, node: JoinTreeNode) -> Optional[float]:
+        """``cap`` on every level below the root."""
+        return None if node.is_root else self._cap[node.relation]
 
     def cap(self, relation: str) -> float:
         """Per-node constant ``cap`` (bound on any row's subtree result count)."""

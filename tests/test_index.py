@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dynamic import DeleteEvent, InsertEvent, UpdateBatch, apply_batch
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
-from repro.relational.index import SortedIndex
+from repro.relational.index import SortedIndex, smallest_index_dtype
 from repro.relational.relation import Relation
 
 
@@ -305,3 +305,76 @@ def test_an_extended_table_widens_its_dtype_with_the_key_count():
     assert index._sorted_lookup.keys.dtype == np.int32
     _assert_lookup_is_a_rebuild(index)
     assert index.slots_for(np.asarray([n, n - 1])).tolist() == [n, n - 1]
+
+
+# ------------------------------------------- CSR maintenance against a rebuild
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_KEY_SETS = (("a",), ("a", "b"))
+
+_batches = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("extend"),
+            st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4)), min_size=1, max_size=24),
+        ),
+        # positions modulo the relation's size at the time of the batch
+        st.tuples(st.just("delete"), st.lists(st.integers(0, 2**16), min_size=1, max_size=24)),
+        st.tuples(
+            st.just("update"),
+            st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+            st.integers(0, 40),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-24, 24), _batches)
+def test_maintained_csr_equals_a_rebuild(start, batches):
+    """Interleaved extend/delete/update batches on a relation whose size
+    crosses 32 767 both ways, with two indexed key sets: after every batch
+    each key holds the positions a rebuild over the mutated column gives
+    (as sets, since maintenance does not keep them ascending), degrees and
+    dtypes are a rebuild's, and the arrays handed out before the batch are
+    byte for byte what they were."""
+    n = _INT16_MAX + start
+    relation = Relation("R", ["a", "b"], [(i % 37, i % 5) for i in range(n)])
+    indexes = [relation.index_on_columns(attrs) for attrs in _KEY_SETS]
+    for batch in batches:
+        handed_out = [
+            (array, array.copy())
+            for index in indexes
+            for array in (index.row_positions, index.offsets, index.positions(0))
+        ]
+        size = len(relation)
+        if batch[0] == "extend":
+            relation.extend(batch[1])
+        elif batch[0] == "delete":
+            relation.delete_rows({p % size for p in batch[1]})
+        else:
+            relation.update_rows({p % size for p in batch[1]}, {"a": batch[2]})
+        for attrs, index in zip(_KEY_SETS, indexes):
+            assert relation.index_on_columns(attrs) is index  # patched, not rebuilt
+            rebuilt = SortedIndex.build(relation._keys(attrs))
+            assert index.row_positions.dtype == index.offsets.dtype == rebuilt.offsets.dtype
+            assert rebuilt.offsets.dtype == smallest_index_dtype(len(relation))
+            assert index.total_rows == len(relation)
+            assert index.frequencies() == rebuilt.frequencies()
+            assert int(index.degrees().sum()) == index.offsets[-1]
+            for key in rebuilt.frequencies():
+                assert sorted(index.positions(key).tolist()) == rebuilt.positions(key).tolist()
+        for array, copy in handed_out:
+            assert not array.flags.writeable
+            assert array.dtype == copy.dtype and array.tobytes() == copy.tobytes()
+
+
+def test_slot_order_holds_at_build_only():
+    """Positions ascend inside a slot when the index is built; maintenance
+    appends and relocates without reordering."""
+    relation = Relation("R", ["k"], [(1,), (1,), (2,), (1,)])
+    index = relation.index_on("k")
+    assert index.positions(1).tolist() == [0, 1, 3]
+    relation.delete_rows([0])  # row 3 moves into position 0
+    assert index.positions(1).tolist() == [1, 0]

@@ -406,6 +406,46 @@ def test_a_refresh_batch_rebuilds_no_key_lookup_and_no_level_tables(monkeypatch)
     assert built == []
 
 
+def test_a_refresh_batch_sums_no_leaf_and_gathers_no_constant_level(monkeypatch):
+    """An RF batch on the order chain costs O(Δ + keys) where the weights
+    are constant: EW sums the ``orders -> lineitem`` leaf edge from its CSR
+    degrees (no ``segment_sums``), and neither EW's ``lineitem`` level nor
+    any EO level gathers its row weights (no ``weights_for``) — their
+    tables come from the CSR offsets."""
+    from repro.dynamic import apply_batch, build_order_stream_scenario
+    from repro.relational.index import SortedIndex
+    from repro.sampling.weights import ExactWeightFunction, ExtendedOlkenWeightFunction
+
+    tables, query, stream = build_order_stream_scenario(0.001, seed=3, orders_per_batch=16)
+    samplers = [JoinSampler(query, weights=w, seed=61) for w in ("ew", "eo")]
+    for sampler in samplers:
+        sampler.sample_block(500)
+    summed, gathered = [], []
+    segment_sums = SortedIndex.segment_sums
+
+    def spy_sums(index, values):
+        summed.append(index)
+        return segment_sums(index, values)
+
+    monkeypatch.setattr(SortedIndex, "segment_sums", spy_sums)
+    for owner in (ExactWeightFunction, ExtendedOlkenWeightFunction):
+        weights_for = owner.weights_for
+
+        def spy_gather(weights, node, positions, _original=weights_for):
+            gathered.append((weights.name, node.relation))
+            return _original(weights, node, positions)
+
+        monkeypatch.setattr(owner, "weights_for", spy_gather)
+    for _ in range(3):
+        apply_batch(tables, stream.batch())
+        for sampler in samplers:
+            assert sampler.refresh()
+            sampler.sample_block(500)
+    leaf = tables["lineitem"].index_on("orderkey")
+    assert summed and all(index is not leaf for index in summed)
+    assert set(gathered) == {("ew", "orders")}
+
+
 def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     """A draw's first touch never builds a small segment's alias table: it is
     served cold, and tables appear only when ``build_all`` runs (``warm()``,

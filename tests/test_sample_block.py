@@ -475,8 +475,9 @@ class TestBrokenDescentChains:
 
 class TestRefreshBatchesReshape:
     """An RF batch widens the key lookup and reshapes the dirty edges'
-    tables instead of rebuilding them; the blocks drawn after each batch are
-    byte for byte those that rebuilt lookups and fresh tables give."""
+    tables instead of rebuilding them (constant-weight levels take uniform
+    tables from the offsets); the blocks drawn after each batch are byte
+    for byte those that rebuilt lookups and fresh tables give."""
 
     @staticmethod
     def _digests(weights, batches=5):
@@ -506,12 +507,94 @@ class TestRefreshBatchesReshape:
 
         monkeypatch.setattr(SegmentTables, "reshaped", spy)
         maintained = self._digests(weights)
-        assert len(reshapes) == 2 * 5  # both levels, every batch
+        # Every batch reshapes the levels whose weights vary: EW's orders
+        # level.  Constant-weight levels (EW's leaf, every EO level) are laid
+        # out from the offsets instead.
+        assert len(reshapes) == {"ew": 5, "eo": 0}[weights]
         monkeypatch.setattr(
             SegmentTables, "reshaped", lambda _, w, offsets: SegmentTables(w, offsets)
         )
         monkeypatch.setattr(SortedIndex, "_extended_lookup", lambda index, keys: None)
         assert self._digests(weights) == maintained
+
+
+class TestMaintainedDescentEqualsBuilt:
+    """After every RF batch the refreshed descent is, field for field, the
+    one a full weight pass and fresh plans give: weights, key sums, factors,
+    root weights and every level's tables — also when a leaf empties
+    entirely, slots drop to degree zero, and EO's ``cap`` moves with a max
+    degree."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def _assert_tables_equal(self, a, b):
+        for field in ("offsets", "weights", "segment_totals", "uniform", "built", "prob", "alias"):
+            self._assert_same(getattr(a, field), getattr(b, field))
+        assert a.complete == b.complete
+
+    def _assert_descents_equal(self, maintained, built):
+        from repro.sampling.alias import SegmentTables
+
+        ours, theirs = maintained.weight_function, built.weight_function
+        if ours.name == "ew":
+            for field in ("_weights", "_key_sums", "_factors"):
+                mine, fresh = getattr(ours, field), getattr(theirs, field)
+                assert mine.keys() == fresh.keys()
+                for key in fresh:
+                    self._assert_same(mine[key], fresh[key])
+        else:
+            assert ours._cap == theirs._cap and ours._max_degree == theirs._max_degree
+            self._assert_same(ours._root_weights, theirs._root_weights)
+        self._assert_same(maintained.root_weights, built.root_weights)
+        for plan, fresh in zip(maintained.plans(), built.plans(), strict=True):
+            assert (plan.node, plan.parent, plan.csr) == (fresh.node, fresh.parent, fresh.csr)
+            assert (plan.bound, plan.constant, plan.compactions) == (
+                fresh.bound, fresh.constant, fresh.compactions
+            )
+            self._assert_same(plan.parent_slots, fresh.parent_slots)
+            self._assert_tables_equal(plan.tables, fresh.tables)
+            # ... and the tables of the per-row weight gather.
+            gathered = theirs.weights_for(plan.node, plan.csr.row_positions)
+            self._assert_tables_equal(
+                plan.tables, SegmentTables(np.asarray(gathered, dtype=float), plan.csr.offsets)
+            )
+
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    def test_every_batch_leaves_the_built_descent(self, weights):
+        from repro.dynamic import apply_batch, build_order_stream_scenario
+        from repro.sampling.join_sampler import _Descent
+
+        tables, query, stream = build_order_stream_scenario(0.001, seed=29, orders_per_batch=16)
+        lineitem = tables["lineitem"]
+        sampler = JoinSampler(query, weights=weights, seed=31)
+        sampler.sample_block(200)  # the level plans exist from here on
+        caps = []
+
+        def check():
+            assert sampler.refresh()
+            self._assert_descents_equal(sampler._descent, _Descent.built(weights, query))
+            caps.append(lineitem.statistics_on("orderkey").max_degree)
+
+        for _ in range(5):
+            apply_batch(tables, stream.batch())
+            check()
+        # One order outgrows every other: the max degree, and with it EO's
+        # cap of the orders level, moves while the customer -> orders edge
+        # stays untouched.
+        lineitem.extend([lineitem.row(0)] * 12)
+        check()
+        # Emptied by maintained deletes (at most half the rows a batch):
+        # slots drop to degree zero, compactions run, the leaf ends empty.
+        while len(lineitem):
+            lineitem.delete_rows(range(min(len(lineitem), max(64, len(lineitem) // 2))))
+            check()
+        for _ in range(2):
+            apply_batch(tables, stream.batch())
+            check()
+        assert caps[5] > caps[4] and 0 in caps
 
 
 # ---------------------------------------------------------------- dtype audit
