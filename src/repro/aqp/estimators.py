@@ -48,8 +48,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.joins.query import JoinQuery
 from repro.relational.columnar import as_column_array
 from repro.relational.predicates import Predicate
+from repro.sampling.blocks import SampleBlock
 from repro.sampling.wander_join import z_value
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -349,6 +351,20 @@ class AggregateAccumulator:
                 raise ValueError(f"group attribute {attr!r} not in schema {self.schema}")
         self._value_pos = positions.get(spec.attribute) if spec.attribute else None
         self._group_pos = tuple(positions[a] for a in spec.group_attributes)
+        reads = set() if self._value_pos is None else {self._value_pos}
+        if isinstance(spec.where, Predicate):
+            named = spec.where.attributes()
+            for attr in named:
+                if attr not in positions:
+                    raise ValueError(f"where attribute {attr!r} not in output schema {self.schema}")
+            # A predicate naming no attribute still needs the block's length.
+            reads.update([positions[a] for a in named] or [0])
+        elif spec.where is not None:
+            reads.update(range(len(self.schema)))  # a callable sees whole rows
+        #: output positions a sampled block gathers: what the value and the
+        #: filter read, with and without the group keys
+        self._reads = tuple(sorted(reads))
+        self._reads_grouped = tuple(sorted(reads.union(self._group_pos)))
         self.attempts = 0
         self.accepted = 0
         self._groups: Dict[Tuple, _GroupData] = {}
@@ -378,7 +394,7 @@ class AggregateAccumulator:
             raise ValueError("weights must align with values")
         self.attempts += int(attempts)
         self.accepted += len(values)
-        passed = _where_mask(self.spec.where, self.schema, values)
+        passed = _row_mask(self.spec.where, self.schema, values)
         index: Dict[Tuple, int] = {}
         inverse: List[int] = []
         w_list: List[float] = []
@@ -415,6 +431,7 @@ class AggregateAccumulator:
         order yields the same estimates.  A ``where`` predicate is one
         :meth:`~repro.relational.predicates.Predicate.mask` over the named
         columns; a plain callable costs one Python pass over the rows.
+        Sources holding row ids call :meth:`ingest_sample_block` instead.
         """
         columns = [np.asarray(c) for c in columns]
         if len(columns) != len(self.schema):
@@ -425,6 +442,39 @@ class AggregateAccumulator:
         k = len(columns[0]) if columns else 0
         if any(len(c) != k for c in columns):
             raise ValueError("block columns must share one length")
+        self._ingest_columns(k, dict(enumerate(columns)), None, attempts, weight, weights)
+
+    def ingest_sample_block(self, block: SampleBlock, query: JoinQuery) -> None:
+        """Consume a sampled block of ``query``: :meth:`ingest_block` over
+        ``block.value_columns(query)`` and its attempts and weight(s), bit
+        for bit, gathering only what the aggregate reads.
+
+        The value and the ``where`` attributes are gathered by row id (all of
+        them for a callable ``where``).  A single group attribute of a
+        :data:`~repro.sampling.blocks.CODED_KINDS` column groups by its
+        per-snapshot codes (:meth:`SampleBlock.value_codes`) instead of its
+        values; other group keys are gathered and grouped as values.
+        """
+        coded = None
+        if len(self._group_pos) == 1:
+            coded = block.value_codes(query, self._group_pos[0])
+        reads = self._reads_grouped if coded is None else self._reads
+        columns = {p: block.value_column(query, p) for p in reads}
+        weight, weights = (block.weight, None) if block.weights is None else (None, block.weights)
+        self._ingest_columns(len(block), columns, coded, block.attempts, weight, weights)
+
+    def _ingest_columns(
+        self,
+        k: int,
+        columns: Mapping[int, np.ndarray],
+        coded: Optional[Tuple[np.ndarray, np.ndarray]],
+        attempts: int,
+        weight: Optional[float],
+        weights: Optional[Sequence[float]],
+    ) -> None:
+        """Ingest ``k`` samples given as the value ``columns`` they read (by
+        output position) and, for a single group attribute, optionally its
+        ``(values, codes)`` (:meth:`SampleBlock.value_codes`)."""
         if attempts < k:
             raise ValueError(
                 f"attempts ({attempts}) cannot be below accepted samples ({k})"
@@ -441,7 +491,8 @@ class AggregateAccumulator:
         if k == 0:
             return
 
-        mask = _where_mask(self.spec.where, self.schema, columns=columns)
+        named = {self.schema[p]: column for p, column in columns.items()}
+        mask = _where_mask(self.spec.where, named, k)
         if mask is not None and not bool(mask.any()):
             return
 
@@ -456,6 +507,24 @@ class AggregateAccumulator:
 
         if not self._group_pos:
             self._ingest([GLOBAL_GROUP], None, w_arr, g_arr)
+            return
+        if coded is not None:
+            # Codes follow sorted value order, so the present codes, ranked,
+            # give the keys and the inverse np.unique over the values gives.
+            values, codes = coded
+            if mask is not None:
+                codes = codes[mask]
+            # A count costs O(k + values), a sort of the codes O(k log k):
+            # 0.27 against 1.7 ms for 90k samples of 5 values, 0.64 against
+            # 0.01 ms for 256 samples of a 337k-value key column.
+            if len(values) <= len(codes):
+                present = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+                rank = np.zeros(len(values), dtype=np.intp)
+                rank[present] = np.arange(len(present))
+                inverse = rank[codes]
+            else:
+                present, inverse = np.unique(codes, return_inverse=True)
+            self._ingest([(value,) for value in values[present].tolist()], inverse, w_arr, g_arr)
             return
         group_cols = [
             columns[p] if mask is None else columns[p][mask] for p in self._group_pos
@@ -511,7 +580,11 @@ class AggregateAccumulator:
         if inverse is None:
             runs = [(w, g)]
         else:
-            order = np.argsort(inverse, kind="stable")
+            # A stable sort of a uint8/uint16 copy is a radix sort giving the
+            # same permutation.  Only the sort gets the copy: _exact_sums'
+            # ``inverse * span`` would wrap in it.
+            narrow = inverse.astype(np.min_scalar_type(n - 1)) if n <= 1 << 16 else inverse
+            order = np.argsort(narrow, kind="stable")
             w, g = w[order], g[order]
             bounds = np.cumsum(np.bincount(inverse, minlength=n)).tolist()
             runs = [(w[lo:hi], g[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
@@ -664,26 +737,33 @@ class AggregateAccumulator:
         )
 
 
-def _where_mask(
-    where: Optional[Where],
-    schema: Sequence[str],
-    rows: Sequence[Tuple] = (),
-    columns: Optional[Sequence[np.ndarray]] = None,
+def _row_mask(
+    where: Optional[Where], schema: Sequence[str], rows: Sequence[Tuple]
 ) -> Optional[np.ndarray]:
-    """Per result — value tuples ``rows``, or a block of ``columns`` — whether
-    it passes ``where`` (None: no filter): a predicate's mask over the named
-    columns, or one call of a plain callable per ``{attribute: value}`` dict."""
+    """:func:`_where_mask` over value tuples ``rows``, transposed into
+    columns only when there is a filter."""
     if where is None:
         return None
-    if columns is None:
-        columns = [as_column_array(c) for c in zip(*rows)] or [np.empty(0)] * len(schema)
+    columns = [as_column_array(c) for c in zip(*rows)] or [np.empty(0)] * len(schema)
+    return _where_mask(where, dict(zip(schema, columns)), len(rows))
+
+
+def _where_mask(
+    where: Optional[Where], columns: Mapping[str, np.ndarray], count: int
+) -> Optional[np.ndarray]:
+    """Per result of a block of ``count`` — given as the ``columns`` the
+    filter reads — whether it passes ``where`` (None: no filter): a
+    predicate's mask, or one call of a plain callable per ``{attribute:
+    value}`` dict (its ``columns`` are the whole schema, in order)."""
+    if where is None:
+        return None
     if isinstance(where, Predicate):
-        return where.mask(dict(zip(schema, columns)))
-    records = zip(*(column.tolist() for column in columns))
+        return where.mask(columns)
+    records = zip(*(column.tolist() for column in columns.values()))
     return np.fromiter(
-        (bool(where(dict(zip(schema, row)))) for row in records),
+        (bool(where(dict(zip(columns, row)))) for row in records),
         dtype=bool,
-        count=len(columns[0]),
+        count=count,
     )
 
 
@@ -705,7 +785,7 @@ def exact_aggregate(
     group_pos = tuple(positions[a] for a in spec.group_attributes)
     sums: Dict[Tuple, List[float]] = {}
     counts: Dict[Tuple, int] = {}
-    passed = _where_mask(spec.where, schema, values)
+    passed = _row_mask(spec.where, schema, values)
     for i, value in enumerate(values):
         if passed is not None and not passed[i]:
             continue

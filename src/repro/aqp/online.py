@@ -365,8 +365,9 @@ class OnlineAggregator:
         parks mid-stream and later steps resume from it, so a cheap query
         never pays to ingest a stream far deeper than its error target
         needs.  The accepted run is concatenated into one block before
-        ingestion: one column gather and one accumulator pass instead of
-        one per published chunk.  Returns samples served.
+        ingestion: one gather of what the aggregate reads and one
+        accumulator pass instead of one per published chunk.  Returns
+        samples served.
         """
         if self.cache is None:
             return 0
@@ -401,12 +402,7 @@ class OnlineAggregator:
             views.append(block.reweighted(total_weight))
             served += len(block)
         if views:
-            merged = SampleBlock.concat(views)
-            self.accumulator.ingest_block(
-                merged.value_columns(query),
-                attempts=merged.attempts,
-                weight=merged.weight,
-            )
+            self.accumulator.ingest_sample_block(SampleBlock.concat(views), query)
         self.cached_samples += served
         return served
 

@@ -83,11 +83,7 @@ class JoinSource:
             [blocks[0] for blocks in draws]
             + [surplus for blocks in draws for surplus in blocks[1:]]
         )
-        accumulator.ingest_block(
-            block.value_columns(self.sampler.query),
-            attempts=block.attempts,
-            weight=block.weight,
-        )
+        accumulator.ingest_sample_block(block, self.sampler.query)
         return block
 
 
@@ -111,11 +107,7 @@ class WanderSource:
 
     def ingest(self, accumulator: AggregateAccumulator, draws: Sequence[SampleBlock]) -> None:
         for block in draws:
-            accumulator.ingest_block(
-                block.value_columns(self.walker.query),
-                attempts=block.attempts,
-                weights=block.weights,
-            )
+            accumulator.ingest_sample_block(block, self.walker.query)
 
 
 class CoverDraw(NamedTuple):
@@ -204,7 +196,8 @@ class UnionCoverSource:
 
     def ingest(self, accumulator: AggregateAccumulator, draws: Sequence[CoverDraw]) -> None:
         # Every shard's kept values in shard order, as ONE chunk (the order
-        # and the chunking are part of the answer, as for JoinSource).
+        # and the chunking are part of the answer, as for JoinSource).  Kept
+        # values carry no row ids, so they enter as value columns.
         merged = CoverDraw.concat(draws)
         accumulator.ingest_block(merged.columns, attempts=merged.attempts, weight=merged.weight)
 

@@ -5,7 +5,7 @@ A :class:`SampleBlock` holds a batch of accepted samples as per-relation row
 (attempt counts; one shared inverse inclusion weight, or a per-sample weight
 array for wander join).  Nothing is boxed: no ``SampleDraw`` objects, no
 per-row dicts, no Python value tuples — consumers either keep working on the
-arrays (``aqp.estimators.AggregateAccumulator.ingest_block``, the parallel
+arrays (``aqp.estimators.AggregateAccumulator.ingest_sample_block``, the parallel
 shard merge) or box lazily via :meth:`to_draws` for the scalar-era APIs.
 
 Blocks are cheap to pickle (a dict of small integer arrays), which is what
@@ -18,7 +18,8 @@ coordinator ensures those relations have not mutated in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
+from typing import Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -30,6 +31,80 @@ if TYPE_CHECKING:
 
 PositionArray = npt.NDArray[np.intp]
 WeightArray = npt.NDArray[np.float64]
+CodeArray = npt.NDArray[np.unsignedinteger[Any]]
+
+#: column kinds (str, bytes, int, uint, bool) whose equal values are
+#: identical values: a code may stand for the value it numbers, NaN, -0.0
+#: and Python objects excluded
+CODED_KINDS = frozenset("USiub")
+
+
+class ColumnCodes(NamedTuple):
+    """One base column of a snapshot numbered by its sorted distinct values."""
+
+    #: the column the codes number (the snapshot's own read-only array)
+    column: npt.NDArray[Any]
+    #: sorted distinct values; after a patch, values no row holds any more
+    #: may stay (at most as many values as the column has rows)
+    values: npt.NDArray[Any]
+    #: per row, the index of its value in ``values``
+    codes: CodeArray
+
+
+def _coded(column: npt.NDArray[Any], values: npt.NDArray[Any], codes: Any) -> ColumnCodes:
+    codes = codes.astype(np.min_scalar_type(max(len(values) - 1, 0)), copy=False)
+    values.setflags(write=False)
+    codes.setflags(write=False)
+    return ColumnCodes(column, values, codes)
+
+
+def column_codes(query: JoinQuery, relation: str, attribute: str) -> ColumnCodes:
+    """One base column of ``query`` numbered by its sorted distinct values,
+    kept per snapshot (:meth:`JoinQuery.derived`).
+
+    The codes follow sorted value order, so ``np.unique`` over any subset of
+    the codes numbers its values as ``np.unique`` over those values does.
+    They are read-only, in the smallest unsigned dtype, and survive a
+    mutation of any other relation by reference.  The first snapshot pays
+    one ``np.unique`` over the column.  A later snapshot of the relation
+    patches the last codes instead of sorting again: one comparison with the
+    last snapshot's column finds the rows whose value moved (an insert, an
+    update, a swap-remove move), and only those are looked up in the values.
+    Values the patch has not seen are merged in, which remaps the old codes
+    by one gather; a new dtype, or more values than rows, rebuilds.
+    """
+
+    def build() -> ColumnCodes:
+        column = query.relation(relation).column_array(attribute)
+        values, inverse = np.unique(column, return_inverse=True)
+        return _coded(column, values, inverse)
+
+    def patch(last: ColumnCodes, changed: FrozenSet[str]) -> ColumnCodes:
+        if relation not in changed:
+            return last
+        column = query.relation(relation).column_array(attribute)
+        if column.dtype != last.column.dtype:
+            return build()
+        kept = min(len(column), len(last.column))
+        stale = np.flatnonzero(column[:kept] != last.column[:kept])
+        stale = np.concatenate([stale, np.arange(kept, len(column))])
+        fresh = column[stale]
+        values, codes = last.values, last.codes[:kept]
+        slots = np.searchsorted(values, fresh)
+        known = slots < len(values)
+        known[known] = values[slots[known]] == fresh[known]
+        if not known.all():
+            values = np.union1d(values, fresh[~known])
+            if len(values) > len(column):
+                return build()
+            codes = np.searchsorted(values, last.values)[codes]
+            slots = np.searchsorted(values, fresh)
+        out = np.empty(len(column), dtype=np.min_scalar_type(max(len(values) - 1, 0)))
+        out[:kept] = codes
+        out[stale] = slots
+        return _coded(column, values, out)
+
+    return query.derived(("codes", relation, attribute), build, patch)
 
 
 @dataclass
@@ -181,19 +256,32 @@ class SampleBlock:
         return total
 
     # ------------------------------------------------------------- consumption
+    def value_column(self, query: JoinQuery, index: int) -> npt.NDArray[Any]:
+        """The values of output attribute ``index``: one fancy gather by row id."""
+        out = query.output_attributes[index]
+        column = query.relation(out.relation).column_array(out.attribute)
+        return column[self.positions[out.relation]]
+
     def value_columns(self, query: JoinQuery) -> List[npt.NDArray[Any]]:
         """Per-output-attribute value arrays (in output-schema order).
 
         One fancy gather per output attribute — the zero-object projection
         that replaces row-by-row value tuple assembly.
         """
-        columns: List[npt.NDArray[Any]] = []
-        for out in query.output_attributes:
-            relation = query.relation(out.relation)
-            columns.append(
-                relation.column_array(out.attribute)[self.positions[out.relation]]
-            )
-        return columns
+        return [self.value_column(query, i) for i in range(len(query.output_attributes))]
+
+    def value_codes(
+        self, query: JoinQuery, index: int
+    ) -> Optional[Tuple[npt.NDArray[Any], CodeArray]]:
+        """``(values, codes)``: the sorted distinct values of output attribute
+        ``index``'s base column and each sample's code into them, so
+        ``values[codes]`` is :meth:`value_column`.  None when the column's
+        kind is not in :data:`CODED_KINDS`."""
+        out = query.output_attributes[index]
+        if query.relation(out.relation).column_array(out.attribute).dtype.kind not in CODED_KINDS:
+            return None
+        coded = column_codes(query, out.relation, out.attribute)
+        return coded.values, coded.codes[self.positions[out.relation]]
 
     def values(self, query: JoinQuery) -> List[Tuple[Any, ...]]:
         """Boxed output value tuples (Python-typed, scalar-era format)."""
@@ -219,4 +307,4 @@ class SampleBlock:
         ]
 
 
-__all__ = ["SampleBlock"]
+__all__ = ["CODED_KINDS", "ColumnCodes", "SampleBlock", "column_codes"]

@@ -369,6 +369,17 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="not in output schema"):
             AggregateAccumulator(AggregateSpec("sum", attribute="nope"), ("a", "b"))
 
+    def test_a_where_attribute_must_be_in_the_schema(self):
+        from repro.relational.predicates import And, Comparison
+
+        where = Comparison("nope", ">", 1)
+        with pytest.raises(ValueError, match="where attribute 'nope' not in output schema"):
+            AggregateAccumulator(AggregateSpec("sum", attribute="a", where=where), ("a", "b"))
+        with pytest.raises(ValueError, match="'nope'"):
+            AggregateAccumulator(
+                AggregateSpec("count", where=And([Comparison("b", "<", 2), where])), ("a", "b")
+            )
+
     def test_exact_aggregate_reference(self):
         spec = AggregateSpec("avg", attribute="x", group_by="k")
         values = [(1, 2.0), (1, 4.0), (2, 10.0)]

@@ -14,6 +14,9 @@ Two invariants are pinned here:
 * **exact totals ≡ fsum**: the accumulator's incremental exact totals give
   bit for bit what the scalar formula — one ``math.fsum`` generator pass per
   sum over every contribution — gives, non-finite values included;
+* **codes path ≡ value path**: a sampled block ingested through
+  ``ingest_sample_block`` (reads-only gathers, GROUP BY over per-snapshot
+  codes) stores what ``ingest_block`` over its value columns stores;
 * **parallel determinism**: the parallel sampling service built on that
   merge law answers bit-identically for any worker count — same query, same
   seed, same shard plan ⇒ same merged estimate and CI bounds whether 1, 2,
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.aqp import (
     AggregateAccumulator,
@@ -524,3 +527,131 @@ class TestParallelWorkerInvariance:
         run = parallel_sample(query, 24, workers=workers, seed=seed, execution="thread")
         assert run.values == reference.values
         assert run.attempts == reference.attempts
+
+
+# ------------------------------------------------- codes path ≡ value path
+def _group_pool(kind, distinct):
+    """``distinct`` Python values of one column kind, edge values first."""
+    if kind == "U":
+        return (["", "a\x00b"] + ["g" * (i % 5) + str(i) for i in range(distinct)])[:distinct]
+    if kind == "S":
+        return [value.encode() for value in _group_pool("U", distinct)]
+    if kind == "i":
+        edges = [2**53 + 1, 2**53, -(2**53) - 1, -1]
+        return (edges + list(range(distinct)))[:distinct]
+    if kind == "u":
+        return ([2**63 + 5, 2**64 - 1] + list(range(distinct)))[:distinct]
+    return [False, True][:distinct]
+
+
+def _fresh_value(kind, wide):
+    """A value of one column kind outside every pool (wider than the pool's
+    strings when ``wide``: the column changes dtype)."""
+    width = 40 if wide else 1
+    return {"U": "~" * width, "S": b"~" * width, "i": -(2**62) - wide,
+            "u": 2**63 + 7 + wide, "b": True}[kind]
+
+
+_CODES_SPECS = [
+    AggregateSpec("count"),
+    AggregateSpec("count", group_by="g"),
+    AggregateSpec("sum", attribute="v", group_by="g"),
+    AggregateSpec("avg", attribute="v", group_by="g", where=Comparison("v", ">", 3)),
+    AggregateSpec("sum", attribute="v", group_by="g", where=Comparison("a", "<", 5)),
+    AggregateSpec("sum", attribute="v", group_by="g", where=Comparison("v", ">", 10**9)),
+    AggregateSpec("count", group_by="g", where=lambda row: row["v"] % 3 != 0),
+    AggregateSpec("sum", attribute="v", group_by=("g", "a")),
+]
+
+
+class TestCodesPathEqualsValuePath:
+    """``ingest_sample_block`` (reads-only gathers, GROUP BY over per-snapshot
+    codes) stores what ``ingest_block`` over the block's value columns
+    stores: group creation order, per-group contribution arrays, exact
+    totals and estimates, across mutations of the coded relation."""
+
+    @given(
+        kind=st.sampled_from("USiub"),
+        distinct=st.integers(1, 600),
+        nul_suffixed=st.booleans(),
+        spec=st.sampled_from(_CODES_SPECS),
+        seed=st.integers(0, 2**16),
+        blocks=st.lists(
+            st.tuples(
+                st.integers(0, 1200), st.booleans(), st.sampled_from(["", "S", "N", "W", "R"])
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(kind="i", distinct=600, nul_suffixed=False, spec=_CODES_SPECS[2], seed=1,
+             blocks=[(1200, False, ""), (400, True, "S"), (0, False, "R")])
+    @example(kind="U", distinct=3, nul_suffixed=False, spec=_CODES_SPECS[1], seed=2,
+             blocks=[(50, False, "N"), (50, True, "W"), (20, False, "S"), (20, False, "N")])
+    @settings(max_examples=60, deadline=None)
+    def test_sample_blocks_match_their_value_columns(
+        self, kind, distinct, nul_suffixed, spec, seed, blocks
+    ):
+        from repro.sampling.blocks import CODED_KINDS, SampleBlock, column_codes
+
+        rng = np.random.default_rng(seed)
+        pool = _group_pool(kind, distinct)
+        if nul_suffixed and kind in "US":
+            pool[-1] = pool[-1] + ("\x00" if kind == "U" else b"\x00")  # an object column
+
+        def rows_s(count):
+            return [(int(a), pool[j]) for a, j in zip(rng.integers(0, 9, count),
+                                                       rng.integers(0, len(pool), count))]
+
+        r = Relation("R", ["a", "v"], [(int(a), int(a) * 7 % 11) for a in range(9)])
+        s = Relation("S", ["a", "g"], rows_s(2 * distinct + 5))
+        query = JoinQuery(
+            "coded",
+            [r, s],
+            [JoinCondition("R", "a", "S", "a")],
+            [OutputAttribute("v", "R", "v"), OutputAttribute("g", "S", "g"),
+             OutputAttribute("a", "R", "a")],
+        )
+        coded, plain = (AggregateAccumulator(spec, query.output_schema) for _ in range(2))
+        first_chunk_groups = None
+        for size, per_sample, mutate in blocks:
+            is_coded = s.column_array("g").dtype.kind in CODED_KINDS
+            before = column_codes(query, "S", "g") if is_coded else None
+            if mutate == "S":
+                s.update_rows(rng.integers(0, len(s), 3).tolist(), {"g": pool[0]})
+                s.extend(rows_s(4))
+                s.delete_rows([0])
+            elif mutate in ("N", "W"):  # a value the codes have not seen
+                if mutate == "N":  # few rows left: values may outnumber them
+                    s.delete_rows(range(3, len(s)))
+                s.extend([(1, _fresh_value(kind, mutate == "W"))])
+            elif mutate == "R":
+                r.update_rows([1], {"v": 5})
+            if is_coded:
+                after = column_codes(query, "S", "g")
+                assert (after is before) == (mutate in ("", "R"))
+                values = after.values.tolist()
+                assert all(x < y for x, y in zip(values, values[1:]))
+                assert after.values[after.codes].tolist() == s.column_array("g").tolist()
+            positions = {"R": rng.integers(0, len(r), size), "S": rng.integers(0, len(s), size)}
+            block = SampleBlock(("R", "S"), positions, attempts=size + 3, weight=2.5)
+            if per_sample:
+                block.weights = rng.uniform(0.5, 4.0, size)
+            coded.ingest_sample_block(block, query)
+            weighting = {"weight": 2.5} if block.weights is None else {"weights": block.weights}
+            plain.ingest_block(block.value_columns(query), attempts=block.attempts, **weighting)
+            if first_chunk_groups is None:
+                first_chunk_groups = len(coded._groups)
+        if (kind, distinct, blocks[0][0]) == ("i", 600, 1200):
+            assert first_chunk_groups > 256  # the example: the sort's uint16 copy
+
+        assert (coded.attempts, coded.accepted) == (plain.attempts, plain.accepted)
+        assert repr(list(coded._groups)) == repr(list(plain._groups))
+        for key, mine in coded._groups.items():
+            theirs = plain._groups[key]
+            assert mine.count == theirs.count
+            assert mine.weights.tobytes() == theirs.weights.tobytes()
+            assert mine.values.tobytes() == theirs.values.tobytes()
+            for a, b in ((mine.first, theirs.first), (mine.second, theirs.second)):
+                assert (a.total, repr(a.special)) == (b.total, repr(b.special))
+        assert repr(coded.estimate().to_dict()) == repr(plain.estimate().to_dict())

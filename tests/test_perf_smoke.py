@@ -719,3 +719,119 @@ def test_a_histogram_ew_union_runs_one_weight_pass_per_join_and_snapshot(monkeyp
     queries[0].relation("region").delete_rows([0])  # every join reads region
     union_sample()
     assert len(passes) == len(queries)
+
+
+def _order_chain(scale: float = 0.001):
+    """customer -> orders -> lineitem over fresh TPC-H tables."""
+    from repro.joins.conditions import JoinCondition, OutputAttribute
+    from repro.joins.query import JoinQuery
+    from repro.tpch import generate_tpch
+
+    tables = generate_tpch(scale, seed=3)
+    query = JoinQuery(
+        "order_chain",
+        [tables[name] for name in ("customer", "orders", "lineitem")],
+        [
+            JoinCondition("customer", "custkey", "orders", "custkey"),
+            JoinCondition("orders", "orderkey", "lineitem", "orderkey"),
+        ],
+        [
+            OutputAttribute("custkey", "customer", "custkey"),
+            OutputAttribute("mktsegment", "customer", "mktsegment"),
+            OutputAttribute("totalprice", "orders", "totalprice"),
+            OutputAttribute("linenumber", "lineitem", "linenumber"),
+            OutputAttribute("orderpriority", "orders", "orderpriority"),
+        ],
+    )
+    return tables, query
+
+
+def test_a_grouped_answer_codes_its_column_once(monkeypatch):
+    """GROUP BY a string column groups sampled blocks by the column's
+    per-snapshot codes: one base-column ``np.unique`` per (query, attribute)
+    on first use, none per block on strings; a mutation of another relation
+    keeps the codes by reference, and one of the column's own relation (an
+    update, an RF1/RF2 batch) patches them without sorting the column again."""
+    from repro.aqp import AggregateAccumulator, AggregateSpec, OnlineAggregator
+    from repro.dynamic import TPCHRefreshStream, apply_batch
+    from repro.sampling.blocks import column_codes
+
+    tables, query = _order_chain()
+    stream = TPCHRefreshStream(tables, seed=5, orders_per_batch=8)
+    uniques = []
+    unique = np.unique
+
+    def spy(array, *args, **kwargs):
+        uniques.append((np.asarray(array).dtype.kind, len(array)))
+        return unique(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    ingested = []
+    ingest = AggregateAccumulator.ingest_sample_block
+    monkeypatch.setattr(
+        AggregateAccumulator, "ingest_sample_block",
+        lambda self, block, q: (ingested.append(len(block)), ingest(self, block, q))[1],
+    )
+    by_segment = AggregateSpec("sum", attribute="totalprice", group_by="mktsegment")
+
+    def answer(seed: int, spec: AggregateSpec = by_segment) -> None:
+        aggregator = OnlineAggregator(query, spec, method="exact-weight", seed=seed)
+        for _ in range(5):
+            aggregator.step(256)
+
+    def string_uniques():
+        return [size for kind, size in uniques if kind == "U"]
+
+    answer(1)
+    answer(2)
+    assert len(ingested) >= 10
+    assert string_uniques() == [len(tables["customer"])]
+    codes = column_codes(query, "customer", "mktsegment")
+    apply_batch(tables, stream.batch())
+    answer(3)
+    assert string_uniques() == [len(tables["customer"])]
+    assert column_codes(query, "customer", "mktsegment") is codes
+    tables["customer"].update_rows([0], {"mktsegment": "MACHINERY"})
+    answer(4)
+    assert string_uniques() == [len(tables["customer"])]
+    assert column_codes(query, "customer", "mktsegment") is not codes
+
+    by_priority = AggregateSpec("count", group_by="orderpriority")
+    answer(5, by_priority)
+    sorted_once = [len(tables["orders"])]
+    assert string_uniques()[1:] == sorted_once
+    for seed in range(6, 9):
+        apply_batch(tables, stream.batch())  # RF1/RF2 churn orders
+        answer(seed, by_priority)
+    assert string_uniques()[1:] == sorted_once
+    assert len(tables["orders"]) != sorted_once[0]
+
+
+def test_a_sampled_block_gathers_only_the_columns_the_aggregate_reads(monkeypatch):
+    """A SUM gathers its one output column per sampled block, COUNT(*)
+    none, and nothing gathers every column (``value_columns``)."""
+    from repro.aqp import AggregateAccumulator, AggregateSpec, OnlineAggregator
+
+    _, query = _order_chain()
+    blocks = []  # per ingested block, the output positions it gathered
+    gather = SampleBlock.value_column
+    monkeypatch.setattr(
+        SampleBlock, "value_column",
+        lambda block, q, index: (blocks[-1].append(index), gather(block, q, index))[1],
+    )
+    monkeypatch.setattr(SampleBlock, "value_columns", None)  # any call fails
+    ingest = AggregateAccumulator.ingest_sample_block
+    monkeypatch.setattr(
+        AggregateAccumulator, "ingest_sample_block",
+        lambda self, block, q: (blocks.append([]), ingest(self, block, q))[1],
+    )
+    for spec, read in ((AggregateSpec("sum", attribute="totalprice"), [2]),
+                       (AggregateSpec("count"), [])):
+        for method in ("exact-weight", "wander-join"):
+            blocks.clear()
+            aggregator = OnlineAggregator(query, spec, method=method, seed=5)
+            for _ in range(5):
+                aggregator.step(256)
+            assert aggregator.accumulator.accepted > 0
+            assert len(blocks) >= 5
+            assert blocks == [read] * len(blocks)
