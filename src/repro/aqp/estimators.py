@@ -357,8 +357,7 @@ class AggregateAccumulator:
             for attr in named:
                 if attr not in positions:
                     raise ValueError(f"where attribute {attr!r} not in output schema {self.schema}")
-            # A predicate naming no attribute still needs the block's length.
-            reads.update([positions[a] for a in named] or [0])
+            reads.update(positions[a] for a in named)
         elif spec.where is not None:
             reads.update(range(len(self.schema)))  # a callable sees whole rows
         #: output positions a sampled block gathers: what the value and the
@@ -370,47 +369,6 @@ class AggregateAccumulator:
         self._groups: Dict[Tuple, _GroupData] = {}
 
     # ------------------------------------------------------------------ ingest
-    def observe(
-        self,
-        values: Sequence[Tuple],
-        attempts: int,
-        weight: Optional[float] = None,
-        weights: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Consume one chunk of accepted sample values.
-
-        ``attempts`` is the number of draw attempts the chunk took (failed
-        attempts contribute zero and only enter the denominator).  Inverse
-        inclusion weights are either one shared ``weight`` (accept/reject and
-        union backends) or per-sample ``weights`` (wander join: ``1/p(t)``).
-        """
-        if attempts < len(values):
-            raise ValueError(
-                f"attempts ({attempts}) cannot be below accepted samples ({len(values)})"
-            )
-        if (weight is None) == (weights is None):
-            raise ValueError("pass exactly one of weight= or weights=")
-        if weights is not None and len(weights) != len(values):
-            raise ValueError("weights must align with values")
-        self.attempts += int(attempts)
-        self.accepted += len(values)
-        passed = _row_mask(self.spec.where, self.schema, values)
-        index: Dict[Tuple, int] = {}
-        inverse: List[int] = []
-        w_list: List[float] = []
-        g_list: List[float] = []
-        for i, value in enumerate(values):
-            if passed is not None and not passed[i]:
-                continue
-            w_list.append(float(weight if weights is None else weights[i]))  # type: ignore[arg-type]
-            g_list.append(1.0 if self._value_pos is None else float(value[self._value_pos]))
-            key = tuple(value[p] for p in self._group_pos)
-            inverse.append(index.setdefault(key, len(index)))
-        if w_list:
-            self._ingest(
-                list(index), np.array(inverse), np.array(w_list), np.array(g_list)
-            )
-
     def ingest_block(
         self,
         columns: Sequence[np.ndarray],
@@ -421,14 +379,15 @@ class AggregateAccumulator:
         """Consume one chunk of accepted samples in columnar form.
 
         ``columns`` are per-output-attribute value arrays in schema order
-        (:meth:`repro.sampling.blocks.SampleBlock.value_columns`); semantics
-        otherwise match :meth:`observe`.  ``where`` filters, the aggregate
-        value, and group keys are all evaluated with NumPy array ops — no
-        per-row Python objects — and the per-sample contributions stored are
-        **bit-identical** to what :meth:`observe` would store for the boxed
-        equivalent of the block, so the exactly-rounded merge law is
-        preserved: mixing ``observe`` and ``ingest_block`` chunks in any
-        order yields the same estimates.  A ``where`` predicate is one
+        (:meth:`repro.sampling.blocks.SampleBlock.value_columns`).
+        ``attempts`` is the number of draw attempts the chunk took (failed
+        attempts contribute zero and only enter the denominator).  Inverse
+        inclusion weights are either one shared ``weight`` (accept/reject and
+        union backends) or per-sample ``weights`` (wander join: ``1/p(t)``).
+        ``where`` filters, the aggregate value, and group keys are all
+        evaluated with NumPy array ops — no per-row Python objects — and the
+        totals are exactly rounded, so chunks ingested in any split and any
+        merge order yield the same estimates.  A ``where`` predicate is one
         :meth:`~repro.relational.predicates.Predicate.mask` over the named
         columns; a plain callable costs one Python pass over the rows.
         Sources holding row ids call :meth:`ingest_sample_block` instead.
@@ -758,7 +717,7 @@ def _where_mask(
     if where is None:
         return None
     if isinstance(where, Predicate):
-        return where.mask(columns)
+        return where.mask(columns, count)
     records = zip(*(column.tolist() for column in columns.values()))
     return np.fromiter(
         (bool(where(dict(zip(columns, row)))) for row in records),

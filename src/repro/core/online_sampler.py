@@ -327,9 +327,10 @@ class OnlineUnionSampler(UnionSamplerBase):
     # ------------------------------------------------------------------ oracle
     def _iterate(self, remaining: int) -> List[UnionSample]:
         """One iteration of Algorithm 2, written as the paper prints it: the
-        reference the tests hold :meth:`_round` to (as ``try_sample`` is for
-        ``sample_block``).  It draws one value at a time, whatever
-        ``remaining`` is; the caller counts iterations and refines."""
+        reference the tests hold :meth:`_round` to (Algorithm 2 is biased by
+        design, so the enumerated union cannot be its oracle).  It draws one
+        value at a time, whatever ``remaining`` is; the caller counts
+        iterations and refines."""
         position = int(self._select_joins(1)[0])
         join_name = self.names[position]
         join_size = max(self.parameters.join_sizes[join_name], 1e-12)

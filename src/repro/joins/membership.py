@@ -5,45 +5,39 @@ sampled from one join, whether every other join in the overlap set Δ also
 contains it.  The paper performs this with keyed hash-table queries over the
 other joins' relations — ``(N-1)×(M-1)`` key lookups.
 
-:class:`JoinMembershipProber` answers the question two ways, over the same
-join tree and the same key indexes:
+:class:`JoinMembershipProber` answers it for a block of values given as one
+array per output attribute (:meth:`~JoinMembershipProber.contains_columns`;
+:meth:`~JoinMembershipProber.contains_many` takes value tuples and transposes
+them once, :meth:`~JoinMembershipProber.contains` is a block of one), by a
+level-by-level *frontier expansion* in struct-of-arrays form.  The frontier
+is one array of value ids plus one array of row positions per bound relation
+that a later level still reads.  Each level *seeds* its candidates from
+whichever index has the shorter mean segment (rows per key): the CSR of
+``index_on(attr)`` for the level's first output attribute, looked up with the
+values' field, or the child's join-key CSR, reached from the bound parents
+through the edge's per-snapshot slot map (``query.edge_slots(parent,
+node)[positions]``, no key lookup).  The root always seeds from its first
+output attribute.  A field-seeded level under a parent keeps the candidates
+whose join-key slot (a per-snapshot row → slot map of the child CSR) equals
+the parent row's slot in the edge map.  Field lookups go through
+``SortedIndex.slots_for`` — a direct table or ``searchsorted`` when the field
+and the index keys share a dtype kind, the index's dict otherwise, so
+``1 == 1.0 == True`` keep Python's meaning.
+Every seed expands each frontier row into its CSR segment (``offsets`` +
+``row_positions``, ``np.repeat``/``np.arange``); the level's other output
+constraints then keep the rows with ``column_array(attr)[positions] ==
+field[value id]`` (:func:`~repro.relational.columnar.equal_values`), one at a
+time.  ``JoinTree.residual_mask`` finishes; a value is contained iff a
+frontier row carrying its id survives the last level.  Nothing but the
+frontier is allocated per call: a level whose expansion would pass
+:data:`ROW_BUDGET` rows is expanded in windows of that many of its entries,
+each window's survivors going on down before the next window is cut, so a
+probe holds at most one window per level and no level runs twice — a single
+value whose segment outgrows the budget is just more windows.
 
-* :meth:`~JoinMembershipProber.contains` — one value, a backtracking search.
-  At every relation it intersects the output-attribute values the candidate
-  fixes in this relation with the equi-join key of the already-bound parent
-  row, and verifies residual (cycle-breaking) conditions once all relations
-  are bound.  Each step is one lookup in the key index, so the probe never
-  scans a relation unless the tuple fixes no attribute of it at the root.
-  It reads row tuples and stops at the first witness.  This is the reference
-  oracle (as ``JoinSampler.try_sample`` is for the block engine).
-* :meth:`~JoinMembershipProber.contains_columns` — a block of values given
-  as one array per output attribute, answered by a level-by-level *frontier
-  expansion* in struct-of-arrays form (:meth:`~JoinMembershipProber.
-  contains_many` takes value tuples, transposes them once and calls it).
-  The frontier is one array of value ids plus one array of row positions
-  per bound relation that a later level still reads.  Each level *seeds*
-  its candidates from whichever index has the shorter mean segment (rows
-  per key): the CSR of ``index_on(attr)`` for the level's first output
-  attribute, looked up with the values' field, or the child's join-key
-  CSR, reached from the bound parents through the edge's per-snapshot slot
-  map (``query.edge_slots(parent, node)[positions]``, no key lookup).  The
-  root always seeds from its first output attribute.  A field-seeded level
-  under a parent keeps the candidates whose join-key slot (a per-snapshot
-  row → slot map of the child CSR) equals the parent row's slot in the
-  edge map.  Field lookups go through ``SortedIndex.slots_for`` — a direct
-  table or ``searchsorted`` when the field and the index keys share a
-  dtype kind, the index's dict otherwise, so ``1 == 1.0 == True`` keep
-  Python's meaning.
-  Every seed expands each frontier row into its CSR segment (``offsets`` +
-  ``row_positions``, ``np.repeat``/``np.arange``); the level's other output
-  constraints then keep the rows with ``column_array(attr)[positions] ==
-  field[value id]`` (:func:`~repro.relational.columnar.equal_values`), one
-  at a time.  ``JoinTree.residual_mask`` finishes; a value is contained iff
-  a frontier row carrying its id survives the last level.  Nothing but the
-  frontier is allocated per call: when an expansion would exceed
-  :data:`ROW_BUDGET` rows the value block is halved and each half probed on
-  its own, and a single value whose expansion is still too large is
-  answered by the scalar search, which holds one path at a time.
+The oracle the engine is tested against is the enumerated join
+(:func:`~repro.joins.executor.join_result_set`), not a second search over the
+same indexes.
 
 The seed choices, edge maps, row → slot maps and constraint columns of every
 level form the query's :class:`ProbePlan`, a ``query.derived`` tenant built
@@ -51,7 +45,7 @@ once per snapshot (:func:`probe_plan`): a level whose relation and parent did
 not mutate is carried into the next snapshot's plan as it is.
 
 Predicates that were not pushed down (§8.3, second alternative) are checked
-on every bound row by both, through the query's per-snapshot row masks
+on every bound row, through the query's per-snapshot row masks
 (``JoinQuery.row_masks``), so the answer is membership in what the sampler
 can produce.
 
@@ -63,7 +57,7 @@ sampler share (:meth:`~UnionMembershipIndex.recall_many`).
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -224,13 +218,59 @@ def _row_slots(csr: SortedIndex, rows: int) -> IntArray:
     return slots
 
 
+class _Window(NamedTuple):
+    """A level whose expansion passes :data:`ROW_BUDGET` rows, expanded from
+    its ``low``-th entry on: frontier row ``origin[k]`` reaches entries
+    ``[ends[k] - counts[k], ends[k])`` of the level, which are ``counts[k]``
+    consecutive entries of the seed from ``starts[k]``."""
+
+    origin: PositionArray
+    starts: PositionArray
+    counts: PositionArray
+    ends: PositionArray
+    low: int
+
+
+class _Frontier(NamedTuple):
+    """Frontier rows about to enter level ``depth``: each row's value id and,
+    per live bound relation, its row position; ``window`` when that level's
+    expansion is already known and only partly done."""
+
+    depth: int
+    value_ids: PositionArray
+    bound: Dict[str, PositionArray]
+    window: Optional[_Window]
+
+
+def _filter(
+    level: ProbeLevel,
+    fields: Fields,
+    value_ids: PositionArray,
+    bound: Dict[str, PositionArray],
+    origin: PositionArray,
+    positions: PositionArray,
+) -> Tuple[PositionArray, PositionArray]:
+    """The candidates ``(origin, positions)`` of ``level`` (frontier row,
+    relation row) that join their parent row, meet the level's other output
+    constraints and pass its unpushed predicate."""
+    if level.row_slot is not None:
+        assert level.edge is not None and level.parent is not None
+        keep = level.row_slot[positions] == level.edge[bound[level.parent][origin]]
+        origin, positions = origin[keep], positions[keep]
+    for column, out_pos in level.checks:
+        keep = equal_values(column[positions], fields[out_pos][value_ids[origin]])
+        origin, positions = origin[keep], positions[keep]
+    if level.admitted is not None:
+        keep = level.admitted[positions]
+        origin, positions = origin[keep], positions[keep]
+    return origin, positions
+
+
 class JoinMembershipProber:
     """Answers ``value ∈ J`` for output values of a union-compatible join."""
 
     def __init__(self, query: JoinQuery) -> None:
         self.query = query
-        #: relation name -> list of (attribute, output position) constraints
-        self._constraints = _output_constraints(query)
         self.probe_count = 0
         self.lookup_count = 0
 
@@ -243,13 +283,12 @@ class JoinMembershipProber:
 
     # ------------------------------------------------------------------ public
     def contains(self, value: Sequence[object]) -> bool:
-        """True when the join can produce the output value ``value``."""
-        self._check_width(value)
-        self.probe_count += 1
-        return self._search(probe_plan(self.query), tuple(value), {}, 0)
+        """True when the join can produce the output value ``value``: a
+        one-value :meth:`contains_many`."""
+        return bool(self.contains_many([value])[0])
 
     def contains_many(self, values: Sequence[Sequence[object]]) -> BoolArray:
-        """``[contains(v) for v in values]`` as one bool array: the values
+        """Membership of each value tuple, as one bool array: the values
         transposed once into columns for :meth:`contains_columns`."""
         width = len(self.query.output_attributes)
         if set(map(len, values)) - {width}:
@@ -261,7 +300,7 @@ class JoinMembershipProber:
     def contains_columns(self, fields: Fields) -> BoolArray:
         """Membership of a block of values given as one array per output
         attribute, computed a level at a time for the whole block (see the
-        module docstring): the engine every batched probe goes through."""
+        module docstring): the engine every probe goes through."""
         if len(fields) != len(self.query.output_attributes):
             self._check_width(fields)
         count = len(fields[0])
@@ -274,160 +313,102 @@ class JoinMembershipProber:
             self._probe_block(plan, fields, np.arange(count, dtype=np.intp), found)
         return found
 
-    def count_containing(self, values: Iterable[Sequence[object]]) -> int:
-        """Number of the given values contained in the join."""
-        return sum(1 for v in values if self.contains(v))
-
-    # ------------------------------------------------------- scalar (reference)
-    def _candidate_rows(
-        self,
-        relation_name: str,
-        value: Value,
-        key_attrs: Tuple[str, ...],
-        key: Value,
-    ) -> List[int]:
-        """Row positions of ``relation_name`` matching the join key, the
-        output-value constraints that fall on this relation, and its
-        predicate when that was not pushed down."""
-        relation = self.query.relation(relation_name)
-        constraints = self._constraints.get(relation_name, [])
-        self.lookup_count += 1
-        if key_attrs:
-            index = relation.index_on_columns(key_attrs)
-            lookup = key if len(key) > 1 else key[0]
-            positions: Iterable[int] = index.positions(lookup).tolist()
-        elif constraints:
-            # No join key (root): seed the search from an output constraint
-            # instead of scanning the relation.
-            attr, out_pos = constraints[0]
-            positions = relation.index_on(attr).positions(value[out_pos]).tolist()
-        else:
-            positions = range(len(relation))
-        admitted = self.query.row_masks().get(relation_name)
-        if admitted is not None:
-            positions = [p for p in positions if admitted[p]]
-        if not constraints:
-            return list(positions)
-        matched = []
-        for pos in positions:
-            if all(
-                relation.value(pos, attr) == value[out_pos] for attr, out_pos in constraints
-            ):
-                matched.append(pos)
-        return matched
-
-    def _search(
-        self, plan: ProbePlan, value: Value, assignment: Dict[str, int], depth: int
-    ) -> bool:
-        if depth == len(plan.levels):
-            return plan.tree.residual_satisfied(assignment)
-        level = plan.levels[depth]
-        node = level.node
-        if level.parent is None:
-            key_attrs: Tuple[str, ...] = ()
-            key: Value = ()
-        else:
-            parent_rel = self.query.relation(level.parent)
-            key_attrs = node.child_attributes
-            key = parent_rel.project_row(assignment[level.parent], node.parent_attributes)
-        for pos in self._candidate_rows(node.relation, value, key_attrs, key):
-            assignment[node.relation] = pos
-            if self._search(plan, value, assignment, depth + 1):
-                return True
-            del assignment[node.relation]
-        return False
-
-    # ------------------------------------------------------ batched (frontier)
+    # --------------------------------------------------------------- frontier
     def _probe_block(
         self, plan: ProbePlan, fields: Fields, ids: PositionArray, found: BoolArray
     ) -> None:
-        """Set ``found[i]`` for the contained values among the values ``ids``."""
-        survivors = self._expand(plan, fields, ids)
-        if survivors is not None:
-            found[survivors] = True
-        elif len(ids) > 1:
-            middle = len(ids) // 2
-            self._probe_block(plan, fields, ids[:middle], found)
-            self._probe_block(plan, fields, ids[middle:], found)
-        else:
-            at = int(ids[0])
-            value = tuple(field[at : at + 1].tolist()[0] for field in fields)
-            found[at] = self._search(plan, value, {}, 0)
+        """Set ``found[i]`` for the contained values among the values ``ids``.
 
-    def _expand(
-        self, plan: ProbePlan, fields: Fields, ids: PositionArray
-    ) -> Optional[PositionArray]:
-        """Value ids (repeats allowed) whose frontier survives every level;
-        None when a level would expand past :data:`ROW_BUDGET` rows."""
-        value_ids = ids
-        bound: Dict[str, PositionArray] = {}
-        for level in plan.levels:
-            seed = level.seed
-            self.lookup_count += len(value_ids)
-            if seed is None:
-                # Root without an output attribute: every row is a candidate,
-                # i.e. one segment holding the whole relation in row order.
-                slots: npt.NDArray[np.signedinteger[Any]] = np.zeros(len(value_ids), np.intp)
-                offsets = np.array([0, len(level.relation)])
-            elif level.seed_field >= 0:
-                slots = seed.slots_for(fields[level.seed_field][value_ids])
-                offsets = seed.offsets
+        One loop over the levels, fed from a stack of frontiers.  A level
+        whose expansion passes :data:`ROW_BUDGET` rows is expanded a window
+        of that many entries at a time: the rest of the level goes on the
+        stack, with its expansion, while the window's survivors go on down.
+        So no level runs twice and at most one window per level is alive."""
+        levels = plan.levels
+        stack = [_Frontier(0, ids, {}, None)]
+        while stack:
+            depth, value_ids, bound, window = stack.pop()
+            while depth < len(levels):
+                level = levels[depth]
+                seed = level.seed
+                if window is None:
+                    self.lookup_count += len(value_ids)
+                    if seed is None:
+                        # Root without an output attribute: every row is a
+                        # candidate, i.e. one segment holding the whole
+                        # relation in row order.
+                        slots: npt.NDArray[np.signedinteger[Any]] = np.zeros(
+                            len(value_ids), np.intp
+                        )
+                        offsets = np.array([0, len(level.relation)])
+                    elif level.seed_field >= 0:
+                        slots = seed.slots_for(fields[level.seed_field][value_ids])
+                        offsets = seed.offsets
+                    else:
+                        assert level.edge is not None and level.parent is not None
+                        slots = level.edge[bound[level.parent]]
+                        offsets = seed.offsets
+                    origin = np.flatnonzero(slots >= 0)
+                    slots = slots[origin]
+                    if level.unit:
+                        # One row per segment: slot i's row is row_positions[i].
+                        assert seed is not None
+                        if len(slots) <= ROW_BUDGET:
+                            positions = seed.row_positions[slots]
+                        else:
+                            window = _Window(
+                                origin,
+                                slots.astype(np.intp),
+                                np.ones(len(slots), np.intp),
+                                np.arange(1, len(slots) + 1, dtype=np.intp),
+                                0,
+                            )
+                    else:
+                        starts = offsets[slots].astype(np.intp)
+                        counts = offsets[slots + 1] - starts
+                        ends = np.cumsum(counts)
+                        total = int(ends[-1]) if len(ends) else 0
+                        if total <= ROW_BUDGET:
+                            # Frontier row i of this level continues frontier
+                            # row origin[i] of the previous one, at the i-th
+                            # entry of its CSR segment.
+                            origin = np.repeat(origin, counts)
+                            positions = np.arange(total, dtype=np.intp) + np.repeat(
+                                starts - (ends - counts), counts
+                            )
+                            if seed is not None:
+                                positions = seed.row_positions[positions]
+                        else:
+                            window = _Window(origin, starts, counts, ends, 0)
+                if window is not None:
+                    low, total = window.low, int(window.ends[-1])
+                    high = min(low + ROW_BUDGET, total)
+                    if high < total:
+                        rest = window._replace(low=high)
+                        stack.append(_Frontier(depth, value_ids, bound, rest))
+                    entries = np.arange(low, high, dtype=np.intp)
+                    k = np.searchsorted(window.ends, entries, "right")
+                    origin = window.origin[k]
+                    positions = window.starts[k] + entries - (window.ends[k] - window.counts[k])
+                    if seed is not None:
+                        positions = seed.row_positions[positions]
+                    window = None
+                origin, positions = _filter(level, fields, value_ids, bound, origin, positions)
+                if len(origin) == 0:
+                    break
+                value_ids = value_ids[origin]
+                bound = {name: rows[origin] for name, rows in bound.items() if name in level.live}
+                if level.node.relation in level.live:
+                    bound[level.node.relation] = positions
+                depth += 1
             else:
-                assert level.edge is not None and level.parent is not None
-                slots = level.edge[bound[level.parent]]
-                offsets = seed.offsets
-            origin = np.flatnonzero(slots >= 0)
-            slots = slots[origin]
-            if level.unit:
-                # One row per segment: slot i's row is row_positions[i].
-                assert seed is not None
-                if len(slots) > ROW_BUDGET:
-                    return None
-                positions = seed.row_positions[slots]
-            else:
-                starts = offsets[slots].astype(np.intp)
-                counts = offsets[slots + 1] - starts
-                ends = np.cumsum(counts)
-                total = int(ends[-1]) if len(ends) else 0
-                if total > ROW_BUDGET:
-                    return None
-                # Frontier row i of this level continues frontier row
-                # origin[i] of the previous one, at the i-th entry of its
-                # CSR segment.
-                origin = np.repeat(origin, counts)
-                positions = np.arange(total, dtype=np.intp) + np.repeat(
-                    starts - (ends - counts), counts
-                )
-                if seed is not None:
-                    positions = seed.row_positions[positions]
-            if level.row_slot is not None:
-                assert level.edge is not None and level.parent is not None
-                keep = level.row_slot[positions] == level.edge[bound[level.parent][origin]]
-                origin, positions = origin[keep], positions[keep]
-            for column, out_pos in level.checks:
-                keep = equal_values(column[positions], fields[out_pos][value_ids[origin]])
-                origin, positions = origin[keep], positions[keep]
-            if level.admitted is not None:
-                keep = level.admitted[positions]
-                origin, positions = origin[keep], positions[keep]
-            if len(origin) == 0:
-                return origin
-            value_ids = value_ids[origin]
-            bound = {name: rows[origin] for name, rows in bound.items() if name in level.live}
-            if level.node.relation in level.live:
-                bound[level.node.relation] = positions
-        if plan.tree.has_residuals:
-            value_ids = value_ids[plan.tree.residual_mask(bound)]
-        return value_ids
+                if plan.tree.has_residuals:
+                    value_ids = value_ids[plan.tree.residual_mask(bound)]
+                found[value_ids] = True
 
 
 class UnionMembershipIndex:
-    """Membership probers for every join in a union, plus owner resolution.
-
-    The *owner* of a value is the first join (in declaration order) that
-    contains it — exactly the cover assignment used by the set-union sampling
-    algorithms.
-    """
+    """Membership probers for every join in a union, and their shared memo."""
 
     def __init__(self, queries: Sequence[JoinQuery]) -> None:
         self.queries = list(queries)
@@ -493,17 +474,6 @@ class UnionMembershipIndex:
             joined = [reduce(concat_column_arrays, columns) for columns in zip(*fields)]
         answers = self.recall_many(query_name, values, joined)
         return np.split(answers, np.cumsum([len(block) for block in blocks[:-1]]))
-
-    def owner(self, value: Sequence[object]) -> Optional[str]:
-        """Name of the first join containing ``value`` (None when absent from all)."""
-        for query in self.queries:
-            if self.probers[query.name].contains(value):
-                return query.name
-        return None
-
-    def containing_joins(self, value: Sequence[object]) -> List[str]:
-        """Names of all joins containing ``value``."""
-        return [q.name for q in self.queries if self.probers[q.name].contains(value)]
 
 
 __all__ = ["JoinMembershipProber", "ProbeLevel", "ProbePlan", "UnionMembershipIndex", "probe_plan"]

@@ -334,18 +334,6 @@ class JoinQuery:
     def is_cyclic(self) -> bool:
         return self.join_type is JoinType.CYCLIC
 
-    # -------------------------------------------------------------- tuple ops
-    def project_assignment(self, assignment: Mapping[str, int]) -> Tuple:
-        """Output value (``t.val``) of a complete row assignment.
-
-        ``assignment`` maps relation name -> row position in that relation.
-        """
-        values = []
-        for out in self.output_attributes:
-            rel = self._relations[out.relation]
-            values.append(rel.value(assignment[out.relation], out.attribute))
-        return tuple(values)
-
     def row_masks(self) -> Dict[str, BoolArray]:
         """Relation name -> which of its rows pass its predicate, for the
         predicates left to check on bound rows (§8.3, second alternative):

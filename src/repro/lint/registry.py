@@ -91,11 +91,9 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
         locks={"_lock": frozenset({"_block_buffer", "_views"})},
         locked_decorators={"_locked": "_lock"},
     ),
-    # Every sampler of a snapshot reads one descent: its plans and the
-    # scalar path's cumulative weights are built once, by whoever asks first.
-    "_Descent": LockContract(
-        locks={"_lock": frozenset({"_plans", "_root_cumulative"})}
-    ),
+    # Every sampler of a snapshot reads one descent: its plans are built
+    # once, by whoever asks first.
+    "_Descent": LockContract(locks={"_lock": frozenset({"_plans"})}),
     # The snapshot memo: threads reaching a new snapshot together must
     # publish one descent per key, not one each.
     "JoinQuery": LockContract(
@@ -164,14 +162,7 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
         refresh_methods=frozenset({"refresh"}),
         cached_attrs=frozenset({"_descent", "_views", "_block_buffer"}),
         entry_points=frozenset(
-            {
-                "try_sample",
-                "sample_many",
-                "sample_block",
-                "attempt_block",
-                "warm",
-                "pop_buffered_blocks",
-            }
+            {"sample_many", "sample_block", "attempt_block", "warm", "pop_buffered_blocks"}
         ),
         # ``weight_function`` names the snapshot last synced with, as the
         # attribute it replaced did; readers that need it current refresh.

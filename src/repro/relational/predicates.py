@@ -5,11 +5,12 @@ base relations before sampling, or by checking them during sampling with an
 extra rejection factor.  Both paths need a small predicate algebra, which this
 module provides: comparisons, membership, range, conjunction, disjunction and
 negation.  :meth:`Predicate.mask` is the one evaluator: over a block of rows
-given as one array per attribute, one bool per row.  A comparison is one
-NumPy operation when the column's dtype kind is the constant's; otherwise
-(object columns, mixed kinds, ints past int64, NUL-suffixed strings, which
-``<U`` arrays strip) Python's operator runs per element, as in
-``SortedIndex.slots_for``, so ``1 == 1.0 == True`` keeps Python's meaning.
+given as one array per attribute it names and the block's row count, one
+bool per row.  A comparison is one NumPy operation when the column's dtype
+kind is the constant's; otherwise (object columns, mixed kinds, ints past
+int64, NUL-suffixed strings, which ``<U`` arrays strip) Python's operator
+runs per element, as in ``SortedIndex.slots_for``, so ``1 == 1.0 == True``
+keeps Python's meaning.
 """
 
 from __future__ import annotations
@@ -60,17 +61,14 @@ def _compare(column: Column, op: str, value: object) -> BoolArray:
     )
 
 
-def _length(columns: Columns) -> int:
-    """Rows in a column block (0 when it holds no column)."""
-    return len(next(iter(columns.values()))) if columns else 0
-
-
 class Predicate(ABC):
     """Base class for all selection predicates."""
 
     @abstractmethod
-    def mask(self, columns: Columns) -> BoolArray:
-        """Per row of ``columns``, whether it satisfies the predicate."""
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
+        """Per row of a block of ``rows`` rows, given as ``columns`` (at least
+        the attributes the predicate names), whether it satisfies the
+        predicate; one that names none reads only ``rows``."""
 
     @abstractmethod
     def attributes(self) -> Tuple[str, ...]:
@@ -91,8 +89,8 @@ class Predicate(ABC):
 class TruePredicate(Predicate):
     """Predicate that accepts every row (neutral element for conjunction)."""
 
-    def mask(self, columns: Columns) -> BoolArray:
-        return np.ones(_length(columns), dtype=bool)
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
+        return np.ones(rows, dtype=bool)
 
     def attributes(self) -> Tuple[str, ...]:
         return ()
@@ -110,7 +108,7 @@ class Comparison(Predicate):
         if self.op not in _COMPARATORS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def mask(self, columns: Columns) -> BoolArray:
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
         return _compare(columns[self.attribute], self.op, self.value)
 
     def attributes(self) -> Tuple[str, ...]:
@@ -128,7 +126,7 @@ class InSet(Predicate):
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "values", frozenset(values))
 
-    def mask(self, columns: Columns) -> BoolArray:
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
         column, values = columns[self.attribute], self.values
         if all(_native_kind(v) == column.dtype.kind for v in values):
             return np.isin(column, list(values))
@@ -146,7 +144,7 @@ class Between(Predicate):
     low: object
     high: object
 
-    def mask(self, columns: Columns) -> BoolArray:
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
         column = columns[self.attribute]
         return _compare(column, ">=", self.low) & _compare(column, "<=", self.high)
 
@@ -162,11 +160,11 @@ class _Connective(Predicate):
     def __init__(self, children: Iterable[Predicate]) -> None:
         self.children = tuple(children)
 
-    def mask(self, columns: Columns) -> BoolArray:
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
         fold = np.logical_and if self._all else np.logical_or
-        out = np.full(_length(columns), self._all)
+        out = np.full(rows, self._all)
         for child in self.children:
-            out = fold(out, child.mask(columns))
+            out = fold(out, child.mask(columns, rows))
         return out
 
     def attributes(self) -> Tuple[str, ...]:
@@ -192,8 +190,8 @@ class Not(Predicate):
 
     child: Predicate
 
-    def mask(self, columns: Columns) -> BoolArray:
-        return ~self.child.mask(columns)
+    def mask(self, columns: Columns, rows: int) -> BoolArray:
+        return ~self.child.mask(columns, rows)
 
     def attributes(self) -> Tuple[str, ...]:
         return self.child.attributes()

@@ -310,7 +310,7 @@ class Relation:
                     f"a selection mask must be a boolean array of length {len(self)}"
                 )
             return selection
-        return selection.mask(dict(zip(self.schema.names, self._snapshot())))
+        return selection.mask(dict(zip(self.schema.names, self._snapshot())), len(self))
 
     def delete_where(self, selection: Selection) -> int:
         """Delete every row satisfying ``selection`` (see :meth:`mask`);

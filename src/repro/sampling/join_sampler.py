@@ -15,7 +15,7 @@ Every accepted result has probability ``1 / W`` where ``W`` is the weight
 function's total weight, hence results are uniform over the join; acceptance
 probability is ``|J| / W``.
 
-One block path produces every sample; one scalar walker checks it:
+One block path produces every sample:
 
 * :meth:`JoinSampler.sample_block` runs whole batches of walks
   level-by-level over the columnar/CSR storage layer.  The root row and
@@ -28,9 +28,10 @@ One block path produces every sample; one scalar walker checks it:
   is the draw-then-drain idiom every consumer shares).
 * :meth:`JoinSampler.sample_many` is the one boxing view: the same block,
   boxed into :class:`SampleDraw` objects after the fact.
-* :meth:`JoinSampler.try_sample` performs one root-to-leaf walk at a time —
-  the reference implementation of the paper's algorithm, kept as the oracle
-  the tests compare the block path against.
+
+The tests hold it to the enumerated join
+(:func:`~repro.joins.executor.execute_join`): support, uniformity and the
+acceptance rate ``|J| / W``, not a second walker over the same weights.
 
 Thread fan-out is the consumer's business: :meth:`split` hands out shard
 samplers and :func:`repro.aqp.sources.fan_out` drives them.
@@ -84,9 +85,8 @@ class SampleDraw:
     assignment:
         Relation name -> row position of the underlying join result.
     attempts:
-        Number of root-to-leaf walks needed to produce this accepted sample
-        (always 1 for samples produced by the batched path, which accounts
-        rejected walks in the sampler-level stats instead).
+        Always 1: the block path accounts rejected walks in the sampler-level
+        stats instead.
     """
 
     value: Tuple
@@ -194,18 +194,14 @@ class _Descent:
         #: the pass counts as not included and the next patch recomputes it
         self.versions = versions
         self.root_weights = np.asarray(weight_function.root_weights(), dtype=float)
-        self.root_total = float(self.root_weights.sum())
         self.root_alias: Optional[AliasTable]
         if previous is not None and np.array_equal(previous.root_weights, self.root_weights):
             self.root_alias = previous.root_alias
         else:
             self.root_alias = (
-                AliasTable(self.root_weights) if self.root_total > 0 else None
+                AliasTable(self.root_weights) if self.root_weights.sum() > 0 else None
             )
         self._lock = threading.Lock()
-        # Cumulative weights serve only the scalar reference path; built
-        # lazily so the hot block path never pays for them.
-        self._root_cumulative: Optional[npt.NDArray[np.float64]] = None
         self._plans: Optional[List[_LevelPlan]] = None
 
     @classmethod
@@ -232,12 +228,6 @@ class _Descent:
             if self._plans is None:
                 self._plans = [self._build_plan(*edge) for edge in edges]
             return self._plans
-
-    def root_cumulative(self) -> npt.NDArray[np.float64]:
-        with self._lock:
-            if self._root_cumulative is None:
-                self._root_cumulative = np.cumsum(self.root_weights)
-            return self._root_cumulative
 
     def _build_plan(
         self,
@@ -461,63 +451,6 @@ class JoinSampler:
             self.refresh()
             return self.weight_function.total_weight
         return None
-
-    @_locked
-    def try_sample(self) -> Optional[SampleDraw]:
-        """One root-to-leaf attempt; ``None`` when the walk is rejected.
-
-        This is the scalar reference path; :meth:`sample_block` runs the same
-        accept/reject process vectorized over whole batches of walks.
-        """
-        self.refresh()
-        self.stats.attempts += 1
-        assignment: Dict[str, int] = {}
-        root = self.tree.root
-        root_pos = self._weighted_root_choice()
-        if root_pos is None:
-            self.stats.rejected_empty += 1
-            return None
-        assignment[root.relation] = root_pos
-
-        for node, parent in self._order:
-            if parent is None:
-                continue
-            parent_rel = self.query.relation(parent.relation)
-            child_rel = self.query.relation(node.relation)
-            key = parent_rel.project_row(assignment[parent.relation], node.parent_attributes)
-            lookup = key if len(key) > 1 else key[0]
-            index = child_rel.index_on_columns(node.child_attributes)
-            joinable = index.positions(lookup)
-            if len(joinable) == 0:
-                self.stats.rejected_empty += 1
-                return None
-            weights = self.weight_function.weights_for(node, joinable)
-            realized = float(weights.sum())
-            if realized <= 0:
-                self.stats.rejected_empty += 1
-                return None
-            bound = self.weight_function.acceptance_bound(node)
-            if bound is not None and bound > 0:
-                if self.rng.random() >= realized / bound:
-                    self.stats.rejected_weight += 1
-                    return None
-            chosen = int(self.rng.choice(len(joinable), p=weights / realized))
-            assignment[node.relation] = int(joinable[chosen])
-
-        if not self.tree.residual_satisfied(assignment):
-            self.stats.rejected_residual += 1
-            return None
-        masks = self.query.row_masks().items()
-        if not all(admitted[assignment[name]] for name, admitted in masks):
-            self.stats.rejected_predicate += 1
-            return None
-
-        self.stats.accepted += 1
-        return SampleDraw(
-            value=self.query.project_assignment(assignment),
-            assignment=dict(assignment),
-            attempts=1,
-        )
 
     def sample_many(self, count: int, max_attempts: int = 1_000_000) -> List[SampleDraw]:
         """``count`` accepted samples as boxed :class:`SampleDraw` objects.
@@ -791,26 +724,6 @@ class JoinSampler:
             self.stats.rejected_residual += rejected
             walks = walks[ok]
         return walks
-
-    # --------------------------------------------------------------- internals
-    def _weighted_root_choice(self) -> Optional[int]:
-        descent = self._descent
-        weights, total = descent.root_weights, descent.root_total
-        if total <= 0:
-            return None
-        target = self.rng.random() * total
-        pos = int(np.searchsorted(descent.root_cumulative(), target, side="right"))
-        if pos >= len(weights):
-            pos = len(weights) - 1
-        if weights[pos] <= 0:
-            # Landed on a zero-weight row due to floating point edge effects;
-            # fall back to an explicit renormalized choice.
-            positive = np.flatnonzero(weights > 0)
-            if positive.size == 0:
-                return None
-            probabilities = weights[positive] / weights[positive].sum()
-            pos = int(self.rng.choice(positive, p=probabilities))
-        return pos
 
 
 def draw_and_drain(

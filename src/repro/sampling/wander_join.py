@@ -18,6 +18,13 @@ The union framework uses wander join in two places:
   (§6), and
 * the **sample reuse** pool of the online union sampler (§7), which recycles
   the walk results ``(t, p(t))`` with an extra accept/reject step.
+
+Callers run their own stopping rule over :meth:`WanderJoin.walk_batch_with_values`
+or :meth:`WanderJoin.walk_block` with a :class:`RunningEstimator`.  The tests
+hold the walks to the enumerated join
+(:func:`~repro.joins.executor.iterate_join_assignments`): each probability to
+``1/|R_1| · Π 1/d`` read from the indexes, the success rate to ``Σ p(t)`` over
+the join, and the HT size to the exact one.
 """
 
 from __future__ import annotations
@@ -128,7 +135,8 @@ def z_value(confidence: float) -> float:
 
 
 class WanderJoin:
-    """Random-walk sampler and size estimator for one join query."""
+    """Random-walk sampler for one join query; its walks carry the
+    probabilities the HT size estimate reads."""
 
     def __init__(self, query: JoinQuery, seed: RandomState = None) -> None:
         self.query = query
@@ -139,45 +147,11 @@ class WanderJoin:
         self.success_count = 0
 
     # ------------------------------------------------------------------ walks
-    def walk(self) -> WalkResult:
-        """Perform one random walk; returns its result and probability."""
-        self.walk_count += 1
-        root = self.tree.root
-        root_rel = self.query.relation(root.relation)
-        if len(root_rel) == 0:
-            return WalkResult(success=False)
-        assignment: Dict[str, int] = {}
-        probability = 1.0 / len(root_rel)
-        assignment[root.relation] = int(self.rng.integers(0, len(root_rel)))
-
-        for node, parent in self._order:
-            if parent is None:
-                continue
-            parent_rel = self.query.relation(parent.relation)
-            child_rel = self.query.relation(node.relation)
-            key = parent_rel.project_row(assignment[parent.relation], node.parent_attributes)
-            lookup = key if len(key) > 1 else key[0]
-            joinable = child_rel.index_on_columns(node.child_attributes).positions(lookup)
-            if len(joinable) == 0:
-                return WalkResult(success=False)
-            probability *= 1.0 / len(joinable)
-            assignment[node.relation] = int(joinable[int(self.rng.integers(0, len(joinable)))])
-
-        if not self.tree.residual_satisfied(assignment):
-            return WalkResult(success=False)
-        self.success_count += 1
-        return WalkResult(
-            success=True,
-            value=self.query.project_assignment(assignment),
-            assignment=assignment,
-            probability=probability,
-        )
-
     def walks(self, count: int, batch_size: int = 4096) -> List[WalkResult]:
         """``count`` independent walks (failed walks included).
 
-        Walks run in vectorized batches over the columnar/CSR storage layer;
-        results are identically distributed to ``count`` :meth:`walk` calls.
+        Walks run in vectorized batches (:meth:`walk_batch`) over the
+        columnar/CSR storage layer.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -192,8 +166,7 @@ class WanderJoin:
         Each hop is one gather from the edge's slot map
         (:meth:`~repro.joins.query.JoinQuery.edge_slots`) and one uniform
         choice within the joinable segment for every surviving walk at once;
-        probabilities accumulate as ``1/|R_1| · Π 1/d`` exactly as in
-        :meth:`walk`.
+        probabilities accumulate as ``1/|R_1| · Π 1/d``.
         """
         return self.walk_batch_with_values(size)[0]
 
@@ -310,32 +283,6 @@ class WanderJoin:
 
         self.success_count += int(walks.size)
         return chosen, walks, probability, size
-
-    # -------------------------------------------------------------- estimation
-    def estimate_size(
-        self,
-        confidence: float = 0.9,
-        relative_half_width: float = 0.1,
-        min_walks: int = 100,
-        max_walks: int = 10_000,
-    ) -> SizeEstimate:
-        """Horvitz–Thompson join-size estimate.
-
-        Walks continue until the confidence interval's relative half-width
-        drops below ``relative_half_width`` (at the given ``confidence``) or
-        ``max_walks`` is reached — the termination rule of §6.1.
-        """
-        estimator = RunningEstimator()
-        while estimator.count < max_walks:
-            estimator.add(self.walk().inverse_probability)
-            if estimator.count >= min_walks:
-                current = estimator.estimate(confidence)
-                if (
-                    current.estimate > 0
-                    and current.relative_half_width <= relative_half_width
-                ):
-                    return current
-        return estimator.estimate(confidence)
 
 
 __all__ = [

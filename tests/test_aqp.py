@@ -22,6 +22,7 @@ from repro.aqp import (
 from repro.joins.executor import execute_join, join_result_set
 from repro.tpch.workloads import build_uq1, build_uq2, build_uq3
 
+from tests.join_oracle import ingest_rows
 from tests.stat_helpers import assert_ci_coverage
 
 CONFIDENCE = 0.95
@@ -340,12 +341,12 @@ class TestAccumulator:
         schema = chain_query.output_schema
         values = [v for v in execute_join(chain_query)] * 7
         whole = AggregateAccumulator(spec, schema)
-        whole.observe(values, attempts=len(values) + 10, weight=6.0)
+        ingest_rows(whole, values, attempts=len(values) + 10, weight=6.0)
 
         left = AggregateAccumulator(spec, schema)
         right = AggregateAccumulator(spec, schema)
-        left.observe(values[:5], attempts=9, weight=6.0)
-        right.observe(values[5:], attempts=len(values) - 5 + 6, weight=6.0)
+        ingest_rows(left, values[:5], attempts=9, weight=6.0)
+        ingest_rows(right, values[5:], attempts=len(values) - 5 + 6, weight=6.0)
         merged = right.merge(left)  # reversed merge order on purpose
 
         a, b = whole.estimate().overall, merged.estimate().overall
@@ -355,11 +356,11 @@ class TestAccumulator:
     def test_observe_validates_accounting(self, chain_query):
         acc = AggregateAccumulator(AggregateSpec("count"), chain_query.output_schema)
         with pytest.raises(ValueError, match="attempts"):
-            acc.observe([(1, 100, 7)], attempts=0, weight=2.0)
+            ingest_rows(acc, [(1, 100, 7)], attempts=0, weight=2.0)
         with pytest.raises(ValueError, match="exactly one"):
-            acc.observe([(1, 100, 7)], attempts=1)
+            ingest_rows(acc, [(1, 100, 7)], attempts=1)
         with pytest.raises(ValueError, match="align"):
-            acc.observe([(1, 100, 7)], attempts=1, weights=[1.0, 2.0])
+            ingest_rows(acc, [(1, 100, 7)], attempts=1, weights=[1.0, 2.0])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="attribute"):

@@ -44,6 +44,8 @@ from repro.relational.relation import Relation
 from repro.sampling.wander_join import z_value
 from repro.utils.rng import ensure_rng
 
+from tests.join_oracle import ingest_rows
+
 # --------------------------------------------------------------------- shapes
 rows_ab = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 3)), min_size=1, max_size=10
@@ -212,12 +214,12 @@ class TestMergeLaw:
         total_attempts = sum(len(c) + e for c, e in zip(chunks, extras))
 
         whole = AggregateAccumulator(spec, self.SCHEMA)
-        whole.observe(values, attempts=total_attempts, weight=weight)
+        ingest_rows(whole, values, attempts=total_attempts, weight=weight)
 
         partials = []
         for chunk, extra in zip(chunks, extras):
             acc = AggregateAccumulator(spec, self.SCHEMA)
-            acc.observe(chunk, attempts=len(chunk) + extra, weight=weight)
+            ingest_rows(acc, chunk, attempts=len(chunk) + extra, weight=weight)
             partials.append(acc)
         merged = partials[order[0]]
         for i in order[1:]:
@@ -244,11 +246,11 @@ class TestMergeLaw:
             return [1.0 + (abs(hash(v)) % 97) for v in chunk]
 
         whole = AggregateAccumulator(spec, self.SCHEMA)
-        whole.observe(values, attempts=total_attempts, weights=weights_for(values))
+        ingest_rows(whole, values, attempts=total_attempts, weights=weights_for(values))
         partials = []
         for chunk, extra in zip(chunks, extras):
             acc = AggregateAccumulator(spec, self.SCHEMA)
-            acc.observe(chunk, attempts=len(chunk) + extra, weights=weights_for(chunk))
+            ingest_rows(acc, chunk, attempts=len(chunk) + extra, weights=weights_for(chunk))
             partials.append(acc)
         merged = partials[order[0]]
         for i in order[1:]:
@@ -332,7 +334,7 @@ wide_values = st.one_of(
 @st.composite
 def contribution_chunks(draw):
     """Chunks of ``(k, x)`` rows, each with a shared weight or per-sample
-    weights, and each ingested through ``observe`` or ``ingest_block``."""
+    weights, and each ingested as typed columns or as transposed tuples."""
     chunks = []
     for _ in range(draw(st.integers(1, 4))):
         rows = draw(st.lists(st.tuples(st.integers(-2, 2), wide_values), max_size=30))
@@ -370,7 +372,7 @@ class TestExactTotalsMatchTheFsumOracle:
                 ]
                 accumulator.ingest_block(columns, attempts=len(rows) + extra, **weighting)
             else:
-                accumulator.observe(rows, attempts=len(rows) + extra, **weighting)
+                ingest_rows(accumulator, rows, attempts=len(rows) + extra, **weighting)
         return accumulator
 
     def contributions(self, spec, chunks):

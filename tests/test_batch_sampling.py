@@ -1,16 +1,17 @@
-"""Batch/scalar equivalence of the vectorized sampling engine.
+"""The vectorized sampling engine against the enumerated join.
 
 The batched descent (`JoinSampler.sample_block`, `WanderJoin.walk_batch`) must
-produce samples identically distributed to the scalar reference paths: same
-acceptance rates, same uniformity over the join result, same walk success
-statistics — on chain, acyclic, cyclic, and composite-key joins.
+produce what the enumerated join predicts: the acceptance rate ``|J| / W``,
+uniformity over the join result, walk probabilities ``1/|R_1| · Π 1/d`` and
+the walk success rate ``Σ p(t)`` — on chain, acyclic, cyclic, and
+composite-key joins.
 """
 
 import numpy as np
 import pytest
 
 from repro.joins.conditions import JoinCondition, OutputAttribute
-from repro.joins.executor import join_result_set
+from repro.joins.executor import execute_join, join_result_set
 from repro.joins.query import JoinQuery
 from repro.relational.columnar import as_column_array, tuple_key_array
 from repro.relational.index import SortedIndex
@@ -19,6 +20,12 @@ from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
 from repro.utils.rng import BatchedCategorical, ensure_rng
 
+from tests.join_oracle import (
+    enumerated_assignments,
+    project,
+    walk_probability,
+    walk_success_probability,
+)
 from tests.stat_helpers import assert_uniform
 
 
@@ -136,13 +143,14 @@ class TestColumnarRelation:
 class TestBatchScalarEquivalence:
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acceptance_rate_matches_scalar(self, chain_query, weights):
-        scalar = JoinSampler(chain_query, weights=weights, seed=101)
-        accepted = sum(1 for _ in range(3000) if scalar.try_sample() is not None)
+        """The acceptance rate is the enumerated join's size over the total
+        weight (exactly 1 under exact weights)."""
         batched = JoinSampler(chain_query, weights=weights, seed=202)
-        batched.sample_many(accepted or 1)
-        assert batched.stats.acceptance_rate == pytest.approx(
-            scalar.stats.acceptance_rate, abs=0.08
-        )
+        batched.sample_many(2000)
+        expected = len(execute_join(chain_query)) / batched.size_bound
+        assert batched.stats.acceptance_rate == pytest.approx(expected, abs=0.05)
+        if weights == "ew":
+            assert batched.stats.acceptance_rate == expected == 1.0
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_chain_uniformity(self, chain_query, weights):
@@ -198,9 +206,10 @@ class TestBatchScalarEquivalence:
         assert_uniform([d.value for d in draws], population)
 
     def test_assignments_are_consistent(self, chain_query):
+        joined = enumerated_assignments(chain_query)
         sampler = JoinSampler(chain_query, seed=53)
         for draw in sampler.sample_many(50):
-            assert chain_query.project_assignment(draw.assignment) == draw.value
+            assert joined[tuple(sorted(draw.assignment.items()))] == draw.value
 
     def test_values_are_python_typed(self, chain_query):
         draw = JoinSampler(chain_query, seed=59).sample_many(1)[0]
@@ -224,14 +233,17 @@ class TestBatchScalarEquivalence:
 
 
 class TestWanderJoinBatch:
-    def test_batch_walks_match_scalar_statistics(self, chain_query):
-        scalar = WanderJoin(chain_query, seed=71)
-        scalar_successes = sum(1 for w in (scalar.walk() for _ in range(2000)) if w.success)
-        batched = WanderJoin(chain_query, seed=72)
-        results = batched.walks(2000)
-        assert len(results) == 2000
-        batch_successes = sum(1 for w in results if w.success)
-        assert batch_successes / 2000 == pytest.approx(scalar_successes / 2000, abs=0.06)
+    @pytest.mark.parametrize("fixture", ["chain_query", "acyclic_query", "cyclic_query"])
+    def test_batch_walks_match_scalar_statistics(self, fixture, request):
+        """The success rate is Σ p(t) over the enumerated join."""
+        query = request.getfixturevalue(fixture)
+        results = WanderJoin(query, seed=72).walks(4000)
+        assert len(results) == 4000
+        successes = sum(1 for w in results if w.success)
+        expected = walk_success_probability(query)
+        assert 0 < expected <= 1
+        # five standard deviations of a binomial rate over 4000 walks
+        assert abs(successes / 4000 - expected) <= 5 * (expected * (1 - expected) / 4000) ** 0.5
 
     def test_batch_walk_values_and_probabilities(self, chain_query):
         population = join_result_set(chain_query)
@@ -240,8 +252,10 @@ class TestWanderJoinBatch:
         for walk in walker.walks(1500):
             if walk.success:
                 assert walk.value in population
-                assert 0.0 < walk.probability <= 1.0
-                assert chain_query.project_assignment(walk.assignment) == walk.value
+                assert walk.probability == pytest.approx(
+                    walk_probability(chain_query, walk.assignment)
+                )
+                assert project(chain_query, walk.assignment) == walk.value
             ht.append(walk.inverse_probability)
         estimate = sum(ht) / len(ht)
         assert estimate == pytest.approx(len(population), rel=0.25)
@@ -318,10 +332,6 @@ def _draw(surface, weights, queries, seed):
         sampler = JoinSampler(query, weights=weights, seed=seed)
         return _digest(p for size in (64, 900, 4000)
                        for p in _block_parts(sampler.sample_block(size)))
-    if surface == "try_sample":
-        sampler = JoinSampler(query, weights=weights, seed=seed)
-        draws = [sampler.try_sample() for _ in range(300)]
-        return _digest(sorted(d.assignment.items()) if d else None for d in draws)
     if surface == "split":
         sampler = JoinSampler(query, weights=weights, seed=seed)
         parts = [p for shard in sampler.split(2) for size in (50, 2000)
@@ -334,7 +344,7 @@ def _draw(surface, weights, queries, seed):
 
 
 @pytest.mark.parametrize("weights", ["ew", "eo"])
-@pytest.mark.parametrize("surface", ["sample_block", "try_sample", "split", "union"])
+@pytest.mark.parametrize("surface", ["sample_block", "split", "union"])
 def test_draws_depend_only_on_seed_and_snapshot(surface, weights, tpch_order_tables):
     """Sampler B draws the same whether another sampler of the same query
     drew first, a warm prototype exists, or neither — before an RF batch,

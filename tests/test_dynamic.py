@@ -192,15 +192,6 @@ class TestSamplingUnderUpdates:
         draws = sampler.sample_many(1200)
         assert_uniform([d.value for d in draws], population)
 
-    def test_scalar_path_agrees_after_updates(self, acyclic_query):
-        sampler = JoinSampler(acyclic_query, weights="ew", seed=107)
-        sampler.try_sample()
-        self._churn_acyclic(acyclic_query)
-        population = join_result_set(acyclic_query)
-        draws = [sampler.try_sample() for _ in range(800)]
-        values = {d.value for d in draws if d is not None}
-        assert values == population
-
     def test_stale_buffer_is_discarded(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=109, max_batch_size=64)
         sampler.sample_many(10)  # leaves surplus accepted draws buffered
@@ -220,8 +211,9 @@ class TestSamplingUnderUpdates:
         for walk in walker.walks(600):
             if walk.success:
                 assert walk.value in population
-        estimate = walker.estimate_size(max_walks=4000)
-        assert estimate.estimate == pytest.approx(len(population), rel=0.35)
+        block = walker.walk_block(4000)
+        estimate = float(block.weights.sum()) / block.attempts
+        assert estimate == pytest.approx(exact_join_size(chain_query, distinct=False), rel=0.2)
 
 
 # ------------------------------------------------------------ streams/scenario

@@ -140,11 +140,64 @@ class TestRealTree:
         assert [f.location() + " " + f.rule_id for f in result.live] == []
         assert result.exit_code == 0
 
+    def test_every_registered_name_is_defined_on_its_class(self):
+        """Each method or attribute a LOCK/EPOCH/MERGE contract names is
+        defined on its class in ``src/`` (a ``def``, a class-level name, a
+        ``__slots__`` entry or a ``self.<name>`` assignment), so a contract
+        cannot keep pointing at deleted code.  The decorators of
+        ``locked_decorators`` are module-level functions and are excepted."""
+        from repro.lint.registry import EPOCH_REGISTRY, LOCK_REGISTRY, MERGE_REGISTRY
+
+        named = {}
+        for cls, lock in LOCK_REGISTRY.items():
+            named.setdefault(cls, set()).update(lock.locks, *lock.locks.values())
+        for cls, epoch in EPOCH_REGISTRY.items():
+            named.setdefault(cls, set()).update(
+                epoch.refresh_methods, epoch.cached_attrs, epoch.entry_points, epoch.exempt
+            )
+        for cls, merge in MERGE_REGISTRY.items():
+            named.setdefault(cls, set()).update(merge.int_counters)
+
+        defined = {}
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and node.name in named:
+                    defined.setdefault(node.name, set()).update(_class_names(node))
+        assert set(defined) == set(named), "a registered class is not in src/"
+        stale = {cls: sorted(named[cls] - defined[cls]) for cls in named}
+        assert {cls: names for cls, names in stale.items() if names} == {}
+
     def test_discovery_skips_fixture_and_cache_dirs(self):
         files = discover([str(REPO_ROOT / "tests")], ("lint_fixtures", "__pycache__"))
         names = {Path(f).name for f in files}
         assert "bad_rng.py" not in names
         assert "test_lint.py" in names
+
+
+def _class_names(node):
+    """The names a class body defines: methods, class-level assignments,
+    ``__slots__`` entries, and attributes its methods assign on ``self``."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+        targets = item.targets if isinstance(item, ast.Assign) else (
+            [item.target] if isinstance(item, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id == "__slots__":
+                names.update(ast.literal_eval(item.value))
+            elif isinstance(target, ast.Name):
+                names.add(target.id)
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            names.add(sub.attr)
+    return names
 
 
 # ---------------------------------------- seeded violations in scratch copies

@@ -49,11 +49,12 @@ class TestJoinMembershipProber:
         assert not prober.contains((1, 3, 5))
         assert prober.contains((1, 2, 4))
 
-    def test_count_containing(self, union_pair):
+    def test_counts_the_shared_values(self, union_pair):
         j1, j2 = union_pair
         prober = JoinMembershipProber(j2)
-        values = list(join_result_set(j1))
-        assert prober.count_containing(values) == 2
+        values = sorted(join_result_set(j1))
+        shared = join_result_set(j1) & join_result_set(j2)
+        assert int(prober.contains_many(values).sum()) == len(shared) == 2
 
     def test_probe_counters_increase(self, chain_query):
         prober = JoinMembershipProber(chain_query)
@@ -63,24 +64,46 @@ class TestJoinMembershipProber:
         assert prober.lookup_count >= 2
 
 
+def _owners(index, names, values):
+    """Per value, the first of ``names`` whose join contains it (None: none),
+    read from the cover test the union sources use."""
+    fields = [np.array(column) for column in zip(*values)]
+    owners = [None] * len(values)
+    for position, name in enumerate(names):
+        claimed = index.contained_in_any(names[:position], fields)
+        for at in np.flatnonzero(index.contained_in_any([name], fields) & ~claimed):
+            owners[at] = name
+    return owners
+
+
 class TestUnionMembershipIndex:
     def test_owner_is_first_containing_join(self, union_triple):
         index = UnionMembershipIndex(union_triple)
-        # (1, 100) is in all three joins -> owner is the first.
-        assert index.owner((1, 100)) == "J1"
-        # (3, 400) only in J2.
-        assert index.owner((3, 400)) == "J2"
-        # (5, 500) only in J3.
-        assert index.owner((5, 500)) == "J3"
-
-    def test_owner_none_for_foreign_value(self, union_triple):
-        index = UnionMembershipIndex(union_triple)
-        assert index.owner((123, 456)) is None
+        names = [query.name for query in union_triple]
+        results = [join_result_set(query) for query in union_triple]
+        values = sorted(set().union(*results)) + [(123, 456)]
+        expected = [
+            next((name for name, members in zip(names, results) if v in members), None)
+            for v in values
+        ]
+        assert _owners(index, names, values) == expected
+        # (1, 100) is in all three joins, (3, 400) only in J2, (5, 500) only
+        # in J3, and (123, 456) in none.
+        owners = dict(zip(values, expected))
+        assert [owners[v] for v in [(1, 100), (3, 400), (5, 500), (123, 456)]] == [
+            "J1", "J2", "J3", None,
+        ]
 
     def test_containing_joins(self, union_triple):
         index = UnionMembershipIndex(union_triple)
-        assert index.containing_joins((1, 100)) == ["J1", "J2", "J3"]
-        assert index.containing_joins((2, 300)) == ["J1", "J3"]
+        for value in [(1, 100), (2, 300), (3, 400), (123, 456)]:
+            containing = [q.name for q in union_triple if index.contains(q.name, value)]
+            assert containing == [
+                q.name for q in union_triple if value in join_result_set(q)
+            ]
+        assert [q.name for q in union_triple if index.contains(q.name, (2, 300))] == [
+            "J1", "J3",
+        ]
 
     def test_contains_specific_join(self, union_pair):
         index = UnionMembershipIndex(union_pair)
@@ -103,7 +126,7 @@ class TestExhaustiveAgreement:
                     assert prober.contains((a, c)) == ((a, c) in results)
 
 
-# ----------------------------------------------------- batched kernel ≡ oracle
+# ------------------------------------------------- frontier engine ≡ the join
 INT_KEYS = st.integers(0, 2)
 STR_KEYS = st.sampled_from(["k0", "k1", "k2"])
 #: mixed int/float payloads: 2 == 2.0 must mean the same to both probes
@@ -213,17 +236,18 @@ class TestContainsMany:
     @given(joins_with_values(), st.sampled_from([1, 3, membership.ROW_BUDGET]))
     def test_kernel_agrees_with_oracle(self, generated, row_budget):
         """contains_many ≡ [contains ...] ≡ membership in the executed join,
-        whatever the row budget makes of the block (one pass, halved blocks,
-        or single values handed to the scalar search)."""
+        whatever the row budget makes of the block (one pass, or levels
+        expanded in windows, down to one entry at a time)."""
         query, values = generated
         prober = JoinMembershipProber(query)
-        expected = [prober.contains(value) for value in values]
+        results = join_result_set(query)
+        expected = [value in results for value in values]
         with mock.patch.object(membership, "ROW_BUDGET", row_budget):
             answers = prober.contains_many(values)
+            one_by_one = [prober.contains(value) for value in values]
         assert answers.dtype == bool and answers.shape == (len(values),)
         assert answers.tolist() == expected
-        results = join_result_set(query)
-        assert expected == [value in results for value in values]
+        assert one_by_one == expected
 
     def test_both_seeds_fire_over_generated_joins(self):
         """Over a run of generated joins, some bound-parent level seeds from
@@ -270,10 +294,9 @@ class TestContainsMany:
             rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=4))
             events.append(InsertEvent(name, tuple(rows)))
         apply_batch(query.relations, UpdateBatch(1, tuple(events)))
-        expected = [prober.contains(value) for value in values]
-        assert prober.contains_many(values).tolist() == expected
         results = join_result_set(query)
-        assert expected == [value in results for value in values]
+        expected = [value in results for value in values]
+        assert prober.contains_many(values).tolist() == expected
 
     def test_an_int_past_2_53_is_not_its_rounded_float(self):
         """NumPy compares int64 with float64 in float64, where 2**53 + 1
@@ -309,22 +332,18 @@ class TestContainsMany:
     @pytest.mark.parametrize("workload", ["uq1_small", "uq2_small", "uq3_small"])
     def test_block_is_split_by_the_row_budget(self, workload, request):
         """A block of drawn TPC-H values whose expansion exceeds the budget
-        is answered in pieces, with the answers of one pass."""
+        is answered in windows, with the enumerated join's answers (that it
+        makes the lookups of one pass is the count contract
+        ``test_the_row_budget_changes_no_probe_work``)."""
         queries = request.getfixturevalue(workload).queries
-        index = UnionMembershipIndex(queries)
         values = JoinSampler(queries[0], seed=5).sample_block(300).values(queries[0])
         values += [tuple("absent" for _ in values[0])]
         for query in queries:
-            expected = [index.contains(query.name, value) for value in values]
+            results = join_result_set(query)
+            expected = [value in results for value in values]
+            assert JoinMembershipProber(query).contains_many(values).tolist() == expected
             with mock.patch.object(membership, "ROW_BUDGET", 64):
-                with mock.patch.object(
-                    JoinMembershipProber, "_expand",
-                    autospec=True, side_effect=JoinMembershipProber._expand,
-                ) as expand:
-                    split = index.contains_many(query.name, values).tolist()
-            assert split == expected
-            assert index.contains_many(query.name, values).tolist() == expected
-            assert expand.call_count > 1
+                assert JoinMembershipProber(query).contains_many(values).tolist() == expected
         assert any(expected), "no drawn value is in the last join: workload broken"
 
     def test_recall_many_probes_each_value_once(self, union_triple):
@@ -389,25 +408,27 @@ class TestNonPushedPredicates:
         assert 0 < answers.sum() < len(candidates)
 
 
-# ---------------------------------------- consumers: batched ≡ scalar, bitwise
-def _scalar_contains_columns(self, fields):
-    """What the frontier engine computes, the way every consumer used to ask."""
-    values = list(zip(*(field.tolist() for field in fields)))
-    return np.fromiter((self.contains(v) for v in values), dtype=bool, count=len(values))
-
-
+# ------------------------------------- consumers: engine ≡ enumeration, bitwise
 def _both_kernels(run):
-    """``run()`` under the batched kernel and under the scalar loop (every
-    batched probe, tuple form included, goes through ``contains_columns``;
-    a consumer that got around it would never reach the scalar loop)."""
+    """``run()`` under the frontier engine and under membership in the
+    enumerated join (every probe, tuple form included, goes through
+    ``contains_columns``; a consumer that got around it would never reach
+    the enumeration)."""
     batched = run()
     probed = []
+    enumerated = {}
 
-    def scalar_engine(self, fields):
+    def enumeration(self, fields):
         probed.append(len(fields[0]))
-        return _scalar_contains_columns(self, fields)
+        query = self.query
+        snapshot = (id(query), tuple(r.version for r in query.relations.values()))
+        if snapshot not in enumerated:
+            enumerated[snapshot] = join_result_set(query)
+        results = enumerated[snapshot]
+        values = zip(*(field.tolist() for field in fields))
+        return np.fromiter((v in results for v in values), dtype=bool, count=len(fields[0]))
 
-    with mock.patch.object(JoinMembershipProber, "contains_columns", scalar_engine):
+    with mock.patch.object(JoinMembershipProber, "contains_columns", enumeration):
         scalar = run()
     assert probed, "the consumer never reached the membership engine"
     return batched, scalar
@@ -431,7 +452,8 @@ def _counts(stats):
 @pytest.mark.parametrize("workload", ["uq1_small", "uq2_small", "uq3_small"])
 class TestConsumersAreBitIdentical:
     """Every consumer keeps its float arithmetic and its order, so swapping
-    the kernel under it changes no bit of what it returns."""
+    the engine under it for the enumerated join changes no bit of what it
+    returns."""
 
     def test_random_walk_estimate(self, workload, request):
         queries = request.getfixturevalue(workload).queries

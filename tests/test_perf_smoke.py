@@ -1,11 +1,13 @@
-"""Performance smoke gate for the batched sampling engine.
+"""Performance smoke gate for the block engines.
 
-A tiny-scale throughput check wired into tier-1: the batched path must
-deliver at least the scalar reference path's throughput, so a regression
-that silently disables the vectorized engine fails the test suite rather
-than only the (optional) benchmark run.  Thresholds are deliberately loose
-— end-to-end and per-layer timings live in the measurement spine
-(``benchmarks/spine``) — to keep the test robust on noisy CI machines.
+Tiny-scale throughput floors and count contracts wired into tier-1: the block
+pipeline must beat boxing the same blocks, batched membership probes must
+beat asking one value at a time, and the counted work (key lookups, index
+builds, masks, weight passes) must not grow, so a regression that silently
+disables a vectorized engine fails the test suite rather than only the
+(optional) benchmark run.  Thresholds are deliberately loose — end-to-end and
+per-layer timings live in the measurement spine (``benchmarks/spine``) — to
+keep the test robust on noisy CI machines.
 """
 
 import copy
@@ -17,6 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.joins import membership
+from repro.joins.executor import execute_join
 from repro.joins.membership import UnionMembershipIndex
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
@@ -24,6 +28,7 @@ from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.tpch.generator import generate_tpch
 from repro.tpch.workloads import build_uq2
 
+from tests.join_oracle import ingest_rows
 from tests.tpch_oracle import generate_tpch_rows
 
 SMOKE_SCALE = 0.0005
@@ -35,56 +40,23 @@ def smoke_query():
     return build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries[0]
 
 
-def _scalar_rate(sampler: JoinSampler, attempts: int) -> float:
-    accepted = 0
-    started = time.perf_counter()
-    for _ in range(attempts):
-        if sampler.try_sample() is not None:
-            accepted += 1
-    elapsed = time.perf_counter() - started
-    assert accepted > 0, "scalar path accepted nothing; smoke workload broken"
-    return accepted / elapsed
-
-
-def _batch_rate(sampler: JoinSampler, count: int) -> float:
-    started = time.perf_counter()
-    draws = sampler.sample_many(count)
-    elapsed = time.perf_counter() - started
-    assert len(draws) == count
-    return count / elapsed
-
-
 @pytest.mark.parametrize("weights", ["ew", "eo"])
-def test_batch_path_at_least_scalar_throughput(smoke_query, weights):
-    scalar = JoinSampler(smoke_query, weights=weights, seed=11)
-    batched = JoinSampler(smoke_query, weights=weights, seed=13)
-    # Warm both paths so index/plan construction stays outside the timing.
-    for _ in range(50):
-        scalar.try_sample()
-    batched.sample_many(50)
-
-    scalar_rate = _scalar_rate(scalar, attempts=400)
-    batch_rate = _batch_rate(batched, count=2000)
-    assert batch_rate >= scalar_rate, (
-        f"batched sampling ({batch_rate:.0f}/s) slower than scalar "
-        f"({scalar_rate:.0f}/s) — vectorized engine regressed"
-    )
-
-
-def test_batch_and_scalar_agree_on_acceptance(smoke_query):
-    """Cross-check riding along with the smoke gate: both paths must see the
-    same acceptance behaviour on the smoke workload (EW never rejects)."""
-    sampler = JoinSampler(smoke_query, weights="ew", seed=17)
-    sampler.sample_many(500)
-    assert sampler.stats.acceptance_rate == pytest.approx(1.0)
+def test_batch_and_scalar_agree_on_acceptance(smoke_query, weights):
+    """Cross-check riding along with the smoke gate: the acceptance rate is
+    the enumerated join's size over the total weight (EW never rejects)."""
+    sampler = JoinSampler(smoke_query, weights=weights, seed=17)
+    sampler.sample_many(2000)
+    expected = len(execute_join(smoke_query)) / sampler.size_bound
+    assert sampler.stats.acceptance_rate == pytest.approx(expected, abs=0.05)
+    if weights == "ew":
+        assert sampler.stats.acceptance_rate == expected == 1.0
 
 
 def test_block_pipeline_at_least_boxed_throughput(smoke_query):
-    """The zero-object aggregate pipeline must not regress below the boxed
-    path it replaced: sample_block -> ingest_block vs boxed draws ->
-    observe, same draws, same estimator state (the real margin is >= 2x on
-    the TPC-H workloads; the gate here is deliberately loose for noisy CI
-    machines)."""
+    """The zero-object aggregate pipeline must not regress below boxing:
+    sample_block -> ingest_block vs boxed draws (to_draws) transposed back
+    into columns -> ingest_block, same draws, same estimator state (the gate
+    is deliberately loose for noisy CI machines)."""
     from repro.aqp import AggregateAccumulator, AggregateSpec
 
     spec = AggregateSpec("sum", attribute="retailprice")
@@ -97,7 +69,8 @@ def test_block_pipeline_at_least_boxed_throughput(smoke_query):
         started = time.perf_counter()
         before = sampler.stats.attempts
         draws = SampleBlock.concat(draw_and_drain(sampler, count)).to_draws(smoke_query)
-        accumulator.observe(
+        ingest_rows(
+            accumulator,
             [d.value for d in draws],
             attempts=sampler.stats.attempts - before,
             weight=weight,
@@ -132,10 +105,8 @@ def test_block_pipeline_at_least_boxed_throughput(smoke_query):
 
 def test_batched_membership_probes_beat_the_scalar_loop():
     """The union warm-up and refinement probe whole value lists; the frontier
-    kernel must stay well ahead of asking the scalar search once per value:
-    500 drawn values x every other join, floor 3x (measured: ~25x here,
-    where the relations are tiny and the kernel's fixed cost shows; 45-80x
-    at SF 0.05, see docs/performance.md)."""
+    engine must stay well ahead of asking it once per value (``contains``, a
+    block of one): 500 drawn values x every other join, floor 3x."""
     queries = build_uq2(scale_factor=SMOKE_SCALE, seed=SMOKE_SEED).queries
     index = UnionMembershipIndex(queries)
     values = JoinSampler(queries[0], seed=23).sample_block(500).values(queries[0])
@@ -162,6 +133,25 @@ def test_batched_membership_probes_beat_the_scalar_loop():
         f"contains_many ({batched_s * 1e3:.1f} ms) is not 3x ahead of the scalar "
         f"loop ({scalar_s * 1e3:.1f} ms) — batched membership kernel regressed"
     )
+
+
+@pytest.mark.parametrize("workload", ["uq1_small", "uq2_small", "uq3_small"])
+def test_the_row_budget_changes_no_probe_work(workload, request):
+    """Count contract: a probe's key lookups are the same under a row budget
+    of 64 as under the default — a level too large for the budget is
+    expanded in windows, and no level above it runs again — and so are its
+    answers (the drawn blocks of ``test_block_is_split_by_the_row_budget``)."""
+    queries = request.getfixturevalue(workload).queries
+    values = JoinSampler(queries[0], seed=5).sample_block(300).values(queries[0])
+    values += [tuple("absent" for _ in values[0])]
+    for query in queries:
+        whole = membership.JoinMembershipProber(query)
+        windowed = membership.JoinMembershipProber(query)
+        answers = whole.contains_many(values).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(membership, "ROW_BUDGET", 64)
+            assert windowed.contains_many(values).tolist() == answers
+        assert windowed.lookup_count == whole.lookup_count > len(values)
 
 
 def test_column_generator_beats_the_row_oracle():
@@ -666,7 +656,8 @@ def test_an_unpushed_predicate_is_masked_once_per_snapshot(monkeypatch):
     masked = []
     mask = Comparison.mask
     monkeypatch.setattr(
-        Comparison, "mask", lambda p, columns: (masked.append(p.attribute), mask(p, columns))[1]
+        Comparison, "mask",
+        lambda p, columns, rows: (masked.append(p.attribute), mask(p, columns, rows))[1],
     )
     sampler = JoinSampler(query, seed=61)
     prober = JoinMembershipProber(query)
@@ -809,8 +800,10 @@ def test_a_grouped_answer_codes_its_column_once(monkeypatch):
 
 def test_a_sampled_block_gathers_only_the_columns_the_aggregate_reads(monkeypatch):
     """A SUM gathers its one output column per sampled block, COUNT(*)
-    none, and nothing gathers every column (``value_columns``)."""
+    none — also under a predicate naming no attribute — and nothing gathers
+    every column (``value_columns``)."""
     from repro.aqp import AggregateAccumulator, AggregateSpec, OnlineAggregator
+    from repro.relational.predicates import TruePredicate
 
     _, query = _order_chain()
     blocks = []  # per ingested block, the output positions it gathered
@@ -826,7 +819,8 @@ def test_a_sampled_block_gathers_only_the_columns_the_aggregate_reads(monkeypatc
         lambda self, block, q: (blocks.append([]), ingest(self, block, q))[1],
     )
     for spec, read in ((AggregateSpec("sum", attribute="totalprice"), [2]),
-                       (AggregateSpec("count"), [])):
+                       (AggregateSpec("count"), []),
+                       (AggregateSpec("count", where=TruePredicate()), [])):
         for method in ("exact-weight", "wander-join"):
             blocks.clear()
             aggregator = OnlineAggregator(query, spec, method=method, seed=5)

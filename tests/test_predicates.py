@@ -28,7 +28,7 @@ ROW = (30, "rome")
 def holds(predicate, row=ROW):
     """The predicate's verdict on one ``(age, city)`` row."""
     columns = {"age": np.array([row[0]]), "city": np.array([row[1]])}
-    (verdict,) = predicate.mask(columns).tolist()
+    (verdict,) = predicate.mask(columns, 1).tolist()
     return verdict
 
 
@@ -55,15 +55,15 @@ class TestComparison:
         assert Comparison("age", "<", 5).attributes() == ("age",)
 
     def test_mixed_kinds_keep_python_equality(self):
-        column = np.array([1, 2, 2**53 + 1])
-        assert Comparison("x", "==", 1.0).mask({"x": column}).tolist() == [True, False, False]
-        assert Comparison("x", "==", True).mask({"x": column}).tolist() == [True, False, False]
-        assert Comparison("x", "==", 2.0**53).mask({"x": column}).tolist() == [False] * 3
+        column = {"x": np.array([1, 2, 2**53 + 1])}
+        assert Comparison("x", "==", 1.0).mask(column, 3).tolist() == [True, False, False]
+        assert Comparison("x", "==", True).mask(column, 3).tolist() == [True, False, False]
+        assert Comparison("x", "==", 2.0**53).mask(column, 3).tolist() == [False] * 3
 
     def test_nul_suffixed_constant_is_not_stripped(self):
-        column = np.array(["a", "b"])
-        assert Comparison("s", "==", "a\x00").mask({"s": column}).tolist() == [False, False]
-        assert InSet("s", ["a\x00"]).mask({"s": column}).tolist() == [False, False]
+        column = {"s": np.array(["a", "b"])}
+        assert Comparison("s", "==", "a\x00").mask(column, 2).tolist() == [False, False]
+        assert InSet("s", ["a\x00"]).mask(column, 2).tolist() == [False, False]
 
 
 class TestOtherPredicates:
@@ -79,6 +79,16 @@ class TestOtherPredicates:
     def test_true_predicate(self):
         assert holds(TruePredicate())
         assert TruePredicate().attributes() == ()
+
+    @pytest.mark.parametrize(
+        "predicate,verdict",
+        [(TruePredicate(), True), (And([]), True), (Or([]), False), (Not(TruePredicate()), False)],
+    )
+    def test_a_constant_mask_has_the_block_length_without_columns(self, predicate, verdict):
+        """A predicate naming no attribute is handed no column, and still
+        answers once per row of the block."""
+        assert predicate.attributes() == ()
+        assert predicate.mask({}, 5).tolist() == [verdict] * 5
 
     def test_not(self):
         assert holds(Not(Comparison("age", ">", 100)))
@@ -259,6 +269,6 @@ class TestMaskMatchesPython:
     def test_mask_is_python_row_by_row(self, columns, predicate):
         values = {name: column.tolist() for name, column in columns.items()}
         rows = [dict(zip(values, row)) for row in zip(*values.values())]
-        mask = predicate.mask(columns)
+        mask = predicate.mask(columns, len(rows))
         assert mask.dtype == bool and mask.shape == (len(rows),)
         assert mask.tolist() == [expected(predicate, row) for row in rows]

@@ -152,10 +152,6 @@ class TestPredicatesAndProjection:
         )
         assert len(query.relation("R")) == 2
 
-    def test_project_assignment(self, chain_query):
-        value = chain_query.project_assignment({"R": 0, "S": 0, "T": 0})
-        assert value == (1, 100, 7)
-
     def test_output_schema_and_sources(self, chain_query):
         assert chain_query.output_schema == ("a", "c", "d")
         assert chain_query.output_sources()["c"] == ("S", "c")

@@ -4,10 +4,9 @@ The contract of the columnar pipeline is that boxing is a *view*: for a
 fixed seed, :meth:`JoinSampler.sample_block` and :meth:`JoinSampler.sample_many`
 describe the identical draw sequence (pinned bit-exactly, Hypothesis-driven,
 under both EW and EO backends), and :meth:`AggregateAccumulator.ingest_block`
-over block columns stores bit-identical estimator state to
-:meth:`AggregateAccumulator.observe` over the boxed equivalents — so the
-exactly-rounded merge law survives the zero-object rewiring, sequential and
-parallel alike.
+of the whole enumerated join answers exactly what ``exact_aggregate``
+computes — so the exactly-rounded totals survive the zero-object pipeline,
+sequential and parallel alike.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aqp import AggregateAccumulator, AggregateSpec
 from repro.joins.conditions import JoinCondition, OutputAttribute
-from repro.joins.executor import join_result_set
+from repro.aqp.estimators import exact_aggregate
+from repro.joins.executor import execute_join, join_result_set
 from repro.joins.query import JoinQuery
 from repro.parallel import ParallelSamplerPool, sequential_reference
 from repro.relational.predicates import Comparison
@@ -30,6 +30,7 @@ from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
 
 from tests.conftest import make_chain_query
+from tests.join_oracle import ingest_rows
 
 
 def fresh_chain():
@@ -60,27 +61,26 @@ def test_block_and_batch_are_bit_identical(seed, count, weights):
             assert int(block.positions[name][i]) == draw.assignment[name]
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 40))
-def test_ingest_block_matches_observe_bit_exactly(seed, count):
-    """observe(boxed) and ingest_block(columns) store identical state."""
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AggregateSpec("count"),
+        AggregateSpec("sum", attribute="c"),
+        AggregateSpec("avg", attribute="c", group_by="a"),
+        AggregateSpec("sum", attribute="c", group_by="a", where=Comparison("c", ">=", 101)),
+    ],
+    ids=["count", "sum", "avg-by-a", "sum-by-a-where"],
+)
+def test_ingest_block_of_the_enumerated_join_is_the_exact_aggregate(spec):
+    """ingest_block of the whole enumerated bag, every result one attempt of
+    inverse weight |J|, answers exactly what exact_aggregate computes."""
     query = fresh_chain()
-    spec = AggregateSpec("avg", attribute="c", group_by="a")
-    sampler = JoinSampler(query, weights="ew", seed=seed)
-    block = sampler.sample_block(count)
-
-    boxed = AggregateAccumulator(spec, query.output_schema)
-    boxed.observe(block.values(query), attempts=block.attempts, weight=block.weight)
-    columnar = AggregateAccumulator(spec, query.output_schema)
-    columnar.ingest_block(
-        block.value_columns(query), attempts=block.attempts, weight=block.weight
-    )
-
-    boxed_report = boxed.estimate()
-    columnar_report = columnar.estimate()
-    assert set(boxed_report.estimates) == set(columnar_report.estimates)
-    for group, estimate in boxed_report.estimates.items():
-        assert columnar_report.estimates[group] == estimate
+    values = execute_join(query)
+    accumulator = AggregateAccumulator(spec, query.output_schema)
+    ingest_rows(accumulator, values, attempts=len(values), weight=float(len(values)))
+    report = accumulator.estimate()
+    truth = exact_aggregate(values, spec, query.output_schema)
+    assert {group: e.estimate for group, e in report.estimates.items()} == truth
 
 
 # --------------------------------------------------------------- block basics

@@ -16,7 +16,7 @@ import pytest
 from repro.aqp import AggregateAccumulator, AggregateSpec, OnlineAggregator
 from repro.aqp.planner import BACKEND_WEIGHTS
 from repro.aqp.sources import build_sources, split_evenly
-from repro.joins.membership import JoinMembershipProber
+from repro.joins.executor import join_result_set
 from repro.parallel import ShardTask, run_shard
 from repro.resilience import NO_FAULTS
 from repro.sampling.blocks import SampleBlock
@@ -25,6 +25,7 @@ from repro.sampling.wander_join import WanderJoin
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 from tests.conftest import make_chain_query
+from tests.join_oracle import ingest_rows
 from tests.test_parallel import make_chain, make_union, report_key
 
 SPEC = AggregateSpec("sum", attribute="c")
@@ -54,7 +55,7 @@ def reference_ingest(accumulator, backend, queries, rng, count, max_attempts=1_0
         sampler = JoinSampler(query, weights=BACKEND_WEIGHTS[backend], seed=rng)
         total_weight = sampler.weight_function.total_weight
         if total_weight <= 0:
-            accumulator.observe([], attempts=count, weight=1.0)
+            ingest_rows(accumulator, [], attempts=count, weight=1.0)
             return
         blocks = [sampler.sample_block(count, max_attempts=max_attempts)]
         blocks.extend(sampler.pop_buffered_blocks())
@@ -68,21 +69,22 @@ def reference_ingest(accumulator, backend, queries, rng, count, max_attempts=1_0
             block.value_columns(query), attempts=block.attempts, weights=block.weights
         )
     else:
-        # The cover rule, with the scalar membership oracle: a multinomial
-        # split of the attempts by total weight, each join's share of walks,
-        # and a value kept only when no earlier join contains it.
+        # The cover rule, with the enumerated joins as the membership oracle:
+        # a multinomial split of the attempts by total weight, each join's
+        # share of walks, and a value kept only when no earlier join holds it.
         select, *streams = spawn_rngs(rng, len(queries) + 1)
         samplers = [JoinSampler(q, weights="ew", seed=s) for q, s in zip(queries, streams)]
         weights = np.array([s.weight_function.total_weight for s in samplers])
         shares = select.multinomial(count, weights / weights.sum())
+        members = [join_result_set(q) for q in queries]
         kept = []
         for position, (sampler, share) in enumerate(zip(samplers, shares)):
             if not share:
                 continue
             for value in sampler.attempt_block(int(share)).values(sampler.query):
-                if not any(JoinMembershipProber(q).contains(value) for q in queries[:position]):
+                if not any(value in joined for joined in members[:position]):
                     kept.append(value)
-        accumulator.observe(kept, attempts=count, weight=float(weights.sum()))
+        ingest_rows(accumulator, kept, attempts=count, weight=float(weights.sum()))
 
 
 # ---------------------------------------------------- run_shard == the source

@@ -1,11 +1,25 @@
-"""Tests for repro.sampling.wander_join."""
-
-import math
+"""Tests for repro.sampling.wander_join, against the enumerated join."""
 
 import pytest
 
 from repro.joins.executor import exact_join_size, join_result_set
 from repro.sampling.wander_join import RunningEstimator, WanderJoin, z_value
+
+from tests.join_oracle import walk_probability, walk_success_probability
+
+
+def ht_size(query, walks, seed):
+    """The HT join-size estimate of ``walks`` walks (``walk_block``)."""
+    block = WanderJoin(query, seed=seed).walk_block(walks)
+    return float(block.weights.sum()) / block.attempts
+
+
+def running_estimate(query, walks, seed):
+    """A :class:`RunningEstimator` fed the HT contributions of ``walks`` walks."""
+    estimator = RunningEstimator()
+    for walk in WanderJoin(query, seed=seed).walks(walks):
+        estimator.add(walk.inverse_probability)
+    return estimator.estimate()
 
 
 class TestWalks:
@@ -16,10 +30,9 @@ class TestWalks:
         r = chain_query.relation("R")
         s = chain_query.relation("S")
         t = chain_query.relation("T")
-        for _ in range(200):
-            walk = wj.walk()
-            if not walk.success:
-                continue
+        successes = [walk for walk in wj.walks(200) if walk.success]
+        assert successes
+        for walk in successes:
             assignment = walk.assignment
             b_value = r.value(assignment["R"], "b")
             c_value = s.value(assignment["S"], "c")
@@ -30,6 +43,7 @@ class TestWalks:
                 / t.index_on("c").degree(c_value)
             )
             assert walk.probability == pytest.approx(expected)
+            assert walk.probability == pytest.approx(walk_probability(chain_query, assignment))
 
     def test_walk_values_are_join_members(self, acyclic_query):
         wj = WanderJoin(acyclic_query, seed=5)
@@ -60,7 +74,8 @@ class TestWalks:
 
         query = make_chain_query("void", r_rows=[], s_rows=[(10, 100)])
         wj = WanderJoin(query, seed=1)
-        assert not wj.walk().success
+        assert not any(walk.success for walk in wj.walks(5))
+        assert wj.walk_block(5).attempts == 5
 
     def test_negative_walk_count_rejected(self, chain_query):
         with pytest.raises(ValueError):
@@ -71,27 +86,26 @@ class TestSizeEstimation:
     @pytest.mark.parametrize("fixture", ["chain_query", "acyclic_query", "cyclic_query"])
     def test_ht_estimate_close_to_exact(self, fixture, request):
         query = request.getfixturevalue(fixture)
-        wj = WanderJoin(query, seed=11)
-        estimate = wj.estimate_size(max_walks=4000, relative_half_width=0.05)
         exact = exact_join_size(query, distinct=False)
-        assert estimate.estimate == pytest.approx(exact, rel=0.25)
+        assert ht_size(query, 4000, seed=11) == pytest.approx(exact, rel=0.1)
 
     def test_estimate_on_tpch_join(self, uq1_small):
         query = uq1_small.queries[0]
         exact = exact_join_size(query, distinct=False)
-        estimate = WanderJoin(query, seed=13).estimate_size(max_walks=3000)
-        assert estimate.estimate == pytest.approx(exact, rel=0.35)
+        assert ht_size(query, 3000, seed=13) == pytest.approx(exact, rel=0.35)
 
     def test_confidence_interval_shrinks_with_more_walks(self, chain_query):
-        few = WanderJoin(chain_query, seed=17).estimate_size(min_walks=50, max_walks=50,
-                                                             relative_half_width=0.0)
-        many = WanderJoin(chain_query, seed=17).estimate_size(min_walks=2000, max_walks=2000,
-                                                              relative_half_width=0.0)
+        few = running_estimate(chain_query, 50, seed=17)
+        many = running_estimate(chain_query, 2000, seed=17)
         assert many.half_width <= few.half_width
+        exact = exact_join_size(chain_query, distinct=False)
+        assert abs(many.estimate - exact) <= many.half_width * 5 / z_value(0.9)
 
     def test_success_rate_reported(self, chain_query):
-        estimate = WanderJoin(chain_query, seed=19).estimate_size(max_walks=200)
-        assert 0.0 < estimate.success_rate <= 1.0
+        estimate = running_estimate(chain_query, 2000, seed=19)
+        expected = walk_success_probability(chain_query)
+        assert 0.0 < expected < 1.0
+        assert estimate.success_rate == pytest.approx(expected, abs=0.05)
 
 
 class TestRunningEstimator:
