@@ -153,8 +153,8 @@ def walk_success_ratio(query: JoinQuery) -> float:
     """Estimated probability that one wander-join walk completes.
 
     Per join edge, the fraction of parent rows with at least one joinable
-    child row (read from the edge's slot map,
-    :meth:`~repro.joins.query.JoinQuery.edge_slots` — the map the samplers
+    child row (read from the edge's hop table,
+    :meth:`~repro.joins.query.JoinQuery.edge_hops` — the table the walks
     gather from anyway); the walk succeeds when every hop finds a child, so
     the per-edge fractions multiply.  This deliberately ignores *which*
     parent the walk is at (hops are uniform, dangling rows are what kill
@@ -173,17 +173,8 @@ def _walk_success_ratio(query: JoinQuery) -> float:
         parent_rel = query.relation(parent.relation)
         if len(parent_rel) == 0:
             return 1e-9
-        csr = query.relation(node.relation).sorted_index_on_columns(node.child_attributes)
-        slots = query.edge_slots(parent.relation, node)
-        joinable = slots >= 0
-        if bool(joinable.any()):
-            degrees = np.diff(csr.offsets)
-            alive = np.zeros(len(slots), dtype=bool)
-            alive[joinable] = degrees[slots[joinable]] > 0
-            fraction = float(alive.mean())
-        else:
-            fraction = 0.0
-        product *= max(fraction, 1e-9)
+        _, degrees = query.edge_hops(parent.relation, node)
+        product *= max(float(np.count_nonzero(degrees)) / len(degrees), 1e-9)
     return min(max(product, 1e-9), 1.0)
 
 

@@ -30,6 +30,8 @@ from typing import (
     TypeVar,
 )
 
+import numpy as np
+
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.relational.index import IntArray, smallest_index_dtype
 from repro.relational.predicates import BoolArray, Predicate
@@ -251,9 +253,10 @@ class JoinQuery:
 
         ``slots[p]`` is the slot of parent row ``p``'s join key in the join-key
         CSR of ``node``'s relation, or -1 when no row of it holds the key.
-        Every batched consumer of the edge (the samplers' descent, wander
-        join, membership frontiers, the weight and pricing passes) gathers
-        from this map instead of looking keys up.  One ``slots_for`` pass over
+        Every batched consumer of the edge (the samplers' descent,
+        membership frontiers, the weight passes, and through
+        :meth:`edge_hops` wander join and pricing) gathers from this map
+        instead of looking keys up.  One ``slots_for`` pass over
         the parent's key column builds it; it is kept per snapshot under the
         edge (:meth:`derived`), read-only and in the smallest signed dtype,
         and survives a mutation of neither of its two relations by reference.
@@ -271,6 +274,38 @@ class JoinQuery:
             return build() if parent in changed or node.relation in changed else last
 
         key = ("edge_slots", parent, node.relation, node.parent_attributes, node.child_attributes)
+        return self.derived(key, build, patch)
+
+    def edge_hops(self, parent: str, node: JoinTreeNode) -> Tuple[IntArray, IntArray]:
+        """The wander-join hop of one join-tree edge, for every parent row.
+
+        ``(starts, degrees)``: the rows of ``node``'s relation that join parent
+        row ``p`` are the ``degrees[p]`` entries of its join-key CSR's
+        ``row_positions`` from ``starts[p]`` on.  ``degrees[p]`` is 0 when no
+        row holds the key, or when the key's slot lost all its rows and waits
+        for compaction; ``starts[p]`` then means nothing.  Built from the
+        slot map (:meth:`edge_slots`) and the CSR offsets, in the offsets'
+        (smallest signed) dtype; kept per snapshot, read-only, and across a
+        mutation of neither relation by reference, like the slot map.
+        """
+        child_rel = self.relation(node.relation)
+
+        def build() -> Tuple[IntArray, IntArray]:
+            offsets = child_rel.index_on_columns(node.child_attributes).offsets
+            slots = self.edge_slots(parent, node)
+            # A -1 slot reads offsets[-1] and offsets[0]: masked to degree 0.
+            starts = offsets[slots]
+            degrees = np.where(slots >= 0, offsets[slots + 1] - starts, 0)
+            starts.setflags(write=False)
+            degrees.setflags(write=False)
+            return starts, degrees
+
+        def patch(
+            last: Tuple[IntArray, IntArray], changed: FrozenSet[str]
+        ) -> Tuple[IntArray, IntArray]:
+            return build() if parent in changed or node.relation in changed else last
+
+        key = ("edge_hops", parent, node.relation, node.parent_attributes, node.child_attributes)
         return self.derived(key, build, patch)
 
     # -------------------------------------------------------------- structure

@@ -645,85 +645,82 @@ class JoinSampler:
         return self._views
 
     def _attempt_block(self, size: int) -> SampleBlock:
-        """Run ``size`` root-to-leaf walks simultaneously; return the accepted."""
+        """Run ``size`` root-to-leaf walks simultaneously; return the accepted.
+
+        ``chosen`` holds one position array per bound relation, aligned with
+        the walks still alive: a level where some walk fails compresses them
+        all with one mask, and a level where none does gathers nothing but
+        its own hop.
+        """
         self.stats.attempts += size
         descent = self._descent
         if descent.root_alias is None:
             self.stats.rejected_empty += size
-            empty = SampleBlock.empty(self._relation_order, descent.weight_function.total_weight)
-            return dataclasses.replace(empty, attempts=size)
+            return self._rejected_block(size)
 
-        chosen: Dict[str, PositionArray] = {
-            name: np.full(size, -1, dtype=np.intp) for name in self._relation_order
-        }
         # The root row: one draw from the root alias table (O(1) per draw).
-        chosen[self.tree.root.relation] = descent.root_alias.sample(self.rng, size)
-        walks = np.arange(size, dtype=np.intp)
-
+        chosen: Dict[str, PositionArray] = {
+            self.tree.root.relation: descent.root_alias.sample(self.rng, size)
+        }
         for plan, view in zip(descent.plans(), self._level_views()):
-            if walks.size == 0:
-                break
-            slots = plan.parent_slots[chosen[plan.parent.relation][walks]]
-            present = slots >= 0
-            if not present.all():
-                self.stats.rejected_empty += int((~present).sum())
-                walks = walks[present]
-                slots = slots[present]
-                if walks.size == 0:
-                    break
+            slots = plan.parent_slots[chosen[plan.parent.relation]]
+            live = slots >= 0
+            if not live.all():
+                slots = slots[live]
             realized = plan.tables.segment_totals[slots]
             positive = realized > 0
             if not positive.all():
-                self.stats.rejected_empty += int((~positive).sum())
-                walks = walks[positive]
-                slots = slots[positive]
-                realized = realized[positive]
-                if walks.size == 0:
-                    break
-            if plan.bound is not None and plan.bound > 0:
-                accept = self.rng.random(walks.size) < realized / plan.bound
+                live[live] = positive
+                slots, realized = slots[positive], realized[positive]
+            self.stats.rejected_empty += live.size - slots.size
+            if plan.bound is not None and plan.bound > 0 and slots.size:
+                accept = self.rng.random(slots.size) < realized / plan.bound
                 if not accept.all():
-                    self.stats.rejected_weight += int((~accept).sum())
-                    walks = walks[accept]
+                    self.stats.rejected_weight += int(slots.size - accept.sum())
+                    live[live] = accept
                     slots = slots[accept]
-                    if walks.size == 0:
-                        break
+            if slots.size < live.size:
+                if slots.size == 0:
+                    return self._rejected_block(size)
+                chosen = {name: positions[live] for name, positions in chosen.items()}
             # Weighted child choice: one alias-table draw per walk (a dart
             # and a coin — two array lookups, no binary search).
-            idx = view.sample(self.rng, slots)
-            chosen[plan.node.relation][walks] = plan.csr.row_positions[idx]
+            picks = plan.csr.row_positions[view.sample(self.rng, slots)]
+            chosen[plan.node.relation] = picks.astype(np.intp, copy=False)
 
-        if walks.size and self.tree.residual_conditions:
-            walks = self._filter_residuals(chosen, walks)
+        if self.tree.residual_conditions:
+            chosen = self._filter_residuals(chosen)
         # Predicates not pushed down (§8.3): a gather from each filtered
         # relation's per-snapshot row mask.
         for name, admitted in self.query.row_masks().items():
-            keep = admitted[chosen[name][walks]]
-            self.stats.rejected_predicate += int(keep.size - keep.sum())
-            walks = walks[keep]
+            keep = admitted[chosen[name]]
+            if not keep.all():
+                self.stats.rejected_predicate += int(keep.size - keep.sum())
+                chosen = {name: positions[keep] for name, positions in chosen.items()}
 
-        self.stats.accepted += int(walks.size)
+        accepted = chosen[self.tree.root.relation].size
+        self.stats.accepted += accepted
+        if accepted == 0:
+            return self._rejected_block(size)
         return SampleBlock(
             relation_order=self._relation_order,
-            positions={
-                name: chosen[name][walks] for name in self._relation_order
-            },
+            positions={name: chosen[name] for name in self._relation_order},
             attempts=size,
             weight=descent.weight_function.total_weight,
         )
 
-    def _filter_residuals(
-        self, chosen: Dict[str, PositionArray], walks: PositionArray
-    ) -> PositionArray:
+    def _rejected_block(self, size: int) -> SampleBlock:
+        """The block of ``size`` walks none of which was accepted."""
+        empty = SampleBlock.empty(self._relation_order, self._descent.weight_function.total_weight)
+        return dataclasses.replace(empty, attempts=size)
+
+    def _filter_residuals(self, chosen: Dict[str, PositionArray]) -> Dict[str, PositionArray]:
         """Drop walks whose assembled assignment violates a residual condition."""
-        ok = self.tree.residual_mask(
-            {name: positions[walks] for name, positions in chosen.items()}
-        )
-        rejected = int((~ok).sum())
-        if rejected:
-            self.stats.rejected_residual += rejected
-            walks = walks[ok]
-        return walks
+        ok = self.tree.residual_mask(chosen)
+        if ok.all():
+            return chosen
+        self.stats.rejected_residual += int(ok.size - ok.sum())
+        return {name: positions[ok] for name, positions in chosen.items()}
 
 
 def draw_and_drain(

@@ -2,12 +2,13 @@
 
 A wander-join walk starts at a uniformly random row of the root relation and,
 at every hop, moves to a uniformly random joinable row of the next relation.
-The walk either fails (no joinable row, or a residual condition is violated)
-or produces one join result ``t`` together with its sampling probability
+The walk either fails (no joinable row, a residual condition is violated, or
+a predicate not pushed down rejects a bound row) or produces one join result
+``t`` together with its sampling probability
 
     p(t) = 1/|R_1| · 1/d_2(t_1) · ... · 1/d_m(t_{m-1})
 
-computed on the fly from the hash indexes (paper §6.1, Example 6).  Results
+computed on the fly from each edge's hop table (paper §6.1, Example 6).  Results
 are independent but *not* uniform; the Horvitz–Thompson estimator
 ``|J| ≈ (1/m) Σ 1/p(t_k)`` (failed walks contribute 0) estimates the join size
 with a confidence interval that shrinks as the number of walks grows.
@@ -163,9 +164,9 @@ class WanderJoin:
     def walk_batch(self, size: int) -> List[WalkResult]:
         """``size`` independent walks performed level-by-level, vectorized.
 
-        Each hop is one gather from the edge's slot map
-        (:meth:`~repro.joins.query.JoinQuery.edge_slots`) and one uniform
-        choice within the joinable segment for every surviving walk at once;
+        Each hop gathers every surviving walk's joinable segment from the
+        edge's hop table (:meth:`~repro.joins.query.JoinQuery.edge_hops`)
+        and makes one uniform choice within it for all of them at once;
         probabilities accumulate as ``1/|R_1| · Π 1/d``.
         """
         return self.walk_batch_with_values(size)[0]
@@ -181,23 +182,20 @@ class WanderJoin:
             self.query.relation(out.relation).column_array(out.attribute)
             for out in self.query.output_attributes
         ]
-        if walks is None or walks.size == 0:
+        if walks.size == 0:
             return results, [column[:0] for column in columns]
         value_columns = [
-            column[chosen[out.relation][walks]]
+            column[chosen[out.relation]]
             for column, out in zip(columns, self.query.output_attributes)
         ]
         values = list(zip(*(column.tolist() for column in value_columns)))
-        relation_names = [node.relation for node, _ in self._order]
-        assignment_columns = {
-            name: chosen[name][walks].tolist() for name in relation_names
-        }
-        for i, walk_id in enumerate(walks.tolist()):
+        assignment_columns = {name: positions.tolist() for name, positions in chosen.items()}
+        for i, (walk_id, p) in enumerate(zip(walks.tolist(), probability.tolist())):
             results[walk_id] = WalkResult(
                 success=True,
                 value=values[i],
-                assignment={name: assignment_columns[name][i] for name in relation_names},
-                probability=float(probability[walk_id]),
+                assignment={name: column[i] for name, column in assignment_columns.items()},
+                probability=p,
             )
         return results, value_columns
 
@@ -212,74 +210,73 @@ class WanderJoin:
         """
         chosen, walks, probability, size = self._descend(size)
         relation_names = tuple(node.relation for node, _ in self._order)
-        if walks is None or walks.size == 0:
+        if walks.size == 0:
             block = SampleBlock.empty(relation_names)
             block.attempts = size
             block.weights = np.empty(0, dtype=float)
             return block
         return SampleBlock(
             relation_order=relation_names,
-            positions={name: chosen[name][walks] for name in relation_names},
+            positions={name: chosen[name] for name in relation_names},
             attempts=size,
-            weights=1.0 / probability[walks],
+            weights=1.0 / probability,
         )
 
-    def _descend(self, size: int):
-        """Shared vectorized descent: ``(chosen, surviving walks, p, size)``."""
+    def _descend(
+        self, size: int
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, int]:
+        """Shared vectorized descent over ``size`` walks: ``(positions, walk
+        ids, p, size)`` of the walks that succeed, aligned with each other.
+
+        Every per-relation position array and the probabilities stay aligned
+        with the walks still alive: a hop reads the edge's hop table
+        (:meth:`~repro.joins.query.JoinQuery.edge_hops`) — two gathers — and
+        only a hop where some walk fails compresses the arrays, with one mask.
+        """
         if size < 0:
             raise ValueError("size must be non-negative")
+        walks = np.arange(size, dtype=np.intp)
         if size == 0:
-            return {}, None, None, 0
+            return {}, walks, np.empty(0), 0
         self.walk_count += size
         root = self.tree.root
-        root_rel = self.query.relation(root.relation)
-        n_root = len(root_rel)
+        n_root = len(self.query.relation(root.relation))
         if n_root == 0:
-            return {}, None, None, size
+            return {}, walks[:0], np.empty(0), size
 
         chosen: Dict[str, np.ndarray] = {
-            node.relation: np.full(size, -1, dtype=np.intp)
-            for node, _ in self._order
+            root.relation: self.rng.integers(0, n_root, size=size).astype(np.intp)
         }
-        chosen[root.relation] = self.rng.integers(0, n_root, size=size).astype(np.intp)
         probability = np.full(size, 1.0 / n_root, dtype=float)
-        walks = np.arange(size, dtype=np.intp)
-
         for node, parent in self._order:
             if parent is None:
                 continue
-            if walks.size == 0:
-                break
-            csr = self.query.relation(node.relation).sorted_index_on_columns(
-                node.child_attributes
-            )
-            slots = self.query.edge_slots(parent.relation, node)[chosen[parent.relation][walks]]
-            present = slots >= 0
-            walks = walks[present]
-            slots = slots[present]
-            if walks.size == 0:
-                break
-            starts = csr.offsets[slots]
-            degrees = csr.offsets[slots + 1] - starts
-            # Zero-degree slots (deletions pending compaction) mean "no
-            # joinable rows": those walks fail exactly like absent keys.
+            csr = self.query.relation(node.relation).index_on_columns(node.child_attributes)
+            starts, degrees = self.query.edge_hops(parent.relation, node)
+            at = chosen[parent.relation]
+            degrees = degrees[at]
+            # An absent key and a zero-degree slot (deletions pending
+            # compaction) both mean "no joinable rows": the walk fails.
             alive = degrees > 0
             if not alive.all():
-                walks = walks[alive]
-                starts = starts[alive]
-                degrees = degrees[alive]
+                walks, probability = walks[alive], probability[alive]
                 if walks.size == 0:
-                    break
+                    return {}, walks, probability, size
+                chosen = {name: positions[alive] for name, positions in chosen.items()}
+                at, degrees = chosen[parent.relation], degrees[alive]
             # Uniform hop: the degenerate (single-dart) alias kernel.
-            picks = uniform_segment_pick(self.rng, starts, degrees)
-            chosen[node.relation][walks] = csr.row_positions[picks]
-            probability[walks] /= degrees
+            picks = uniform_segment_pick(self.rng, starts[at], degrees)
+            chosen[node.relation] = csr.row_positions[picks].astype(np.intp, copy=False)
+            probability /= degrees
 
-        if walks.size and self.tree.residual_conditions:
-            ok = self.tree.residual_mask(
-                {name: positions[walks] for name, positions in chosen.items()}
-            )
-            walks = walks[ok]
+        # A walk fails on a residual condition of the cycle, or on a row its
+        # relation's predicate rejects where predicates were not pushed down.
+        ok = self.tree.residual_mask(chosen) if self.tree.residual_conditions else None
+        for name, admitted in self.query.row_masks().items():
+            ok = admitted[chosen[name]] if ok is None else ok & admitted[chosen[name]]
+        if ok is not None and not ok.all():
+            walks, probability = walks[ok], probability[ok]
+            chosen = {name: positions[ok] for name, positions in chosen.items()}
 
         self.success_count += int(walks.size)
         return chosen, walks, probability, size

@@ -263,6 +263,34 @@ def _spy_slots_for(monkeypatch):
     return calls
 
 
+def _spy_hop_builds(monkeypatch):
+    """``(parent, child)`` of every hop table ``JoinQuery.edge_hops`` builds
+    from here on, a snapshot patch that rebuilds one included."""
+    from repro.joins.query import JoinQuery
+
+    built = []
+    derived = JoinQuery.derived
+
+    def spy(query, key, build, patch=None):
+        if not (isinstance(key, tuple) and key[0] == "edge_hops"):
+            return derived(query, key, build, patch)
+
+        def counted_build():
+            built.append(key[1:3])
+            return build()
+
+        def counted_patch(last, changed):
+            hops = patch(last, changed)
+            if hops is not last:
+                built.append(key[1:3])
+            return hops
+
+        return derived(query, key, counted_build, counted_patch)
+
+    monkeypatch.setattr(JoinQuery, "derived", spy)
+    return built
+
+
 def _edge_of_csr(query):
     """``id(child join-key CSR) -> (parent, child)`` for every join-tree edge."""
     return {
@@ -320,10 +348,27 @@ def test_one_full_column_pass_per_edge_and_snapshot(smoke_query, monkeypatch):
     assert sorted(edges[id(csr)] for csr in calls) == sorted(edges.values())
 
 
+def test_one_hop_table_per_edge_and_snapshot(smoke_query, monkeypatch):
+    """Two walkers over one snapshot build each edge's hop table once, on
+    their first walk, and later walks build none."""
+    from repro.sampling.wander_join import WanderJoin
+
+    query = copy.copy(smoke_query)  # an empty snapshot memo
+    built = _spy_hop_builds(monkeypatch)
+    first, second = WanderJoin(query, seed=57), WanderJoin(query, seed=59)
+    first.walk_block(300)
+    assert sorted(built) == sorted(_edge_of_csr(query).values())
+    built.clear()
+    first.walk_block(3000)
+    second.walk_batch_with_values(300)
+    assert built == []
+
+
 def test_a_refresh_batch_rebuilds_only_the_edges_it_touches(monkeypatch):
     """An RF batch inserts into and deletes from ``orders``/``lineitem``
-    only: the next snapshot rebuilds the maps of the two edges incident to
-    them, once each, and keeps ``nation -> customer``'s map by reference."""
+    only: the next snapshot rebuilds the slot maps and hop tables of the two
+    edges incident to them, once each, and keeps ``nation -> customer``'s by
+    reference."""
     from repro.analysis.cost import walk_success_ratio
     from repro.dynamic import TPCHRefreshStream, apply_batch
     from repro.joins.conditions import JoinCondition, OutputAttribute
@@ -354,15 +399,17 @@ def test_a_refresh_batch_rebuilds_only_the_edges_it_touches(monkeypatch):
     use_every_consumer()
     nation_edge = query.join_tree().node_for("customer")
     kept = query.edge_slots("nation", nation_edge)
+    kept_hops = query.edge_hops("nation", nation_edge)
     apply_batch(tables, TPCHRefreshStream(tables, seed=5, orders_per_batch=8).batch())
     calls = _spy_slots_for(monkeypatch)
+    built = _spy_hop_builds(monkeypatch)
     use_every_consumer()
     edges = _edge_of_csr(query)
-    assert sorted(edges[id(csr)] for csr in calls) == [
-        ("customer", "orders"),
-        ("orders", "lineitem"),
-    ]
+    touched = [("customer", "orders"), ("orders", "lineitem")]
+    assert sorted(edges[id(csr)] for csr in calls) == touched
+    assert sorted(built) == touched
     assert query.edge_slots("nation", nation_edge) is kept
+    assert query.edge_hops("nation", nation_edge) is kept_hops
 
 
 def test_a_refresh_batch_rebuilds_no_key_lookup_and_no_level_tables(monkeypatch):
