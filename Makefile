@@ -23,12 +23,16 @@ lint:
 	fi
 	PYTHONPATH=$(PYTHONPATH) python -m repro.lint src tests --report LINT_REPORT.json
 
-# Measurement-spine smoke (BENCHMARK.json, benchmarks/spine/README.md): one
-# traced run of the smallest workload with the correctness gate; fails unless
-# the last stdout line (the contract JSON) reports "correct": true.  Also the
-# check that the frozen harness still finds every public call it makes.
+# Measurement-spine smoke (BENCHMARK.json, benchmarks/spine/README.md): two
+# traced runs with the correctness gate, the smallest workload and the
+# overlapping UQ2 at seed 0 (whose warm-up draw once left a surplus that a
+# later sample_block served with zero attempts); each fails unless the last
+# stdout line (the contract JSON) reports "correct": true.  Also the check
+# that the frozen harness still finds every public call it makes.
 bench-spine:
 	python3 benchmarks/spine/run.py --workload uq1_sf005 --seed 100 --trace 1 --smoke \
+		| tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 benchmarks/spine/run.py --workload uq2_sf05 --seed 0 --trace 1 --smoke \
 		| tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 # cProfiles of the aggregate hot path and of the union sampler's first 1 000

@@ -79,7 +79,6 @@ from repro.parallel import (
     ShardResult,
     ShardTask,
     parallel_aggregate,
-    parallel_sample,
 )
 from repro.resilience import (
     FaultAction,
@@ -197,12 +196,11 @@ __all__ = [
     "SamplerPlan",
     "SamplerPlanner",
     "supported_backends",
-    # parallel sampling service
+    # parallel aggregation service
     "ParallelSamplerPool",
     "ParallelRunReport",
     "ShardTask",
     "ShardResult",
-    "parallel_sample",
     "parallel_aggregate",
     # resilience (fault-tolerant sampling service)
     "FaultAction",

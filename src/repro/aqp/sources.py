@@ -2,17 +2,22 @@
 
 :func:`build_sources` turns a backend into a list of sources (one per
 in-process shard) and :func:`draw_into` drives them.  Both consumers — every
-:meth:`OnlineAggregator.step <repro.aqp.online.OnlineAggregator.step>` and the
-aggregate mode of :func:`repro.parallel.shards.run_shard` — go through that
-one driver, so "how a backend's draws become Horvitz–Thompson contributions"
-is written down here and nowhere else.
+:meth:`OnlineAggregator.step <repro.aqp.online.OnlineAggregator.step>` and
+:func:`repro.parallel.shards.run_shard` — go through that one driver, so "how
+a backend's draws become Horvitz–Thompson contributions" is written down here
+and nowhere else.
 Every source is an attempt-level HT stream, a union's included
 (:class:`UnionCoverSource`); none replays or rewrites what it drew.
+
+Plain samples have one loop too, :func:`draw_chunks`: a served ``sample``
+and ``repro sample --workers`` both fan each chunk out with :func:`fan_out`
+under the epoch protocol and one deadline.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from typing import Any, Callable, List, NamedTuple, Optional, Protocol, Sequence, TypeVar
@@ -25,6 +30,7 @@ from repro.aqp.planner import BACKEND_WEIGHTS
 from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery, observed_versions
 from repro.relational.columnar import concat_column_arrays
+from repro.resilience.errors import EpochRestartsExhausted, JobDeadlineExceeded
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.sampling.wander_join import WanderJoin
@@ -257,6 +263,80 @@ def fan_out(draws: Sequence[Callable[[int], DrawT]], size: int) -> List[DrawT]:
         return list(executor.map(lambda draw, quota: draw(quota), draws, quotas))
 
 
+class ChunkedDraw(NamedTuple):
+    """What :func:`draw_chunks` drew: each chunk's draws in worker order, the
+    values they hold, the epoch restarts, and whether a deadline cut it short."""
+
+    parts: List[Any]
+    drawn: int
+    restarts: int
+    degraded: bool
+
+
+def draw_chunks(
+    queries: Sequence[JoinQuery],
+    draws: Callable[[], Sequence[Callable[[int], Any]]],
+    count: int,
+    *,
+    chunk: int = 1024,
+    deadline: Optional[float] = None,
+    allow_partial: bool = False,
+    max_epoch_restarts: int = 3,
+    after_chunk: Optional[Callable[[], None]] = None,
+    on_restart: Optional[Callable[[], None]] = None,
+) -> ChunkedDraw:
+    """``count`` values, ``chunk`` at a time, from one snapshot of ``queries``.
+
+    ``draws()`` makes one draw per worker and :func:`fan_out` splits each
+    chunk over them.  The relation versions are re-read after every chunk
+    (and its ``after_chunk`` hook): on a bump all chunks are discarded and
+    the loop starts over with fresh draws, telling ``on_restart``, at most
+    ``max_epoch_restarts`` times.  Past the ``deadline`` (seconds, checked
+    before each chunk) it raises, or with ``allow_partial`` returns what it
+    has, marked degraded.
+    """
+    if count < 0 or (deadline is not None and deadline < 0):
+        raise ValueError(f"count and deadline must be non-negative, got {count}, {deadline}")
+    start = time.monotonic()
+    restarts = 0
+    while True:
+        before = observed_versions(queries)
+        workers = draws()
+        parts: List[Any] = []
+        drawn = 0
+        while drawn < count:
+            if deadline is not None and time.monotonic() - start >= deadline:
+                if not allow_partial:
+                    raise JobDeadlineExceeded(
+                        f"sample request exceeded its {deadline:g}s deadline "
+                        f"after {drawn} of {count} samples",
+                        deadline=deadline,
+                    )
+                return ChunkedDraw(parts, drawn, restarts, True)
+            size = min(count - drawn, chunk)
+            shares = fan_out(workers, size)
+            if after_chunk is not None:
+                after_chunk()
+            if observed_versions(queries) != before:
+                break
+            parts.extend(shares)
+            drawn += size
+        else:
+            return ChunkedDraw(parts, drawn, restarts, False)
+        # A mutation epoch landed mid-draw: the chunks describe a mix of
+        # snapshots.  Discard them all and redraw against the new epoch.
+        restarts += 1
+        if on_restart is not None:
+            on_restart()
+        if restarts > max_epoch_restarts:
+            raise EpochRestartsExhausted(
+                f"sample request restarted {restarts} times on mutation epochs "
+                "without completing; pause the update stream or raise "
+                "max_epoch_restarts",
+                restarts=restarts,
+            )
+
+
 def draw_into(
     accumulator: AggregateAccumulator, sources: Sequence[Source[DrawT]], size: int
 ) -> Optional[SampleBlock]:
@@ -265,10 +345,12 @@ def draw_into(
 
 
 __all__ = [
+    "ChunkedDraw",
     "CoverDraw",
     "Source",
     "UnionCoverSource",
     "build_sources",
+    "draw_chunks",
     "draw_into",
     "fan_out",
     "split_evenly",

@@ -31,11 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.errors import mean_ratio_error
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.online import planning_budget
+from repro.aqp.sources import ChunkedDraw, CoverDraw, build_sources, draw_chunks
 from repro.cache import SampleCache
 from repro.core.online_sampler import OnlineUnionSampler
 from repro.core.union_sampler import (
@@ -48,7 +50,6 @@ from repro.estimation.histogram import HistogramUnionEstimator
 from repro.estimation.random_walk import RandomWalkUnionEstimator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments import figures as figure_module
-from repro.parallel import parallel_sample
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
 from repro.tpch.workloads import build_workload
 from repro.utils.rng import spawn_rngs
@@ -95,25 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single-join sampling weights "
                         "(auto = cost-based planner choice)")
     sample.add_argument("--workers", type=int, default=1,
-                        help="worker count for the parallel sampling service "
-                        "(>1 routes through the shard service — incompatible "
-                        "with --sampler/--warmup/--weights — and draws the "
-                        "same samples for any worker count > 1)")
-    sample.add_argument("--shard-timeout", type=float, default=None,
-                        help="per-shard-attempt timeout in seconds for the "
-                        "parallel service (requires --workers > 1); a shard "
-                        "that blows it is killed/abandoned and retried")
-    sample.add_argument("--retries", type=int, default=None,
-                        help="re-executions allowed per shard before the job "
-                        "fails (requires --workers > 1; default 2)")
+                        help="worker count; >1 draws the union through that "
+                        "many cover sources in the chunk loop a served union "
+                        "sample runs, so the samples depend on the seed and "
+                        "the worker count (incompatible with "
+                        "--sampler/--warmup/--weights)")
     sample.add_argument("--deadline", type=float, default=None,
-                        help="job-level deadline in seconds (requires "
-                        "--workers > 1); exceeding it exits with code 3 "
-                        "unless --allow-partial")
+                        help="deadline in seconds (requires --workers > 1); "
+                        "exceeding it exits with code 3 unless --allow-partial")
     sample.add_argument("--allow-partial", action="store_true",
-                        help="on an exceeded deadline, print the samples from "
-                        "the shards that completed instead of failing "
-                        "(requires --workers > 1)")
+                        help="on an exceeded deadline, print the samples "
+                        "drawn so far instead of failing (requires "
+                        "--workers > 1)")
 
     estimate = sub.add_parser("estimate", help="compare warm-up estimators on a workload")
     _add_workload_arguments(estimate)
@@ -250,28 +244,14 @@ def command_sample(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    if args.workers == 1:
-        resilience_flags = [
-            flag
-            for flag, value in (
-                ("--shard-timeout", args.shard_timeout),
-                ("--retries", args.retries),
-                ("--deadline", args.deadline),
-                ("--allow-partial", args.allow_partial or None),
-            )
-            if value is not None
-        ]
-        if resilience_flags:
-            print(
-                f"error: {', '.join(resilience_flags)} configure the parallel "
-                "shard service; add --workers > 1",
-                file=sys.stderr,
-            )
-            return 2
+    if args.workers == 1 and (args.deadline is not None or args.allow_partial):
+        print("error: --deadline and --allow-partial bound the parallel union "
+              "draw; add --workers > 1", file=sys.stderr)
+        return 2
     if args.workers > 1:
-        # The parallel service plans its own backend (shard-local union
-        # cover sources, no warm-up); silently dropping an explicit sampler
-        # choice would misreport what actually ran.
+        # The parallel route draws through the union cover sources (no
+        # warm-up); silently dropping an explicit sampler choice would
+        # misreport what actually ran.
         overridden = [
             flag
             for flag, value, default in (
@@ -283,16 +263,16 @@ def command_sample(args: argparse.Namespace) -> int:
         ]
         if overridden:
             print(
-                f"error: --workers {args.workers} uses the parallel shard service, "
-                f"which ignores {', '.join(overridden)}; drop those flags or use "
-                "--workers 1",
+                f"error: --workers {args.workers} draws through the union cover "
+                f"sources, which ignore {', '.join(overridden)}; drop those flags "
+                "or use --workers 1",
                 file=sys.stderr,
             )
             return 2
     workload = build_workload(args.workload, args.scale_factor, args.overlap_scale, args.seed)
     queries = workload.queries
     if args.workers > 1:
-        return _sample_parallel(args, workload, queries)
+        return _sample_union(args, workload, queries)
     # Derive independent streams for the warm-up estimator and the sampler:
     # seeding both with args.seed would replay the identical sequence in two
     # components that must draw independently (see repro.utils.rng).
@@ -331,46 +311,50 @@ def command_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_parallel(args: argparse.Namespace, workload, queries) -> int:
-    """Draw via the parallel sampling service (deterministic in any worker count)."""
+def union_sample(
+    queries, count: int, seed: int, workers: int,
+    deadline: Optional[float] = None, allow_partial: bool = False,
+) -> ChunkedDraw:
+    """What ``repro sample --workers`` draws: ``count`` union values from
+    ``workers`` cover sources, in the chunk loop a served union ``sample``
+    runs, so the values depend on ``(seed, workers)``."""
+    def takes():
+        return [source.take for source in build_sources(queries, "online-union", seed, workers)]
+
+    return draw_chunks(queries, takes, count, deadline=deadline, allow_partial=allow_partial)
+
+
+def _sample_union(args: argparse.Namespace, workload, queries) -> int:
     try:
-        report = parallel_sample(
-            queries,
-            args.samples,
-            workers=args.workers,
-            seed=args.seed,
-            job_timeout=args.deadline,
-            shard_timeout=args.shard_timeout,
-            max_retries=args.retries,
-            allow_partial=args.allow_partial,
-        )
+        run = union_sample(queries, args.samples, args.seed, args.workers,
+                           args.deadline, args.allow_partial)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except JobDeadlineExceeded as error:
         # Deadline failures get their own exit code so schedulers can tell
         # "ran out of time" from "could not run" (add --allow-partial to get
-        # the completed shards instead).
+        # the samples drawn so far instead).
         print(f"error: {error}", file=sys.stderr)
         return 3
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    print(f"workload={workload.name} sampler=parallel backend={report.backend} "
-          f"workers={report.workers} shards={report.shards}")
-    print(f"samples drawn      : {len(report.values)}")
-    print(f"per-join samples   : {report.source_counts()}")
-    print(f"shard attempts     : {report.attempts} (accepted {report.accepted})")
-    if report.retries or report.degradations:
-        print(f"shard retries      : {report.retries} "
-              f"(crashes {report.shard_crashes}, timeouts {report.shard_timeouts}, "
-              f"degradations {report.degradations})")
-    if report.degraded:
-        print(f"DEGRADED           : completed {report.completed_shards}/"
-              f"{report.planned_shards} shards before the deadline; the draw "
-              "covers only those shards")
+    values, owners, attempts = [], [], 0
+    if run.parts:
+        union = CoverDraw.concat(run.parts)
+        values = list(zip(*(column.tolist() for column in union.columns)))
+        owners, attempts = union.owners.tolist(), union.attempts
+    print(f"workload={workload.name} sampler=parallel backend=online-union "
+          f"workers={args.workers}")
+    print(f"samples drawn      : {run.drawn}")
+    print(f"per-join samples   : {dict(Counter(queries[owner].name for owner in owners))}")
+    print(f"attempts           : {attempts} (accepted {run.drawn})")
+    if run.degraded:
+        print(f"DEGRADED           : the deadline expired after {run.drawn} of "
+              f"{args.samples} samples")
     print("first 5 samples:")
-    for value in report.values[:5]:
+    for value in values[:5]:
         print(f"  {value}")
     return 0
 

@@ -67,7 +67,7 @@ def refill_value_queue(
     Union iterations only consume the output value tuple, so boxing a full
     ``SampleDraw`` (assignment dict included) per draw is pure overhead.
     The values come from :func:`~repro.sampling.join_sampler.draw_and_drain`
-    — the drawn block plus the sampler's parked surplus — so one refill pays
+    — the drawn block plus the surplus its pass left — so one refill pays
     a single descent and a single columnar projection for the whole batch.
     ``annotate`` maps the values to the queue's entries (what is queued is
     what is served); whatever it learns about them it learns once per block,

@@ -62,7 +62,7 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
             )
         }
     ),
-    # Concurrent run()/sample()/aggregate() callers of one pool share its
+    # Concurrent run()/aggregate() callers of one pool share its
     # executor lifecycle, supervision counters and last-run bookkeeping.
     "ParallelSamplerPool": LockContract(
         locks={

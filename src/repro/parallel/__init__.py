@@ -1,7 +1,7 @@
-"""Multi-core parallel sampling service with mergeable AQP shards.
+"""Multi-core parallel aggregation service with mergeable AQP shards.
 
-Fan sampling and online aggregation out across CPU cores (process- or
-thread-based workers) and merge the per-shard results deterministically:
+Fan online aggregation out across CPU cores (process- or thread-based
+workers) and merge the per-shard results deterministically:
 the shard plan is a pure function of the job and the root seed, partial
 accumulators merge through the exactly-rounded merge law, and mutation
 epochs observed mid-flight cancel and restart the job.  Shards run under a
@@ -18,14 +18,12 @@ from repro.parallel.pool import (
     ParallelRunReport,
     ParallelSamplerPool,
     parallel_aggregate,
-    parallel_sample,
     sequential_reference,
 )
 from repro.parallel.shards import (
     SHARD_BACKENDS,
     ShardResult,
     ShardTask,
-    observed_versions,
     run_shard,
 )
 
@@ -37,9 +35,7 @@ __all__ = [
     "ParallelSamplerPool",
     "ShardResult",
     "ShardTask",
-    "observed_versions",
     "parallel_aggregate",
-    "parallel_sample",
     "run_shard",
     "sequential_reference",
 ]

@@ -1,8 +1,10 @@
-"""The multi-core parallel sampling service: plan shards, fan out, merge.
+"""The multi-core parallel aggregation service: plan shards, fan out, merge.
 
-:class:`ParallelSamplerPool` executes a fixed list of
+:class:`ParallelSamplerPool` executes a fixed list of aggregate
 :class:`~repro.parallel.shards.ShardTask` across N workers and merges the
-results deterministically.  Four properties define the service:
+results deterministically.  (Plain samples run the chunk loop of
+:func:`repro.aqp.sources.draw_chunks` instead.)  Four properties define the
+service:
 
 **Determinism across worker counts.**  The shard plan — shard count, per-shard
 sample quotas, per-shard seeds — depends only on the job (queries, total
@@ -13,7 +15,7 @@ order; so any worker count, thread or process, produces bit-identical merged
 answers (pinned by ``tests/test_parallel.py`` and the Hypothesis property in
 ``tests/test_aqp_properties.py``).
 
-**Shard-merge via the accumulator merge law.**  Aggregate shards return
+**Shard-merge via the accumulator merge law.**  Shards return
 partial :class:`~repro.aqp.estimators.AggregateAccumulator` objects; the
 coordinator folds them with :meth:`AggregateAccumulator.merge`, whose
 exactly-rounded estimates (exact integer totals, rounded once) are
@@ -58,7 +60,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
 from repro.aqp.planner import supported_backends
@@ -101,12 +103,8 @@ class ParallelRunReport:
     attempts: int
     accepted: int
     epochs_restarted: int
-    #: sampling mode: merged values/sources in shard order
-    values: List[Tuple] = field(default_factory=list)
-    sources: List[str] = field(default_factory=list)
-    #: aggregate mode: merged accumulator (shard-id merge order)
+    #: merged accumulator (shard-id merge order)
     accumulator: Optional[AggregateAccumulator] = None
-    per_shard: List[Dict[str, int]] = field(default_factory=list)
     #: resilience accounting (see SupervisionStats)
     retries: int = 0
     shard_timeouts: int = 0
@@ -120,15 +118,9 @@ class ParallelRunReport:
     degraded: bool = False
     deadline_hit: bool = False
 
-    def source_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for name in self.sources:
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
 
 class ParallelSamplerPool:
-    """Fan sampling / online-aggregation shards out across CPU cores.
+    """Fan online-aggregation shards out across CPU cores.
 
     Parameters
     ----------
@@ -265,9 +257,9 @@ class ParallelSamplerPool:
         queries: Union[JoinQuery, Sequence[JoinQuery]],
         count: int,
         *,
+        spec: AggregateSpec,
         seed: RandomState = None,
         method: str = "auto",
-        spec: Optional[AggregateSpec] = None,
         shards: Optional[int] = None,
         max_attempts: int = 1_000_000,
     ) -> List[ShardTask]:
@@ -288,7 +280,7 @@ class ParallelSamplerPool:
         shard_count = int(shards) if shards is not None else DEFAULT_SHARDS
         if shard_count < 1:
             raise ValueError(f"shards must be >= 1, got {shard_count}")
-        backend = self._resolve_backend(queries, method, spec, count)
+        backend = self._resolve_backend(queries, method, count)
         seeds = shard_seed_sequences(seed, shard_count)
         return [
             ShardTask(
@@ -363,36 +355,6 @@ class ParallelSamplerPool:
                 self.stats.merge(supervisor.stats)
         return outcome.results, outcome
 
-    def sample(
-        self,
-        queries: Union[JoinQuery, Sequence[JoinQuery]],
-        count: int,
-        *,
-        seed: RandomState = None,
-        method: str = "auto",
-        shards: Optional[int] = None,
-        max_attempts: int = 1_000_000,
-    ) -> ParallelRunReport:
-        """``count`` uniform samples, fanned out and merged in shard order."""
-        tasks = self.plan_tasks(
-            queries, count, seed=seed, method=method, shards=shards, max_attempts=max_attempts
-        )
-        results, outcome, restarts = self._run_with_epoch_guard(tasks)
-        report = self._base_report(tasks, results, outcome, restarts)
-        query = tasks[0].queries[0]
-        for result in results:
-            if result.block is not None:
-                # Join-backend shards ship struct-of-arrays blocks (cheap
-                # numpy pickling); values are projected once, here, against
-                # the coordinator's relations — which the epoch guard just
-                # verified are the snapshot the shard sampled.
-                report.values.extend(result.block.values(query))
-                report.sources.extend([query.name] * len(result.block))
-            else:
-                report.values.extend(result.values)
-                report.sources.extend(result.sources)
-        return report
-
     def aggregate(
         self,
         queries: Union[JoinQuery, Sequence[JoinQuery]],
@@ -423,12 +385,7 @@ class ParallelSamplerPool:
         report = self._base_report(tasks, results, outcome, restarts)
         merged: Optional[AggregateAccumulator] = None
         for result in results:
-            if result.accumulator is None:
-                continue
-            if merged is None:
-                merged = result.accumulator
-            else:
-                merged.merge(result.accumulator)
+            merged = result.accumulator if merged is None else merged.merge(result.accumulator)
         if merged is None:
             merged = AggregateAccumulator(spec, tasks[0].queries[0].output_schema)
         report.accumulator = merged
@@ -436,11 +393,7 @@ class ParallelSamplerPool:
 
     # -------------------------------------------------------------- internals
     def _resolve_backend(
-        self,
-        queries: Tuple[JoinQuery, ...],
-        method: str,
-        spec: Optional[AggregateSpec],
-        count: int = 1024,
+        self, queries: Tuple[JoinQuery, ...], method: str, count: int = 1024
     ) -> str:
         supported = supported_backends(list(queries) if len(queries) > 1 else queries[0])
         if method == "auto":
@@ -451,21 +404,13 @@ class ParallelSamplerPool:
             # Price the plan at the job's actual fleet-wide sample budget:
             # setup-heavy backends amortize over large jobs (every shard pays
             # its own setup, but the ranking scales the same way).
-            backend = SamplerPlanner(queries[0], target_samples=max(count, 1)).plan().backend
-            if spec is None and backend == "wander-join":
-                # Wander walks are HT-weighted, not uniform: never hand them
-                # out for plain sampling.
-                backend = "exact-weight"
-            return backend
+            return SamplerPlanner(queries[0], target_samples=max(count, 1)).plan().backend
         if method not in SHARD_BACKENDS:
             raise ValueError(f"method must be 'auto' or one of {SHARD_BACKENDS}, got {method!r}")
         if method not in supported:
             raise ValueError(
                 f"backend {method!r} cannot sample this query shape; supported: {supported}"
             )
-        if method == "wander-join" and spec is None:
-            raise ValueError("wander-join produces HT-weighted walks, not uniform samples; "
-                             "use it with aggregate() or pick exact-weight/olken")
         return method
 
     def _run_with_epoch_guard(
@@ -515,10 +460,6 @@ class ParallelSamplerPool:
             attempts=sum(r.attempts for r in results),
             accepted=sum(r.accepted for r in results),
             epochs_restarted=restarts,
-            per_shard=[
-                {"shard": r.shard_id, "attempts": r.attempts, "accepted": r.accepted}
-                for r in results
-            ],
         )
         if outcome is None:
             with self._lock:
@@ -543,37 +484,6 @@ class ParallelSamplerPool:
 
 
 # ----------------------------------------------------------------- convenience
-def parallel_sample(
-    queries: Union[JoinQuery, Sequence[JoinQuery]],
-    count: int,
-    *,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    seed: RandomState = None,
-    method: str = "auto",
-    execution: str = "thread",
-    job_timeout: Optional[float] = None,
-    shard_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    allow_partial: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    max_attempts: int = 1_000_000,
-) -> ParallelRunReport:
-    """One-shot parallel sampling: plan shards, fan out, merge in shard order."""
-    with ParallelSamplerPool(
-        workers=workers,
-        execution=execution,
-        job_timeout=job_timeout,
-        shard_timeout=shard_timeout,
-        max_retries=max_retries,
-        allow_partial=allow_partial,
-        fault_plan=fault_plan,
-    ) as pool:
-        return pool.sample(
-            queries, count, seed=seed, method=method, shards=shards, max_attempts=max_attempts
-        )
-
-
 def parallel_aggregate(
     queries: Union[JoinQuery, Sequence[JoinQuery]],
     spec: AggregateSpec,
@@ -671,7 +581,6 @@ __all__ = [
     "EXECUTION_MODES",
     "ParallelRunReport",
     "ParallelSamplerPool",
-    "parallel_sample",
     "parallel_aggregate",
     "sequential_reference",
 ]

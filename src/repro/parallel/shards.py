@@ -1,40 +1,40 @@
 """Shard specifications and the worker entry point of the parallel service.
 
-A parallel run is planned as a fixed list of **shards**.  Each shard is a
-self-contained, picklable :class:`ShardTask`: the queries to sample, the
-backend to use, the number of accepted samples (or attempts) the shard must
-produce, and a :class:`numpy.random.SeedSequence` child derived from the
-root seed with :func:`repro.utils.rng.shard_seed_sequences`.
+A parallel aggregate is planned as a fixed list of **shards**.  Each shard
+is a self-contained, picklable :class:`ShardTask`: the queries to sample,
+the backend to use, the aggregate, the number of accepted samples (or
+attempts) the shard must produce, and a :class:`numpy.random.SeedSequence`
+child derived from the root seed with
+:func:`repro.utils.rng.shard_seed_sequences`.
 
 Because a shard's output depends only on its task — never on which worker
 executes it, whether that worker is a thread or a spawned process, or how
 many sibling shards run concurrently — the coordinator can merge shard
 results *in shard order* and obtain answers that are bit-identical to a
-sequential run of the same shard list.  For aggregation the merge is the
+sequential run of the same shard list: the merge is the
 :meth:`repro.aqp.estimators.AggregateAccumulator.merge` law (exactly-rounded
-sums, chunk-order-invariant); for plain sampling it is list concatenation.
+sums, chunk-order-invariant).
 
-:func:`run_shard` is the single worker entry point.  An aggregate shard is
-one block source (:mod:`repro.aqp.sources`) driven once by the same
-``draw_into`` that drives every ``OnlineAggregator.step``; a plain-sampling
-shard differs only in payload: a join block, or union values drawn from the
-same :class:`~repro.aqp.sources.UnionCoverSource` (no warm-up).  ``run_shard``
-must stay a module-level function: ``multiprocessing`` with the ``spawn``
-start method imports this module inside the worker and looks it up by name.
+:func:`run_shard` is the single worker entry point: a shard is one block
+source (:mod:`repro.aqp.sources`) driven once by the same ``draw_into`` that
+drives every ``OnlineAggregator.step``.  ``run_shard`` must stay a
+module-level function: ``multiprocessing`` with the ``spawn`` start method
+imports this module inside the worker and looks it up by name.  Plain
+samples do not come through here: they run the chunk loop of
+:func:`repro.aqp.sources.draw_chunks`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateSpec
-from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.aqp.sources import UnionCoverSource, build_sources, draw_into
+from repro.aqp.sources import build_sources, draw_into
 from repro.joins.query import JoinQuery, observed_versions
 from repro.resilience.faults import (
     FaultPlan,
@@ -42,12 +42,9 @@ from repro.resilience.faults import (
     fault_plan_from_env,
     in_worker_process,
 )
-from repro.sampling.blocks import SampleBlock
-from repro.sampling.join_sampler import JoinSampler
 from repro.utils.rng import ensure_rng
 
-#: Backends a shard can run.  ``wander-join`` is aggregate-only (its walks
-#: carry Horvitz–Thompson weights, not uniform samples).
+#: Backends a shard can run.
 SHARD_BACKENDS = ("exact-weight", "olken", "wander-join", "online-union")
 
 
@@ -66,15 +63,14 @@ class ShardTask:
     backend:
         One of :data:`SHARD_BACKENDS`.
     count:
-        Accepted samples this shard must produce (aggregate shards of
-        ``wander-join`` and ``online-union``: *attempts*, their HT unit).
+        Accepted samples this shard must produce (``wander-join`` and
+        ``online-union``: *attempts*, their HT unit).
     seed:
         The shard's independent :class:`numpy.random.SeedSequence` child.
     spec:
-        Aggregate to accumulate, or ``None`` for plain sampling.  Process
-        execution requires the spec to be picklable: a ``where``
-        :class:`~repro.relational.predicates.Predicate` is, a lambda is not,
-        and the pool falls back to threads for it.
+        Aggregate to accumulate.  Process execution requires the spec to be
+        picklable: a ``where`` :class:`~repro.relational.predicates.Predicate`
+        is, a lambda is not, and the pool falls back to threads for it.
     max_attempts:
         Attempt budget forwarded to the underlying sampler.
     """
@@ -84,7 +80,7 @@ class ShardTask:
     backend: str
     count: int
     seed: np.random.SeedSequence
-    spec: Optional[AggregateSpec] = None
+    spec: AggregateSpec
     max_attempts: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -94,32 +90,16 @@ class ShardTask:
             raise ValueError("count must be non-negative")
         if not self.queries:
             raise ValueError("a shard needs at least one query")
-        if self.backend == "wander-join" and self.spec is None:
-            raise ValueError("wander-join shards are aggregate-only (HT weights)")
 
 
 @dataclass
 class ShardResult:
-    """What one shard hands back to the coordinator (picklable).
-
-    Exactly one of ``accumulator`` (aggregate mode), ``block`` (join-backend
-    sampling mode), or ``values`` (union sampling mode) is populated.
-    Join-backend sampling shards ship a struct-of-arrays
-    :class:`~repro.sampling.blocks.SampleBlock` — a handful of small integer
-    arrays that pickle for cents — instead of boxed draw lists; the
-    coordinator projects values from the block against its own relations
-    (validated unchanged by the epoch guard).  ``attempts``/``accepted``
-    mirror the sampler's attempt-level accounting so the coordinator can
-    report fleet totals.
-    """
+    """What one shard hands back to the coordinator (picklable): its partial
+    accumulator, whose counters the coordinator sums into fleet totals (an
+    empty join accounts its failed attempts there without ever walking)."""
 
     shard_id: int
-    attempts: int = 0
-    accepted: int = 0
-    accumulator: Optional[AggregateAccumulator] = None
-    block: Optional[SampleBlock] = None
-    values: List[Tuple] = field(default_factory=list)
-    sources: List[str] = field(default_factory=list)
+    accumulator: AggregateAccumulator
     #: per-relation version counters observed when the shard started, used by
     #: the coordinator's epoch guard (thread workers share live relations)
     db_versions: Tuple[int, ...] = ()
@@ -132,18 +112,17 @@ class ShardResult:
     #: than a ``Predicate``) and the check is skipped
     checksum: Optional[str] = None
 
+    @property
+    def attempts(self) -> int:
+        return self.accumulator.attempts
+
+    @property
+    def accepted(self) -> int:
+        return self.accumulator.accepted
+
     def fingerprint(self) -> Optional[str]:
         """Digest of the merge-relevant payload, or ``None`` if unpicklable."""
-        payload = (
-            self.shard_id,
-            self.attempts,
-            self.accepted,
-            self.db_versions,
-            self.accumulator,
-            self.block,
-            self.values,
-            self.sources,
-        )
+        payload = (self.shard_id, self.db_versions, self.accumulator)
         try:
             raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -189,36 +168,14 @@ def run_shard(
     if deadline is not None:
         deadline.check("shard start")
     apply_pre_fault(action, task.shard_id, attempt)
-    rng = ensure_rng(task.seed)
-    result = ShardResult(
-        shard_id=task.shard_id,
-        db_versions=observed_versions(task.queries),
-        worker_attempt=attempt,
-    )
-    if task.spec is not None:
-        accumulator = AggregateAccumulator(task.spec, task.queries[0].output_schema)
-        if task.count:
-            sources = build_sources(
-                task.queries, task.backend, rng, max_attempts=task.max_attempts
-            )
-            draw_into(accumulator, sources, task.count)
-        result.accumulator = accumulator
-        # Read the counters off the accumulator, not the sampler: an empty
-        # join accounts its failed attempts there without ever walking, and
-        # both must agree in the merged report.
-        result.attempts = accumulator.attempts
-        result.accepted = accumulator.accepted
-    elif task.count and task.backend == "online-union":
-        union = UnionCoverSource(task.queries, rng).take(task.count, task.max_attempts)
-        result.values = list(zip(*(column.tolist() for column in union.columns)))
-        result.sources = [task.queries[owner].name for owner in union.owners.tolist()]
-        result.attempts = union.attempts
-        result.accepted = task.count
-    elif task.count:
-        sampler = JoinSampler(task.queries[0], weights=BACKEND_WEIGHTS[task.backend], seed=rng)
-        result.block = sampler.sample_block(task.count, max_attempts=task.max_attempts)
-        result.attempts = sampler.stats.attempts
-        result.accepted = sampler.stats.accepted
+    versions = observed_versions(task.queries)
+    accumulator = AggregateAccumulator(task.spec, task.queries[0].output_schema)
+    if task.count:
+        sources = build_sources(
+            task.queries, task.backend, ensure_rng(task.seed), max_attempts=task.max_attempts
+        )
+        draw_into(accumulator, sources, task.count)
+    result = ShardResult(task.shard_id, accumulator, versions, attempt)
     return _finish_shard(result, action, deadline, seal)
 
 
@@ -238,8 +195,8 @@ def _finish_shard(result: ShardResult, action, deadline, seal) -> ShardResult:
         # Simulated transport/memory corruption: the payload mutates after
         # the worker stamped its checksum, so the coordinator's pre-merge
         # integrity check must reject this result.
-        result.attempts += 1
-        result.accepted += 1
+        result.accumulator.attempts += 1
+        result.accumulator.accepted += 1
     return result
 
 
@@ -282,7 +239,6 @@ __all__ = [
     "SHARD_BACKENDS",
     "ShardTask",
     "ShardResult",
-    "observed_versions",
     "run_shard",
     "verify_shard_result",
 ]

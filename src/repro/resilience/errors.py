@@ -33,6 +33,9 @@ The taxonomy:
     ``RuntimeError`` so existing ``except RuntimeError`` callers keep
     working; carries the completed/planned shard counts for partial-result
     decisions.
+``EpochRestartsExhausted``
+    A sample draw kept meeting mutation epochs and gave up; carries its
+    restart count.
 
 All classes subclass ``RuntimeError``: pre-existing callers that guarded the
 parallel service with ``except RuntimeError`` observe the new, attributed
@@ -177,9 +180,18 @@ class JobDeadlineExceeded(RuntimeError):
         super().__init__(f"{message}{detail}")
 
 
+class EpochRestartsExhausted(RuntimeError):
+    """A draw restarted on mutation epochs more often than it may."""
+
+    def __init__(self, message: str, *, restarts: int) -> None:
+        self.restarts = int(restarts)
+        super().__init__(message)
+
+
 __all__ = [
     "CorruptShardResult",
     "EmptyResultError",
+    "EpochRestartsExhausted",
     "JobDeadlineExceeded",
     "PoisonShardError",
     "ShardCrash",

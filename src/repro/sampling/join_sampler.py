@@ -24,8 +24,9 @@ One block path produces every sample:
   O(log n) ``searchsorted`` probes, and accepted walks come back as one
   struct-of-arrays :class:`~repro.sampling.blocks.SampleBlock` — no per-draw
   Python objects anywhere on the sampler → aggregator → shard-merge path.
-  Surplus accepted walks wait in one buffer of blocks (:func:`draw_and_drain`
-  is the draw-then-drain idiom every consumer shares).
+  A call's surplus accepted walks wait in one buffer of blocks until it is
+  drained or the next call discards it (:func:`draw_and_drain` is the
+  draw-then-drain idiom every consumer shares).
 * :meth:`JoinSampler.sample_many` is the one boxing view: the same block,
   boxed into :class:`SampleDraw` objects after the fact.
 
@@ -468,16 +469,15 @@ class JoinSampler:
 
         Rejected walks are retried in adaptively-sized batches; a stretch of
         ``max_attempts`` consecutive rejected walks raises ``RuntimeError``
-        (bound too loose or empty join).  On that error the samples accepted
-        so far are parked in the internal buffer — never dropped — so a
-        retry (or a later call) picks them up.  Surplus accepted walks are
-        likewise kept in the buffer for subsequent calls.  ``count=0``
-        returns an empty block without consuming random state or touching
-        the buffer.
+        (bound too loose or empty join) and drops the walks the call
+        accepted, which the stats still count.  ``count=0`` returns an empty
+        block without consuming random state or touching the buffer.
 
-        The returned block's ``attempts`` counts the draw attempts consumed
-        by *this call* (buffered samples were accounted when drawn, so they
-        add none), and its ``weight`` is the weight function's total weight.
+        Every block a call returns was drawn by that call, so its
+        ``attempts`` (the walks this call ran) is at least its length; its
+        ``weight`` is the weight function's total weight.  The pass's
+        surplus accepted walks wait in the buffer for
+        :meth:`pop_buffered_blocks`; the next call discards them.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -487,16 +487,9 @@ class JoinSampler:
         total_weight = self.weight_function.total_weight
         if count == 0:
             return SampleBlock.empty(self._relation_order, weight=total_weight)
+        self._block_buffer.clear()
         parts: List[SampleBlock] = []
         have = 0
-        while self._block_buffer and have < count:
-            parked = self._block_buffer.pop(0)
-            if have + len(parked) > count:
-                head, tail = parked.split(count - have)
-                self._block_buffer.insert(0, tail)
-                parked = head
-            parts.append(parked)
-            have += len(parked)
         attempts = 0
         attempts_since_accept = 0
         while have < count:
@@ -511,15 +504,11 @@ class JoinSampler:
             else:
                 attempts_since_accept += size
                 if attempts_since_accept >= max_attempts:
-                    # Park the accepted work instead of losing it: the buffer
-                    # stays consistent, so a later call (e.g. after the
-                    # caller raises its budget) continues cleanly.
-                    self._park(parts)
                     raise RuntimeError(
                         f"JoinSampler on {self.query.name!r} failed to accept a sample "
                         f"after {max_attempts} attempts (bound too loose or empty join)"
                     )
-        block = SampleBlock.concat(parts) if parts else SampleBlock.empty(self._relation_order)
+        block = SampleBlock.concat(parts)
         block.weight = total_weight
         block.attempts = attempts
         if len(block) > count:
@@ -541,15 +530,9 @@ class JoinSampler:
         chunks = [self._attempt_block(min(step, size - start)) for start in range(0, size, step)]
         return SampleBlock.concat([empty, *chunks])
 
-    def _park(self, parts: List[SampleBlock]) -> None:
-        for part in parts:
-            part.attempts = 0  # already accounted in self.stats
-            if len(part):
-                self._block_buffer.append(part)
-
     @_locked
     def pop_buffered_blocks(self) -> List[SampleBlock]:
-        """Drain and return the buffered surplus of the last batched pass.
+        """Drain and return the surplus of the last :meth:`sample_block` pass.
 
         The AQP layer consumes every accepted draw of a batch so that its
         attempt-level accounting (accepted vs. rejected walks) stays aligned

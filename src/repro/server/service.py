@@ -22,8 +22,9 @@ it runs alone or besides 16 others (pinned by ``tests/test_server.py``).
 Its price reads the snapshot's memoized statistics and its values leave
 column by column (:func:`json_rows`): a warm request pays for its draw.
 
-Every ``sample`` request runs one chunk loop (:meth:`SamplingService._sample`);
-a route only supplies the draw of the next chunk.  A join draws from
+Every ``sample`` request runs one chunk loop
+(:func:`repro.aqp.sources.draw_chunks`, which ``repro sample --workers`` runs
+too); a route only supplies the draw of the next chunk.  A join draws from
 ``workers`` clones of its warm prototype, a union from ``workers``
 :class:`~repro.aqp.sources.UnionCoverSource` streams (the sources a union
 ``aggregate`` gets); each clone or source draws its even share of every
@@ -65,10 +66,11 @@ import numpy as np
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.online import planning_budget
 from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.aqp.sources import CoverDraw, build_sources, fan_out
+from repro.aqp.sources import CoverDraw, build_sources, draw_chunks
 from repro.cache.store import SampleCache
-from repro.joins.query import JoinQuery, observed_versions
+from repro.joins.query import JoinQuery
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
+from repro.resilience.errors import EpochRestartsExhausted
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.server.admission import AdmissionController, AdmissionLimits, AdmissionTicket
@@ -150,9 +152,10 @@ def _request_error(error: Exception) -> RequestError:
         return RequestError("empty-result", str(error))
     if isinstance(error, ValueError):
         return RequestError("invalid-request", str(error))
+    if isinstance(error, EpochRestartsExhausted):
+        return RequestError("epoch-restart-exhausted", str(error), restarts=error.restarts)
     if isinstance(error, RuntimeError):
-        code = "epoch-restart-exhausted" if "mutation epoch" in str(error) else "internal"
-        return RequestError(code, str(error))
+        return RequestError("internal", str(error))
     return RequestError("internal", f"{type(error).__name__}: {error}")
 
 
@@ -522,59 +525,27 @@ class SamplingService:
         allow_partial: bool,
         max_attempts: int,
     ) -> Dict[str, Any]:
-        """Draw ``count`` values chunk by chunk under the epoch protocol."""
-        start = time.monotonic()
-        restarts = 0
-        while True:
-            before = observed_versions(queries)
-            draws = self._chunk_draws(queries, seed, weights, workers, max_attempts)
-            parts: List[Any] = []
-            drawn = 0
-            degraded = False
-            clean = True
-            while drawn < count:
-                if deadline is not None and time.monotonic() - start >= deadline:
-                    if not allow_partial:
-                        raise JobDeadlineExceeded(
-                            f"sample request exceeded its {deadline:g}s deadline "
-                            f"after {drawn} of {count} samples",
-                            deadline=deadline,
-                        )
-                    degraded = True
-                    break
-                chunk = min(count - drawn, self.sample_chunk)
-                shares = fan_out(draws, chunk)
-                if self._after_chunk is not None:
-                    self._after_chunk(self, queries)
-                if observed_versions(queries) != before:
-                    clean = False
-                    break
-                parts.extend(shares)
-                drawn += chunk
-            if clean:
-                break
-            # A mutation epoch landed mid-draw: the chunks describe a mix of
-            # snapshots.  Discard them all and redraw against the new epoch.
-            restarts += 1
-            with self._stats_lock:
-                self._counters["epoch_restarts"] += 1
-            if restarts > self.max_epoch_restarts:
-                raise RequestError(
-                    "epoch-restart-exhausted",
-                    f"sample request restarted {restarts} times on mutation "
-                    "epochs without completing; pause the update stream or "
-                    "raise max_epoch_restarts",
-                    restarts=restarts,
-                )
-        if degraded and drawn == 0:
+        """Draw ``count`` values through the shared chunk loop."""
+        run = draw_chunks(
+            queries,
+            partial(self._chunk_draws, queries, seed, weights, workers, max_attempts),
+            count,
+            chunk=self.sample_chunk,
+            deadline=deadline,
+            allow_partial=allow_partial,
+            max_epoch_restarts=self.max_epoch_restarts,
+            after_chunk=partial(self._chunk_hook, queries),
+            on_restart=self._count_restart,
+        )
+        if run.degraded and run.drawn == 0:
             raise EmptyResultError(
                 "sample deadline expired before any sample was drawn; "
                 "no partial result exists — retry with a larger deadline",
                 deadline=deadline,
             )
         if len(queries) > 1:
-            union = CoverDraw.concat(parts)
-            values = _json_columns(union.columns, drawn)
+            union = CoverDraw.concat(run.parts)
+            values = _json_columns(union.columns, run.drawn)
             sources = [queries[owner].name for owner in union.owners.tolist()]
             attempts = union.attempts
         else:
@@ -582,17 +553,25 @@ class SamplingService:
             # the relations provably match the snapshot every block was
             # drawn from, so stale row positions can never be read through.
             query = queries[0]
-            values = [row for block in parts for row in json_rows(block, query)]
+            values = [row for block in run.parts for row in json_rows(block, query)]
             sources = [query.name] * len(values)
-            attempts = sum(block.attempts for block in parts)
+            attempts = sum(block.attempts for block in run.parts)
         return {
             "attempts": int(attempts),
             "accepted": len(values),
-            "epoch_restarts": restarts,
-            "degraded": degraded,
+            "epoch_restarts": run.restarts,
+            "degraded": run.degraded,
             "values": values,
             "sources": sources,
         }
+
+    def _chunk_hook(self, queries: Sequence[JoinQuery]) -> None:
+        if self._after_chunk is not None:
+            self._after_chunk(self, queries)
+
+    def _count_restart(self) -> None:
+        with self._stats_lock:
+            self._counters["epoch_restarts"] += 1
 
     # -------------------------------------------------------------- aggregate
     def _handle_aggregate(self, request: Mapping[str, object]) -> Dict[str, object]:

@@ -518,18 +518,6 @@ class TestParallelWorkerInvariance:
             assert _same(expected.ci_low, observed.ci_low)
             assert _same(expected.ci_high, observed.ci_high)
 
-    @given(workers=st.sampled_from([2, 3, 7]), seed=st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_sampling_mode_worker_invariance(self, workers, seed):
-        from repro.parallel import parallel_sample
-
-        query = _chain([(i, i % 3) for i in range(12)], [(b, b + 10) for b in range(3)],
-                       None, True)
-        reference = parallel_sample(query, 24, workers=1, seed=seed, execution="thread")
-        run = parallel_sample(query, 24, workers=workers, seed=seed, execution="thread")
-        assert run.values == reference.values
-        assert run.attempts == reference.attempts
-
 
 # ------------------------------------------------- codes path ≡ value path
 def _group_pool(kind, distinct):

@@ -178,23 +178,45 @@ class TestBatchEdgeCases:
                 sampler.sample_many(3, max_attempts=40)
         assert sampler.pop_buffered_blocks() == []
 
-    def test_exhaustion_preserves_accepted_draws_in_buffer(self, chain_query, monkeypatch):
+    def test_exhaustion_raises_and_a_larger_budget_succeeds(self, chain_query, monkeypatch):
+        """One accepted walk, then a 150-walk drought: a 100-walk budget
+        raises and drops that walk (it is not served later); a 1 000-walk
+        budget outlasts the drought."""
         sampler = JoinSampler(chain_query, seed=8)
         real_attempt = sampler._attempt_block
-        calls = {"n": 0}
+        dry = {"accepted": False, "walks": 0}
 
         def one_accept_then_dry(size):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if not dry["accepted"]:
+                dry["accepted"] = True
                 return real_attempt(size).split(1)[0]
-            return real_attempt(size).split(0)[0]  # size walks, none accepted
+            if dry["walks"] < 150:
+                dry["walks"] += size
+                return real_attempt(size).split(0)[0]  # size walks, none accepted
+            return real_attempt(size)
 
         monkeypatch.setattr(sampler, "_attempt_block", one_accept_then_dry)
         with pytest.raises(RuntimeError, match="failed to accept"):
             sampler.sample_many(5, max_attempts=100)
-        # The accepted draw survived the failure and serves the next request.
-        (preserved,) = sampler.pop_buffered_blocks()
-        assert len(preserved) == 1
+        assert sampler.pop_buffered_blocks() == []
+        block = sampler.sample_block(5, max_attempts=1_000)
+        assert len(block) == 5
+        assert block.attempts >= 5 + 50
+
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    def test_every_block_counts_the_walks_that_drew_it(self, chain_query, weights):
+        """A call never serves an earlier call's surplus: across repeated
+        sample_block/sample_many calls every returned block has
+        ``attempts >= len``, and the blocks account no walk twice."""
+        sampler = JoinSampler(chain_query, weights=weights, seed=12)
+        blocks = []
+        for size in (1, 3, 2, 40, 1, 7, 5, 200, 1, 1):
+            sampler.sample_many(size)  # leaves a surplus behind
+            block = sampler.sample_block(size)
+            assert len(block) == size
+            assert block.attempts >= size
+            blocks.append(block)
+        assert sum(block.attempts for block in blocks) <= sampler.stats.attempts
 
 
 class TestSplit:

@@ -1,19 +1,26 @@
-"""Tests for the parallel sampling service (repro.parallel).
+"""Tests for the parallel aggregation service (repro.parallel) and the
+parallel union sample of ``repro sample --workers``.
 
-The load-bearing invariant: a parallel run is a *pure function of the shard
-plan* — same queries, same seed, same shard count ⇒ bit-identical merged
-answers for ANY worker count and for thread vs process execution, because the
-coordinator merges fixed-seed shard results in shard order through the
-exactly-rounded accumulator merge law.
+The pool's load-bearing invariant: a parallel aggregate is a *pure function
+of the shard plan* — same queries, same seed, same shard count ⇒
+bit-identical merged answers for ANY worker count and for thread vs process
+execution, because the coordinator merges fixed-seed shard results in shard
+order through the exactly-rounded accumulator merge law.  A parallel union
+sample runs the served chunk loop instead: a pure function of the seed and
+the worker count.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.analysis.uniformity import chi_square_uniformity
 from repro.aqp import AggregateSpec
+from repro.aqp.sources import CoverDraw
+from repro.cli import main, union_sample
 from repro.joins.executor import join_result_set
 from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.query import JoinQuery
@@ -22,13 +29,13 @@ from repro.parallel import (
     ParallelSamplerPool,
     ShardTask,
     parallel_aggregate,
-    parallel_sample,
     run_shard,
     sequential_reference,
 )
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
-from repro.resilience import NO_FAULTS
+from repro.resilience import NO_FAULTS, JobDeadlineExceeded
+from repro.server import SamplingService
 
 
 def make_chain(name="chain", rows_r=None, rows_s=None) -> JoinQuery:
@@ -76,7 +83,7 @@ class TestShardPlanning:
     def test_plan_is_independent_of_workers(self):
         query = make_chain()
         plans = [
-            ParallelSamplerPool(workers=w).plan_tasks(query, 100, seed=5)
+            ParallelSamplerPool(workers=w).plan_tasks(query, 100, spec=SPEC_SUM, seed=5)
             for w in (1, 4)
         ]
         for a, b in zip(*plans):
@@ -85,17 +92,18 @@ class TestShardPlanning:
             assert a.seed.spawn_key == b.seed.spawn_key
 
     def test_count_split_is_even_and_exact(self):
-        tasks = ParallelSamplerPool().plan_tasks(make_chain(), 13, seed=0, shards=5)
+        tasks = ParallelSamplerPool().plan_tasks(
+            make_chain(), 13, spec=SPEC_SUM, seed=0, shards=5
+        )
         assert [t.count for t in tasks] == [3, 3, 3, 2, 2]
 
     def test_default_shard_count_is_fixed(self):
-        tasks = ParallelSamplerPool(workers=3).plan_tasks(make_chain(), 40, seed=0)
+        tasks = ParallelSamplerPool(workers=3).plan_tasks(make_chain(), 40, spec=SPEC_SUM, seed=0)
         assert len(tasks) == DEFAULT_SHARDS
 
     def test_zero_count_job(self):
-        report = parallel_sample(make_chain(), 0, seed=1, workers=2, execution="thread")
-        assert report.values == []
-        assert report.attempts == 0
+        run = union_sample(make_union(), 0, seed=1, workers=2)
+        assert run.parts == [] and run.drawn == 0 and not run.degraded
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -103,17 +111,19 @@ class TestShardPlanning:
         with pytest.raises(ValueError):
             ParallelSamplerPool(execution="fibers")
         with pytest.raises(ValueError):
-            ParallelSamplerPool().plan_tasks(make_chain(), -1, seed=0)
+            ParallelSamplerPool().plan_tasks(make_chain(), -1, spec=SPEC_SUM, seed=0)
         with pytest.raises(ValueError):
-            ParallelSamplerPool().plan_tasks(make_chain(), 10, seed=0, shards=0)
-
-    def test_wander_join_rejected_for_plain_sampling(self):
-        with pytest.raises(ValueError, match="wander-join"):
-            ParallelSamplerPool().plan_tasks(make_chain(), 10, seed=0, method="wander-join")
+            ParallelSamplerPool().plan_tasks(make_chain(), 10, spec=SPEC_SUM, seed=0, shards=0)
+        with pytest.raises(ValueError):
+            union_sample(make_union(), -1, seed=0, workers=2)
+        with pytest.raises(ValueError):
+            union_sample(make_union(), 10, seed=0, workers=2, deadline=-1.0)
 
     def test_unsupported_backend_rejected(self):
         with pytest.raises(ValueError, match="cannot sample"):
-            ParallelSamplerPool().plan_tasks(make_union(), 10, seed=0, method="olken")
+            ParallelSamplerPool().plan_tasks(
+                make_union(), 10, spec=SPEC_SUM, seed=0, method="olken"
+            )
 
     def test_union_count_is_planned(self):
         """COUNT(*) over a union is an ordinary attempt-level HT aggregate."""
@@ -122,14 +132,6 @@ class TestShardPlanning:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_sample_identical_across_worker_counts(self, workers):
-        reference = parallel_sample(make_chain(), 40, seed=17, workers=1, execution="thread")
-        run = parallel_sample(make_chain(), 40, seed=17, workers=workers, execution="thread")
-        assert run.values == reference.values
-        assert run.sources == reference.sources
-        assert run.attempts == reference.attempts
-
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_aggregate_identical_across_worker_counts(self, workers):
         reference = parallel_aggregate(
@@ -165,38 +167,78 @@ class TestDeterminism:
         )
         assert report_key(run) == report_key(reference)
 
-    def test_union_sampling_identical_across_worker_counts(self):
-        queries = make_union()
-        reference = parallel_sample(queries, 20, seed=31, workers=1, execution="thread")
-        run = parallel_sample(queries, 20, seed=31, workers=5, execution="thread")
-        assert run.backend == "online-union"
-        assert run.values == reference.values
+def union_values(run):
+    """A union sample's values as tuples, and each one's owning join."""
+    union = CoverDraw.concat(run.parts)
+    values = list(zip(*(column.tolist() for column in union.columns)))
+    return values, union.owners.tolist()
 
-    def test_explicit_olken_backend(self):
-        reference = parallel_sample(
-            make_chain(), 25, seed=3, workers=1, method="olken", execution="thread"
-        )
-        run = parallel_sample(
-            make_chain(), 25, seed=3, workers=4, method="olken", execution="thread"
-        )
-        assert run.backend == "olken"
-        assert run.values == reference.values
+
+class TestUnionSampleRoute:
+    """``repro sample --workers``: the served chunk loop over cover sources."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_deterministic_per_seed_and_workers(self, workers):
+        runs = [union_sample(make_union(3), 40, seed=17, workers=workers) for _ in range(2)]
+        assert union_values(runs[0]) == union_values(runs[1])
+        assert runs[0].drawn == 40 and len(union_values(runs[0])[0]) == 40
+        other = union_sample(make_union(3), 40, seed=18, workers=workers)
+        assert union_values(other) != union_values(runs[0])
+
+    def test_concurrent_equals_sequential(self):
+        queries = make_union(3)
+        jobs = [(seed, workers) for seed in range(4) for workers in (1, 2)]
+        sequential = [union_values(union_sample(queries, 60, s, w)) for s, w in jobs]
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            concurrent = list(executor.map(
+                lambda job: union_values(union_sample(queries, 60, *job)), jobs
+            ))
+        assert concurrent == sequential
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_the_served_union_sample(self, uq1_small, workers):
+        """The CLI route and a served union ``sample`` are one loop."""
+        queries = list(uq1_small.queries)
+        values, owners = union_values(union_sample(queries, 1500, seed=9, workers=workers))
+        with SamplingService(uq1_small, warm_on_start=False) as service:
+            served = service.handle({"kind": "sample", "query": "union", "count": 1500,
+                                     "seed": 9, "workers": workers})["result"]
+        assert [list(value) for value in values] == served["values"]
+        assert [queries[owner].name for owner in owners] == served["sources"]
+
+    def test_zero_deadline(self):
+        with pytest.raises(JobDeadlineExceeded, match="0 of 30"):
+            union_sample(make_union(), 30, seed=1, workers=2, deadline=0.0)
+        run = union_sample(make_union(), 30, seed=1, workers=2, deadline=0.0,
+                           allow_partial=True)
+        assert run.degraded and run.drawn == 0
+
+    def test_cli_zero_deadline_exits_with_code_3(self, capsys):
+        args = ["sample", "--workload", "UQ1", "--samples", "12", "--workers", "2",
+                "--deadline", "0", "--scale-factor", "0.0005", "--seed", "3"]
+        assert main(args) == 3
+        assert "deadline" in capsys.readouterr().err
 
 
 class TestUnionExactness:
-    def test_pooled_union_samples_are_uniform_over_the_exact_union(self, uq2_small):
-        """Pooled union samples against the enumerated union of UQ2: every
-        value a member, each tagged with its cover owner, and chi-square
-        compatible with uniform (60 jobs of 8 shards, 400 values each)."""
-        queries = list(uq2_small.queries)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fixture, jobs, count", [("uq1_small", 8, 10_000),
+                                                      ("uq2_small", 6, 4_000)])
+    def test_cli_union_samples_are_uniform_over_the_exact_union(
+        self, request, fixture, jobs, count, workers
+    ):
+        """CLI union samples against the enumerated union: every value a
+        member, each tagged with its cover owner, and chi-square compatible
+        with uniform."""
+        queries = list(request.getfixturevalue(fixture).queries)
         results = {query.name: join_result_set(query) for query in queries}
         population = set().union(*results.values())
         values, sources = [], []
-        for job in range(60):
-            run = parallel_sample(queries, 400, seed=job, workers=2, execution="thread")
-            values.extend(run.values)
-            sources.extend(run.sources)
-        assert len(values) == 60 * 400
+        for job in range(jobs):
+            drawn, owners = union_values(union_sample(queries, count, seed=job, workers=workers))
+            values.extend(drawn)
+            sources.extend(queries[owner].name for owner in owners)
+        assert len(values) == jobs * count
         assert set(values) <= population
         for value, source in set(zip(values, sources)):
             assert source == next(q.name for q in queries if value in results[q.name])
@@ -300,11 +342,11 @@ class TestEpochCancellation:
             return results
 
         monkeypatch.setattr(ParallelSamplerPool, "run", run_and_mutate)
-        restarted = pool.sample(query, 40, seed=1, shards=2)
-        again = pool.sample(query, 40, seed=1, shards=2)
+        restarted = pool.aggregate(query, SPEC_SUM, 40, seed=1, shards=2)
+        again = pool.aggregate(query, SPEC_SUM, 40, seed=1, shards=2)
         assert restarted.epochs_restarted == 1
         assert again.epochs_restarted == 0
-        assert again.values == restarted.values
+        assert accumulator_state(again.accumulator) == accumulator_state(restarted.accumulator)
         assert pool.epochs_restarted == 1
 
     def test_endless_mutation_gives_up(self, monkeypatch):
@@ -355,7 +397,7 @@ class TestShardWorker:
         assert run.attempts == run.accumulator.attempts == 12
 
     def test_shard_seeds_are_pairwise_independent(self):
-        tasks = ParallelSamplerPool().plan_tasks(make_chain(), 64, seed=5, shards=4)
+        tasks = ParallelSamplerPool().plan_tasks(make_chain(), 64, spec=SPEC_SUM, seed=5, shards=4)
         streams = [np.random.default_rng(t.seed).integers(0, 2**60, size=8) for t in tasks]
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
@@ -364,11 +406,9 @@ class TestShardWorker:
     def test_invalid_shard_task(self):
         seq = np.random.SeedSequence(0)
         with pytest.raises(ValueError):
-            ShardTask(0, (make_chain(),), "warp-drive", 1, seq)
+            ShardTask(0, (make_chain(),), "warp-drive", 1, seq, SPEC_SUM)
         with pytest.raises(ValueError):
-            ShardTask(0, (make_chain(),), "exact-weight", -1, seq)
-        with pytest.raises(ValueError, match="aggregate-only"):
-            ShardTask(0, (make_chain(),), "wander-join", 1, seq, spec=None)
+            ShardTask(0, (make_chain(),), "exact-weight", -1, seq, SPEC_SUM)
 
 
 class TestOnlineAggregatorParallelism:
@@ -445,10 +485,10 @@ class TestPoolLifecycle:
         query = make_chain()
         pool = ParallelSamplerPool(workers=2, execution="thread")
         try:
-            pool.sample(query, 32, seed=5)
+            pool.aggregate(query, SPEC_SUM, 32, seed=5)
             first = pool._thread_executor
             assert first is not None
-            pool.sample(query, 32, seed=6)
+            pool.aggregate(query, SPEC_SUM, 32, seed=6)
             assert pool._thread_executor is first
         finally:
             pool.close()
@@ -456,7 +496,7 @@ class TestPoolLifecycle:
     def test_close_reaps_spawned_threads_and_is_idempotent(self):
         query = make_chain()
         pool = ParallelSamplerPool(workers=2, execution="thread")
-        pool.sample(query, 32, seed=5)
+        pool.aggregate(query, SPEC_SUM, 32, seed=5)
         assert self._pool_threads(), "expected live pool worker threads"
         pool.close()
         pool.close()  # idempotent
@@ -466,26 +506,26 @@ class TestPoolLifecycle:
     def test_closed_pool_rejects_new_jobs(self):
         query = make_chain()
         pool = ParallelSamplerPool(workers=2, execution="thread")
-        tasks = pool.plan_tasks(query, 16, seed=1)
+        tasks = pool.plan_tasks(query, 16, spec=SPEC_SUM, seed=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.run(tasks)
         with pytest.raises(RuntimeError, match="closed"):
-            pool.sample(query, 16, seed=1)
+            pool.aggregate(query, SPEC_SUM, 16, seed=1)
 
     def test_context_manager_closes(self):
         query = make_chain()
         with ParallelSamplerPool(workers=2, execution="thread") as pool:
-            report = pool.sample(query, 24, seed=7)
-            assert len(report.values) == 24
+            report = pool.aggregate(query, SPEC_SUM, 24, seed=7)
+            assert report.completed_shards == report.planned_shards == DEFAULT_SHARDS
         assert pool.closed
         assert not self._pool_threads()
 
     def test_answers_unchanged_by_executor_reuse(self):
         query = make_chain()
         with ParallelSamplerPool(workers=2, execution="thread") as pool:
-            first = pool.sample(query, 40, seed=9)
-            second = pool.sample(query, 40, seed=9)
-        assert first.values == second.values
-        one_shot = parallel_sample(query, 40, workers=2, execution="thread", seed=9)
-        assert one_shot.values == first.values
+            first = pool.aggregate(query, SPEC_SUM, 40, seed=9)
+            second = pool.aggregate(query, SPEC_SUM, 40, seed=9)
+        assert accumulator_state(first.accumulator) == accumulator_state(second.accumulator)
+        one_shot = parallel_aggregate(query, SPEC_SUM, 40, workers=2, execution="thread", seed=9)
+        assert report_key(one_shot) == report_key(first.accumulator.estimate())

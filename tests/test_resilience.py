@@ -20,7 +20,6 @@ from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.parallel import (
     ParallelSamplerPool,
     parallel_aggregate,
-    parallel_sample,
     run_shard,
     sequential_reference,
 )
@@ -155,7 +154,7 @@ class TestPayloadInvariance:
     def test_integrity_check_catches_payload_mutation(self):
         tasks, _ = plan_and_reference()
         result = run_shard(tasks[0], fault_plan=NO_FAULTS, seal=True)
-        result.accepted += 1  # bit-flip after the checksum was sealed
+        result.accumulator.accepted += 1  # bit-flip after the checksum was sealed
         assert "checksum" in verify_shard_result(tasks[0], result)
 
     def test_in_process_results_skip_the_checksum(self):
@@ -203,24 +202,24 @@ class TestRetriesPreserveAnswers:
         assert key == reference
         assert pool.stats.retries >= 1, "seed 2023 at 10% must inject something"
 
-    def test_sampling_mode_survives_faults_too(self):
+    def test_parallel_aggregate_survives_faults_too(self):
         plan = FaultPlan(scripted={(0, 0): FaultAction("raise")})
-        clean = parallel_sample(make_chain(), 40, seed=17, workers=2,
-                                execution="thread", fault_plan=NO_FAULTS)
-        faulty = parallel_sample(make_chain(), 40, seed=17, workers=2,
-                                 execution="thread", fault_plan=plan)
-        assert faulty.values == clean.values
-        assert faulty.sources == clean.sources
-        assert faulty.retries == 1 and not faulty.degraded
+        clean = parallel_aggregate(make_chain(), SPEC_SUM, 40, seed=17, workers=2,
+                                   execution="thread", fault_plan=NO_FAULTS)
+        faulty = parallel_aggregate(make_chain(), SPEC_SUM, 40, seed=17, workers=2,
+                                    execution="thread", fault_plan=plan)
+        assert report_key(faulty) == report_key(clean)
+        assert not faulty.degraded
+        assert faulty.completed_shards == faulty.planned_shards
 
     def test_union_backend_survives_faults(self):
         queries = make_union()
-        clean = parallel_sample(queries, 20, seed=31, workers=2,
-                                execution="thread", fault_plan=NO_FAULTS)
+        clean = parallel_aggregate(queries, SPEC_SUM, 20, seed=31, workers=2,
+                                   execution="thread", fault_plan=NO_FAULTS)
         plan = FaultPlan(scripted={(3, 0): FaultAction("raise")})
-        faulty = parallel_sample(queries, 20, seed=31, workers=2,
-                                 execution="thread", fault_plan=plan)
-        assert faulty.values == clean.values
+        faulty = parallel_aggregate(queries, SPEC_SUM, 20, seed=31, workers=2,
+                                    execution="thread", fault_plan=plan)
+        assert report_key(faulty) == report_key(clean)
 
 
 class TestFailureClassification:
@@ -424,8 +423,8 @@ class TestProcessRungResilience:
 
 class TestReportCounters:
     def test_fault_free_run_reports_clean_counters(self):
-        report = parallel_sample(make_chain(), 40, seed=17, workers=2,
-                                 execution="thread", fault_plan=NO_FAULTS)
+        pool = ParallelSamplerPool(workers=2, execution="thread", fault_plan=NO_FAULTS)
+        report = pool.aggregate(make_chain(), SPEC_SUM, 40, seed=17)
         assert report.retries == 0 and report.shard_crashes == 0
         assert not report.degraded
         assert report.completed_shards == report.planned_shards == report.shards

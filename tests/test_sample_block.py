@@ -22,7 +22,6 @@ from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.aqp.estimators import exact_aggregate
 from repro.joins.executor import execute_join, join_result_set
 from repro.joins.query import JoinQuery
-from repro.parallel import ParallelSamplerPool, sequential_reference
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.sampling.blocks import SampleBlock
@@ -149,30 +148,6 @@ class TestWanderWalkBlock:
         block = WanderJoin(query, seed=1).walk_block(25)
         assert len(block) == 0 and block.attempts == 25
         assert block.weights is not None and len(block.weights) == 0
-
-
-class TestParallelBlockShipping:
-    def test_sampling_shards_ship_blocks(self, chain_query):
-        pool = ParallelSamplerPool(workers=2, execution="thread")
-        tasks = pool.plan_tasks(chain_query, 24, seed=5, method="exact-weight", shards=4)
-        results = sequential_reference(tasks)
-        assert all(r.block is not None for r in results if r.attempts)
-        report = pool.sample(chain_query, 24, seed=5, method="exact-weight", shards=4)
-        assert len(report.values) == 24
-        merged = []
-        for result in results:
-            merged.extend(result.block.values(chain_query))
-        assert report.values == merged
-
-    def test_process_shard_results_cross_the_boundary(self, chain_query):
-        """Blocks (and their projections) survive spawn-pickling round trips."""
-        pool = ParallelSamplerPool(workers=2, execution="process", job_timeout=120)
-        report = pool.sample(chain_query, 16, seed=5, method="exact-weight", shards=4)
-        reference = ParallelSamplerPool(workers=1, execution="thread").sample(
-            chain_query, 16, seed=5, method="exact-weight", shards=4
-        )
-        assert report.values == reference.values
-        assert report.sources == reference.sources
 
 
 class TestColumnarWhere:
