@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
+from functools import partial, reduce
 from typing import Any, Callable, List, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -37,6 +37,10 @@ from repro.sampling.wander_join import WanderJoin
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
 DrawT = TypeVar("DrawT")
+
+#: Values per chunk of :func:`draw_chunks`: ``repro sample --workers`` and a
+#: served ``sample`` (its default ``sample_chunk``).
+SAMPLE_CHUNK = 1024
 
 
 class Source(Protocol[DrawT]):
@@ -131,6 +135,10 @@ class CoverDraw(NamedTuple):
         columns = [reduce(concat_column_arrays, column) for column in parts]
         owners = np.concatenate([draw.owners for draw in draws])
         return CoverDraw(columns, owners, sum(draw.attempts for draw in draws), draws[0].weight)
+
+    def rows(self) -> List[tuple]:
+        """The kept values as tuples, in draw order."""
+        return list(zip(*(column.tolist() for column in self.columns)))
 
 
 class UnionCoverSource:
@@ -278,7 +286,7 @@ def draw_chunks(
     draws: Callable[[], Sequence[Callable[[int], Any]]],
     count: int,
     *,
-    chunk: int = 1024,
+    chunk: int = SAMPLE_CHUNK,
     deadline: Optional[float] = None,
     allow_partial: bool = False,
     max_epoch_restarts: int = 3,
@@ -337,6 +345,35 @@ def draw_chunks(
             )
 
 
+def union_takes(
+    queries: Sequence[JoinQuery], seed: RandomState, workers: int, max_attempts: int = 1_000_000
+) -> List[Callable[[int], CoverDraw]]:
+    """A union's draws for :func:`draw_chunks`: one ``take`` per worker over
+    ``workers`` cover sources."""
+    sources = build_sources(queries, "online-union", seed, workers)
+    return [partial(source.take, max_attempts=max_attempts) for source in sources]
+
+
+def surplus_first(sampler: JoinSampler, max_attempts: int) -> Callable[[int], SampleBlock]:
+    """A join's draw for :func:`draw_chunks`: ``sample_block`` that serves
+    the surplus its last call left first, so a request split into chunks
+    throws no accepted walk away (a share served from surplus alone has
+    ``attempts == 0``)."""
+    kept: List[SampleBlock] = []  # at most one block
+
+    def take(count: int) -> SampleBlock:
+        have = len(kept[0]) if kept else 0
+        if kept and have >= count:
+            block, kept[0] = kept[0].split(count)
+            return block
+        fresh = sampler.sample_block(count - have, max_attempts=max_attempts)
+        block = SampleBlock.concat([*kept, fresh])
+        kept[:] = sampler.pop_buffered_blocks()
+        return block
+
+    return take
+
+
 def draw_into(
     accumulator: AggregateAccumulator, sources: Sequence[Source[DrawT]], size: int
 ) -> Optional[SampleBlock]:
@@ -345,6 +382,7 @@ def draw_into(
 
 
 __all__ = [
+    "SAMPLE_CHUNK",
     "ChunkedDraw",
     "CoverDraw",
     "Source",
@@ -354,4 +392,6 @@ __all__ = [
     "draw_into",
     "fan_out",
     "split_evenly",
+    "surplus_first",
+    "union_takes",
 ]

@@ -32,12 +32,13 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.errors import mean_ratio_error
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.online import planning_budget
-from repro.aqp.sources import ChunkedDraw, CoverDraw, build_sources, draw_chunks
+from repro.aqp.sources import ChunkedDraw, CoverDraw, draw_chunks, union_takes
 from repro.cache import SampleCache
 from repro.core.online_sampler import OnlineUnionSampler
 from repro.core.union_sampler import (
@@ -262,12 +263,9 @@ def command_sample(args: argparse.Namespace) -> int:
             if value != default
         ]
         if overridden:
-            print(
-                f"error: --workers {args.workers} draws through the union cover "
-                f"sources, which ignore {', '.join(overridden)}; drop those flags "
-                "or use --workers 1",
-                file=sys.stderr,
-            )
+            print(f"error: --workers {args.workers} draws through the union cover sources, "
+                  f"which ignore {', '.join(overridden)}; drop those flags or use --workers 1",
+                  file=sys.stderr)
             return 2
     workload = build_workload(args.workload, args.scale_factor, args.overlap_scale, args.seed)
     queries = workload.queries
@@ -311,17 +309,13 @@ def command_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def union_sample(
-    queries, count: int, seed: int, workers: int,
-    deadline: Optional[float] = None, allow_partial: bool = False,
-) -> ChunkedDraw:
+def union_sample(queries, count: int, seed: int, workers: int,
+                 deadline: Optional[float] = None, allow_partial: bool = False) -> ChunkedDraw:
     """What ``repro sample --workers`` draws: ``count`` union values from
     ``workers`` cover sources, in the chunk loop a served union ``sample``
     runs, so the values depend on ``(seed, workers)``."""
-    def takes():
-        return [source.take for source in build_sources(queries, "online-union", seed, workers)]
-
-    return draw_chunks(queries, takes, count, deadline=deadline, allow_partial=allow_partial)
+    return draw_chunks(queries, partial(union_takes, queries, seed, workers), count,
+                       deadline=deadline, allow_partial=allow_partial)
 
 
 def _sample_union(args: argparse.Namespace, workload, queries) -> int:
@@ -343,8 +337,7 @@ def _sample_union(args: argparse.Namespace, workload, queries) -> int:
     values, owners, attempts = [], [], 0
     if run.parts:
         union = CoverDraw.concat(run.parts)
-        values = list(zip(*(column.tolist() for column in union.columns)))
-        owners, attempts = union.owners.tolist(), union.attempts
+        values, owners, attempts = union.rows(), union.owners.tolist(), union.attempts
     print(f"workload={workload.name} sampler=parallel backend=online-union "
           f"workers={args.workers}")
     print(f"samples drawn      : {run.drawn}")

@@ -60,6 +60,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aqp.estimators import AggregateAccumulator, AggregateReport, AggregateSpec
@@ -104,7 +105,7 @@ class ParallelRunReport:
     accepted: int
     epochs_restarted: int
     #: merged accumulator (shard-id merge order)
-    accumulator: Optional[AggregateAccumulator] = None
+    accumulator: AggregateAccumulator
     #: resilience accounting (see SupervisionStats)
     retries: int = 0
     shard_timeouts: int = 0
@@ -382,19 +383,40 @@ class ParallelSamplerPool:
             max_attempts=max_attempts,
         )
         results, outcome, restarts = self._run_with_epoch_guard(tasks)
-        report = self._base_report(tasks, results, outcome, restarts)
-        merged: Optional[AggregateAccumulator] = None
-        for result in results:
-            merged = result.accumulator if merged is None else merged.merge(result.accumulator)
-        if merged is None:
-            merged = AggregateAccumulator(spec, tasks[0].queries[0].output_schema)
-        report.accumulator = merged
+        merged = (
+            reduce(AggregateAccumulator.merge, [result.accumulator for result in results])
+            if results
+            else AggregateAccumulator(spec, tasks[0].queries[0].output_schema)
+        )
+        report = ParallelRunReport(
+            backend=tasks[0].backend,
+            execution=self.execution,
+            workers=self.workers,
+            shards=len(tasks),
+            attempts=merged.attempts,
+            accepted=merged.accepted,
+            epochs_restarted=restarts,
+            accumulator=merged,
+            planned_shards=len(tasks),
+            completed_shards=len(results),
+        )
+        if outcome is not None:
+            stats = outcome.stats
+            report.retries = stats.retries
+            report.shard_timeouts = stats.shard_timeouts
+            report.shard_crashes = stats.shard_crashes
+            report.corrupt_results = stats.corrupt_results
+            report.poison_shards = stats.poison_shards
+            report.degradations = stats.degradations
+            report.planned_shards = outcome.planned
+            report.completed_shards = len(outcome.results)
+            report.failed_shards = sorted(f.shard_id for f in outcome.failures)
+            report.degraded = outcome.degraded
+            report.deadline_hit = outcome.deadline_hit
         return report
 
     # -------------------------------------------------------------- internals
-    def _resolve_backend(
-        self, queries: Tuple[JoinQuery, ...], method: str, count: int = 1024
-    ) -> str:
+    def _resolve_backend(self, queries: Tuple[JoinQuery, ...], method: str, count: int) -> str:
         supported = supported_backends(list(queries) if len(queries) > 1 else queries[0])
         if method == "auto":
             if len(queries) > 1:
@@ -444,43 +466,6 @@ class ParallelSamplerPool:
                     "without completing; pause the update stream or raise "
                     "max_epoch_restarts"
                 )
-
-    def _base_report(
-        self,
-        tasks: Sequence[ShardTask],
-        results: Sequence[ShardResult],
-        outcome: Optional[SupervisedOutcome] = None,
-        restarts: int = 0,
-    ) -> ParallelRunReport:
-        report = ParallelRunReport(
-            backend=tasks[0].backend,
-            execution=self.execution,
-            workers=self.workers,
-            shards=len(tasks),
-            attempts=sum(r.attempts for r in results),
-            accepted=sum(r.accepted for r in results),
-            epochs_restarted=restarts,
-        )
-        if outcome is None:
-            with self._lock:
-                outcome = self._last_outcome
-        if outcome is not None:
-            stats = outcome.stats
-            report.retries = stats.retries
-            report.shard_timeouts = stats.shard_timeouts
-            report.shard_crashes = stats.shard_crashes
-            report.corrupt_results = stats.corrupt_results
-            report.poison_shards = stats.poison_shards
-            report.degradations = stats.degradations
-            report.planned_shards = outcome.planned
-            report.completed_shards = len(outcome.results)
-            report.failed_shards = sorted(f.shard_id for f in outcome.failures)
-            report.degraded = outcome.degraded
-            report.deadline_hit = outcome.deadline_hit
-        else:
-            report.planned_shards = len(tasks)
-            report.completed_shards = len(results)
-        return report
 
 
 # ----------------------------------------------------------------- convenience
@@ -532,7 +517,6 @@ def parallel_aggregate(
             shards=shards,
             max_attempts=max_attempts,
         )
-    assert run.accumulator is not None
     if run.degraded and count > 0 and run.accumulator.accepted == 0:
         # A "partial" answer with zero accepted samples is no answer at all:
         # its CI would be a zero-width lie around 0.0 (see EmptyResultError).

@@ -112,14 +112,6 @@ class ShardResult:
     #: than a ``Predicate``) and the check is skipped
     checksum: Optional[str] = None
 
-    @property
-    def attempts(self) -> int:
-        return self.accumulator.attempts
-
-    @property
-    def accepted(self) -> int:
-        return self.accumulator.accepted
-
     def fingerprint(self) -> Optional[str]:
         """Digest of the merge-relevant payload, or ``None`` if unpicklable."""
         payload = (self.shard_id, self.db_versions, self.accumulator)
@@ -176,11 +168,6 @@ def run_shard(
         )
         draw_into(accumulator, sources, task.count)
     result = ShardResult(task.shard_id, accumulator, versions, attempt)
-    return _finish_shard(result, action, deadline, seal)
-
-
-def _finish_shard(result: ShardResult, action, deadline, seal) -> ShardResult:
-    """Seal the result; apply a ``corrupt`` fault *after* the checksum."""
     if deadline is not None:
         deadline.check("shard finish")
     if seal is None:

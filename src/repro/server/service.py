@@ -66,7 +66,7 @@ import numpy as np
 from repro.aqp import AggregateSpec, OnlineAggregator
 from repro.aqp.online import planning_budget
 from repro.aqp.planner import BACKEND_WEIGHTS
-from repro.aqp.sources import CoverDraw, build_sources, draw_chunks
+from repro.aqp.sources import SAMPLE_CHUNK, CoverDraw, draw_chunks, surplus_first, union_takes
 from repro.cache.store import SampleCache
 from repro.joins.query import JoinQuery
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
@@ -210,7 +210,7 @@ class SamplingService:
         admission: Optional[AdmissionController] = None,
         max_epoch_restarts: int = 3,
         warm_on_start: bool = True,
-        sample_chunk: int = 1024,
+        sample_chunk: int = SAMPLE_CHUNK,
         cache: Optional[SampleCache] = None,
         overload: Union[OverloadConfig, bool, None] = True,
         clock: Optional[Clock] = None,
@@ -504,15 +504,15 @@ class SamplingService:
         max_attempts: int,
     ) -> List[Callable[[int], Any]]:
         """One draw per worker, each taking its share of a chunk: a join's
-        warm prototype clones, or a union's cover sources."""
+        warm prototype clones (each serving its last share's surplus
+        first), or a union's cover sources."""
         if len(queries) > 1:
-            sources = build_sources(queries, "online-union", seed, workers)
-            return [partial(source.take, max_attempts=max_attempts) for source in sources]
+            return union_takes(queries, seed, workers, max_attempts)
         # split() warms (refresh + build) the prototype; if a mutation
         # slipped in between the snapshot and the clones, the chunk loop's
         # epoch check catches the mismatch and restarts — never blends.
         clones = self._prototype(queries[0], weights).split(workers, seed=seed, share_plans=True)
-        return [partial(clone.sample_block, max_attempts=max_attempts) for clone in clones]
+        return [surplus_first(clone, max_attempts) for clone in clones]
 
     def _sample(
         self,
@@ -526,6 +526,7 @@ class SamplingService:
         max_attempts: int,
     ) -> Dict[str, Any]:
         """Draw ``count`` values through the shared chunk loop."""
+        hook = self._after_chunk
         run = draw_chunks(
             queries,
             partial(self._chunk_draws, queries, seed, weights, workers, max_attempts),
@@ -534,7 +535,7 @@ class SamplingService:
             deadline=deadline,
             allow_partial=allow_partial,
             max_epoch_restarts=self.max_epoch_restarts,
-            after_chunk=partial(self._chunk_hook, queries),
+            after_chunk=None if hook is None else partial(hook, self, queries),
             on_restart=self._count_restart,
         )
         if run.degraded and run.drawn == 0:
@@ -564,10 +565,6 @@ class SamplingService:
             "values": values,
             "sources": sources,
         }
-
-    def _chunk_hook(self, queries: Sequence[JoinQuery]) -> None:
-        if self._after_chunk is not None:
-            self._after_chunk(self, queries)
 
     def _count_restart(self) -> None:
         with self._stats_lock:

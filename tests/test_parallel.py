@@ -170,8 +170,7 @@ class TestDeterminism:
 def union_values(run):
     """A union sample's values as tuples, and each one's owning join."""
     union = CoverDraw.concat(run.parts)
-    values = list(zip(*(column.tolist() for column in union.columns)))
-    return values, union.owners.tolist()
+    return union.rows(), union.owners.tolist()
 
 
 class TestUnionSampleRoute:

@@ -211,6 +211,12 @@ class TestRetriesPreserveAnswers:
         assert report_key(faulty) == report_key(clean)
         assert not faulty.degraded
         assert faulty.completed_shards == faulty.planned_shards
+        # The pool's run report carries the retry the one-shot report hides.
+        with ParallelSamplerPool(workers=2, execution="thread", fault_plan=plan,
+                                 retry_policy=FAST) as pool:
+            run = pool.aggregate(make_chain(), SPEC_SUM, 40, seed=17)
+        assert report_key(run.accumulator.estimate()) == report_key(clean)
+        assert run.retries == 1 and not run.degraded
 
     def test_union_backend_survives_faults(self):
         queries = make_union()
