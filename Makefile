@@ -37,10 +37,12 @@ bench-spine:
 
 # cProfiles of the aggregate hot path and of the union sampler's first 1 000
 # samples (UQ1 at SF 0.05); top-25 cumulative saved under benchmarks/profiles/
-# (see docs/performance.md).
+# (see docs/performance.md).  Then the update path's per-function medians on
+# the spine's uq1_sf05 fixture (update_refresh.txt, see docs/updates.md).
 profile:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_aggregate.py
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_union.py
+	PYTHONPATH=$(PYTHONPATH) python benchmarks/profile_update.py
 
 # Shard-supervision benchmark (fault-free overhead budget + chaos recovery):
 # writes BENCH_resilience.json (see docs/resilience.md).

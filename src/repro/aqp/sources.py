@@ -30,7 +30,11 @@ from repro.aqp.planner import BACKEND_WEIGHTS
 from repro.joins.membership import UnionMembershipIndex
 from repro.joins.query import JoinQuery, observed_versions
 from repro.relational.columnar import concat_column_arrays
-from repro.resilience.errors import EpochRestartsExhausted, JobDeadlineExceeded
+from repro.resilience.errors import (
+    EmptyResultError,
+    EpochRestartsExhausted,
+    JobDeadlineExceeded,
+)
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler, draw_and_drain
 from repro.sampling.wander_join import WanderJoin
@@ -301,7 +305,8 @@ def draw_chunks(
     the loop starts over with fresh draws, telling ``on_restart``, at most
     ``max_epoch_restarts`` times.  Past the ``deadline`` (seconds, checked
     before each chunk) it raises, or with ``allow_partial`` returns what it
-    has, marked degraded.
+    has, marked degraded; having nothing, it raises :class:`EmptyResultError`
+    (an empty partial is no answer, on every route).
     """
     if count < 0 or (deadline is not None and deadline < 0):
         raise ValueError(f"count and deadline must be non-negative, got {count}, {deadline}")
@@ -318,6 +323,12 @@ def draw_chunks(
                     raise JobDeadlineExceeded(
                         f"sample request exceeded its {deadline:g}s deadline "
                         f"after {drawn} of {count} samples",
+                        deadline=deadline,
+                    )
+                if not drawn:
+                    raise EmptyResultError(
+                        "sample deadline expired before any sample was drawn; "
+                        "no partial result exists — retry with a larger deadline",
                         deadline=deadline,
                     )
                 return ChunkedDraw(parts, drawn, restarts, True)

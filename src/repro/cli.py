@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--allow-partial", action="store_true",
                         help="on an exceeded deadline, print the samples "
                         "drawn so far instead of failing (requires "
-                        "--workers > 1)")
+                        "--workers > 1); none drawn still exits with code 3")
 
     estimate = sub.add_parser("estimate", help="compare warm-up estimators on a workload")
     _add_workload_arguments(estimate)
@@ -325,10 +325,11 @@ def _sample_union(args: argparse.Namespace, workload, queries) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except JobDeadlineExceeded as error:
+    except (JobDeadlineExceeded, EmptyResultError) as error:
         # Deadline failures get their own exit code so schedulers can tell
         # "ran out of time" from "could not run" (add --allow-partial to get
-        # the samples drawn so far instead).
+        # the samples drawn so far instead; with none drawn there is no
+        # partial result, which is the same failure).
         print(f"error: {error}", file=sys.stderr)
         return 3
     except RuntimeError as error:

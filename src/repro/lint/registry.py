@@ -92,7 +92,10 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
         locked_decorators={"_locked": "_lock"},
     ),
     # Every sampler of a snapshot reads one descent: its plans are built
-    # once, by whoever asks first.
+    # once, by whoever asks first.  Its weight function's per-edge records
+    # (``_inputs``, ``_resummed``, which the next refresh compares against)
+    # are written once, before the descent is published, so no lock guards
+    # them.
     "_Descent": LockContract(locks={"_lock": frozenset({"_plans"})}),
     # The snapshot memo: threads reaching a new snapshot together must
     # publish one descent per key, not one each.

@@ -51,6 +51,30 @@ DENSE_SPAN = 4
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
+def segment_entries(
+    offsets: npt.NDArray[Any], slots: npt.NDArray[Any]
+) -> Tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """The CSR entries of the segments of ``slots`` laid end to end, and
+    where each segment starts among them: segment ``slots[i]`` holds
+    ``entries[firsts[i]:firsts[i + 1]]`` (the last one runs to the end).
+    O(the segments' rows), whatever the CSR's size."""
+    starts = np.asarray(offsets[slots], dtype=np.intp)
+    degrees = np.asarray(offsets[slots + 1], dtype=np.intp) - starts
+    firsts = np.cumsum(degrees) - degrees
+    entries = np.arange(int(degrees.sum()), dtype=np.intp) + np.repeat(starts - firsts, degrees)
+    return entries, firsts
+
+
+def distinct(*arrays: npt.NDArray[Any]) -> npt.NDArray[Any]:
+    """The sorted distinct values of integer arrays, as ``np.unique`` of
+    their concatenation gives them, by one sort: NumPy 2's hash-based
+    ``np.unique`` takes ten times as long on the delta-sized arrays here."""
+    values = np.sort(np.concatenate(arrays))
+    if values.size < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _running_counts(slots: npt.NDArray[np.intp], n_keys: int) -> npt.NDArray[np.intp]:
     """Entry ``j`` counts the ``slots`` at or below ``j`` (``j < n_keys``):
     how far ``offsets[1:]`` moves when every listed slot gains or loses one
@@ -254,6 +278,13 @@ class SortedIndex:
         return self._slot_of.get(value, -1)
 
     def slots_for(self, values: Sequence[object] | npt.NDArray[Any]) -> npt.NDArray[np.intp]:
+        """An edge's slot map: :meth:`key_slots` of the parent's whole key
+        column.  Its own entry point, so that a slot-map build counts apart
+        from a weight refresh's O(Δ) key lookups (``make profile`` times it,
+        the performance smoke tests count it)."""
+        return self.key_slots(values)
+
+    def key_slots(self, values: Sequence[object] | npt.NDArray[Any]) -> npt.NDArray[np.intp]:
         """Slot ids for a batch of key values (-1 where absent).
 
         A typed array resolves through one vectorized ``searchsorted`` when
@@ -376,14 +407,9 @@ class SortedIndex:
             # The affected segments' entries laid end to end, each coded as
             # (slot, position) in one integer: a removal is found where its
             # key's segment holds its position.
-            affected = np.unique(slots)
-            starts = offsets[affected].astype(np.intp)
-            degrees = offsets[affected + 1] - starts
-            ends = np.cumsum(degrees)
-            entries = np.arange(int(ends[-1]), dtype=np.intp) + np.repeat(
-                starts - (ends - degrees), degrees
-            )
-            entry_slots = np.repeat(affected, degrees)
+            affected = distinct(slots)
+            entries, firsts = segment_entries(offsets, affected)
+            entry_slots = np.repeat(affected, np.diff(firsts, append=entries.size))
             width = max(old_row_count, 1)
             hit = np.isin(entry_slots * width + row_positions[entries], slots * width + positions)
             in_range = bool(((positions >= 0) & (positions < width)).all())
@@ -464,6 +490,16 @@ class SortedIndex:
         elif new_keys:
             self._sorted_lookup = self._extended_lookup(new_keys)
 
+    def restricted(self, slots: npt.NDArray[Any]) -> "SortedIndex":
+        """The segments of ``slots`` alone, renumbered ``0 .. len(slots) - 1``
+        in the given order, at O(their rows): what :meth:`segment_sums`
+        reads, for the few slots a delta touched.  It holds no keys, so it
+        answers no key lookup."""
+        entries, firsts = segment_entries(self.offsets, np.asarray(slots, dtype=np.intp))
+        return SortedIndex(
+            self.attribute, {}, self.row_positions[entries], np.append(firsts, entries.size)
+        )
+
     # ------------------------------------------------------------ aggregation
     def segment_sums(self, row_values: npt.NDArray[Any]) -> npt.NDArray[np.float64]:
         """Per-key sums of ``row_values`` (indexed by row position).
@@ -495,4 +531,4 @@ class SortedIndex:
         )
 
 
-__all__ = ["SortedIndex"]
+__all__ = ["SortedIndex", "distinct", "segment_entries"]

@@ -45,7 +45,8 @@ Two structures cover the sampler's needs:
   sharing nothing it changes, and ``SegmentedAliasTable.resync()`` drops
   exactly the decisions on the segments a delta dirtied; over a CSR whose
   rows a delta moved, ``SegmentTables.reshaped()`` gives fresh tables that
-  reduce only the segments the delta changed.
+  reduce only the segments the delta changed, which the weight pass names
+  (the slots it summed again) or a comparison of the weights finds.
 
 Every draw path consumes the underlying generator identically (one uniform
 for the dart, one for the coin — a cold draw inverts the first and ignores
@@ -62,6 +63,8 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
+
+from repro.relational.index import distinct, segment_entries
 
 _Floats = npt.NDArray[np.float64]
 _Indices = npt.NDArray[np.intp]
@@ -82,6 +85,27 @@ def _index_dtype(n: int) -> type[np.signedinteger[Any]]:
     fits (half the bytes), else the platform index type.  Draws are the same
     either way: ``np.where`` against the ``intp`` darts promotes to ``intp``."""
     return np.int32 if n < 2**31 else np.intp
+
+
+#: the buffer every complete table's alias is a prefix of (see ``_identity``):
+#: a cache of ``arange``, so which buffer a caller gets never shows in a value
+_IDENTITY = [np.arange(0, dtype=np.int32)]
+
+
+def _identity(n: int) -> _AliasIndices:
+    """``0 .. n-1`` as alias entries that are never written: a prefix of one
+    read-only buffer, grown by an eighth when short, instead of a new
+    O(rows) array per table (a constant level's tables are new every
+    snapshot, and every EO level and EW leaf is one).  Two threads growing
+    it at once both get a valid prefix."""
+    if n >= 2**31:
+        return np.arange(n, dtype=_index_dtype(n))
+    identity = _IDENTITY[0]
+    if len(identity) < n:
+        identity = np.arange(min(n + n // 8, 2**31 - 1), dtype=np.int32)
+        identity.setflags(write=False)
+        _IDENTITY[0] = identity
+    return identity[:n]
 
 
 def _build_flat(scaled: _Floats, prob: _Floats, alias: _AliasIndices, base: int) -> None:
@@ -338,9 +362,14 @@ class SegmentTables:
         #: every segment built: views made from now on may skip the mask
         self.complete = bool(self.built.all())
         # Tables whose every segment is uniform never build one: their prob
-        # stays all ones, a read-only broadcast instead of an array.
-        self.prob = np.broadcast_to(1.0, (n,)) if self.complete else np.ones(n, dtype=float)
-        self.alias = np.arange(n, dtype=_index_dtype(n))
+        # stays all ones, a read-only broadcast instead of an array, and
+        # their alias the identity, a prefix of one shared read-only buffer.
+        if self.complete:
+            self.prob = np.broadcast_to(1.0, (n,))
+            self.alias = _identity(n)
+        else:
+            self.prob = np.ones(n, dtype=float)
+            self.alias = np.arange(n, dtype=_index_dtype(n))
         self._lock = threading.Lock()
 
     @property
@@ -408,24 +437,32 @@ class SegmentTables:
         changed[np.searchsorted(old, rows.astype(old.dtype), side="right") - 1] = True
         return changed
 
-    def patched(self, weights: npt.NDArray[Any]) -> "SegmentTables":
+    def patched(
+        self, weights: npt.NDArray[Any], slots: Optional[_Indices] = None
+    ) -> "SegmentTables":
         """These tables over new row weights of the same CSR, as new tables.
 
         A segment whose rows kept their weights keeps its table, built or
         not; a changed segment starts over (built only if now uniform, drawn
-        cold from its new weights until a view builds it).  Returns ``self``
-        when no weight moved.  Nothing of ``self`` is written: samplers still
-        drawing from the previous snapshot keep exactly what they read.
+        cold from its new weights until a view builds it).  ``slots`` names
+        the changed segments when the caller knows them (a superset is
+        safe: a listed segment whose weights held is rebuilt the same); by
+        default they are found by comparing the weights.  Returns ``self``
+        when no weight moved.  Nothing of ``self`` is written: samplers
+        still drawing from the previous snapshot keep exactly what they read.
         """
         w = np.asarray(weights, dtype=float)
         if w.shape != self.weights.shape:
             raise ValueError("a patch cannot change the CSR shape; build new tables")
-        changed = self.changed_segments(w)
-        if not changed.any():
+        if slots is None:
+            slots = np.flatnonzero(self.changed_segments(w))
+        if not slots.size:
             return self
-        tables = self._carried(w, self.offsets, changed)
+        tables = self._carried(w, self.offsets, slots)
         if tables.complete:
             return tables  # every segment uniform: nothing built to carry
+        changed = np.zeros(self.n_segments, dtype=bool)
+        changed[slots] = True
         kept_rows = np.repeat(~changed, np.diff(self.offsets))
         with self._lock:
             tables.prob[kept_rows] = self.prob[kept_rows]
@@ -434,42 +471,53 @@ class SegmentTables:
         tables.complete = bool(tables.built.all())
         return tables
 
-    def reshaped(self, weights: npt.NDArray[Any], offsets: npt.NDArray[Any]) -> "SegmentTables":
+    def reshaped(
+        self,
+        weights: npt.NDArray[Any],
+        offsets: npt.NDArray[Any],
+        slots: Optional[_Indices] = None,
+    ) -> "SegmentTables":
         """New tables over the CSR these tables' CSR became by deltas that
         renumbered no slot (see :meth:`changed_segments`).
 
         Equal to ``SegmentTables(weights, offsets)`` field for field, at the
         cost of the delta: only the changed and appended segments are
-        reduced.  Like fresh tables, they have built nothing but the uniform
-        segments (a dirty edge's views start cold), and nothing of ``self``
-        is written.
+        reduced.  ``slots`` names the changed segments when the caller knows
+        them (the weight pass does, :meth:`~repro.sampling.weights.
+        WeightFunction.changed_slots`): a segment left out must hold the same
+        multiset of weights, so that its total and uniform flag carry, and a
+        superset is safe.  Without them :meth:`changed_segments` finds them,
+        at O(rows).  Like fresh tables, they have built nothing but the
+        uniform segments (a dirty edge's views start cold), and nothing of
+        ``self`` is written.
         """
         w = np.asarray(weights, dtype=float)
         offsets = np.asarray(offsets)
-        return self._carried(w, offsets, self.changed_segments(w, offsets))
+        if slots is None:
+            slots = np.flatnonzero(self.changed_segments(w, offsets))
+        return self._carried(w, offsets, slots)
 
     def _carried(
-        self, w: _Floats, offsets: npt.NDArray[Any], changed: npt.NDArray[np.bool_]
+        self, w: _Floats, offsets: npt.NDArray[Any], slots: _Indices
     ) -> "SegmentTables":
-        """Fresh tables over ``w``/``offsets`` that reduce the ``changed``
-        slots and take every other slot's total and uniform flag from these
-        tables."""
-        kept = np.flatnonzero(~changed)
-        segment_totals = np.zeros(changed.size, dtype=float)
-        uniform = np.ones(changed.size, dtype=bool)
-        segment_totals[kept] = self.segment_totals[kept]
-        uniform[kept] = self.uniform[kept]
-        slots = np.flatnonzero(changed)
-        starts = np.asarray(offsets[slots], dtype=np.intp)
-        degrees = np.asarray(offsets[slots + 1], dtype=np.intp) - starts
-        nonempty = degrees > 0
-        slots, starts, degrees = slots[nonempty], starts[nonempty], degrees[nonempty]
+        """Fresh tables over ``w``/``offsets`` that reduce the changed
+        ``slots`` and the appended ones, and take every other slot's total
+        and uniform flag from these tables: O(segments) copies and O(their
+        rows) reductions."""
+        n_old, n = self.n_segments, len(offsets) - 1
+        segment_totals = np.zeros(n, dtype=float)
+        uniform = np.ones(n, dtype=bool)
+        segment_totals[:n_old] = self.segment_totals
+        uniform[:n_old] = self.uniform
+        slots = distinct(np.asarray(slots, dtype=np.intp), np.arange(n_old, n))
+        # A changed slot that emptied is what fresh tables make of it.
+        segment_totals[slots] = 0.0
+        uniform[slots] = True
+        slots = slots[offsets[slots + 1] > offsets[slots]]
         if slots.size:
             # The changed segments' rows laid end to end: each reduces over
             # exactly the values a whole-CSR reduceat gives it.
-            ends = np.cumsum(degrees)
-            firsts = ends - degrees
-            rows = np.arange(int(ends[-1]), dtype=np.intp) + np.repeat(starts - firsts, degrees)
+            rows, firsts = segment_entries(offsets, slots)
             segment_totals[slots], uniform[slots] = _reduce_segments(w[rows], firsts)
         tables = SegmentTables.__new__(SegmentTables)
         tables._start(w, offsets, segment_totals, uniform)

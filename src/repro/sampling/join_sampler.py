@@ -251,7 +251,11 @@ class _Descent:
             and previous.csr is csr
             and previous.compactions == csr.compactions
         ):
-            tables = previous.tables.reshaped(self._csr_weights(node, csr), csr.offsets)
+            tables = previous.tables.reshaped(
+                self._csr_weights(node, csr),
+                csr.offsets,
+                self.weight_function.changed_slots(node, previous.tables.offsets, csr.offsets),
+            )
         else:
             tables = SegmentTables(self._csr_weights(node, csr), csr.offsets)
         return _LevelPlan(
@@ -279,7 +283,8 @@ class _Descent:
         root alias is reused when the root weights did not move.  An edge
         whose own relations mutated gets a new plan (its CSR layout and/or
         edge map changed), with its tables reshaped from the last ones
-        (:meth:`SegmentTables.reshaped`) while the CSR's slot ids survive,
+        (:meth:`SegmentTables.reshaped`, over the slots the weight pass
+        found changed) while the CSR's slot ids survive,
         built anew after a compaction or a rebuilt index, and laid out from
         the offsets over a constant-weight node.  An edge whose endpoints
         are untouched keeps its CSR and edge map by reference — but its
@@ -309,7 +314,12 @@ class _Descent:
             )
         constant = self.weight_function.constant_weight(plan.node)
         if constant is None:
-            tables = plan.tables.patched(self._csr_weights(plan.node, plan.csr))
+            tables = plan.tables.patched(
+                self._csr_weights(plan.node, plan.csr),
+                self.weight_function.changed_slots(
+                    plan.node, plan.tables.offsets, plan.csr.offsets
+                ),
+            )
         elif constant == plan.constant:
             tables = plan.tables
         else:

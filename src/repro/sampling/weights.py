@@ -11,7 +11,12 @@ uniform, independent samples of the join result with acceptance probability
 Two instantiations from the paper are provided:
 
 * :class:`ExactWeightFunction` (**EW**) — exact per-row result counts computed
-  bottom-up; sampling never rejects (the ground truth for weights);
+  bottom-up; sampling never rejects (the ground truth for weights).  A
+  refresh after a mutation batch compares what it reads with what the pass
+  before read and sums and gathers again only the slots and rows that
+  moved (O(Δ) per level, after O(rows) vectorized comparisons); the root
+  alias table, the edge slot maps its owner rebuilds and the product at a
+  node with several children stay O(rows);
 * :class:`ExtendedOlkenWeightFunction` (**EO**) — per-node constants derived
   from maximum degrees; cheap to build but rejects with rate
   ``1 - |J|/OlkenBound``.  Following §3.2 we release the key–foreign-key
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.joins.join_tree import JoinTreeNode
 from repro.joins.query import JoinQuery
+from repro.relational.index import IntArray, SortedIndex, distinct
 
 
 class WeightFunction(ABC):
@@ -65,6 +71,16 @@ class WeightFunction(ABC):
         """Recompute state invalidated by the ``dirty`` relations, replacing
         (never writing into) the containers that hold it."""
         raise NotImplementedError
+
+    def changed_slots(
+        self, node: JoinTreeNode, before: IntArray, after: IntArray
+    ) -> Optional[IntArray]:
+        """The slots of ``node``'s join-key CSR whose rows or row weights may
+        differ between its layouts with offsets ``before`` and ``after``, as
+        the refresh that made this function found them; None where it did
+        not look.  A slot left out holds the same rows with the same weights,
+        so level tables may carry its total and uniform flag."""
+        return None
 
     # ------------------------------------------------------------------ api
     @property
@@ -113,6 +129,55 @@ class WeightFunction(ABC):
         return {"total_weight": self.total_weight}
 
 
+class _EdgeInputs(NamedTuple):
+    """What one weight pass read of a join edge, for the next pass to compare
+    against: the child's join-key CSR, its compaction count and offsets, the
+    child's key column (None under a leaf, whose sums are degrees) and the
+    edge's slot map."""
+
+    csr: SortedIndex
+    compactions: int
+    offsets: IntArray
+    keys: Optional[np.ndarray]
+    slots: IntArray
+
+
+#: no rows (read-only)
+_NONE: IntArray = np.zeros(0, dtype=np.intp)
+_NONE.setflags(write=False)
+
+
+def _factor(key_sums: np.ndarray, slots: IntArray) -> np.ndarray:
+    """Each parent row's factor: its slot's key sum, 0 where it joins none."""
+    if key_sums.size == 0:
+        return np.zeros(len(slots), dtype=float)
+    return np.where(slots >= 0, key_sums[np.maximum(slots, 0)], 0.0)
+
+
+def _moved(before: np.ndarray, after: np.ndarray) -> IntArray:
+    """The positions where two arrays differ, those past the shorter one
+    included (none when they are one object)."""
+    if before is after:
+        return _NONE
+    m = min(len(before), len(after))
+    return np.concatenate(
+        [np.flatnonzero(before[:m] != after[:m]), np.arange(m, max(len(before), len(after)))]
+    )
+
+
+def _ones(n: int, last: Optional[np.ndarray]) -> np.ndarray:
+    """``n`` leaf weights of 1: a prefix of the read-only buffer behind the
+    leaf's ``last`` weights while it is long enough, else a new one with
+    room to grow, so that a leaf's next snapshot allocates nothing."""
+    if last is None:
+        return np.ones(n, dtype=float)
+    buffer = last if last.base is None else last.base
+    if len(buffer) < n:
+        buffer = np.ones(n + n // 8 + 16, dtype=float)
+        buffer.setflags(write=False)
+    return buffer[:n]
+
+
 class ExactWeightFunction(WeightFunction):
     """Exact per-row join-result counts (the paper's **EW** instantiation).
 
@@ -121,6 +186,17 @@ class ExactWeightFunction(WeightFunction):
     size of the (skeleton) join.  Building costs one bottom-up pass with a
     gather per row and child, through the edge's slot map
     (:meth:`~repro.joins.query.JoinQuery.edge_slots`).
+
+    A refresh compares this snapshot's key columns, slot maps and weights
+    with what the pass before read (:class:`_EdgeInputs`), level by level,
+    and sums and gathers again only the slots and rows that moved, into
+    copies of the last arrays: O(rows) vectorized comparisons and copies,
+    O(Δ) arithmetic, at any batch size; a node with one child weighs its
+    factor, and one with more multiplies its factors whole.  A level whose CSR was
+    rebuilt or compacted (slot ids renumbered), or whose inputs were read
+    across a mutation, takes the whole-level pass.  Weights are integer
+    counts, exact in float64, so a patched array equals the rebuilt one
+    byte for byte.
     """
 
     name = "ew"
@@ -132,83 +208,205 @@ class ExactWeightFunction(WeightFunction):
         self._key_sums: Dict[Tuple[str, str], np.ndarray] = {}
         #: per join edge: the parent-row factor (key sums gathered onto rows)
         self._factors: Dict[Tuple[str, str], np.ndarray] = {}
+        #: per join edge: what the pass read of it
+        self._inputs: Dict[Tuple[str, str], _EdgeInputs] = {}
+        #: per child relation: the CSR offsets before and after the last
+        #: refresh and the slots it summed again (see :meth:`changed_slots`)
+        self._resummed: Dict[str, Tuple[IntArray, IntArray, IntArray]] = {}
         self._compute(dirty=None)
 
     def _compute(self, dirty: Optional[Set[str]]) -> None:
         """Bottom-up weight computation; ``dirty=None`` means compute all.
 
-        On refresh only the segments the dirty relations can influence are
-        patched: an edge's key sums are recomputed when its child subtree
-        changed, an edge's factor when additionally the parent's own rows
-        changed, and a node whose inputs are all clean is skipped entirely —
-        including the root, whose weight array is the product of per-child
-        factor segments rather than a whole-tree recomputation.
+        On refresh a node whose inputs are all clean is skipped, and every
+        other edge and node is patched from the arrays this function holds
+        on entry (which :meth:`successor`'s copy shares with the function
+        before): :meth:`_refresh_edge`, :meth:`_products`.
         """
-        recomputed: Set[str] = set()
+        previous = None if dirty is None else copy.copy(self)
         # Fresh dicts: a copy made by successor() shares the old ones.
         self._weights = dict(self._weights)
         self._key_sums = dict(self._key_sums)
         self._factors = dict(self._factors)
-
-        def changed(relation_name: str) -> bool:
-            return (
-                dirty is None
-                or relation_name in dirty
-                or relation_name in recomputed
-            )
-
+        self._inputs = dict(self._inputs)
+        self._resummed = {}
+        #: per relation: the rows whose weight moved, rows added or dropped
+        #: included (None: unknown); at a leaf none, as its rows all weigh 1
+        moved: Dict[str, Optional[IntArray]] = {}
         for node in self.tree.root.post_order():
             name = node.relation
-            node_dirty = dirty is None or name in dirty
-            if not node_dirty and not any(changed(c.relation) for c in node.children):
-                continue  # every input clean: cached weights stay valid
+            stale = {
+                child.relation
+                for child in node.children
+                if dirty is None
+                or child.relation in dirty
+                or (rows := moved[child.relation]) is None
+                or rows.size
+            }
+            if dirty is not None and name not in dirty and not stale:
+                moved[name] = _NONE  # every input clean: cached weights stay valid
+                continue
             relation = self.query.relation(name)
+            last = None if previous is None else previous._weights.get(name)
             if not node.children:
                 # A leaf row yields itself: weight 1.  A leaf whose row
-                # count held keeps its array; its dirtiness reaches the
-                # parent edge through ``dirty``.
-                previous = self._weights.get(name)
-                if previous is None or len(previous) != len(relation):
-                    self._weights[name] = np.ones(len(relation), dtype=float)
-                    recomputed.add(name)
+                # count held keeps its array; its mutations reach the
+                # parent edge through its CSR.
+                if last is None or len(last) != len(relation):
+                    self._weights[name] = _ones(len(relation), last)
+                moved[name] = None if last is None else _NONE
                 continue
-            weights = np.ones(len(relation), dtype=float)
+            factored: Optional[IntArray] = _NONE  # read under one child only
             for child in node.children:
-                edge = (name, child.relation)
-                if changed(child.relation) or edge not in self._key_sums:
-                    child_rel = self.query.relation(child.relation)
-                    csr = child_rel.sorted_index_on_columns(child.child_attributes)
-                    # Per-key sums of the child weights, then one gather per
-                    # parent row: weight(parent) *= sum of joinable child
-                    # weights.  A leaf's sums are its degrees, exactly.
-                    self._key_sums[edge] = (
-                        csr.segment_sums(self._weights[child.relation])
-                        if child.children
-                        else csr.degrees().astype(float)
-                    )
-                    self._factors.pop(edge, None)
-                if node_dirty or edge not in self._factors:
-                    key_sums = self._key_sums[edge]
-                    if key_sums.size == 0:
-                        factor = np.zeros(len(relation), dtype=float)
-                    else:
-                        slots = self.query.edge_slots(name, child)
-                        factor = np.where(
-                            slots >= 0, key_sums[np.maximum(slots, 0)], 0.0
-                        )
-                    self._factors[edge] = factor
-                weights = weights * self._factors[edge]
-            previous = self._weights.get(name)
-            if (
-                previous is None
-                or previous.shape != weights.shape
-                or not np.array_equal(previous, weights)
-            ):
-                recomputed.add(name)
-            self._weights[name] = weights
+                if dirty is not None and name not in dirty and child.relation not in stale:
+                    continue  # neither the slot map nor the key sums moved
+                factored = self._refresh_edge(node, child, moved[child.relation], previous)
+            self._weights[name], moved[name] = self._products(node, len(relation), last, factored)
+
+    def _refresh_edge(
+        self,
+        parent: JoinTreeNode,
+        child: JoinTreeNode,
+        child_moved: Optional[IntArray],
+        previous: Optional["ExactWeightFunction"],
+    ) -> Optional[IntArray]:
+        """Bring one edge's key sums and factor to this snapshot; returns the
+        parent rows whose factor moved (None: any may have).
+
+        A key sum moves only where a row holding the key changed key or
+        weight (``child_moved``), or came or went (:meth:`_touched_slots`);
+        a factor only where its row's slot moved or that slot's sum did.
+        """
+        edge = (parent.relation, child.relation)
+        child_rel = self.query.relation(child.relation)
+        csr = child_rel.sorted_index_on_columns(child.child_attributes)
+        keys = child_rel.join_key_array(child.child_attributes) if child.children else None
+        slots = self.query.edge_slots(parent.relation, child)
+        inputs = self._inputs[edge] = _EdgeInputs(csr, csr.compactions, csr.offsets, keys, slots)
+        last = None if previous is None else previous._inputs.get(edge)
+        if (
+            previous is None
+            or last is None
+            or last.csr is not csr
+            or last.compactions != csr.compactions
+        ):  # no pass before, or its slot ids are not these ones
+            self._key_sums[edge] = self._whole_sums(child, csr)
+            self._factors[edge] = _factor(self._key_sums[edge], slots)
+            return None
+        last_sums = previous._key_sums[edge]
+        touched = self._touched_slots(child, csr, last, inputs, child_moved, previous)
+        if touched is None:
+            sums = self._whole_sums(child, csr)
+            shifted = _moved(last_sums, sums)
+        elif touched.size:
+            sums = np.zeros(csr.n_keys, dtype=float)
+            sums[: len(last_sums)] = last_sums
+            before = sums[touched]
+            sums[touched] = csr.restricted(touched).segment_sums(self._weights[child.relation])
+            shifted = touched[sums[touched] != before]
+        else:
+            sums, shifted = last_sums, _NONE
+        self._key_sums[edge] = sums
+
+        last_factor = previous._factors[edge]
+        kept = min(len(slots), len(last.slots))
+        moved = last.slots[:kept] != slots[:kept]
+        if shifted.size:
+            # Or joins a slot whose sum moved (-1 reads the extra entry).
+            hit = np.zeros(len(sums) + 1, dtype=bool)
+            hit[shifted] = True
+            moved |= np.take(hit, slots[:kept])  # twice a fancy index's speed
+        rows = np.concatenate([np.flatnonzero(moved), np.arange(kept, len(slots))])
+        if not rows.size and len(last_factor) == len(slots):
+            self._factors[edge] = last_factor
+            return _NONE
+        if len(last_factor) != len(last.slots):  # read across a mutation
+            self._factors[edge] = _factor(sums, slots)
+            return None
+        factor = self._factors[edge] = np.empty(len(slots), dtype=float)
+        factor[:kept] = last_factor[:kept]
+        factor[rows] = _factor(sums, slots[rows])
+        return rows
+
+    def _whole_sums(self, child: JoinTreeNode, csr: SortedIndex) -> np.ndarray:
+        """Per-key sums of the child weights over the whole CSR.  A leaf's
+        sums are its degrees, exactly."""
+        if child.children:
+            return csr.segment_sums(self._weights[child.relation])
+        return csr.degrees().astype(float)
+
+    def _touched_slots(
+        self,
+        child: JoinTreeNode,
+        csr: SortedIndex,
+        last: _EdgeInputs,
+        inputs: _EdgeInputs,
+        child_moved: Optional[IntArray],
+        previous: "ExactWeightFunction",
+    ) -> Optional[IntArray]:
+        """The slots of ``csr`` whose rows or row weights may have moved since
+        ``last`` (sorted, and recorded for :meth:`changed_slots`); None when
+        a whole-level sum is due instead.
+
+        Under a leaf: none while the CSR held, else None (degrees are one
+        O(keys) pass).  Otherwise the slots of the keys that the moved rows
+        and the rows whose key changed held before and hold now, looked up
+        in one batch (:meth:`~repro.relational.index.SortedIndex.key_slots`).
+        """
+        if inputs.offsets is last.offsets and child_moved is not None and not child_moved.size:
+            if child.children:  # neither a row nor a weight moved
+                self._resummed[child.relation] = (last.offsets, inputs.offsets, _NONE)
+            return _NONE
+        if last.keys is None or inputs.keys is None or child_moved is None:
+            return None
+        weights, last_weights = self._weights[child.relation], previous._weights[child.relation]
+        if len(inputs.keys) != len(weights) or len(last.keys) != len(last_weights):
+            return None  # the keys were read across a mutation
+        rows = np.concatenate([child_moved, _moved(last.keys, inputs.keys)])
+        touched = distinct(
+            csr.key_slots(
+                np.concatenate(
+                    [last.keys[rows[rows < len(last.keys)]], inputs.keys[rows[rows < len(inputs.keys)]]]
+                )
+            )
+        )
+        if touched.size and touched[0] < 0:
+            return None  # a key the index lacks: read across a mutation
+        self._resummed[child.relation] = (last.offsets, inputs.offsets, touched)
+        return touched
+
+    def _products(
+        self, node: JoinTreeNode, n: int, last: Optional[np.ndarray], rows: Optional[IntArray]
+    ) -> Tuple[np.ndarray, Optional[IntArray]]:
+        """The weights of ``node``'s ``n`` rows, the product of their child
+        factors, and the rows whose weight moved since ``last`` (None:
+        unknown).  Under one child the weights are its factor (``1 * f`` is
+        ``f``), shared, and only ``rows``, whose factor moved, and rows added
+        are compared; under more, one O(rows) product and comparison."""
+        factors = [self._factors[(node.relation, child.relation)] for child in node.children]
+        weights = factors[0]
+        for factor in factors[1:]:
+            weights = weights * factor
+        if last is None:
+            return weights, None
+        if rows is None or len(factors) > 1:
+            return weights, _moved(last, weights)
+        kept = min(len(last), n)
+        inside = rows[rows < kept]
+        return weights, np.concatenate(
+            [inside[weights[inside] != last[inside]], np.arange(kept, max(len(last), n))]
+        )
 
     def _refresh(self, dirty: Set[str]) -> None:
         self._compute(dirty)
+
+    def changed_slots(
+        self, node: JoinTreeNode, before: IntArray, after: IntArray
+    ) -> Optional[IntArray]:
+        resummed = self._resummed.get(node.relation)
+        if resummed is None or resummed[0] is not before or resummed[1] is not after:
+            return None
+        return resummed[2]
 
     @property
     def total_weight(self) -> float:
@@ -231,7 +429,7 @@ class ExactWeightFunction(WeightFunction):
         weights = self._weights[node.relation]
         positions = np.asarray(positions, dtype=np.intp)
         try:
-            return weights[positions]
+            return np.take(weights, positions)  # twice a fancy index's speed
         except IndexError:
             covered = np.zeros(int(positions.max()) + 1)
             covered[: len(weights)] = weights

@@ -538,12 +538,6 @@ class SamplingService:
             after_chunk=None if hook is None else partial(hook, self, queries),
             on_restart=self._count_restart,
         )
-        if run.degraded and run.drawn == 0:
-            raise EmptyResultError(
-                "sample deadline expired before any sample was drawn; "
-                "no partial result exists — retry with a larger deadline",
-                deadline=deadline,
-            )
         if len(queries) > 1:
             union = CoverDraw.concat(run.parts)
             values = _json_columns(union.columns, run.drawn)

@@ -182,7 +182,10 @@ CASES = {
         "--attribute", "totalprice", "--rel-error", "0.1",
         "--deadline", "0", "--allow-partial", *COMMON,
     ],
-    "cli_sample_parallel_partial.json": [
+    # The same refusal on the sample route: a zero deadline draws nothing,
+    # and an empty partial is no answer (as a served sample answers
+    # ``empty-result``).
+    "cli_err_sample_empty_partial.json": [
         "sample", "--workload", "UQ1", "--samples", "12",
         "--workers", "2", "--deadline", "0", "--allow-partial", *COMMON,
     ],
@@ -196,6 +199,7 @@ DEADLINE_CASES = (
     # empty-partial is an out-of-time failure too: the deadline expired
     # before a single sample was accepted
     "cli_err_aggregate_empty_partial.json",
+    "cli_err_sample_empty_partial.json",
 )
 
 

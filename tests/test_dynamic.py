@@ -96,6 +96,26 @@ class TestWeightRefresh:
         assert successor.total_weight == pytest.approx(fresh.total_weight)
         assert np.array_equal(weights.root_weights(), held)  # the last snapshot's value
 
+    def test_ew_refresh_of_a_node_with_two_children_equals_a_build(self, acyclic_query):
+        """The star's center multiplies two factors: after its children
+        mutate, one at a time and together, every weight, key sum and factor
+        equals a fresh build's byte for byte."""
+        weights = ExactWeightFunction(acyclic_query)
+        d, e = acyclic_query.relation("D"), acyclic_query.relation("E")
+        for dirty, mutate in (
+            ({"D"}, lambda: d.extend([(2, "d4"), (1, "d5")])),
+            ({"E"}, lambda: e.delete_where(Comparison("z", "==", "e2"))),
+            ({"D", "E"}, lambda: (d.delete_where(Comparison("y", "==", "d1")), e.append((5, "e4")))),
+        ):
+            mutate()
+            weights = weights.successor(dirty)
+            fresh = ExactWeightFunction(acyclic_query)
+            for field in ("_weights", "_key_sums", "_factors"):
+                ours, theirs = getattr(weights, field), getattr(fresh, field)
+                assert ours.keys() == theirs.keys()
+                for key in theirs:
+                    assert ours[key].tobytes() == theirs[key].tobytes(), (field, key)
+
     def test_ew_total_tracks_exact_size_under_churn(self, chain_query):
         weights = ExactWeightFunction(chain_query)
         for relation_name, row in (("R", (9, 10)), ("T", (100, 11)), ("S", (20, 100))):
@@ -142,6 +162,35 @@ class TestMutationDuringTheWeightPass:
             assert np.array_equal(plan.tables.segment_totals, fresh_plan.tables.segment_totals)
         drawn = set(sampler.sample_block(2000).values(chain_query))
         assert drawn == join_result_set(chain_query)
+
+    def test_a_mutation_between_two_edges_of_the_pass_is_found_next_refresh(
+        self, chain_query, monkeypatch
+    ):
+        """EW patches by comparing against what the pass before read of each
+        edge, so a key update landing between two edges of a pass, after the
+        lower edge's inputs were read, is found by the next refresh's
+        comparison like any other delta."""
+        sampler = JoinSampler(chain_query, weights="ew", seed=7)
+        sampler.sample_block(50)
+        chain_query.relation("T").append((100, 12))  # S's weights move
+        refresh_edge, landed = ExactWeightFunction._refresh_edge, []
+
+        def mutate_before_the_top_edge(weights, parent, child, *args):
+            if parent.relation == "R" and not landed:
+                landed.append(True)
+                chain_query.relation("S").update_rows([0], {"b": 20})
+            return refresh_edge(weights, parent, child, *args)
+
+        monkeypatch.setattr(ExactWeightFunction, "_refresh_edge", mutate_before_the_top_edge)
+        assert sampler.refresh() and landed
+        assert sampler.refresh()
+        built = _Descent.built("ew", chain_query)
+        for field in ("_weights", "_key_sums", "_factors"):
+            mine = getattr(sampler.weight_function, field)
+            fresh = getattr(built.weight_function, field)
+            assert mine.keys() == fresh.keys()
+            assert all(np.array_equal(mine[key], fresh[key]) for key in fresh)
+        assert set(sampler.sample_block(2000).values(chain_query)) == join_result_set(chain_query)
 
 
 # ----------------------------------------------------- sampling under updates

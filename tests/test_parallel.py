@@ -34,7 +34,7 @@ from repro.parallel import (
 )
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
-from repro.resilience import NO_FAULTS, JobDeadlineExceeded
+from repro.resilience import NO_FAULTS, EmptyResultError, JobDeadlineExceeded
 from repro.server import SamplingService
 
 
@@ -208,15 +208,37 @@ class TestUnionSampleRoute:
     def test_zero_deadline(self):
         with pytest.raises(JobDeadlineExceeded, match="0 of 30"):
             union_sample(make_union(), 30, seed=1, workers=2, deadline=0.0)
-        run = union_sample(make_union(), 30, seed=1, workers=2, deadline=0.0,
-                           allow_partial=True)
-        assert run.degraded and run.drawn == 0
+        # Nothing drawn is no partial result: refused, as a served sample is.
+        with pytest.raises(EmptyResultError, match="before any sample was drawn"):
+            union_sample(make_union(), 30, seed=1, workers=2, deadline=0.0,
+                         allow_partial=True)
 
     def test_cli_zero_deadline_exits_with_code_3(self, capsys):
         args = ["sample", "--workload", "UQ1", "--samples", "12", "--workers", "2",
                 "--deadline", "0", "--scale-factor", "0.0005", "--seed", "3"]
         assert main(args) == 3
         assert "deadline" in capsys.readouterr().err
+
+    def test_cli_partial_after_one_chunk_prints_degraded(self, monkeypatch, capsys):
+        """A deadline that passes after the first chunk: the CLI prints the
+        chunk's samples, marked DEGRADED, and exits 0."""
+        from types import SimpleNamespace
+
+        from repro.aqp import sources
+
+        # The start, the check before chunk 1, then past the deadline.
+        clock = iter([0.0, 0.0])
+        monkeypatch.setattr(
+            sources, "time", SimpleNamespace(monotonic=lambda: next(clock, 60.0))
+        )
+        args = ["sample", "--workload", "UQ1", "--samples", str(2 * sources.SAMPLE_CHUNK),
+                "--workers", "2", "--deadline", "30", "--allow-partial",
+                "--scale-factor", "0.0005", "--seed", "3"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert f"samples drawn      : {sources.SAMPLE_CHUNK}\n" in out
+        assert (f"DEGRADED           : the deadline expired after {sources.SAMPLE_CHUNK} "
+                f"of {2 * sources.SAMPLE_CHUNK} samples") in out
 
 
 class TestUnionExactness:

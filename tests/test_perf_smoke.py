@@ -483,6 +483,55 @@ def test_a_refresh_batch_sums_no_leaf_and_gathers_no_constant_level(monkeypatch)
     assert set(gathered) == {("ew", "orders")}
 
 
+def test_a_refresh_batch_reduces_and_gathers_o_k_entries_on_customer_orders(monkeypatch):
+    """An RF batch of ``k`` order operations costs O(k) sums and gathers on
+    ``customer -> orders``, not O(|orders|).  It moves at most ``3k`` orders
+    positions' keys (a deleted row's hole, the tail row swapped into it, an
+    appended row), so the EW refresh sums at most ``3k`` custkey slots of at
+    most ``M`` orders each (``M`` the largest count of orders a customer
+    holds), the level tables reduce the same slots, and a factor gather
+    reads at most ``3k`` rows (each custkey joins one customer; each
+    orderkey one order)."""
+    from repro.dynamic import apply_batch, build_order_stream_scenario
+    from repro.relational.index import SortedIndex
+    from repro.sampling import alias, weights
+
+    k = 8
+    tables, query, stream = build_order_stream_scenario(0.005, seed=3, orders_per_batch=k)
+    sampler = JoinSampler(query, weights="ew", seed=61)
+    sampler.sample_block(500)
+    summed, reduced, gathered = [], [], []
+    segment_sums = SortedIndex.segment_sums
+    reduce_segments = alias._reduce_segments
+    factor = weights._factor
+
+    def spy_sums(index, values):
+        summed.append(index.total_rows)
+        return segment_sums(index, values)
+
+    def spy_reduce(values, starts):
+        reduced.append(values.size)
+        return reduce_segments(values, starts)
+
+    def spy_factor(key_sums, slots):
+        gathered.append(len(slots))
+        return factor(key_sums, slots)
+
+    monkeypatch.setattr(SortedIndex, "segment_sums", spy_sums)
+    monkeypatch.setattr(alias, "_reduce_segments", spy_reduce)
+    monkeypatch.setattr(weights, "_factor", spy_factor)
+    orders = tables["orders"]
+    for _ in range(3):
+        apply_batch(tables, stream.batch())
+        assert sampler.refresh()
+        sampler.sample_block(500)
+        most = orders.statistics_on("custkey").max_degree
+        assert summed and max(summed) <= 3 * k * most < len(orders) // 4
+        assert reduced and max(reduced) <= 3 * k * most
+        assert gathered and max(gathered) <= 3 * k
+        summed.clear(), reduced.clear(), gathered.clear()
+
+
 def test_small_segments_are_built_by_build_all_only(smoke_query, monkeypatch):
     """A draw's first touch never builds a small segment's alias table: it is
     served cold, and tables appear only when ``build_all`` runs (``warm()``,
