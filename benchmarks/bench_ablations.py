@@ -17,7 +17,7 @@ def test_ablation_bernoulli_vs_cover(benchmark, config, record_table):
     )
     record_table(table)
     rows = {row["policy"]: row for row in table.rows}
-    assert set(rows) == {"bernoulli", "cover-record", "cover-strict"}
+    assert set(rows) == {"bernoulli", "cover-record", "cover-exact"}
     assert all(row["draws_per_sample"] >= 1.0 for row in table.rows)
 
 

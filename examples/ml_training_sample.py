@@ -12,7 +12,8 @@ mean against the true mean over the exact set union:
 * ``naive``       — sample each join uniformly and concatenate (the strawman
                      from Example 2 of the paper; overlap tuples are
                      over-represented),
-* ``set-union``   — Algorithm 1 with exact parameters (uniform over the union),
+* ``cover``       — the exact cover draw, ``UnionCoverSource`` (uniform over
+                     the union),
 * ``online``      — Algorithm 2 with random-walk warm-up and sample reuse.
 
 Run:  python examples/ml_training_sample.py
@@ -26,7 +27,7 @@ from repro import (
     FullJoinUnionEstimator,
     JoinSampler,
     OnlineUnionSampler,
-    SetUnionSampler,
+    UnionCoverSource,
     build_uq1,
 )
 
@@ -68,10 +69,8 @@ def main() -> None:
     naive_values = naive_union_sample(queries, per_join, seed=31)
     strategies["naive per-join sampling"] = [v[TOTALPRICE_POSITION] for v in naive_values]
 
-    set_union = SetUnionSampler(queries, parameters, seed=37, mode="strict").sample(SAMPLES)
-    strategies["set-union sampling (Alg. 1)"] = [
-        v[TOTALPRICE_POSITION] for v in set_union.values()
-    ]
+    cover = UnionCoverSource(queries, seed=37).take(SAMPLES)
+    strategies["exact cover sampling"] = [v[TOTALPRICE_POSITION] for v in cover.rows()]
 
     online = OnlineUnionSampler(queries, seed=41, walks_per_join=400).sample(SAMPLES)
     strategies["online sampling (Alg. 2)"] = [

@@ -2,8 +2,10 @@
 
 Builds two tiny overlapping chain joins, estimates the union parameters three
 ways (exact, histogram-based, random-walk), draws a uniform sample from the
-set union with Algorithm 1, and verifies empirically that every tuple of the
-union is sampled with probability ~ 1/|U|.
+set union with the exact cover draw (``UnionCoverSource``: each join's
+exact-weight walks, a value kept only by the first join that produces it),
+and verifies empirically that every tuple of the union is sampled with
+probability ~ 1/|U|.
 
 Run:  python examples/quickstart.py
 """
@@ -20,7 +22,7 @@ from repro import (
     OutputAttribute,
     RandomWalkUnionEstimator,
     Relation,
-    SetUnionSampler,
+    UnionCoverSource,
     exact_union_size,
 )
 
@@ -72,17 +74,19 @@ def main() -> None:
     print(f"random-walk |U| ≈ {random_walk.union_size:.1f}")
     assert exact.union_size == exact_union_size(queries)
 
-    print("\n=== Algorithm 1: sampling the set union ===")
-    sampler = SetUnionSampler(queries, exact, seed=7, mode="strict")
-    result = sampler.sample(5000)
-    print(f"drew {len(result)} samples; per-join draws = {result.stats.draws_per_join}")
+    print("\n=== sampling the set union ===")
+    sample = UnionCoverSource(queries, seed=7).take(5000)
+    values = sample.rows()
+    owners = Counter(queries[owner].name for owner in sample.owners.tolist())
+    print(f"drew {len(values)} samples in {sample.attempts} attempts; "
+          f"per-join samples = {dict(owners)}")
 
-    counts = Counter(result.values())
+    counts = Counter(values)
     union_size = int(exact.union_size)
     print(f"\nempirical frequency of each of the {union_size} union tuples "
           f"(uniform would be {1 / union_size:.3f}):")
     for value, count in sorted(counts.items()):
-        print(f"  {value}: {count / len(result):.3f}")
+        print(f"  {value}: {count / len(values):.3f}")
 
 
 if __name__ == "__main__":

@@ -8,12 +8,10 @@ online sampler with sample reuse and backtracking.
 
 Quickstart
 ----------
->>> from repro import build_uq1, SetUnionSampler, HistogramUnionEstimator
+>>> from repro import build_uq1, UnionCoverSource
 >>> workload = build_uq1(scale_factor=0.001, overlap_scale=0.3, seed=7)
->>> estimator = HistogramUnionEstimator(workload.queries, join_size_method="ew")
->>> sampler = SetUnionSampler(workload.queries, estimator, seed=7)
->>> result = sampler.sample(100)
->>> len(result) == 100
+>>> sample = UnionCoverSource(workload.queries, seed=7).take(100)
+>>> len(sample.rows()) == 100
 True
 """
 
@@ -26,6 +24,7 @@ from repro.aqp import (
     OnlineAggregator,
     SamplerPlan,
     SamplerPlanner,
+    UnionCoverSource,
     aggregate,
     exact_aggregate,
     supported_backends,
@@ -156,6 +155,7 @@ __all__ = [
     "HistogramUnionEstimator",
     "RandomWalkUnionEstimator",
     # union samplers
+    "UnionCoverSource",
     "DisjointUnionSampler",
     "BernoulliUnionSampler",
     "SetUnionSampler",

@@ -25,6 +25,7 @@ from repro.aqp.planner import (
     choose_weights,
     supported_backends,
 )
+from repro.aqp.sources import UnionCoverSource
 
 __all__ = [
     "AGGREGATE_KINDS",
@@ -42,4 +43,5 @@ __all__ = [
     "SamplerPlanner",
     "supported_backends",
     "choose_weights",
+    "UnionCoverSource",
 ]

@@ -10,8 +10,8 @@ Every source is an attempt-level HT stream, a union's included
 (:class:`UnionCoverSource`); none replays or rewrites what it drew.
 
 Plain samples have one loop too, :func:`draw_chunks`: a served ``sample``
-and ``repro sample --workers`` both fan each chunk out with :func:`fan_out`
-under the epoch protocol and one deadline.
+and ``repro sample`` (any ``--workers``) both fan each chunk out with
+:func:`fan_out` under the epoch protocol and one deadline.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 
 DrawT = TypeVar("DrawT")
 
-#: Values per chunk of :func:`draw_chunks`: ``repro sample --workers`` and a
+#: Values per chunk of :func:`draw_chunks`: ``repro sample`` and a
 #: served ``sample`` (its default ``sample_chunk``).
 SAMPLE_CHUNK = 1024
 

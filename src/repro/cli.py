@@ -3,8 +3,11 @@
 Four subcommands cover the common workflows:
 
 ``python -m repro sample``
-    Build a workload (UQ1/UQ2/UQ3), estimate union parameters with the chosen
-    warm-up method, draw N samples from the set union and print a summary.
+    Build a workload (UQ1/UQ2/UQ3), draw N samples from the set union and
+    print a summary.  The default ``--sampler cover`` draws the exact union
+    through the union cover sources at any ``--workers``, the values a served
+    union ``sample`` returns; the paper's samplers (``set-union``, ``online``,
+    ``bernoulli``, ``disjoint``) warm up union parameters first.
 
 ``python -m repro estimate``
     Compare the histogram-based and random-walk warm-up estimators against the
@@ -75,7 +78,7 @@ FIGURES: Dict[str, Callable] = {
     "ablation-template": lambda cfg: figure_module.run_ablation_template(cfg),
 }
 
-SAMPLERS = ("set-union", "online", "bernoulli", "disjoint")
+SAMPLERS = ("cover", "set-union", "online", "bernoulli", "disjoint")
 WARMUPS = ("histogram", "random-walk", "exact")
 AGGREGATES = ("count", "sum", "avg")
 METHODS = ("auto", "exact-weight", "olken", "wander-join", "online-union")
@@ -91,24 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="sample the set union of a workload")
     _add_workload_arguments(sample)
     sample.add_argument("--samples", type=int, default=200, help="number of samples to draw")
-    sample.add_argument("--sampler", choices=SAMPLERS, default="set-union")
-    sample.add_argument("--warmup", choices=WARMUPS, default="histogram")
-    sample.add_argument("--weights", choices=("ew", "eo", "auto"), default="ew",
-                        help="single-join sampling weights "
-                        "(auto = cost-based planner choice)")
-    sample.add_argument("--workers", type=int, default=1,
-                        help="worker count; >1 draws the union through that "
-                        "many cover sources in the chunk loop a served union "
-                        "sample runs, so the samples depend on the seed and "
-                        "the worker count (incompatible with "
-                        "--sampler/--warmup/--weights)")
+    sample.add_argument("--sampler", choices=SAMPLERS, default="cover",
+                        help="cover: the exact union, as a served union sample "
+                        "draws it; the others are the paper's, for the figures")
+    sample.add_argument("--warmup", choices=WARMUPS, default=None,
+                        help="a paper sampler's warm-up (default histogram)")
+    sample.add_argument("--weights", choices=("ew", "eo", "auto"), default=None,
+                        help="a paper sampler's join weights (default ew; "
+                        "auto = cost-based planner choice)")
+    sample.add_argument("--workers", type=int, default=None,
+                        help="cover sources of --sampler cover (default 1); "
+                        "the samples depend on the seed and the worker count")
     sample.add_argument("--deadline", type=float, default=None,
-                        help="deadline in seconds (requires --workers > 1); "
+                        help="deadline in seconds of --sampler cover; "
                         "exceeding it exits with code 3 unless --allow-partial")
-    sample.add_argument("--allow-partial", action="store_true",
+    sample.add_argument("--allow-partial", action="store_true", default=None,
                         help="on an exceeded deadline, print the samples "
-                        "drawn so far instead of failing (requires "
-                        "--workers > 1); none drawn still exits with code 3")
+                        "drawn so far instead of failing (--sampler cover); "
+                        "none drawn still exits with code 3")
 
     estimate = sub.add_parser("estimate", help="compare warm-up estimators on a workload")
     _add_workload_arguments(estimate)
@@ -223,72 +226,57 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2023)
 
 
-def _make_estimator(name: str, queries, args, seed=None):
+def _make_estimator(name: str, queries, weights: str, seed):
     if name == "histogram":
-        weights = getattr(args, "weights", "ew")
-        if weights == "auto":
-            # The histogram estimator only uses the method to size joins; its
-            # cheap decentralized default is the extended-Olken variant.  The
-            # per-join samplers still resolve "auto" through the planner.
-            weights = "eo"
-        return HistogramUnionEstimator(queries, join_size_method=weights)
-    if name == "random-walk":
-        return RandomWalkUnionEstimator(
-            queries,
-            walks_per_join=getattr(args, "walks", 500),
-            seed=args.seed if seed is None else seed,
+        # The histogram estimator only uses the method to size joins; its
+        # cheap decentralized default is the extended-Olken variant.  The
+        # per-join samplers still resolve "auto" through the planner.
+        return HistogramUnionEstimator(
+            queries, join_size_method="eo" if weights == "auto" else weights
         )
+    if name == "random-walk":
+        return RandomWalkUnionEstimator(queries, walks_per_join=500, seed=seed)
     return FullJoinUnionEstimator(queries)
 
 
+#: The flags each side of ``--sampler`` owns: the cover draw's chunk loop,
+#: or the paper samplers' warm-up and join weights.
+COVER_FLAGS = ("workers", "deadline", "allow_partial")
+PAPER_FLAGS = ("warmup", "weights")
+
+
 def command_sample(args: argparse.Namespace) -> int:
-    if args.workers < 1:
+    cover = args.sampler == "cover"
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest in (PAPER_FLAGS if cover else COVER_FLAGS)
+        if getattr(args, dest) is not None
+    ]
+    if given:
+        owner = "the paper samplers" if cover else "--sampler cover"
+        print(f"error: --sampler {args.sampler} does not take {', '.join(given)} "
+              f"(for {owner} only)", file=sys.stderr)
+        return 2
+    if args.workers is not None and args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    if args.workers == 1 and (args.deadline is not None or args.allow_partial):
-        print("error: --deadline and --allow-partial bound the parallel union "
-              "draw; add --workers > 1", file=sys.stderr)
-        return 2
-    if args.workers > 1:
-        # The parallel route draws through the union cover sources (no
-        # warm-up); silently dropping an explicit sampler choice would
-        # misreport what actually ran.
-        overridden = [
-            flag
-            for flag, value, default in (
-                ("--sampler", args.sampler, "set-union"),
-                ("--warmup", args.warmup, "histogram"),
-                ("--weights", args.weights, "ew"),
-            )
-            if value != default
-        ]
-        if overridden:
-            print(f"error: --workers {args.workers} draws through the union cover sources, "
-                  f"which ignore {', '.join(overridden)}; drop those flags or use --workers 1",
-                  file=sys.stderr)
-            return 2
     workload = build_workload(args.workload, args.scale_factor, args.overlap_scale, args.seed)
     queries = workload.queries
-    if args.workers > 1:
+    if cover:
         return _sample_union(args, workload, queries)
+    warmup, weights = args.warmup or "histogram", args.weights or "ew"
     # Derive independent streams for the warm-up estimator and the sampler:
     # seeding both with args.seed would replay the identical sequence in two
     # components that must draw independently (see repro.utils.rng).
     estimator_rng, sampler_rng = spawn_rngs(args.seed, 2)
     try:
         if args.sampler == "online":
-            sampler = OnlineUnionSampler(queries, seed=sampler_rng, join_weights=args.weights)
+            sampler = OnlineUnionSampler(queries, seed=sampler_rng, join_weights=weights)
         else:
-            estimator = _make_estimator(args.warmup, queries, args, seed=estimator_rng)
-            if args.sampler == "set-union":
-                sampler = SetUnionSampler(queries, estimator, join_weights=args.weights,
-                                          seed=sampler_rng)
-            elif args.sampler == "bernoulli":
-                sampler = BernoulliUnionSampler(queries, estimator, join_weights=args.weights,
-                                                seed=sampler_rng)
-            else:
-                sampler = DisjointUnionSampler(queries, estimator, join_weights=args.weights,
-                                               seed=sampler_rng)
+            kind = {"set-union": SetUnionSampler, "bernoulli": BernoulliUnionSampler,
+                    "disjoint": DisjointUnionSampler}[args.sampler]
+            estimator = _make_estimator(warmup, queries, weights, estimator_rng)
+            sampler = kind(queries, estimator, join_weights=weights, seed=sampler_rng)
         result = sampler.sample(args.samples)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -296,8 +284,8 @@ def command_sample(args: argparse.Namespace) -> int:
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    print(f"workload={workload.name} sampler={args.sampler} warmup={args.warmup} "
-          f"weights={args.weights}")
+    print(f"workload={workload.name} sampler={args.sampler} warmup={warmup} "
+          f"weights={weights}")
     print(f"samples drawn      : {len(result)}")
     print(f"per-join samples   : {result.sources()}")
     print(f"iterations         : {result.stats.iterations} "
@@ -311,17 +299,18 @@ def command_sample(args: argparse.Namespace) -> int:
 
 def union_sample(queries, count: int, seed: int, workers: int,
                  deadline: Optional[float] = None, allow_partial: bool = False) -> ChunkedDraw:
-    """What ``repro sample --workers`` draws: ``count`` union values from
-    ``workers`` cover sources, in the chunk loop a served union ``sample``
-    runs, so the values depend on ``(seed, workers)``."""
+    """What ``repro sample`` draws: ``count`` union values from ``workers``
+    cover sources, in the chunk loop a served union ``sample`` runs, so the
+    values depend on ``(seed, workers)``."""
     return draw_chunks(queries, partial(union_takes, queries, seed, workers), count,
                        deadline=deadline, allow_partial=allow_partial)
 
 
 def _sample_union(args: argparse.Namespace, workload, queries) -> int:
+    workers = args.workers or 1
     try:
-        run = union_sample(queries, args.samples, args.seed, args.workers,
-                           args.deadline, args.allow_partial)
+        run = union_sample(queries, args.samples, args.seed, workers,
+                           args.deadline, bool(args.allow_partial))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -339,8 +328,7 @@ def _sample_union(args: argparse.Namespace, workload, queries) -> int:
     if run.parts:
         union = CoverDraw.concat(run.parts)
         values, owners, attempts = union.rows(), union.owners.tolist(), union.attempts
-    print(f"workload={workload.name} sampler=parallel backend=online-union "
-          f"workers={args.workers}")
+    print(f"workload={workload.name} sampler=cover workers={workers}")
     print(f"samples drawn      : {run.drawn}")
     print(f"per-join samples   : {dict(Counter(queries[owner].name for owner in owners))}")
     print(f"attempts           : {attempts} (accepted {run.drawn})")

@@ -23,7 +23,7 @@ Its price reads the snapshot's memoized statistics and its values leave
 column by column (:func:`json_rows`): a warm request pays for its draw.
 
 Every ``sample`` request runs one chunk loop
-(:func:`repro.aqp.sources.draw_chunks`, which ``repro sample --workers`` runs
+(:func:`repro.aqp.sources.draw_chunks`, which ``repro sample`` runs
 too); a route only supplies the draw of the next chunk.  A join draws from
 ``workers`` clones of its warm prototype, a union from ``workers``
 :class:`~repro.aqp.sources.UnionCoverSource` streams (the sources a union
@@ -111,33 +111,20 @@ _AGGREGATES = ("count", "sum", "avg")
 _METHODS = ("auto", "exact-weight", "olken", "wander-join", "online-union")
 
 
-def jsonify(value):
-    """Recursively convert numpy scalars/containers to JSON-native types."""
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    return value
-
-
 def _json_columns(columns: Sequence[np.ndarray], length: int) -> List[List[object]]:
     """Rows of value columns, converted per column: a typed column leaves
     through ``tolist()``, which is JSON-native already, and only an
-    ``object`` column goes value by value through :func:`jsonify`."""
-    lists = [list(map(jsonify, c.tolist())) if c.dtype == object else c.tolist() for c in columns]
+    ``object`` column goes value by value, a NumPy scalar through ``item()``."""
+    lists = [
+        [v.item() if isinstance(v, np.generic) else v for v in c.tolist()]
+        if c.dtype == object else c.tolist()
+        for c in columns
+    ]
     return list(map(list, zip(*lists))) if lists else [[] for _ in range(length)]
 
 
 def json_rows(block: SampleBlock, query: JoinQuery) -> List[List[object]]:
-    """``jsonify(block.values(query))``, converted per column."""
+    """``block.values(query)`` as JSON-native rows, converted per column."""
     return _json_columns(block.value_columns(query), len(block))
 
 
@@ -663,7 +650,7 @@ class SamplingService:
             "rel_error": rel_error,
             "epochs_restarted": aggregator.epochs_restarted,
             "priced_seconds": ticket.priced_seconds,
-            "report": jsonify(report.to_dict()),
+            "report": report.to_dict(),
         }
         if cache is not None:
             result["cache"] = {
@@ -780,4 +767,4 @@ class SamplingService:
         }
 
 
-__all__ = ["SamplingService", "json_rows", "jsonify"]
+__all__ = ["SamplingService", "json_rows"]

@@ -1,8 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.aqp.sources import CoverDraw
+from repro.cli import FIGURES, build_parser, main, union_sample
+from repro.joins.executor import join_result_set
+from repro.tpch.workloads import build_workload
 
 
 class TestParser:
@@ -13,8 +18,10 @@ class TestParser:
     def test_sample_defaults(self):
         args = build_parser().parse_args(["sample"])
         assert args.workload == "UQ1"
-        assert args.sampler == "set-union"
-        assert args.warmup == "histogram"
+        assert args.sampler == "cover"
+        # The paper samplers' flags resolve their defaults only when given
+        # to one, so a flag passed to the other side is an error.
+        assert args.warmup is None and args.weights is None and args.workers is None
 
     def test_figure_requires_known_name(self):
         with pytest.raises(SystemExit):
@@ -54,6 +61,39 @@ class TestCommands:
                      "--sampler", sampler, "--warmup", "exact", *self.common])
         assert code == 0
         assert "samples drawn      : 15" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_sample_prints_the_union_sample(self, capsys, workers):
+        """``repro sample`` with no --sampler is the cover draw of
+        :func:`union_sample` at every worker count."""
+        assert main(["sample", "--workload", "UQ2", "--samples", "30",
+                     "--workers", str(workers), *self.common]) == 0
+        out = capsys.readouterr().out.splitlines()
+        queries = build_workload("UQ2", 0.0005, 0.3, 3).queries
+        union = CoverDraw.concat(union_sample(queries, 30, 3, workers).parts)
+        names = dict(Counter(queries[owner].name for owner in union.owners.tolist()))
+        assert out[0] == f"workload=UQ2 sampler=cover workers={workers}"
+        assert out[2] == f"per-join samples   : {names}"
+        assert out[3] == f"attempts           : {union.attempts} (accepted 30)"
+        assert out[5:] == [f"  {value}" for value in union.rows()[:5]]
+
+    def test_default_sample_draws_from_every_owning_join(self, capsys):
+        """Every join that owns part of the union (values no earlier join
+        produces) shows up in 2 000 default samples of UQ2 at SF 0.005; the
+        histogram warm-up of the record-rule sampler gave all but the first
+        join a share of 0."""
+        assert main(["sample", "--workload", "UQ2", "--samples", "2000",
+                     "--scale-factor", "0.005"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("per-join samples"))
+        seen, owning = set(), set()
+        for query in build_workload("UQ2", 0.005, 0.3, 2023).queries:
+            result = join_result_set(query)
+            if result - seen:
+                owning.add(query.name)
+            seen |= result
+        assert len(owning) == 3
+        assert {name for name in owning if f"'{name}'" in line} == owning
 
     def test_estimate(self, capsys):
         code = main(["estimate", "--workload", "UQ2", "--walks", "150", *self.common])

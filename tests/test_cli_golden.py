@@ -42,8 +42,12 @@ CASES = {
         "--sampler", "set-union", "--warmup", "histogram",
         "--weights", "auto", *COMMON,
     ],
-    # --workers > 1 draws the union through the served chunk loop: the
-    # answer is a function of the seed and the worker count.
+    # The default sampler draws the exact union through the cover sources,
+    # in the served chunk loop: the answer is a function of the seed and the
+    # worker count (1 here, 2 below).
+    "cli_sample_cover.json": [
+        "sample", "--workload", "UQ2", "--samples", "20", *COMMON,
+    ],
     "cli_sample_parallel.json": [
         "sample", "--workload", "UQ1", "--samples", "12",
         "--workers", "2", *COMMON,
@@ -162,8 +166,10 @@ CASES = {
         "sample", "--workload", "UQ1", "--samples", "12",
         "--workers", "2", "--deadline", "0", *COMMON,
     ],
-    "cli_err_sample_resilience_flags_without_workers.json": [
-        "sample", "--workload", "UQ1", "--deadline", "5", *COMMON,
+    # A deadline bounds the cover draw's chunk loop; a paper sampler has none.
+    "cli_err_sample_deadline_with_set_union.json": [
+        "sample", "--workload", "UQ1", "--sampler", "set-union",
+        "--deadline", "5", *COMMON,
     ],
     # A partial report is only honest when it contains samples: the budget
     # (not the wall clock) is exhausted here, so the degraded report and its

@@ -1,10 +1,11 @@
-"""Smoke-collect the runnable examples so the demos cannot silently rot.
+"""Run every example so the demos cannot silently rot.
 
 The reuse demo broke once before by drifting behind the library's API; running
-it (in its --quick configuration) as part of the tier-1 suite turns any future
-drift into a test failure instead of a bad first impression.  Examples run in
-a subprocess — exactly how a user runs them — so import-time breakage,
-argument parsing, and output paths are all covered.
+each script (the reuse demo in its --quick configuration) as part of the
+tier-1 suite turns any future drift into a test failure instead of a bad
+first impression.  Examples run in a subprocess — exactly how a user runs
+them — so import-time breakage, argument parsing, and output paths are all
+covered.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO_ROOT / "examples"
@@ -37,3 +40,14 @@ def test_online_sampling_with_reuse_example_runs():
     assert "online union sampling with reuse" in result.stdout
     assert "cross-query reuse through the SampleBlock cache tier" in result.stdout
     assert "cache after the run" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(path.name for path in EXAMPLES.glob("*.py")
+           if path.name != "online_sampling_with_reuse.py"),
+)
+def test_example_runs(name):
+    result = run_example(name)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

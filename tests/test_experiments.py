@@ -127,7 +127,7 @@ class TestFigureHarness:
     def test_ablation_bernoulli(self):
         table = run_ablation_bernoulli(TINY, sample_size=40)
         policies = [row["policy"] for row in table.rows]
-        assert policies == ["bernoulli", "cover-record", "cover-strict"]
+        assert policies == ["bernoulli", "cover-record", "cover-exact"]
         assert all(row["draws_per_sample"] >= 1.0 for row in table.rows)
 
     def test_ablation_template_optimized_not_looser_than_naive(self):

@@ -1,5 +1,5 @@
 """Tests for the parallel aggregation service (repro.parallel) and the
-parallel union sample of ``repro sample --workers``.
+union sample of ``repro sample`` (any ``--workers``).
 
 The pool's load-bearing invariant: a parallel aggregate is a *pure function
 of the shard plan* — same queries, same seed, same shard count ⇒
@@ -174,7 +174,7 @@ def union_values(run):
 
 
 class TestUnionSampleRoute:
-    """``repro sample --workers``: the served chunk loop over cover sources."""
+    """``repro sample``: the served chunk loop over cover sources, any ``--workers``."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_deterministic_per_seed_and_workers(self, workers):

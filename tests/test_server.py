@@ -39,7 +39,7 @@ from repro.server import (
     start_server,
 )
 from repro.server.protocol import ERROR_CODES, MAX_REQUEST_WORKERS
-from repro.server.service import json_rows, jsonify
+from repro.server.service import json_rows
 
 from tests.stat_helpers import assert_uniform
 
@@ -305,12 +305,23 @@ class TestPricingMemo:
 
 _OBJECT_VALUES = [
     np.int64(-7), np.float32(1.5), np.bool_(True), None, 2**70,
-    "nul\x00", (1, ("x", np.int64(2))),
+    "nul\x00", (1, ("x", 2)),
 ]
 
 
+def json_native(value):
+    """Whether ``value`` is built of JSON's own types only (``type() is``,
+    so a NumPy float, though a ``float``, does not pass)."""
+    if type(value) is dict:
+        return all(type(k) is str and json_native(v) for k, v in value.items())
+    if type(value) in (list, tuple):
+        return all(map(json_native, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
 class TestJsonRows:
-    """Warm values leave per column, as the per-value ``jsonify`` left them."""
+    """Warm values leave per column: the values of ``block.values(query)``
+    with each NumPy scalar made native."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -325,7 +336,7 @@ class TestJsonRows:
         ),
         picks=st.lists(st.integers(0, 10**6), max_size=20),
     )
-    def test_matches_jsonify_of_values(self, rows, picks):
+    def test_matches_the_native_values(self, rows, picks):
         relation = Relation("T", ["i", "f", "s", "o"], rows)
         query = JoinQuery(
             "t", [relation], [],
@@ -336,12 +347,34 @@ class TestJsonRows:
             ("T",), {"T": np.array([p % len(rows) for p in picks], dtype=np.intp)}
         )
         columns = json_rows(block, query)
-        expected = jsonify(block.values(query))
-        assert columns == expected
+        expected = [
+            [v.item() if isinstance(v, np.generic) else v for v in row]
+            for row in block.values(query)
+        ]
+        assert columns == expected and json_native(columns)
         assert json.dumps(columns) == json.dumps(expected)
         bare = copy.copy(query)
         bare.output_attributes = ()
         assert json_rows(block, bare) == [[]] * len(picks)
+
+
+class TestReportsAreJsonNative:
+    """A served aggregate sends ``report.to_dict()`` as it stands: every
+    backend's report, grouped by a string, an int, a float or a wide-range
+    key, holds no NumPy value."""
+
+    @pytest.mark.parametrize("group_by", ["n_name", "suppkey", "s_acctbal", "custkey"])
+    @pytest.mark.parametrize(
+        "method", ["exact-weight", "olken", "wander-join", "online-union"]
+    )
+    def test_report_dict_is_json_native(self, uq1_small, method, group_by):
+        queries = uq1_small.queries if method == "online-union" else uq1_small.queries[0]
+        spec = AggregateSpec("sum", attribute="totalprice", group_by=group_by)
+        aggregator = OnlineAggregator(queries, spec, method=method, seed=5)
+        aggregator.step(400)
+        payload = aggregator.estimate().to_dict()
+        assert len(payload["groups"]) > 1
+        assert json_native(payload)
 
 
 class TestEpochConsistency:
